@@ -11,6 +11,7 @@ from .geometry import (
     intrinsic_curvature,
     maslov_one_form,
     maslov_tensor,
+    point_bundle,
     scalar_laplacian,
 )
 from .identities import (

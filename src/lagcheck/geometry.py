@@ -3,14 +3,19 @@
 Given the jet of an immersion at a chart point, this module produces the full
 geometric state: induced metric, adapted frame (e_i, Je_i), second
 fundamental form and its trace decomposition, covariant derivatives,
-curvature tensors, the conformal-Maslov defect tensor, and scalar Laplacians
-of derived fields.
+curvature tensors, the conformal-Maslov defect tensor and its covariant
+derivative, and Laplace-Beltrami operators of scalar jets.
 
 The frame field is the Gram-Schmidt (Cholesky) orthonormalization of the
 coordinate frame, built inside jet arithmetic, so connection coefficients and
 derivatives of frame components are exact.  The normal connection is the
 tangent one transported by the complex structure, which for a constant J is
 an exact equality of coefficient matrices.
+
+Every derivative here is read off a Taylor jet; nothing is finite
+differenced.  An order-k ambient jet leaves h, H and |hhat|^2 valid to order
+k - 2 and the first covariant derivatives of H to order k - 3, so an order-4
+bundle carries the Laplacian of |hhat|^2 and the gradient of T exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .immersions import AMBIENT_CN, ChartPoint, Immersion, OutOfDomainError
-from .jets import Jet, jet_dot
+from .jets import Jet, jet_dot, jet_space
 from .tensors import (
     CubicSymTensor,
     SymTraceFree2,
@@ -34,12 +39,12 @@ LAGRANGIAN_TOL = 1e-6
 METRIC_DET_TOL = 1e-12
 
 # Residual tolerances by derivative provenance: exact jets, once finite
-# differenced, twice finite differenced.
+# differenced, twice finite differenced.  The FD rungs fit black-box
+# immersions, whose ambient jets come from finite differences; a few jet-exact
+# checks in identities.DEFAULT_TOLERANCES still sit on them.
 TOL_JET = 1e-9
 TOL_FD1 = 1e-6
 TOL_FD2 = 1e-4
-
-FD_STEP = 1e-3
 
 
 class NonLagrangianError(ValueError):
@@ -261,6 +266,17 @@ class FrameBundle:
         """e_k applied to a scalar jet, for all k: shape (n, B)."""
         parts = np.stack([jet.partial(a).value for a in range(self.n)])
         return np.einsum("kab,ab->kb", self.B0, parts)
+
+    def laplacian(self, jet: Jet) -> np.ndarray:
+        """Laplace-Beltrami g^{ab}(d_a d_b f - Gamma^c_ab d_c f) of a scalar
+        jet valid to order >= 2 in the chart variables: shape (B,)."""
+        d1 = [jet.partial(a) for a in range(self.n)]
+        grad = np.stack([d.value for d in d1])
+        hess = np.stack([[d.partial(b).value for b in range(self.n)] for d in d1])
+        g_inv = np.einsum("iax,ibx->abx", self.B0, self.B0)
+        return np.einsum(
+            "abx,abx->x", g_inv, hess - np.einsum("cabx,cx->abx", self.christoffel0, grad)
+        )
 
     def _cov1_starred3(self, x_jets, x0) -> np.ndarray:
         """Covariant derivative of a cubic starred tensor given its component
@@ -528,23 +544,49 @@ class FrameBundle:
             n = self.n
             gh = self.grad_h_jets
             gH = self.grad_H_jets
-            fac = n / (n + 2.0)
             out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-            for m in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        for k in range(n):
-                            acc = gh[m][i][j][k]
-                            if i == j:
-                                acc = acc - gH[m][k].scaled(fac)
-                            if j == m:
-                                acc = acc - gH[i][k].scaled(fac)
-                            if i == m:
-                                acc = acc - gH[j][k].scaled(fac)
-                            out[m][i][j][k] = acc
+            for k in range(n):
+                gHk = [gH[l][k] for l in range(n)]
+                for m in range(n):
+                    for i in range(n):
+                        for j in range(n):
+                            out[m][i][j][k] = _minus_c(gh[m][i][j][k], gHk, m, i, j)
             return out
 
         return self._get("grad_hhat_jets", build)
+
+    @property
+    def hhat_sq_jet(self) -> Jet:
+        """|hhat|^2 as a jet, valid to order - 2 (order 2 on an order-4 bundle)."""
+
+        def build():
+            n = self.n
+            acc = None
+            for m in range(n):
+                for i in range(n):
+                    for j in range(n):
+                        x = _minus_c(self.h_jets[m][i][j], self.H_jets, m, i, j)
+                        acc = x * x if acc is None else acc + x * x
+            return acc
+
+        return self._get("hhat_sq_jet", build)
+
+    @property
+    def grad_T(self) -> np.ndarray:
+        """T_{ij,k} with shape (n, n, n, B): frame derivatives of the T
+        components plus connection terms.  Needs an order-4 bundle, where the
+        jets of H^{m*}_{,k} are valid to order 1."""
+
+        def build():
+            n = self.n
+            dgH = np.stack([[self.frame_derivative(x) for x in row] for row in self.grad_H_jets])
+            ddiv = np.einsum("mmkb->kb", dgH)
+            ek = (n * dgH - np.eye(n)[:, :, None, None] * ddiv) / (n + 2.0)
+            T0 = self.T0
+            w0 = self.omega0
+            return ek + np.einsum("ljb,klib->ijkb", T0, w0) + np.einsum("ilb,kljb->ijkb", T0, w0)
+
+        return self._get("grad_T", build)
 
     def _cov2_starred4(self, x_jets) -> np.ndarray:
         """Second covariant derivative values x^{m*}_{ij,kp} of a starred
@@ -598,6 +640,15 @@ class FrameBundle:
 
 def _zero_like(j: Jet) -> Jet:
     return Jet(j.space, np.zeros_like(j.c), j.order)
+
+
+def _minus_c(x: Jet, H: list[Jet], m: int, i: int, j: int) -> Jet:
+    """x - c^{m*}_{ij} with c = n/(n+2) (H^{m*} d_ij + H^{i*} d_jm + H^{j*} d_im)."""
+    fac = len(H) / (len(H) + 2.0)
+    for a, b, l in ((i, j, m), (j, m, i), (i, m, j)):
+        if a == b:
+            x = x - H[l].scaled(fac)
+    return x
 
 
 def _lincomb(jets: list[Jet], row: np.ndarray | None = None, row_jets: list[Jet] | None = None) -> Jet:
@@ -760,11 +811,22 @@ def bundle_at(
     order: int,
     frame_gauge: np.ndarray | None = None,
 ) -> FrameBundle:
-    """FrameBundle at a batch of points given as (B, nvars) coords; no chart
-    normalization, so finite-difference stencils stay in one chart."""
+    """FrameBundle at a batch of points of one chart given as (B, nvars)
+    coords; no chart normalization."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     jets, c_amb = _ambient_jets(imm, chart_id, coords.T, order)
     return FrameBundle(jets, imm.source_dim, c_amb, gauge=frame_gauge)
+
+
+def point_bundle(
+    imm: Immersion, p: ChartPoint, order: int, frame_gauge: np.ndarray | None = None
+) -> FrameBundle:
+    """FrameBundle at one chart point, after moving it to its well-conditioned
+    chart (`imm.atlas.normalize`)."""
+    p = imm.atlas.normalize(p)
+    if not imm.atlas.contains(p):
+        raise OutOfDomainError(f"{p} outside chart domain")
+    return bundle_at(imm, p.chart_id, p.coords[None, :], order, frame_gauge)
 
 
 def geometry_state(
@@ -777,9 +839,7 @@ def geometry_state(
     if depth not in DEPTH_ORDER:
         raise ValueError(f"depth must be one of {sorted(DEPTH_ORDER)}")
     p = imm.atlas.normalize(p)
-    if not imm.atlas.contains(p):
-        raise OutOfDomainError(f"{p} outside chart domain")
-    fb = bundle_at(imm, p.chart_id, p.coords[None, :], DEPTH_ORDER[depth], frame_gauge)
+    fb = point_bundle(imm, p, DEPTH_ORDER[depth], frame_gauge)
     return _state_from_bundle(fb, imm, p, depth)
 
 
@@ -835,9 +895,7 @@ def _state_from_bundle(fb: FrameBundle, imm: Immersion, p: ChartPoint, depth: st
 
 def intrinsic_curvature(imm: Immersion, p: ChartPoint) -> np.ndarray:
     """R_{ijkl} in the adapted frame, from chart Christoffel symbols."""
-    p = imm.atlas.normalize(p)
-    fb = bundle_at(imm, p.chart_id, p.coords[None, :], 3)
-    return fb.curvature_frame[..., 0]
+    return point_bundle(imm, p, 3).curvature_frame[..., 0]
 
 
 def maslov_tensor(state: GeometryState) -> SymTraceFree2:
@@ -853,120 +911,24 @@ def maslov_one_form(state: GeometryState) -> MaslovForm:
 
 def closedness_residual(imm: Immersion, p: ChartPoint) -> float:
     """max_ab |d_a alpha_b - d_b alpha_a| of the pulled-back Maslov form."""
-    p = imm.atlas.normalize(p)
-    fb = bundle_at(imm, p.chart_id, p.coords[None, :], 3)
-    return float(fb.maslov_closedness()[0])
+    return float(point_bundle(imm, p, 3).maslov_closedness()[0])
 
 
-# ---------------------------------------------------------------------------
-# Finite differences over the chart
-# ---------------------------------------------------------------------------
+def maslov_tensor_gradient(imm: Immersion, p: ChartPoint) -> np.ndarray:
+    """Covariant derivative T_{ij,k} at a chart point, indexed [i, j, k]."""
+    return point_bundle(imm, p, 4).grad_T[..., 0]
 
 
-def _richardson(delta_fn: Callable[[float], float], h: float) -> float:
-    return (4.0 * delta_fn(h / 2.0) - delta_fn(h)) / 3.0
+def scalar_laplacian(imm: Immersion, field: Callable[[int, list[Jet]], Jet], p: ChartPoint) -> float:
+    """Laplace-Beltrami of a chart scalar at a point.
 
-
-def fd_gradient(field: Callable[[ChartPoint], float], p: ChartPoint, step: float = FD_STEP) -> np.ndarray:
-    """Chart-coordinate gradient by central differences, Richardson once."""
-    n = len(p.coords)
-    out = np.empty(n)
-    for a in range(n):
-        def d(h, a=a):
-            up = p.coords.copy()
-            dn = p.coords.copy()
-            up[a] += h
-            dn[a] -= h
-            return (field(ChartPoint(p.chart_id, up)) - field(ChartPoint(p.chart_id, dn))) / (2 * h)
-
-        out[a] = _richardson(d, step)
-    return out
-
-
-def fd_hessian(field: Callable[[ChartPoint], float], p: ChartPoint, step: float = FD_STEP) -> np.ndarray:
-    n = len(p.coords)
-    out = np.empty((n, n))
-    f0 = field(p)
-
-    def at(offset):
-        return field(ChartPoint(p.chart_id, p.coords + offset))
-
-    for a in range(n):
-        def daa(h, a=a):
-            ea = np.zeros(n)
-            ea[a] = h
-            return (at(ea) - 2 * f0 + at(-ea)) / (h * h)
-
-        out[a, a] = _richardson(daa, step)
-        for b_ in range(a):
-            def dab(h, a=a, b_=b_):
-                ea = np.zeros(n)
-                eb = np.zeros(n)
-                ea[a] = h
-                eb[b_] = h
-                return (at(ea + eb) - at(ea - eb) - at(-ea + eb) + at(-ea - eb)) / (4 * h * h)
-
-            out[a, b_] = out[b_, a] = _richardson(dab, step)
-    return out
-
-
-def scalar_laplacian(
-    imm: Immersion, field: Callable[[ChartPoint], float], p: ChartPoint, step: float = FD_STEP
-) -> float:
-    """Laplace-Beltrami of a chart scalar: g^{ab}(d_a d_b f - Gamma^c_ab d_c f).
-
-    The metric and Christoffel symbols are exact (jets); the Hessian of the
-    field uses central differences with one Richardson pass.
+    `field(chart_id, u)` evaluates the scalar in jet arithmetic on the order-2
+    coordinate jets `u` (`Jet.variables`) of the chart the point is moved to.
     """
     p = imm.atlas.normalize(p)
-    corner = ChartPoint(p.chart_id, p.coords + 2 * step)
-    if not (imm.atlas.contains(p) and imm.atlas.contains(corner)):
-        raise OutOfDomainError("finite-difference neighborhood leaves the chart domain")
-    fb = bundle_at(imm, p.chart_id, p.coords[None, :], 2)
-    g_inv = np.einsum("iab, icb->acb", fb.B0, fb.B0)[..., 0]
-    gam = fb.christoffel0[..., 0]
-    grad = fd_gradient(field, p, step)
-    hess = fd_hessian(field, p, step)
-    return float(np.einsum("ab,ab->", g_inv, hess - np.einsum("cab,c->ab", gam, grad)))
-
-
-def hhat_sq_field(imm: Immersion) -> Callable[[ChartPoint], float]:
-    """|hhat|^2 as a chart scalar, evaluated through the pointwise pipeline."""
-
-    def field(q: ChartPoint) -> float:
-        fb = bundle_at(imm, q.chart_id, q.coords[None, :], 2)
-        return float(fb.scalar("hhat_sq")[0])
-
-    return field
-
-
-def maslov_tensor_gradient(imm: Immersion, p: ChartPoint, step: float = FD_STEP) -> np.ndarray:
-    """Covariant derivative T_{ij,k}: finite differences of the frame
-    components of T plus connection terms (once-FD tolerance rung)."""
-    p = imm.atlas.normalize(p)
-    n = imm.source_dim
-    fb = bundle_at(imm, p.chart_id, p.coords[None, :], 3)
-    T0 = fb.T0[..., 0]
-    w0 = fb.omega0[..., 0]
-    B0 = fb.B0[..., 0]
-
-    def t_at(coords):
-        fbq = bundle_at(imm, p.chart_id, coords[None, :], 3)
-        return fbq.T0[..., 0]
-
-    dT = np.empty((n, n, n))
-    for a in range(n):
-        def d(h, a=a):
-            up = p.coords.copy()
-            dn = p.coords.copy()
-            up[a] += h
-            dn[a] -= h
-            return (t_at(up) - t_at(dn)) / (2 * h)
-
-        dT[a] = _richardson(d, step)
-    ek = np.einsum("ka,aij->ijk", B0, dT)
-    corr = np.einsum("lj,kli->ijk", T0, w0) + np.einsum("il,klj->ijk", T0, w0)
-    return ek + corr
+    fb = point_bundle(imm, p, 2)
+    u = Jet.variables(jet_space(imm.source_dim, 2), p.coords)
+    return float(fb.laplacian(field(p.chart_id, u))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,12 @@ submanifolds: symmetry of the second fundamental form, Codazzi, the curvature
 equations, the Ricci identity, and the Simons-type identity and inequality
 for the trace-free second fundamental form.
 
+The pointwise checks read a GeometryState.  The heavy checks (Ricci identity,
+Laplace contraction, Simons identity and inequality) read one order-4
+FrameBundle built at a single point by `geometry.point_bundle`; every
+derivative they use, including the chart Laplacian of |hhat|^2 and the
+gradient of T, comes from its jets.
+
 Each check returns a named residual; the report marks a check as passed when
 the residual sits under its tolerance rung (exact-jet, once-FD, or twice-FD,
 optionally rescaled).
@@ -20,12 +26,11 @@ from .geometry import (
     TOL_FD1,
     TOL_FD2,
     TOL_JET,
+    FrameBundle,
     GeometryState,
-    bundle_at,
-    geometry_state,
-    hhat_sq_field,
-    maslov_tensor_gradient,
-    scalar_laplacian,
+    _state_from_bundle,
+    bundle_at,  # noqa: F401  unused; perfbench/tests/test_tracer.py rebinds it here
+    point_bundle,
 )
 from .immersions import ChartPoint, Immersion
 from .tensors import spectral_summary, CubicSymTensor, VectorField1
@@ -103,11 +108,11 @@ def check_gauss_ricci(state: GeometryState) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-def check_ricci_identity(imm: Immersion, p: ChartPoint) -> float:
+def check_ricci_identity(fb: FrameBundle) -> float:
     """Residual of the commutation rule for second covariant derivatives of h
-    against the curvature contractions, curvature taken from the Gauss form."""
-    p = imm.atlas.normalize(p)
-    fb = bundle_at(imm, p.chart_id, p.coords[None, :], 4)
+    against the curvature contractions, curvature taken from the Gauss form.
+
+    `fb` is an order-4 bundle at one point (`point_bundle(imm, p, 4)`)."""
     hess = fb.hess_h[..., 0]
     h0 = fb.h0[..., 0]
     rg = fb.gauss_rhs[..., 0]
@@ -120,18 +125,16 @@ def check_ricci_identity(imm: Immersion, p: ChartPoint) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def lemma_laplace_hhat(imm: Immersion, p: ChartPoint) -> tuple[float, float]:
+def lemma_laplace_hhat(fb: FrameBundle) -> tuple[float, float]:
     """Both sides of the rough-Laplacian contraction identity for hhat:
-    sum hhat * hhat_{,kk} against (n+2)<hhat, grad T> plus curvature terms."""
-    p = imm.atlas.normalize(p)
-    n = imm.source_dim
-    fb = bundle_at(imm, p.chart_id, p.coords[None, :], 4)
+    sum hhat * hhat_{,kk} against (n+2)<hhat, grad T> plus curvature terms,
+    on an order-4 bundle at one point."""
+    n = fb.n
     hh = fb.hhat0[..., 0]
     hess = fb.hess_hhat[..., 0]
     rg = fb.gauss_rhs[..., 0]
     lhs = float(np.einsum("mij,mijkk->", hh, hess))
-    grad_t = maslov_tensor_gradient(imm, p)
-    rhs = (n + 2.0) * float(np.einsum("mij,ijm->", hh, grad_t))
+    rhs = (n + 2.0) * float(np.einsum("mij,ijm->", hh, fb.grad_T[..., 0]))
     rhs += float(np.einsum("mij,mlk,lijk->", hh, hh, rg))
     rhs += float(np.einsum("mij,mil,lkjk->", hh, hh, rg))
     rhs += float(np.einsum("mij,lik,lmjk->", hh, hh, rg))
@@ -143,17 +146,14 @@ def lemma_laplace_hhat(imm: Immersion, p: ChartPoint) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def simons_terms(imm: Immersion, p: ChartPoint) -> dict[str, float]:
-    """Every term of the Simons-type identity for (1/2) Lap |hhat|^2."""
-    p = imm.atlas.normalize(p)
-    state = geometry_state(imm, p, "with_derivatives")
-    n = state.n
-    hh = state.hhat.entries
-    Hv = state.H.components
-    hs = state.hhat_norm_sq()
-
-    lhs = 0.5 * scalar_laplacian(imm, hhat_sq_field(imm), p)
-    grad_t = maslov_tensor_gradient(imm, p)
+def simons_terms(fb: FrameBundle) -> dict[str, float]:
+    """Every term of the Simons-type identity for (1/2) Lap |hhat|^2, on an
+    order-4 bundle at one point.  The left side is the chart Laplacian of the
+    |hhat|^2 jet; the right side comes from frame covariant derivatives."""
+    n = fb.n
+    hh = fb.hhat0[..., 0]
+    Hv = fb.H0[:, 0]
+    hs = float(fb.scalar("hhat_sq")[0])
 
     prods = np.einsum("iab,jbc->ijac", hh, hh)
     comms = prods - prods.transpose(1, 0, 2, 3)
@@ -161,11 +161,11 @@ def simons_terms(imm: Immersion, p: ChartPoint) -> dict[str, float]:
     tr_ab = np.einsum("iab,jab->ij", hh, hh)
 
     terms = {
-        "lhs_half_laplacian": lhs,
-        "hhat_grad_T": (n + 2.0) * float(np.einsum("mij,ijm->", hh, grad_t)),
-        "grad_hhat_sq": state.grad_hhat_norm_sq(),
-        "c_term": (n + 1.0) * state.c_amb * hs,
-        "HH_term": n * n / (n + 2.0) * hs * state.H_norm_sq(),
+        "lhs_half_laplacian": 0.5 * float(fb.laplacian(fb.hhat_sq_jet)[0]),
+        "hhat_grad_T": (n + 2.0) * float(np.einsum("mij,ijm->", hh, fb.grad_T[..., 0])),
+        "grad_hhat_sq": float(fb.scalar("grad_hhat_sq")[0]),
+        "c_term": (n + 1.0) * fb.c_amb * hs,
+        "HH_term": n * n / (n + 2.0) * hs * float(fb.scalar("H_sq")[0]),
         "commutator_term": comm_term,
         "trace_sq_term": -float(np.sum(tr_ab**2)),
         "cubic_term": n * float(np.einsum("mji,mjt,lti,l->", hh, hh, hh, Hv)),
@@ -175,9 +175,10 @@ def simons_terms(imm: Immersion, p: ChartPoint) -> dict[str, float]:
     return terms
 
 
-def check_simons_identity(imm: Immersion, p: ChartPoint) -> tuple[float, float, float]:
-    """Returns (lhs, rhs, relative residual) of the Simons identity."""
-    t = simons_terms(imm, p)
+def check_simons_identity(terms: dict[str, float]) -> tuple[float, float, float]:
+    """Returns (lhs, rhs, relative residual) of the Simons identity from the
+    output of `simons_terms`."""
+    t = terms
     lhs = t["lhs_half_laplacian"]
     rhs = (
         t["hhat_grad_T"]
@@ -192,23 +193,20 @@ def check_simons_identity(imm: Immersion, p: ChartPoint) -> tuple[float, float, 
     return lhs, rhs, abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
-def check_simons_inequality(imm: Immersion, p: ChartPoint) -> dict[str, float]:
-    """Margin of the Simons inequality plus the isolated algebraic step."""
-    t = simons_terms(imm, p)
-    n = imm.source_dim
+def check_simons_inequality(fb: FrameBundle, terms: dict[str, float]) -> dict[str, float]:
+    """Margin of the Simons inequality plus the isolated algebraic step, from
+    the bundle and its `simons_terms`."""
+    t = terms
     lower = (
         t["hhat_grad_T"]
         + t["grad_hhat_sq"]
         + t["c_term"]
         + t["HH_term"]
-        - 0.5 * (n + 3.0) * t["hhat_sq"] ** 2
+        - 0.5 * (fb.n + 3.0) * t["hhat_sq"] ** 2
     )
-    margin = t["lhs_half_laplacian"] - lower
-
-    state = geometry_state(imm, p, "with_derivatives")
-    alg = algebraic_simons_bound(state.hhat.entries, state.H.components)
+    alg = algebraic_simons_bound(fb.hhat0[..., 0], fb.H0[:, 0])
     return {
-        "margin": margin,
+        "margin": t["lhs_half_laplacian"] - lower,
         "algebraic_margin": alg["margin"],
         "spectral_consistency": alg["spectral_consistency"],
         "intermediate_margin": alg["intermediate_margin"],
@@ -367,13 +365,13 @@ DEFAULT_TOLERANCES = {
     "ricci_equation": 1e-5,
     "maslov_closedness": TOL_FD1,
     "ricci_identity": TOL_FD2,
-    "laplace_contraction": TOL_FD1,
-    "simons_identity_rel": 1e-3,
+    "laplace_contraction": TOL_JET,
+    "simons_identity_rel": TOL_JET,
     "simons_inequality_margin": TOL_JET,
     "spectral_consistency": 1e-10,
 }
 
-HEAVY_POINT_COUNT = 3  # points per report for the FD-heavy checks
+HEAVY_POINT_COUNT = 3  # points per report for the order-4 checks
 
 
 def run_identity_suite(
@@ -383,30 +381,35 @@ def run_identity_suite(
     seed: int | None = None,
     heavy: bool = True,
 ) -> IdentityReport:
-    """Evaluate every identity check over the sample points and tabulate."""
-    from .geometry import closedness_residual
+    """Evaluate every identity check over the sample points and tabulate.
 
+    Each sample point gets one order-3 bundle for the pointwise checks; each
+    heavy point gets one order-4 bundle and one `simons_terms` for the rest."""
     agg: dict[str, float] = {}
 
     def bump(name, value):
         agg[name] = max(agg.get(name, 0.0), float(value))
 
     for p in points:
-        state = geometry_state(imm, p, "with_derivatives")
+        p = imm.atlas.normalize(p)
+        fb = point_bundle(imm, p, 3)
+        state = _state_from_bundle(fb, imm, p, "with_derivatives")
         for name, val in check_structural(state).items():
             bump(name, val)
         for name, val in check_gauss_ricci(state).items():
             bump(name, val)
-        bump("maslov_closedness", closedness_residual(imm, p))
+        bump("maslov_closedness", fb.maslov_closedness()[0])
 
     if heavy:
         for p in points[:HEAVY_POINT_COUNT]:
-            bump("ricci_identity", check_ricci_identity(imm, p))
-            lhs, rhs = lemma_laplace_hhat(imm, p)
+            fb = point_bundle(imm, p, 4)
+            bump("ricci_identity", check_ricci_identity(fb))
+            lhs, rhs = lemma_laplace_hhat(fb)
             bump("laplace_contraction", abs(lhs - rhs))
-            _, _, rel = check_simons_identity(imm, p)
+            terms = simons_terms(fb)
+            _, _, rel = check_simons_identity(terms)
             bump("simons_identity_rel", rel)
-            ineq = check_simons_inequality(imm, p)
+            ineq = check_simons_inequality(fb, terms)
             bump("simons_inequality_margin", max(0.0, -ineq["margin"]))
             bump("spectral_consistency", ineq["spectral_consistency"])
 

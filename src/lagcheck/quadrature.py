@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import scalar_samples, fd_gradient, bundle_at
+from .geometry import scalar_samples, bundle_at
 from .immersions import (
     ChartPoint,
     Immersion,
@@ -315,26 +315,27 @@ def energy_report(imm: Immersion, rule: QuadratureRule) -> EnergyReport:
 def michael_simon_ratio(imm: Immersion, v, rule: QuadratureRule) -> dict:
     """Sobolev-type diagnostic pair: the L^{n/(n-1)} norm of a nonnegative
     test function against int |grad v| + v |H|, plus the squared-exponent
-    variant for n >= 3.  The constant is not asserted, only reported."""
+    variant for n >= 3.  The constant is not asserted, only reported.
+
+    `v(chart_id, u)` evaluates the test function in jet arithmetic on the
+    order-2 coordinate jets `u` (`Jet.variables`) of all nodes of one chart.
+    """
     _check_rule(imm, rule)
     n = imm.source_dim
     vals = _node_scalars(imm, rule, ["sqrt_det_g", "H_sq"])
     base = rule.weights * rule.chart_jacobians * vals["sqrt_det_g"]
 
-    nodes = rule.nodes()
-    vv = np.array([v(p) for p in nodes])
-    if np.any(vv < -1e-12):
-        raise ValueError("negative test function detected at a node")
-    vv = np.maximum(vv, 0.0)
-
+    vv = np.empty(rule.node_count)
     grad_norm = np.empty(rule.node_count)
     for cid in np.unique(rule.chart_ids):
         mask = np.where(rule.chart_ids == cid)[0]
         fb = bundle_at(imm, int(cid), rule.coords[mask], 2)
-        g_inv = np.einsum("iab,icb->acb", fb.B0, fb.B0)
-        for row, k in enumerate(mask):
-            dv = fd_gradient(v, nodes[k])
-            grad_norm[k] = math.sqrt(max(0.0, float(np.einsum("ac,a,c->", g_inv[..., row], dv, dv))))
+        vj = v(int(cid), Jet.variables(jet_space(n, 2), rule.coords[mask].T))
+        vv[mask] = vj.value
+        grad_norm[mask] = np.sqrt(np.sum(fb.frame_derivative(vj) ** 2, axis=0))
+    if np.any(vv < -1e-12):
+        raise ValueError("negative test function detected at a node")
+    vv = np.maximum(vv, 0.0)
 
     habs = np.sqrt(vals["H_sq"])
     lhs = float(np.sum(base * vv ** (n / (n - 1.0)))) ** ((n - 1.0) / n)

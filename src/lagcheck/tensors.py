@@ -339,34 +339,6 @@ def li_li_batch_margin(Bs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def jacobi_eigh(A: np.ndarray, tol: float = 1e-13, max_sweeps: int = 64):
-    """Eigen-decomposition of a small symmetric matrix by Jacobi rotations."""
-    A = np.asarray(A, dtype=float).copy()
-    n = A.shape[0]
-    V = np.eye(n)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(A, -1) ** 2))
-        if off < tol * max(1.0, np.max(np.abs(np.diag(A)))):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(A[p, q]) < 1e-300:
-                    continue
-                theta = 0.5 * (A[q, q] - A[p, p]) / A[p, q]
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0:
-                    t = 1.0
-                cth = 1.0 / np.sqrt(t * t + 1.0)
-                sth = t * cth
-                R = np.eye(n)
-                R[p, p] = R[q, q] = cth
-                R[p, q] = sth
-                R[q, p] = -sth
-                A = R.T @ A @ R
-                V = V @ R
-    return np.diag(A).copy(), V
-
-
 @dataclass
 class SpectralSummary:
     """Eigen-data of M_ij = sum_l hhat^{l*}_{ij} H^{l*} plus the per-direction
@@ -387,7 +359,7 @@ class SpectralSummary:
 def spectral_summary(hhat: CubicSymTensor, H: VectorField1) -> SpectralSummary:
     hh = hhat.entries
     M = np.einsum("lij,l->ij", hh, H.components)
-    lam, V = jacobi_eigh(M)
+    lam, V = np.linalg.eigh(M)
     # rotate hhat into the eigenframe e'_i = sum_j V[j, i] e_j
     rotated = np.einsum("am,bi,cj,abc->mij", V, V, V, hh)
     s_istar = np.einsum("mij,mij->m", rotated, rotated)

@@ -9,10 +9,11 @@ from lagcheck.geometry import (
     NonLagrangianError,
     closedness_residual,
     geometry_state,
-    hhat_sq_field,
     intrinsic_curvature,
     maslov_one_form,
     maslov_tensor,
+    maslov_tensor_gradient,
+    point_bundle,
     scalar_laplacian,
 )
 from lagcheck.immersions import (
@@ -245,6 +246,17 @@ class TestMaslovTensor:
         assert s.hhat_norm_sq() == pytest.approx(0.00039283414137453046, rel=1e-8)
         assert float(np.sum(s.T.entries**2)) == pytest.approx(0.0022696491126050523, rel=1e-8)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_gradient_matches_divergence_form(self, n):
+        # T_ij = (1/n) hhat^{m*}_{ij,m}, so T_{ij,k} = (1/n) hhat^{m*}_{ij,mk}:
+        # the gradient from H jets against the second derivative of hhat
+        imm = make_perturbed_whitney(1.0, 0.06, 2, n)
+        for p in imm.atlas.random_points(np.random.default_rng(30 + n), 3):
+            grad_t = maslov_tensor_gradient(imm, p)
+            hess = point_bundle(imm, p, 4).hess_hhat[..., 0]
+            assert np.max(np.abs(grad_t - np.einsum("mijmk->ijk", hess) / n)) < 1e-13
+            assert np.max(np.abs(grad_t)) > 1e-2
+
     def test_consistency_with_divergence_form(self):
         imm = make_perturbed_whitney(1.0, 0.06, 2, 2)
         s = geometry_state(imm, ChartPoint(0, np.array([0.3, 0.5])))
@@ -254,27 +266,47 @@ class TestMaslovTensor:
 class TestScalarLaplacian:
     def test_constant_field(self):
         imm = make_product_torus([1.0, 1.0])
-        val = scalar_laplacian(imm, lambda q: 3.5, ChartPoint(0, np.array([0.4, 0.8])))
-        assert abs(val) < 1e-9
+        val = scalar_laplacian(imm, lambda cid, u: 0.0 * u[0] + 3.5, ChartPoint(0, np.array([0.4, 0.8])))
+        assert abs(val) < 1e-14
 
     def test_first_spherical_harmonic(self):
         # the totally geodesic real form carries the round unit-sphere metric
         imm = make_rpn(2)
         atlas = imm.atlas
 
-        def f(q):
-            return atlas.embed(q)[2]
+        def f(cid, u):
+            return atlas.embed_jets(cid, u)[2]
 
         rng = np.random.default_rng(21)
         for p in atlas.random_points(rng, 5):
             p = atlas.normalize(p)
             val = scalar_laplacian(imm, f, p)
-            assert val == pytest.approx(-2.0 * f(p), abs=1e-5)
+            assert val == pytest.approx(-2.0 * atlas.embed(p)[2], abs=1e-12)
+
+    @staticmethod
+    def _assert_torus_hhat_sq_harmonic(radii):
+        # |hhat|^2 is constant on a product torus, so its Laplacian vanishes
+        # at every scale, relative to |hhat|^2 / r_min^2
+        imm = make_product_torus(list(radii))
+        fb = point_bundle(imm, ChartPoint(0, np.array([1.2, 0.3])), 4)
+        val = float(fb.laplacian(fb.hhat_sq_jet)[0])
+        assert abs(val) <= 1e-12 * float(fb.scalar("hhat_sq")[0]) / min(radii) ** 2
 
     def test_hhat_sq_constant_on_torus(self):
-        imm = make_product_torus([1.0, 2.0])
-        val = scalar_laplacian(imm, hhat_sq_field(imm), ChartPoint(0, np.array([1.2, 0.3])))
-        assert abs(val) < 1e-6
+        self._assert_torus_hhat_sq_harmonic((1.0, 2.0))
+
+    def test_hhat_sq_constant_on_small_torus(self):
+        self._assert_torus_hhat_sq_harmonic((0.02, 0.03))
+
+    def test_hhat_sq_jet_matches_pointwise_scalar(self):
+        imm = make_perturbed_whitney(1.0, 0.05, 1, 2)
+        fb = point_bundle(imm, ChartPoint(0, np.array([0.4, -0.3])), 4)
+        assert fb.hhat_sq_jet.value[0] == pytest.approx(fb.scalar("hhat_sq")[0], rel=1e-13)
+
+    def test_grad_T_needs_order_four(self):
+        imm = make_perturbed_whitney(1.0, 0.05, 1, 2)
+        with pytest.raises(ValueError):
+            point_bundle(imm, ChartPoint(0, np.array([0.4, -0.3])), 3).grad_T
 
 
 class TestPoleHandling:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from lagcheck.cpn import make_rpn, make_whitney_cpn
-from lagcheck.geometry import geometry_state
+from lagcheck import identities
+from lagcheck import geometry
+from lagcheck.geometry import geometry_state, point_bundle
 from lagcheck.identities import (
     algebraic_simons_bound,
     check_gauss_ricci,
@@ -29,6 +31,10 @@ BODIES = {
     "whitney": (make_whitney_cn(1.0, None, 2), ChartPoint(0, np.array([0.4, 0.5]))),
     "perturbed": (make_perturbed_whitney(1.0, 0.05, 1, 2), ChartPoint(0, np.array([0.4, -0.3]))),
 }
+
+
+def heavy(imm, p):
+    return point_bundle(imm, p, 4)
 
 
 class TestStructural:
@@ -82,31 +88,31 @@ class TestRicciIdentity:
     @pytest.mark.parametrize("name,tol", [("plane", 1e-14), ("torus", 1e-6), ("perturbed", 1e-4)])
     def test_commutation_rule(self, name, tol):
         imm, p = BODIES[name]
-        assert check_ricci_identity(imm, p) < tol
+        assert check_ricci_identity(heavy(imm, p)) < tol
 
     def test_perturbed_many_points(self):
         imm, _ = BODIES["perturbed"]
         for p in imm.atlas.random_points(np.random.default_rng(1), 10):
-            assert check_ricci_identity(imm, p) < 1e-4
+            assert check_ricci_identity(heavy(imm, p)) < 1e-4
 
 
 class TestLaplaceContraction:
     def test_torus_both_sides_vanish(self):
         imm, p = BODIES["torus"]
-        lhs, rhs = lemma_laplace_hhat(imm, p)
+        lhs, rhs = lemma_laplace_hhat(heavy(imm, p))
         assert abs(lhs) < 1e-9
         assert abs(rhs) < 1e-9
 
     def test_perturbed_agreement(self):
         imm, p = BODIES["perturbed"]
-        lhs, rhs = lemma_laplace_hhat(imm, p)
-        assert abs(lhs - rhs) < 1e-6
+        lhs, rhs = lemma_laplace_hhat(heavy(imm, p))
+        assert abs(lhs - rhs) < 1e-13
 
 
 class TestSimonsIdentity:
     def test_torus_terms_cancel(self):
         imm, p = BODIES["torus"]
-        t = simons_terms(imm, p)
+        t = simons_terms(heavy(imm, p))
         rhs_terms = (
             t["HH_term"]
             + t["commutator_term"]
@@ -122,7 +128,7 @@ class TestSimonsIdentity:
     def test_square_torus_term_values(self):
         # hand-computed from the closed-form trace decomposition
         imm = make_product_torus([1.0, 1.0])
-        t = simons_terms(imm, ChartPoint(0, np.array([0.4, 1.3])))
+        t = simons_terms(heavy(imm, ChartPoint(0, np.array([0.4, 1.3]))))
         assert t["HH_term"] == pytest.approx(0.25, abs=1e-12)
         assert t["commutator_term"] == pytest.approx(-0.25, abs=1e-12)
         assert t["trace_sq_term"] == pytest.approx(-0.125, abs=1e-12)
@@ -131,34 +137,35 @@ class TestSimonsIdentity:
 
     def test_whitney_every_term_vanishes(self):
         imm, p = BODIES["whitney"]
-        t = simons_terms(imm, p)
+        t = simons_terms(heavy(imm, p))
         for name in ("hhat_grad_T", "grad_hhat_sq", "commutator_term", "cubic_term"):
             assert abs(t[name]) < 1e-9
 
     def test_perturbed_relative_residual(self):
         imm, _ = BODIES["perturbed"]
         for p in imm.atlas.random_points(np.random.default_rng(2), 5):
-            lhs, rhs, rel = check_simons_identity(imm, p)
-            assert rel < 1e-3
+            lhs, rhs, rel = check_simons_identity(simons_terms(heavy(imm, p)))
+            assert rel < 1e-13
 
 
 class TestSimonsInequality:
     def test_whitney_margin_zero(self):
-        imm, p = BODIES["whitney"]
-        res = check_simons_inequality(imm, p)
+        fb = heavy(*BODIES["whitney"])
+        res = check_simons_inequality(fb, simons_terms(fb))
         assert abs(res["margin"]) < 1e-9
 
     def test_torus_margin(self):
         imm = make_product_torus([1.0, 1.0])
-        res = check_simons_inequality(imm, ChartPoint(0, np.array([0.2, 0.8])))
+        fb = heavy(imm, ChartPoint(0, np.array([0.2, 0.8])))
+        res = check_simons_inequality(fb, simons_terms(fb))
         # closed form: the identity right side vanishes, so the margin is
         # (n+3)/2 |hhat|^4 - n^2/(n+2) |hhat|^2 |H|^2 = 5/8 - 1/4 = 3/8
         assert res["margin"] == pytest.approx(0.375, abs=1e-8)
         assert res["margin"] >= -1e-9
 
     def test_perturbed_margin_nonnegative(self):
-        imm, p = BODIES["perturbed"]
-        res = check_simons_inequality(imm, p)
+        fb = heavy(*BODIES["perturbed"])
+        res = check_simons_inequality(fb, simons_terms(fb))
         assert res["margin"] >= -1e-9
         assert res["spectral_consistency"] < 1e-10
 
@@ -199,11 +206,55 @@ class TestSuiteReports:
         assert "tri_symmetry" in names and "simons_identity_rel" in names
 
     def test_cpn_suite_passes_with_heavy_checks(self):
-        # exercises the order-4 horizontal lift and the FD paths in CP^n
+        # exercises the order-4 horizontal lift and the heavy checks in CP^n
         imm = make_whitney_cpn(0.8, 2)
         pts = imm.atlas.random_points(np.random.default_rng(4), 4)
         rep = run_identity_suite(imm, pts, seed=4, heavy=True)
         assert rep.all_pass
+
+    def test_one_bundle_per_point_and_per_heavy_point(self, monkeypatch):
+        builds, terms_calls = [], []
+        init = geometry.FrameBundle.__init__
+        terms = identities.simons_terms
+
+        def counting_init(fb, *args, **kwargs):
+            builds.append(1)
+            init(fb, *args, **kwargs)
+
+        def counting_terms(fb):
+            terms_calls.append(1)
+            return terms(fb)
+
+        monkeypatch.setattr(geometry.FrameBundle, "__init__", counting_init)
+        monkeypatch.setattr(identities, "simons_terms", counting_terms)
+        imm = make_whitney_cn(1.0, None, 2)
+        pts = imm.atlas.random_points(np.random.default_rng(8), 5)
+        assert run_identity_suite(imm, pts, seed=8).all_pass
+        assert len(builds) == len(pts) + identities.HEAVY_POINT_COUNT
+        assert len(terms_calls) == identities.HEAVY_POINT_COUNT
+
+    def test_simons_coefficient_mutation_is_flagged(self, monkeypatch):
+        # a relative change of 1e-4 in the n^2/(n+2) coefficient of the
+        # quadratic term moves the residual by about 1e-5: far above the jet
+        # rung, far below the 1e-3 bound of a finite-difference Laplacian
+        imm, _ = BODIES["torus"]
+        pts = imm.atlas.random_points(np.random.default_rng(9), 3)
+
+        def simons_check(report):
+            return next(c for c in report.checks if c.name == "simons_identity_rel")
+
+        assert simons_check(run_identity_suite(imm, pts, seed=9)).passed
+        terms = identities.simons_terms
+
+        def mutated(*args):
+            t = terms(*args)
+            t["quad_term"] *= 1.0 + 1e-4
+            return t
+
+        monkeypatch.setattr(identities, "simons_terms", mutated)
+        flagged = simons_check(run_identity_suite(imm, pts, seed=9))
+        assert not flagged.passed
+        assert flagged.max_residual < 1e-3
 
     def test_tolerance_scaling_can_fail(self):
         imm, _ = BODIES["perturbed"]

@@ -152,16 +152,20 @@ class TestEnergyReport:
         assert wc.int_hhat_n < 1e-7
 
 
+def constant_field(value):
+    return lambda cid, u: 0.0 * u[0] + value
+
+
 class TestMichaelSimon:
     def test_zero_test_function(self):
         torus = make_product_torus([1.0, 1.0])
-        out = michael_simon_ratio(torus, lambda p: 0.0, torus_rule(2, 8))
+        out = michael_simon_ratio(torus, constant_field(0.0), torus_rule(2, 8))
         assert out["ms_lhs"] == 0.0
         assert out["ms_rhs_no_constant"] == 0.0
 
     def test_constant_function_on_square_torus(self):
         torus = make_product_torus([1.0, 1.0])
-        out = michael_simon_ratio(torus, lambda p: 1.0, torus_rule(2, 10))
+        out = michael_simon_ratio(torus, constant_field(1.0), torus_rule(2, 10))
         assert out["ms_lhs"] == pytest.approx(math.sqrt(4 * math.pi**2), rel=1e-10)
         assert out["ms_rhs_no_constant"] == pytest.approx(4 * math.pi**2 / math.sqrt(2), rel=1e-10)
         assert out["eq320_lhs"] is None
@@ -170,20 +174,20 @@ class TestMichaelSimon:
         wh = make_whitney_cn(1.0, None, 2)
         atlas = wh.atlas
 
-        def v(p):
-            return 1.0 + atlas.embed(p)[2]
+        def v(cid, u):
+            return 1.0 + atlas.embed_jets(cid, u)[2]
 
         out = michael_simon_ratio(wh, v, sphere_rule(2, 16))
         ratio = out["ms_rhs_no_constant"] / out["ms_lhs"]
-        assert ratio == pytest.approx(6.771048996307041, rel=1e-6)  # frozen regression
+        assert ratio == pytest.approx(6.771048996307041, rel=1e-12)  # frozen regression
 
     def test_eq320_pair_for_n3(self):
         wh = make_whitney_cn(1.0, None, 3)
-        out = michael_simon_ratio(wh, lambda p: 1.0, sphere_rule(3, 8))
+        out = michael_simon_ratio(wh, constant_field(1.0), sphere_rule(3, 8))
         assert out["eq320_lhs"] is not None and out["eq320_lhs"] > 0
         assert out["eq320_rhs_no_constant"] > 0
 
     def test_negative_function_rejected(self):
         torus = make_product_torus([1.0, 1.0])
         with pytest.raises(ValueError):
-            michael_simon_ratio(torus, lambda p: -1.0, torus_rule(2, 6))
+            michael_simon_ratio(torus, constant_field(-1.0), torus_rule(2, 6))

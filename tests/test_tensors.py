@@ -11,7 +11,6 @@ from lagcheck.tensors import (
     c_tensor_array,
     contraction_identity_suite,
     _contraction_suite_loops,
-    jacobi_eigh,
     li_li_batch_margin,
     li_li_check,
     norm_identity_residual,
@@ -237,15 +236,6 @@ class TestSpectralSummary:
         brute = np.einsum("lji,l->ji", hhat.entries, H.components)
         assert s.s_h == pytest.approx(float(np.sum(brute**2)), abs=1e-10)
         assert float(np.sum(s.s_istar)) == pytest.approx(hhat.norm_sq(), abs=1e-10)
-
-    def test_jacobi_against_numpy(self):
-        rng = np.random.default_rng(12)
-        for n in (2, 4, 6):
-            M = rng.normal(size=(n, n))
-            A = 0.5 * (M + M.T)
-            lam, V = jacobi_eigh(A)
-            assert np.allclose(np.sort(lam), np.linalg.eigvalsh(A), atol=1e-10)
-            assert np.allclose(V @ np.diag(lam) @ V.T, A, atol=1e-10)
 
 
 class TestSymTraceFree2:
