@@ -6,11 +6,15 @@ fundamental form and its trace decomposition, covariant derivatives,
 curvature tensors, the conformal-Maslov defect tensor and its covariant
 derivative, and Laplace-Beltrami operators of scalar jets.
 
-The frame field is the Gram-Schmidt (Cholesky) orthonormalization of the
-coordinate frame, built inside jet arithmetic, so connection coefficients and
-derivatives of frame components are exact.  The normal connection is the
-tangent one transported by the complex structure, which for a constant J is
-an exact equality of coefficient matrices.
+Every tensor of a `FrameBundle` is one tensor-valued jet (`jets.Jet` with
+leading frame or chart axes) built by a few `jet_einsum` contractions of the
+stacked ambient jet.  The frame field is the Gram-Schmidt (Cholesky)
+orthonormalization of the coordinate frame, built inside jet arithmetic, so
+connection coefficients and derivatives of frame components are exact.  The
+normal connection is the tangent one transported by the complex structure,
+which for a constant J is an exact equality of coefficient matrices; one
+covariant-derivative routine therefore serves tangent and starred indices
+alike.
 
 Every derivative here is read off a Taylor jet; nothing is finite
 differenced.  An order-k ambient jet leaves h, H and |hhat|^2 valid to order
@@ -26,8 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .immersions import AMBIENT_CN, ChartPoint, Immersion, OutOfDomainError
-from .jets import Jet, jet_dot, jet_space
+from .immersions import AMBIENT_CN, ChartPoint, Immersion, OutOfDomainError, symplectic_j_matrix
+from .jets import Jet, jet_einsum, jet_space
 from .tensors import (
     CubicSymTensor,
     SymTraceFree2,
@@ -36,7 +40,9 @@ from .tensors import (
 )
 
 LAGRANGIAN_TOL = 1e-6
-METRIC_DET_TOL = 1e-12
+# Smallest admissible lambda_min / lambda_max of the induced metric.  The
+# ratio is dilation-invariant, so a valid body passes at any scale.
+METRIC_COND_TOL = 1e-12
 
 # Residual tolerances by derivative provenance: exact jets, once finite
 # differenced, twice finite differenced.  The FD rungs fit black-box
@@ -55,26 +61,24 @@ class DegenerateMetricError(ValueError):
     pass
 
 
-def apply_j(vec: list) -> list:
-    """Complex structure on interleaved coordinates: (a, b) -> (-b, a)."""
-    out = []
-    for k in range(0, len(vec), 2):
-        out.append(-vec[k + 1])
-        out.append(vec[k])
-    return out
-
-
 class FrameBundle:
-    """All geometric data derived from one ambient jet, batched over points."""
+    """All geometric data derived from one ambient jet, batched over points.
+
+    Jet-valued tensors are indexed like their names: `f[c, a]` = d_a phi^c,
+    `e[i, c]`, `B[i, a]` (e_i = B_ia f_a), `h_jets[m, i, j]` = h^{m*}_{ij},
+    `omega_jets[k, i, j]` = <D_{e_k} e_i, e_j>, `christoffel_jets[d, a, b]`.
+    Point values carry a trailing batch axis.
+    """
 
     def __init__(self, phi: list[Jet], n: int, c_amb: float, gauge: np.ndarray | None = None):
-        self.phi = phi
+        self.phi = Jet.stack(phi)
         self.n = n
         self.c_amb = float(c_amb)
-        self.order = phi[0].order
+        self.order = self.phi.order
         self.m2 = len(phi)
-        self.batch = phi[0].c.shape[1]
+        self.batch = self.phi.c.shape[-1]
         self.gauge = np.eye(n) if gauge is None else np.asarray(gauge, dtype=float)
+        self.J = symplectic_j_matrix(self.m2 // 2)
         self._cache: dict = {}
         self._build_frame()
 
@@ -82,71 +86,45 @@ class FrameBundle:
 
     def _build_frame(self):
         n = self.n
-        f = [[self.phi[c].partial(a) for c in range(self.m2)] for a in range(n)]
-        self.f = f
-        g = [[None] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a + 1):
-                g[a][b] = g[b][a] = jet_dot(f[a], f[b])
-        self.g_jets = g
-
-        g0 = np.empty((n, n, self.batch))
-        for a in range(n):
-            for b in range(n):
-                g0[a, b] = g[a][b].value
-        self.g0 = np.moveaxis(g0, -1, 0)  # (B, n, n)
-        det = np.linalg.det(self.g0)
-        if np.any(det < METRIC_DET_TOL):
+        self.f = self.phi.grad()
+        g = self.g_jets = jet_einsum("ca,cb->ab", self.f, self.f)
+        self.g0 = np.moveaxis(g.value, -1, 0)  # (B, n, n)
+        eig = np.linalg.eigvalsh(self.g0)
+        ratio = eig[:, 0] / np.maximum(eig[:, -1], np.finfo(float).tiny)
+        if np.any(ratio < METRIC_COND_TOL):
             raise DegenerateMetricError(
-                f"induced metric determinant below tolerance (min {det.min():.3e})"
+                f"induced metric degenerate: lambda_min/lambda_max = {ratio.min():.3e}"
+                f" below {METRIC_COND_TOL:.0e}"
             )
-        self.sqrt_det_g = np.sqrt(det)
+        self.sqrt_det_g = np.sqrt(np.linalg.det(self.g0))
 
-        # Cholesky of the metric in jets; B = L^{-1} maps coordinate frame to
-        # the orthonormal frame e_i = sum_a B[i][a] f_a.
-        L = [[None] * n for _ in range(n)]
+        # Cholesky g = L L^T on scalar entries, then the rows of B = L^{-1},
+        # B_i = (u_i - sum_{k<i} L_ik B_k) / L_ii, which map the coordinate
+        # frame to the orthonormal frame e_i = sum_a B_ia f_a.
+        L = [[] for _ in range(n)]
         for i in range(n):
             for j in range(i + 1):
-                acc = g[i][j]
+                acc = g[i, j]
                 for k in range(j):
                     acc = acc - L[i][k] * L[j][k]
-                if i == j:
-                    L[i][i] = acc.sqrt()
-                else:
-                    L[i][j] = acc / L[j][j]
-        Binv = [[None] * n for _ in range(n)]
+                L[i].append(acc.sqrt() if i == j else acc / L[j][j])
+        unit = np.zeros((n, n, g.space.ncoef, 1))
+        unit[:, :, 0, 0] = np.eye(n)
+        rows = []
         for i in range(n):
-            Binv[i][i] = 1.0 / L[i][i]
-            for j in range(i - 1, -1, -1):
-                acc = None
-                for k in range(j, i):
-                    term = L[i][k] * Binv[k][j]
-                    acc = term if acc is None else acc + term
-                Binv[i][j] = -acc / L[i][i]
-            for j in range(i + 1, n):
-                Binv[i][j] = _zero_like(g[0][0])
+            acc = Jet(g.space, unit[i])
+            for k in range(i):
+                acc = acc - rows[k] * L[i][k]
+            rows.append(acc / L[i][i])
+        B = Jet.stack(rows)
         if not np.allclose(self.gauge, np.eye(n)):
-            Q = self.gauge
-            Binv = [
-                [_lincomb([Binv[k][a] for k in range(n)], Q[i]) for a in range(n)]
-                for i in range(n)
-            ]
-        self.B = Binv
-        self.B0 = np.array([[self.B[i][a].value for a in range(self.n)] for i in range(self.n)])
+            B = jet_einsum("ik,ka->ia", self.gauge, B)
+        self.B = B
+        self.B0 = B.value  # (n, n, B)
 
-        e = []
-        for i in range(n):
-            comps = []
-            for c in range(self.m2):
-                comps.append(_lincomb([f[a][c] for a in range(n)], row_jets=[self.B[i][a] for a in range(n)]))
-            e.append(comps)
-        self.e = e
-        self.Je = [apply_j(ei) for ei in e]
-
-        lag = 0.0
-        for i in range(n):
-            for j in range(n):
-                lag = max(lag, float(np.max(np.abs(jet_dot(e[i], self.Je[j]).value))))
+        self.e = jet_einsum("ia,ca->ic", B, self.f)
+        self.Je = jet_einsum("cd,id->ic", self.J, self.e)
+        lag = float(np.max(np.abs(np.einsum("icb,jcb->ijb", self.e.value, self.Je.value))))
         self.lagrangian_residual = lag
         if lag > LAGRANGIAN_TOL:
             raise NonLagrangianError(
@@ -161,89 +139,44 @@ class FrameBundle:
         return self._cache[key]
 
     @property
-    def De(self):
-        """D_{e_k} e_j as jet vectors, indexed [k][j]."""
-
-        def build():
-            n = self.n
-            out = [[None] * n for _ in range(n)]
-            dpart = [[[self.e[j][c].partial(a) for c in range(self.m2)] for j in range(n)] for a in range(n)]
-            for k in range(n):
-                for j in range(n):
-                    out[k][j] = [
-                        _lincomb([dpart[a][j][c] for a in range(n)], row_jets=[self.B[k][a] for a in range(n)])
-                        for c in range(self.m2)
-                    ]
-            return out
-
-        return self._get("De", build)
+    def De(self) -> Jet:
+        """D_{e_k} e_j, indexed [k, j, c]."""
+        return self._get("De", lambda: jet_einsum("ka,jca->kjc", self.B, self.e.grad()))
 
     @property
-    def h_jets(self):
+    def h_jets(self) -> Jet:
+        """h^{m*}_{ij} = <D_{e_i} e_j, J e_m>, symmetrized in ij."""
+
         def build():
-            n = self.n
-            out = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1):
-                    dv = self.De[i][j]
-                    for m in range(n):
-                        val = jet_dot(dv, self.Je[m])
-                        out[m][i][j] = val
-                        out[m][j][i] = val
-            return out
+            h = jet_einsum("ijc,mc->mij", self.De, self.Je)
+            return (h + h.transpose(0, 2, 1)).scaled(0.5)
 
         return self._get("h_jets", build)
 
     @property
-    def omega_jets(self):
-        """Connection coefficients omega[k][i][j] = <D_{e_k} e_i, e_j> as jets."""
+    def omega_jets(self) -> Jet:
+        """Connection coefficients omega[k, i, j] = <D_{e_k} e_i, e_j>,
+        antisymmetrized in ij."""
 
         def build():
-            n = self.n
-            out = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for k in range(n):
-                for i in range(n):
-                    for j in range(i):
-                        w = jet_dot(self.De[k][i], self.e[j])
-                        out[k][i][j] = w
-                        out[k][j][i] = -w
-                    out[k][i][i] = _zero_like(self.g_jets[0][0])
-            return out
+            w = jet_einsum("kic,jc->kij", self.De, self.e)
+            return (w - w.transpose(0, 2, 1)).scaled(0.5)
 
         return self._get("omega_jets", build)
 
     @property
-    def H_jets(self):
-        def build():
-            n = self.n
-            out = []
-            for m in range(n):
-                acc = self.h_jets[m][0][0]
-                for i in range(1, n):
-                    acc = acc + self.h_jets[m][i][i]
-                out.append(acc.scaled(1.0 / n))
-            return out
-
-        return self._get("H_jets", build)
+    def H_jets(self) -> Jet:
+        return self._get("H_jets", lambda: jet_einsum("ij,mij->m", np.eye(self.n) / self.n, self.h_jets))
 
     # -- point values ----------------------------------------------------
 
     @property
     def h0(self) -> np.ndarray:
-        def build():
-            n = self.n
-            out = np.empty((n, n, n, self.batch))
-            for m in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        out[m, i, j] = self.h_jets[m][i][j].value
-            return out
-
-        return self._get("h0", build)
+        return self.h_jets.value
 
     @property
     def H0(self) -> np.ndarray:
-        return self._get("H0", lambda: np.einsum("miib->mb", self.h0) / self.n)
+        return self.H_jets.value
 
     @property
     def hhat0(self) -> np.ndarray:
@@ -251,163 +184,139 @@ class FrameBundle:
 
     @property
     def omega0(self) -> np.ndarray:
-        def build():
-            n = self.n
-            out = np.empty((n, n, n, self.batch))
-            for k in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        out[k, i, j] = self.omega_jets[k][i][j].value
-            return out
-
-        return self._get("omega0", build)
+        return self.omega_jets.value
 
     def frame_derivative(self, jet: Jet) -> np.ndarray:
-        """e_k applied to a scalar jet, for all k: shape (n, B)."""
-        parts = np.stack([jet.partial(a).value for a in range(self.n)])
-        return np.einsum("kab,ab->kb", self.B0, parts)
+        """e_p applied to every component of a jet: values of shape
+        (*jet.shape, n, B), the derivative axis last."""
+        return np.einsum("...ab,pab->...pb", jet.grad().value, self.B0)
 
     def laplacian(self, jet: Jet) -> np.ndarray:
         """Laplace-Beltrami g^{ab}(d_a d_b f - Gamma^c_ab d_c f) of a scalar
         jet valid to order >= 2 in the chart variables: shape (B,)."""
-        d1 = [jet.partial(a) for a in range(self.n)]
-        grad = np.stack([d.value for d in d1])
-        hess = np.stack([[d.partial(b).value for b in range(self.n)] for d in d1])
+        d1 = jet.grad()
+        grad = d1.value
+        hess = d1.grad().value
         g_inv = np.einsum("iax,ibx->abx", self.B0, self.B0)
         return np.einsum(
             "abx,abx->x", g_inv, hess - np.einsum("cabx,cx->abx", self.christoffel0, grad)
         )
 
-    def _cov1_starred3(self, x_jets, x0) -> np.ndarray:
-        """Covariant derivative of a cubic starred tensor given its component
-        jets; returns values of x^{m*}_{ij,k} with shape (n,n,n,n,B)."""
-        n = self.n
-        ek = np.empty((n, n, n, n, self.batch))
-        for m in range(n):
-            for i in range(n):
-                for j in range(n):
-                    ek[m, i, j] = self.frame_derivative(x_jets[m][i][j])
-        w0 = self.omega0
-        out = (
-            ek
-            + np.einsum("mljb,klib->mijkb", x0, w0)
-            + np.einsum("milb,kljb->mijkb", x0, w0)
-            + np.einsum("lijb,klmb->mijkb", x0, w0)
-        )
+    # -- covariant derivatives ---------------------------------------------
+
+    def covariant_derivative(self, x: Jet) -> Jet:
+        """x_{..., p} as a jet with the derivative axis appended: the frame
+        derivative e_p of every component plus one omega contraction per
+        tensor axis.  Tangent and starred indices transform alike, since the
+        normal connection is the tangent one transported by J.  The result is
+        valid one order below x; at order 0 it is just the point value."""
+        idx = "abcdefgh"[: x.ndim]
+        out = jet_einsum(f"{idx}q,pq->{idx}p", x.grad(), self.B)
+        for s in idx:
+            out = out + jet_einsum(f"{idx.replace(s, 'l')},pl{s}->{idx}p", x, self.omega_jets)
         return out
 
     @property
+    def grad_h_jets(self) -> Jet:
+        """h^{m*}_{ij,k}, indexed [m, i, j, k]."""
+        return self._get("grad_h_jets", lambda: self.covariant_derivative(self.h_jets))
+
+    @property
+    def grad_H_jets(self) -> Jet:
+        """H^{m*}_{,k}, indexed [m, k]."""
+        return self._get("grad_H_jets", lambda: self.covariant_derivative(self.H_jets))
+
+    @property
     def grad_h(self) -> np.ndarray:
-        return self._get("grad_h", lambda: self._cov1_starred3(self.h_jets, self.h0))
+        return self.grad_h_jets.value
 
     @property
     def grad_H(self) -> np.ndarray:
         """H^{m*}_{,k} with shape (n, n, B)."""
-
-        def build():
-            ek = np.stack([self.frame_derivative(self.H_jets[m]) for m in range(self.n)])
-            return ek + np.einsum("lb,klmb->mkb", self.H0, self.omega0)
-
-        return self._get("grad_H", build)
-
-    @property
-    def grad_c(self) -> np.ndarray:
-        def build():
-            n = self.n
-            eye = np.eye(n)
-            gH = self.grad_H
-            return (n / (n + 2.0)) * (
-                np.einsum("mkb,ij->mijkb", gH, eye)
-                + np.einsum("ikb,jm->mijkb", gH, eye)
-                + np.einsum("jkb,im->mijkb", gH, eye)
-            )
-
-        return self._get("grad_c", build)
+        return self.grad_H_jets.value
 
     @property
     def grad_hhat(self) -> np.ndarray:
-        return self._get("grad_hhat", lambda: self.grad_h - self.grad_c)
+        """hhat^{m*}_{ij,k}: c commutes with the covariant derivative."""
+        return self._get("grad_hhat", lambda: self.grad_h - c_tensor_array(self.grad_H))
 
     @property
     def T0(self) -> np.ndarray:
         """Conformal-Maslov defect T_ij = (n H^{i*}_{,j} - div JH d_ij)/(n+2)."""
-
-        def build():
-            n = self.n
-            gH = self.grad_H
-            div = np.einsum("mmb->b", gH)
-            return (n * gH - div[None, None, :] * np.eye(n)[:, :, None]) / (n + 2.0)
-
-        return self._get("T0", build)
+        return self._get("T0", lambda: _maslov_defect(self.grad_H))
 
     @property
     def T_from_hhat(self) -> np.ndarray:
         """(1/n) sum_m hhat^{m*}_{ij,m}: the divergence form of T."""
         return self._get("T_alt", lambda: np.einsum("mijmb->ijb", self.grad_hhat) / self.n)
 
+    # -- second covariant derivatives (order-4 bundles) ----------------------
+
+    @property
+    def hess_h(self) -> np.ndarray:
+        """h^{m*}_{ij,kp} with shape (n, n, n, n, n, B)."""
+        return self._get("hess_h", lambda: self.covariant_derivative(self.grad_h_jets).value)
+
+    @property
+    def hess_H(self) -> np.ndarray:
+        """H^{m*}_{,kp} with shape (n, n, n, B)."""
+        return self._get("hess_H", lambda: self.covariant_derivative(self.grad_H_jets).value)
+
+    @property
+    def hess_hhat(self) -> np.ndarray:
+        return self._get("hess_hhat", lambda: self.hess_h - c_tensor_array(self.hess_H))
+
+    @property
+    def grad_T(self) -> np.ndarray:
+        """T_{ij,k} with shape (n, n, n, B).  T is linear in the first
+        covariant derivative of H, so this needs an order-4 bundle, where
+        that derivative is valid to order 1."""
+        return self._get("grad_T", lambda: _maslov_defect(self.hess_H))
+
+    @property
+    def hhat_sq_jet(self) -> Jet:
+        """|hhat|^2 as a jet, valid to order - 2 (order 2 on an order-4 bundle)."""
+
+        def build():
+            # c is linear in H, so hhat = h - c(H) acts on the coefficients
+            h = self.h_jets
+            hhat = Jet(h.space, h.c - c_tensor_array(self.H_jets.c), h.order)
+            return jet_einsum("mij,mij->", hhat, hhat)
+
+        return self._get("hhat_sq_jet", build)
+
     # -- curvature --------------------------------------------------------
 
     @property
-    def christoffel_jets(self):
+    def christoffel_jets(self) -> Jet:
+        """Gamma^d_ab = g^{de} (d_a g_eb + d_b g_ea - d_e g_ab) / 2, indexed [d, a, b]."""
+
         def build():
-            n = self.n
-            ginv = [[None] * n for _ in range(n)]
-            for a in range(n):
-                for b in range(a + 1):
-                    acc = None
-                    for i in range(n):
-                        term = self.B[i][a] * self.B[i][b]
-                        acc = term if acc is None else acc + term
-                    ginv[a][b] = ginv[b][a] = acc
-            dg = [[[self.g_jets[a][b].partial(cc) for cc in range(n)] for b in range(n)] for a in range(n)]
-            gam = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for d in range(n):
-                for a in range(n):
-                    for b in range(a + 1):
-                        acc = None
-                        for e_ in range(n):
-                            term = ginv[d][e_] * (dg[b][e_][a] + dg[a][e_][b] - dg[a][b][e_])
-                            acc = term if acc is None else acc + term
-                        gam[d][a][b] = gam[d][b][a] = acc.scaled(0.5)
-            return gam
+            dg = self.g_jets.grad()  # [a, b, c] = d_c g_ab
+            low = (dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1)).scaled(0.5)
+            g_inv = jet_einsum("ia,ib->ab", self.B, self.B)
+            return jet_einsum("de,eab->dab", g_inv, low)
 
         return self._get("christoffel_jets", build)
 
     @property
     def christoffel0(self) -> np.ndarray:
-        def build():
-            n = self.n
-            out = np.empty((n, n, n, self.batch))
-            for d in range(n):
-                for a in range(n):
-                    for b in range(n):
-                        out[d, a, b] = self.christoffel_jets[d][a][b].value
-            return out
-
-        return self._get("christoffel0", build)
+        return self.christoffel_jets.value
 
     @property
     def curvature_chart(self) -> np.ndarray:
         """R_{abcd} = g(R(d_a, d_b) d_d, d_c) from chart Christoffel symbols."""
 
         def build():
-            n = self.n
-            gam = self.christoffel_jets
             gam0 = self.christoffel0
-            dgam = np.empty((n, n, n, n, self.batch))
-            for c in range(n):
-                for d in range(n):
-                    for a in range(n):
-                        for b in range(n):
-                            dgam[c, d, a, b] = gam[d][a][b].partial(c).value
+            dgam = self.christoffel_jets.grad().value  # [d, a, b, c] = d_c Gamma^d_ab
             rup = (
-                np.einsum("aebdx->abedx", dgam[:, :, :, :, :])
-                - np.einsum("beadx->abedx", dgam)
+                np.einsum("ebdax->abedx", dgam)
+                - np.einsum("eadbx->abedx", dgam)
                 + np.einsum("eacx,cbdx->abedx", gam0, gam0)
                 - np.einsum("ebcx,cadx->abedx", gam0, gam0)
             )
-            g0 = np.moveaxis(self.g0, 0, -1)  # (n, n, B)
-            return np.einsum("cex,abedx->abcdx", g0, rup)
+            return np.einsum("cex,abedx->abcdx", self.g_jets.value, rup)
 
         return self._get("curvature_chart", build)
 
@@ -448,13 +357,8 @@ class FrameBundle:
         """
 
         def build():
-            n = self.n
             w0 = self.omega0
-            dw = np.empty((n, n, n, n, self.batch))
-            for j in range(n):
-                for l in range(n):
-                    for k in range(n):
-                        dw[:, j, l, k] = self.frame_derivative(self.omega_jets[j][l][k])
+            dw = np.moveaxis(self.frame_derivative(self.omega_jets), 3, 0)  # [i, j, l, k] = e_i(omega_jlk)
             first = dw - np.einsum("jilkb->ijlkb", dw)
             quad = np.einsum("jlmb,imkb->ijlkb", w0, w0) - np.einsum(
                 "ilmb,jmkb->ijlkb", w0, w0
@@ -470,153 +374,20 @@ class FrameBundle:
     # -- maslov form ------------------------------------------------------
 
     @property
-    def maslov_chart_jets(self):
-        """Pullback alpha_a = <J H_amb, d_a phi> as jets."""
+    def maslov_chart_jets(self) -> Jet:
+        """Pullback alpha_a = <J H_amb, d_a phi> with H_amb = H^{m*} J e_m."""
 
         def build():
-            n = self.n
-            Hamb = []
-            for c in range(self.m2):
-                acc = None
-                for m in range(n):
-                    term = self.Je[m][c] * self.H_jets[m]
-                    acc = term if acc is None else acc + term
-                Hamb.append(acc)
-            JH = apply_j(Hamb)
-            return [jet_dot(JH, self.f[a]) for a in range(n)]
+            H_amb = jet_einsum("mc,m->c", self.Je, self.H_jets)
+            JH = jet_einsum("cd,d->c", self.J, H_amb)
+            return jet_einsum("c,ca->a", JH, self.f)
 
         return self._get("maslov_chart", build)
 
     def maslov_closedness(self) -> np.ndarray:
-        a = self.maslov_chart_jets
-        n = self.n
-        res = np.zeros(self.batch)
-        for i in range(n):
-            for j in range(i):
-                res = np.maximum(res, np.abs(a[i].partial(j).value - a[j].partial(i).value))
-        return res
-
-    # -- second covariant derivatives (order-4 jets) -----------------------
-
-    @property
-    def grad_h_jets(self):
-        """h^{m*}_{ij,k} as jets (needs order >= 4 ambient jets for use)."""
-
-        def build():
-            n = self.n
-            hj = self.h_jets
-            w = self.omega_jets
-            out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-            for m in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        parts = [hj[m][i][j].partial(a) for a in range(n)]
-                        for k in range(n):
-                            acc = _lincomb(parts, row_jets=[self.B[k][a] for a in range(n)])
-                            for l in range(n):
-                                acc = acc + hj[m][l][j] * w[k][l][i]
-                                acc = acc + hj[m][i][l] * w[k][l][j]
-                                acc = acc + hj[l][i][j] * w[k][l][m]
-                            out[m][i][j][k] = acc
-            return out
-
-        return self._get("grad_h_jets", build)
-
-    @property
-    def grad_H_jets(self):
-        def build():
-            n = self.n
-            out = [[None] * n for _ in range(n)]
-            for m in range(n):
-                parts = [self.H_jets[m].partial(a) for a in range(n)]
-                for k in range(n):
-                    acc = _lincomb(parts, row_jets=[self.B[k][a] for a in range(n)])
-                    for l in range(n):
-                        acc = acc + self.H_jets[l] * self.omega_jets[k][l][m]
-                    out[m][k] = acc
-            return out
-
-        return self._get("grad_H_jets", build)
-
-    @property
-    def grad_hhat_jets(self):
-        def build():
-            n = self.n
-            gh = self.grad_h_jets
-            gH = self.grad_H_jets
-            out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-            for k in range(n):
-                gHk = [gH[l][k] for l in range(n)]
-                for m in range(n):
-                    for i in range(n):
-                        for j in range(n):
-                            out[m][i][j][k] = _minus_c(gh[m][i][j][k], gHk, m, i, j)
-            return out
-
-        return self._get("grad_hhat_jets", build)
-
-    @property
-    def hhat_sq_jet(self) -> Jet:
-        """|hhat|^2 as a jet, valid to order - 2 (order 2 on an order-4 bundle)."""
-
-        def build():
-            n = self.n
-            acc = None
-            for m in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        x = _minus_c(self.h_jets[m][i][j], self.H_jets, m, i, j)
-                        acc = x * x if acc is None else acc + x * x
-            return acc
-
-        return self._get("hhat_sq_jet", build)
-
-    @property
-    def grad_T(self) -> np.ndarray:
-        """T_{ij,k} with shape (n, n, n, B): frame derivatives of the T
-        components plus connection terms.  Needs an order-4 bundle, where the
-        jets of H^{m*}_{,k} are valid to order 1."""
-
-        def build():
-            n = self.n
-            dgH = np.stack([[self.frame_derivative(x) for x in row] for row in self.grad_H_jets])
-            ddiv = np.einsum("mmkb->kb", dgH)
-            ek = (n * dgH - np.eye(n)[:, :, None, None] * ddiv) / (n + 2.0)
-            T0 = self.T0
-            w0 = self.omega0
-            return ek + np.einsum("ljb,klib->ijkb", T0, w0) + np.einsum("ilb,kljb->ijkb", T0, w0)
-
-        return self._get("grad_T", build)
-
-    def _cov2_starred4(self, x_jets) -> np.ndarray:
-        """Second covariant derivative values x^{m*}_{ij,kp} of a starred
-        rank-(3+1) tensor given component jets of its first derivative."""
-        n = self.n
-        x0 = np.empty((n, n, n, n, self.batch))
-        ek = np.empty((n, n, n, n, n, self.batch))
-        for m in range(n):
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        x0[m, i, j, k] = x_jets[m][i][j][k].value
-                        ek[m, i, j, k] = self.frame_derivative(x_jets[m][i][j][k])
-        w0 = self.omega0
-        out = (
-            ek
-            + np.einsum("mqjkb,pqib->mijkpb", x0, w0)
-            + np.einsum("miqkb,pqjb->mijkpb", x0, w0)
-            + np.einsum("mijqb,pqkb->mijkpb", x0, w0)
-            + np.einsum("qijkb,pqmb->mijkpb", x0, w0)
-        )
-        return out
-
-    @property
-    def hess_h(self) -> np.ndarray:
-        return self._get("hess_h", lambda: self._cov2_starred4(self.grad_h_jets))
-
-    @property
-    def hess_hhat(self) -> np.ndarray:
-        return self._get("hess_hhat", lambda: self._cov2_starred4(self.grad_hhat_jets))
+        """max_ab |d_a alpha_b - d_b alpha_a| per point."""
+        da = self.maslov_chart_jets.grad().value  # [a, b] = d_b alpha_a
+        return np.max(np.abs(da - da.transpose(1, 0, 2)), axis=(0, 1))
 
     # -- scalars ------------------------------------------------------------
 
@@ -638,32 +409,13 @@ class FrameBundle:
         raise KeyError(f"unknown scalar {name!r}")
 
 
-def _zero_like(j: Jet) -> Jet:
-    return Jet(j.space, np.zeros_like(j.c), j.order)
-
-
-def _minus_c(x: Jet, H: list[Jet], m: int, i: int, j: int) -> Jet:
-    """x - c^{m*}_{ij} with c = n/(n+2) (H^{m*} d_ij + H^{i*} d_jm + H^{j*} d_im)."""
-    fac = len(H) / (len(H) + 2.0)
-    for a, b, l in ((i, j, m), (j, m, i), (i, m, j)):
-        if a == b:
-            x = x - H[l].scaled(fac)
-    return x
-
-
-def _lincomb(jets: list[Jet], row: np.ndarray | None = None, row_jets: list[Jet] | None = None) -> Jet:
-    acc = None
-    if row_jets is not None:
-        for j, w in zip(jets, row_jets):
-            term = j * w
-            acc = term if acc is None else acc + term
-    else:
-        for j, w in zip(jets, row):
-            if w == 0.0:
-                continue
-            term = j.scaled(w)
-            acc = term if acc is None else acc + term
-    return acc if acc is not None else _zero_like(jets[0])
+def _maslov_defect(gH: np.ndarray) -> np.ndarray:
+    """T_ij... = (n X_ij... - d_ij X_mm...)/(n+2) for X = nabla H or any
+    covariant derivative of it (the trace commutes with nabla)."""
+    n = gH.shape[0]
+    div = np.einsum("mm...->...", gH)
+    eye = np.eye(n).reshape((n, n) + (1,) * (gH.ndim - 2))
+    return (n * gH - eye * div) / (n + 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -677,15 +429,6 @@ class MetricData:
     g_inv: np.ndarray
     christoffels: np.ndarray
     sqrt_det_g: float
-
-    def __post_init__(self):
-        eig = np.linalg.eigvalsh(self.g)
-        if np.any(eig < 1e-10):
-            raise DegenerateMetricError("metric is not positive definite")
-        if np.max(np.abs(self.g @ self.g_inv - np.eye(len(self.g)))) > 1e-12 * max(
-            1.0, float(np.max(np.abs(self.g)))
-        ):
-            raise ValueError("metric inverse is inconsistent")
 
 
 @dataclass
@@ -848,8 +591,8 @@ def _state_from_bundle(fb: FrameBundle, imm: Immersion, p: ChartPoint, depth: st
     b = 0
     g0 = fb.g0[b]
     g_inv = np.einsum("ia,ib->ab", fb.B0[:, :, b], fb.B0[:, :, b])
-    e = np.array([[fb.e[i][c].value[b] for c in range(fb.m2)] for i in range(n)])
-    Je = np.array([[fb.Je[i][c].value[b] for c in range(fb.m2)] for i in range(n)])
+    e = fb.e.value[..., b]
+    Je = fb.Je.value[..., b]
     h = CubicSymTensor(fb.h0[..., b])
     H = VectorField1(fb.H0[:, b])
     hhat = CubicSymTensor(fb.hhat0[..., b])
@@ -936,20 +679,19 @@ def scalar_laplacian(imm: Immersion, field: Callable[[int, list[Jet]], Jet], p: 
 # ---------------------------------------------------------------------------
 
 
-def scalar_samples(
-    imm: Immersion,
-    chart_id: int,
-    coords: np.ndarray,
-    names: list[str],
-    order: int = 2,
-    chunk: int = 512,
-) -> dict[str, np.ndarray]:
+# Pointwise scalars need h, so order-2 ambient jets; the chunk bounds the
+# batch of one bundle and with it the peak memory.
+SAMPLE_ORDER = 2
+SAMPLE_CHUNK = 256
+
+
+def scalar_samples(imm: Immersion, chart_id: int, coords: np.ndarray, names: list[str]) -> dict[str, np.ndarray]:
     """Evaluate pointwise scalars at many chart points of one chart."""
     coords = np.asarray(coords, dtype=float)
     out = {name: np.empty(len(coords)) for name in names}
-    for lo in range(0, len(coords), chunk):
-        hi = min(lo + chunk, len(coords))
-        fb = bundle_at(imm, chart_id, coords[lo:hi], order)
+    for lo in range(0, len(coords), SAMPLE_CHUNK):
+        hi = min(lo + SAMPLE_CHUNK, len(coords))
+        fb = bundle_at(imm, chart_id, coords[lo:hi], SAMPLE_ORDER)
         for name in names:
             out[name][lo:hi] = fb.scalar(name)
     return out

@@ -185,10 +185,6 @@ class Immersion:
             raise OutOfDomainError(f"{p} outside the chart domain of {self.name}")
         return self.jet_fn(p.chart_id, p.coords.reshape(self.source_dim, 1), order)
 
-    def eval_jets_batch(self, chart_id: int, coords: np.ndarray, order: int) -> list[Jet]:
-        """coords has shape (B, nvars)."""
-        return self.jet_fn(chart_id, np.asarray(coords, dtype=float).T, order)
-
     def point(self, p: ChartPoint) -> np.ndarray:
         return np.array([j.value[0] for j in self.eval_jets(p, 1)])
 
@@ -206,13 +202,11 @@ class ImmersionJet:
 
 
 def eval_jet(imm: Immersion, p: ChartPoint, order: int) -> ImmersionJet:
-    jets = imm.eval_jets(p, order)
-    sp = jets[0].space
-    partials = {}
-    for k in range(sp.ncoef):
-        alpha = tuple(int(a) for a in sp.multi_indices[k])
-        partials[alpha] = np.array([j.deriv(alpha)[0] for j in jets])
-    return ImmersionJet(order, partials[(0,) * sp.nvars], partials)
+    phi = Jet.stack(imm.eval_jets(p, order))
+    sp = phi.space
+    table = phi.c[..., 0] * sp.coef_factorial  # (2m, ncoef): every partial at p
+    partials = {tuple(int(a) for a in alpha): table[:, k] for k, alpha in enumerate(sp.multi_indices)}
+    return ImmersionJet(order, table[:, 0], partials)
 
 
 def _flatten_complex(zs: list[ComplexJet]) -> list[Jet]:

@@ -1,4 +1,4 @@
-"""Forward-mode truncated Taylor jets in several variables.
+"""Forward-mode truncated Taylor jets of tensor fields in several variables.
 
 A jet carries every partial derivative of a smooth expression up to a fixed
 total degree (4 at most here).  Evaluating an analytic formula on seeded
@@ -6,8 +6,13 @@ variables therefore yields machine-precision derivatives, which keeps the
 curvature identities downstream at the 1e-9 level instead of the 1e-3
 typical of finite differencing.
 
-Coefficients are stored per multi-index with a trailing batch axis, so one
-jet expression evaluates a whole set of chart points at once.
+One jet holds a whole tensor: its coefficient array has shape
+(*shape, ncoef, B), leading tensor axes, then one row per multi-index, then
+a batch axis, so one jet expression evaluates a whole set of chart points at
+once.  A scalar jet is the case shape == ().  Ring operations act on the
+coefficient axis and broadcast over the tensor axes; `jet_einsum` fuses a
+tensor contraction with the truncated product (multivariate Taylor
+arithmetic, Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 """
 
 from __future__ import annotations
@@ -92,10 +97,12 @@ def _coeff_array(space: JetSpace, batch: int) -> np.ndarray:
 
 
 class Jet:
-    """Truncated Taylor expansion, valid up to total degree `order`.
+    """Truncated Taylor expansion of a tensor field, valid up to total degree
+    `order`.
 
-    Coefficient rows with degree beyond `order` are kept identically zero so
-    that stale high-order data can never leak into a product.
+    `c` has shape (*shape, ncoef, B).  Coefficient rows with degree beyond
+    `order` are kept identically zero so that stale high-order data can never
+    leak into a product.
     """
 
     __slots__ = ("space", "order", "c")
@@ -135,11 +142,38 @@ class Jet:
             out.append(Jet(space, c))
         return out
 
+    @staticmethod
+    def stack(jets: list["Jet"]) -> "Jet":
+        """Stack jets of equal shape along a new leading axis."""
+        return Jet(jets[0].space, np.stack([j.c for j in jets]), min(j.order for j in jets))
+
+    # -- tensor axes ---------------------------------------------------
+
+    @property
+    def shape(self) -> tuple:
+        return self.c.shape[:-2]
+
+    @property
+    def ndim(self) -> int:
+        return self.c.ndim - 2
+
+    def __getitem__(self, idx) -> "Jet":
+        """Index the tensor axes only; the coefficient and batch axes stay."""
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        if len(idx) > self.ndim or any(i is Ellipsis for i in idx):
+            raise IndexError("jet indexing covers the tensor axes only")
+        return Jet(self.space, self.c[idx], self.order)
+
+    def transpose(self, *axes: int) -> "Jet":
+        nd = self.ndim
+        return Jet(self.space, self.c.transpose(*axes, nd, nd + 1), self.order)
+
     # -- extraction ----------------------------------------------------
 
     @property
     def value(self) -> np.ndarray:
-        return self.c[0]
+        """Values at the expansion points, shape (*shape, B)."""
+        return self.c[..., 0, :]
 
     def deriv(self, alpha) -> np.ndarray:
         """Partial derivative d^alpha at the expansion point."""
@@ -147,14 +181,16 @@ class Jet:
         if sum(alpha) > self.order:
             raise ValueError(f"derivative {alpha} exceeds valid order {self.order}")
         k = self.space.index_of[alpha]
-        return self.c[k] * self.space.coef_factorial[k]
+        return self.c[..., k, :] * self.space.coef_factorial[k]
 
     # -- ring operations -----------------------------------------------
 
     def _wrap(self, other):
         if isinstance(other, Jet):
             return other
-        return Jet.constant(self.space, np.broadcast_to(np.asarray(other, dtype=float), self.c.shape[1:]))
+        c = np.zeros(self.c.shape)
+        c[..., 0, :] = np.asarray(other, dtype=float)
+        return Jet(self.space, c)
 
     def __add__(self, other):
         o = self._wrap(other)
@@ -176,32 +212,27 @@ class Jet:
         return (-self) + other
 
     def scaled(self, factor) -> "Jet":
-        """Multiply by a plain scalar or per-batch array."""
-        return Jet(self.space, self.c * np.asarray(factor, dtype=float), self.order)
+        """Multiply by a plain scalar, a per-batch (B,) array or a
+        per-component (*shape, B) array."""
+        factor = np.asarray(factor, dtype=float)
+        return Jet(self.space, self.c * (factor[..., None, :] if factor.ndim else factor), self.order)
 
     def __mul__(self, other):
+        """Componentwise truncated product; tensor axes broadcast."""
         if not isinstance(other, Jet):
             return self.scaled(other)
-        sp = self.space
-        vo = min(self.order, other.order)
-        npairs = sp._mul_pairs_by_degree[vo]
-        ncf = sp.ncoef_by_degree[vo]
-        prod = self.c[sp._mul_i[:npairs]] * other.c[sp._mul_j[:npairs]]
-        out = np.zeros_like(self.c)
-        out[:ncf] = np.add.reduceat(prod, sp._mul_starts[:ncf], axis=0)
-        return Jet(sp, out, vo)
+        return _truncated_product(self, other, np.multiply)
 
     def __rmul__(self, other):
         return self.scaled(other)
 
     def _reciprocal(self) -> "Jet":
-        b0 = self.c[0]
+        b0 = self.value
         if np.any(np.abs(b0) < 1e-300):
             raise ZeroDivisionError("jet reciprocal at vanishing value")
         t = self.scaled(1.0 / b0)
-        t.c = t.c.copy()
-        t.c[0] -= 1.0
-        r = Jet.constant(self.space, np.ones(self.c.shape[1]))
+        t.c[..., 0, :] -= 1.0
+        r = self._wrap(1.0)
         r.order = self.order
         for _ in range(self.order):
             r = 1.0 - t * r
@@ -222,27 +253,36 @@ class Jet:
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         sp = self.space
-        c = self.c[sp._d_src[var]] * sp._d_scale[var][:, None]
+        c = self.c[..., sp._d_src[var], :] * sp._d_scale[var][:, None]
+        return Jet(sp, c, self.order - 1)
+
+    def grad(self) -> "Jet":
+        """All first partials as a jet with a trailing derivative axis:
+        shape (*shape, nvars), valid one order lower."""
+        if self.order < 1:
+            raise ValueError("cannot differentiate an order-0 jet")
+        sp = self.space
+        c = self.c[..., sp._d_src, :] * sp._d_scale[:, :, None]
         return Jet(sp, c, self.order - 1)
 
     def compose_series(self, coefs: list[np.ndarray]) -> "Jet":
         """Evaluate sum_k coefs[k] * (self - self.value)^k by Horner."""
         t = Jet(self.space, self.c.copy(), self.order)
-        t.c[0] = 0.0
-        r = Jet.constant(self.space, np.broadcast_to(coefs[self.order], self.c.shape[1:]).copy())
+        t.c[..., 0, :] = 0.0
+        r = self._wrap(coefs[self.order])
         r.order = self.order
         for k in range(self.order - 1, -1, -1):
             r = t * r + coefs[k]
         return r
 
     def sqrt(self) -> "Jet":
-        b0 = self.c[0]
+        b0 = self.value
         if np.any(b0 <= 0):
             raise ValueError("jet sqrt of non-positive value")
         t = self.scaled(1.0 / b0)
         coefs, ck = [], 1.0
         for k in range(self.order + 1):
-            coefs.append(np.full(self.c.shape[1], ck))
+            coefs.append(ck)
             ck *= (0.5 - k) / (k + 1)
         return t.compose_series(coefs).scaled(np.sqrt(b0))
 
@@ -253,13 +293,13 @@ class Jet:
         return self._trig(np.sin, np.cos, phase=1)
 
     def _trig(self, fsin, fcos, phase: int = 0):
-        x0 = self.c[0]
+        x0 = self.value
         cycle = [fsin(x0), fcos(x0), -fsin(x0), -fcos(x0)]
         coefs = [cycle[(k + phase) % 4] / factorial(k) for k in range(self.order + 1)]
         return self.compose_series(coefs)
 
     def exp(self) -> "Jet":
-        e0 = np.exp(self.c[0])
+        e0 = np.exp(self.value)
         coefs = [e0 / factorial(k) for k in range(self.order + 1)]
         return self.compose_series(coefs)
 
@@ -269,15 +309,37 @@ class Jet:
         return Jet(self.space, self.c * self.space._deg_mask[order], order)
 
     def __repr__(self):
-        return f"Jet(order={self.order}, value={self.value!r})"
+        return f"Jet(shape={self.shape}, order={self.order}, value={self.value!r})"
 
 
-def jet_dot(u: list[Jet], v: list[Jet]) -> Jet:
-    """Euclidean inner product of two jet vectors."""
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
+def jet_einsum(spec: str, a: Jet | np.ndarray, b: Jet) -> Jet:
+    """Tensor contraction of two jets fused with their truncated product.
+
+    `spec` is an `np.einsum` subscript string over the tensor axes only, for
+    example "ia,ca->ic".  The result is valid to the lower of the two orders;
+    every ordered pair of coefficient rows (i, j) up to that degree is
+    contracted in one einsum and the pairs are summed into their output row
+    i + j.  `a` may also be a constant array, which needs no product.
+    """
+    ins, out = spec.replace(" ", "").split("->")
+    sa, sb = ins.split(",")
+    if not isinstance(a, Jet):
+        return Jet(b.space, np.einsum(f"{sa},{sb}...->{out}...", a, b.c), b.order)
+    return _truncated_product(a, b, lambda x, y: np.einsum(f"{sa}...,{sb}...->{out}...", x, y))
+
+
+def _truncated_product(a: Jet, b: Jet, combine) -> Jet:
+    """Sum `combine(row i of a, row j of b)` into row i + j over all ordered
+    pairs of coefficient rows up to the lower valid order; rows above it
+    stay zero."""
+    sp = a.space
+    vo = min(a.order, b.order)
+    npairs = sp._mul_pairs_by_degree[vo]
+    ncf = sp.ncoef_by_degree[vo]
+    prod = combine(a.c[..., sp._mul_i[:npairs], :], b.c[..., sp._mul_j[:npairs], :])
+    c = np.zeros(prod.shape[:-2] + (sp.ncoef, prod.shape[-1]))
+    c[..., :ncf, :] = np.add.reduceat(prod, sp._mul_starts[:ncf], axis=-2)
+    return Jet(sp, c, vo)
 
 
 def potential_from_gradient(space: JetSpace, grads: list[Jet]) -> Jet:

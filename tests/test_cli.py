@@ -127,6 +127,17 @@ class TestEnergyCommand:
         assert "energy report" in text
         assert "int_hhat_sq" in text
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"family": "whitney_cn", "r": 5e-3, "n": 3},
+            {"family": "product_torus", "radii": [0.002, 0.003, 0.004]},
+        ],
+    )
+    def test_small_bodies_are_not_degenerate(self, tmp_path, body):
+        cfg = write_cfg(tmp_path, "small.json", {**body, "degree": 6})
+        assert main(["energy", "--config", cfg, "--out", str(tmp_path / "e.json")]) == 0
+
     def test_whitney_energy_deterministic(self, tmp_path):
         cfg = write_cfg(tmp_path, "w.json", {"family": "whitney_cn", "r": 1.0, "n": 2, "degree": 16})
         out1, out2 = tmp_path / "1.json", tmp_path / "2.json"

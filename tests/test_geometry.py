@@ -309,6 +309,47 @@ class TestScalarLaplacian:
             point_bundle(imm, ChartPoint(0, np.array([0.4, -0.3])), 3).grad_T
 
 
+# Values computed by the earlier nested-list frame bundle at one order-4 point,
+# with the power of |h|^2 each quantity scales as.  On the Whitney sphere in CP^n
+# hhat vanishes, so its derived terms are round-off and only their size is
+# pinned.
+PINNED = {
+    "perturbed_whitney": {
+        "h_sq": (9.828781047217504, 1),
+        "grad_hhat_sq": (0.05344305344562965, 2),
+        "scalar_curvature": (6.541299665414586, 1),
+        "grad_T_norm": (0.3830826398281462, 1.5),
+        "simons_lhs": (-0.037436135706071065, 2),
+    },
+    "whitney_cpn": {
+        "h_sq": (6.416374880310983, 1),
+        "grad_hhat_sq": (8.043414825666145e-30, 2),
+        "scalar_curvature": (10.277583253540653, 1),
+        "grad_T_norm": (2.1361535197923686e-15, 1.5),
+        "simons_lhs": (9.277436496970544e-30, 2),
+    },
+}
+
+
+@pytest.mark.parametrize("body", sorted(PINNED))
+def test_bundle_values_pinned(body):
+    from lagcheck.cpn import make_whitney_cpn
+    from lagcheck.identities import simons_terms
+
+    imm = make_perturbed_whitney(1.0, 0.05, 1, 3) if body == "perturbed_whitney" else make_whitney_cpn(0.7, 3)
+    fb = point_bundle(imm, ChartPoint(0, np.array([0.3, -0.2, 0.5])), 4)
+    got = {
+        "h_sq": float(fb.scalar("h_sq")[0]),
+        "grad_hhat_sq": float(fb.scalar("grad_hhat_sq")[0]),
+        "scalar_curvature": float(fb.scalar("scalar_curvature")[0]),
+        "grad_T_norm": float(np.sqrt(np.sum(fb.grad_T[..., 0] ** 2))),
+        "simons_lhs": simons_terms(fb)["lhs_half_laplacian"],
+    }
+    h_sq = PINNED[body]["h_sq"][0]
+    for name, (want, weight) in PINNED[body].items():
+        assert abs(got[name] - want) <= 1e-12 * max(abs(want), h_sq**weight), name
+
+
 class TestPoleHandling:
     def test_far_points_renormalized(self):
         imm = make_whitney_cn(1.0, None, 2)

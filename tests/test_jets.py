@@ -1,7 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from lagcheck.jets import ComplexJet, Jet, jet_dot, jet_space, potential_from_gradient
+from lagcheck.jets import ComplexJet, Jet, jet_einsum, jet_space, potential_from_gradient
 
 
 def seed(nvars, order, values):
@@ -89,12 +91,85 @@ def test_truncation_blocks_stale_coefficients():
     assert np.all(h.c[sp.degrees > 3] == 0.0)
 
 
-def test_jet_dot():
-    sp, (x, y) = seed(2, 2, [0.5, 0.25])
-    u = [x, y]
-    v = [y, x]
-    d = jet_dot(u, v)
-    assert d.value == pytest.approx(2 * 0.5 * 0.25)
+def random_jet(rng, sp, shape, order, batch):
+    c = rng.normal(size=tuple(shape) + (sp.ncoef, batch))
+    c[..., sp.ncoef_by_degree[order] :, :] = 0.0
+    return Jet(sp, c, order)
+
+
+def einsum_oracle(spec, a, b):
+    """Nested loops of scalar Jet products and sums over every index."""
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    dims = dict(zip(sa, a.shape)) | dict(zip(sb, b.shape))
+    summed = sorted(set(sa + sb) - set(out))
+    coeffs, order = {}, None
+    for oidx in product(*(range(dims[x]) for x in out)):
+        acc = None
+        for sidx in product(*(range(dims[x]) for x in summed)):
+            at = dict(zip(out, oidx)) | dict(zip(summed, sidx))
+            term = a[tuple(at[x] for x in sa)] * b[tuple(at[x] for x in sb)]
+            acc = term if acc is None else acc + term
+        coeffs[oidx], order = acc.c, acc.order
+    shape = tuple(dims[x] for x in out)
+    return np.array([coeffs[i] for i in product(*(range(d) for d in shape))]).reshape(
+        shape + a.c.shape[-2:]
+    ), order
+
+
+CONTRACTIONS = {
+    "dot": ("i,i->", (3,), (3,)),
+    "outer": ("i,j->ij", (3,), (2,)),
+    "matvec": ("ij,j->i", (2, 3), (3,)),
+    "three_index": ("ijk,kjl->il", (2, 3, 2), (2, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("nvars", [2, 3])
+@pytest.mark.parametrize("kind", sorted(CONTRACTIONS))
+def test_jet_einsum_matches_scalar_loops(kind, nvars, batch):
+    spec, sha, shb = CONTRACTIONS[kind]
+    rng = np.random.default_rng([sorted(CONTRACTIONS).index(kind), nvars, batch])
+    for order in range(5):
+        sp = jet_space(nvars, order)
+        for order_b in sorted({order, order // 2}):
+            a = random_jet(rng, sp, sha, order, batch)
+            b = random_jet(rng, sp, shb, order_b, batch)
+            got = jet_einsum(spec, a, b)
+            want, want_order = einsum_oracle(spec, a, b)
+            assert got.order == want_order == min(order, order_b)
+            np.testing.assert_allclose(got.c, want, rtol=1e-13, atol=1e-13)
+            assert np.all(got.c[..., sp.ncoef_by_degree[got.order] :, :] == 0.0)
+
+
+def test_jet_einsum_constant_operand():
+    rng = np.random.default_rng(4)
+    sp = jet_space(2, 3)
+    x = random_jet(rng, sp, (3, 4), 2, 5)
+    M = rng.normal(size=(2, 4))
+    got = jet_einsum("cd,id->ic", M, x)
+    assert got.order == 2
+    for i in range(3):
+        for c in range(2):
+            want = sum((x[i, d] * float(M[c, d]) for d in range(4)), 0.0 * x[i, 0])
+            np.testing.assert_allclose(got[i, c].c, want.c, rtol=1e-14, atol=1e-14)
+
+
+def test_tensor_jet_grad_indexing_and_stack():
+    sp, (x, y) = seed(2, 3, [0.4, -0.7])
+    f = [x * x * y, (x + y).sin(), x / (1.0 + y * y)]
+    F = Jet.stack(f)
+    assert F.shape == (3,) and F.order == 3
+    dF = F.grad()
+    assert dF.shape == (3, 2) and dF.order == 2
+    for c in range(3):
+        assert np.array_equal(F[c].c, f[c].c)
+        for v in range(2):
+            assert np.array_equal(dF[c, v].c, f[c].partial(v).c)
+            assert np.array_equal(dF.transpose(1, 0)[v, c].c, dF[c, v].c)
+    with pytest.raises(IndexError):
+        F[0, 1]
 
 
 def test_potential_from_gradient_recovers_function():

@@ -191,3 +191,24 @@ class TestMichaelSimon:
         torus = make_product_torus([1.0, 1.0])
         with pytest.raises(ValueError):
             michael_simon_ratio(torus, constant_field(-1.0), torus_rule(2, 6))
+
+
+class TestScaleFree:
+    """A dilation by lam scales each energy by lam^(its weight); no valid body
+    is rejected for its size."""
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e3])
+    def test_torus_energies_follow_dilation(self, lam):
+        radii = np.array([1.0, 1.5, 2.0])
+        rule = torus_rule(3, 8)
+        base = energy_report(make_product_torus(radii), rule).entries
+        scaled = energy_report(make_product_torus(lam * radii), rule).entries
+        weights = {"volume": 3, "int_hhat_n": 0, "int_hhat_sq": 1, "int_h_sq": 1, "int_H_sq": 1}
+        for name, w in weights.items():
+            assert scaled[name] == pytest.approx(lam**w * base[name], rel=1e-13)
+
+    @pytest.mark.parametrize("r", [5e-3, 1e-5])
+    def test_small_whitney_sphere_keeps_the_gap(self, r):
+        rep = energy_report(make_whitney_cn(r, None, 3), sphere_rule(3, 8))
+        assert rep.int_h_sq > 0
+        assert rep.int_hhat_sq <= 1e-20 * rep.int_h_sq
