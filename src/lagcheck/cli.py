@@ -96,11 +96,14 @@ def render_table(doc: dict) -> str:
     kind = doc.get("kind", "?")
     lines = [f"{kind} report: {doc.get('immersion', '?')}  (schema {doc.get('schema')})"]
     if kind == "identities":
-        lines.append(f"{'check':34s} {'max residual':>14s} {'tolerance':>12s} {'pass':>6s}")
+        lines.append(
+            f"{'check':34s} {'max residual':>14s} {'tolerance':>12s} {'headroom':>10s} "
+            f"{'sample':>6s} {'pass':>6s}"
+        )
         for c in doc["checks"]:
             lines.append(
                 f"{c['name']:34s} {c['max_residual']:14.3e} {c['tolerance']:12.1e} "
-                f"{'ok' if c['pass'] else 'FAIL':>6s}"
+                f"{c['headroom']:10.2e} {c['argmax']:6d} {'ok' if c['pass'] else 'FAIL':>6s}"
             )
         lines.append(f"all_pass: {doc['all_pass']}")
     elif kind == "energy":

@@ -25,9 +25,10 @@ from .immersions import (
     SphereAtlas,
     eval_jet,
     register_family,
+    symplectic_j_matrix,
 )
-from .geometry import NonLagrangianError
-from .jets import ComplexJet, Jet, jet_space, potential_from_gradient
+from .geometry import NonLagrangianError, at_point
+from .jets import ComplexJet, Jet, jet_einsum, jet_space, potential_from_gradient
 
 HORIZONTALITY_TOL = 1e-9
 
@@ -195,60 +196,45 @@ def phase_twist(base: Immersion, coeffs) -> Immersion:
 def horizontal_lift_jets(imm: Immersion, chart_id: int, coords: np.ndarray, order: int) -> list[Jet]:
     """Jet of the horizontal (Legendrian) lift into S^{2n+1}.
 
-    Steps: renormalize the representative, integrate the phase potential psi
-    with d psi = -Re<dZ, iZ>, rotate by e^{i psi}, then pin the phase so the
+    Steps, on one stacked jet of the interleaved real components: renormalize
+    the representative, integrate the phase potential psi with
+    d psi = -Re<dZ, iZ>, rotate by e^{i psi}, then pin the phase so the
     largest component at the point is real-positive.  Raises if the
     horizontality 1-form fails to be closed, which happens exactly when the
-    underlying immersion is not Lagrangian in CP^n.
+    underlying immersion is not Lagrangian in CP^n; the error's `index` is
+    the batch position of the first point it fails at.
     """
-    jets = imm.jet_fn(chart_id, coords, order)
-    sp = jets[0].space
-    m = len(jets) // 2
-    Z = [ComplexJet(jets[2 * k], jets[2 * k + 1]) for k in range(m)]
-    norm2 = Z[0].abs2()
-    for z in Z[1:]:
-        norm2 = norm2 + z.abs2()
-    inv_norm = 1.0 / norm2.sqrt()
-    Z = [z.scale_real(inv_norm) for z in Z]
+    phi = Jet.stack(imm.jet_fn(chart_id, coords, order))
+    sp = phi.space
+    J = symplectic_j_matrix(phi.shape[0] // 2)
+    Z = phi * (1.0 / jet_einsum("c,c->", phi, phi).sqrt())
+    JZ = jet_einsum("cd,d->c", J, Z)
 
-    # a_a = Re<d_a Z, i Z> = sum_k (Im dZ_k Re Z_k - Re dZ_k Im Z_k)
-    nvars = sp.nvars
-    a_forms = []
-    for a in range(nvars):
-        acc = None
-        for z in Z:
-            term = z.im.partial(a) * z.re - z.re.partial(a) * z.im
-            acc = term if acc is None else acc + term
-        a_forms.append(acc)
-    psi = potential_from_gradient(sp, a_forms)
-    phase = ComplexJet(psi.cos(), psi.sin())
-    W = [z * phase for z in Z]
+    # a_a = Re<d_a Z, i Z>, with i acting on the real components as J
+    a = jet_einsum("ca,c->a", Z.grad(), JZ)
+    psi = potential_from_gradient(sp, [a[v] for v in range(sp.nvars)])
+    W = Z * psi.cos() + JZ * psi.sin()
+    JW = jet_einsum("cd,d->c", J, W)
 
     # closedness / horizontality residual across all computed jet orders
-    resid = 0.0
-    for a in range(nvars):
-        acc = None
-        for w in W:
-            term = w.im.partial(a) * w.re - w.re.partial(a) * w.im
-            acc = term if acc is None else acc + term
-        resid = max(resid, float(np.max(np.abs(acc.c))))
-    if resid > HORIZONTALITY_TOL:
-        raise HorizontalityError(
-            "horizontality gauge not solvable (Lagrangian condition violated "
-            f"in CP^n): residual {resid:.3e}"
+    resid = np.max(np.abs(jet_einsum("ca,c->a", W.grad(), JW).c), axis=(0, 1))
+    bad = np.flatnonzero(resid > HORIZONTALITY_TOL)
+    if bad.size:
+        raise at_point(
+            HorizontalityError(
+                "horizontality gauge not solvable (Lagrangian condition violated "
+                f"in CP^n): residual {resid[bad[0]]:.3e}"
+            ),
+            int(bad[0]),
         )
 
     # pin the representative: largest component real-positive at the point
-    vals = np.stack([w.re.value + 1j * w.im.value for w in W])  # (m, B)
+    vals = W.value[0::2] + 1j * W.value[1::2]  # (m, B)
     k0 = np.argmax(np.abs(vals), axis=0)
     pick = np.take_along_axis(vals, k0[None, :], axis=0)[0]
-    phase_const = pick.conj() / np.abs(pick)
-    W = [w.scale_complex(phase_const.real, phase_const.imag) for w in W]
-
-    out = []
-    for w in W:
-        out.extend((w.re, w.im))
-    return out
+    phase = pick.conj() / np.abs(pick)
+    W = W.scaled(phase.real) + JW.scaled(phase.imag)
+    return [W[c] for c in range(W.shape[0])]
 
 
 def horizontal_jet(imm: Immersion, p: ChartPoint, order: int) -> ImmersionJet:

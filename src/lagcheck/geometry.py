@@ -61,6 +61,18 @@ class DegenerateMetricError(ValueError):
     pass
 
 
+def at_point(error: ValueError, index: int) -> ValueError:
+    """Tag an evaluation error with the batch position of the point it names,
+    so the caller that knows the point can say which one failed."""
+    error.index = index
+    return error
+
+
+def named_point(error: ValueError, where: str, index: int) -> ValueError:
+    """The same kind of error, its message prefixed by `where` the point is."""
+    return at_point(type(error)(f"{where}: {error}"), index)
+
+
 class FrameBundle:
     """All geometric data derived from one ambient jet, batched over points.
 
@@ -91,10 +103,14 @@ class FrameBundle:
         self.g0 = np.moveaxis(g.value, -1, 0)  # (B, n, n)
         eig = np.linalg.eigvalsh(self.g0)
         ratio = eig[:, 0] / np.maximum(eig[:, -1], np.finfo(float).tiny)
-        if np.any(ratio < METRIC_COND_TOL):
-            raise DegenerateMetricError(
-                f"induced metric degenerate: lambda_min/lambda_max = {ratio.min():.3e}"
-                f" below {METRIC_COND_TOL:.0e}"
+        bad = np.flatnonzero(ratio < METRIC_COND_TOL)
+        if bad.size:
+            raise at_point(
+                DegenerateMetricError(
+                    f"induced metric degenerate: lambda_min/lambda_max = {ratio[bad[0]]:.3e}"
+                    f" below {METRIC_COND_TOL:.0e}"
+                ),
+                int(bad[0]),
             )
         self.sqrt_det_g = np.sqrt(np.linalg.det(self.g0))
 
@@ -108,11 +124,11 @@ class FrameBundle:
                 for k in range(j):
                     acc = acc - L[i][k] * L[j][k]
                 L[i].append(acc.sqrt() if i == j else acc / L[j][j])
-        unit = np.zeros((n, n, g.space.ncoef, 1))
+        unit = np.zeros((n, n, g.space.ncoef_by_degree[g.order], 1))
         unit[:, :, 0, 0] = np.eye(n)
         rows = []
         for i in range(n):
-            acc = Jet(g.space, unit[i])
+            acc = Jet(g.space, unit[i], g.order)
             for k in range(i):
                 acc = acc - rows[k] * L[i][k]
             rows.append(acc / L[i][i])
@@ -124,11 +140,15 @@ class FrameBundle:
 
         self.e = jet_einsum("ia,ca->ic", B, self.f)
         self.Je = jet_einsum("cd,id->ic", self.J, self.e)
-        lag = float(np.max(np.abs(np.einsum("icb,jcb->ijb", self.e.value, self.Je.value))))
-        self.lagrangian_residual = lag
-        if lag > LAGRANGIAN_TOL:
-            raise NonLagrangianError(
-                f"Lagrangian condition violated: max |<e_i, J e_j>| = {lag:.3e}"
+        lag = np.max(np.abs(np.einsum("icb,jcb->ijb", self.e.value, self.Je.value)), axis=(0, 1))
+        self.lagrangian_residual = lag  # (B,)
+        bad = np.flatnonzero(lag > LAGRANGIAN_TOL)
+        if bad.size:
+            raise at_point(
+                NonLagrangianError(
+                    f"Lagrangian condition violated: max |<e_i, J e_j>| = {lag[bad[0]]:.3e}"
+                ),
+                int(bad[0]),
             )
 
     # -- cached derived quantities -------------------------------------
@@ -555,10 +575,15 @@ def bundle_at(
     frame_gauge: np.ndarray | None = None,
 ) -> FrameBundle:
     """FrameBundle at a batch of points of one chart given as (B, nvars)
-    coords; no chart normalization."""
+    coords; no chart normalization.  A point the geometry fails at is named
+    by its chart and coordinates in the error, whose `index` is its row."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    jets, c_amb = _ambient_jets(imm, chart_id, coords.T, order)
-    return FrameBundle(jets, imm.source_dim, c_amb, gauge=frame_gauge)
+    try:
+        jets, c_amb = _ambient_jets(imm, chart_id, coords.T, order)
+        return FrameBundle(jets, imm.source_dim, c_amb, gauge=frame_gauge)
+    except (NonLagrangianError, DegenerateMetricError) as exc:
+        where = f"chart {chart_id}, coords {coords[exc.index].tolist()}"
+        raise named_point(exc, where, exc.index) from exc
 
 
 def point_bundle(
@@ -624,7 +649,7 @@ def _state_from_bundle(fb: FrameBundle, imm: Immersion, p: ChartPoint, depth: st
         h=h,
         H=H,
         hhat=hhat,
-        lagrangian_residual=fb.lagrangian_residual,
+        lagrangian_residual=float(fb.lagrangian_residual[b]),
         grad_h=grad_h,
         grad_hhat=grad_hhat,
         grad_H=grad_H,

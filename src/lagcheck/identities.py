@@ -3,22 +3,23 @@ submanifolds: symmetry of the second fundamental form, Codazzi, the curvature
 equations, the Ricci identity, and the Simons-type identity and inequality
 for the trace-free second fundamental form.
 
-The pointwise checks read a GeometryState.  The heavy checks (Ricci identity,
-Laplace contraction, Simons identity and inequality) read one order-4
-FrameBundle built at a single point by `geometry.point_bundle`; every
+Every check reads a FrameBundle batched over points and returns one residual
+per point, an array of shape (B,).  The structural and curvature checks need
+an order-3 bundle; the heavy checks (Ricci identity, Laplace contraction,
+Simons identity and inequality) need an order-4 one, whose jets carry every
 derivative they use, including the chart Laplacian of |hhat|^2 and the
-gradient of T, comes from its jets.
+gradient of T.  `run_identity_suite` builds one bundle per chart and runs
+every check on every sample point.
 
-Each check returns a named residual; the report marks a check as passed when
-the residual sits under its tolerance rung (exact-jet, once-FD, or twice-FD,
-optionally rescaled).
+Each check yields a named residual; the report marks a check as passed when
+its worst residual sits under its tolerance rung (exact-jet, once-FD, or
+twice-FD, optionally rescaled) and names the sample it occurred at.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
@@ -26,14 +27,15 @@ from .geometry import (
     TOL_FD1,
     TOL_FD2,
     TOL_JET,
+    DegenerateMetricError,
     FrameBundle,
-    GeometryState,
-    _state_from_bundle,
-    bundle_at,  # noqa: F401  unused; perfbench/tests/test_tracer.py rebinds it here
-    point_bundle,
+    NonLagrangianError,
+    at_point,
+    bundle_at,
+    named_point,
 )
-from .immersions import ChartPoint, Immersion
-from .tensors import spectral_summary, CubicSymTensor, VectorField1
+from .immersions import ChartPoint, Immersion, OutOfDomainError
+from .tensors import TRISYM_TOL, spectral_summary, symmetry_residual, trisym_violations
 
 # Sign convention for the commutator term of the Simons identity: the square
 # is a literal matrix square, so tr (AB - BA)^2 = -N(AB - BA) <= 0.  This is
@@ -44,62 +46,41 @@ COMMUTATOR_NOTE = (
 )
 
 
+def _max_abs(x: np.ndarray) -> np.ndarray:
+    """max |x| over every axis but the trailing batch axis."""
+    return np.max(np.abs(x), axis=tuple(range(x.ndim - 1)))
+
+
 # ---------------------------------------------------------------------------
 # Structural checks
 # ---------------------------------------------------------------------------
 
 
-def check_structural(state: GeometryState) -> dict[str, float]:
-    """Residuals of the pointwise structure equations at one state."""
-    if state.grad_h is None:
-        raise ValueError("state must be built with derivatives")
-    h = state.h.entries
-    n = state.n
-    res = {}
-
-    tri = 0.0
-    for perm in permutations(range(3)):
-        tri = max(tri, float(np.max(np.abs(np.transpose(h, perm) - h))))
-    res["tri_symmetry"] = tri
-
-    cod = 0.0
-    for perm in permutations(range(4)):
-        cod = max(cod, float(np.max(np.abs(np.transpose(state.grad_h, perm) - state.grad_h))))
-    res["codazzi_full_symmetry"] = cod
-
-    res["h_trace_consistency"] = float(
-        np.max(np.abs(np.einsum("mii->m", h) / n - state.H.components))
-    )
-    res["H_derivative_symmetry"] = float(np.max(np.abs(state.grad_H - state.grad_H.T)))
-    res["T_consistency"] = float(np.max(np.abs(state.T.entries - state.T_divergence_form)))
-    res["norm_identity"] = norm_identity_pointwise(state)
-    res["lagrangian_condition"] = state.lagrangian_residual
-    return res
-
-
-def norm_identity_pointwise(state: GeometryState) -> float:
-    n = state.n
-    return abs(
-        state.hhat_norm_sq() - state.h_norm_sq() + 3.0 * n * n / (n + 2.0) * state.H_norm_sq()
-    )
-
-
-def gauss_rhs_from_state(state: GeometryState) -> np.ndarray:
-    n = state.n
-    eye = np.eye(n)
-    h = state.h.entries
-    delta = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
-    return state.c_amb * delta + np.einsum("mik,mjl->ijkl", h, h) - np.einsum(
-        "mil,mjk->ijkl", h, h
-    )
-
-
-def check_gauss_ricci(state: GeometryState) -> dict[str, float]:
-    """Gauss equation (two-method) and the normal-bundle curvature equation."""
-    rhs = gauss_rhs_from_state(state)
+def check_structural(fb: FrameBundle) -> dict[str, np.ndarray]:
+    """Residuals of the pointwise structure equations, one per point, on a
+    bundle of order >= 3."""
+    n = fb.n
+    T = 0.5 * (fb.T0 + fb.T0.transpose(1, 0, 2))
     return {
-        "gauss_two_method": float(np.max(np.abs(state.R - rhs))),
-        "ricci_equation": float(np.max(np.abs(state.R_normal - rhs))),
+        "tri_symmetry": symmetry_residual(fb.h0, 3),
+        "codazzi_full_symmetry": symmetry_residual(fb.grad_h, 4),
+        "h_trace_consistency": _max_abs(np.einsum("miib->mb", fb.h0) / n - fb.H0),
+        "H_derivative_symmetry": _max_abs(fb.grad_H - fb.grad_H.transpose(1, 0, 2)),
+        "T_consistency": _max_abs(T - fb.T_from_hhat),
+        "norm_identity": np.abs(
+            fb.scalar("hhat_sq") - fb.scalar("h_sq") + 3.0 * n * n / (n + 2.0) * fb.scalar("H_sq")
+        ),
+        "lagrangian_condition": fb.lagrangian_residual,
+    }
+
+
+def check_gauss_ricci(fb: FrameBundle) -> dict[str, np.ndarray]:
+    """Gauss equation (two-method) and the normal-bundle curvature equation,
+    one residual per point."""
+    rhs = fb.gauss_rhs
+    return {
+        "gauss_two_method": _max_abs(fb.curvature_frame - rhs),
+        "ricci_equation": _max_abs(fb.normal_curvature - rhs),
     }
 
 
@@ -108,36 +89,36 @@ def check_gauss_ricci(state: GeometryState) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-def check_ricci_identity(fb: FrameBundle) -> float:
+def check_ricci_identity(fb: FrameBundle) -> np.ndarray:
     """Residual of the commutation rule for second covariant derivatives of h
-    against the curvature contractions, curvature taken from the Gauss form.
-
-    `fb` is an order-4 bundle at one point (`point_bundle(imm, p, 4)`)."""
-    hess = fb.hess_h[..., 0]
-    h0 = fb.h0[..., 0]
-    rg = fb.gauss_rhs[..., 0]
-    lhs = hess - hess.transpose(0, 1, 2, 4, 3)
+    against the curvature contractions, curvature taken from the Gauss form;
+    one per point of an order-4 bundle."""
+    hess = fb.hess_h
+    h0 = fb.h0
+    rg = fb.gauss_rhs
+    lhs = hess - hess.transpose(0, 1, 2, 4, 3, 5)
     rhs = (
-        np.einsum("mkj,kilp->mijlp", h0, rg)
-        + np.einsum("mik,kjlp->mijlp", h0, rg)
-        + np.einsum("kij,kmlp->mijlp", h0, rg)
+        np.einsum("mkjb,kilpb->mijlpb", h0, rg)
+        + np.einsum("mikb,kjlpb->mijlpb", h0, rg)
+        + np.einsum("kijb,kmlpb->mijlpb", h0, rg)
     )
-    return float(np.max(np.abs(lhs - rhs)))
+    return _max_abs(lhs - rhs)
 
 
-def lemma_laplace_hhat(fb: FrameBundle) -> tuple[float, float]:
+def lemma_laplace_hhat(fb: FrameBundle) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the rough-Laplacian contraction identity for hhat:
     sum hhat * hhat_{,kk} against (n+2)<hhat, grad T> plus curvature terms,
-    on an order-4 bundle at one point."""
+    one value per point of an order-4 bundle."""
     n = fb.n
-    hh = fb.hhat0[..., 0]
-    hess = fb.hess_hhat[..., 0]
-    rg = fb.gauss_rhs[..., 0]
-    lhs = float(np.einsum("mij,mijkk->", hh, hess))
-    rhs = (n + 2.0) * float(np.einsum("mij,ijm->", hh, fb.grad_T[..., 0]))
-    rhs += float(np.einsum("mij,mlk,lijk->", hh, hh, rg))
-    rhs += float(np.einsum("mij,mil,lkjk->", hh, hh, rg))
-    rhs += float(np.einsum("mij,lik,lmjk->", hh, hh, rg))
+    hh = fb.hhat0
+    rg = fb.gauss_rhs
+    lhs = np.einsum("mijb,mijkkb->b", hh, fb.hess_hhat)
+    rhs = (
+        (n + 2.0) * np.einsum("mijb,ijmb->b", hh, fb.grad_T)
+        + np.einsum("mijb,mlkb,lijkb->b", hh, hh, rg)
+        + np.einsum("mijb,milb,lkjkb->b", hh, hh, rg)
+        + np.einsum("mijb,likb,lmjkb->b", hh, hh, rg)
+    )
     return lhs, rhs
 
 
@@ -146,38 +127,43 @@ def lemma_laplace_hhat(fb: FrameBundle) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def simons_terms(fb: FrameBundle) -> dict[str, float]:
-    """Every term of the Simons-type identity for (1/2) Lap |hhat|^2, on an
-    order-4 bundle at one point.  The left side is the chart Laplacian of the
-    |hhat|^2 jet; the right side comes from frame covariant derivatives."""
+def _curvature_terms(hh: np.ndarray, Hv: np.ndarray) -> dict[str, np.ndarray]:
+    """The algebraic curvature terms of the Simons identity; hh (n, n, n, ...)
+    and Hv (n, ...) may carry trailing batch axes."""
+    n = hh.shape[0]
+    prods = np.einsum("iab...,jbc...->ijac...", hh, hh)
+    comms = prods - np.swapaxes(prods, 0, 1)
+    tr_ab = np.einsum("iab...,jab...->ij...", hh, hh)
+    return {
+        "commutator_term": np.einsum("ijab...,ijba...->...", comms, comms),
+        "trace_sq_term": -np.einsum("ij...,ij...->...", tr_ab, tr_ab),
+        "cubic_term": n * np.einsum("mji...,mjt...,lti...,l...->...", hh, hh, hh, Hv),
+        "quad_term": n * n / (n + 2.0) * np.einsum("mij...,mjk...,i...,k...->...", hh, hh, Hv, Hv),
+    }
+
+
+def simons_terms(fb: FrameBundle) -> dict[str, np.ndarray]:
+    """Every term of the Simons-type identity for (1/2) Lap |hhat|^2, one
+    value per point of an order-4 bundle.  The left side is the chart
+    Laplacian of the |hhat|^2 jet; the right side comes from frame covariant
+    derivatives."""
     n = fb.n
-    hh = fb.hhat0[..., 0]
-    Hv = fb.H0[:, 0]
-    hs = float(fb.scalar("hhat_sq")[0])
-
-    prods = np.einsum("iab,jbc->ijac", hh, hh)
-    comms = prods - prods.transpose(1, 0, 2, 3)
-    comm_term = float(np.einsum("ijab,ijba->", comms, comms))
-    tr_ab = np.einsum("iab,jab->ij", hh, hh)
-
-    terms = {
-        "lhs_half_laplacian": 0.5 * float(fb.laplacian(fb.hhat_sq_jet)[0]),
-        "hhat_grad_T": (n + 2.0) * float(np.einsum("mij,ijm->", hh, fb.grad_T[..., 0])),
-        "grad_hhat_sq": float(fb.scalar("grad_hhat_sq")[0]),
+    hh = fb.hhat0
+    hs = fb.scalar("hhat_sq")
+    return {
+        "lhs_half_laplacian": 0.5 * fb.laplacian(fb.hhat_sq_jet),
+        "hhat_grad_T": (n + 2.0) * np.einsum("mijb,ijmb->b", hh, fb.grad_T),
+        "grad_hhat_sq": fb.scalar("grad_hhat_sq"),
         "c_term": (n + 1.0) * fb.c_amb * hs,
-        "HH_term": n * n / (n + 2.0) * hs * float(fb.scalar("H_sq")[0]),
-        "commutator_term": comm_term,
-        "trace_sq_term": -float(np.sum(tr_ab**2)),
-        "cubic_term": n * float(np.einsum("mji,mjt,lti,l->", hh, hh, hh, Hv)),
-        "quad_term": n * n / (n + 2.0) * float(np.einsum("mij,mjk,i,k->", hh, hh, Hv, Hv)),
+        "HH_term": n * n / (n + 2.0) * hs * fb.scalar("H_sq"),
+        **_curvature_terms(hh, fb.H0),
         "hhat_sq": hs,
     }
-    return terms
 
 
-def check_simons_identity(terms: dict[str, float]) -> tuple[float, float, float]:
+def check_simons_identity(terms: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (lhs, rhs, relative residual) of the Simons identity from the
-    output of `simons_terms`."""
+    output of `simons_terms`, one value each per point."""
     t = terms
     lhs = t["lhs_half_laplacian"]
     rhs = (
@@ -190,12 +176,12 @@ def check_simons_identity(terms: dict[str, float]) -> tuple[float, float, float]
         + t["cubic_term"]
         + t["quad_term"]
     )
-    return lhs, rhs, abs(lhs - rhs) / (1.0 + abs(lhs))
+    return lhs, rhs, np.abs(lhs - rhs) / (1.0 + np.abs(lhs))
 
 
-def check_simons_inequality(fb: FrameBundle, terms: dict[str, float]) -> dict[str, float]:
+def check_simons_inequality(fb: FrameBundle, terms: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Margin of the Simons inequality plus the isolated algebraic step, from
-    the bundle and its `simons_terms`."""
+    the bundle and its `simons_terms`, one value each per point."""
     t = terms
     lower = (
         t["hhat_grad_T"]
@@ -204,7 +190,7 @@ def check_simons_inequality(fb: FrameBundle, terms: dict[str, float]) -> dict[st
         + t["HH_term"]
         - 0.5 * (fb.n + 3.0) * t["hhat_sq"] ** 2
     )
-    alg = algebraic_simons_bound(fb.hhat0[..., 0], fb.H0[:, 0])
+    alg = algebraic_simons_bound(fb.hhat0, fb.H0)
     return {
         "margin": t["lhs_half_laplacian"] - lower,
         "algebraic_margin": alg["margin"],
@@ -264,37 +250,36 @@ def curvature_contraction_closed_forms(hh: np.ndarray, Hv: np.ndarray, c_amb: fl
     }
 
 
-def algebraic_simons_bound(hh: np.ndarray, Hv: np.ndarray) -> dict[str, float]:
+def algebraic_simons_bound(hh: np.ndarray, Hv: np.ndarray) -> dict[str, np.ndarray]:
     """The purely algebraic estimate step: the curvature terms of the Simons
     identity dominate -(n+3)/2 |hhat|^4 for any trace-free tri-symmetric hhat.
 
     Also reports the eigen-decomposition cross-check (the cubic and quadratic
     H-contractions equal n sum lambda_i S_i* + n^2/(n+2) sum lambda_i^2) and
-    the unasserted intermediate line with (|H| lambda_i + S_i*)^2.
+    the unasserted intermediate line with (|H| lambda_i + S_i*)^2.  hh
+    (n, n, n, ...) and Hv (n, ...) may carry trailing batch axes.
     """
+    hh = np.asarray(hh, dtype=float)
+    Hv = np.asarray(Hv, dtype=float)
+    if np.any(trisym_violations(hh, 1e-6)):
+        raise ValueError("array is not symmetric under index permutations")
     n = hh.shape[0]
-    hs = float(np.einsum("mij,mij->", hh, hh))
-    prods = np.einsum("iab,jbc->ijac", hh, hh)
-    comms = prods - prods.transpose(1, 0, 2, 3)
-    comm_term = float(np.einsum("ijab,ijba->", comms, comms))
-    tr_ab = np.einsum("iab,jab->ij", hh, hh)
-    trace_sq_term = -float(np.sum(tr_ab**2))
-    cubic = n * float(np.einsum("mji,mjt,lti,l->", hh, hh, hh, Hv))
-    quad = n * n / (n + 2.0) * float(np.einsum("mij,mjk,i,k->", hh, hh, Hv, Hv))
+    hs = np.einsum("mij...,mij...->...", hh, hh)
+    t = _curvature_terms(hh, Hv)
+    cubic, quad = t["cubic_term"], t["quad_term"]
+    curvature = t["commutator_term"] + t["trace_sq_term"] + cubic + quad
+    margin = curvature + 0.5 * (n + 3.0) * hs * hs
 
-    margin = comm_term + trace_sq_term + cubic + quad + 0.5 * (n + 3.0) * hs * hs
-
-    summ = spectral_summary(CubicSymTensor(hh, tol=1e-6), VectorField1(Hv))
-    spectral = abs(
-        cubic + quad - (n * float(np.dot(summ.lambdas, summ.s_istar)) + n * n / (n + 2.0) * summ.s_h)
+    summ = spectral_summary(hh, Hv)
+    spectral = np.abs(
+        cubic + quad - (n * np.einsum("i...,i...->...", summ.lambdas, summ.s_istar) + n * n / (n + 2.0) * summ.s_h)
     )
-    Hnorm = float(np.sqrt(np.dot(Hv, Hv)))
-    inter_line = 0.5 * n * float(np.sum((Hnorm * summ.lambdas + summ.s_istar) ** 2))
-    intermediate = comm_term + trace_sq_term + cubic + quad + 0.5 * (n + 3.0) * hs * hs - inter_line
+    Hnorm = np.sqrt(np.einsum("i...,i...->...", Hv, Hv))
+    inter_line = 0.5 * n * np.sum((Hnorm * summ.lambdas + summ.s_istar) ** 2, axis=0)
     return {
         "margin": margin,
         "spectral_consistency": spectral,
-        "intermediate_margin": intermediate,
+        "intermediate_margin": margin - inter_line,
     }
 
 
@@ -305,10 +290,16 @@ def algebraic_simons_bound(hh: np.ndarray, Hv: np.ndarray) -> dict[str, float]:
 
 @dataclass
 class CheckResult:
+    """Worst residual of one check over the sample points: `argmax` is the
+    index of the sample it occurred at and `headroom` the residual over the
+    tolerance (pass when <= 1)."""
+
     name: str
     max_residual: float
     tolerance: float
     passed: bool
+    argmax: int = 0
+    headroom: float = 0.0
 
 
 @dataclass
@@ -342,6 +333,8 @@ class IdentityReport:
                     "max_residual": c.max_residual,
                     "tolerance": c.tolerance,
                     "pass": c.passed,
+                    "argmax": c.argmax,
+                    "headroom": c.headroom,
                 }
                 for c in self.checks
             ],
@@ -371,7 +364,37 @@ DEFAULT_TOLERANCES = {
     "spectral_consistency": 1e-10,
 }
 
-HEAVY_POINT_COUNT = 3  # points per report for the order-4 checks
+
+def _validate(fb: FrameBundle, samples: list[int]) -> None:
+    """The checks a GeometryState makes on construction, at every point of a
+    bundle; `samples` maps batch positions to sample indices."""
+    T = 0.5 * (fb.T0 + fb.T0.transpose(1, 0, 2))
+    T_scale = np.maximum(1.0, _max_abs(T))
+    failures = {
+        "h is not symmetric under index permutations": trisym_violations(fb.h0, TRISYM_TOL),
+        "hhat is not symmetric under index permutations": trisym_violations(fb.hhat0, TRISYM_TOL),
+        "H has non-finite components": ~np.all(np.isfinite(fb.H0), axis=0),
+        "T is not trace-free": np.abs(np.einsum("iib->b", T)) > 1e-8 * T_scale,
+    }
+    for what, bad in failures.items():
+        if np.any(bad):
+            raise ValueError(f"sample {samples[int(np.argmax(bad))]}: {what}")
+
+
+def _chart_residuals(fb: FrameBundle, heavy: bool) -> dict[str, np.ndarray]:
+    """Every check on every point of one bundle, as (B,) residuals."""
+    res = check_structural(fb) | check_gauss_ricci(fb)
+    res["maslov_closedness"] = fb.maslov_closedness()
+    if heavy:
+        res["ricci_identity"] = check_ricci_identity(fb)
+        lhs, rhs = lemma_laplace_hhat(fb)
+        res["laplace_contraction"] = np.abs(lhs - rhs)
+        terms = simons_terms(fb)
+        res["simons_identity_rel"] = check_simons_identity(terms)[2]
+        ineq = check_simons_inequality(fb, terms)
+        res["simons_inequality_margin"] = np.maximum(0.0, -ineq["margin"])
+        res["spectral_consistency"] = ineq["spectral_consistency"]
+    return res
 
 
 def run_identity_suite(
@@ -381,37 +404,29 @@ def run_identity_suite(
     seed: int | None = None,
     heavy: bool = True,
 ) -> IdentityReport:
-    """Evaluate every identity check over the sample points and tabulate.
+    """Evaluate every identity check on every sample point and tabulate.
 
-    Each sample point gets one order-3 bundle for the pointwise checks; each
-    heavy point gets one order-4 bundle and one `simons_terms` for the rest."""
-    agg: dict[str, float] = {}
+    The points are moved to their well-conditioned charts and each chart gets
+    one bundle, of order 4 when `heavy` (order 3 otherwise), that feeds every
+    check.  A point the geometry fails at is named in the error by its sample
+    index, chart and coordinates."""
+    moved = [imm.atlas.normalize(p) for p in points]
+    for k, p in enumerate(moved):
+        if not imm.atlas.contains(p):
+            raise at_point(OutOfDomainError(f"sample {k}: {p} outside chart domain"), k)
 
-    def bump(name, value):
-        agg[name] = max(agg.get(name, 0.0), float(value))
-
-    for p in points:
-        p = imm.atlas.normalize(p)
-        fb = point_bundle(imm, p, 3)
-        state = _state_from_bundle(fb, imm, p, "with_derivatives")
-        for name, val in check_structural(state).items():
-            bump(name, val)
-        for name, val in check_gauss_ricci(state).items():
-            bump(name, val)
-        bump("maslov_closedness", fb.maslov_closedness()[0])
-
-    if heavy:
-        for p in points[:HEAVY_POINT_COUNT]:
-            fb = point_bundle(imm, p, 4)
-            bump("ricci_identity", check_ricci_identity(fb))
-            lhs, rhs = lemma_laplace_hhat(fb)
-            bump("laplace_contraction", abs(lhs - rhs))
-            terms = simons_terms(fb)
-            _, _, rel = check_simons_identity(terms)
-            bump("simons_identity_rel", rel)
-            ineq = check_simons_inequality(fb, terms)
-            bump("simons_inequality_margin", max(0.0, -ineq["margin"]))
-            bump("spectral_consistency", ineq["spectral_consistency"])
+    residuals: dict[str, np.ndarray] = {}
+    for chart in sorted({p.chart_id for p in moved}):
+        samples = [k for k, p in enumerate(moved) if p.chart_id == chart]
+        coords = np.array([moved[k].coords for k in samples])
+        try:
+            fb = bundle_at(imm, chart, coords, 4 if heavy else 3)
+        except (NonLagrangianError, DegenerateMetricError) as exc:
+            k = samples[exc.index]
+            raise named_point(exc, f"sample {k}", k) from exc
+        _validate(fb, samples)
+        for name, value in _chart_residuals(fb, heavy).items():
+            residuals.setdefault(name, np.zeros(len(points)))[samples] = value
 
     report = IdentityReport(
         immersion=imm.name,
@@ -420,9 +435,12 @@ def run_identity_suite(
         sample_points=list(points),
         notes=[COMMUTATOR_NOTE],
     )
-    for name in DEFAULT_TOLERANCES:
-        if name not in agg:
+    for name, tol in DEFAULT_TOLERANCES.items():
+        if name not in residuals:
             continue
-        tol = DEFAULT_TOLERANCES[name] * tol_scale
-        report.checks.append(CheckResult(name, agg[name], tol, agg[name] <= tol))
+        worst = int(np.argmax(residuals[name]))
+        value = float(residuals[name][worst])
+        tol = tol * tol_scale
+        headroom = value / tol if tol > 0 else float("inf")
+        report.checks.append(CheckResult(name, value, tol, value <= tol, worst, headroom))
     return report

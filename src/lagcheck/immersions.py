@@ -348,12 +348,10 @@ def linear_image(base: Immersion, matrix: np.ndarray, offset=None, name=None) ->
         raise ValueError("ambient map has the wrong shape")
 
     def jet_fn(chart_id, coords, order):
-        jets = base.jet_fn(chart_id, coords, order)
-        raw = np.stack([j.c for j in jets])  # (2m, ncoef, B)
-        out = np.einsum("cd,dkb->ckb", matrix, raw)
+        phi = Jet.stack(base.jet_fn(chart_id, coords, order))
+        out = np.einsum("cd,dkb->ckb", matrix, phi.c)
         out[:, 0, :] += offset[:, None]
-        sp = jets[0].space
-        return [Jet(sp, out[c], jets[c].order) for c in range(m2)]
+        return [Jet(phi.space, out[c], phi.order) for c in range(m2)]
 
     return Immersion(
         name=name or f"linear_image({base.name})",

@@ -7,12 +7,16 @@ curvature identities downstream at the 1e-9 level instead of the 1e-3
 typical of finite differencing.
 
 One jet holds a whole tensor: its coefficient array has shape
-(*shape, ncoef, B), leading tensor axes, then one row per multi-index, then
-a batch axis, so one jet expression evaluates a whole set of chart points at
-once.  A scalar jet is the case shape == ().  Ring operations act on the
-coefficient axis and broadcast over the tensor axes; `jet_einsum` fuses a
-tensor contraction with the truncated product (multivariate Taylor
-arithmetic, Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+(*shape, ncoef_by_degree[order], B), leading tensor axes, then one row per
+multi-index of degree <= order, then a batch axis, so one jet expression
+evaluates a whole set of chart points at once.  A scalar jet is the case
+shape == ().  As in multivariate Taylor arithmetic (Griewank & Walther,
+*Evaluating Derivatives*, ch. 13), a result valid to degree k carries only
+the degrees <= k: every operation allocates just the rows of its own valid
+order, so a derivative or a product of low-order jets costs low-order memory.
+Ring operations act on the coefficient axis and broadcast over the tensor
+axes; `jet_einsum` fuses a tensor contraction with the truncated product,
+whose pair sums are one matrix product.
 """
 
 from __future__ import annotations
@@ -71,9 +75,16 @@ class JetSpace:
         self._mul_i = np.array(II, dtype=np.int64)[srt]
         self._mul_j = np.array(JJ, dtype=np.int64)[srt]
         self._mul_k = KK[srt]
-        self._mul_starts = np.searchsorted(self._mul_k, np.arange(self.ncoef))
         degk = self.degrees[self._mul_k]
         self._mul_pairs_by_degree = np.searchsorted(degk, np.arange(order + 1), side="right")
+        # Per valid order d, the 0/1 matrix that sums each pair product into
+        # its output row: row k of a truncated product is _mul_sum[d][k] @ pairs.
+        self._mul_sum = []
+        for d in range(order + 1):
+            npairs = self._mul_pairs_by_degree[d]
+            S = np.zeros((self.ncoef_by_degree[d], npairs))
+            S[self._mul_k[:npairs], np.arange(npairs)] = 1.0
+            self._mul_sum.append(S)
 
         # Derivative tables: source index and scale for d/du_a.
         self._d_src = np.zeros((nvars, self.ncoef), dtype=np.int64)
@@ -87,10 +98,6 @@ class JetSpace:
                 self._d_src[v, k] = self.index_of[tuple(shifted)]
                 self._d_scale[v, k] = a[v] + 1
 
-        self._deg_mask = {
-            d: (self.degrees <= d).astype(float)[:, None] for d in range(order + 1)
-        }
-
 
 def _coeff_array(space: JetSpace, batch: int) -> np.ndarray:
     return np.zeros((space.ncoef, batch))
@@ -100,17 +107,23 @@ class Jet:
     """Truncated Taylor expansion of a tensor field, valid up to total degree
     `order`.
 
-    `c` has shape (*shape, ncoef, B).  Coefficient rows with degree beyond
-    `order` are kept identically zero so that stale high-order data can never
-    leak into a product.
+    `c` has shape (*shape, ncoef_by_degree[order], B): the rows of degree
+    beyond `order` are absent, so stale high-order data can never leak into
+    a product.
     """
 
     __slots__ = ("space", "order", "c")
 
     def __init__(self, space: JetSpace, coeffs: np.ndarray, order: int | None = None):
+        order = space.order if order is None else order
+        rows = space.ncoef_by_degree[order]
+        if coeffs.ndim < 2 or coeffs.shape[-2] != rows:
+            raise ValueError(
+                f"an order-{order} jet has {rows} coefficient rows, got shape {coeffs.shape}"
+            )
         self.space = space
         self.c = coeffs
-        self.order = space.order if order is None else order
+        self.order = order
 
     # -- construction -------------------------------------------------
 
@@ -144,8 +157,11 @@ class Jet:
 
     @staticmethod
     def stack(jets: list["Jet"]) -> "Jet":
-        """Stack jets of equal shape along a new leading axis."""
-        return Jet(jets[0].space, np.stack([j.c for j in jets]), min(j.order for j in jets))
+        """Stack jets of equal shape along a new leading axis, valid to the
+        lowest of their orders."""
+        order = min(j.order for j in jets)
+        rows = jets[0].space.ncoef_by_degree[order]
+        return Jet(jets[0].space, np.stack([j.c[..., :rows, :] for j in jets]), order)
 
     # -- tensor axes ---------------------------------------------------
 
@@ -185,20 +201,20 @@ class Jet:
 
     # -- ring operations -----------------------------------------------
 
-    def _wrap(self, other):
-        if isinstance(other, Jet):
-            return other
+    def _wrap(self, value) -> "Jet":
+        """A constant of this jet's shape, batch and order."""
         c = np.zeros(self.c.shape)
-        c[..., 0, :] = np.asarray(other, dtype=float)
-        return Jet(self.space, c)
+        c[..., 0, :] = np.asarray(value, dtype=float)
+        return Jet(self.space, c, self.order)
 
     def __add__(self, other):
-        o = self._wrap(other)
-        vo = min(self.order, o.order)
-        c = self.c + o.c
-        if vo < min(self.space.order, max(self.order, o.order)):
-            c = c * self.space._deg_mask[vo]
-        return Jet(self.space, c, vo)
+        if not isinstance(other, Jet):
+            c = self.c.copy()
+            c[..., 0, :] += np.asarray(other, dtype=float)
+            return Jet(self.space, c, self.order)
+        vo = min(self.order, other.order)
+        rows = self.space.ncoef_by_degree[vo]
+        return Jet(self.space, self.c[..., :rows, :] + other.c[..., :rows, :], vo)
 
     __radd__ = __add__
 
@@ -206,7 +222,7 @@ class Jet:
         return Jet(self.space, -self.c, self.order)
 
     def __sub__(self, other):
-        return self + (-self._wrap(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -233,7 +249,6 @@ class Jet:
         t = self.scaled(1.0 / b0)
         t.c[..., 0, :] -= 1.0
         r = self._wrap(1.0)
-        r.order = self.order
         for _ in range(self.order):
             r = 1.0 - t * r
         return r.scaled(1.0 / b0)
@@ -253,7 +268,8 @@ class Jet:
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         sp = self.space
-        c = self.c[..., sp._d_src[var], :] * sp._d_scale[var][:, None]
+        rows = sp.ncoef_by_degree[self.order - 1]
+        c = self.c[..., sp._d_src[var, :rows], :] * sp._d_scale[var, :rows, None]
         return Jet(sp, c, self.order - 1)
 
     def grad(self) -> "Jet":
@@ -262,7 +278,8 @@ class Jet:
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         sp = self.space
-        c = self.c[..., sp._d_src, :] * sp._d_scale[:, :, None]
+        rows = sp.ncoef_by_degree[self.order - 1]
+        c = self.c[..., sp._d_src[:, :rows], :] * sp._d_scale[:, :rows, None]
         return Jet(sp, c, self.order - 1)
 
     def compose_series(self, coefs: list[np.ndarray]) -> "Jet":
@@ -270,7 +287,6 @@ class Jet:
         t = Jet(self.space, self.c.copy(), self.order)
         t.c[..., 0, :] = 0.0
         r = self._wrap(coefs[self.order])
-        r.order = self.order
         for k in range(self.order - 1, -1, -1):
             r = t * r + coefs[k]
         return r
@@ -306,7 +322,8 @@ class Jet:
     def truncated(self, order: int) -> "Jet":
         if order >= self.order:
             return self
-        return Jet(self.space, self.c * self.space._deg_mask[order], order)
+        rows = self.space.ncoef_by_degree[order]
+        return Jet(self.space, self.c[..., :rows, :].copy(), order)
 
     def __repr__(self):
         return f"Jet(shape={self.shape}, order={self.order}, value={self.value!r})"
@@ -319,7 +336,8 @@ def jet_einsum(spec: str, a: Jet | np.ndarray, b: Jet) -> Jet:
     example "ia,ca->ic".  The result is valid to the lower of the two orders;
     every ordered pair of coefficient rows (i, j) up to that degree is
     contracted in one einsum and the pairs are summed into their output row
-    i + j.  `a` may also be a constant array, which needs no product.
+    i + j by one matrix product.  `a` may also be a constant array, which
+    needs no product.
     """
     ins, out = spec.replace(" ", "").split("->")
     sa, sb = ins.split(",")
@@ -330,41 +348,29 @@ def jet_einsum(spec: str, a: Jet | np.ndarray, b: Jet) -> Jet:
 
 def _truncated_product(a: Jet, b: Jet, combine) -> Jet:
     """Sum `combine(row i of a, row j of b)` into row i + j over all ordered
-    pairs of coefficient rows up to the lower valid order; rows above it
-    stay zero."""
+    pairs of coefficient rows up to the lower valid order."""
     sp = a.space
     vo = min(a.order, b.order)
     npairs = sp._mul_pairs_by_degree[vo]
-    ncf = sp.ncoef_by_degree[vo]
     prod = combine(a.c[..., sp._mul_i[:npairs], :], b.c[..., sp._mul_j[:npairs], :])
-    c = np.zeros(prod.shape[:-2] + (sp.ncoef, prod.shape[-1]))
-    c[..., :ncf, :] = np.add.reduceat(prod, sp._mul_starts[:ncf], axis=-2)
-    return Jet(sp, c, vo)
+    return Jet(sp, sp._mul_sum[vo] @ prod, vo)
 
 
 def potential_from_gradient(space: JetSpace, grads: list[Jet]) -> Jet:
     """Jet psi with d(psi)/du_a = -grads[a] and psi(0) = 0.
 
-    Uses the explicit homotopy for the Poincare lemma on Taylor coefficients;
-    exact whenever the 1-form `grads` is closed, which the caller checks.
+    Uses the explicit homotopy for the Poincare lemma on Taylor coefficients:
+    row beta of grads[a] lands in row beta + e_a of psi, divided by its
+    degree.  Exact whenever the 1-form `grads` is closed, which the caller
+    checks.
     """
-    order = min(g.order for g in grads) + 1
-    if order > space.order:
-        order = space.order
-    c = np.zeros_like(grads[0].c)
-    for k in range(space.ncoef):
-        deg = int(space.degrees[k])
-        if deg < 1 or deg > order:
-            continue
-        alpha = space.multi_indices[k]
-        acc = 0.0
-        for a in range(space.nvars):
-            if alpha[a] == 0:
-                continue
-            beta = alpha.copy()
-            beta[a] -= 1
-            acc = acc + grads[a].c[space.index_of[tuple(beta)]]
-        c[k] = -acc / deg
+    order = min(min(g.order for g in grads) + 1, space.order)
+    src_rows = space.ncoef_by_degree[order - 1]
+    g0 = grads[0].c
+    c = np.zeros(g0.shape[:-2] + (space.ncoef_by_degree[order], g0.shape[-1]))
+    for a, g in enumerate(grads):
+        dst = space._d_src[a, :src_rows]
+        c[..., dst, :] -= g.c[..., :src_rows, :] / space.degrees[dst][:, None]
     return Jet(space, c, order)
 
 
@@ -402,13 +408,6 @@ class ComplexJet:
 
     def abs2(self) -> Jet:
         return self.re * self.re + self.im * self.im
-
-    def scale_complex(self, re_c, im_c) -> "ComplexJet":
-        """Multiply by a constant complex number (scalar or per-batch arrays)."""
-        return ComplexJet(
-            self.re.scaled(re_c) - self.im.scaled(im_c),
-            self.re.scaled(im_c) + self.im.scaled(re_c),
-        )
 
     def __truediv__(self, other: "ComplexJet") -> "ComplexJet":
         inv = other.abs2()._reciprocal()

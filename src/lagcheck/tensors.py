@@ -20,12 +20,27 @@ import numpy as np
 TRISYM_TOL = 1e-9
 
 
+def symmetry_residual(a: np.ndarray, rank: int) -> np.ndarray:
+    """Max deviation of `a` from full symmetry in its first `rank` axes, one
+    value per entry of the trailing (batch) axes."""
+    axes = tuple(range(rank))
+    rest = tuple(range(rank, a.ndim))
+    return np.max(
+        [np.max(np.abs(np.transpose(a, perm + rest) - a), axis=axes) for perm in permutations(axes)],
+        axis=0,
+    )
+
+
+def trisym_violations(a: np.ndarray, tol: float = TRISYM_TOL) -> np.ndarray:
+    """Where a rank-3 array (n, n, n, ...) fails full symmetry by more than
+    `tol` times max(1, max |a|), per entry of the trailing axes."""
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(0, 1, 2)))
+    return symmetry_residual(a, 3) > tol * scale
+
+
 def trisym_residual(a: np.ndarray) -> float:
     """Max deviation of a rank-3 array from full index symmetry."""
-    res = 0.0
-    for perm in permutations(range(3)):
-        res = max(res, float(np.max(np.abs(np.transpose(a, perm) - a))))
-    return res
+    return float(symmetry_residual(np.asarray(a), 3))
 
 
 def trisymmetrize(a: np.ndarray) -> np.ndarray:
@@ -48,8 +63,7 @@ class CubicSymTensor:
         n = self.entries.shape[0]
         if self.entries.shape != (n, n, n):
             raise ValueError("cubic tensor must be n x n x n")
-        scale = max(1.0, float(np.max(np.abs(self.entries))))
-        if trisym_residual(self.entries) > self.tol * scale:
+        if trisym_violations(self.entries, self.tol):
             raise ValueError("array is not symmetric under index permutations")
 
     @property
@@ -342,25 +356,29 @@ def li_li_batch_margin(Bs: np.ndarray) -> np.ndarray:
 @dataclass
 class SpectralSummary:
     """Eigen-data of M_ij = sum_l hhat^{l*}_{ij} H^{l*} plus the per-direction
-    norms S_{i*} in the eigenbasis."""
+    norms S_{i*} in the eigenbasis.  `lambdas` and `s_istar` have shape
+    (n, ...) and `s_h` shape (...), the trailing axes being batch axes."""
 
     lambdas: np.ndarray
     s_istar: np.ndarray
-    s_h: float = field(init=False)
+    s_h: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
         self.s_istar = np.asarray(self.s_istar, dtype=float)
-        self.s_h = float(np.sum(self.lambdas**2))
+        self.s_h = np.sum(self.lambdas**2, axis=0)
         if np.any(self.s_istar < -1e-12):
             raise ValueError("per-direction norms must be nonnegative")
 
 
-def spectral_summary(hhat: CubicSymTensor, H: VectorField1) -> SpectralSummary:
-    hh = hhat.entries
-    M = np.einsum("lij,l->ij", hh, H.components)
+def spectral_summary(hhat: CubicSymTensor | np.ndarray, H: VectorField1 | np.ndarray) -> SpectralSummary:
+    """Spectral data of one point, or of a batch given as arrays hhat
+    (n, n, n, ...) and H (n, ...) with the same trailing axes."""
+    hh = hhat.entries if isinstance(hhat, CubicSymTensor) else np.asarray(hhat, dtype=float)
+    Hv = H.components if isinstance(H, VectorField1) else np.asarray(H, dtype=float)
+    M = np.einsum("lij...,l...->...ij", hh, Hv)
     lam, V = np.linalg.eigh(M)
     # rotate hhat into the eigenframe e'_i = sum_j V[j, i] e_j
-    rotated = np.einsum("am,bi,cj,abc->mij", V, V, V, hh)
-    s_istar = np.einsum("mij,mij->m", rotated, rotated)
-    return SpectralSummary(lam, s_istar)
+    rotated = np.einsum("...am,...bi,...cj,abc...->mij...", V, V, V, hh)
+    s_istar = np.einsum("mij...,mij...->m...", rotated, rotated)
+    return SpectralSummary(np.moveaxis(lam, -1, 0), s_istar)

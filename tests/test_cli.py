@@ -33,7 +33,9 @@ class TestIdentitiesCommand:
         )
         code = main(["identities", "--config", cfg, "--out", str(tmp_path / "x.json")])
         assert code == 4
-        assert "Lagrangian condition violated" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Lagrangian condition violated" in err
+        assert "sample 0: chart 0, coords [" in err
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_cfg(
@@ -231,6 +233,11 @@ class TestReportCommand:
         text = capsys.readouterr().out
         assert "identities report" in text
         assert "all_pass: True" in text
+        doc = json.loads(out.read_text())
+        header, first = text.splitlines()[1:3]
+        assert header.split()[-3:] == ["headroom", "sample", "pass"]
+        check = doc["checks"][0]
+        assert first.split()[-3:] == [f"{check['headroom']:.2e}", str(check["argmax"]), "ok"]
 
     def test_missing_file_is_config_error(self):
         assert main(["report", "/nonexistent/report.json"]) == 2

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lagcheck.cpn import make_rpn, make_whitney_cpn
+from lagcheck.cpn import HorizontalityError, make_rpn, make_whitney_cpn
 from lagcheck import identities
 from lagcheck import geometry
-from lagcheck.geometry import geometry_state, point_bundle
+from lagcheck.geometry import DegenerateMetricError, NonLagrangianError, point_bundle
 from lagcheck.identities import (
     algebraic_simons_bound,
     check_gauss_ricci,
@@ -17,12 +19,18 @@ from lagcheck.identities import (
     simons_terms,
 )
 from lagcheck.immersions import (
+    AMBIENT_CN,
+    AMBIENT_SPHERE,
     ChartPoint,
+    Immersion,
+    OutOfDomainError,
+    PlaneAtlas,
     make_lagrangian_plane,
     make_perturbed_whitney,
     make_product_torus,
     make_whitney_cn,
 )
+from lagcheck.jets import ComplexJet, Jet, jet_space
 from lagcheck.tensors import random_tracefree
 
 BODIES = {
@@ -33,86 +41,121 @@ BODIES = {
 }
 
 
+ORACLE_BODIES = [
+    make_whitney_cn(1.0, np.array([0.3 + 0.2j, -0.4j, 0.1]), 3),
+    make_perturbed_whitney(1.0, 0.05, 1, 3),
+    make_product_torus([1.0, 1.5, 2.0]),
+    make_whitney_cpn(0.7, 3),
+]
+
+
+def spike_simons_lhs(monkeypatch, imm, targets, size):
+    """Add `size` to the chart Laplacian, the left side of the Simons
+    identity, at the ambient points of the `targets` sample points only."""
+    marks = np.array([imm.point(imm.atlas.normalize(p)) for p in targets])
+    laplacian = geometry.FrameBundle.laplacian
+
+    def spiked(fb, jet):
+        x = fb.phi.value.T  # (B, ambient)
+        hit = np.any(np.all(np.abs(x[:, None, :] - marks[None]) < 1e-12, axis=2), axis=1)
+        return laplacian(fb, jet) + size * hit
+
+    monkeypatch.setattr(geometry.FrameBundle, "laplacian", spiked)
+
+
 def heavy(imm, p):
     return point_bundle(imm, p, 4)
+
+
+def at_one_point(residuals):
+    """The residuals of a one-point bundle as plain floats."""
+    return {k: float(v[0]) for k, v in residuals.items()}
+
+
+def structural(imm, p, **kwargs):
+    return at_one_point(check_structural(point_bundle(imm, p, 3, **kwargs)))
+
+
+def gauss_ricci(imm, p):
+    return at_one_point(check_gauss_ricci(point_bundle(imm, p, 3)))
 
 
 class TestStructural:
     def test_plane_all_zero(self):
         imm, p = BODIES["plane"]
-        res = check_structural(geometry_state(imm, p))
+        res = structural(imm, p)
         assert all(v < 1e-14 for v in res.values())
 
     def test_torus_below_jet_rung(self):
         imm, p = BODIES["torus"]
-        res = check_structural(geometry_state(imm, p))
+        res = structural(imm, p)
         assert all(v < 1e-9 for v in res.values())
 
     def test_perturbed_whitney_below_fd1(self):
         imm, _ = BODIES["perturbed"]
         for p in imm.atlas.random_points(np.random.default_rng(0), 20):
-            res = check_structural(geometry_state(imm, p))
+            res = structural(imm, p)
             assert all(v < 1e-6 for v in res.values()), res
 
 
 class TestGaussRicci:
     def test_plane_zero(self):
         imm, p = BODIES["plane"]
-        res = check_gauss_ricci(geometry_state(imm, p))
+        res = gauss_ricci(imm, p)
         assert res["gauss_two_method"] < 1e-14
         assert res["ricci_equation"] < 1e-14
 
     def test_torus_flat_both_ways(self):
         imm, p = BODIES["torus"]
-        s = geometry_state(imm, p)
-        res = check_gauss_ricci(s)
+        fb = point_bundle(imm, p, 3)
+        res = at_one_point(check_gauss_ricci(fb))
         assert res["gauss_two_method"] < 1e-10
-        assert np.max(np.abs(s.R)) < 1e-10
+        assert np.max(np.abs(fb.curvature_frame)) < 1e-10
 
     @pytest.mark.parametrize("name", ["whitney", "perturbed"])
     def test_curved_bodies(self, name):
         imm, p = BODIES[name]
-        res = check_gauss_ricci(geometry_state(imm, p))
+        res = gauss_ricci(imm, p)
         assert res["gauss_two_method"] < 1e-6
         assert res["ricci_equation"] < 1e-5
 
     def test_rpn_curvature_one(self):
         imm = make_rpn(2)
-        s = geometry_state(imm, ChartPoint(0, np.array([0.2, 0.6])))
-        res = check_gauss_ricci(s)
+        fb = point_bundle(imm, ChartPoint(0, np.array([0.2, 0.6])), 3)
+        res = at_one_point(check_gauss_ricci(fb))
         assert res["gauss_two_method"] < 1e-6
-        assert s.R[0, 1, 0, 1] == pytest.approx(1.0, abs=1e-6)
+        assert fb.curvature_frame[0, 1, 0, 1, 0] == pytest.approx(1.0, abs=1e-6)
 
 
 class TestRicciIdentity:
     @pytest.mark.parametrize("name,tol", [("plane", 1e-14), ("torus", 1e-6), ("perturbed", 1e-4)])
     def test_commutation_rule(self, name, tol):
         imm, p = BODIES[name]
-        assert check_ricci_identity(heavy(imm, p)) < tol
+        assert check_ricci_identity(heavy(imm, p))[0] < tol
 
     def test_perturbed_many_points(self):
         imm, _ = BODIES["perturbed"]
         for p in imm.atlas.random_points(np.random.default_rng(1), 10):
-            assert check_ricci_identity(heavy(imm, p)) < 1e-4
+            assert check_ricci_identity(heavy(imm, p))[0] < 1e-4
 
 
 class TestLaplaceContraction:
     def test_torus_both_sides_vanish(self):
         imm, p = BODIES["torus"]
         lhs, rhs = lemma_laplace_hhat(heavy(imm, p))
-        assert abs(lhs) < 1e-9
-        assert abs(rhs) < 1e-9
+        assert abs(lhs[0]) < 1e-9
+        assert abs(rhs[0]) < 1e-9
 
     def test_perturbed_agreement(self):
         imm, p = BODIES["perturbed"]
         lhs, rhs = lemma_laplace_hhat(heavy(imm, p))
-        assert abs(lhs - rhs) < 1e-13
+        assert abs(lhs[0] - rhs[0]) < 1e-13
 
 
 class TestSimonsIdentity:
     def test_torus_terms_cancel(self):
         imm, p = BODIES["torus"]
-        t = simons_terms(heavy(imm, p))
+        t = at_one_point(simons_terms(heavy(imm, p)))
         rhs_terms = (
             t["HH_term"]
             + t["commutator_term"]
@@ -128,7 +171,7 @@ class TestSimonsIdentity:
     def test_square_torus_term_values(self):
         # hand-computed from the closed-form trace decomposition
         imm = make_product_torus([1.0, 1.0])
-        t = simons_terms(heavy(imm, ChartPoint(0, np.array([0.4, 1.3]))))
+        t = at_one_point(simons_terms(heavy(imm, ChartPoint(0, np.array([0.4, 1.3])))))
         assert t["HH_term"] == pytest.approx(0.25, abs=1e-12)
         assert t["commutator_term"] == pytest.approx(-0.25, abs=1e-12)
         assert t["trace_sq_term"] == pytest.approx(-0.125, abs=1e-12)
@@ -137,7 +180,7 @@ class TestSimonsIdentity:
 
     def test_whitney_every_term_vanishes(self):
         imm, p = BODIES["whitney"]
-        t = simons_terms(heavy(imm, p))
+        t = at_one_point(simons_terms(heavy(imm, p)))
         for name in ("hhat_grad_T", "grad_hhat_sq", "commutator_term", "cubic_term"):
             assert abs(t[name]) < 1e-9
 
@@ -145,19 +188,19 @@ class TestSimonsIdentity:
         imm, _ = BODIES["perturbed"]
         for p in imm.atlas.random_points(np.random.default_rng(2), 5):
             lhs, rhs, rel = check_simons_identity(simons_terms(heavy(imm, p)))
-            assert rel < 1e-13
+            assert rel[0] < 1e-13
 
 
 class TestSimonsInequality:
     def test_whitney_margin_zero(self):
         fb = heavy(*BODIES["whitney"])
-        res = check_simons_inequality(fb, simons_terms(fb))
+        res = at_one_point(check_simons_inequality(fb, simons_terms(fb)))
         assert abs(res["margin"]) < 1e-9
 
     def test_torus_margin(self):
         imm = make_product_torus([1.0, 1.0])
         fb = heavy(imm, ChartPoint(0, np.array([0.2, 0.8])))
-        res = check_simons_inequality(fb, simons_terms(fb))
+        res = at_one_point(check_simons_inequality(fb, simons_terms(fb)))
         # closed form: the identity right side vanishes, so the margin is
         # (n+3)/2 |hhat|^4 - n^2/(n+2) |hhat|^2 |H|^2 = 5/8 - 1/4 = 3/8
         assert res["margin"] == pytest.approx(0.375, abs=1e-8)
@@ -165,7 +208,7 @@ class TestSimonsInequality:
 
     def test_perturbed_margin_nonnegative(self):
         fb = heavy(*BODIES["perturbed"])
-        res = check_simons_inequality(fb, simons_terms(fb))
+        res = at_one_point(check_simons_inequality(fb, simons_terms(fb)))
         assert res["margin"] >= -1e-9
         assert res["spectral_consistency"] < 1e-10
 
@@ -178,6 +221,66 @@ class TestSimonsInequality:
             res = algebraic_simons_bound(hh.entries, H)
             assert res["margin"] >= -1e-10
             assert res["spectral_consistency"] < 1e-10
+
+
+def partly_lagrangian_plane():
+    """u -> (u_1, 0, u_2, u_1 u_2) in C^2: omega(d_1 phi, d_2 phi) = -u_2, so
+    Lagrangian on the line u_2 = 0 only."""
+
+    def jet_fn(chart_id, coords, order):
+        u = Jet.variables(jet_space(2, order), coords)
+        return [u[0], u[0].scaled(0.0), u[1], u[0] * u[1]]
+
+    return Immersion("partly_lagrangian", 2, AMBIENT_CN, 2, {}, PlaneAtlas(2), jet_fn, compact=False)
+
+
+def cusped_plane():
+    """u -> (u_1^3, 0, u_2, 0): Lagrangian, metric degenerate on u_1 = 0."""
+
+    def jet_fn(chart_id, coords, order):
+        u = Jet.variables(jet_space(2, order), coords)
+        zero = u[0].scaled(0.0)
+        return [u[0] * u[0] * u[0], zero, u[1], zero]
+
+    return Immersion("cusped_plane", 2, AMBIENT_CN, 2, {}, PlaneAtlas(2), jet_fn, compact=False)
+
+
+class TestFailingPointIsNamed:
+    POINTS = [ChartPoint(0, np.array(c)) for c in ([0.1, 0.0], [0.3, 0.0], [-0.2, 0.5], [0.4, 0.0])]
+
+    def test_non_lagrangian_sample(self):
+        with pytest.raises(NonLagrangianError, match=r"sample 2: chart 0, coords \[-0.2, 0.5\]") as err:
+            run_identity_suite(partly_lagrangian_plane(), self.POINTS)
+        assert err.value.index == 2
+        assert "Lagrangian condition violated" in str(err.value)
+
+    def test_degenerate_metric_sample(self):
+        pts = [ChartPoint(0, np.array(c)) for c in ([0.5, 0.1], [0.7, -0.3], [0.0, 0.3])]
+        with pytest.raises(DegenerateMetricError, match=r"sample 2: chart 0, coords \[0.0, 0.3\]"):
+            run_identity_suite(cusped_plane(), pts)
+
+    def test_out_of_domain_sample(self):
+        pts = [ChartPoint(0, np.array([0.1, 0.2])), ChartPoint(0, np.array([0.1, 0.2, 0.3]))]
+        with pytest.raises(OutOfDomainError, match="sample 1: "):
+            run_identity_suite(make_lagrangian_plane(2), pts)
+
+    def test_horizontality_sample(self):
+        base = make_rpn(2)
+
+        def twisted(chart_id, coords, order):
+            # a point-dependent phase on one homogeneous coordinate; it and
+            # its derivatives up to order 5 vanish on u_2 = 0
+            jets = base.jet_fn(chart_id, coords, order)
+            u = Jet.variables(jets[0].space, coords)
+            u2_cubed = u[1] * u[1] * u[1]
+            t = u[0] * u2_cubed * u2_cubed
+            z0 = ComplexJet(jets[0], jets[1]) * ComplexJet(t.cos(), t.sin())
+            return [z0.re, z0.im, *jets[2:]]
+
+        bad = Immersion("twisted_rpn", 2, AMBIENT_SPHERE, 3, {}, base.atlas, twisted)
+        pts = [ChartPoint(0, np.array(c)) for c in ([0.3, 0.0], [0.6, 0.4], [-0.5, 0.0])]
+        with pytest.raises(HorizontalityError, match=r"sample 1: chart 0, coords \[0.6, 0.4\]"):
+            run_identity_suite(bad, pts)
 
 
 class TestCurvatureContractionClosedForms:
@@ -212,7 +315,7 @@ class TestSuiteReports:
         rep = run_identity_suite(imm, pts, seed=4, heavy=True)
         assert rep.all_pass
 
-    def test_one_bundle_per_point_and_per_heavy_point(self, monkeypatch):
+    def test_one_bundle_per_chart(self, monkeypatch):
         builds, terms_calls = [], []
         init = geometry.FrameBundle.__init__
         terms = identities.simons_terms
@@ -222,16 +325,19 @@ class TestSuiteReports:
             init(fb, *args, **kwargs)
 
         def counting_terms(fb):
-            terms_calls.append(1)
+            terms_calls.append(fb.batch)
             return terms(fb)
 
         monkeypatch.setattr(geometry.FrameBundle, "__init__", counting_init)
         monkeypatch.setattr(identities, "simons_terms", counting_terms)
         imm = make_whitney_cn(1.0, None, 2)
-        pts = imm.atlas.random_points(np.random.default_rng(8), 5)
+        pts = imm.atlas.random_points(np.random.default_rng(8), 9)
+        charts = {imm.atlas.normalize(p).chart_id for p in pts}
+        assert charts == {0, 1}
         assert run_identity_suite(imm, pts, seed=8).all_pass
-        assert len(builds) == len(pts) + identities.HEAVY_POINT_COUNT
-        assert len(terms_calls) == identities.HEAVY_POINT_COUNT
+        assert len(builds) == len(charts)
+        assert len(terms_calls) == len(charts)
+        assert sum(terms_calls) == len(pts)
 
     def test_simons_coefficient_mutation_is_flagged(self, monkeypatch):
         # a relative change of 1e-4 in the n^2/(n+2) coefficient of the
@@ -256,6 +362,75 @@ class TestSuiteReports:
         assert not flagged.passed
         assert flagged.max_residual < 1e-3
 
+    def test_simons_mutation_past_the_third_sample_is_flagged(self, monkeypatch):
+        # every sample point gets the heavy checks, not just the first few
+        imm, _ = BODIES["torus"]
+        pts = imm.atlas.random_points(np.random.default_rng(9), 6)
+        spike_simons_lhs(monkeypatch, imm, pts[3:], 1e-6)
+        check = next(c for c in run_identity_suite(imm, pts, seed=9).checks if c.name == "simons_identity_rel")
+        assert not check.passed
+        assert check.argmax >= 3
+
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_worst_sample_is_reported(self, monkeypatch, k):
+        imm = make_whitney_cn(1.0, None, 2)
+        pts = imm.atlas.random_points(np.random.default_rng(8), 9)
+        assert len({imm.atlas.normalize(p).chart_id for p in pts}) == 2
+        spike_simons_lhs(monkeypatch, imm, pts[k : k + 1], 1e-6)
+        rep = run_identity_suite(imm, pts, seed=8)
+        check = next(c for c in rep.checks if c.name == "simons_identity_rel")
+        assert check.argmax == k
+        assert check.headroom == pytest.approx(check.max_residual / check.tolerance)
+        assert check.headroom > 1.0 and not check.passed
+        doc = next(c for c in rep.to_dict()["checks"] if c["name"] == "simons_identity_rel")
+        assert doc["argmax"] == k and doc["headroom"] == check.headroom
+        for c in rep.checks:
+            if c.name != "simons_identity_rel":
+                assert c.passed and c.headroom <= 1.0
+
+    def test_suite_matches_pointwise_evaluation(self):
+        # one batched bundle per chart gives the residuals of one-point
+        # bundles: the max over points, and every term at every point
+        for imm in ORACLE_BODIES:
+            pts = imm.atlas.random_points(np.random.default_rng(10), 7)
+            rep = run_identity_suite(imm, pts, seed=10)
+            assert rep.all_pass
+            worst = {}
+            for p in pts:
+                res = identities._chart_residuals(point_bundle(imm, p, 4), heavy=True)
+                for name, value in res.items():
+                    worst[name] = max(worst.get(name, 0.0), float(value[0]))
+            assert {c.name for c in rep.checks} == set(worst)
+            for c in rep.checks:
+                assert abs(c.max_residual - worst[c.name]) <= 1e-12 * max(worst[c.name], 1.0), c.name
+            moved = [imm.atlas.normalize(p) for p in pts]
+            for chart in sorted({p.chart_id for p in moved}):
+                idx = [k for k, p in enumerate(moved) if p.chart_id == chart]
+                fb = geometry.bundle_at(imm, chart, np.array([moved[k].coords for k in idx]), 4)
+                batched = simons_terms(fb) | check_simons_inequality(fb, simons_terms(fb))
+                lhs, rhs = lemma_laplace_hhat(fb)
+                batched |= {"laplace_lhs": lhs, "laplace_rhs": rhs}
+                for b, k in enumerate(idx):
+                    one = point_bundle(imm, pts[k], 4)
+                    single = simons_terms(one) | check_simons_inequality(one, simons_terms(one))
+                    lhs, rhs = lemma_laplace_hhat(one)
+                    single |= {"laplace_lhs": lhs, "laplace_rhs": rhs}
+                    for name, value in single.items():
+                        want = float(value[0])
+                        assert abs(batched[name][b] - want) <= 1e-12 * max(abs(want), 1.0), name
+
+    def test_peak_memory_of_a_wide_heavy_suite(self):
+        imm = make_whitney_cn(1.0, None, 3)
+        pts = imm.atlas.random_points(np.random.default_rng(7), 20)
+        run_identity_suite(imm, pts, seed=7)  # warm the jet tables
+        tracemalloc.start()
+        try:
+            assert run_identity_suite(imm, pts, seed=7).all_pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
     def test_tolerance_scaling_can_fail(self):
         imm, _ = BODIES["perturbed"]
         pts = imm.atlas.random_points(np.random.default_rng(5), 3)
@@ -276,8 +451,8 @@ class TestSuiteReports:
         imm, p = BODIES["perturbed"]
         rng = np.random.default_rng(7)
         Q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
-        r0 = check_structural(geometry_state(imm, p))
-        r1 = check_structural(geometry_state(imm, p, frame_gauge=Q))
+        r0 = structural(imm, p)
+        r1 = structural(imm, p, frame_gauge=Q)
         for k in r0:
             assert abs(r0[k] - r1[k]) < 1e-9
 
@@ -286,7 +461,7 @@ class TestSuiteReports:
         u = np.array([0.9, 0.6])
         p0 = ChartPoint(0, u)
         p1 = imm.atlas.transition(p0, 1)
-        r0 = check_gauss_ricci(geometry_state(imm, p0))
-        r1 = check_gauss_ricci(geometry_state(imm, p1))
+        r0 = gauss_ricci(imm, p0)
+        r1 = gauss_ricci(imm, p1)
         for k in r0:
             assert abs(r0[k] - r1[k]) < 1e-9

@@ -87,13 +87,17 @@ def test_truncation_blocks_stale_coefficients():
     sp, (x, y) = seed(2, 4, [0.2, 0.1])
     f = (x + y) * (x + y) * (x + y)
     g = f.partial(0)  # order 3 valid
-    h = g * g  # order 3 valid, degree-4 rows must be zero
-    assert np.all(h.c[sp.degrees > 3] == 0.0)
+    h = g * g  # order 3 valid, degree-4 rows must be absent
+    assert h.order == 3
+    assert h.c.shape == (sp.ncoef_by_degree[3], 1)
+    # the rows it keeps are those of 9 (x + y)^4 in an order-3 space
+    _, (x3, y3) = seed(2, 3, [0.2, 0.1])
+    s = x3 + y3
+    np.testing.assert_allclose(h.c, (s * s * s * s).scaled(9.0).c, rtol=1e-14, atol=1e-14)
 
 
 def random_jet(rng, sp, shape, order, batch):
-    c = rng.normal(size=tuple(shape) + (sp.ncoef, batch))
-    c[..., sp.ncoef_by_degree[order] :, :] = 0.0
+    c = rng.normal(size=tuple(shape) + (sp.ncoef_by_degree[order], batch))
     return Jet(sp, c, order)
 
 
@@ -103,17 +107,17 @@ def einsum_oracle(spec, a, b):
     sa, sb = ins.split(",")
     dims = dict(zip(sa, a.shape)) | dict(zip(sb, b.shape))
     summed = sorted(set(sa + sb) - set(out))
-    coeffs, order = {}, None
+    coeffs, order, rows = {}, None, None
     for oidx in product(*(range(dims[x]) for x in out)):
         acc = None
         for sidx in product(*(range(dims[x]) for x in summed)):
             at = dict(zip(out, oidx)) | dict(zip(summed, sidx))
             term = a[tuple(at[x] for x in sa)] * b[tuple(at[x] for x in sb)]
             acc = term if acc is None else acc + term
-        coeffs[oidx], order = acc.c, acc.order
+        coeffs[oidx], order, rows = acc.c, acc.order, acc.c.shape
     shape = tuple(dims[x] for x in out)
     return np.array([coeffs[i] for i in product(*(range(d) for d in shape))]).reshape(
-        shape + a.c.shape[-2:]
+        shape + rows
     ), order
 
 
@@ -139,8 +143,9 @@ def test_jet_einsum_matches_scalar_loops(kind, nvars, batch):
             got = jet_einsum(spec, a, b)
             want, want_order = einsum_oracle(spec, a, b)
             assert got.order == want_order == min(order, order_b)
+            assert got.c.shape == want.shape
+            assert got.c.shape[-2] == sp.ncoef_by_degree[got.order]
             np.testing.assert_allclose(got.c, want, rtol=1e-13, atol=1e-13)
-            assert np.all(got.c[..., sp.ncoef_by_degree[got.order] :, :] == 0.0)
 
 
 def test_jet_einsum_constant_operand():
@@ -197,3 +202,57 @@ def test_complex_jet_algebra():
     assert q.im.value == pytest.approx(-(1 + 0.04) * np.sin(0.2))
     d_re = q.re.deriv((1,))
     assert d_re == pytest.approx(2 * 0.2 * np.cos(0.2) - (1 + 0.04) * np.sin(0.2))
+
+
+def jet_operations(sp, rng):
+    """(name, result, expected order) for every jet operation, on operands of
+    valid orders 3 and 1 in an order-4 space."""
+    a = random_jet(rng, sp, (2, 3), 3, 4)
+    b = random_jet(rng, sp, (2, 3), 1, 4)
+    pos = Jet(sp, np.abs(a.c) + 1.0, 3)  # positive values for sqrt and division
+    s = random_jet(rng, sp, (), 2, 4)
+    return [
+        ("add", a + b, 1),
+        ("add_constant", a + 1.5, 3),
+        ("radd", 1.0 + a, 3),
+        ("sub", a - b, 1),
+        ("rsub", 2.0 - a, 3),
+        ("neg", -a, 3),
+        ("mul", a * b, 1),
+        ("mul_broadcast", a * s, 2),
+        ("scaled", a.scaled(np.ones(4)), 3),
+        ("div", a / pos, 3),
+        ("rdiv", 1.0 / pos, 3),
+        ("sqrt", pos.sqrt(), 3),
+        ("sin", a.sin(), 3),
+        ("cos", b.cos(), 1),
+        ("exp", s.exp(), 2),
+        ("partial", a.partial(1), 2),
+        ("grad", a.grad(), 2),
+        ("truncated", a.truncated(1), 1),
+        ("stack", Jet.stack([a, b]), 1),
+        ("wrap", a._wrap(2.0), 3),
+        ("getitem", a[1], 3),
+        ("transpose", a.transpose(1, 0), 3),
+        ("einsum", jet_einsum("ij,ij->i", a, b), 1),
+        ("einsum_constant", jet_einsum("ki,ij->kj", np.ones((5, 2)), a), 3),
+        ("potential", potential_from_gradient(sp, [s, s.scaled(2.0), s.scaled(3.0)]), 3),
+        ("constant", Jet.constant(sp, 1.0, 4), 4),
+        ("variables", Jet.variables(sp, np.zeros((3, 4)))[0], 4),
+    ]
+
+
+def test_every_operation_stores_only_valid_rows():
+    sp = jet_space(3, 4)
+    for name, jet, order in jet_operations(sp, np.random.default_rng(12)):
+        assert jet.order == order, name
+        assert jet.c.shape[-2] == sp.ncoef_by_degree[order], name
+        assert jet.c.base is None or jet.c.base.shape[-2] == jet.c.shape[-2], name
+
+
+def test_row_count_must_match_order():
+    sp = jet_space(2, 3)
+    with pytest.raises(ValueError):
+        Jet(sp, np.zeros((sp.ncoef, 1)), 2)
+    with pytest.raises(ValueError):
+        Jet(sp, np.zeros((sp.ncoef_by_degree[1], 1)))
