@@ -27,7 +27,6 @@ from .immersions import (
     ChartPoint,
     Immersion,
     chart_transition,
-    eval_jet,
     from_config,
     make_lagrangian_plane,
     make_perturbed_whitney,

@@ -5,9 +5,9 @@ Reports are byte-deterministic for a fixed config and seed: keys are sorted,
 floats use repr, files are UTF-8 and newline-terminated, and every random
 choice flows from the single config seed.
 
-Exit status: 0 all requested checks passed, 1 a check failed, 2 config error,
-3 immersion construction error, 4 evaluation error (e.g. a non-Lagrangian
-immersion detected during geometry evaluation).
+Exit status: 0 all requested checks passed, 1 a check failed, 2 config error
+(also an invalid run parameter), 3 immersion construction error, 4 evaluation
+error (e.g. a non-Lagrangian immersion detected during geometry evaluation).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -80,6 +81,31 @@ RUN_KEYS = {
 }
 
 
+def integer(cfg: dict, key: str, default: int, least: int) -> int:
+    """The integer run parameter `key`, at least `least`."""
+    value = cfg.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{key!r} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def number(value, what: str) -> float:
+    """A finite real run parameter."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def compact_immersion(cfg: dict, command: str):
+    """The immersion of `cfg`, which must be compact for `command`."""
+    imm = build_immersion(cfg)
+    if not imm.compact:
+        raise ConfigError(f"{command} needs a compact body, {imm.name} is not compact")
+    return imm
+
+
 def sample_points(imm, count: int, seed: int):
     rng = np.random.default_rng(seed)
     return imm.atlas.random_points(rng, count)
@@ -137,9 +163,9 @@ def emit(doc: dict, out: str | None, fmt: str, csv_text: str | None = None):
 def cmd_identities(args) -> int:
     cfg = load_config(args.config, {"seed": args.seed, "tol_scale": args.tol_scale})
     imm = build_immersion(cfg)
-    seed = int(cfg.get("seed", 0))
-    samples = int(cfg.get("samples", 20))
-    tol_scale = float(cfg.get("tol_scale", 1.0))
+    seed = integer(cfg, "seed", 0, 0)
+    samples = integer(cfg, "samples", 20, 1)
+    tol_scale = number(cfg.get("tol_scale", 1.0), "'tol_scale'")
     heavy = bool(cfg.get("heavy", True))
     points = sample_points(imm, samples, seed)
     report = run_identity_suite(imm, points, tol_scale=tol_scale, seed=seed, heavy=heavy)
@@ -149,8 +175,8 @@ def cmd_identities(args) -> int:
 
 def cmd_energy(args) -> int:
     cfg = load_config(args.config, {"seed": args.seed})
-    imm = build_immersion(cfg)
-    rule = rule_for(imm, int(cfg.get("degree", 30)))
+    imm = compact_immersion(cfg, "energy")
+    rule = rule_for(imm, integer(cfg, "degree", 30, 1))
     rep = energy_report(imm, rule)
     emit(
         rep.to_dict(),
@@ -175,16 +201,17 @@ def cmd_scan(args) -> int:
     cfg = load_config(args.config, {"seed": args.seed})
     key = cfg.get("scan_param")
     values = cfg.get("values")
-    if not key or values is None:
+    if not key or not isinstance(values, list):
         raise ConfigError("scan needs 'scan_param' and a finite 'values' list")
-    values = sorted(float(v) for v in values)
+    values = sorted(number(v, "a scan value") for v in values)
+    degree = integer(cfg, "degree", 30, 1)
     rows = ["param,volume,int_hhat_n,int_hhat_sq,int_h_sq,int_H_sq"]
     for v in values:
         sub = copy.deepcopy(cfg)
         imm_cfg = sub.get("immersion", sub)
         _set_scan_param(imm_cfg, key, v)
-        imm = build_immersion(sub)
-        rep = energy_report(imm, rule_for(imm, int(cfg.get("degree", 30))))
+        imm = compact_immersion(sub, "scan")
+        rep = energy_report(imm, rule_for(imm, degree))
         e = rep.entries
         rows.append(
             f"{v!r},{e['volume']!r},{e['int_hhat_n']!r},{e['int_hhat_sq']!r},"

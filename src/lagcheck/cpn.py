@@ -9,6 +9,10 @@ horizontality condition is integrated jet-by-jet, and the phase at the base
 point is pinned so geometry states do not depend on the incoming
 representative.  The flat-ambient frame machinery then applies verbatim in
 C^{n+1}, with the ambient curvature constant set to 1.
+
+Each family emits its homogeneous representative as one (2n+2,) jet of
+interleaved reals; multiplication by i is the matrix `symplectic_j_matrix`,
+so a phase rotation by chi is Z cos chi + (J Z) sin chi.
 """
 
 from __future__ import annotations
@@ -21,14 +25,13 @@ from .immersions import (
     AMBIENT_SPHERE,
     ChartPoint,
     Immersion,
-    ImmersionJet,
     SphereAtlas,
-    eval_jet,
+    interleave,
     register_family,
     symplectic_j_matrix,
 )
 from .geometry import NonLagrangianError, at_point
-from .jets import ComplexJet, Jet, jet_einsum, jet_space, potential_from_gradient
+from .jets import Jet, jet_einsum, jet_space, potential_from_gradient
 
 HORIZONTALITY_TOL = 1e-9
 
@@ -90,7 +93,10 @@ def make_whitney_cpn(theta: float, n: int) -> Immersion:
     z_j = x_j / (ch t + i sh t x_{n+1}),  j <= n,
     z_{n+1} = (sh t ch t (1 + x_{n+1}^2) + i x_{n+1}) / (ch^2 t + sh^2 t x_{n+1}^2),
 
-    renormalized pointwise to a unit representative.
+    renormalized pointwise to a unit representative.  The common positive
+    factor 1 / (ch^2 t + sh^2 t x_{n+1}^2) cancels in the renormalization, so
+    the jet is built from z_j = x_j (ch t - i sh t x_{n+1}) and the numerator
+    of z_{n+1}.
     """
     if theta <= 0:
         raise ValueError("theta must be positive (theta = 0 is the totally geodesic RP^n)")
@@ -98,28 +104,17 @@ def make_whitney_cpn(theta: float, n: int) -> Immersion:
         raise ValueError("need n >= 2")
     atlas = SphereAtlas(n)
     ch, sh = math.cosh(theta), math.sinh(theta)
+    head = np.diag(np.r_[np.ones(n), 0.0])  # keeps x_1..x_n
+    last = np.eye(n + 1)[n]
 
     def jet_fn(chart_id, coords, order):
-        sp = jet_space(n, order)
-        u = Jet.variables(sp, coords)
-        x = atlas.embed_jets(chart_id, u)
+        x = atlas.embed_jets(chart_id, Jet.variables(jet_space(n, order), coords))
         xl = x[n]
-        denom = ComplexJet(Jet.constant(sp, ch, xl.c.shape[1]), xl.scaled(sh))
-        inv = ComplexJet.from_real(Jet.constant(sp, 1.0, xl.c.shape[1])) / denom
-        zs = [ComplexJet.from_real(x[j]) * inv for j in range(n)]
-        xl2 = xl * xl
-        last_num = ComplexJet((1.0 + xl2).scaled(sh * ch), xl)
-        last_den = ch * ch + xl2.scaled(sh * sh)
-        zs.append(ComplexJet(last_num.re / last_den, last_num.im / last_den))
-        norm2 = zs[0].abs2()
-        for z in zs[1:]:
-            norm2 = norm2 + z.abs2()
-        inv_norm = 1.0 / norm2.sqrt()
-        out = []
-        for z in zs:
-            w = z.scale_real(inv_norm)
-            out.extend((w.re, w.im))
-        return out
+        re = jet_einsum("cd,d->c", ch * head, x)
+        re = re + jet_einsum("c,->c", last, (1.0 + xl * xl).scaled(sh * ch))
+        im = xl * (jet_einsum("cd,d->c", -sh * head, x) + last[:, None])
+        z = interleave(re, im)
+        return z * (1.0 / jet_einsum("c,c->", z, z).sqrt())
 
     return Immersion(
         name="whitney_cpn",
@@ -137,14 +132,7 @@ def make_rpn(n: int) -> Immersion:
     atlas = SphereAtlas(n)
 
     def jet_fn(chart_id, coords, order):
-        sp = jet_space(n, order)
-        u = Jet.variables(sp, coords)
-        x = atlas.embed_jets(chart_id, u)
-        out = []
-        for xj in x:
-            z = ComplexJet.from_real(xj)
-            out.extend((z.re, z.im))
-        return out
+        return interleave(atlas.embed_jets(chart_id, Jet.variables(jet_space(n, order), coords)))
 
     return Immersion(
         name="rpn",
@@ -161,21 +149,12 @@ def phase_twist(base: Immersion, coeffs) -> Immersion:
     """Multiply the homogeneous representative by exp(i chi(u)) with
     chi = sum_a coeffs[a] * sin(u_a); exercises projective gauge invariance."""
     coeffs = np.asarray(coeffs, dtype=float)
+    J = symplectic_j_matrix(base.ambient_complex_dim)
 
     def jet_fn(chart_id, coords, order):
-        jets = base.jet_fn(chart_id, coords, order)
-        sp = jets[0].space
-        u = Jet.variables(sp, coords)
-        chi = None
-        for a in range(base.source_dim):
-            term = u[a].sin().scaled(coeffs[a])
-            chi = term if chi is None else chi + term
-        phase = ComplexJet(chi.cos(), chi.sin())
-        out = []
-        for k in range(0, len(jets), 2):
-            w = ComplexJet(jets[k], jets[k + 1]) * phase
-            out.extend((w.re, w.im))
-        return out
+        Z = base.jet_fn(chart_id, coords, order)
+        chi = jet_einsum("a,a->", coeffs, Jet.variables(Z.space, coords).sin())
+        return Z * chi.cos() + jet_einsum("cd,d->c", J, Z) * chi.sin()
 
     return Immersion(
         name=f"phase_twist({base.name})",
@@ -193,10 +172,10 @@ def phase_twist(base: Immersion, coeffs) -> Immersion:
 # ---------------------------------------------------------------------------
 
 
-def horizontal_lift_jets(imm: Immersion, chart_id: int, coords: np.ndarray, order: int) -> list[Jet]:
+def horizontal_lift_jets(imm: Immersion, chart_id: int, coords: np.ndarray, order: int) -> Jet:
     """Jet of the horizontal (Legendrian) lift into S^{2n+1}.
 
-    Steps, on one stacked jet of the interleaved real components: renormalize
+    Steps, on the (2n+2,) jet of the interleaved real components: renormalize
     the representative, integrate the phase potential psi with
     d psi = -Re<dZ, iZ>, rotate by e^{i psi}, then pin the phase so the
     largest component at the point is real-positive.  Raises if the
@@ -204,15 +183,14 @@ def horizontal_lift_jets(imm: Immersion, chart_id: int, coords: np.ndarray, orde
     underlying immersion is not Lagrangian in CP^n; the error's `index` is
     the batch position of the first point it fails at.
     """
-    phi = Jet.stack(imm.jet_fn(chart_id, coords, order))
-    sp = phi.space
+    phi = imm.jet_fn(chart_id, coords, order)
     J = symplectic_j_matrix(phi.shape[0] // 2)
     Z = phi * (1.0 / jet_einsum("c,c->", phi, phi).sqrt())
     JZ = jet_einsum("cd,d->c", J, Z)
 
     # a_a = Re<d_a Z, i Z>, with i acting on the real components as J
     a = jet_einsum("ca,c->a", Z.grad(), JZ)
-    psi = potential_from_gradient(sp, [a[v] for v in range(sp.nvars)])
+    psi = potential_from_gradient(a)
     W = Z * psi.cos() + JZ * psi.sin()
     JW = jet_einsum("cd,d->c", J, W)
 
@@ -233,22 +211,7 @@ def horizontal_lift_jets(imm: Immersion, chart_id: int, coords: np.ndarray, orde
     k0 = np.argmax(np.abs(vals), axis=0)
     pick = np.take_along_axis(vals, k0[None, :], axis=0)[0]
     phase = pick.conj() / np.abs(pick)
-    W = W.scaled(phase.real) + JW.scaled(phase.imag)
-    return [W[c] for c in range(W.shape[0])]
-
-
-def horizontal_jet(imm: Immersion, p: ChartPoint, order: int) -> ImmersionJet:
-    """Public artifact: the lifted jet with its multi-index partials."""
-    lifted = Immersion(
-        name=f"lift({imm.name})",
-        source_dim=imm.source_dim,
-        ambient=imm.ambient,
-        ambient_complex_dim=imm.ambient_complex_dim,
-        params=imm.params,
-        atlas=imm.atlas,
-        jet_fn=lambda cid, coords, o: horizontal_lift_jets(imm, cid, coords, o),
-    )
-    return eval_jet(lifted, p, order)
+    return W.scaled(phase.real) + JW.scaled(phase.imag)
 
 
 def cpn_geometry_state(imm: Immersion, p: ChartPoint, depth: str = "with_derivatives", frame_gauge=None):

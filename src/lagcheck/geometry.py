@@ -82,13 +82,13 @@ class FrameBundle:
     Point values carry a trailing batch axis.
     """
 
-    def __init__(self, phi: list[Jet], n: int, c_amb: float, gauge: np.ndarray | None = None):
-        self.phi = Jet.stack(phi)
+    def __init__(self, phi: Jet, n: int, c_amb: float, gauge: np.ndarray | None = None):
+        self.phi = phi
         self.n = n
         self.c_amb = float(c_amb)
-        self.order = self.phi.order
-        self.m2 = len(phi)
-        self.batch = self.phi.c.shape[-1]
+        self.order = phi.order
+        self.m2 = phi.shape[0]
+        self.batch = phi.c.shape[-1]
         self.gauge = np.eye(n) if gauge is None else np.asarray(gauge, dtype=float)
         self.J = symplectic_j_matrix(self.m2 // 2)
         self._cache: dict = {}
@@ -558,8 +558,9 @@ def _jsonable_params(params: dict) -> dict:
 DEPTH_ORDER = {"pointwise": 2, "with_derivatives": 3}
 
 
-def _ambient_jets(imm: Immersion, chart_id: int, coords: np.ndarray, order: int) -> tuple[list[Jet], float]:
-    """Dispatch flat ambient vs homogeneous-sphere lift; returns (jets, c_amb)."""
+def _ambient_jets(imm: Immersion, chart_id: int, coords: np.ndarray, order: int) -> tuple[Jet, float]:
+    """Dispatch flat ambient vs homogeneous-sphere lift; returns the (2m,)
+    ambient jet and c_amb."""
     if imm.ambient == AMBIENT_CN:
         return imm.jet_fn(chart_id, coords, order), 0.0
     from .cpn import horizontal_lift_jets
@@ -579,8 +580,8 @@ def bundle_at(
     by its chart and coordinates in the error, whose `index` is its row."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     try:
-        jets, c_amb = _ambient_jets(imm, chart_id, coords.T, order)
-        return FrameBundle(jets, imm.source_dim, c_amb, gauge=frame_gauge)
+        phi, c_amb = _ambient_jets(imm, chart_id, coords.T, order)
+        return FrameBundle(phi, imm.source_dim, c_amb, gauge=frame_gauge)
     except (NonLagrangianError, DegenerateMetricError) as exc:
         where = f"chart {chart_id}, coords {coords[exc.index].tolist()}"
         raise named_point(exc, where, exc.index) from exc
@@ -687,11 +688,12 @@ def maslov_tensor_gradient(imm: Immersion, p: ChartPoint) -> np.ndarray:
     return point_bundle(imm, p, 4).grad_T[..., 0]
 
 
-def scalar_laplacian(imm: Immersion, field: Callable[[int, list[Jet]], Jet], p: ChartPoint) -> float:
+def scalar_laplacian(imm: Immersion, field: Callable[[int, Jet], Jet], p: ChartPoint) -> float:
     """Laplace-Beltrami of a chart scalar at a point.
 
     `field(chart_id, u)` evaluates the scalar in jet arithmetic on the order-2
-    coordinate jets `u` (`Jet.variables`) of the chart the point is moved to.
+    coordinate jet `u` (`Jet.variables`, shape (n,)) of the chart the point
+    is moved to.
     """
     p = imm.atlas.normalize(p)
     fb = point_bundle(imm, p, 2)

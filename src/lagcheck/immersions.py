@@ -3,9 +3,11 @@
 Model manifolds are parametrized by explicit charts: two stereographic charts
 for the sphere, one periodic chart for the torus, one global chart for the
 plane.  Every family evaluates through truncated Taylor jets, so derivative
-data up to order 4 is exact.  Complex ambient coordinates are stored as
-interleaved reals (Re z_1, Im z_1, ...), and the complex structure acts per
-pair as (a, b) -> (-b, a).
+data up to order 4 is exact: it seeds the chart coordinates as one (n,) jet
+and returns the ambient coordinates as one (2m,) jet, a few tensor
+operations on whole coordinate vectors.  Complex ambient coordinates are
+stored as interleaved reals (Re z_1, Im z_1, ...), which only `interleave`
+writes, and the complex structure acts per pair as (a, b) -> (-b, a).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import ComplexJet, Jet, jet_space
+from .jets import Jet, jet_einsum, jet_space
 
 MAX_JET_ORDER = 4
 SPHERE_CHART_RADIUS = 16.0  # declared open chart domain |u| < R
@@ -85,15 +87,15 @@ class SphereAtlas:
         x[self.n] = last if p.chart_id == 0 else -last
         return x
 
-    def embed_jets(self, chart_id: int, u: list[Jet]) -> list[Jet]:
-        norm2 = u[0] * u[0]
-        for ui in u[1:]:
-            norm2 = norm2 + ui * ui
-        inv = 1.0 / (1.0 + norm2)
-        x = [2.0 * ui * inv for ui in u]
-        last = (norm2 - 1.0) * inv
-        x.append(last if chart_id == 0 else -last)
-        return x
+    def embed_jets(self, chart_id: int, u: Jet) -> Jet:
+        """`embed` on the (n,) coordinate jet: x = (2u, +-(|u|^2 - 1)) / (1 + |u|^2)."""
+        n = self.n
+        last = np.zeros(n + 1)
+        last[n] = 1.0 if chart_id == 0 else -1.0
+        norm2 = jet_einsum("a,a->", u, u)
+        x = jet_einsum("ca,a->c", 2.0 * np.eye(n + 1, n), u)
+        x = x + jet_einsum("c,->c", last, norm2 - 1.0)
+        return x * (1.0 / (1.0 + norm2))
 
     def from_embedded(self, x: np.ndarray) -> ChartPoint:
         x = np.asarray(x, dtype=float)
@@ -165,8 +167,9 @@ AMBIENT_SPHERE = "HomogeneousSphere"
 class Immersion:
     """A parametrized immersion of a model manifold into C^m (as R^{2m}).
 
-    `jet_fn(chart_id, coords, order)` returns the 2m interleaved real
-    coordinate jets at a batch of chart points (coords has shape (nvars, B)).
+    `jet_fn(chart_id, coords, order)` returns one (2m,) jet of the
+    interleaved real ambient coordinates at a batch of chart points (coords
+    has shape (nvars, B)).
     """
 
     name: str
@@ -178,7 +181,8 @@ class Immersion:
     jet_fn: Callable = field(repr=False)
     compact: bool = True
 
-    def eval_jets(self, p: ChartPoint, order: int) -> list[Jet]:
+    def eval_jet(self, p: ChartPoint, order: int) -> Jet:
+        """The (2m,) ambient jet at one chart point (batch of one)."""
         if order < 1 or order > MAX_JET_ORDER:
             raise ValueError(f"jet order must be in 1..{MAX_JET_ORDER}")
         if not self.atlas.contains(p):
@@ -186,34 +190,15 @@ class Immersion:
         return self.jet_fn(p.chart_id, p.coords.reshape(self.source_dim, 1), order)
 
     def point(self, p: ChartPoint) -> np.ndarray:
-        return np.array([j.value[0] for j in self.eval_jets(p, 1)])
+        return self.eval_jet(p, 1).value[:, 0]
 
 
-@dataclass
-class ImmersionJet:
-    """Ambient value and all partial derivatives at one chart point."""
-
-    order: int
-    values: np.ndarray
-    partials: dict
-
-    def partial(self, alpha) -> np.ndarray:
-        return self.partials[tuple(int(a) for a in alpha)]
-
-
-def eval_jet(imm: Immersion, p: ChartPoint, order: int) -> ImmersionJet:
-    phi = Jet.stack(imm.eval_jets(p, order))
-    sp = phi.space
-    table = phi.c[..., 0] * sp.coef_factorial  # (2m, ncoef): every partial at p
-    partials = {tuple(int(a) for a in alpha): table[:, k] for k, alpha in enumerate(sp.multi_indices)}
-    return ImmersionJet(order, table[:, 0], partials)
-
-
-def _flatten_complex(zs: list[ComplexJet]) -> list[Jet]:
-    out = []
-    for z in zs:
-        out.extend((z.re, z.im))
-    return out
+def interleave(re: Jet, im: Jet | None = None) -> Jet:
+    """The (2m,) jet (Re z_1, Im z_1, ...) of z = re + i im from two (m,)
+    jets; a missing `im` is zero."""
+    place = np.eye(2 * re.shape[0])
+    z = jet_einsum("cj,j->c", place[:, 0::2], re)
+    return z if im is None else z + jet_einsum("cj,j->c", place[:, 1::2], im)
 
 
 # -- Whitney sphere in C^n ---------------------------------------------------
@@ -233,18 +218,13 @@ def make_whitney_cn(r: float, A=None, n: int = 2) -> Immersion:
     if A.shape != (n,):
         raise ValueError(f"offset A must have length {n}")
     atlas = SphereAtlas(n)
+    offset = np.stack([A.real, A.imag], axis=1).reshape(2 * n, 1)
 
     def jet_fn(chart_id, coords, order):
-        sp = jet_space(n, order)
-        u = Jet.variables(sp, coords)
-        x = atlas.embed_jets(chart_id, u)
+        x = atlas.embed_jets(chart_id, Jet.variables(jet_space(n, order), coords))
         xl = x[n]
-        scale = 1.0 / (1.0 + xl * xl)
-        zs = []
-        for j in range(n):
-            w = ComplexJet(x[j], x[j] * xl).scale_real(scale).scale_real(r)
-            zs.append(ComplexJet(w.re + A[j].real, w.im + A[j].imag))
-        return _flatten_complex(zs)
+        w = x[:n] * (r / (1.0 + xl * xl))
+        return interleave(w, w * xl) + offset
 
     return Immersion(
         name="whitney_cn",
@@ -266,12 +246,12 @@ def make_product_torus(radii) -> Immersion:
     if np.any(radii <= 0):
         raise ValueError("torus radii must be positive")
     n = len(radii)
+    if n == 0:
+        raise ValueError("a torus needs at least one radius")
 
     def jet_fn(chart_id, coords, order):
-        sp = jet_space(n, order)
-        t = Jet.variables(sp, coords)
-        zs = [ComplexJet(t[j].cos(), t[j].sin()).scale_real(radii[j]) for j in range(n)]
-        return _flatten_complex(zs)
+        t = Jet.variables(jet_space(n, order), coords)
+        return interleave(t.cos(), t.sin()).scaled(np.repeat(radii, 2)[:, None])
 
     return Immersion(
         name="product_torus",
@@ -289,9 +269,7 @@ def make_product_torus(radii) -> Immersion:
 
 def make_lagrangian_plane(n: int) -> Immersion:
     def jet_fn(chart_id, coords, order):
-        sp = jet_space(n, order)
-        u = Jet.variables(sp, coords)
-        return _flatten_complex([ComplexJet.from_real(ui) for ui in u])
+        return interleave(Jet.variables(jet_space(n, order), coords))
 
     return Immersion(
         name="lagrangian_plane",
@@ -311,12 +289,12 @@ def make_nonlagrangian_plane(n: int) -> Immersion:
     Not Lagrangian; used to exercise the failure diagnostics.
     """
 
+    first_to_last = np.zeros((n, n))
+    first_to_last[n - 1, 0] = 1.0
+
     def jet_fn(chart_id, coords, order):
-        sp = jet_space(n, order)
-        u = Jet.variables(sp, coords)
-        zs = [ComplexJet.from_real(u[j]) for j in range(n - 1)]
-        zs.append(ComplexJet(u[n - 1], u[0]))
-        return _flatten_complex(zs)
+        u = Jet.variables(jet_space(n, order), coords)
+        return interleave(u, jet_einsum("ja,a->j", first_to_last, u))
 
     return Immersion(
         name="nonlagrangian_plane",
@@ -348,10 +326,7 @@ def linear_image(base: Immersion, matrix: np.ndarray, offset=None, name=None) ->
         raise ValueError("ambient map has the wrong shape")
 
     def jet_fn(chart_id, coords, order):
-        phi = Jet.stack(base.jet_fn(chart_id, coords, order))
-        out = np.einsum("cd,dkb->ckb", matrix, phi.c)
-        out[:, 0, :] += offset[:, None]
-        return [Jet(phi.space, out[c], phi.order) for c in range(m2)]
+        return jet_einsum("cd,d->c", matrix, base.jet_fn(chart_id, coords, order)) + offset[:, None]
 
     return Immersion(
         name=name or f"linear_image({base.name})",
@@ -461,7 +436,7 @@ def make_black_box(fn: Callable, n: int, ambient_complex_dim: int, atlas=None, n
             for k in range(sp.ncoef):
                 alpha = sp.multi_indices[k]
                 raw[:, k, b] = partial_value(list(alpha), x) / sp.coef_factorial[k]
-        return [Jet(sp, raw[c]) for c in range(m2)]
+        return Jet(sp, raw)
 
     return Immersion(
         name=name,

@@ -16,7 +16,9 @@ the degrees <= k: every operation allocates just the rows of its own valid
 order, so a derivative or a product of low-order jets costs low-order memory.
 Ring operations act on the coefficient axis and broadcast over the tensor
 axes; `jet_einsum` fuses a tensor contraction with the truncated product,
-whose pair sums are one matrix product.
+whose pair sums are one matrix product.  The chart coordinates are seeded as
+one (nvars,) jet and an immersion's ambient coordinates are one (2m,) jet,
+so each primitive acts on a whole vector of series at once.
 """
 
 from __future__ import annotations
@@ -99,10 +101,6 @@ class JetSpace:
                 self._d_scale[v, k] = a[v] + 1
 
 
-def _coeff_array(space: JetSpace, batch: int) -> np.ndarray:
-    return np.zeros((space.ncoef, batch))
-
-
 class Jet:
     """Truncated Taylor expansion of a tensor field, valid up to total degree
     `order`.
@@ -128,32 +126,20 @@ class Jet:
     # -- construction -------------------------------------------------
 
     @staticmethod
-    def constant(space: JetSpace, value, batch: int | None = None) -> "Jet":
-        value = np.asarray(value, dtype=float)
-        if batch is None:
-            batch = value.size if value.ndim else 1
-        c = _coeff_array(space, batch)
-        c[0] = value
-        return Jet(space, c)
-
-    @staticmethod
-    def variables(space: JetSpace, values: np.ndarray) -> list["Jet"]:
-        """Seed the chart coordinates; `values` has shape (nvars,) or (nvars, B)."""
+    def variables(space: JetSpace, values: np.ndarray) -> "Jet":
+        """Seed the chart coordinates as one (nvars,) jet; `values` has shape
+        (nvars,) or (nvars, B).  `u[a]` is the jet of coordinate a."""
         values = np.atleast_2d(np.asarray(values, dtype=float))
         if values.shape[0] != space.nvars:
             values = values.T
         if values.shape[0] != space.nvars:
             raise ValueError("seed array does not match nvars")
-        out = []
-        for v in range(space.nvars):
-            c = _coeff_array(space, values.shape[1])
-            c[0] = values[v]
-            if space.order >= 1:
-                unit = [0] * space.nvars
-                unit[v] = 1
-                c[space.index_of[tuple(unit)]] = 1.0
-            out.append(Jet(space, c))
-        return out
+        c = np.zeros((space.nvars, space.ncoef, values.shape[1]))
+        c[:, 0] = values
+        if space.order >= 1:
+            units = np.eye(space.nvars, dtype=int)
+            c[np.arange(space.nvars), [space.index_of[tuple(e)] for e in units]] = 1.0
+        return Jet(space, c)
 
     @staticmethod
     def stack(jets: list["Jet"]) -> "Jet":
@@ -356,65 +342,20 @@ def _truncated_product(a: Jet, b: Jet, combine) -> Jet:
     return Jet(sp, sp._mul_sum[vo] @ prod, vo)
 
 
-def potential_from_gradient(space: JetSpace, grads: list[Jet]) -> Jet:
-    """Jet psi with d(psi)/du_a = -grads[a] and psi(0) = 0.
+def potential_from_gradient(grads: Jet) -> Jet:
+    """Jet psi with d(psi)/du_a = -grads[a] and psi(0) = 0, for a 1-form
+    `grads` with a leading (nvars,) axis.
 
     Uses the explicit homotopy for the Poincare lemma on Taylor coefficients:
     row beta of grads[a] lands in row beta + e_a of psi, divided by its
     degree.  Exact whenever the 1-form `grads` is closed, which the caller
     checks.
     """
-    order = min(min(g.order for g in grads) + 1, space.order)
+    space = grads.space
+    order = min(grads.order + 1, space.order)
     src_rows = space.ncoef_by_degree[order - 1]
-    g0 = grads[0].c
-    c = np.zeros(g0.shape[:-2] + (space.ncoef_by_degree[order], g0.shape[-1]))
-    for a, g in enumerate(grads):
+    c = np.zeros(grads.shape[1:] + (space.ncoef_by_degree[order], grads.c.shape[-1]))
+    for a in range(space.nvars):
         dst = space._d_src[a, :src_rows]
-        c[..., dst, :] -= g.c[..., :src_rows, :] / space.degrees[dst][:, None]
+        c[..., dst, :] -= grads.c[a, ..., :src_rows, :] / space.degrees[dst][:, None]
     return Jet(space, c, order)
-
-
-class ComplexJet:
-    """Complex-valued jet stored as a (re, im) pair of real jets."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Jet, im: Jet):
-        self.re = re
-        self.im = im
-
-    @staticmethod
-    def from_real(re: Jet) -> "ComplexJet":
-        zero = Jet(re.space, np.zeros_like(re.c), re.order)
-        return ComplexJet(re, zero)
-
-    def __add__(self, other: "ComplexJet") -> "ComplexJet":
-        return ComplexJet(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexJet") -> "ComplexJet":
-        return ComplexJet(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "ComplexJet") -> "ComplexJet":
-        return ComplexJet(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conj(self) -> "ComplexJet":
-        return ComplexJet(self.re, -self.im)
-
-    def times_i(self) -> "ComplexJet":
-        return ComplexJet(-self.im, self.re)
-
-    def abs2(self) -> Jet:
-        return self.re * self.re + self.im * self.im
-
-    def __truediv__(self, other: "ComplexJet") -> "ComplexJet":
-        inv = other.abs2()._reciprocal()
-        num = self * other.conj()
-        return ComplexJet(num.re * inv, num.im * inv)
-
-    def scale_real(self, jet_or_scalar) -> "ComplexJet":
-        if isinstance(jet_or_scalar, Jet):
-            return ComplexJet(self.re * jet_or_scalar, self.im * jet_or_scalar)
-        return ComplexJet(self.re.scaled(jet_or_scalar), self.im.scaled(jet_or_scalar))

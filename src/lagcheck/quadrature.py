@@ -103,33 +103,24 @@ def _angles_to_embedded(angles: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def _chart_jacobian(angles: np.ndarray, chart_id: int, n: int) -> np.ndarray:
-    """|det d(chart coords)/d(angles)| via order-1 jets."""
-    sp = jet_space(n, 1)
-    th = Jet.variables(sp, angles.T)
-    sin_prod = None
-    xs = []
-    for i in range(n - 1):
-        ci = th[i].cos()
-        term = ci if sin_prod is None else sin_prod * ci
-        xs.append(term)
-        si = th[i].sin()
-        sin_prod = si if sin_prod is None else sin_prod * si
-    last_cos = th[n - 1].cos()
-    last_sin = th[n - 1].sin()
-    xs.append(sin_prod * last_cos if sin_prod is not None else last_cos)
-    xs.append(sin_prod * last_sin if sin_prod is not None else last_sin)
+# Nodes per order-1 jet evaluation of the chart Jacobian; bounds its peak memory.
+JACOBIAN_CHUNK = 1024
+
+
+def _chart_jacobian(angles: np.ndarray, pole: np.ndarray, n: int) -> np.ndarray:
+    """|det d(chart coords)/d(angles)| via order-1 jets; each node's chart
+    projects from the pole x_{n+1} = pole (+1 for chart 0, -1 for chart 1)."""
+    th = Jet.variables(jet_space(n, 1), angles.T)
+    cos, sin = th.cos(), th.sin()
+    # x_i = cos_i prod_{k<i} sin_k for i < n, and x_n = prod_{k<n} sin_k
+    x, sin_prod = [cos[0]], sin[0]
+    for i in range(1, n):
+        x.append(sin_prod * cos[i])
+        sin_prod = sin_prod * sin[i]
+    x = Jet.stack([*x, sin_prod])
     # stereographic chart: u = x' / (1 -+ x_{n+1})
-    denom = (1.0 - xs[n]) if chart_id == 0 else (1.0 + xs[n])
-    inv = 1.0 / denom
-    us = [xs[j] * inv for j in range(n)]
-    jac = np.empty((len(angles), n, n))
-    for j in range(n):
-        for a in range(n):
-            alpha = [0] * n
-            alpha[a] = 1
-            jac[:, j, a] = us[j].deriv(tuple(alpha))
-    return np.abs(np.linalg.det(jac))
+    u = x[:n] / (1.0 - x[n].scaled(pole))
+    return np.abs(np.linalg.det(np.moveaxis(u.grad().value, -1, 0)))
 
 
 def sphere_rule(n: int, degree: int = 30) -> QuadratureRule:
@@ -154,11 +145,11 @@ def sphere_rule(n: int, degree: int = 30) -> QuadratureRule:
     for i in range(n - 1):
         round_density *= np.sin(angles[:, i]) ** (n - 1 - i)
 
-    jacobians = np.empty(len(angles))
-    for cid in (0, 1):
-        mask = chart_ids == cid
-        if np.any(mask):
-            jacobians[mask] = _chart_jacobian(angles[mask], cid, n)
+    pole = 1.0 - 2.0 * chart_ids
+    jacobians = np.concatenate([
+        _chart_jacobian(angles[lo : lo + JACOBIAN_CHUNK], pole[lo : lo + JACOBIAN_CHUNK], n)
+        for lo in range(0, len(angles), JACOBIAN_CHUNK)
+    ])
 
     return QuadratureRule(
         domain="sphere",

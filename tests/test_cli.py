@@ -222,6 +222,44 @@ class TestScanCommand:
         assert main(["scan", "--config", cfg]) == 2
 
 
+TORUS = {"family": "product_torus", "radii": [1.0, 1.0]}
+PLANE = {"family": "lagrangian_plane", "n": 2}
+SCAN = {"family": "whitney_cn", "r": 1.0, "n": 2, "degree": 6, "scan_param": "r"}
+SAMPLES = "'samples' must be an integer >= 1"
+DEGREE = "'degree' must be an integer >= 1"
+
+
+@pytest.mark.parametrize(
+    "command, payload, code, message",
+    [
+        ("identities", {**TORUS, "samples": -2}, 2, SAMPLES),
+        ("identities", {**TORUS, "samples": "x"}, 2, SAMPLES),
+        ("identities", {**TORUS, "samples": 0}, 2, SAMPLES),
+        ("identities", {**TORUS, "samples": 2.5}, 2, SAMPLES),
+        ("identities", {**TORUS, "samples": 2, "seed": "x"}, 2, "'seed' must be an integer >= 0"),
+        ("identities", {**TORUS, "samples": 2, "tol_scale": "x"}, 2, "'tol_scale' must be a finite"),
+        ("energy", {**TORUS, "degree": 0}, 2, DEGREE),
+        ("energy", {**TORUS, "degree": -3}, 2, DEGREE),
+        ("energy", {**PLANE, "degree": 6}, 2, "energy needs a compact body"),
+        ("scan", {**SCAN, "values": [1.0, "x"]}, 2, "a scan value must be a finite number"),
+        ("scan", {**SCAN, "values": [1.0], "degree": 0}, 2, DEGREE),
+        ("scan", {**PLANE, "scan_param": "n", "values": [2]}, 2, "scan needs a compact body"),
+        ("identities", {"family": "product_torus", "radii": [], "samples": 2}, 3, "at least one radius"),
+    ],
+    ids=[
+        "samples-negative", "samples-text", "samples-zero", "samples-fraction", "seed-text",
+        "tol-scale-text", "degree-zero", "degree-negative", "energy-plane", "scan-value-text",
+        "scan-degree-zero", "scan-plane", "torus-no-radii",
+    ],
+)
+def test_invalid_run_parameters_are_refused(tmp_path, capsys, command, payload, code, message):
+    cfg = write_cfg(tmp_path, "bad.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 2 else "construction error: ")
+    assert message in err
+
+
 class TestReportCommand:
     def test_pretty_print(self, tmp_path, capsys):
         cfg = write_cfg(

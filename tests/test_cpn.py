@@ -6,7 +6,7 @@ import pytest
 from lagcheck.cpn import (
     HorizontalityError,
     cpn_geometry_state,
-    horizontal_jet,
+    horizontal_lift_jets,
     make_rpn,
     make_whitney_cpn,
     normalize_representative,
@@ -134,13 +134,13 @@ class TestHorizontalLift:
     def test_lift_is_horizontal_and_unit(self):
         imm = make_whitney_cpn(1.0, 2)
         p = ChartPoint(0, np.array([0.3, 0.6]))
-        jet = horizontal_jet(imm, p, 2)
-        z = jet.values[0::2] + 1j * jet.values[1::2]
+        W = horizontal_lift_jets(imm, p.chart_id, p.coords[:, None], 2)
+        z = W.value[0::2, 0] + 1j * W.value[1::2, 0]
         assert abs(np.sum(np.abs(z) ** 2) - 1.0) < 1e-12
         for a in range(2):
             alpha = [0, 0]
             alpha[a] = 1
-            dz = jet.partial(tuple(alpha))
+            dz = W.deriv(tuple(alpha))[:, 0]
             dzc = dz[0::2] + 1j * dz[1::2]
             assert abs(np.real(np.vdot(1j * z, dzc))) < 1e-9
 
@@ -164,24 +164,18 @@ class TestHorizontalLift:
             if s0.T is not None:
                 assert np.max(np.abs(s0.T.entries - s1.T.entries)) < 1e-8
 
-    def test_nonlagrangian_rejected(self):
+    def test_nonlagrangian_rejected(self, turn_first):
         # breaking the projective class smoothly in a non-Hamiltonian way
         # destroys closedness of the horizontality form
         base = make_rpn(2)
 
         def bad_jet_fn(chart_id, coords, order):
-            jets = base.jet_fn(chart_id, coords, order)
-            from lagcheck.jets import ComplexJet, Jet
+            from lagcheck.jets import Jet
 
-            sp = jets[0].space
-            u = Jet.variables(sp, coords)
-            out = list(jets)
+            phi = base.jet_fn(chart_id, coords, order)
+            u = Jet.variables(phi.space, coords)
             # rotate only the first homogeneous coordinate by a point-dependent phase
-            z0 = ComplexJet(jets[0], jets[1])
-            phase = ComplexJet((u[0] * u[1]).cos(), (u[0] * u[1]).sin())
-            w0 = z0 * phase
-            out[0], out[1] = w0.re, w0.im
-            return out
+            return turn_first(phi, u[0] * u[1])
 
         from lagcheck.immersions import Immersion
 

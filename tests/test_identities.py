@@ -30,7 +30,7 @@ from lagcheck.immersions import (
     make_product_torus,
     make_whitney_cn,
 )
-from lagcheck.jets import ComplexJet, Jet, jet_space
+from lagcheck.jets import Jet, jet_space
 from lagcheck.tensors import random_tracefree
 
 BODIES = {
@@ -229,7 +229,7 @@ def partly_lagrangian_plane():
 
     def jet_fn(chart_id, coords, order):
         u = Jet.variables(jet_space(2, order), coords)
-        return [u[0], u[0].scaled(0.0), u[1], u[0] * u[1]]
+        return Jet.stack([u[0], u[0].scaled(0.0), u[1], u[0] * u[1]])
 
     return Immersion("partly_lagrangian", 2, AMBIENT_CN, 2, {}, PlaneAtlas(2), jet_fn, compact=False)
 
@@ -240,7 +240,7 @@ def cusped_plane():
     def jet_fn(chart_id, coords, order):
         u = Jet.variables(jet_space(2, order), coords)
         zero = u[0].scaled(0.0)
-        return [u[0] * u[0] * u[0], zero, u[1], zero]
+        return Jet.stack([u[0] * u[0] * u[0], zero, u[1], zero])
 
     return Immersion("cusped_plane", 2, AMBIENT_CN, 2, {}, PlaneAtlas(2), jet_fn, compact=False)
 
@@ -264,18 +264,16 @@ class TestFailingPointIsNamed:
         with pytest.raises(OutOfDomainError, match="sample 1: "):
             run_identity_suite(make_lagrangian_plane(2), pts)
 
-    def test_horizontality_sample(self):
+    def test_horizontality_sample(self, turn_first):
         base = make_rpn(2)
 
         def twisted(chart_id, coords, order):
             # a point-dependent phase on one homogeneous coordinate; it and
             # its derivatives up to order 5 vanish on u_2 = 0
-            jets = base.jet_fn(chart_id, coords, order)
-            u = Jet.variables(jets[0].space, coords)
+            phi = base.jet_fn(chart_id, coords, order)
+            u = Jet.variables(phi.space, coords)
             u2_cubed = u[1] * u[1] * u[1]
-            t = u[0] * u2_cubed * u2_cubed
-            z0 = ComplexJet(jets[0], jets[1]) * ComplexJet(t.cos(), t.sin())
-            return [z0.re, z0.im, *jets[2:]]
+            return turn_first(phi, u[0] * u2_cubed * u2_cubed)
 
         bad = Immersion("twisted_rpn", 2, AMBIENT_SPHERE, 3, {}, base.atlas, twisted)
         pts = [ChartPoint(0, np.array(c)) for c in ([0.3, 0.0], [0.6, 0.4], [-0.5, 0.0])]

@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from lagcheck.cpn import make_rpn, make_whitney_cpn, phase_twist
 from lagcheck.immersions import (
     ChartPoint,
     OutOfDomainError,
     SphereAtlas,
     chart_transition,
     complex_to_real_matrix,
-    eval_jet,
     expm_series,
     from_config,
     make_black_box,
     make_lagrangian_plane,
+    make_nonlagrangian_plane,
     make_perturbed_whitney,
     make_product_torus,
     make_whitney_cn,
@@ -79,10 +80,10 @@ class TestProductTorus:
 
     def test_second_derivative(self):
         imm = make_product_torus([1.0, 1.0])
-        jet = eval_jet(imm, ChartPoint(0, np.zeros(2)), 2)
+        d2 = imm.eval_jet(ChartPoint(0, np.zeros(2)), 2).deriv((2, 0))[:, 0]
         # d^2/dt_1^2 of Re z_1 = -cos(t_1)|_0 = -1
-        assert jet.partial((2, 0))[0] == pytest.approx(-1.0)
-        assert jet.partial((2, 0))[1] == pytest.approx(0.0)
+        assert d2[0] == pytest.approx(-1.0)
+        assert d2[1] == pytest.approx(0.0)
 
     def test_positive_radii_required(self):
         with pytest.raises(ValueError):
@@ -92,10 +93,10 @@ class TestProductTorus:
 class TestPlane:
     def test_second_derivatives_vanish(self):
         imm = make_lagrangian_plane(3)
-        jet = eval_jet(imm, ChartPoint(0, np.array([0.3, -0.7, 2.0])), 2)
-        for alpha, val in jet.partials.items():
+        jet = imm.eval_jet(ChartPoint(0, np.array([0.3, -0.7, 2.0])), 2)
+        for alpha in jet.space.multi_indices:
             if sum(alpha) == 2:
-                assert np.allclose(val, 0.0)
+                assert np.allclose(jet.deriv(alpha)[:, 0], 0.0)
 
 
 class TestPerturbedWhitney:
@@ -103,19 +104,21 @@ class TestPerturbedWhitney:
         base = make_whitney_cn(1.0, None, 2)
         pert = make_perturbed_whitney(1.0, 0.0, 1, 2)
         p = ChartPoint(0, np.array([0.3, 0.8]))
-        j1 = eval_jet(base, p, 3)
-        j2 = eval_jet(pert, p, 3)
-        for alpha in j1.partials:
-            assert np.allclose(j1.partials[alpha], j2.partials[alpha], atol=1e-12)
+        j1 = base.eval_jet(p, 3)
+        j2 = pert.eval_jet(p, 3)
+        for alpha in j1.space.multi_indices:
+            assert np.allclose(j1.deriv(alpha)[:, 0], j2.deriv(alpha)[:, 0], atol=1e-12)
 
     def test_linear_epsilon_continuity(self):
         base = make_whitney_cn(1.0, None, 2)
         p = ChartPoint(0, np.array([0.3, 0.8]))
-        j0 = eval_jet(base, p, 2)
+        j0 = base.eval_jet(p, 2)
 
         def dev(eps):
-            j = eval_jet(make_perturbed_whitney(1.0, eps, 1, 2), p, 2)
-            return max(np.max(np.abs(j.partials[a] - j0.partials[a])) for a in j0.partials)
+            j = make_perturbed_whitney(1.0, eps, 1, 2).eval_jet(p, 2)
+            return max(
+                np.max(np.abs(j.deriv(a)[:, 0] - j0.deriv(a)[:, 0])) for a in j0.space.multi_indices
+            )
 
         d1, d2 = dev(1e-3), dev(1e-4)
         assert d1 < 1e-2
@@ -199,7 +202,7 @@ class TestEvalJet:
     def test_mixed_partials_commute(self):
         imm = make_whitney_cn(1.0, None, 3)
         p = ChartPoint(0, np.array([0.2, -0.5, 0.9]))
-        jets = imm.eval_jets(p, 3)
+        jets = imm.eval_jet(p, 3)
         for j in jets[:4]:
             d01 = j.partial(0).partial(1).value
             d10 = j.partial(1).partial(0).value
@@ -220,8 +223,7 @@ class TestEvalJet:
             rng = np.random.default_rng(123)
             for p in imm.atlas.random_points(rng, 100):
                 p = imm.atlas.normalize(p)
-                jets = imm.eval_jets(p, 3)
-                j = jets[0]
+                j = imm.eval_jet(p, 3)[0]
                 assert np.allclose(
                     j.partial(0).partial(1).value, j.partial(1).partial(0).value, atol=0
                 )
@@ -235,9 +237,46 @@ class TestEvalJet:
     def test_order_validation(self):
         imm = make_whitney_cn(1.0, None, 2)
         with pytest.raises(ValueError):
-            imm.eval_jets(ChartPoint(0, np.zeros(2)), 5)
+            imm.eval_jet(ChartPoint(0, np.zeros(2)), 5)
         with pytest.raises(OutOfDomainError):
-            imm.eval_jets(ChartPoint(0, np.full(2, 20.0)), 2)
+            imm.eval_jet(ChartPoint(0, np.full(2, 20.0)), 2)
+
+
+TAYLOR_BODIES = {
+    "whitney_cn_offset": make_whitney_cn(1.3, np.array([0.3 + 0.2j, -0.1 + 0.4j, 0.25 - 0.3j]), 3),
+    "product_torus": make_product_torus([1.0, 2.0, 0.5]),
+    "lagrangian_plane": make_lagrangian_plane(3),
+    "nonlagrangian_plane": make_nonlagrangian_plane(3),
+    "perturbed_whitney": make_perturbed_whitney(1.0, 0.05, 1, 3),
+    "whitney_cpn": make_whitney_cpn(0.7, 3),
+    "rpn": make_rpn(3),
+    "phase_twist": phase_twist(make_whitney_cpn(0.7, 3), [0.4, -0.7, 0.2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAYLOR_BODIES))
+def test_order4_taylor_polynomial_predicts_nearby_points(name):
+    """Oracle independent of jet arithmetic: the order-4 jet's Taylor
+    polynomial predicts imm.point(p + t v) with an O(t^5) remainder, so
+    halving t shrinks the error by about 32; the planes are linear and
+    predicted exactly."""
+    imm = TAYLOR_BODIES[name]
+    rng = np.random.default_rng(17)
+    for p in imm.atlas.random_points(rng, 3):
+        p = imm.atlas.normalize(p)
+        jet = imm.eval_jet(p, 4)
+        coef, alphas = jet.c[..., 0], jet.space.multi_indices  # Taylor coefficients at p
+        for v in rng.normal(size=(2, imm.source_dim)):
+            v /= np.linalg.norm(v)
+            err = []
+            for t in (1e-2, 5e-3):
+                taylor = coef @ np.prod((t * v) ** alphas, axis=1)
+                err.append(np.max(np.abs(taylor - imm.point(ChartPoint(p.chart_id, p.coords + t * v)))))
+            if name.endswith("plane"):
+                assert max(err) < 1e-14
+            else:
+                assert err[0] < 1e-6
+                assert err[0] > 20 * err[1]
 
 
 class TestLinearImages:
@@ -259,11 +298,11 @@ class TestBlackBoxFallback:
 
         bb = make_black_box(fn, 2, 2, atlas=analytic.atlas, name="bb_torus")
         p = ChartPoint(0, np.array([0.7, 1.9]))
-        ja = eval_jet(analytic, p, 2)
-        jb = eval_jet(bb, p, 2)
-        for alpha in ja.partials:
+        ja = analytic.eval_jet(p, 2)
+        jb = bb.eval_jet(p, 2)
+        for alpha in ja.space.multi_indices:
             rung = 1e-9 if sum(alpha) == 0 else (1e-8 if sum(alpha) == 1 else 1e-5)
-            assert np.allclose(ja.partials[alpha], jb.partials[alpha], atol=rung)
+            assert np.allclose(ja.deriv(alpha)[:, 0], jb.deriv(alpha)[:, 0], atol=rung)
 
 
 class TestConfig:

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from lagcheck.jets import ComplexJet, Jet, jet_einsum, jet_space, potential_from_gradient
+from lagcheck.jets import Jet, jet_einsum, jet_space, potential_from_gradient
 
 
 def seed(nvars, order, values):
@@ -182,26 +182,12 @@ def test_potential_from_gradient_recovers_function():
     sp = jet_space(2, 3)
     x, y = Jet.variables(sp, np.array([[0.4], [-0.2]]))
     F = x * x * y + 3.0 * x
-    a = [F.partial(0), F.partial(1)]
-    psi = potential_from_gradient(sp, a)
+    a = F.grad()
+    psi = potential_from_gradient(a)
     for v in range(2):
         resid = psi.partial(v) + a[v]
         assert np.max(np.abs(resid.c[: sp.ncoef_by_degree[1]])) < 1e-13
     assert psi.value == pytest.approx(0.0)
-
-
-def test_complex_jet_algebra():
-    sp, (t,) = seed(1, 3, [0.2])
-    z = ComplexJet(t.cos(), t.sin())  # e^{it}
-    w = z * z.conj()
-    assert np.max(np.abs(w.re.c - Jet.constant(sp, 1.0).c[: sp.ncoef])) < 1e-13
-    assert np.max(np.abs(w.im.c)) < 1e-13
-    q = ComplexJet.from_real(1.0 + t * t) / z
-    # (1+t^2) e^{-it}: value and first derivative
-    assert q.re.value == pytest.approx((1 + 0.04) * np.cos(0.2))
-    assert q.im.value == pytest.approx(-(1 + 0.04) * np.sin(0.2))
-    d_re = q.re.deriv((1,))
-    assert d_re == pytest.approx(2 * 0.2 * np.cos(0.2) - (1 + 0.04) * np.sin(0.2))
 
 
 def jet_operations(sp, rng):
@@ -236,8 +222,7 @@ def jet_operations(sp, rng):
         ("transpose", a.transpose(1, 0), 3),
         ("einsum", jet_einsum("ij,ij->i", a, b), 1),
         ("einsum_constant", jet_einsum("ki,ij->kj", np.ones((5, 2)), a), 3),
-        ("potential", potential_from_gradient(sp, [s, s.scaled(2.0), s.scaled(3.0)]), 3),
-        ("constant", Jet.constant(sp, 1.0, 4), 4),
+        ("potential", potential_from_gradient(Jet.stack([s, s.scaled(2.0), s.scaled(3.0)])), 3),
         ("variables", Jet.variables(sp, np.zeros((3, 4)))[0], 4),
     ]
 
