@@ -166,6 +166,8 @@ def cmd_identities(args) -> int:
     seed = integer(cfg, "seed", 0, 0)
     samples = integer(cfg, "samples", 20, 1)
     tol_scale = number(cfg.get("tol_scale", 1.0), "'tol_scale'")
+    if tol_scale <= 0:
+        raise ConfigError(f"'tol_scale' must be positive, got {tol_scale!r}")
     heavy = bool(cfg.get("heavy", True))
     points = sample_points(imm, samples, seed)
     report = run_identity_suite(imm, points, tol_scale=tol_scale, seed=seed, heavy=heavy)
@@ -187,14 +189,28 @@ def cmd_energy(args) -> int:
     return EXIT_OK
 
 
-def _set_scan_param(imm_cfg: dict, key: str, value):
-    if "." in key:
-        base, idx = key.split(".", 1)
-        seq = list(imm_cfg[base])
-        seq[int(idx)] = value
-        imm_cfg[base] = seq
+def _scan_target(imm, key) -> tuple[str, int | None]:
+    """The parameter `key` names, `base` or `base.index`: `base` must be a
+    parameter of the built body and `index` a position in it."""
+    base, _, idx = str(key).partition(".")
+    if base not in imm.params:
+        raise ConfigError(f"scan_param {key!r} is not a parameter of {imm.name}: {sorted(imm.params)}")
+    if not idx:
+        return base, None
+    entry = imm.params[base]
+    if np.ndim(entry) != 1 or not idx.isdigit() or int(idx) >= len(entry):
+        raise ConfigError(f"scan_param {key!r}: {base!r} has no entry {idx!r}")
+    return base, int(idx)
+
+
+def _set_scan_param(imm_cfg: dict, params: dict, target: tuple[str, int | None], value):
+    base, idx = target
+    if idx is None:
+        imm_cfg[base] = value
     else:
-        imm_cfg[key] = value
+        seq = list(imm_cfg.get(base, params[base]))
+        seq[idx] = value
+        imm_cfg[base] = seq
 
 
 def cmd_scan(args) -> int:
@@ -205,11 +221,13 @@ def cmd_scan(args) -> int:
         raise ConfigError("scan needs 'scan_param' and a finite 'values' list")
     values = sorted(number(v, "a scan value") for v in values)
     degree = integer(cfg, "degree", 30, 1)
+    body = compact_immersion(cfg, "scan")
+    target = _scan_target(body, key)
     rows = ["param,volume,int_hhat_n,int_hhat_sq,int_h_sq,int_H_sq"]
     for v in values:
         sub = copy.deepcopy(cfg)
         imm_cfg = sub.get("immersion", sub)
-        _set_scan_param(imm_cfg, key, v)
+        _set_scan_param(imm_cfg, body.params, target, v)
         imm = compact_immersion(sub, "scan")
         rep = energy_report(imm, rule_for(imm, degree))
         e = rep.entries

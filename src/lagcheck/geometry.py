@@ -9,12 +9,16 @@ derivative, and Laplace-Beltrami operators of scalar jets.
 Every tensor of a `FrameBundle` is one tensor-valued jet (`jets.Jet` with
 leading frame or chart axes) built by a few `jet_einsum` contractions of the
 stacked ambient jet.  The frame field is the Gram-Schmidt (Cholesky)
-orthonormalization of the coordinate frame, built inside jet arithmetic, so
-connection coefficients and derivatives of frame components are exact.  The
-normal connection is the tangent one transported by the complex structure,
-which for a constant J is an exact equality of coefficient matrices; one
-covariant-derivative routine therefore serves tangent and starred indices
-alike.
+orthonormalization of the coordinate frame.  Its point value comes from a
+LAPACK Cholesky factorization of the metric; its jet, needed only where a
+derivative is taken, is lifted from that value by Newton steps in jet
+arithmetic, so connection coefficients and derivatives of frame components
+are exact.  The second fundamental form is read off the second derivatives of
+the immersion, so pointwise scalars (the energy integrands) take no frame
+jet at all.  The normal connection is the tangent one transported by the
+complex structure, which for a constant J is an exact equality of
+coefficient matrices; one covariant-derivative routine therefore serves
+tangent and starred indices alike.
 
 Every derivative here is read off a Taylor jet; nothing is finite
 differenced.  An order-k ambient jet leaves h, H and |hhat|^2 valid to order
@@ -90,6 +94,7 @@ class FrameBundle:
         self.m2 = phi.shape[0]
         self.batch = phi.c.shape[-1]
         self.gauge = np.eye(n) if gauge is None else np.asarray(gauge, dtype=float)
+        self._identity_gauge = gauge is None
         self.J = symplectic_j_matrix(self.m2 // 2)
         self._cache: dict = {}
         self._build_frame()
@@ -97,10 +102,12 @@ class FrameBundle:
     # -- frame construction -------------------------------------------
 
     def _build_frame(self):
-        n = self.n
+        """Point values only: g, the orthonormal frame e_i = B_ia f_a with
+        B = gauge . L^{-1} for the LAPACK Cholesky factor g = L L^T, J e and
+        the Lagrangian residual.  Frame jets are built on demand."""
         self.f = self.phi.grad()
-        g = self.g_jets = jet_einsum("ca,cb->ab", self.f, self.f)
-        self.g0 = np.moveaxis(g.value, -1, 0)  # (B, n, n)
+        f0 = self.f.value  # (2m, n, B)
+        self.g0 = np.einsum("cax,cbx->xab", f0, f0)  # (B, n, n)
         eig = np.linalg.eigvalsh(self.g0)
         ratio = eig[:, 0] / np.maximum(eig[:, -1], np.finfo(float).tiny)
         bad = np.flatnonzero(ratio < METRIC_COND_TOL)
@@ -112,35 +119,16 @@ class FrameBundle:
                 ),
                 int(bad[0]),
             )
-        self.sqrt_det_g = np.sqrt(np.linalg.det(self.g0))
-
-        # Cholesky g = L L^T on scalar entries, then the rows of B = L^{-1},
-        # B_i = (u_i - sum_{k<i} L_ik B_k) / L_ii, which map the coordinate
-        # frame to the orthonormal frame e_i = sum_a B_ia f_a.
-        L = [[] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1):
-                acc = g[i, j]
-                for k in range(j):
-                    acc = acc - L[i][k] * L[j][k]
-                L[i].append(acc.sqrt() if i == j else acc / L[j][j])
-        unit = np.zeros((n, n, g.space.ncoef_by_degree[g.order], 1))
-        unit[:, :, 0, 0] = np.eye(n)
-        rows = []
-        for i in range(n):
-            acc = Jet(g.space, unit[i], g.order)
-            for k in range(i):
-                acc = acc - rows[k] * L[i][k]
-            rows.append(acc / L[i][i])
-        B = Jet.stack(rows)
-        if not np.allclose(self.gauge, np.eye(n)):
-            B = jet_einsum("ik,ka->ia", self.gauge, B)
-        self.B = B
-        self.B0 = B.value  # (n, n, B)
-
-        self.e = jet_einsum("ia,ca->ic", B, self.f)
-        self.Je = jet_einsum("cd,id->ic", self.J, self.e)
-        lag = np.max(np.abs(np.einsum("icb,jcb->ijb", self.e.value, self.Je.value)), axis=(0, 1))
+        L0 = np.linalg.cholesky(self.g0)
+        self.sqrt_det_g = np.prod(np.diagonal(L0, axis1=1, axis2=2), axis=1)
+        # batch-last and contiguous: an einsum over a strided view is ~10x slower
+        self._L_inv0 = np.ascontiguousarray(np.moveaxis(np.linalg.inv(L0), 0, -1))  # (n, n, B)
+        self.B0 = (
+            self._L_inv0 if self._identity_gauge else np.einsum("ik,kax->iax", self.gauge, self._L_inv0)
+        )
+        self.e0 = np.einsum("iax,cax->icx", self.B0, f0)
+        self.Je0 = np.einsum("cd,idx->icx", self.J, self.e0)
+        lag = np.max(np.abs(np.einsum("icb,jcb->ijb", self.e0, self.Je0)), axis=(0, 1))
         self.lagrangian_residual = lag  # (B,)
         bad = np.flatnonzero(lag > LAGRANGIAN_TOL)
         if bad.size:
@@ -150,6 +138,50 @@ class FrameBundle:
                 ),
                 int(bad[0]),
             )
+
+    # -- frame jets, built on demand ---------------------------------------
+
+    def _value_jet(self, value: np.ndarray) -> Jet:
+        """A point value (*shape, B) as an order-0 jet."""
+        return Jet(self.phi.space, value[..., None, :], 0)
+
+    @property
+    def g_jets(self) -> Jet:
+        return self._get("g_jets", lambda: jet_einsum("ca,cb->ab", self.f, self.f))
+
+    @property
+    def B(self) -> Jet:
+        """B = gauge . L^{-1} as a jet valid to order - 1, lifted from its
+        value by Newton steps C <- C - P(R) C on the lower-triangular
+        C = L^{-1}, where R = C g C^T - I and P keeps the strict lower
+        triangle plus half the diagonal.  A step doubles the valid degree
+        d -> 2d + 1, so orders 1 and 3 take one and two steps."""
+
+        def build():
+            g = self.g_jets
+            sp, n = g.space, self.n
+            lower = np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
+            C = self._value_jet(self._L_inv0)
+            while C.order < g.order:
+                order = min(2 * C.order + 1, g.order)
+                c = np.zeros((n, n, sp.ncoef_by_degree[order], self.batch))
+                c[:, :, : C.c.shape[-2]] = C.c
+                C = Jet(sp, c, order)
+                R = jet_einsum("ib,jb->ij", jet_einsum("ia,ab->ib", C, g), C)
+                R.c[..., 0, :] = 0.0
+                C = C - jet_einsum("ij,ja->ia", Jet(sp, R.c * lower[..., None, None], order), C)
+            return C if self._identity_gauge else jet_einsum("ik,ka->ia", self.gauge, C)
+
+        return self._get("B", build)
+
+    @property
+    def e(self) -> Jet:
+        """e_i = B_ia f_a, indexed [i, c]."""
+        return self._get("e", lambda: jet_einsum("ia,ca->ic", self.B, self.f))
+
+    @property
+    def Je(self) -> Jet:
+        return self._get("Je", lambda: jet_einsum("cd,id->ic", self.J, self.e))
 
     # -- cached derived quantities -------------------------------------
 
@@ -165,11 +197,20 @@ class FrameBundle:
 
     @property
     def h_jets(self) -> Jet:
-        """h^{m*}_{ij} = <D_{e_i} e_j, J e_m>, symmetrized in ij."""
+        """h^{m*}_{ij} = <D_{e_i} e_j, J e_m> = B_ia B_jb <d_a d_b phi, J e_m>,
+        valid to order - 2.  The term B_ia (d_a B_jb) <d_b phi, J e_m> of the
+        product rule vanishes as a function on a Lagrangian body (and on the
+        Legendrian lift of a CP^n body), so no frame derivative enters."""
 
         def build():
-            h = jet_einsum("ijc,mc->mij", self.De, self.Je)
-            return (h + h.transpose(0, 2, 1)).scaled(0.5)
+            hess = self.f.grad()  # [c, a, b] = d_a d_b phi^c
+            if hess.order == 0:  # point values suffice: no frame jet is built
+                B, Je = self._value_jet(self.B0), self._value_jet(self.Je0)
+            else:
+                B, Je = self.B, self.Je
+            x = jet_einsum("mc,cab->mab", Je, hess)
+            x = jet_einsum("jb,mab->maj", B, x)
+            return jet_einsum("ia,maj->mij", B, x)
 
         return self._get("h_jets", build)
 
@@ -314,8 +355,8 @@ class FrameBundle:
         def build():
             dg = self.g_jets.grad()  # [a, b, c] = d_c g_ab
             low = (dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1)).scaled(0.5)
-            g_inv = jet_einsum("ia,ib->ab", self.B, self.B)
-            return jet_einsum("de,eab->dab", g_inv, low)
+            B = self._value_jet(self.B0) if low.order == 0 else self.B
+            return jet_einsum("de,eab->dab", jet_einsum("ia,ib->ab", B, B), low)
 
         return self._get("christoffel_jets", build)
 
@@ -346,9 +387,10 @@ class FrameBundle:
 
         def build():
             B0 = self.B0  # (n, n, B)
-            return np.einsum(
-                "iax,jbx,kcx,ldx,abcdx->ijklx", B0, B0, B0, B0, self.curvature_chart
-            )
+            x = np.einsum("ldx,abcdx->abclx", B0, self.curvature_chart)
+            x = np.einsum("kcx,abclx->abklx", B0, x)
+            x = np.einsum("jbx,abklx->ajklx", B0, x)
+            return np.einsum("iax,ajklx->ijklx", B0, x)
 
         return self._get("curvature_frame", build)
 
@@ -617,8 +659,8 @@ def _state_from_bundle(fb: FrameBundle, imm: Immersion, p: ChartPoint, depth: st
     b = 0
     g0 = fb.g0[b]
     g_inv = np.einsum("ia,ib->ab", fb.B0[:, :, b], fb.B0[:, :, b])
-    e = fb.e.value[..., b]
-    Je = fb.Je.value[..., b]
+    e = fb.e0[..., b]
+    Je = fb.Je0[..., b]
     h = CubicSymTensor(fb.h0[..., b])
     H = VectorField1(fb.H0[:, b])
     hhat = CubicSymTensor(fb.hhat0[..., b])

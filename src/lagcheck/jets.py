@@ -329,6 +329,9 @@ def jet_einsum(spec: str, a: Jet | np.ndarray, b: Jet) -> Jet:
     sa, sb = ins.split(",")
     if not isinstance(a, Jet):
         return Jet(b.space, np.einsum(f"{sa},{sb}...->{out}...", a, b.c), b.order)
+    if min(a.order, b.order) == 0:
+        # point values: one contraction, no pair sums
+        return Jet(b.space, np.einsum(f"{sa}...,{sb}...->{out}...", a.c[..., :1, :], b.c[..., :1, :]), 0)
     return _truncated_product(a, b, lambda x, y: np.einsum(f"{sa}...,{sb}...->{out}...", x, y))
 
 

@@ -4,6 +4,8 @@ Sphere rules are tensor-product Gauss-Legendre in hyperspherical angles; the
 nodes are transitioned into the stereographic atlas and carry the exact
 angle-to-chart Jacobian, so an integral is the plain weighted sum
 sum_k w_k * f(p_k) * density_k with the density read off the induced metric.
+The stereographic chart is conformal with factor 2 / (1 + |u|^2), so that
+Jacobian is the round-sphere angle density times ((1 + |u|^2) / 2)^n.
 """
 
 from __future__ import annotations
@@ -103,26 +105,6 @@ def _angles_to_embedded(angles: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-# Nodes per order-1 jet evaluation of the chart Jacobian; bounds its peak memory.
-JACOBIAN_CHUNK = 1024
-
-
-def _chart_jacobian(angles: np.ndarray, pole: np.ndarray, n: int) -> np.ndarray:
-    """|det d(chart coords)/d(angles)| via order-1 jets; each node's chart
-    projects from the pole x_{n+1} = pole (+1 for chart 0, -1 for chart 1)."""
-    th = Jet.variables(jet_space(n, 1), angles.T)
-    cos, sin = th.cos(), th.sin()
-    # x_i = cos_i prod_{k<i} sin_k for i < n, and x_n = prod_{k<n} sin_k
-    x, sin_prod = [cos[0]], sin[0]
-    for i in range(1, n):
-        x.append(sin_prod * cos[i])
-        sin_prod = sin_prod * sin[i]
-    x = Jet.stack([*x, sin_prod])
-    # stereographic chart: u = x' / (1 -+ x_{n+1})
-    u = x[:n] / (1.0 - x[n].scaled(pole))
-    return np.abs(np.linalg.det(np.moveaxis(u.grad().value, -1, 0)))
-
-
 def sphere_rule(n: int, degree: int = 30) -> QuadratureRule:
     """Tensor-product Gauss-Legendre in hyperspherical angles on S^n."""
     if n < 2:
@@ -145,11 +127,8 @@ def sphere_rule(n: int, degree: int = 30) -> QuadratureRule:
     for i in range(n - 1):
         round_density *= np.sin(angles[:, i]) ** (n - 1 - i)
 
-    pole = 1.0 - 2.0 * chart_ids
-    jacobians = np.concatenate([
-        _chart_jacobian(angles[lo : lo + JACOBIAN_CHUNK], pole[lo : lo + JACOBIAN_CHUNK], n)
-        for lo in range(0, len(angles), JACOBIAN_CHUNK)
-    ])
+    # the chart is conformal: dV = (2 / (1 + |u|^2))^n du = round_density d(angles)
+    jacobians = round_density * ((1.0 + np.sum(coords**2, axis=1)) / 2.0) ** n
 
     return QuadratureRule(
         domain="sphere",

@@ -278,6 +278,8 @@ def test_criterion_09_energy_functionals():
 
 
 SCALARS_10 = ["h_sq", "hhat_sq", "H_sq", "T_sq", "grad_hhat_sq", "scalar_curvature"]
+# an order-2 bundle (the energy path) carries the pointwise scalars only
+SCALARS_BY_ORDER = {2: ["h_sq", "hhat_sq", "H_sq", "sqrt_det_g"], 3: SCALARS_10, 4: SCALARS_10}
 
 
 def test_criterion_10_gauge_and_chart_robustness():
@@ -289,13 +291,15 @@ def test_criterion_10_gauge_and_chart_robustness():
         p0 = ChartPoint(0, u)
         p1 = imm.atlas.transition(p0, 1)
         Q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
-        fb0 = bundle_at(imm, 0, p0.coords[None], 3)
-        fb1 = bundle_at(imm, 1, p1.coords[None], 3)
-        fbq = bundle_at(imm, 0, p0.coords[None], 3, frame_gauge=Q)
-        for name in SCALARS_10:
-            v0 = float(fb0.scalar(name)[0])
-            worst = max(worst, abs(float(fb1.scalar(name)[0]) - v0))
-            worst = max(worst, abs(float(fbq.scalar(name)[0]) - v0))
+        for order, names in SCALARS_BY_ORDER.items():
+            fb0 = bundle_at(imm, 0, p0.coords[None], order)
+            fb1 = bundle_at(imm, 1, p1.coords[None], order)
+            fbq = bundle_at(imm, 0, p0.coords[None], order, frame_gauge=Q)
+            for name in names:
+                v0 = float(fb0.scalar(name)[0])
+                if name != "sqrt_det_g":  # a chart density, not a scalar
+                    worst = max(worst, abs(float(fb1.scalar(name)[0]) - v0))
+                worst = max(worst, abs(float(fbq.scalar(name)[0]) - v0))
     assert worst < 1e-9
     print(f"\nACCEPTANCE 10 PASS: gauge/chart robustness, max scalar drift {worst:.2e}")
 

@@ -245,11 +245,18 @@ DEGREE = "'degree' must be an integer >= 1"
         ("scan", {**SCAN, "values": [1.0], "degree": 0}, 2, DEGREE),
         ("scan", {**PLANE, "scan_param": "n", "values": [2]}, 2, "scan needs a compact body"),
         ("identities", {"family": "product_torus", "radii": [], "samples": 2}, 3, "at least one radius"),
+        ("identities", {**TORUS, "samples": 2, "tol_scale": -1}, 2, "'tol_scale' must be positive"),
+        ("identities", {**TORUS, "samples": 2, "tol_scale": 0}, 2, "'tol_scale' must be positive"),
+        ("scan", {**TORUS, "scan_param": "r", "values": [1.0, 2.0]}, 2, "not a parameter of product_torus"),
+        ("scan", {**TORUS, "scan_param": "radii.5", "values": [1.0]}, 2, "'radii' has no entry '5'"),
+        ("scan", {**TORUS, "scan_param": "radii.x", "values": [1.0]}, 2, "'radii' has no entry 'x'"),
+        ("scan", {**SCAN, "scan_param": "r.0", "values": [1.0]}, 2, "'r' has no entry '0'"),
     ],
     ids=[
         "samples-negative", "samples-text", "samples-zero", "samples-fraction", "seed-text",
         "tol-scale-text", "degree-zero", "degree-negative", "energy-plane", "scan-value-text",
-        "scan-degree-zero", "scan-plane", "torus-no-radii",
+        "scan-degree-zero", "scan-plane", "torus-no-radii", "tol-scale-negative", "tol-scale-zero",
+        "scan-param-unknown", "scan-index-out-of-range", "scan-index-text", "scan-index-on-scalar",
     ],
 )
 def test_invalid_run_parameters_are_refused(tmp_path, capsys, command, payload, code, message):

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lagcheck.cpn import make_rpn
+from lagcheck.cpn import make_rpn, make_whitney_cpn
+from lagcheck import jets
 from lagcheck.geometry import (
     DegenerateMetricError,
+    FrameBundle,
     NonLagrangianError,
+    _ambient_jets,
+    bundle_at,
     closedness_residual,
     geometry_state,
     intrinsic_curvature,
@@ -16,6 +20,7 @@ from lagcheck.geometry import (
     point_bundle,
     scalar_laplacian,
 )
+from lagcheck.jets import jet_einsum
 from lagcheck.immersions import (
     ChartPoint,
     complex_to_real_matrix,
@@ -348,6 +353,44 @@ def test_bundle_values_pinned(body):
     h_sq = PINNED[body]["h_sq"][0]
     for name, (want, weight) in PINNED[body].items():
         assert abs(got[name] - want) <= 1e-12 * max(abs(want), h_sq**weight), name
+
+
+ENERGY_BODIES = {
+    "whitney_cn": lambda: make_whitney_cn(1.0, np.array([0.3 + 0.4j, -0.2, 0.1j]), 3),
+    "product_torus": lambda: make_product_torus([1.0, 1.5, 2.0]),
+    "whitney_cpn": lambda: make_whitney_cpn(0.7, 3),
+}
+
+
+@pytest.mark.parametrize("body", sorted(ENERGY_BODIES))
+def test_energy_scalars_take_no_jet_products(monkeypatch, body):
+    """An order-2 bundle serves the energy scalars from point values: the
+    frame multiplies no jets."""
+    imm = ENERGY_BODIES[body]()
+    coords = np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6], [-0.5, 0.2, 0.1]])
+    phi, c_amb = _ambient_jets(imm, 0, coords.T, 2)
+    calls = []
+    product = jets._truncated_product
+    monkeypatch.setattr(jets, "_truncated_product", lambda *args: calls.append(1) or product(*args))
+    fb = FrameBundle(phi, 3, c_amb)
+    for name in ("sqrt_det_g", "h_sq", "hhat_sq", "H_sq"):
+        assert fb.scalar(name).shape == (3,)
+    assert calls == []
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_lifted_frame_jet_is_orthonormal_and_triangular(order):
+    """The Newton lift of B = L^{-1} solves B g B^T = I to its valid order
+    and keeps B lower triangular."""
+    imm = make_perturbed_whitney(1.0, 0.05, 1, 3)
+    fb = bundle_at(imm, 0, np.array([[0.3, -0.2, 0.5], [0.7, 0.1, -0.4]]), order)
+    B = fb.B
+    assert B.order == order - 1
+    assert np.array_equal(B.value, fb.B0)
+    eye = jet_einsum("ib,jb->ij", jet_einsum("ia,ab->ib", B, fb.g_jets), B)
+    eye.c[:, :, 0] -= np.eye(3)[..., None]
+    assert np.max(np.abs(eye.c)) < 1e-13
+    assert not np.any(B.c[np.triu_indices(3, 1)])
 
 
 class TestPoleHandling:

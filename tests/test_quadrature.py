@@ -11,6 +11,7 @@ from lagcheck.immersions import (
     make_whitney_cn,
     random_unitary,
 )
+from lagcheck.jets import Jet, jet_space
 from lagcheck.quadrature import (
     energy_report,
     integrate,
@@ -35,6 +36,25 @@ class TestRules:
     def test_round_sphere_volume(self, n):
         r = sphere_rule(n, 30 if n < 4 else 14)
         assert abs(r.round_sphere_volume() - sphere_volume(n)) < 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_chart_jacobian_matches_jet_determinant(self, n):
+        """The conformal-factor Jacobian against |det du/d(angles)| read off
+        order-1 jets of the angle-to-chart map, on nodes of both charts."""
+        r = sphere_rule(n, 8)
+        assert set(r.chart_ids) == {0, 1}
+        th = Jet.variables(jet_space(n, 1), r.angles.T)
+        cos, sin = th.cos(), th.sin()
+        # x_i = cos_i prod_{k<i} sin_k for i < n, and x_n = prod_{k<n} sin_k
+        x, sin_prod = [cos[0]], sin[0]
+        for i in range(1, n):
+            x.append(sin_prod * cos[i])
+            sin_prod = sin_prod * sin[i]
+        x = Jet.stack([*x, sin_prod])
+        # chart 0 projects from x_{n+1} = 1, chart 1 from x_{n+1} = -1
+        u = x[:n] / (1.0 - x[n].scaled(1.0 - 2.0 * r.chart_ids))
+        want = np.abs(np.linalg.det(np.moveaxis(u.grad().value, -1, 0)))
+        np.testing.assert_allclose(r.chart_jacobians, want, rtol=1e-13, atol=0)
 
     def test_rule_immersion_mismatch(self):
         torus = make_product_torus([1.0, 1.0])
