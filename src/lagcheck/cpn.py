@@ -114,7 +114,7 @@ def make_whitney_cpn(theta: float, n: int) -> Immersion:
         re = re + jet_einsum("c,->c", last, (1.0 + xl * xl).scaled(sh * ch))
         im = xl * (jet_einsum("cd,d->c", -sh * head, x) + last[:, None])
         z = interleave(re, im)
-        return z * (1.0 / jet_einsum("c,c->", z, z).sqrt())
+        return z * jet_einsum("c,c->", z, z).power(-0.5)
 
     return Immersion(
         name="whitney_cpn",
@@ -154,7 +154,8 @@ def phase_twist(base: Immersion, coeffs) -> Immersion:
     def jet_fn(chart_id, coords, order):
         Z = base.jet_fn(chart_id, coords, order)
         chi = jet_einsum("a,a->", coeffs, Jet.variables(Z.space, coords).sin())
-        return Z * chi.cos() + jet_einsum("cd,d->c", J, Z) * chi.sin()
+        sin, cos = chi.sin_cos()
+        return Z * cos + jet_einsum("cd,d->c", J, Z) * sin
 
     return Immersion(
         name=f"phase_twist({base.name})",
@@ -185,13 +186,14 @@ def horizontal_lift_jets(imm: Immersion, chart_id: int, coords: np.ndarray, orde
     """
     phi = imm.jet_fn(chart_id, coords, order)
     J = symplectic_j_matrix(phi.shape[0] // 2)
-    Z = phi * (1.0 / jet_einsum("c,c->", phi, phi).sqrt())
+    Z = phi * jet_einsum("c,c->", phi, phi).power(-0.5)
     JZ = jet_einsum("cd,d->c", J, Z)
 
     # a_a = Re<d_a Z, i Z>, with i acting on the real components as J
     a = jet_einsum("ca,c->a", Z.grad(), JZ)
     psi = potential_from_gradient(a)
-    W = Z * psi.cos() + JZ * psi.sin()
+    sin, cos = psi.sin_cos()
+    W = Z * cos + JZ * sin
     JW = jet_einsum("cd,d->c", J, W)
 
     # closedness / horizontality residual across all computed jet orders

@@ -10,12 +10,14 @@ Every tensor of a `FrameBundle` is one tensor-valued jet (`jets.Jet` with
 leading frame or chart axes) built by a few `jet_einsum` contractions of the
 stacked ambient jet.  The frame field is the Gram-Schmidt (Cholesky)
 orthonormalization of the coordinate frame.  Its point value comes from a
-LAPACK Cholesky factorization of the metric; its jet, needed only where a
-derivative is taken, is lifted from that value by Newton steps in jet
-arithmetic, so connection coefficients and derivatives of frame components
-are exact.  The second fundamental form is read off the second derivatives of
-the immersion, so pointwise scalars (the energy integrands) take no frame
-jet at all.  The normal connection is the tangent one transported by the
+Cholesky factorization of the metric and the inverse of its factor, both
+computed column by column across the batch; the same diagonal screens the
+degeneracy check, so eigenvalues are computed only at suspect points.  Its
+jet, needed only where a derivative is taken, is lifted from that value by
+Newton steps in jet arithmetic, so connection coefficients and derivatives of
+frame components are exact.  The second fundamental form is read off the
+second derivatives of the immersion, so pointwise scalars (the energy
+integrands) take no frame jet at all.  The normal connection is the tangent one transported by the
 complex structure, which for a constant J is an exact equality of
 coefficient matrices; one covariant-derivative routine therefore serves
 tangent and starred indices alike.
@@ -103,26 +105,37 @@ class FrameBundle:
 
     def _build_frame(self):
         """Point values only: g, the orthonormal frame e_i = B_ia f_a with
-        B = gauge . L^{-1} for the LAPACK Cholesky factor g = L L^T, J e and
-        the Lagrangian residual.  Frame jets are built on demand."""
+        B = gauge . L^{-1} for the Cholesky factor g = L L^T, J e and the
+        Lagrangian residual.  Frame jets are built on demand.
+
+        The factorization runs column by column across the batch.  Its
+        diagonal gives det g, and lambda_min / lambda_max >= det g / tr(g)^n
+        clears almost every point of the degeneracy check; eigenvalues are
+        computed only for the rest, including points where the factorization
+        broke down."""
         self.f = self.phi.grad()
         f0 = self.f.value  # (2m, n, B)
-        self.g0 = np.einsum("cax,cbx->xab", f0, f0)  # (B, n, n)
-        eig = np.linalg.eigvalsh(self.g0)
-        ratio = eig[:, 0] / np.maximum(eig[:, -1], np.finfo(float).tiny)
-        bad = np.flatnonzero(ratio < METRIC_COND_TOL)
-        if bad.size:
-            raise at_point(
-                DegenerateMetricError(
-                    f"induced metric degenerate: lambda_min/lambda_max = {ratio[bad[0]]:.3e}"
-                    f" below {METRIC_COND_TOL:.0e}"
-                ),
-                int(bad[0]),
-            )
-        L0 = np.linalg.cholesky(self.g0)
-        self.sqrt_det_g = np.prod(np.diagonal(L0, axis1=1, axis2=2), axis=1)
-        # batch-last and contiguous: an einsum over a strided view is ~10x slower
-        self._L_inv0 = np.ascontiguousarray(np.moveaxis(np.linalg.inv(L0), 0, -1))  # (n, n, B)
+        self.g0 = np.einsum("cax,cbx->abx", f0, f0)  # (n, n, B)
+        L0, self._L_inv0 = _cholesky_inverse(self.g0)
+        diag = np.diagonal(L0)  # (B, n)
+        self.sqrt_det_g = np.prod(diag, axis=1)
+        with np.errstate(invalid="ignore"):
+            # det g / tr(g)^n as a product of ratios, free of overflow; the
+            # factor 2 absorbs the round-off of det g near the threshold
+            cleared = np.prod(diag**2 / np.trace(self.g0)[:, None], axis=1) >= 2 * METRIC_COND_TOL
+        suspect = np.flatnonzero(~cleared)
+        if suspect.size:
+            eig = np.linalg.eigvalsh(np.moveaxis(self.g0[..., suspect], -1, 0))
+            ratio = eig[:, 0] / np.maximum(eig[:, -1], np.finfo(float).tiny)
+            bad = np.flatnonzero(ratio < METRIC_COND_TOL)
+            if bad.size:
+                raise at_point(
+                    DegenerateMetricError(
+                        f"induced metric degenerate: lambda_min/lambda_max = {ratio[bad[0]]:.3e}"
+                        f" below {METRIC_COND_TOL:.0e}"
+                    ),
+                    int(suspect[bad[0]]),
+                )
         self.B0 = (
             self._L_inv0 if self._identity_gauge else np.einsum("ik,kax->iax", self.gauge, self._L_inv0)
         )
@@ -471,6 +484,24 @@ class FrameBundle:
         raise KeyError(f"unknown scalar {name!r}")
 
 
+def _cholesky_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L and L^{-1} for g = L L^T, L lower triangular, over a batch-last
+    (n, n, B) stack: one column of L, then one row of L^{-1}, at a time for
+    the whole batch.  A point where g is not positive definite gets NaN or
+    inf entries instead of an error."""
+    n = g.shape[0]
+    L, L_inv = np.zeros_like(g), np.zeros_like(g)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(n):
+            row = L[j, :j]
+            L[j, j] = np.sqrt(g[j, j] - np.einsum("kx,kx->x", row, row))
+            L[j + 1 :, j] = (g[j + 1 :, j] - np.einsum("ikx,kx->ix", L[j + 1 :, :j], row)) / L[j, j]
+        for i in range(n):
+            L_inv[i, i] = 1.0 / L[i, i]
+            L_inv[i, :i] = -np.einsum("kx,kjx->jx", L[i, :i], L_inv[:i, :i]) * L_inv[i, i]
+    return L, L_inv
+
+
 def _maslov_defect(gH: np.ndarray) -> np.ndarray:
     """T_ij... = (n X_ij... - d_ij X_mm...)/(n+2) for X = nabla H or any
     covariant derivative of it (the trace commutes with nabla)."""
@@ -657,7 +688,7 @@ def geometry_state(
 def _state_from_bundle(fb: FrameBundle, imm: Immersion, p: ChartPoint, depth: str) -> GeometryState:
     n = fb.n
     b = 0
-    g0 = fb.g0[b]
+    g0 = fb.g0[..., b]
     g_inv = np.einsum("ia,ib->ab", fb.B0[:, :, b], fb.B0[:, :, b])
     e = fb.e0[..., b]
     Je = fb.Je0[..., b]

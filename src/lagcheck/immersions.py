@@ -250,8 +250,8 @@ def make_product_torus(radii) -> Immersion:
         raise ValueError("a torus needs at least one radius")
 
     def jet_fn(chart_id, coords, order):
-        t = Jet.variables(jet_space(n, order), coords)
-        return interleave(t.cos(), t.sin()).scaled(np.repeat(radii, 2)[:, None])
+        sin, cos = Jet.variables(jet_space(n, order), coords).sin_cos()
+        return interleave(cos, sin).scaled(np.repeat(radii, 2)[:, None])
 
     return Immersion(
         name="product_torus",

@@ -187,12 +187,6 @@ class Jet:
 
     # -- ring operations -----------------------------------------------
 
-    def _wrap(self, value) -> "Jet":
-        """A constant of this jet's shape, batch and order."""
-        c = np.zeros(self.c.shape)
-        c[..., 0, :] = np.asarray(value, dtype=float)
-        return Jet(self.space, c, self.order)
-
     def __add__(self, other):
         if not isinstance(other, Jet):
             c = self.c.copy()
@@ -229,15 +223,7 @@ class Jet:
         return self.scaled(other)
 
     def _reciprocal(self) -> "Jet":
-        b0 = self.value
-        if np.any(np.abs(b0) < 1e-300):
-            raise ZeroDivisionError("jet reciprocal at vanishing value")
-        t = self.scaled(1.0 / b0)
-        t.c[..., 0, :] -= 1.0
-        r = self._wrap(1.0)
-        for _ in range(self.order):
-            r = 1.0 - t * r
-        return r.scaled(1.0 / b0)
+        return self.power(-1)
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
@@ -268,42 +254,65 @@ class Jet:
         c = self.c[..., sp._d_src[:, :rows], :] * sp._d_scale[:, :rows, None]
         return Jet(sp, c, self.order - 1)
 
-    def compose_series(self, coefs: list[np.ndarray]) -> "Jet":
-        """Evaluate sum_k coefs[k] * (self - self.value)^k by Horner."""
+    def compose_series(self, *coef_lists) -> tuple["Jet", ...]:
+        """Evaluate sum_k coefs[k] * (self - self.value)^k for each list of
+        coefficients (plain scalars or per-point (*shape, B) arrays).  The
+        powers of self - self.value are formed once and each series is a
+        weighted sum of them, so a further list costs no jet product."""
         t = Jet(self.space, self.c.copy(), self.order)
         t.c[..., 0, :] = 0.0
-        r = self._wrap(coefs[self.order])
-        for k in range(self.order - 1, -1, -1):
-            r = t * r + coefs[k]
-        return r
+        powers = [t]
+        for _ in range(1, self.order):
+            powers.append(powers[-1] * t)
+        out = []
+        for coefs in coef_lists:
+            c = np.zeros(self.c.shape)
+            c[..., 0, :] = coefs[0]
+            for ck, tk in zip(coefs[1:], powers):
+                ck = np.asarray(ck, dtype=float)
+                c += tk.c * (ck[..., None, :] if ck.ndim else ck)
+            out.append(Jet(self.space, c, self.order))
+        return tuple(out)
 
-    def sqrt(self) -> "Jet":
-        b0 = self.value
-        if np.any(b0 <= 0):
-            raise ValueError("jet sqrt of non-positive value")
-        t = self.scaled(1.0 / b0)
+    def power(self, p: float) -> "Jet":
+        """self^p by the binomial series x0^p sum_k binom(p, k) s^k in
+        s = (self - x0) / x0.  An integer p accepts negative values; a
+        fractional p needs positive ones."""
+        x0 = self.value
+        if p != int(p) and np.any(x0 <= 0):
+            raise ValueError(f"jet power {p} of non-positive value")
+        if np.any(np.abs(x0) < 1e-300):
+            raise ZeroDivisionError("jet power at vanishing value")
         coefs, ck = [], 1.0
         for k in range(self.order + 1):
             coefs.append(ck)
-            ck *= (0.5 - k) / (k + 1)
-        return t.compose_series(coefs).scaled(np.sqrt(b0))
+            ck *= (p - k) / (k + 1)
+        (series,) = self.scaled(1.0 / x0).compose_series(coefs)
+        return series.scaled(x0**p)
+
+    def sqrt(self) -> "Jet":
+        return self.power(0.5)
 
     def sin(self) -> "Jet":
-        return self._trig(np.sin, np.cos)
+        return self._trig()[0]
 
     def cos(self) -> "Jet":
-        return self._trig(np.sin, np.cos, phase=1)
+        return self._trig()[1]
 
-    def _trig(self, fsin, fcos, phase: int = 0):
-        x0 = self.value
-        cycle = [fsin(x0), fcos(x0), -fsin(x0), -fcos(x0)]
-        coefs = [cycle[(k + phase) % 4] / factorial(k) for k in range(self.order + 1)]
-        return self.compose_series(coefs)
+    def sin_cos(self) -> tuple["Jet", "Jet"]:
+        """(sin self, cos self) from one set of powers."""
+        return self._trig()
+
+    def _trig(self) -> tuple["Jet", "Jet"]:
+        s0, c0 = np.sin(self.value), np.cos(self.value)
+        cycle = [s0, c0, -s0, -c0]
+        return self.compose_series(
+            *([cycle[(k + phase) % 4] / factorial(k) for k in range(self.order + 1)] for phase in (0, 1))
+        )
 
     def exp(self) -> "Jet":
         e0 = np.exp(self.value)
-        coefs = [e0 / factorial(k) for k in range(self.order + 1)]
-        return self.compose_series(coefs)
+        return self.compose_series([e0 / factorial(k) for k in range(self.order + 1)])[0]
 
     def truncated(self, order: int) -> "Jet":
         if order >= self.order:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import scalar_samples, bundle_at
+from .geometry import SAMPLE_CHUNK, SAMPLE_ORDER, bundle_at, scalar_samples
 from .immersions import (
     ChartPoint,
     Immersion,
@@ -288,33 +288,37 @@ def michael_simon_ratio(imm: Immersion, v, rule: QuadratureRule) -> dict:
     variant for n >= 3.  The constant is not asserted, only reported.
 
     `v(chart_id, u)` evaluates the test function in jet arithmetic on the
-    order-2 coordinate jets `u` (`Jet.variables`) of all nodes of one chart.
+    order-2 coordinate jets `u` (`Jet.variables`) of a chunk of nodes of one
+    chart.  Chunks hold at most `SAMPLE_CHUNK` nodes, as in `scalar_samples`,
+    and one bundle per chunk serves the density, |H|^2 and grad v.
     """
     _check_rule(imm, rule)
     n = imm.source_dim
-    vals = _node_scalars(imm, rule, ["sqrt_det_g", "H_sq"])
-    base = rule.weights * rule.chart_jacobians * vals["sqrt_det_g"]
-
-    vv = np.empty(rule.node_count)
-    grad_norm = np.empty(rule.node_count)
+    dens, H_sq, vv, grad_norm = (np.empty(rule.node_count) for _ in range(4))
     for cid in np.unique(rule.chart_ids):
-        mask = np.where(rule.chart_ids == cid)[0]
-        fb = bundle_at(imm, int(cid), rule.coords[mask], 2)
-        vj = v(int(cid), Jet.variables(jet_space(n, 2), rule.coords[mask].T))
-        vv[mask] = vj.value
-        grad_norm[mask] = np.sqrt(np.sum(fb.frame_derivative(vj) ** 2, axis=0))
+        rows = np.flatnonzero(rule.chart_ids == cid)
+        for lo in range(0, len(rows), SAMPLE_CHUNK):
+            chunk = rows[lo : lo + SAMPLE_CHUNK]
+            coords = rule.coords[chunk]
+            fb = bundle_at(imm, int(cid), coords, SAMPLE_ORDER)
+            vj = v(int(cid), Jet.variables(jet_space(n, SAMPLE_ORDER), coords.T))
+            dens[chunk] = fb.scalar("sqrt_det_g")
+            H_sq[chunk] = fb.scalar("H_sq")
+            vv[chunk] = vj.value
+            grad_norm[chunk] = np.sqrt(np.sum(fb.frame_derivative(vj) ** 2, axis=0))
+    base = rule.weights * rule.chart_jacobians * dens
     if np.any(vv < -1e-12):
         raise ValueError("negative test function detected at a node")
     vv = np.maximum(vv, 0.0)
 
-    habs = np.sqrt(vals["H_sq"])
+    habs = np.sqrt(H_sq)
     lhs = float(np.sum(base * vv ** (n / (n - 1.0)))) ** ((n - 1.0) / n)
     rhs = float(np.sum(base * (grad_norm + vv * habs)))
     out = {"ms_lhs": lhs, "ms_rhs_no_constant": rhs}
     if n >= 3:
         p = 2.0 * n / (n - 2.0)
         out["eq320_lhs"] = float(np.sum(base * vv**p)) ** ((n - 2.0) / n)
-        out["eq320_rhs_no_constant"] = float(np.sum(base * (grad_norm**2 + vv**2 * vals["H_sq"])))
+        out["eq320_rhs_no_constant"] = float(np.sum(base * (grad_norm**2 + vv**2 * H_sq)))
     else:
         out["eq320_lhs"] = None
         out["eq320_rhs_no_constant"] = None

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lagcheck.geometry import (
     FrameBundle,
     NonLagrangianError,
     _ambient_jets,
+    _cholesky_inverse,
     bundle_at,
     closedness_residual,
     geometry_state,
@@ -20,7 +22,7 @@ from lagcheck.geometry import (
     point_bundle,
     scalar_laplacian,
 )
-from lagcheck.jets import jet_einsum
+from lagcheck.jets import Jet, jet_einsum, jet_space
 from lagcheck.immersions import (
     ChartPoint,
     complex_to_real_matrix,
@@ -391,6 +393,85 @@ def test_lifted_frame_jet_is_orthonormal_and_triangular(order):
     eye.c[:, :, 0] -= np.eye(3)[..., None]
     assert np.max(np.abs(eye.c)) < 1e-13
     assert not np.any(B.c[np.triu_indices(3, 1)])
+
+
+def linear_real_jet(M):
+    """Order-2 jet of u -> M u per point, embedded as the real parts of C^n:
+    a Lagrangian map whose metric is M^T M.  `M` has shape (B, n, n)."""
+    B, n, _ = M.shape
+    sp = jet_space(n, 2)
+    c = np.zeros((2 * n, sp.ncoef, B))
+    for a, unit in enumerate(np.eye(n, dtype=int)):
+        c[0::2, sp.index_of[tuple(unit)]] = M[:, :, a].T
+    return Jet(sp, c)
+
+
+def metric_root(eigs, rotation):
+    """M with M^T M = rotation . diag(eigs) . rotation^T."""
+    return np.diag(np.sqrt(eigs)) @ rotation.T
+
+
+class TestDegeneracyScreen:
+    """The cheap bound det g / tr(g)^n clears most points; the eigenvalue
+    ratio decides for the rest, with the same message and index."""
+
+    def batch(self):
+        rot = random_orthogonal(3, np.random.default_rng(7))
+        well = metric_root([1.0, 2.0, 3.0], rot)
+        # lambda_min / lambda_max = 1e-11 passes, but det g / tr(g)^3 < 1e-12
+        thin = metric_root([1.0, 0.1, 1e-11], rot)
+        # exact squares, so g and its eigenvalues carry no round-off
+        flat = np.diag([1.0, 1.0, 2.0**-24])
+        return np.stack([well, thin, flat])
+
+    def test_first_degenerate_point_named(self):
+        M = self.batch()
+        g = np.einsum("xka,xkb->xab", M[:2], M[:2])
+        eig = np.linalg.eigvalsh(g[1])
+        assert np.prod(eig) / np.trace(g[1]) ** 3 < 1e-12 <= eig[0] / eig[-1]
+        with pytest.raises(DegenerateMetricError) as info:
+            FrameBundle(linear_real_jet(M), 3, 0.0)
+        assert info.value.index == 2
+        assert str(info.value) == "induced metric degenerate: lambda_min/lambda_max = 3.553e-15 below 1e-12"
+        assert FrameBundle(linear_real_jet(M[:2]), 3, 0.0).batch == 2
+
+    def test_factorization_breakdown_is_screened(self):
+        """A point whose Cholesky factor is NaN (a coordinate direction the
+        immersion does not see) reaches the eigenvalue check, with no
+        floating-point warning on the way."""
+        M = self.batch()
+        M[2] = np.diag([0.0, 1.0, 1.0])
+        g = np.einsum("xka,xkb->abx", M, M)
+        L, L_inv = _cholesky_inverse(g)
+        assert np.isnan(L[1, 0, 2]) and np.isnan(L_inv[2, 2, 2])
+        assert np.all(np.isfinite(L[..., :2]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateMetricError) as info:
+                FrameBundle(linear_real_jet(M), 3, 0.0)
+        assert info.value.index == 2
+        assert str(info.value) == "induced metric degenerate: lambda_min/lambda_max = 0.000e+00 below 1e-12"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_batched_factorization_matches_lapack(n):
+    """L, L^{-1} and sqrt det g of the column-by-column factorization against
+    LAPACK on random positive definite batches."""
+    rng = np.random.default_rng(n)
+    # M = U diag(s) V^T with singular values in [1, 3]: cond g <= 9
+    U, V = (np.stack([random_orthogonal(n, rng) for _ in range(40)]) for _ in range(2))
+    M = np.einsum("xij,xj,xkj->xik", U, rng.uniform(1.0, 3.0, (40, n)), V)
+    g = np.einsum("xka,xkb->xab", M, M)
+    L, L_inv = _cholesky_inverse(np.ascontiguousarray(np.moveaxis(g, 0, -1)))
+    want = np.linalg.cholesky(g)
+    want_inv = np.linalg.inv(want)
+    for got, ref in ((L, want), (L_inv, want_inv)):
+        got = np.moveaxis(got, -1, 0)
+        scale = np.max(np.abs(ref), axis=(1, 2))
+        assert np.all(np.max(np.abs(got - ref), axis=(1, 2)) <= 1e-13 * scale)
+    fb = FrameBundle(linear_real_jet(M), n, 0.0)
+    np.testing.assert_allclose(fb.sqrt_det_g, np.sqrt(np.linalg.det(g)), rtol=1e-13)
+    assert not np.any(fb.B0[np.triu_indices(n, 1)])
 
 
 class TestPoleHandling:

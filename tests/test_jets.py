@@ -1,4 +1,5 @@
 from itertools import product
+from math import factorial
 
 import numpy as np
 import pytest
@@ -217,7 +218,6 @@ def jet_operations(sp, rng):
         ("grad", a.grad(), 2),
         ("truncated", a.truncated(1), 1),
         ("stack", Jet.stack([a, b]), 1),
-        ("wrap", a._wrap(2.0), 3),
         ("getitem", a[1], 3),
         ("transpose", a.transpose(1, 0), 3),
         ("einsum", jet_einsum("ij,ij->i", a, b), 1),
@@ -241,3 +241,56 @@ def test_row_count_must_match_order():
         Jet(sp, np.zeros((sp.ncoef, 1)), 2)
     with pytest.raises(ValueError):
         Jet(sp, np.zeros((sp.ncoef_by_degree[1], 1)))
+
+
+def test_series_share_powers():
+    """Several coefficient lists over one set of powers give what each list
+    gives alone, and sin_cos what sin and cos give."""
+    sp, (x, y) = seed(2, 4, [[0.3, -1.2], [0.7, 0.4]])
+    arg = x * y + x
+    a = [np.cos(arg.value), 1.0, -0.5, 0.25, 2.0]
+    b = [1.0, np.sin(arg.value), 0.0, -3.0, 0.5]
+    both = arg.compose_series(a, b)
+    for got, coefs in zip(both, (a, b)):
+        assert np.array_equal(got.c, arg.compose_series(coefs)[0].c)
+    sin, cos = arg.sin_cos()
+    assert np.array_equal(sin.c, arg.sin().c) and np.array_equal(cos.c, arg.cos().c)
+
+
+def falling(p, k):
+    out = 1.0
+    for j in range(k):
+        out *= p - j
+    return out
+
+
+@pytest.mark.parametrize("p", [0.5, -1, -0.5, 1.5])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_power_matches_closed_form(p, order):
+    x0 = np.array([0.4, 1.7, 3.0])
+    sp, (x,) = seed(1, order, x0[None, :])
+    f = x.power(p)
+    assert f.order == order
+    for k in range(order + 1):
+        want = falling(p, k) * x0 ** (p - k)
+        np.testing.assert_allclose(f.deriv((k,)), want, rtol=1e-13, atol=0)
+
+
+def test_reciprocal_accepts_negative_values():
+    sp, (x,) = seed(1, 4, [0.5])
+    f = 1.0 / (x - 2.0)
+    for k in range(5):
+        want = (-1) ** k * factorial(k) * (0.5 - 2.0) ** (-k - 1)
+        assert f.deriv((k,)) == pytest.approx(want, rel=1e-13)
+    with pytest.raises(ZeroDivisionError):
+        (x - 0.5).power(-1)
+
+
+@pytest.mark.parametrize("p", [0.5, -0.5, 1.5])
+def test_fractional_power_needs_positive_values(p):
+    sp, (x,) = seed(1, 3, [0.5])
+    for arg in (x - 2.0, x - 0.5):
+        with pytest.raises(ValueError):
+            arg.power(p)
+    with pytest.raises(ValueError):
+        (x - 2.0).sqrt()

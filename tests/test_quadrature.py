@@ -11,6 +11,7 @@ from lagcheck.immersions import (
     make_whitney_cn,
     random_unitary,
 )
+from lagcheck import quadrature
 from lagcheck.jets import Jet, jet_space
 from lagcheck.quadrature import (
     energy_report,
@@ -206,6 +207,31 @@ class TestMichaelSimon:
         out = michael_simon_ratio(wh, constant_field(1.0), sphere_rule(3, 8))
         assert out["eq320_lhs"] is not None and out["eq320_lhs"] > 0
         assert out["eq320_rhs_no_constant"] > 0
+
+    def test_bundles_stay_within_sample_chunk(self, monkeypatch):
+        """No bundle sees more than SAMPLE_CHUNK nodes, and chunking does not
+        change the result: one bundle per chart gives the same ratios."""
+        wh = make_whitney_cn(1.0, np.array([0.3 + 0.4j, -0.2, 0.1j]), 3)
+        atlas = wh.atlas
+        rule = sphere_rule(3, 10)  # 1000 nodes, about 500 per chart
+
+        def v(cid, u):
+            return 1.0 + atlas.embed_jets(cid, u)[3] * 0.5
+
+        sizes, inner = [], quadrature.bundle_at
+
+        def bundle_at(imm, chart_id, coords, order):
+            sizes.append(len(coords))
+            return inner(imm, chart_id, coords, order)
+
+        monkeypatch.setattr(quadrature, "bundle_at", bundle_at)
+        chunked = michael_simon_ratio(wh, v, rule)
+        assert sizes and max(sizes) <= quadrature.SAMPLE_CHUNK < max(np.bincount(rule.chart_ids))
+        assert sum(sizes) == rule.node_count
+        monkeypatch.setattr(quadrature, "SAMPLE_CHUNK", rule.node_count)
+        whole = michael_simon_ratio(wh, v, rule)
+        for key, value in whole.items():
+            assert chunked[key] == pytest.approx(value, rel=1e-14), key
 
     def test_negative_function_rejected(self):
         torus = make_product_torus([1.0, 1.0])
