@@ -178,26 +178,41 @@ def horizontal_lift_jets(imm: Immersion, chart_id: int, coords: np.ndarray, orde
 
     Steps, on the (2n+2,) jet of the interleaved real components: renormalize
     the representative, integrate the phase potential psi with
-    d psi = -Re<dZ, iZ>, rotate by e^{i psi}, then pin the phase so the
-    largest component at the point is real-positive.  Raises if the
-    horizontality 1-form fails to be closed, which happens exactly when the
-    underlying immersion is not Lagrangian in CP^n; the error's `index` is
-    the batch position of the first point it fails at.
+    d psi = -Re<dZ, iZ>, and rotate by e^{i psi} times the constant phase
+    that makes the largest component at the point real-positive.  Each
+    (2n+2,) stage is dropped once the next one is built, which bounds the
+    peak memory of a wide batch.  Raises if the horizontality 1-form fails
+    to be closed, which happens exactly when the underlying immersion is not
+    Lagrangian in CP^n; the error's `index` is the batch position of the
+    first point it fails at.
     """
     phi = imm.jet_fn(chart_id, coords, order)
     J = symplectic_j_matrix(phi.shape[0] // 2)
     Z = phi * jet_einsum("c,c->", phi, phi).power(-0.5)
+    del phi
     JZ = jet_einsum("cd,d->c", J, Z)
 
     # a_a = Re<d_a Z, i Z>, with i acting on the real components as J
     a = jet_einsum("ca,c->a", Z.grad(), JZ)
     psi = potential_from_gradient(a)
+    del a
+
+    # pin the representative: largest component real-positive at the point.
+    # psi vanishes there, so W has the value of Z, and the pinning phase
+    # e^{i theta} folds into the rotation: W = Z cos(psi + theta) + JZ sin(psi + theta).
+    vals = Z.value[0::2] + 1j * Z.value[1::2]  # (m, B)
+    k0 = np.argmax(np.abs(vals), axis=0)
+    pick = np.take_along_axis(vals, k0[None, :], axis=0)[0]
+    phase = pick.conj() / np.abs(pick)
     sin, cos = psi.sin_cos()
-    W = Z * cos + JZ * sin
-    JW = jet_einsum("cd,d->c", J, W)
+    del psi
+    W = Z * (cos.scaled(phase.real) - sin.scaled(phase.imag))
+    del Z
+    W = W + JZ * (sin.scaled(phase.real) + cos.scaled(phase.imag))
+    del JZ, sin, cos
 
     # closedness / horizontality residual across all computed jet orders
-    resid = np.max(np.abs(jet_einsum("ca,c->a", W.grad(), JW).c), axis=(0, 1))
+    resid = np.max(np.abs(jet_einsum("ca,c->a", W.grad(), jet_einsum("cd,d->c", J, W)).c), axis=(0, 1))
     bad = np.flatnonzero(resid > HORIZONTALITY_TOL)
     if bad.size:
         raise at_point(
@@ -207,13 +222,7 @@ def horizontal_lift_jets(imm: Immersion, chart_id: int, coords: np.ndarray, orde
             ),
             int(bad[0]),
         )
-
-    # pin the representative: largest component real-positive at the point
-    vals = W.value[0::2] + 1j * W.value[1::2]  # (m, B)
-    k0 = np.argmax(np.abs(vals), axis=0)
-    pick = np.take_along_axis(vals, k0[None, :], axis=0)[0]
-    phase = pick.conj() / np.abs(pick)
-    return W.scaled(phase.real) + JW.scaled(phase.imag)
+    return W
 
 
 def cpn_geometry_state(imm: Immersion, p: ChartPoint, depth: str = "with_derivatives", frame_gauge=None):

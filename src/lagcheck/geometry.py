@@ -780,9 +780,13 @@ def scalar_laplacian(imm: Immersion, field: Callable[[int, Jet], Jet], p: ChartP
 
 
 # Pointwise scalars need h, so order-2 ambient jets; the chunk bounds the
-# batch of one bundle and with it the peak memory.
+# batch of one bundle and with it the peak memory.  Measured on energy ops at
+# degree 20, n = 3 (torus, whitney_cn, whitney_cpn; one process, 2-core VM,
+# numpy 2.4): 512 nodes take about 20% less time per op than 256 for 1.9 MB
+# more peak RSS (37.2 against 35.3 MB); 1024 saves about 12% more but adds
+# another 3.4 MB.
 SAMPLE_ORDER = 2
-SAMPLE_CHUNK = 256
+SAMPLE_CHUNK = 512
 
 
 def scalar_samples(imm: Immersion, chart_id: int, coords: np.ndarray, names: list[str]) -> dict[str, np.ndarray]:

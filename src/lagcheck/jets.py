@@ -15,8 +15,12 @@ shape == ().  As in multivariate Taylor arithmetic (Griewank & Walther,
 the degrees <= k: every operation allocates just the rows of its own valid
 order, so a derivative or a product of low-order jets costs low-order memory.
 Ring operations act on the coefficient axis and broadcast over the tensor
-axes; `jet_einsum` fuses a tensor contraction with the truncated product,
-whose pair sums are one matrix product.  The chart coordinates are seeded as
+axes; `jet_einsum` fuses a tensor contraction with the truncated product.
+The product works on slices of the coefficient rows, never on gathered
+copies: the degree-0 terms of the convolution are two broadcast scalings,
+and the rows of each degree p >= 1 of one factor meet the rows of degrees
+1..d-p of the other in one broadcast call whose pairs a small 0/1 matrix sums
+into their output rows.  The chart coordinates are seeded as
 one (nvars,) jet and an immersion's ambient coordinates are one (2m,) jet,
 so each primitive acts on a whole vector of series at once.
 """
@@ -39,8 +43,8 @@ class JetSpace:
     """Multi-index bookkeeping shared by all jets of a given (nvars, order).
 
     Multi-indices are enumerated degree-major, so truncating a computation to
-    a lower valid order is a prefix operation on both the coefficient vector
-    and the multiplication table.
+    a lower valid order is a prefix operation on the coefficient vector, and
+    the rows of one degree are a contiguous slice.
     """
 
     def __init__(self, nvars: int, order: int):
@@ -61,32 +65,22 @@ class JetSpace:
             [float(np.prod([factorial(int(x)) for x in a])) for a in alphas]
         )
 
-        # Convolution table: ordered pairs (i, j) with deg_i + deg_j <= order,
-        # sorted by the output index k = index(alpha_i + alpha_j).
-        II, JJ, KK = [], [], []
-        for i, ai in enumerate(alphas):
-            di = sum(ai)
-            for j, aj in enumerate(alphas):
-                if di + sum(aj) > order:
-                    continue
-                II.append(i)
-                JJ.append(j)
-                KK.append(self.index_of[tuple(x + y for x, y in zip(ai, aj))])
-        KK = np.array(KK, dtype=np.int64)
-        srt = np.argsort(KK, kind="stable")
-        self._mul_i = np.array(II, dtype=np.int64)[srt]
-        self._mul_j = np.array(JJ, dtype=np.int64)[srt]
-        self._mul_k = KK[srt]
-        degk = self.degrees[self._mul_k]
-        self._mul_pairs_by_degree = np.searchsorted(degk, np.arange(order + 1), side="right")
-        # Per valid order d, the 0/1 matrix that sums each pair product into
-        # its output row: row k of a truncated product is _mul_sum[d][k] @ pairs.
-        self._mul_sum = []
-        for d in range(order + 1):
-            npairs = self._mul_pairs_by_degree[d]
-            S = np.zeros((self.ncoef_by_degree[d], npairs))
-            S[self._mul_k[:npairs], np.arange(npairs)] = 1.0
-            self._mul_sum.append(S)
+        # Pair tables of the truncated product.  The pairs through row 0 are
+        # plain scalings; the others, row i of degree p >= 1 with row j of
+        # degree 1..d - p, sum into row index(alpha_i + alpha_j) of degree
+        # <= d.  For valid order d and degree p, _pair_sum[d][p] is the 0/1
+        # matrix taking those pairs, i-major, to the rows of degree p + 1..d.
+        rows = self.ncoef_by_degree
+        self._pair_sum = {}
+        for d in range(2, order + 1):
+            self._pair_sum[d] = {}
+            for p in range(1, d):
+                ii = range(rows[p - 1], rows[p])
+                jj = range(1, rows[d - p])
+                S = np.zeros((rows[d] - rows[p], len(ii) * len(jj)))
+                for col, (i, j) in enumerate(product(ii, jj)):
+                    S[self.index_of[tuple(x + y for x, y in zip(alphas[i], alphas[j]))] - rows[p], col] = 1.0
+                self._pair_sum[d][p] = S
 
         # Derivative tables: source index and scale for d/du_a.
         self._d_src = np.zeros((nvars, self.ncoef), dtype=np.int64)
@@ -241,7 +235,8 @@ class Jet:
             raise ValueError("cannot differentiate an order-0 jet")
         sp = self.space
         rows = sp.ncoef_by_degree[self.order - 1]
-        c = self.c[..., sp._d_src[var, :rows], :] * sp._d_scale[var, :rows, None]
+        c = np.take(self.c, sp._d_src[var, :rows], axis=-2)
+        c *= sp._d_scale[var, :rows, None]
         return Jet(sp, c, self.order - 1)
 
     def grad(self) -> "Jet":
@@ -251,7 +246,8 @@ class Jet:
             raise ValueError("cannot differentiate an order-0 jet")
         sp = self.space
         rows = sp.ncoef_by_degree[self.order - 1]
-        c = self.c[..., sp._d_src[:, :rows], :] * sp._d_scale[:, :rows, None]
+        c = np.take(self.c, sp._d_src[:, :rows], axis=-2)
+        c *= sp._d_scale[:, :rows, None]
         return Jet(sp, c, self.order - 1)
 
     def compose_series(self, *coef_lists) -> tuple["Jet", ...]:
@@ -328,11 +324,11 @@ def jet_einsum(spec: str, a: Jet | np.ndarray, b: Jet) -> Jet:
     """Tensor contraction of two jets fused with their truncated product.
 
     `spec` is an `np.einsum` subscript string over the tensor axes only, for
-    example "ia,ca->ic".  The result is valid to the lower of the two orders;
-    every ordered pair of coefficient rows (i, j) up to that degree is
-    contracted in one einsum and the pairs are summed into their output row
-    i + j by one matrix product.  `a` may also be a constant array, which
-    needs no product.
+    example "ia,ca->ic".  The result is valid to the lower of the two orders
+    and is built by `_truncated_product` with this einsum as the pairwise
+    operation, so the contraction of each block of row pairs happens before
+    the pairs are summed.  `a` may also be a constant array, which needs no
+    product.
     """
     ins, out = spec.replace(" ", "").split("->")
     sa, sb = ins.split(",")
@@ -346,12 +342,26 @@ def jet_einsum(spec: str, a: Jet | np.ndarray, b: Jet) -> Jet:
 
 def _truncated_product(a: Jet, b: Jet, combine) -> Jet:
     """Sum `combine(row i of a, row j of b)` into row i + j over all ordered
-    pairs of coefficient rows up to the lower valid order."""
+    pairs of coefficient rows up to the lower valid order d.
+
+    Every operand is a slice, so nothing is gathered.  The pairs through
+    row 0 are two broadcast `combine` calls: row 0 of `a` with every row of
+    `b`, and every further row of `a` with row 0 of `b`.  For each degree
+    p = 1..d-1, the rows of degree p of `a` meet the rows of degree
+    1..d-p of `b` in one broadcast `combine`, and a small 0/1 matrix sums
+    those pairs into the rows of degree p+1..d.
+    """
     sp = a.space
     vo = min(a.order, b.order)
-    npairs = sp._mul_pairs_by_degree[vo]
-    prod = combine(a.c[..., sp._mul_i[:npairs], :], b.c[..., sp._mul_j[:npairs], :])
-    return Jet(sp, sp._mul_sum[vo] @ prod, vo)
+    rows = sp.ncoef_by_degree
+    out = combine(a.c[..., :1, :], b.c[..., : rows[vo], :])
+    if vo:
+        out[..., 1 : rows[vo], :] += combine(a.c[..., 1 : rows[vo], :], b.c[..., :1, :])
+    for p in range(1, vo):
+        pairs = combine(a.c[..., rows[p - 1] : rows[p], None, :], b.c[..., None, 1 : rows[vo - p], :])
+        pairs = pairs.reshape(pairs.shape[:-3] + (-1, pairs.shape[-1]))
+        out[..., rows[p] : rows[vo], :] += sp._pair_sum[vo][p] @ pairs
+    return Jet(sp, out, vo)
 
 
 def potential_from_gradient(grads: Jet) -> Jet:

@@ -70,8 +70,30 @@ class QuadratureRule:
         return float(np.sum(self.weights * self.round_density))
 
 
+def _legendre_with_derivative(x: np.ndarray, npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """P_npts(x) and P'_npts(x) by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x.copy()
+    for k in range(2, npts + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    return p, npts * (x * p - p_prev) / (x * x - 1.0)
+
+
 def _gl_nodes(a: float, b: float, npts: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(npts)
+    """Gauss-Legendre nodes and weights on [a, b]: Newton steps on the
+    Legendre recurrence from the Tricomi guesses cos(pi (k - 1/4) / (npts + 1/2)),
+    ascending and symmetrized as in `np.polynomial.legendre.leggauss`, with
+    no eigenvalue solve."""
+    x = -np.cos(np.pi * (np.arange(1, npts + 1) - 0.25) / (npts + 0.5))
+    for _ in range(100):
+        p, dp = _legendre_with_derivative(x, npts)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    _, dp = _legendre_with_derivative(x, npts)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

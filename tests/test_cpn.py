@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from lagcheck.cpn import (
     phase_twist,
     projective_distance,
 )
-from lagcheck.geometry import geometry_state, intrinsic_curvature
+from lagcheck.geometry import bundle_at, geometry_state, intrinsic_curvature
 from lagcheck.immersions import AMBIENT_SPHERE, ChartPoint
 
 
@@ -190,6 +191,38 @@ class TestHorizontalLift:
         )
         with pytest.raises(HorizontalityError):
             geometry_state(bad, ChartPoint(0, np.array([0.4, 0.5])))
+
+    def test_pinned_component_is_real_positive(self):
+        """At every point of a batch the lift's largest homogeneous component
+        is real and positive, also for a phase-twisted representative."""
+        imm = phase_twist(make_whitney_cpn(0.7, 3), [0.4, -0.7, 0.2])
+        coords = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 16))
+        W = horizontal_lift_jets(imm, 0, coords, 2)
+        z = W.value[0::2] + 1j * W.value[1::2]
+        pick = np.take_along_axis(z, np.argmax(np.abs(z), axis=0)[None, :], axis=0)[0]
+        assert np.max(np.abs(pick.imag)) < 1e-15
+        assert np.all(pick.real > 0)
+
+    def test_energy_chunk_peak_memory(self):
+        """An order-2 bundle and the four energy scalars on 512 nodes of the
+        CP^3 Whitney sphere stay within 4.5 KB of traced memory per node:
+        the lift drops each (2m,) stage once the next one is built."""
+        imm = make_whitney_cpn(0.7, 3)
+        coords = np.random.default_rng(8).uniform(-1.0, 1.0, size=(512, 3))
+
+        def energy_chunk():
+            fb = bundle_at(imm, 0, coords, 2)
+            return [fb.scalar(name) for name in ("sqrt_det_g", "h_sq", "hhat_sq", "H_sq")]
+
+        energy_chunk()  # warm-up: jet tables and caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            energy_chunk()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak / len(coords) <= 4.5 * 1024
 
     def test_normalize_representative_errors(self):
         with pytest.raises(ValueError):

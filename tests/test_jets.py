@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 from math import factorial
 
@@ -147,6 +148,85 @@ def test_jet_einsum_matches_scalar_loops(kind, nvars, batch):
             assert got.c.shape == want.shape
             assert got.c.shape[-2] == sp.ncoef_by_degree[got.order]
             np.testing.assert_allclose(got.c, want, rtol=1e-13, atol=1e-13)
+
+
+def multi_index_product(combine, a, b):
+    """The truncated product by nested loops over multi-indices: every pair
+    (alpha, beta) with |alpha + beta| <= the lower valid order adds
+    combine(a_alpha, b_beta) into the row of alpha + beta.  Also returns the
+    same sum over the absolute values of the terms, the scale of its
+    round-off."""
+    sp = a.space
+    order = min(a.order, b.order)
+    alphas = [tuple(int(x) for x in m) for m in sp.multi_indices[: sp.ncoef_by_degree[order]]]
+    out = scale = None
+    for i, alpha in enumerate(alphas):
+        for j, beta in enumerate(alphas[: sp.ncoef_by_degree[order - sum(alpha)]]):
+            k = sp.index_of[tuple(x + y for x, y in zip(alpha, beta))]
+            term = combine(a.c[..., i, :], b.c[..., j, :])
+            if out is None:
+                out = np.zeros(term.shape[:-1] + (len(alphas), term.shape[-1]))
+                scale = np.zeros_like(out)
+            out[..., k, :] += term
+            scale[..., k, :] += combine(np.abs(a.c[..., i, :]), np.abs(b.c[..., j, :]))
+    return out, scale, order
+
+
+PRODUCTS = {
+    "scalar": (None, (), ()),
+    "vector_scalar": (None, (8,), ()),
+    "scalar_vector": (None, (), (8,)),
+    "matrix": (None, (3, 3), (3, 3)),
+    "matrix_scalar": (None, (3, 3), ()),
+    "rows": ("ij,ij->i", (3, 3), (3, 3)),
+    "grad_pairing": ("ca,c->a", (8, 3), (8,)),
+    "dot": ("c,c->", (8,), (8,)),
+}
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", sorted(PRODUCTS))
+def test_truncated_product_matches_multi_index_loops(kind, nvars):
+    """Jet.__mul__ and jet_einsum against the multi-index convolution, at
+    equal and mixed valid orders 0..4, to 1e-14 of the sum of the absolute
+    values of the terms."""
+    spec, sha, shb = PRODUCTS[kind]
+    sp = jet_space(nvars, 4)
+    rng = np.random.default_rng([sorted(PRODUCTS).index(kind), nvars])
+    if spec is None:
+        combine, product_of = np.multiply, lambda a, b: a * b
+    else:
+        ins, out = spec.split("->")
+        sa, sb = ins.split(",")
+        combine = lambda x, y: np.einsum(f"{sa}...,{sb}...->{out}...", x, y)  # noqa: E731
+        product_of = lambda a, b: jet_einsum(spec, a, b)  # noqa: E731
+    for order_a in range(5):
+        for order_b in sorted({order_a, (order_a + 2) % 5}):
+            a = random_jet(rng, sp, sha, order_a, 3)
+            b = random_jet(rng, sp, shb, order_b, 3)
+            got = product_of(a, b)
+            want, scale, want_order = multi_index_product(combine, a, b)
+            assert got.order == want_order
+            assert got.c.shape == want.shape
+            assert np.all(np.abs(got.c - want) <= 1e-14 * scale), (order_a, order_b)
+
+
+def test_truncated_product_peak_memory():
+    """An order-2 (8,) x () product over 512 points allocates at most four
+    times the bytes of its result: no copy of the pairs is gathered."""
+    sp = jet_space(3, 2)
+    rng = np.random.default_rng(5)
+    a = random_jet(rng, sp, (8,), 2, 512)
+    b = random_jet(rng, sp, (), 2, 512)
+    a * b  # warm-up
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = a * b
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * result.c.nbytes
 
 
 def test_jet_einsum_constant_operand():
