@@ -3,7 +3,7 @@ in C^n and CP^n: immersion families, pointwise tensor geometry, identity
 residual suites, and energy functionals."""
 
 from . import cpn, geometry, identities, immersions, jets, quadrature, tensors
-from .cpn import cpn_geometry_state, make_rpn, make_whitney_cpn
+from .cpn import cpn_geometry_state, make_cpn_torus, make_rpn, make_whitney_cpn
 from .geometry import (
     GeometryState,
     closedness_residual,

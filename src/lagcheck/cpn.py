@@ -2,17 +2,20 @@
 coordinates.
 
 A Lagrangian immersion into CP^n (Fubini-Study metric of holomorphic
-sectional curvature 4) is handled by lifting its unit-norm homogeneous
-representative to a horizontal (Legendrian) immersion into S^{2n+1}: the
-representative is renormalized pointwise, a phase potential solving the
-horizontality condition is integrated jet-by-jet, and the phase at the base
-point is pinned so geometry states do not depend on the incoming
-representative.  The flat-ambient frame machinery then applies verbatim in
-C^{n+1}, with the ambient curvature constant set to 1.
+sectional curvature 4) is handled by lifting its homogeneous representative
+to a horizontal (Legendrian) immersion into S^{2n+1}.  The lift normalizes
+the representative once, so a family may emit any nonvanishing multiple of
+it.  An order-2 lift, which is all that the energy integrands need, is read
+off the U(1) connection <dZ, iZ> at the points and pins no phase; from
+order 3 on, a phase potential solving the horizontality condition is
+integrated jet by jet and the phase at the base point is pinned, so geometry
+states do not depend on the incoming representative.  The flat-ambient frame
+machinery then applies verbatim in C^{n+1}, with the ambient curvature
+constant set to 1.
 
 Each family emits its homogeneous representative as one (2n+2,) jet of
-interleaved reals; multiplication by i is the matrix `symplectic_j_matrix`,
-so a phase rotation by chi is Z cos chi + (J Z) sin chi.
+interleaved reals; multiplication by i is `times_i`, a signed permutation,
+so a phase rotation by chi is Z cos chi + (i Z) sin chi.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from .immersions import (
     ChartPoint,
     Immersion,
     SphereAtlas,
+    TorusAtlas,
     interleave,
     register_family,
-    symplectic_j_matrix,
+    times_i,
 )
 from .geometry import NonLagrangianError, at_point
 from .jets import Jet, jet_einsum, jet_space, potential_from_gradient
@@ -93,10 +97,17 @@ def make_whitney_cpn(theta: float, n: int) -> Immersion:
     z_j = x_j / (ch t + i sh t x_{n+1}),  j <= n,
     z_{n+1} = (sh t ch t (1 + x_{n+1}^2) + i x_{n+1}) / (ch^2 t + sh^2 t x_{n+1}^2),
 
-    renormalized pointwise to a unit representative.  The common positive
-    factor 1 / (ch^2 t + sh^2 t x_{n+1}^2) cancels in the renormalization, so
-    the jet is built from z_j = x_j (ch t - i sh t x_{n+1}) and the numerator
-    of z_{n+1}.
+    of the embedded sphere point x, emitted as a polynomial in the chart
+    coordinates u.  Multiplying by the positive factor
+    (ch^2 t + sh^2 t x_{n+1}^2) (1 + s)^2 / 2, with s = |u|^2 and
+    x_{n+1} = sigma (s - 1) / (1 + s) (sigma = +1 in chart 0, -1 in chart 1),
+    names the same point of CP^n and leaves
+
+    z_j = ch t u_j (1 + s) - i sigma sh t u_j (s - 1),
+    z_{n+1} = sh t ch t (1 + s^2) + i sigma (s^2 - 1) / 2,
+
+    three jet products (u s, s and s^2) and no series.  The representative
+    is not unit norm; the horizontal lift normalizes it.
     """
     if theta <= 0:
         raise ValueError("theta must be positive (theta = 0 is the totally geodesic RP^n)")
@@ -104,17 +115,16 @@ def make_whitney_cpn(theta: float, n: int) -> Immersion:
         raise ValueError("need n >= 2")
     atlas = SphereAtlas(n)
     ch, sh = math.cosh(theta), math.sinh(theta)
-    head = np.diag(np.r_[np.ones(n), 0.0])  # keeps x_1..x_n
-    last = np.eye(n + 1)[n]
 
     def jet_fn(chart_id, coords, order):
-        x = atlas.embed_jets(chart_id, Jet.variables(jet_space(n, order), coords))
-        xl = x[n]
-        re = jet_einsum("cd,d->c", ch * head, x)
-        re = re + jet_einsum("c,->c", last, (1.0 + xl * xl).scaled(sh * ch))
-        im = xl * (jet_einsum("cd,d->c", -sh * head, x) + last[:, None])
-        z = interleave(re, im)
-        return z * jet_einsum("c,c->", z, z).power(-0.5)
+        sigma = 1.0 if chart_id == 0 else -1.0
+        u = Jet.variables(jet_space(n, order), coords)
+        s = jet_einsum("a,a->", u, u)
+        us, ss = u * s, s * s
+        head_re, head_im = (u + us).scaled(ch), (us - u).scaled(-sigma * sh)
+        re = Jet.stack([head_re[j] for j in range(n)] + [(ss + 1.0).scaled(sh * ch)])
+        im = Jet.stack([head_im[j] for j in range(n)] + [(ss - 1.0).scaled(0.5 * sigma)])
+        return interleave(re, im)
 
     return Immersion(
         name="whitney_cpn",
@@ -145,17 +155,46 @@ def make_rpn(n: int) -> Immersion:
     )
 
 
+def make_cpn_torus(moduli) -> Immersion:
+    """Torus orbit [r_0 e^{i t_0} : ... : r_n e^{i t_n}] in CP^n over the
+    angles t_1..t_n, the moduli scaled to sum r_j^2 = 1.  It is horizontal
+    (a Legendrian torus in S^{2n+1}) with t_0 = -sum_j r_j^2 t_j / r_0^2.
+    Equal moduli give the Clifford torus: H = 0 and |h|^2 = n(n - 1)."""
+    moduli = np.asarray(moduli, dtype=float)
+    if moduli.ndim != 1 or len(moduli) < 3:
+        raise ValueError("a CP^n torus needs n + 1 >= 3 moduli")
+    if np.any(moduli <= 0):
+        raise ValueError("torus moduli must be positive")
+    r = moduli / np.linalg.norm(moduli)
+    n = len(r) - 1
+    angles = np.vstack([-(r[1:] ** 2) / r[0] ** 2, np.eye(n)])  # t = angles @ (t_1..t_n)
+
+    def jet_fn(chart_id, coords, order):
+        t = jet_einsum("ja,a->j", angles, Jet.variables(jet_space(n, order), coords))
+        sin, cos = t.sin_cos()
+        return interleave(cos, sin).scaled(np.repeat(r, 2)[:, None])
+
+    return Immersion(
+        name="cpn_torus",
+        source_dim=n,
+        ambient=AMBIENT_SPHERE,
+        ambient_complex_dim=n + 1,
+        params={"moduli": moduli, "n": n},
+        atlas=TorusAtlas(n),
+        jet_fn=jet_fn,
+    )
+
+
 def phase_twist(base: Immersion, coeffs) -> Immersion:
     """Multiply the homogeneous representative by exp(i chi(u)) with
     chi = sum_a coeffs[a] * sin(u_a); exercises projective gauge invariance."""
     coeffs = np.asarray(coeffs, dtype=float)
-    J = symplectic_j_matrix(base.ambient_complex_dim)
 
     def jet_fn(chart_id, coords, order):
         Z = base.jet_fn(chart_id, coords, order)
         chi = jet_einsum("a,a->", coeffs, Jet.variables(Z.space, coords).sin())
         sin, cos = chi.sin_cos()
-        return Z * cos + jet_einsum("cd,d->c", J, Z) * sin
+        return Z * cos + times_i(Z) * sin
 
     return Immersion(
         name=f"phase_twist({base.name})",
@@ -176,43 +215,65 @@ def phase_twist(base: Immersion, coeffs) -> Immersion:
 def horizontal_lift_jets(imm: Immersion, chart_id: int, coords: np.ndarray, order: int) -> Jet:
     """Jet of the horizontal (Legendrian) lift into S^{2n+1}.
 
-    Steps, on the (2n+2,) jet of the interleaved real components: renormalize
-    the representative, integrate the phase potential psi with
-    d psi = -Re<dZ, iZ>, and rotate by e^{i psi} times the constant phase
-    that makes the largest component at the point real-positive.  Each
-    (2n+2,) stage is dropped once the next one is built, which bounds the
-    peak memory of a wide batch.  Raises if the horizontality 1-form fails
-    to be closed, which happens exactly when the underlying immersion is not
-    Lagrangian in CP^n; the error's `index` is the batch position of the
-    first point it fails at.
+    The (2n+2,) jet of the interleaved real components is normalized once,
+    Z = phi (phi . phi)^{-1/2}; i acts on it as `times_i`.  Below order 3
+    the lift is read off the U(1) connection A_a = <d_a Z, i Z> at the
+    points: W = Z - l i Z, where l is the jet whose degree-1 rows are A and
+    whose other rows are zero.  Then d_a W = d_a Z - A_a i Z is horizontal,
+    and d_a d_b W differs from d_a d_b Z - A_a i d_b Z - A_b i d_a Z only
+    along Z and i Z, which h, g and the Christoffel symbols never see.  No
+    phase is pinned there: a constant phase is an isometry at each point.
+
+    From order 3 on, the phase potential psi with d psi = -Re<dZ, iZ> is
+    integrated jet by jet and the representative is rotated by e^{i psi}
+    times the constant phase that makes its largest component at the point
+    real-positive, so derivatives of the frame do not depend on the
+    incoming representative.  Each (2n+2,) stage is dropped once the next
+    one is built, which bounds the peak memory of a wide batch.
+
+    Raises where the lift fails to be horizontal: from order 3 on, where the
+    horizontality 1-form <dW, iW> is not zero to the computed order, and
+    below it, where <d_a W, i d_b W> (half the exterior derivative of the
+    connection) is not zero at the point.  Either happens exactly when the
+    underlying immersion is not Lagrangian in CP^n; the error's `index` is
+    the batch position of the first point it fails at.
     """
     phi = imm.jet_fn(chart_id, coords, order)
-    J = symplectic_j_matrix(phi.shape[0] // 2)
     Z = phi * jet_einsum("c,c->", phi, phi).power(-0.5)
     del phi
-    JZ = jet_einsum("cd,d->c", J, Z)
+    JZ = times_i(Z)
+    sp = Z.space
 
-    # a_a = Re<d_a Z, i Z>, with i acting on the real components as J
-    a = jet_einsum("ca,c->a", Z.grad(), JZ)
-    psi = potential_from_gradient(a)
-    del a
+    if order <= 2:
+        A = np.einsum("cax,cx->ax", Z.c[:, sp.first_rows, :], JZ.value)
+        ell = np.zeros((sp.ncoef_by_degree[order], A.shape[-1]))
+        ell[sp.first_rows] = A
+        W = Z - Jet(sp, ell, order) * JZ
+        del Z, JZ
+        dW = W.c[:, sp.first_rows, :]  # (2m, n, B)
+        resid = np.max(np.abs(np.einsum("cax,cbx->abx", dW, times_i(dW))), axis=(0, 1))
+    else:
+        # a_a = Re<d_a Z, i Z>
+        a = jet_einsum("ca,c->a", Z.grad(), JZ)
+        psi = potential_from_gradient(a)
+        del a
 
-    # pin the representative: largest component real-positive at the point.
-    # psi vanishes there, so W has the value of Z, and the pinning phase
-    # e^{i theta} folds into the rotation: W = Z cos(psi + theta) + JZ sin(psi + theta).
-    vals = Z.value[0::2] + 1j * Z.value[1::2]  # (m, B)
-    k0 = np.argmax(np.abs(vals), axis=0)
-    pick = np.take_along_axis(vals, k0[None, :], axis=0)[0]
-    phase = pick.conj() / np.abs(pick)
-    sin, cos = psi.sin_cos()
-    del psi
-    W = Z * (cos.scaled(phase.real) - sin.scaled(phase.imag))
-    del Z
-    W = W + JZ * (sin.scaled(phase.real) + cos.scaled(phase.imag))
-    del JZ, sin, cos
+        # pin the representative: largest component real-positive at the point.
+        # psi vanishes there, so W has the value of Z, and the pinning phase
+        # e^{i theta} folds into the rotation: W = Z cos(psi + theta) + JZ sin(psi + theta).
+        vals = Z.value[0::2] + 1j * Z.value[1::2]  # (m, B)
+        k0 = np.argmax(np.abs(vals), axis=0)
+        pick = np.take_along_axis(vals, k0[None, :], axis=0)[0]
+        phase = pick.conj() / np.abs(pick)
+        sin, cos = psi.sin_cos()
+        del psi
+        W = Z * (cos.scaled(phase.real) - sin.scaled(phase.imag))
+        del Z
+        W = W + JZ * (sin.scaled(phase.real) + cos.scaled(phase.imag))
+        del JZ, sin, cos
+        # closedness / horizontality residual across all computed jet orders
+        resid = np.max(np.abs(jet_einsum("ca,c->a", W.grad(), times_i(W)).c), axis=(0, 1))
 
-    # closedness / horizontality residual across all computed jet orders
-    resid = np.max(np.abs(jet_einsum("ca,c->a", W.grad(), jet_einsum("cd,d->c", J, W)).c), axis=(0, 1))
     bad = np.flatnonzero(resid > HORIZONTALITY_TOL)
     if bad.size:
         raise at_point(
@@ -235,3 +296,4 @@ def cpn_geometry_state(imm: Immersion, p: ChartPoint, depth: str = "with_derivat
 
 register_family("whitney_cpn", lambda p: make_whitney_cpn(p.get("theta", 1.0), int(p.get("n", 2))))
 register_family("rpn", lambda p: make_rpn(int(p.get("n", 2))))
+register_family("cpn_torus", lambda p: make_cpn_torus(p["moduli"]))

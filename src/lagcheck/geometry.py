@@ -17,10 +17,11 @@ jet, needed only where a derivative is taken, is lifted from that value by
 Newton steps in jet arithmetic, so connection coefficients and derivatives of
 frame components are exact.  The second fundamental form is read off the
 second derivatives of the immersion, so pointwise scalars (the energy
-integrands) take no frame jet at all.  The normal connection is the tangent one transported by the
-complex structure, which for a constant J is an exact equality of
-coefficient matrices; one covariant-derivative routine therefore serves
-tangent and starred indices alike.
+integrands) take no frame jet at all; an order-2 bundle reads d_a phi and
+d_a d_b phi straight off the coefficient rows.  The normal connection is
+the tangent one transported by the complex structure, which for a constant
+J is an exact equality of coefficient matrices; one covariant-derivative
+routine therefore serves tangent and starred indices alike.
 
 Every derivative here is read off a Taylor jet; nothing is finite
 differenced.  An order-k ambient jet leaves h, H and |hhat|^2 valid to order
@@ -36,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .immersions import AMBIENT_CN, ChartPoint, Immersion, OutOfDomainError, symplectic_j_matrix
+from .immersions import AMBIENT_CN, ChartPoint, Immersion, OutOfDomainError, times_i
 from .jets import Jet, jet_einsum, jet_space
 from .tensors import (
     CubicSymTensor,
@@ -86,6 +87,12 @@ class FrameBundle:
     `e[i, c]`, `B[i, a]` (e_i = B_ia f_a), `h_jets[m, i, j]` = h^{m*}_{ij},
     `omega_jets[k, i, j]` = <D_{e_k} e_i, e_j>, `christoffel_jets[d, a, b]`.
     Point values carry a trailing batch axis.
+
+    The point values are read off the rows of phi: the frame from its
+    degree-1 rows and, on an order-2 bundle (the energy integrands), h from
+    its degree-2 rows by three array contractions, so such a bundle builds
+    no jet at all.  Every jet-valued tensor, f included, is built on first
+    use.
     """
 
     def __init__(self, phi: Jet, n: int, c_amb: float, gauge: np.ndarray | None = None):
@@ -97,7 +104,6 @@ class FrameBundle:
         self.batch = phi.c.shape[-1]
         self.gauge = np.eye(n) if gauge is None else np.asarray(gauge, dtype=float)
         self._identity_gauge = gauge is None
-        self.J = symplectic_j_matrix(self.m2 // 2)
         self._cache: dict = {}
         self._build_frame()
 
@@ -106,15 +112,16 @@ class FrameBundle:
     def _build_frame(self):
         """Point values only: g, the orthonormal frame e_i = B_ia f_a with
         B = gauge . L^{-1} for the Cholesky factor g = L L^T, J e and the
-        Lagrangian residual.  Frame jets are built on demand.
+        Lagrangian residual.  The coordinate frame f_a = d_a phi at the
+        points is read off the degree-1 rows of phi; frame jets, and the jet
+        of f itself, are built on demand.
 
         The factorization runs column by column across the batch.  Its
         diagonal gives det g, and lambda_min / lambda_max >= det g / tr(g)^n
         clears almost every point of the degeneracy check; eigenvalues are
         computed only for the rest, including points where the factorization
         broke down."""
-        self.f = self.phi.grad()
-        f0 = self.f.value  # (2m, n, B)
+        f0 = self.phi.c[:, self.phi.space.first_rows, :]  # (2m, n, B) = d_a phi^c
         self.g0 = np.einsum("cax,cbx->abx", f0, f0)  # (n, n, B)
         L0, self._L_inv0 = _cholesky_inverse(self.g0)
         diag = np.diagonal(L0)  # (B, n)
@@ -140,7 +147,7 @@ class FrameBundle:
             self._L_inv0 if self._identity_gauge else np.einsum("ik,kax->iax", self.gauge, self._L_inv0)
         )
         self.e0 = np.einsum("iax,cax->icx", self.B0, f0)
-        self.Je0 = np.einsum("cd,idx->icx", self.J, self.e0)
+        self.Je0 = times_i(self.e0, axis=1)
         lag = np.max(np.abs(np.einsum("icb,jcb->ijb", self.e0, self.Je0)), axis=(0, 1))
         self.lagrangian_residual = lag  # (B,)
         bad = np.flatnonzero(lag > LAGRANGIAN_TOL)
@@ -157,6 +164,11 @@ class FrameBundle:
     def _value_jet(self, value: np.ndarray) -> Jet:
         """A point value (*shape, B) as an order-0 jet."""
         return Jet(self.phi.space, value[..., None, :], 0)
+
+    @property
+    def f(self) -> Jet:
+        """Coordinate frame f[c, a] = d_a phi^c, valid to order - 1."""
+        return self._get("f", self.phi.grad)
 
     @property
     def g_jets(self) -> Jet:
@@ -194,7 +206,7 @@ class FrameBundle:
 
     @property
     def Je(self) -> Jet:
-        return self._get("Je", lambda: jet_einsum("cd,id->ic", self.J, self.e))
+        return self._get("Je", lambda: times_i(self.e, axis=1))
 
     # -- cached derived quantities -------------------------------------
 
@@ -213,17 +225,16 @@ class FrameBundle:
         """h^{m*}_{ij} = <D_{e_i} e_j, J e_m> = B_ia B_jb <d_a d_b phi, J e_m>,
         valid to order - 2.  The term B_ia (d_a B_jb) <d_b phi, J e_m> of the
         product rule vanishes as a function on a Lagrangian body (and on the
-        Legendrian lift of a CP^n body), so no frame derivative enters."""
+        Legendrian lift of a CP^n body), so no frame derivative enters.  On
+        an order-2 bundle this is the point value `h0`."""
 
         def build():
+            if self.order == 2:
+                return self._value_jet(self.h0)
             hess = self.f.grad()  # [c, a, b] = d_a d_b phi^c
-            if hess.order == 0:  # point values suffice: no frame jet is built
-                B, Je = self._value_jet(self.B0), self._value_jet(self.Je0)
-            else:
-                B, Je = self.B, self.Je
-            x = jet_einsum("mc,cab->mab", Je, hess)
-            x = jet_einsum("jb,mab->maj", B, x)
-            return jet_einsum("ia,maj->mij", B, x)
+            x = jet_einsum("mc,cab->mab", self.Je, hess)
+            x = jet_einsum("jb,mab->maj", self.B, x)
+            return jet_einsum("ia,maj->mij", self.B, x)
 
         return self._get("h_jets", build)
 
@@ -246,7 +257,20 @@ class FrameBundle:
 
     @property
     def h0(self) -> np.ndarray:
-        return self.h_jets.value
+        """h at the points.  On an order-2 bundle it takes no jet: d_a d_b phi
+        is read off the degree-2 rows of phi and contracted with the point
+        values of B and J e."""
+        if self.order != 2:
+            return self.h_jets.value
+
+        def build():
+            sp = self.phi.space
+            hess = self.phi.c[:, sp.second_rows, :] * sp.second_factor[:, :, None]  # [c, a, b, x]
+            x = np.einsum("mcx,cabx->mabx", self.Je0, hess)
+            x = np.einsum("jbx,mabx->majx", self.B0, x)
+            return np.einsum("iax,majx->mijx", self.B0, x)
+
+        return self._get("h0", build)
 
     @property
     def H0(self) -> np.ndarray:
@@ -454,8 +478,7 @@ class FrameBundle:
 
         def build():
             H_amb = jet_einsum("mc,m->c", self.Je, self.H_jets)
-            JH = jet_einsum("cd,d->c", self.J, H_amb)
-            return jet_einsum("c,ca->a", JH, self.f)
+            return jet_einsum("c,ca->a", times_i(H_amb), self.f)
 
         return self._get("maslov_chart", build)
 

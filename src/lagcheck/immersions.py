@@ -7,7 +7,10 @@ data up to order 4 is exact: it seeds the chart coordinates as one (n,) jet
 and returns the ambient coordinates as one (2m,) jet, a few tensor
 operations on whole coordinate vectors.  Complex ambient coordinates are
 stored as interleaved reals (Re z_1, Im z_1, ...), which only `interleave`
-writes, and the complex structure acts per pair as (a, b) -> (-b, a).
+writes (a scatter into one buffer), and the complex structure acts per pair
+as (a, b) -> (-b, a): `times_i` applies it as a signed permutation of the
+components, to arrays and jets alike, so no jet or frame is multiplied by
+the matrix `symplectic_j_matrix`.
 """
 
 from __future__ import annotations
@@ -195,10 +198,29 @@ class Immersion:
 
 def interleave(re: Jet, im: Jet | None = None) -> Jet:
     """The (2m,) jet (Re z_1, Im z_1, ...) of z = re + i im from two (m,)
-    jets; a missing `im` is zero."""
-    place = np.eye(2 * re.shape[0])
-    z = jet_einsum("cj,j->c", place[:, 0::2], re)
-    return z if im is None else z + jet_einsum("cj,j->c", place[:, 1::2], im)
+    jets, scattered into one buffer; a missing `im` is zero.  The result is
+    valid to the lower of the two orders."""
+    order = re.order if im is None else min(re.order, im.order)
+    rows = re.space.ncoef_by_degree[order]
+    c = np.zeros((2 * re.shape[0], rows, re.c.shape[-1]))
+    c[0::2] = re.c[..., :rows, :]
+    if im is not None:
+        c[1::2] = im.c[..., :rows, :]
+    return Jet(re.space, c, order)
+
+
+def times_i(x, axis: int = 0):
+    """Multiplication by i on interleaved reals, (a, b) -> (-b, a) on each
+    pair along `axis`: a signed permutation, so no product is formed.  `x`
+    is an array or a jet, whose `axis` counts its tensor axes."""
+    if isinstance(x, Jet):
+        return Jet(x.space, times_i(x.c, axis), x.order)
+    re = (slice(None),) * axis + (slice(0, None, 2),)
+    im = (slice(None),) * axis + (slice(1, None, 2),)
+    out = np.empty_like(x)
+    np.negative(x[im], out=out[re])
+    out[im] = x[re]
+    return out
 
 
 # -- Whitney sphere in C^n ---------------------------------------------------
@@ -358,6 +380,7 @@ def random_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def symplectic_j_matrix(m: int) -> np.ndarray:
+    """i as a 2m x 2m real matrix; `times_i` applies it without a product."""
     return complex_to_real_matrix(1j * np.eye(m))
 
 

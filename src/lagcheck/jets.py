@@ -44,7 +44,10 @@ class JetSpace:
 
     Multi-indices are enumerated degree-major, so truncating a computation to
     a lower valid order is a prefix operation on the coefficient vector, and
-    the rows of one degree are a contiguous slice.
+    the rows of one degree are a contiguous slice.  Within a degree the rows
+    run in lexicographic order of the multi-index, so the degree-1 row of
+    variable a is not row 1 + a: `first_rows` and `second_rows` map
+    variables to rows.
     """
 
     def __init__(self, nvars: int, order: int):
@@ -81,6 +84,16 @@ class JetSpace:
                 for col, (i, j) in enumerate(product(ii, jj)):
                     S[self.index_of[tuple(x + y for x, y in zip(alphas[i], alphas[j]))] - rows[p], col] = 1.0
                 self._pair_sum[d][p] = S
+
+        # Row tables of the first and second partials at the expansion point:
+        # d_a = row first_rows[a], d_a d_b = second_factor[a, b] times row
+        # second_rows[a, b] (the factorial of e_a + e_b: 2 on the diagonal).
+        eye = np.eye(nvars, dtype=np.int64)
+        if order >= 1:
+            self.first_rows = np.array([self.index_of[tuple(e)] for e in eye])
+        if order >= 2:
+            self.second_rows = np.array([[self.index_of[tuple(x + y)] for y in eye] for x in eye])
+            self.second_factor = 1.0 + np.eye(nvars)
 
         # Derivative tables: source index and scale for d/du_a.
         self._d_src = np.zeros((nvars, self.ncoef), dtype=np.int64)
@@ -131,8 +144,7 @@ class Jet:
         c = np.zeros((space.nvars, space.ncoef, values.shape[1]))
         c[:, 0] = values
         if space.order >= 1:
-            units = np.eye(space.nvars, dtype=int)
-            c[np.arange(space.nvars), [space.index_of[tuple(e)] for e in units]] = 1.0
+            c[np.arange(space.nvars), space.first_rows] = 1.0
         return Jet(space, c)
 
     @staticmethod

@@ -8,14 +8,18 @@ from lagcheck.cpn import (
     HorizontalityError,
     cpn_geometry_state,
     horizontal_lift_jets,
+    make_cpn_torus,
     make_rpn,
     make_whitney_cpn,
     normalize_representative,
     phase_twist,
     projective_distance,
 )
-from lagcheck.geometry import bundle_at, geometry_state, intrinsic_curvature
-from lagcheck.immersions import AMBIENT_SPHERE, ChartPoint
+from lagcheck.geometry import FrameBundle, bundle_at, geometry_state, intrinsic_curvature
+from lagcheck.identities import run_identity_suite
+from lagcheck.immersions import AMBIENT_SPHERE, ChartPoint, Immersion, from_config
+from lagcheck.jets import Jet
+from lagcheck.quadrature import energy_report, torus_rule
 
 
 def homogeneous_value(imm, p):
@@ -36,7 +40,7 @@ class TestWhitneyCpnFamily:
     def test_equator_representative(self):
         imm = make_whitney_cpn(1.0, 2)
         p = ChartPoint(0, np.array([1.0, 0.0]))  # embedded x = (1, 0, 0)
-        z = homogeneous_value(imm, p)
+        z = normalize_representative(homogeneous_value(imm, p))
         expected = normalize_representative(example_formula(1.0, np.array([1.0, 0.0, 0.0])))
         assert np.allclose(z, expected, atol=1e-13)
 
@@ -46,16 +50,18 @@ class TestWhitneyCpnFamily:
         imm = make_whitney_cpn(0.7, n)
         for p in imm.atlas.random_points(rng, 15):
             x = imm.atlas.embed(p)
-            z = homogeneous_value(imm, p)
+            z = normalize_representative(homogeneous_value(imm, p))
             expected = normalize_representative(example_formula(0.7, x))
             assert np.allclose(z, expected, atol=1e-12)
 
     def test_unit_norm_invariant(self):
+        """The family emits a polynomial multiple of the representative; the
+        lift it enters is unit norm."""
         imm = make_whitney_cpn(0.5, 2)
         rng = np.random.default_rng(9)
         for p in imm.atlas.random_points(rng, 200):
-            z = homogeneous_value(imm, p)
-            assert abs(np.sum(np.abs(z) ** 2) - 1.0) < 1e-12
+            W = horizontal_lift_jets(imm, p.chart_id, p.coords[:, None], 2)
+            assert abs(np.sum(W.value**2) - 1.0) < 1e-12
 
     def test_antipodal_points_distinct(self):
         imm = make_whitney_cpn(1.0, 2)
@@ -168,36 +174,22 @@ class TestHorizontalLift:
     def test_nonlagrangian_rejected(self, turn_first):
         # breaking the projective class smoothly in a non-Hamiltonian way
         # destroys closedness of the horizontality form
-        base = make_rpn(2)
-
-        def bad_jet_fn(chart_id, coords, order):
-            from lagcheck.jets import Jet
-
-            phi = base.jet_fn(chart_id, coords, order)
-            u = Jet.variables(phi.space, coords)
-            # rotate only the first homogeneous coordinate by a point-dependent phase
-            return turn_first(phi, u[0] * u[1])
-
-        from lagcheck.immersions import Immersion
-
-        bad = Immersion(
-            name="bad_cpn",
-            source_dim=2,
-            ambient=AMBIENT_SPHERE,
-            ambient_complex_dim=3,
-            params={},
-            atlas=base.atlas,
-            jet_fn=bad_jet_fn,
-        )
         with pytest.raises(HorizontalityError):
-            geometry_state(bad, ChartPoint(0, np.array([0.4, 0.5])))
+            geometry_state(turned_rpn(turn_first), ChartPoint(0, np.array([0.4, 0.5])))
+
+    def test_nonlagrangian_rejected_by_order2_lift(self, turn_first):
+        """The connection route checks <d_a W, i d_b W> at the point and
+        names the point it fails at."""
+        with pytest.raises(HorizontalityError, match=r"chart 0, coords \[0.4, 0.5\]: horizontality"):
+            bundle_at(turned_rpn(turn_first), 0, np.array([[0.0, 0.0], [0.4, 0.5]]), 2)
 
     def test_pinned_component_is_real_positive(self):
-        """At every point of a batch the lift's largest homogeneous component
-        is real and positive, also for a phase-twisted representative."""
+        """At every point of a batch the order-3 lift's largest homogeneous
+        component is real and positive, also for a phase-twisted
+        representative (the order-2 lift pins no phase)."""
         imm = phase_twist(make_whitney_cpn(0.7, 3), [0.4, -0.7, 0.2])
         coords = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 16))
-        W = horizontal_lift_jets(imm, 0, coords, 2)
+        W = horizontal_lift_jets(imm, 0, coords, 3)
         z = W.value[0::2] + 1j * W.value[1::2]
         pick = np.take_along_axis(z, np.argmax(np.abs(z), axis=0)[None, :], axis=0)[0]
         assert np.max(np.abs(pick.imag)) < 1e-15
@@ -227,6 +219,105 @@ class TestHorizontalLift:
     def test_normalize_representative_errors(self):
         with pytest.raises(ValueError):
             normalize_representative(np.zeros(3, dtype=complex))
+
+
+def turned_rpn(turn_first) -> Immersion:
+    """RP^2 with its first homogeneous coordinate rotated by the phase
+    u_1 u_2: not Lagrangian wherever that phase has a nonzero gradient
+    (the phase has a critical point at u = 0, where the lift passes)."""
+    base = make_rpn(2)
+
+    def jet_fn(chart_id, coords, order):
+        phi = base.jet_fn(chart_id, coords, order)
+        u = Jet.variables(phi.space, coords)
+        return turn_first(phi, u[0] * u[1])
+
+    return Immersion("bad_cpn", 2, AMBIENT_SPHERE, 3, {}, base.atlas, jet_fn)
+
+
+ORDER2_BODIES = {
+    **{
+        f"whitney_cpn-{theta}-{n}": make_whitney_cpn(theta, n)
+        for theta in (0.3, 0.7, 1.5)
+        for n in (2, 3)
+    },
+    "phase_twist": phase_twist(make_whitney_cpn(0.7, 3), [0.4, -0.7, 0.2]),
+    "rpn": make_rpn(3),
+}
+
+
+class TestOrderTwoLift:
+    @pytest.mark.parametrize("chart", [0, 1])
+    @pytest.mark.parametrize("name", sorted(ORDER2_BODIES))
+    def test_matches_order3_lift(self, name, chart):
+        """The connection route of an order-2 bundle against the pinned
+        phase-potential lift truncated to order 2: the lifts differ by a
+        constant phase per point and by second-order terms along Z and iZ,
+        which no energy integrand sees."""
+        imm = ORDER2_BODIES[name]
+        coords = np.random.default_rng(40 + chart).uniform(-1.2, 1.2, size=(12, imm.source_dim))
+        new = bundle_at(imm, chart, coords, 2)
+        lift = horizontal_lift_jets(imm, chart, coords.T, 3)
+        old = FrameBundle(lift.truncated(2), imm.source_dim, 1.0)
+        full = FrameBundle(lift, imm.source_dim, 1.0)  # h through jets, not rows
+
+        def rel(a, b, scale):
+            return np.max(np.abs(a - b)) / scale
+
+        h_scale = max(1.0, float(np.max(old.scalar("h_sq"))))
+        assert rel(new.g0, old.g0, np.max(np.abs(old.g0))) < 1e-13
+        assert rel(new.sqrt_det_g, old.sqrt_det_g, np.max(old.sqrt_det_g)) < 1e-13
+        assert rel(new.h0, old.h0, math.sqrt(h_scale)) < 1e-13
+        assert rel(new.h0, full.h0, math.sqrt(h_scale)) < 1e-13
+        for scalar in ("sqrt_det_g", "h_sq", "hhat_sq", "H_sq"):
+            scale = np.max(old.sqrt_det_g) if scalar == "sqrt_det_g" else h_scale
+            assert rel(new.scalar(scalar), old.scalar(scalar), scale) < 1e-13, scalar
+
+    def test_lift_is_the_unit_representative_at_the_point(self):
+        imm = phase_twist(make_whitney_cpn(0.7, 3), [0.4, -0.7, 0.2])
+        coords = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 8))
+        phi = imm.jet_fn(0, coords, 2).value
+        W = horizontal_lift_jets(imm, 0, coords, 2)
+        assert np.max(np.abs(W.value - phi / np.linalg.norm(phi, axis=0))) < 1e-15
+
+
+class TestCpnTorus:
+    @pytest.mark.parametrize("n,volume", [(2, 22.79), (3, 62.01)])
+    def test_clifford_closed_forms(self, n, volume):
+        """Equal moduli give the Clifford torus: volume (n+1)^{(1-n)/2} (2 pi)^n
+        over the angle chart, |h|^2 = n(n-1), H = 0 and hhat = h."""
+        rep = energy_report(make_cpn_torus([1.0] * (n + 1)), torus_rule(n, 8))
+        e = rep.entries
+        vol = (n + 1) ** ((1 - n) / 2) * (2 * math.pi) ** n
+        h_sq = n * (n - 1)
+        assert e["volume"] == pytest.approx(volume, abs=5e-3)
+        assert abs(e["volume"] - vol) < 1e-12 * vol
+        assert abs(e["int_h_sq"] - h_sq * vol) < 1e-12 * h_sq * vol
+        assert abs(e["int_hhat_sq"] - h_sq * vol) < 1e-12 * h_sq * vol
+        assert e["int_H_sq"] < 1e-12 * h_sq * vol
+        assert abs(e["int_hhat_n"] - h_sq ** (n / 2) * vol) < 1e-12 * h_sq ** (n / 2) * vol
+
+    @pytest.mark.parametrize("moduli", [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [1.0, 0.7, 1.2, 0.9]])
+    def test_identity_suite_passes(self, moduli):
+        imm = make_cpn_torus(moduli)
+        pts = imm.atlas.random_points(np.random.default_rng(5), 6)
+        assert run_identity_suite(imm, pts, seed=5).all_pass
+
+    def test_unequal_moduli_have_mean_curvature(self):
+        fb = bundle_at(make_cpn_torus([1.0, 0.7, 1.2, 0.9]), 0, np.array([[0.3, 1.1, -2.0]]), 2)
+        assert fb.scalar("H_sq")[0] > 1e-2
+
+    def test_from_config(self):
+        imm = from_config({"family": "cpn_torus", "moduli": [2.0, 2.0, 2.0]})
+        assert imm.ambient == AMBIENT_SPHERE and imm.source_dim == 2
+        W = horizontal_lift_jets(imm, 0, np.array([[0.4], [1.7]]), 2)
+        assert abs(np.sum(W.value**2) - 1.0) < 1e-15
+
+    def test_invalid_moduli(self):
+        with pytest.raises(ValueError):
+            make_cpn_torus([1.0, 1.0])
+        with pytest.raises(ValueError):
+            make_cpn_torus([1.0, -1.0, 1.0])
 
 
 class TestHomogeneousPoint:

@@ -12,6 +12,7 @@ from lagcheck.immersions import (
     complex_to_real_matrix,
     expm_series,
     from_config,
+    interleave,
     make_black_box,
     make_lagrangian_plane,
     make_nonlagrangian_plane,
@@ -21,7 +22,9 @@ from lagcheck.immersions import (
     parse_immersion_config,
     random_unitary,
     symplectic_j_matrix,
+    times_i,
 )
+from lagcheck.jets import Jet, jet_einsum, jet_space
 
 
 def ambient_complex(imm, p):
@@ -141,6 +144,33 @@ class TestPerturbedWhitney:
         assert np.allclose(F.T @ omega @ F, omega, atol=1e-13)
 
 
+class TestComplexLayout:
+    """`times_i` and `interleave` move components without multiplying; each
+    must give the bits of the constant-matrix contraction it replaces."""
+
+    def test_times_i_matches_j_matrix(self):
+        rng = np.random.default_rng(11)
+        J = symplectic_j_matrix(4)
+        x = rng.normal(size=(8, 5, 7))
+        assert times_i(x).tobytes() == np.einsum("cd,d...->c...", J, x).tobytes()
+        y = rng.normal(size=(3, 8, 7))
+        assert times_i(y, axis=1).tobytes() == np.einsum("cd,id...->ic...", J, y).tobytes()
+        jet = Jet(jet_space(3, 2), rng.normal(size=(3, 8, 10, 7)))
+        assert times_i(jet, axis=1).c.tobytes() == jet_einsum("cd,id->ic", J, jet).c.tobytes()
+
+    def test_interleave_matches_placement_matrices(self):
+        rng = np.random.default_rng(12)
+        sp = jet_space(3, 2)
+        re, im = (Jet(sp, rng.normal(size=(4, 10, 6))) for _ in range(2))
+        place = np.eye(8)
+        old = jet_einsum("cj,j->c", place[:, 0::2], re)
+        assert interleave(re).c.tobytes() == old.c.tobytes()
+        old = old + jet_einsum("cj,j->c", place[:, 1::2], im)
+        assert interleave(re, im).c.tobytes() == old.c.tobytes()
+        low = interleave(re, im.truncated(1))
+        assert low.order == 1 and np.array_equal(low.c, old.c[:, :4])
+
+
 class TestChartAtlas:
     def test_stereographic_transition_example(self):
         atlas = SphereAtlas(2)
@@ -258,7 +288,8 @@ TAYLOR_BODIES = {
 def test_order4_taylor_polynomial_predicts_nearby_points(name):
     """Oracle independent of jet arithmetic: the order-4 jet's Taylor
     polynomial predicts imm.point(p + t v) with an O(t^5) remainder, so
-    halving t shrinks the error by about 32; the planes are linear and
+    halving t shrinks the error by about 32; the planes are linear and the
+    CP^n Whitney representative a degree-4 chart polynomial, so those are
     predicted exactly."""
     imm = TAYLOR_BODIES[name]
     rng = np.random.default_rng(17)
@@ -272,7 +303,7 @@ def test_order4_taylor_polynomial_predicts_nearby_points(name):
             for t in (1e-2, 5e-3):
                 taylor = coef @ np.prod((t * v) ** alphas, axis=1)
                 err.append(np.max(np.abs(taylor - imm.point(ChartPoint(p.chart_id, p.coords + t * v)))))
-            if name.endswith("plane"):
+            if name.endswith("plane") or name == "whitney_cpn":
                 assert max(err) < 1e-14
             else:
                 assert err[0] < 1e-6
