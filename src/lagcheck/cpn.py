@@ -6,12 +6,12 @@ sectional curvature 4) is handled by lifting its homogeneous representative
 to a horizontal (Legendrian) immersion into S^{2n+1}.  The lift normalizes
 the representative once, so a family may emit any nonvanishing multiple of
 it.  An order-2 lift, which is all that the energy integrands need, is read
-off the U(1) connection <dZ, iZ> at the points and pins no phase; from
-order 3 on, a phase potential solving the horizontality condition is
-integrated jet by jet and the phase at the base point is pinned, so geometry
-states do not depend on the incoming representative.  The flat-ambient frame
-machinery then applies verbatim in C^{n+1}, with the ambient curvature
-constant set to 1.
+off the U(1) connection <dZ, iZ> at the points; from order 3 on, a phase
+potential solving the horizontality condition is integrated jet by jet.  At
+every order the phase at the base point is pinned, so geometry states,
+frames included, do not depend on the incoming representative.  The
+flat-ambient frame machinery then applies verbatim in C^{n+1}, with the
+ambient curvature constant set to 1.
 
 Each family emits its homogeneous representative as one (2n+2,) jet of
 interleaved reals; multiplication by i is `times_i`, a signed permutation,
@@ -156,10 +156,13 @@ def make_rpn(n: int) -> Immersion:
 
 
 def make_cpn_torus(moduli) -> Immersion:
-    """Torus orbit [r_0 e^{i t_0} : ... : r_n e^{i t_n}] in CP^n over the
-    angles t_1..t_n, the moduli scaled to sum r_j^2 = 1.  It is horizontal
-    (a Legendrian torus in S^{2n+1}) with t_0 = -sum_j r_j^2 t_j / r_0^2.
-    Equal moduli give the Clifford torus: H = 0 and |h|^2 = n(n - 1)."""
+    """Torus orbit [r_0 : r_1 e^{i t_1} : ... : r_n e^{i t_n}] in CP^n over
+    the angles t_1..t_n, the moduli scaled to sum r_j^2 = 1.  The angle chart
+    is 2 pi-periodic and one-to-one for any moduli, so the image is a closed
+    embedded Lagrangian torus; the horizontal lift supplies the phase that
+    makes the representative Legendrian in S^{2n+1}.  Equal moduli give the
+    Clifford torus: H = 0, |h|^2 = n(n - 1) and volume
+    (n + 1)^{-(n+1)/2} (2 pi)^n."""
     moduli = np.asarray(moduli, dtype=float)
     if moduli.ndim != 1 or len(moduli) < 3:
         raise ValueError("a CP^n torus needs n + 1 >= 3 moduli")
@@ -167,12 +170,14 @@ def make_cpn_torus(moduli) -> Immersion:
         raise ValueError("torus moduli must be positive")
     r = moduli / np.linalg.norm(moduli)
     n = len(r) - 1
-    angles = np.vstack([-(r[1:] ** 2) / r[0] ** 2, np.eye(n)])  # t = angles @ (t_1..t_n)
 
     def jet_fn(chart_id, coords, order):
-        t = jet_einsum("ja,a->j", angles, Jet.variables(jet_space(n, order), coords))
-        sin, cos = t.sin_cos()
-        return interleave(cos, sin).scaled(np.repeat(r, 2)[:, None])
+        sin, cos = Jet.variables(jet_space(n, order), coords).sin_cos()
+        c = np.zeros((2 * n + 2,) + cos.c.shape[1:])
+        c[0, 0] = r[0]
+        c[2::2] = r[1:, None, None] * cos.c
+        c[3::2] = r[1:, None, None] * sin.c
+        return Jet(cos.space, c, cos.order)
 
     return Immersion(
         name="cpn_torus",
@@ -216,20 +221,24 @@ def horizontal_lift_jets(imm: Immersion, chart_id: int, coords: np.ndarray, orde
     """Jet of the horizontal (Legendrian) lift into S^{2n+1}.
 
     The (2n+2,) jet of the interleaved real components is normalized once,
-    Z = phi (phi . phi)^{-1/2}; i acts on it as `times_i`.  Below order 3
-    the lift is read off the U(1) connection A_a = <d_a Z, i Z> at the
-    points: W = Z - l i Z, where l is the jet whose degree-1 rows are A and
-    whose other rows are zero.  Then d_a W = d_a Z - A_a i Z is horizontal,
-    and d_a d_b W differs from d_a d_b Z - A_a i d_b Z - A_b i d_a Z only
-    along Z and i Z, which h, g and the Christoffel symbols never see.  No
-    phase is pinned there: a constant phase is an isometry at each point.
+    Z = phi (phi . phi)^{-1/2}; i acts on it as `times_i`.  At every order
+    the lift is pinned: rotated by the constant phase that makes its largest
+    component at the point real-positive, so the frame does not depend on
+    the incoming representative.
+
+    Below order 3 the lift is read off the U(1) connection
+    A_a = <d_a Z, i Z> at the points: W = Z - l i Z, where l is the jet
+    whose degree-1 rows are A and whose other rows are zero, is pinned by
+    two in-place passes.  Then d_a W = d_a Z - A_a i Z is horizontal, and
+    d_a d_b W differs from d_a d_b Z - A_a i d_b Z - A_b i d_a Z only along
+    Z and i Z, which h, g and the Christoffel symbols never see (the pin
+    multiplies all of them by one phase).
 
     From order 3 on, the phase potential psi with d psi = -Re<dZ, iZ> is
     integrated jet by jet and the representative is rotated by e^{i psi}
-    times the constant phase that makes its largest component at the point
-    real-positive, so derivatives of the frame do not depend on the
-    incoming representative.  Each (2n+2,) stage is dropped once the next
-    one is built, which bounds the peak memory of a wide batch.
+    times the pinning phase, so derivatives of the frame do not depend on
+    the incoming representative either.  Each (2n+2,) stage is dropped once
+    the next one is built, which bounds the peak memory of a wide batch.
 
     Raises where the lift fails to be horizontal: from order 3 on, where the
     horizontality 1-form <dW, iW> is not zero to the computed order, and
@@ -243,6 +252,11 @@ def horizontal_lift_jets(imm: Immersion, chart_id: int, coords: np.ndarray, orde
     del phi
     JZ = times_i(Z)
     sp = Z.space
+    # the constant phase e^{i theta} that makes the largest component at the
+    # point real-positive
+    vals = Z.value[0::2] + 1j * Z.value[1::2]  # (m, B)
+    pick = np.take_along_axis(vals, np.argmax(np.abs(vals), axis=0)[None, :], axis=0)[0]
+    phase = pick.conj() / np.abs(pick)
 
     if order <= 2:
         A = np.einsum("cax,cx->ax", Z.c[:, sp.first_rows, :], JZ.value)
@@ -250,6 +264,12 @@ def horizontal_lift_jets(imm: Immersion, chart_id: int, coords: np.ndarray, orde
         ell[sp.first_rows] = A
         W = Z - Jet(sp, ell, order) * JZ
         del Z, JZ
+        # pin: W e^{i theta} = W cos theta + iW sin theta, in place
+        JW = times_i(W.c)
+        W.c *= phase.real
+        JW *= phase.imag
+        W.c += JW
+        del JW
         dW = W.c[:, sp.first_rows, :]  # (2m, n, B)
         resid = np.max(np.abs(np.einsum("cax,cbx->abx", dW, times_i(dW))), axis=(0, 1))
     else:
@@ -258,13 +278,8 @@ def horizontal_lift_jets(imm: Immersion, chart_id: int, coords: np.ndarray, orde
         psi = potential_from_gradient(a)
         del a
 
-        # pin the representative: largest component real-positive at the point.
-        # psi vanishes there, so W has the value of Z, and the pinning phase
-        # e^{i theta} folds into the rotation: W = Z cos(psi + theta) + JZ sin(psi + theta).
-        vals = Z.value[0::2] + 1j * Z.value[1::2]  # (m, B)
-        k0 = np.argmax(np.abs(vals), axis=0)
-        pick = np.take_along_axis(vals, k0[None, :], axis=0)[0]
-        phase = pick.conj() / np.abs(pick)
+        # psi vanishes at the point, so W has the value of Z, and the pinning
+        # phase folds into the rotation: W = Z cos(psi + theta) + JZ sin(psi + theta).
         sin, cos = psi.sin_cos()
         del psi
         W = Z * (cos.scaled(phase.real) - sin.scaled(phase.imag))

@@ -171,6 +171,21 @@ class TestHorizontalLift:
             if s0.T is not None:
                 assert np.max(np.abs(s0.T.entries - s1.T.entries)) < 1e-8
 
+    def test_projective_gauge_invariance_pointwise(self):
+        """The order-2 lift is pinned too: pointwise states, frames
+        included, do not depend on the phase of the representative."""
+        base = make_whitney_cpn(1.0, 2)
+        twisted = phase_twist(base, [0.4, -0.7])
+        rng = np.random.default_rng(31)
+        for p in base.atlas.random_points(rng, 6):
+            s0 = geometry_state(base, p, depth="pointwise")
+            s1 = geometry_state(twisted, p, depth="pointwise")
+            assert np.max(np.abs(s0.frame.e - s1.frame.e)) < 1e-8
+            assert np.max(np.abs(s0.frame.Je - s1.frame.Je)) < 1e-8
+            assert np.max(np.abs(s0.h.entries - s1.h.entries)) < 1e-8
+            assert np.max(np.abs(s0.metric.g - s1.metric.g)) < 1e-8
+            assert abs(s0.hhat_norm_sq() - s1.hhat_norm_sq()) < 1e-8
+
     def test_nonlagrangian_rejected(self, turn_first):
         # breaking the projective class smoothly in a non-Hamiltonian way
         # destroys closedness of the horizontality form
@@ -184,16 +199,17 @@ class TestHorizontalLift:
             bundle_at(turned_rpn(turn_first), 0, np.array([[0.0, 0.0], [0.4, 0.5]]), 2)
 
     def test_pinned_component_is_real_positive(self):
-        """At every point of a batch the order-3 lift's largest homogeneous
+        """At every point of a batch the lift's largest homogeneous
         component is real and positive, also for a phase-twisted
-        representative (the order-2 lift pins no phase)."""
+        representative, on both the order-2 and the order-3 route."""
         imm = phase_twist(make_whitney_cpn(0.7, 3), [0.4, -0.7, 0.2])
         coords = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 16))
-        W = horizontal_lift_jets(imm, 0, coords, 3)
-        z = W.value[0::2] + 1j * W.value[1::2]
-        pick = np.take_along_axis(z, np.argmax(np.abs(z), axis=0)[None, :], axis=0)[0]
-        assert np.max(np.abs(pick.imag)) < 1e-15
-        assert np.all(pick.real > 0)
+        for order in (2, 3):
+            W = horizontal_lift_jets(imm, 0, coords, order)
+            z = W.value[0::2] + 1j * W.value[1::2]
+            pick = np.take_along_axis(z, np.argmax(np.abs(z), axis=0)[None, :], axis=0)[0]
+            assert np.max(np.abs(pick.imag)) < 1e-15
+            assert np.all(pick.real > 0)
 
     def test_energy_chunk_peak_memory(self):
         """An order-2 bundle and the four energy scalars on 512 nodes of the
@@ -273,29 +289,63 @@ class TestOrderTwoLift:
             scale = np.max(old.sqrt_det_g) if scalar == "sqrt_det_g" else h_scale
             assert rel(new.scalar(scalar), old.scalar(scalar), scale) < 1e-13, scalar
 
-    def test_lift_is_the_unit_representative_at_the_point(self):
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_lift_is_the_unit_representative_at_the_point(self, order):
+        """The lift's value is the unit representative times one phase."""
         imm = phase_twist(make_whitney_cpn(0.7, 3), [0.4, -0.7, 0.2])
         coords = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 8))
-        phi = imm.jet_fn(0, coords, 2).value
-        W = horizontal_lift_jets(imm, 0, coords, 2)
-        assert np.max(np.abs(W.value - phi / np.linalg.norm(phi, axis=0))) < 1e-15
+        phi = imm.jet_fn(0, coords, order).value
+        z = (phi[0::2] + 1j * phi[1::2]) / np.linalg.norm(phi, axis=0)
+        W = horizontal_lift_jets(imm, 0, coords, order)
+        w = W.value[0::2] + 1j * W.value[1::2]
+        phase = np.sum(w * z.conj(), axis=0)
+        assert np.max(np.abs(np.abs(phase) - 1.0)) < 1e-15
+        assert np.max(np.abs(w - phase * z)) < 1e-15
 
 
 class TestCpnTorus:
-    @pytest.mark.parametrize("n,volume", [(2, 22.79), (3, 62.01)])
+    @pytest.mark.parametrize("n,volume", [(2, 7.598), (3, 15.503)])
     def test_clifford_closed_forms(self, n, volume):
-        """Equal moduli give the Clifford torus: volume (n+1)^{(1-n)/2} (2 pi)^n
-        over the angle chart, |h|^2 = n(n-1), H = 0 and hhat = h."""
+        """Equal moduli give the Clifford torus: volume (n+1)^{-(n+1)/2} (2 pi)^n
+        (a flat T^{n+1} of radii (n+1)^{-1/2} over a Hopf fibre of length
+        2 pi), |h|^2 = n(n-1), H = 0 and hhat = h."""
         rep = energy_report(make_cpn_torus([1.0] * (n + 1)), torus_rule(n, 8))
         e = rep.entries
-        vol = (n + 1) ** ((1 - n) / 2) * (2 * math.pi) ** n
+        vol = (n + 1) ** (-(n + 1) / 2) * (2 * math.pi) ** n
         h_sq = n * (n - 1)
-        assert e["volume"] == pytest.approx(volume, abs=5e-3)
+        assert e["volume"] == pytest.approx(volume, abs=5e-4)
         assert abs(e["volume"] - vol) < 1e-12 * vol
         assert abs(e["int_h_sq"] - h_sq * vol) < 1e-12 * h_sq * vol
         assert abs(e["int_hhat_sq"] - h_sq * vol) < 1e-12 * h_sq * vol
         assert e["int_H_sq"] < 1e-12 * h_sq * vol
         assert abs(e["int_hhat_n"] - h_sq ** (n / 2) * vol) < 1e-12 * h_sq ** (n / 2) * vol
+
+    @pytest.mark.parametrize("moduli", [[1.0, 0.7, 1.2], [1.0, 0.7, 1.2, 0.9]])
+    def test_volume_of_unequal_moduli(self, moduli):
+        """The lift's metric on the angle chart is g_jk = r_j^2 delta_jk -
+        r_j^2 r_k^2, with sqrt det g = r_0 r_1 ... r_n, so the torus has
+        volume (2 pi)^n prod r_j: the chart covers the orbit exactly once."""
+        r = np.asarray(moduli) / np.linalg.norm(moduli)
+        n = len(r) - 1
+        vol = (2 * math.pi) ** n * np.prod(r)
+        e = energy_report(make_cpn_torus(moduli), torus_rule(n, 8)).entries
+        assert abs(e["volume"] - vol) < 1e-12 * vol
+
+    @pytest.mark.parametrize("moduli", [[1.0, 1.0, 1.0], [1.0, 0.7, 1.2]])
+    def test_angle_chart_is_periodic_and_one_to_one(self, moduli):
+        """Shifting any angle by 2 pi gives the same representative for any
+        moduli, while angles that differ by less than a period (here the
+        shift by 2 pi / 3 in every angle) give distinct points."""
+        imm = make_cpn_torus(moduli)
+        t = np.array([0.3, -1.1])
+
+        def point(angles):
+            v = imm.jet_fn(0, np.asarray(angles, dtype=float)[:, None], 0).value[:, 0]
+            return v[0::2] + 1j * v[1::2]
+
+        for a in range(2):
+            assert np.max(np.abs(point(t) - point(t + 2 * math.pi * np.eye(2)[a]))) < 1e-14
+        assert projective_distance(point(t), point(t + 2 * math.pi / 3)) > 0.3
 
     @pytest.mark.parametrize("moduli", [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [1.0, 0.7, 1.2, 0.9]])
     def test_identity_suite_passes(self, moduli):
