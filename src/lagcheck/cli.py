@@ -168,7 +168,9 @@ def cmd_identities(args) -> int:
     tol_scale = number(cfg.get("tol_scale", 1.0), "'tol_scale'")
     if tol_scale <= 0:
         raise ConfigError(f"'tol_scale' must be positive, got {tol_scale!r}")
-    heavy = bool(cfg.get("heavy", True))
+    heavy = cfg.get("heavy", True)
+    if not isinstance(heavy, bool):
+        raise ConfigError(f"'heavy' must be true or false, got {heavy!r}")
     points = sample_points(imm, samples, seed)
     report = run_identity_suite(imm, points, tol_scale=tol_scale, seed=seed, heavy=heavy)
     emit(report.to_dict(), args.out or cfg.get("out"), args.format or cfg.get("format", "json"))

@@ -100,7 +100,8 @@ def make_whitney_cpn(theta: float, n: int) -> Immersion:
     of the embedded sphere point x, emitted as a polynomial in the chart
     coordinates u.  Multiplying by the positive factor
     (ch^2 t + sh^2 t x_{n+1}^2) (1 + s)^2 / 2, with s = |u|^2 and
-    x_{n+1} = sigma (s - 1) / (1 + s) (sigma = +1 in chart 0, -1 in chart 1),
+    x_{n+1} = sigma (s - 1) / (1 + s) (sigma = +1 in chart 0, -1 in chart 1,
+    taken per point),
     names the same point of CP^n and leaves
 
     z_j = ch t u_j (1 + s) - i sigma sh t u_j (s - 1),
@@ -116,8 +117,8 @@ def make_whitney_cpn(theta: float, n: int) -> Immersion:
     atlas = SphereAtlas(n)
     ch, sh = math.cosh(theta), math.sinh(theta)
 
-    def jet_fn(chart_id, coords, order):
-        sigma = 1.0 if chart_id == 0 else -1.0
+    def jet_fn(charts, coords, order):
+        sigma = np.where(np.asarray(charts) == 0, 1.0, -1.0)
         u = Jet.variables(jet_space(n, order), coords)
         s = jet_einsum("a,a->", u, u)
         us, ss = u * s, s * s
@@ -141,8 +142,8 @@ def make_rpn(n: int) -> Immersion:
     """Totally geodesic real form: x in S^n -> [x] in CP^n."""
     atlas = SphereAtlas(n)
 
-    def jet_fn(chart_id, coords, order):
-        return interleave(atlas.embed_jets(chart_id, Jet.variables(jet_space(n, order), coords)))
+    def jet_fn(charts, coords, order):
+        return interleave(atlas.embed_jets(charts, Jet.variables(jet_space(n, order), coords)))
 
     return Immersion(
         name="rpn",
@@ -171,7 +172,7 @@ def make_cpn_torus(moduli) -> Immersion:
     r = moduli / np.linalg.norm(moduli)
     n = len(r) - 1
 
-    def jet_fn(chart_id, coords, order):
+    def jet_fn(charts, coords, order):
         sin, cos = Jet.variables(jet_space(n, order), coords).sin_cos()
         c = np.zeros((2 * n + 2,) + cos.c.shape[1:])
         c[0, 0] = r[0]
@@ -195,8 +196,8 @@ def phase_twist(base: Immersion, coeffs) -> Immersion:
     chi = sum_a coeffs[a] * sin(u_a); exercises projective gauge invariance."""
     coeffs = np.asarray(coeffs, dtype=float)
 
-    def jet_fn(chart_id, coords, order):
-        Z = base.jet_fn(chart_id, coords, order)
+    def jet_fn(charts, coords, order):
+        Z = base.jet_fn(charts, coords, order)
         chi = jet_einsum("a,a->", coeffs, Jet.variables(Z.space, coords).sin())
         sin, cos = chi.sin_cos()
         return Z * cos + times_i(Z) * sin
@@ -217,8 +218,9 @@ def phase_twist(base: Immersion, coeffs) -> Immersion:
 # ---------------------------------------------------------------------------
 
 
-def horizontal_lift_jets(imm: Immersion, chart_id: int, coords: np.ndarray, order: int) -> Jet:
-    """Jet of the horizontal (Legendrian) lift into S^{2n+1}.
+def horizontal_lift_jets(imm: Immersion, charts, coords: np.ndarray, order: int) -> Jet:
+    """Jet of the horizontal (Legendrian) lift into S^{2n+1} at a batch of
+    points, `charts` one chart id or a (B,) array of them (`Immersion`).
 
     The (2n+2,) jet of the interleaved real components is normalized once,
     Z = phi (phi . phi)^{-1/2}; i acts on it as `times_i`.  At every order
@@ -247,7 +249,7 @@ def horizontal_lift_jets(imm: Immersion, chart_id: int, coords: np.ndarray, orde
     underlying immersion is not Lagrangian in CP^n; the error's `index` is
     the batch position of the first point it fails at.
     """
-    phi = imm.jet_fn(chart_id, coords, order)
+    phi = imm.jet_fn(charts, coords, order)
     Z = phi * jet_einsum("c,c->", phi, phi).power(-0.5)
     del phi
     JZ = times_i(Z)

@@ -654,32 +654,35 @@ def _jsonable_params(params: dict) -> dict:
 DEPTH_ORDER = {"pointwise": 2, "with_derivatives": 3}
 
 
-def _ambient_jets(imm: Immersion, chart_id: int, coords: np.ndarray, order: int) -> tuple[Jet, float]:
+def _ambient_jets(imm: Immersion, charts, coords: np.ndarray, order: int) -> tuple[Jet, float]:
     """Dispatch flat ambient vs homogeneous-sphere lift; returns the (2m,)
     ambient jet and c_amb."""
     if imm.ambient == AMBIENT_CN:
-        return imm.jet_fn(chart_id, coords, order), 0.0
+        return imm.jet_fn(charts, coords, order), 0.0
     from .cpn import horizontal_lift_jets
 
-    return horizontal_lift_jets(imm, chart_id, coords, order), 1.0
+    return horizontal_lift_jets(imm, charts, coords, order), 1.0
 
 
 def bundle_at(
     imm: Immersion,
-    chart_id: int,
+    charts,
     coords: np.ndarray,
     order: int,
     frame_gauge: np.ndarray | None = None,
 ) -> FrameBundle:
-    """FrameBundle at a batch of points of one chart given as (B, nvars)
-    coords; no chart normalization.  A point the geometry fails at is named
-    by its chart and coordinates in the error, whose `index` is its row."""
+    """FrameBundle at a batch of points given as (B, nvars) coords, each in
+    its chart from `charts`: one chart id for every point, or a (B,) array
+    with each point's own, so one bundle may span several charts.  No chart
+    normalization.  A point the geometry fails at is named by its own chart
+    and its coordinates in the error, whose `index` is its row."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     try:
-        phi, c_amb = _ambient_jets(imm, chart_id, coords.T, order)
+        phi, c_amb = _ambient_jets(imm, charts, coords.T, order)
         return FrameBundle(phi, imm.source_dim, c_amb, gauge=frame_gauge)
     except (NonLagrangianError, DegenerateMetricError) as exc:
-        where = f"chart {chart_id}, coords {coords[exc.index].tolist()}"
+        chart = int(np.broadcast_to(charts, len(coords))[exc.index])
+        where = f"chart {chart}, coords {coords[exc.index].tolist()}"
         raise named_point(exc, where, exc.index) from exc
 
 
@@ -812,13 +815,16 @@ SAMPLE_ORDER = 2
 SAMPLE_CHUNK = 512
 
 
-def scalar_samples(imm: Immersion, chart_id: int, coords: np.ndarray, names: list[str]) -> dict[str, np.ndarray]:
-    """Evaluate pointwise scalars at many chart points of one chart."""
+def scalar_samples(imm: Immersion, charts, coords: np.ndarray, names: list[str]) -> dict[str, np.ndarray]:
+    """Evaluate pointwise scalars at (N, nvars) chart coords, each point in
+    its chart from `charts` (one id, or an (N,) array of ids that may mix
+    charts), in chunks of at most `SAMPLE_CHUNK` points taken in order."""
     coords = np.asarray(coords, dtype=float)
+    charts = np.broadcast_to(charts, len(coords))
     out = {name: np.empty(len(coords)) for name in names}
     for lo in range(0, len(coords), SAMPLE_CHUNK):
         hi = min(lo + SAMPLE_CHUNK, len(coords))
-        fb = bundle_at(imm, chart_id, coords[lo:hi], SAMPLE_ORDER)
+        fb = bundle_at(imm, charts[lo:hi], coords[lo:hi], SAMPLE_ORDER)
         for name in names:
             out[name][lo:hi] = fb.scalar(name)
     return out

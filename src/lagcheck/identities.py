@@ -8,8 +8,9 @@ per point, an array of shape (B,).  The structural and curvature checks need
 an order-3 bundle; the heavy checks (Ricci identity, Laplace contraction,
 Simons identity and inequality) need an order-4 one, whose jets carry every
 derivative they use, including the chart Laplacian of |hhat|^2 and the
-gradient of T.  `run_identity_suite` builds one bundle per chart and runs
-every check on every sample point.
+gradient of T.  `run_identity_suite` builds one bundle over all sample
+points, each evaluated in its own chart, and runs every check on every
+point.
 
 Each check yields a named residual; the report marks a check as passed when
 its worst residual sits under its tolerance rung (exact-jet, once-FD, or
@@ -365,9 +366,9 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _validate(fb: FrameBundle, samples: list[int]) -> None:
+def _validate(fb: FrameBundle) -> None:
     """The checks a GeometryState makes on construction, at every point of a
-    bundle; `samples` maps batch positions to sample indices."""
+    bundle whose batch positions are the sample indices."""
     T = 0.5 * (fb.T0 + fb.T0.transpose(1, 0, 2))
     T_scale = np.maximum(1.0, _max_abs(T))
     failures = {
@@ -378,10 +379,10 @@ def _validate(fb: FrameBundle, samples: list[int]) -> None:
     }
     for what, bad in failures.items():
         if np.any(bad):
-            raise ValueError(f"sample {samples[int(np.argmax(bad))]}: {what}")
+            raise ValueError(f"sample {int(np.argmax(bad))}: {what}")
 
 
-def _chart_residuals(fb: FrameBundle, heavy: bool) -> dict[str, np.ndarray]:
+def _residuals(fb: FrameBundle, heavy: bool) -> dict[str, np.ndarray]:
     """Every check on every point of one bundle, as (B,) residuals."""
     res = check_structural(fb) | check_gauss_ricci(fb)
     res["maslov_closedness"] = fb.maslov_closedness()
@@ -406,27 +407,26 @@ def run_identity_suite(
 ) -> IdentityReport:
     """Evaluate every identity check on every sample point and tabulate.
 
-    The points are moved to their well-conditioned charts and each chart gets
-    one bundle, of order 4 when `heavy` (order 3 otherwise), that feeds every
-    check.  A point the geometry fails at is named in the error by its sample
-    index, chart and coordinates."""
+    The points are moved to their well-conditioned charts, and one bundle
+    over all of them, in sample order and each in its own chart, of order 4
+    when `heavy` (order 3 otherwise), feeds every check.  A point the
+    geometry fails at is named in the error by its sample index, chart and
+    coordinates."""
+    if not points:
+        raise ValueError("the identity suite needs at least one sample point")
     moved = [imm.atlas.normalize(p) for p in points]
     for k, p in enumerate(moved):
         if not imm.atlas.contains(p):
             raise at_point(OutOfDomainError(f"sample {k}: {p} outside chart domain"), k)
 
-    residuals: dict[str, np.ndarray] = {}
-    for chart in sorted({p.chart_id for p in moved}):
-        samples = [k for k, p in enumerate(moved) if p.chart_id == chart]
-        coords = np.array([moved[k].coords for k in samples])
-        try:
-            fb = bundle_at(imm, chart, coords, 4 if heavy else 3)
-        except (NonLagrangianError, DegenerateMetricError) as exc:
-            k = samples[exc.index]
-            raise named_point(exc, f"sample {k}", k) from exc
-        _validate(fb, samples)
-        for name, value in _chart_residuals(fb, heavy).items():
-            residuals.setdefault(name, np.zeros(len(points)))[samples] = value
+    charts = np.array([p.chart_id for p in moved])
+    coords = np.array([p.coords for p in moved])
+    try:
+        fb = bundle_at(imm, charts, coords, 4 if heavy else 3)
+    except (NonLagrangianError, DegenerateMetricError) as exc:
+        raise named_point(exc, f"sample {exc.index}", exc.index) from exc
+    _validate(fb)
+    residuals = _residuals(fb, heavy)
 
     report = IdentityReport(
         immersion=imm.name,

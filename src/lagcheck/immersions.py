@@ -90,14 +90,13 @@ class SphereAtlas:
         x[self.n] = last if p.chart_id == 0 else -last
         return x
 
-    def embed_jets(self, chart_id: int, u: Jet) -> Jet:
-        """`embed` on the (n,) coordinate jet: x = (2u, +-(|u|^2 - 1)) / (1 + |u|^2)."""
-        n = self.n
-        last = np.zeros(n + 1)
-        last[n] = 1.0 if chart_id == 0 else -1.0
+    def embed_jets(self, charts, u: Jet) -> Jet:
+        """`embed` on the (n,) coordinate jet: x = (2u, +-(|u|^2 - 1)) / (1 + |u|^2),
+        the sign + in chart 0 and - in chart 1.  `charts` is one chart id or
+        a (B,) array of them, one per point of the batch."""
+        sign = np.where(np.asarray(charts) == 0, 1.0, -1.0)
         norm2 = jet_einsum("a,a->", u, u)
-        x = jet_einsum("ca,a->c", 2.0 * np.eye(n + 1, n), u)
-        x = x + jet_einsum("c,->c", last, norm2 - 1.0)
+        x = Jet.stack([u[a].scaled(2.0) for a in range(self.n)] + [(norm2 - 1.0).scaled(sign)])
         return x * (1.0 / (1.0 + norm2))
 
     def from_embedded(self, x: np.ndarray) -> ChartPoint:
@@ -170,9 +169,10 @@ AMBIENT_SPHERE = "HomogeneousSphere"
 class Immersion:
     """A parametrized immersion of a model manifold into C^m (as R^{2m}).
 
-    `jet_fn(chart_id, coords, order)` returns one (2m,) jet of the
-    interleaved real ambient coordinates at a batch of chart points (coords
-    has shape (nvars, B)).
+    `jet_fn(charts, coords, order)` returns one (2m,) jet of the interleaved
+    real ambient coordinates at a batch of chart points: coords has shape
+    (nvars, B), and `charts` is one chart id for the whole batch or a (B,)
+    array of ids, one per point, so one batch may span several charts.
     """
 
     name: str
@@ -242,8 +242,8 @@ def make_whitney_cn(r: float, A=None, n: int = 2) -> Immersion:
     atlas = SphereAtlas(n)
     offset = np.stack([A.real, A.imag], axis=1).reshape(2 * n, 1)
 
-    def jet_fn(chart_id, coords, order):
-        x = atlas.embed_jets(chart_id, Jet.variables(jet_space(n, order), coords))
+    def jet_fn(charts, coords, order):
+        x = atlas.embed_jets(charts, Jet.variables(jet_space(n, order), coords))
         xl = x[n]
         w = x[:n] * (r / (1.0 + xl * xl))
         return interleave(w, w * xl) + offset
@@ -271,7 +271,7 @@ def make_product_torus(radii) -> Immersion:
     if n == 0:
         raise ValueError("a torus needs at least one radius")
 
-    def jet_fn(chart_id, coords, order):
+    def jet_fn(charts, coords, order):
         sin, cos = Jet.variables(jet_space(n, order), coords).sin_cos()
         return interleave(cos, sin).scaled(np.repeat(radii, 2)[:, None])
 
@@ -290,7 +290,7 @@ def make_product_torus(radii) -> Immersion:
 
 
 def make_lagrangian_plane(n: int) -> Immersion:
-    def jet_fn(chart_id, coords, order):
+    def jet_fn(charts, coords, order):
         return interleave(Jet.variables(jet_space(n, order), coords))
 
     return Immersion(
@@ -314,7 +314,7 @@ def make_nonlagrangian_plane(n: int) -> Immersion:
     first_to_last = np.zeros((n, n))
     first_to_last[n - 1, 0] = 1.0
 
-    def jet_fn(chart_id, coords, order):
+    def jet_fn(charts, coords, order):
         u = Jet.variables(jet_space(n, order), coords)
         return interleave(u, jet_einsum("ja,a->j", first_to_last, u))
 
@@ -347,8 +347,8 @@ def linear_image(base: Immersion, matrix: np.ndarray, offset=None, name=None) ->
     if matrix.shape != (m2, m2) or offset.shape != (m2,):
         raise ValueError("ambient map has the wrong shape")
 
-    def jet_fn(chart_id, coords, order):
-        return jet_einsum("cd,d->c", matrix, base.jet_fn(chart_id, coords, order)) + offset[:, None]
+    def jet_fn(charts, coords, order):
+        return jet_einsum("cd,d->c", matrix, base.jet_fn(charts, coords, order)) + offset[:, None]
 
     return Immersion(
         name=name or f"linear_image({base.name})",
@@ -423,7 +423,8 @@ def make_perturbed_whitney(r: float, eps: float, mode: int, n: int = 2) -> Immer
 
 
 def make_black_box(fn: Callable, n: int, ambient_complex_dim: int, atlas=None, name="black_box") -> Immersion:
-    """Wrap a plain callable coords -> ambient reals as an Immersion.
+    """Wrap a plain callable `fn(chart_id, coords)` -> ambient reals as an
+    Immersion; each point is evaluated in its own chart.
 
     Jet coefficients come from nested central differences (step 1e-3 chart
     units, one Richardson pass per axis), so derived quantities live on the
@@ -433,10 +434,10 @@ def make_black_box(fn: Callable, n: int, ambient_complex_dim: int, atlas=None, n
     atlas = atlas or PlaneAtlas(n)
     step = 1e-3
 
-    def partial_value(alpha, x):
+    def partial_value(chart_id, alpha, x):
         axis = next((a for a in range(n) if alpha[a] > 0), None)
         if axis is None:
-            return np.asarray(fn(x), dtype=float)
+            return np.asarray(fn(chart_id, x), dtype=float)
         sub = list(alpha)
         sub[axis] -= 1
 
@@ -445,20 +446,20 @@ def make_black_box(fn: Callable, n: int, ambient_complex_dim: int, atlas=None, n
             dn = x.copy()
             up[axis] += h
             dn[axis] -= h
-            return (partial_value(sub, up) - partial_value(sub, dn)) / (2 * h)
+            return (partial_value(chart_id, sub, up) - partial_value(chart_id, sub, dn)) / (2 * h)
 
         return (4.0 * diff(step / 2.0) - diff(step)) / 3.0
 
-    def jet_fn(chart_id, coords, order):
+    def jet_fn(charts, coords, order):
         sp = jet_space(n, order)
         B = coords.shape[1]
         m2 = 2 * ambient_complex_dim
         raw = np.zeros((m2, sp.ncoef, B))
-        for b in range(B):
+        for b, chart_id in enumerate(np.broadcast_to(charts, (B,)).tolist()):
             x = coords[:, b].copy()
             for k in range(sp.ncoef):
                 alpha = sp.multi_indices[k]
-                raw[:, k, b] = partial_value(list(alpha), x) / sp.coef_factorial[k]
+                raw[:, k, b] = partial_value(chart_id, list(alpha), x) / sp.coef_factorial[k]
         return Jet(sp, raw)
 
     return Immersion(

@@ -182,16 +182,6 @@ def _check_rule(imm: Immersion, rule: QuadratureRule):
         raise ValueError("torus rule applied to a non-torus immersion")
 
 
-def _node_scalars(imm: Immersion, rule: QuadratureRule, names: list[str]) -> dict[str, np.ndarray]:
-    out = {name: np.empty(rule.node_count) for name in names}
-    for cid in np.unique(rule.chart_ids):
-        mask = rule.chart_ids == cid
-        vals = scalar_samples(imm, int(cid), rule.coords[mask], names)
-        for name in names:
-            out[name][mask] = vals[name]
-    return out
-
-
 def integrate(imm: Immersion, f, rule: QuadratureRule) -> float:
     """Integral of a pointwise scalar against the induced volume measure.
 
@@ -202,11 +192,11 @@ def integrate(imm: Immersion, f, rule: QuadratureRule) -> float:
     _check_rule(imm, rule)
     if isinstance(f, str):
         names = ["sqrt_det_g"] if f == "one" else ["sqrt_det_g", f]
-        vals = _node_scalars(imm, rule, names)
+        vals = scalar_samples(imm, rule.chart_ids, rule.coords, names)
         fv = np.ones(rule.node_count) if f == "one" else vals[f]
         dens = vals["sqrt_det_g"]
     else:
-        dens = _node_scalars(imm, rule, ["sqrt_det_g"])["sqrt_det_g"]
+        dens = scalar_samples(imm, rule.chart_ids, rule.coords, ["sqrt_det_g"])["sqrt_det_g"]
         fv = np.array([f(p) for p in rule.nodes()])
     return float(np.sum(rule.weights * rule.chart_jacobians * fv * dens))
 
@@ -284,7 +274,7 @@ def energy_report(imm: Immersion, rule: QuadratureRule) -> EnergyReport:
     if not imm.compact:
         raise ValueError("energy report needs a compact model domain")
     _check_rule(imm, rule)
-    vals = _node_scalars(imm, rule, ["sqrt_det_g", "hhat_sq", "h_sq", "H_sq"])
+    vals = scalar_samples(imm, rule.chart_ids, rule.coords, ["sqrt_det_g", "hhat_sq", "h_sq", "H_sq"])
     base = rule.weights * rule.chart_jacobians * vals["sqrt_det_g"]
     n = imm.source_dim
     limit, note = r2_window_limit(imm)
@@ -309,25 +299,25 @@ def michael_simon_ratio(imm: Immersion, v, rule: QuadratureRule) -> dict:
     test function against int |grad v| + v |H|, plus the squared-exponent
     variant for n >= 3.  The constant is not asserted, only reported.
 
-    `v(chart_id, u)` evaluates the test function in jet arithmetic on the
-    order-2 coordinate jets `u` (`Jet.variables`) of a chunk of nodes of one
-    chart.  Chunks hold at most `SAMPLE_CHUNK` nodes, as in `scalar_samples`,
-    and one bundle per chunk serves the density, |H|^2 and grad v.
+    `v(charts, u)` evaluates the test function in jet arithmetic on the
+    order-2 coordinate jets `u` (`Jet.variables`) of a chunk of nodes, whose
+    chart ids `charts` (a (B,) array) may mix charts.  The nodes are taken
+    in rule order, in chunks of at most `SAMPLE_CHUNK` as in
+    `scalar_samples`, and one bundle per chunk serves the density, |H|^2
+    and grad v.
     """
     _check_rule(imm, rule)
     n = imm.source_dim
     dens, H_sq, vv, grad_norm = (np.empty(rule.node_count) for _ in range(4))
-    for cid in np.unique(rule.chart_ids):
-        rows = np.flatnonzero(rule.chart_ids == cid)
-        for lo in range(0, len(rows), SAMPLE_CHUNK):
-            chunk = rows[lo : lo + SAMPLE_CHUNK]
-            coords = rule.coords[chunk]
-            fb = bundle_at(imm, int(cid), coords, SAMPLE_ORDER)
-            vj = v(int(cid), Jet.variables(jet_space(n, SAMPLE_ORDER), coords.T))
-            dens[chunk] = fb.scalar("sqrt_det_g")
-            H_sq[chunk] = fb.scalar("H_sq")
-            vv[chunk] = vj.value
-            grad_norm[chunk] = np.sqrt(np.sum(fb.frame_derivative(vj) ** 2, axis=0))
+    for lo in range(0, rule.node_count, SAMPLE_CHUNK):
+        chunk = slice(lo, lo + SAMPLE_CHUNK)
+        charts, coords = rule.chart_ids[chunk], rule.coords[chunk]
+        fb = bundle_at(imm, charts, coords, SAMPLE_ORDER)
+        vj = v(charts, Jet.variables(jet_space(n, SAMPLE_ORDER), coords.T))
+        dens[chunk] = fb.scalar("sqrt_det_g")
+        H_sq[chunk] = fb.scalar("H_sq")
+        vv[chunk] = vj.value
+        grad_norm[chunk] = np.sqrt(np.sum(fb.frame_derivative(vj) ** 2, axis=0))
     base = rule.weights * rule.chart_jacobians * dens
     if np.any(vv < -1e-12):
         raise ValueError("negative test function detected at a node")

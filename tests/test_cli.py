@@ -227,6 +227,7 @@ PLANE = {"family": "lagrangian_plane", "n": 2}
 SCAN = {"family": "whitney_cn", "r": 1.0, "n": 2, "degree": 6, "scan_param": "r"}
 SAMPLES = "'samples' must be an integer >= 1"
 DEGREE = "'degree' must be an integer >= 1"
+HEAVY = "'heavy' must be true or false"
 
 
 @pytest.mark.parametrize(
@@ -251,12 +252,16 @@ DEGREE = "'degree' must be an integer >= 1"
         ("scan", {**TORUS, "scan_param": "radii.5", "values": [1.0]}, 2, "'radii' has no entry '5'"),
         ("scan", {**TORUS, "scan_param": "radii.x", "values": [1.0]}, 2, "'radii' has no entry 'x'"),
         ("scan", {**SCAN, "scan_param": "r.0", "values": [1.0]}, 2, "'r' has no entry '0'"),
+        ("identities", {**TORUS, "samples": 2, "heavy": "no"}, 2, HEAVY),
+        ("identities", {**TORUS, "samples": 2, "heavy": 0}, 2, HEAVY),
+        ("identities", "family=product_torus\nradii=[1.0, 1.0]\nsamples=2\nheavy=False\n", 2, HEAVY),
     ],
     ids=[
         "samples-negative", "samples-text", "samples-zero", "samples-fraction", "seed-text",
         "tol-scale-text", "degree-zero", "degree-negative", "energy-plane", "scan-value-text",
         "scan-degree-zero", "scan-plane", "torus-no-radii", "tol-scale-negative", "tol-scale-zero",
         "scan-param-unknown", "scan-index-out-of-range", "scan-index-text", "scan-index-on-scalar",
+        "heavy-text", "heavy-number", "heavy-keyvalue-python-false",
     ],
 )
 def test_invalid_run_parameters_are_refused(tmp_path, capsys, command, payload, code, message):

@@ -16,6 +16,7 @@ from lagcheck.cpn import (
     projective_distance,
 )
 from lagcheck.geometry import FrameBundle, bundle_at, geometry_state, intrinsic_curvature
+from lagcheck import identities
 from lagcheck.identities import run_identity_suite
 from lagcheck.immersions import AMBIENT_SPHERE, ChartPoint, Immersion, from_config
 from lagcheck.jets import Jet
@@ -368,6 +369,45 @@ class TestCpnTorus:
             make_cpn_torus([1.0, 1.0])
         with pytest.raises(ValueError):
             make_cpn_torus([1.0, -1.0, 1.0])
+
+
+def check(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+class TestCpnMutations:
+    """A wrong ambient-curvature term must fail the checks that see it."""
+
+    def test_c_term_coefficient_is_flagged(self, monkeypatch):
+        # (n + 2) c |hhat|^2 in place of (n + 1) c |hhat|^2
+        imm = make_cpn_torus([1.0, 0.7, 1.2, 0.9])
+        pts = imm.atlas.random_points(np.random.default_rng(5), 6)
+        assert check(run_identity_suite(imm, pts, seed=5), "simons_identity_rel").passed
+        terms = identities.simons_terms
+
+        def mutated(fb):
+            t = terms(fb)
+            t["c_term"] = t["c_term"] * (fb.n + 2.0) / (fb.n + 1.0)
+            return t
+
+        monkeypatch.setattr(identities, "simons_terms", mutated)
+        assert not check(run_identity_suite(imm, pts, seed=5), "simons_identity_rel").passed
+
+    def test_gauss_ambient_term_is_flagged(self, monkeypatch):
+        # 1.01 c (d_ik d_jl - d_il d_jk) in the Gauss form
+        imm = make_whitney_cpn(0.7, 3)
+        pts = imm.atlas.random_points(np.random.default_rng(6), 6)
+        names = ("gauss_two_method", "ricci_equation")
+        rep = run_identity_suite(imm, pts, seed=6, heavy=False)
+        assert all(check(rep, name).passed for name in names)
+        gauss_rhs = FrameBundle.gauss_rhs.fget
+        eye = np.eye(3)
+        delta = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
+        monkeypatch.setattr(
+            FrameBundle, "gauss_rhs", property(lambda fb: gauss_rhs(fb) + 0.01 * fb.c_amb * delta[..., None])
+        )
+        rep = run_identity_suite(imm, pts, seed=6, heavy=False)
+        assert not any(check(rep, name).passed for name in names)
 
 
 class TestHomogeneousPoint:

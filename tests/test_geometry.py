@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from lagcheck.cpn import make_rpn, make_whitney_cpn
+from lagcheck.cpn import make_rpn, make_whitney_cpn, phase_twist
 from lagcheck import jets
 from lagcheck.geometry import (
+    TOL_FD1,
     DegenerateMetricError,
     FrameBundle,
     NonLagrangianError,
@@ -491,8 +492,8 @@ class TestFiniteDifferenceCrossValidation:
 
         pert = make_perturbed_whitney(1.0, 0.05, 1, 2)
 
-        def fn(x):
-            return pert.point(ChartPoint(0, x.copy()))
+        def fn(chart_id, x):
+            return pert.point(ChartPoint(chart_id, x.copy()))
 
         bb = make_black_box(fn, 2, 2, atlas=pert.atlas, name="bb_perturbed")
         p = ChartPoint(0, np.array([0.4, -0.3]))
@@ -501,6 +502,53 @@ class TestFiniteDifferenceCrossValidation:
         assert abs(s_fd.h_norm_sq() - s_jet.h_norm_sq()) < 1e-6
         assert abs(s_fd.hhat_norm_sq() - s_jet.hhat_norm_sq()) < 1e-6
         assert np.max(np.abs(s_fd.metric.g - s_jet.metric.g)) < 1e-9
+
+    def test_black_box_evaluates_each_point_in_its_own_chart(self):
+        """A far chart-0 point moves to chart 1, and the black box must call
+        its map with chart 1 there, not the chart-0 formula."""
+        from lagcheck.immersions import make_black_box
+
+        pert = make_perturbed_whitney(1.0, 0.05, 1, 2)
+        bb = make_black_box(
+            lambda chart_id, x: pert.point(ChartPoint(chart_id, x)), 2, 2, atlas=pert.atlas, name="bb_perturbed"
+        )
+        far = ChartPoint(0, np.array([3.0, 0.5]))
+        s_jet = geometry_state(pert, far, depth="pointwise")
+        s_fd = geometry_state(bb, far, depth="pointwise")
+        assert s_fd.point.chart_id == 1
+        assert abs(s_fd.h_norm_sq() - s_jet.h_norm_sq()) < TOL_FD1
+        assert abs(s_fd.hhat_norm_sq() - s_jet.hhat_norm_sq()) < TOL_FD1
+
+
+MIXED_CHART_BODIES = {
+    "whitney_cn-offset": make_whitney_cn(1.0, np.array([0.3 + 0.2j, -0.4j, 0.1]), 3),
+    "perturbed_whitney": make_perturbed_whitney(1.0, 0.05, 1, 3),
+    "whitney_cpn": make_whitney_cpn(0.7, 3),
+    "rpn": make_rpn(3),
+    "phase_twist": phase_twist(make_whitney_cpn(0.7, 3), [0.4, -0.7, 0.2]),
+    "product_torus": make_product_torus([1.0, 1.5, 2.0]),
+}
+
+
+class TestMixedChartBatch:
+    @pytest.mark.parametrize("name", sorted(MIXED_CHART_BODIES))
+    def test_matches_per_chart_bundles(self, name):
+        """One bundle whose points carry their own chart ids gives, point by
+        point, what one bundle per chart gives: the point values at order 2
+        and the second covariant derivative of h at order 4."""
+        imm = MIXED_CHART_BODIES[name]
+        coords = np.random.default_rng(60).uniform(-1.2, 1.2, size=(8, imm.source_dim))
+        charts = np.arange(len(coords)) % imm.atlas.n_charts
+        for order, fields in ((2, ("g0", "sqrt_det_g", "h0")), (4, ("hess_h",))):
+            mixed = bundle_at(imm, charts, coords, order)
+            for chart in np.unique(charts):
+                idx = np.flatnonzero(charts == chart)
+                alone = bundle_at(imm, int(chart), coords[idx], order)
+                for field in fields:
+                    want = getattr(alone, field)
+                    got = getattr(mixed, field)[..., idx]
+                    scale = max(1.0, float(np.max(np.abs(want))))
+                    assert np.max(np.abs(got - want)) <= 1e-14 * scale, (field, int(chart))
 
 
 class TestSerialization:

@@ -245,6 +245,21 @@ def cusped_plane():
     return Immersion("cusped_plane", 2, AMBIENT_CN, 2, {}, PlaneAtlas(2), jet_fn, compact=False)
 
 
+def twisted_rpn(turn_first):
+    """RP^2 with a point-dependent phase on one homogeneous coordinate; it
+    and its derivatives up to order 5 vanish on u_2 = 0, so the body is
+    Lagrangian there only."""
+    base = make_rpn(2)
+
+    def twisted(charts, coords, order):
+        phi = base.jet_fn(charts, coords, order)
+        u = Jet.variables(phi.space, coords)
+        u2_cubed = u[1] * u[1] * u[1]
+        return turn_first(phi, u[0] * u2_cubed * u2_cubed)
+
+    return Immersion("twisted_rpn", 2, AMBIENT_SPHERE, 3, {}, base.atlas, twisted)
+
+
 class TestFailingPointIsNamed:
     POINTS = [ChartPoint(0, np.array(c)) for c in ([0.1, 0.0], [0.3, 0.0], [-0.2, 0.5], [0.4, 0.0])]
 
@@ -265,20 +280,19 @@ class TestFailingPointIsNamed:
             run_identity_suite(make_lagrangian_plane(2), pts)
 
     def test_horizontality_sample(self, turn_first):
-        base = make_rpn(2)
-
-        def twisted(chart_id, coords, order):
-            # a point-dependent phase on one homogeneous coordinate; it and
-            # its derivatives up to order 5 vanish on u_2 = 0
-            phi = base.jet_fn(chart_id, coords, order)
-            u = Jet.variables(phi.space, coords)
-            u2_cubed = u[1] * u[1] * u[1]
-            return turn_first(phi, u[0] * u2_cubed * u2_cubed)
-
-        bad = Immersion("twisted_rpn", 2, AMBIENT_SPHERE, 3, {}, base.atlas, twisted)
         pts = [ChartPoint(0, np.array(c)) for c in ([0.3, 0.0], [0.6, 0.4], [-0.5, 0.0])]
         with pytest.raises(HorizontalityError, match=r"sample 1: chart 0, coords \[0.6, 0.4\]"):
+            run_identity_suite(twisted_rpn(turn_first), pts)
+
+    def test_mixed_chart_sample_is_named_by_its_own_chart(self, turn_first):
+        bad = twisted_rpn(turn_first)
+        pts = [ChartPoint(c, np.array(x)) for c, x in ((0, [0.3, 0.0]), (1, [0.6, 0.4]), (0, [-0.5, 0.0]))]
+        with pytest.raises(HorizontalityError, match=r"sample 1: chart 1, coords \[0.6, 0.4\]") as err:
             run_identity_suite(bad, pts)
+        assert err.value.index == 1
+        charts, coords = np.array([p.chart_id for p in pts]), np.array([p.coords for p in pts])
+        with pytest.raises(HorizontalityError, match=r"^chart 1, coords \[0.6, 0.4\]: horizontality"):
+            geometry.bundle_at(bad, charts, coords, 4)
 
 
 class TestCurvatureContractionClosedForms:
@@ -313,7 +327,7 @@ class TestSuiteReports:
         rep = run_identity_suite(imm, pts, seed=4, heavy=True)
         assert rep.all_pass
 
-    def test_one_bundle_per_chart(self, monkeypatch):
+    def test_one_bundle_per_op(self, monkeypatch):
         builds, terms_calls = [], []
         init = geometry.FrameBundle.__init__
         terms = identities.simons_terms
@@ -330,12 +344,10 @@ class TestSuiteReports:
         monkeypatch.setattr(identities, "simons_terms", counting_terms)
         imm = make_whitney_cn(1.0, None, 2)
         pts = imm.atlas.random_points(np.random.default_rng(8), 9)
-        charts = {imm.atlas.normalize(p).chart_id for p in pts}
-        assert charts == {0, 1}
+        assert {imm.atlas.normalize(p).chart_id for p in pts} == {0, 1}
         assert run_identity_suite(imm, pts, seed=8).all_pass
-        assert len(builds) == len(charts)
-        assert len(terms_calls) == len(charts)
-        assert sum(terms_calls) == len(pts)
+        assert len(builds) == 1
+        assert terms_calls == [len(pts)]
 
     def test_simons_coefficient_mutation_is_flagged(self, monkeypatch):
         # a relative change of 1e-4 in the n^2/(n+2) coefficient of the
@@ -395,7 +407,7 @@ class TestSuiteReports:
             assert rep.all_pass
             worst = {}
             for p in pts:
-                res = identities._chart_residuals(point_bundle(imm, p, 4), heavy=True)
+                res = identities._residuals(point_bundle(imm, p, 4), heavy=True)
                 for name, value in res.items():
                     worst[name] = max(worst.get(name, 0.0), float(value[0]))
             assert {c.name for c in rep.checks} == set(worst)
@@ -428,6 +440,10 @@ class TestSuiteReports:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+    def test_empty_sample_list_is_refused(self):
+        with pytest.raises(ValueError, match="at least one sample point"):
+            run_identity_suite(make_whitney_cn(1.0, None, 2), [])
 
     def test_tolerance_scaling_can_fail(self):
         imm, _ = BODIES["perturbed"]

@@ -324,7 +324,7 @@ class TestBlackBoxFallback:
     def test_matches_analytic_torus_jets(self):
         analytic = make_product_torus([1.0, 2.0])
 
-        def fn(x):
+        def fn(chart_id, x):
             return np.array([np.cos(x[0]), np.sin(x[0]), 2 * np.cos(x[1]), 2 * np.sin(x[1])])
 
         bb = make_black_box(fn, 2, 2, atlas=analytic.atlas, name="bb_torus")

@@ -221,27 +221,30 @@ class TestMichaelSimon:
         assert out["eq320_rhs_no_constant"] > 0
 
     def test_bundles_stay_within_sample_chunk(self, monkeypatch):
-        """No bundle sees more than SAMPLE_CHUNK nodes, and chunking does not
-        change the result: one bundle per chart gives the same ratios."""
+        """The nodes stream through bundles of at most SAMPLE_CHUNK nodes in
+        rule order, a chunk may mix charts, and chunking does not change the
+        result: one bundle over every node gives the same ratios."""
         wh = make_whitney_cn(1.0, np.array([0.3 + 0.4j, -0.2, 0.1j]), 3)
         atlas = wh.atlas
-        # degree^3 nodes, split about evenly between the two charts, so each
-        # chart spans more than one chunk
+        # degree^3 nodes, more than two chunks' worth, split about evenly
+        # between the two charts
         rule = sphere_rule(3, math.ceil((3 * quadrature.SAMPLE_CHUNK) ** (1 / 3)))
 
-        def v(cid, u):
-            return 1.0 + atlas.embed_jets(cid, u)[3] * 0.5
+        def v(charts, u):
+            return 1.0 + atlas.embed_jets(charts, u)[3] * 0.5
 
-        sizes, inner = [], quadrature.bundle_at
+        sizes, mixed, inner = [], [], quadrature.bundle_at
 
-        def bundle_at(imm, chart_id, coords, order):
+        def bundle_at(imm, charts, coords, order):
             sizes.append(len(coords))
-            return inner(imm, chart_id, coords, order)
+            mixed.append(np.unique(charts).size > 1)
+            return inner(imm, charts, coords, order)
 
         monkeypatch.setattr(quadrature, "bundle_at", bundle_at)
         chunked = michael_simon_ratio(wh, v, rule)
-        assert sizes and max(sizes) <= quadrature.SAMPLE_CHUNK < min(np.bincount(rule.chart_ids))
-        assert sum(sizes) == rule.node_count
+        assert len(sizes) == math.ceil(rule.node_count / quadrature.SAMPLE_CHUNK) >= 3
+        assert max(sizes) <= quadrature.SAMPLE_CHUNK and sum(sizes) == rule.node_count
+        assert any(mixed)
         monkeypatch.setattr(quadrature, "SAMPLE_CHUNK", rule.node_count)
         whole = michael_simon_ratio(wh, v, rule)
         for key, value in whole.items():
