@@ -3,17 +3,8 @@ in C^n and CP^n: immersion families, pointwise tensor geometry, identity
 residual suites, and energy functionals."""
 
 from . import cpn, geometry, identities, immersions, jets, quadrature, tensors
-from .cpn import cpn_geometry_state, make_cpn_torus, make_rpn, make_whitney_cpn
-from .geometry import (
-    GeometryState,
-    closedness_residual,
-    geometry_state,
-    intrinsic_curvature,
-    maslov_one_form,
-    maslov_tensor,
-    point_bundle,
-    scalar_laplacian,
-)
+from .cpn import make_cpn_torus, make_rpn, make_whitney_cpn
+from .geometry import FrameBundle, closedness_residual, geometry_state, scalar_laplacian
 from .identities import (
     IdentityReport,
     check_gauss_ricci,
@@ -26,7 +17,6 @@ from .identities import (
 from .immersions import (
     ChartPoint,
     Immersion,
-    chart_transition,
     from_config,
     make_lagrangian_plane,
     make_perturbed_whitney,
@@ -43,11 +33,8 @@ from .quadrature import (
     torus_rule,
 )
 from .tensors import (
-    CubicSymTensor,
     SpectralSummary,
-    SymTraceFree2,
-    VectorField1,
-    c_tensor,
+    c_tensor_array,
     contraction_identity_suite,
     li_li_check,
     spectral_summary,

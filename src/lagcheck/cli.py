@@ -6,8 +6,9 @@ floats use repr, files are UTF-8 and newline-terminated, and every random
 choice flows from the single config seed.
 
 Exit status: 0 all requested checks passed, 1 a check failed, 2 config error
-(also an invalid run parameter), 3 immersion construction error, 4 evaluation
-error (e.g. a non-Lagrangian immersion detected during geometry evaluation).
+(also an invalid run parameter, format or out path, or a malformed report),
+3 immersion construction error, 4 evaluation error (e.g. a non-Lagrangian
+immersion detected during geometry evaluation).
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_CONSTRUCTION_ERROR = 3
 EXIT_EVALUATION_ERROR = 4
+
+FORMATS = ("json", "csv", "table")
 
 
 class ConfigError(ValueError):
@@ -113,9 +116,28 @@ def sample_points(imm, count: int, seed: int):
 
 def write_text(path: str | None, text: str):
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def output(args, cfg: dict, formats: tuple[str, ...] = FORMATS) -> tuple[str | None, str]:
+    """The `out` path and `format` of a run, checked before any work: the
+    format must be one of `formats`, and `out` must lie in a directory that
+    exists."""
+    out = args.out or cfg.get("out")
+    fmt = args.format or cfg.get("format", "json")
+    if fmt not in formats:
+        known = fmt in FORMATS
+        raise ConfigError(f"{fmt} format is not available for this report" if known else f"unknown format {fmt!r}")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"'out' must be a path, got {out!r}")
+    if out and not Path(out).parent.is_dir():
+        raise ConfigError(f"cannot write {out}: {Path(out).parent} is not a directory")
+    return out, fmt
 
 
 def render_table(doc: dict) -> str:
@@ -143,16 +165,13 @@ def render_table(doc: dict) -> str:
 
 
 def emit(doc: dict, out: str | None, fmt: str, csv_text: str | None = None):
-    if fmt == "json":
-        write_text(out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    elif fmt == "csv":
-        if csv_text is None:
-            raise ConfigError("csv format is not available for this report")
+    """Write a report in a format `output` has checked."""
+    if fmt == "csv":
         write_text(out, csv_text)
     elif fmt == "table":
         write_text(out, render_table(doc))
     else:
-        raise ConfigError(f"unknown format {fmt!r}")
+        write_text(out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +181,6 @@ def emit(doc: dict, out: str | None, fmt: str, csv_text: str | None = None):
 
 def cmd_identities(args) -> int:
     cfg = load_config(args.config, {"seed": args.seed, "tol_scale": args.tol_scale})
-    imm = build_immersion(cfg)
     seed = integer(cfg, "seed", 0, 0)
     samples = integer(cfg, "samples", 20, 1)
     tol_scale = number(cfg.get("tol_scale", 1.0), "'tol_scale'")
@@ -171,23 +189,21 @@ def cmd_identities(args) -> int:
     heavy = cfg.get("heavy", True)
     if not isinstance(heavy, bool):
         raise ConfigError(f"'heavy' must be true or false, got {heavy!r}")
+    out, fmt = output(args, cfg, ("json", "table"))
+    imm = build_immersion(cfg)
     points = sample_points(imm, samples, seed)
     report = run_identity_suite(imm, points, tol_scale=tol_scale, seed=seed, heavy=heavy)
-    emit(report.to_dict(), args.out or cfg.get("out"), args.format or cfg.get("format", "json"))
+    emit(report.to_dict(), out, fmt)
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
 
 
 def cmd_energy(args) -> int:
     cfg = load_config(args.config, {"seed": args.seed})
+    degree = integer(cfg, "degree", 30, 1)
+    out, fmt = output(args, cfg)
     imm = compact_immersion(cfg, "energy")
-    rule = rule_for(imm, integer(cfg, "degree", 30, 1))
-    rep = energy_report(imm, rule)
-    emit(
-        rep.to_dict(),
-        args.out or cfg.get("out"),
-        args.format or cfg.get("format", "json"),
-        csv_text=rep.to_csv(),
-    )
+    rep = energy_report(imm, rule_for(imm, degree))
+    emit(rep.to_dict(), out, fmt, csv_text=rep.to_csv())
     return EXIT_OK
 
 
@@ -223,6 +239,7 @@ def cmd_scan(args) -> int:
         raise ConfigError("scan needs 'scan_param' and a finite 'values' list")
     values = sorted(number(v, "a scan value") for v in values)
     degree = integer(cfg, "degree", 30, 1)
+    out, _ = output(args, cfg)
     body = compact_immersion(cfg, "scan")
     target = _scan_target(body, key)
     rows = ["param,volume,int_hhat_n,int_hhat_sq,int_h_sq,int_H_sq"]
@@ -237,7 +254,7 @@ def cmd_scan(args) -> int:
             f"{v!r},{e['volume']!r},{e['int_hhat_n']!r},{e['int_hhat_sq']!r},"
             f"{e['int_h_sq']!r},{e['int_H_sq']!r}"
         )
-    write_text(args.out or cfg.get("out"), "\n".join(rows) + "\n")
+    write_text(out, "\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -246,7 +263,13 @@ def cmd_report(args) -> int:
         doc = json.loads(Path(args.report_file).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read report: {exc}") from exc
-    write_text(args.out, render_table(doc))
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a report is a JSON object, got {type(doc).__name__}")
+    try:
+        text = render_table(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {doc.get('kind', '?')} report: {exc!r}") from exc
+    write_text(args.out, text)
     return EXIT_OK
 
 
@@ -260,7 +283,7 @@ def main(argv=None) -> int:
     def common(p):
         p.add_argument("--config", help="JSON or key=value config file")
         p.add_argument("--out", help="output path (stdout if omitted)")
-        p.add_argument("--format", choices=["json", "csv", "table"], default=None)
+        p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol-scale", dest="tol_scale", type=float, default=None)
 

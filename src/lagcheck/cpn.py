@@ -8,8 +8,8 @@ the representative once, so a family may emit any nonvanishing multiple of
 it.  An order-2 lift, which is all that the energy integrands need, is read
 off the U(1) connection <dZ, iZ> at the points; from order 3 on, a phase
 potential solving the horizontality condition is integrated jet by jet.  At
-every order the phase at the base point is pinned, so geometry states,
-frames included, do not depend on the incoming representative.  The
+every order the phase at the base point is pinned, so bundles, frames
+included, do not depend on the incoming representative.  The
 flat-ambient frame machinery then applies verbatim in C^{n+1}, with the
 ambient curvature constant set to 1.
 
@@ -26,7 +26,6 @@ import numpy as np
 
 from .immersions import (
     AMBIENT_SPHERE,
-    ChartPoint,
     Immersion,
     SphereAtlas,
     TorusAtlas,
@@ -301,14 +300,6 @@ def horizontal_lift_jets(imm: Immersion, charts, coords: np.ndarray, order: int)
             int(bad[0]),
         )
     return W
-
-
-def cpn_geometry_state(imm: Immersion, p: ChartPoint, depth: str = "with_derivatives", frame_gauge=None):
-    if imm.ambient != AMBIENT_SPHERE:
-        raise ValueError("cpn_geometry_state needs a homogeneous-sphere immersion")
-    from .geometry import geometry_state
-
-    return geometry_state(imm, p, depth, frame_gauge)
 
 
 register_family("whitney_cpn", lambda p: make_whitney_cpn(p.get("theta", 1.0), int(p.get("n", 2))))

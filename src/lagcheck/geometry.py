@@ -31,20 +31,13 @@ bundle carries the Laplacian of |hhat|^2 and the gradient of T exactly.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .immersions import AMBIENT_CN, ChartPoint, Immersion, OutOfDomainError, times_i
 from .jets import Jet, jet_einsum, jet_space
-from .tensors import (
-    CubicSymTensor,
-    SymTraceFree2,
-    VectorField1,
-    c_tensor_array,
-)
+from .tensors import c_tensor_array
 
 LAGRANGIAN_TOL = 1e-6
 # Smallest admissible lambda_min / lambda_max of the induced metric.  The
@@ -534,104 +527,6 @@ def _maslov_defect(gH: np.ndarray) -> np.ndarray:
     return (n * gH - eye * div) / (n + 2.0)
 
 
-# ---------------------------------------------------------------------------
-# Public state
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MetricData:
-    g: np.ndarray
-    g_inv: np.ndarray
-    christoffels: np.ndarray
-    sqrt_det_g: float
-
-
-@dataclass
-class AdaptedFrame:
-    e: np.ndarray
-    Je: np.ndarray
-    frame_gauge: np.ndarray
-
-
-@dataclass
-class MaslovForm:
-    alpha: np.ndarray
-
-    def norm_sq(self) -> float:
-        return float(np.dot(self.alpha, self.alpha))
-
-
-@dataclass
-class GeometryState:
-    """Bundle of pointwise quantities of a Lagrangian immersion at one point."""
-
-    point: ChartPoint
-    immersion_name: str
-    params: dict
-    n: int
-    c_amb: float
-    depth: str
-    metric: MetricData
-    frame: AdaptedFrame
-    h: CubicSymTensor
-    H: VectorField1
-    hhat: CubicSymTensor
-    lagrangian_residual: float
-    grad_h: np.ndarray | None = None
-    grad_hhat: np.ndarray | None = None
-    grad_H: np.ndarray | None = None
-    T: SymTraceFree2 | None = None
-    T_divergence_form: np.ndarray | None = None
-    R: np.ndarray | None = None
-    R_normal: np.ndarray | None = None
-    tolerances: dict | None = None
-
-    def hhat_norm_sq(self) -> float:
-        return self.hhat.norm_sq()
-
-    def h_norm_sq(self) -> float:
-        return self.h.norm_sq()
-
-    def H_norm_sq(self) -> float:
-        return self.H.norm_sq()
-
-    def grad_hhat_norm_sq(self) -> float:
-        return float(np.sum(self.grad_hhat**2))
-
-    def to_dict(self) -> dict:
-        def arr(x):
-            return None if x is None else np.asarray(x).tolist()
-
-        return {
-            "schema": 1,
-            "kind": "geometry_state",
-            "immersion": self.immersion_name,
-            "params": _jsonable_params(self.params),
-            "ambient": "CPn" if self.c_amb else "Cn",
-            "point": {"chart_id": self.point.chart_id, "coords": arr(self.point.coords)},
-            "depth": self.depth,
-            "metric": {
-                "g": arr(self.metric.g),
-                "g_inv": arr(self.metric.g_inv),
-                "christoffels": arr(self.metric.christoffels),
-                "sqrt_det_g": self.metric.sqrt_det_g,
-            },
-            "frame": {"e": arr(self.frame.e), "Je": arr(self.frame.Je), "gauge": arr(self.frame.frame_gauge)},
-            "h": arr(self.h.entries),
-            "H": arr(self.H.components),
-            "hhat": arr(self.hhat.entries),
-            "grad_h": arr(self.grad_h),
-            "T": None if self.T is None else arr(self.T.entries),
-            "R": arr(self.R),
-            "lagrangian_residual": self.lagrangian_residual,
-            "tolerances": self.tolerances,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
 def _jsonable_params(params: dict) -> dict:
     out = {}
     for k, v in params.items():
@@ -650,8 +545,6 @@ def _jsonable_params(params: dict) -> dict:
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
-
-DEPTH_ORDER = {"pointwise": 2, "with_derivatives": 3}
 
 
 def _ambient_jets(imm: Immersion, charts, coords: np.ndarray, order: int) -> tuple[Jet, float]:
@@ -686,105 +579,25 @@ def bundle_at(
         raise named_point(exc, where, exc.index) from exc
 
 
-def point_bundle(
-    imm: Immersion, p: ChartPoint, order: int, frame_gauge: np.ndarray | None = None
+def geometry_state(
+    imm: Immersion, p: ChartPoint, order: int = 3, frame_gauge: np.ndarray | None = None
 ) -> FrameBundle:
-    """FrameBundle at one chart point, after moving it to its well-conditioned
-    chart (`imm.atlas.normalize`)."""
+    """FrameBundle at one chart point, a batch of one, after moving the point
+    to its well-conditioned chart (`imm.atlas.normalize`)."""
     p = imm.atlas.normalize(p)
     if not imm.atlas.contains(p):
         raise OutOfDomainError(f"{p} outside chart domain")
     return bundle_at(imm, p.chart_id, p.coords[None, :], order, frame_gauge)
 
 
-def geometry_state(
-    imm: Immersion,
-    p: ChartPoint,
-    depth: str = "with_derivatives",
-    frame_gauge: np.ndarray | None = None,
-) -> GeometryState:
-    """Full pointwise geometry of the immersion at a chart point."""
-    if depth not in DEPTH_ORDER:
-        raise ValueError(f"depth must be one of {sorted(DEPTH_ORDER)}")
-    p = imm.atlas.normalize(p)
-    fb = point_bundle(imm, p, DEPTH_ORDER[depth], frame_gauge)
-    return _state_from_bundle(fb, imm, p, depth)
-
-
-def _state_from_bundle(fb: FrameBundle, imm: Immersion, p: ChartPoint, depth: str) -> GeometryState:
-    n = fb.n
-    b = 0
-    g0 = fb.g0[..., b]
-    g_inv = np.einsum("ia,ib->ab", fb.B0[:, :, b], fb.B0[:, :, b])
-    e = fb.e0[..., b]
-    Je = fb.Je0[..., b]
-    h = CubicSymTensor(fb.h0[..., b])
-    H = VectorField1(fb.H0[:, b])
-    hhat = CubicSymTensor(fb.hhat0[..., b])
-
-    grad_h = grad_hhat = grad_H = T = T_div = R = R_normal = None
-    christoffels = np.zeros((n, n, n))
-    if fb.order >= 2:
-        christoffels = fb.christoffel0[..., b]
-    if depth == "with_derivatives":
-        grad_h = fb.grad_h[..., b]
-        grad_hhat = fb.grad_hhat[..., b]
-        grad_H = fb.grad_H[..., b]
-        T = SymTraceFree2(0.5 * (fb.T0[..., b] + fb.T0[..., b].T), tol=1e-8)
-        T_div = fb.T_from_hhat[..., b]
-        R = fb.curvature_frame[..., b]
-        R_normal = fb.normal_curvature[..., b]
-
-    metric = MetricData(g0, g_inv, christoffels, float(fb.sqrt_det_g[b]))
-    frame = AdaptedFrame(e, Je, fb.gauge)
-    return GeometryState(
-        point=p,
-        immersion_name=imm.name,
-        params=imm.params,
-        n=n,
-        c_amb=fb.c_amb,
-        depth=depth,
-        metric=metric,
-        frame=frame,
-        h=h,
-        H=H,
-        hhat=hhat,
-        lagrangian_residual=float(fb.lagrangian_residual[b]),
-        grad_h=grad_h,
-        grad_hhat=grad_hhat,
-        grad_H=grad_H,
-        T=T,
-        T_divergence_form=T_div,
-        R=R,
-        R_normal=R_normal,
-        tolerances={"jet": TOL_JET, "fd1": TOL_FD1, "fd2": TOL_FD2},
-    )
-
-
-def intrinsic_curvature(imm: Immersion, p: ChartPoint) -> np.ndarray:
-    """R_{ijkl} in the adapted frame, from chart Christoffel symbols."""
-    return point_bundle(imm, p, 3).curvature_frame[..., 0]
-
-
-def maslov_tensor(state: GeometryState) -> SymTraceFree2:
-    if state.T is None:
-        raise ValueError("state was built without derivatives")
-    return state.T
-
-
-def maslov_one_form(state: GeometryState) -> MaslovForm:
-    """alpha_i = <J H, e_i> = -H^{i*} in the adapted frame."""
-    return MaslovForm(-state.H.components.copy())
-
-
 def closedness_residual(imm: Immersion, p: ChartPoint) -> float:
     """max_ab |d_a alpha_b - d_b alpha_a| of the pulled-back Maslov form."""
-    return float(point_bundle(imm, p, 3).maslov_closedness()[0])
+    return float(geometry_state(imm, p, 3).maslov_closedness()[0])
 
 
 def maslov_tensor_gradient(imm: Immersion, p: ChartPoint) -> np.ndarray:
     """Covariant derivative T_{ij,k} at a chart point, indexed [i, j, k]."""
-    return point_bundle(imm, p, 4).grad_T[..., 0]
+    return geometry_state(imm, p, 4).grad_T[..., 0]
 
 
 def scalar_laplacian(imm: Immersion, field: Callable[[int, Jet], Jet], p: ChartPoint) -> float:
@@ -795,7 +608,7 @@ def scalar_laplacian(imm: Immersion, field: Callable[[int, Jet], Jet], p: ChartP
     is moved to.
     """
     p = imm.atlas.normalize(p)
-    fb = point_bundle(imm, p, 2)
+    fb = geometry_state(imm, p, 2)
     u = Jet.variables(jet_space(imm.source_dim, 2), p.coords)
     return float(fb.laplacian(field(p.chart_id, u))[0])
 

@@ -367,8 +367,9 @@ DEFAULT_TOLERANCES = {
 
 
 def _validate(fb: FrameBundle) -> None:
-    """The checks a GeometryState makes on construction, at every point of a
-    bundle whose batch positions are the sample indices."""
+    """Input checks on every point of a bundle whose batch positions are the
+    sample indices: h and hhat fully symmetric, H finite and the symmetrized
+    T trace-free.  The first sample at fault is named in the error."""
     T = 0.5 * (fb.T0 + fb.T0.transpose(1, 0, 2))
     T_scale = np.maximum(1.0, _max_abs(T))
     failures = {

@@ -153,10 +153,6 @@ class PlaneAtlas:
         return [ChartPoint(0, c) for c in rng.uniform(-1.5, 1.5, size=(count, self.n))]
 
 
-def chart_transition(atlas, p: ChartPoint, target_chart: int) -> ChartPoint:
-    return atlas.transition(p, target_chart)
-
-
 # ---------------------------------------------------------------------------
 # Immersions
 # ---------------------------------------------------------------------------
@@ -331,12 +327,6 @@ def make_nonlagrangian_plane(n: int) -> Immersion:
 
 
 # -- Ambient linear images (isometries, symplectic flows, perturbations) -----
-
-
-@dataclass
-class _LinearMap:
-    matrix: np.ndarray
-    offset: np.ndarray
 
 
 def linear_image(base: Immersion, matrix: np.ndarray, offset=None, name=None) -> Immersion:

@@ -1,9 +1,9 @@
 """Symmetric cubic tensors, trace decomposition, and the algebraic identity suite.
 
-Houses the fully symmetric rank-3 arrays that carry the second fundamental
-form of a Lagrangian submanifold, the umbilic-type tensor built from the mean
-curvature, and brute-force checks of the contraction identities used by the
-Simons-type estimate.
+Functions on plain arrays: the fully symmetric (n, n, n) arrays that carry
+the second fundamental form of a Lagrangian submanifold, the umbilic-type
+tensor built from the (n,) mean curvature vector, and brute-force checks of
+the contraction identities used by the Simons-type estimate.
 
 Bulk random suites contract with np.einsum on fixed subscripts that mirror
 the index expressions; a literal nested-loop evaluator is kept as the
@@ -38,84 +38,11 @@ def trisym_violations(a: np.ndarray, tol: float = TRISYM_TOL) -> np.ndarray:
     return symmetry_residual(a, 3) > tol * scale
 
 
-def trisym_residual(a: np.ndarray) -> float:
-    """Max deviation of a rank-3 array from full index symmetry."""
-    return float(symmetry_residual(np.asarray(a), 3))
-
-
 def trisymmetrize(a: np.ndarray) -> np.ndarray:
     out = np.zeros_like(a, dtype=float)
     for perm in permutations(range(3)):
         out += np.transpose(a, perm)
     return out / 6.0
-
-
-@dataclass
-class CubicSymTensor:
-    """Fully symmetric rank-3 array; houses h, the trace-free part, and the
-    umbilic tensor.  Entries are indexed [m, i, j] with the starred index first."""
-
-    entries: np.ndarray
-    tol: float = TRISYM_TOL
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        n = self.entries.shape[0]
-        if self.entries.shape != (n, n, n):
-            raise ValueError("cubic tensor must be n x n x n")
-        if trisym_violations(self.entries, self.tol):
-            raise ValueError("array is not symmetric under index permutations")
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def norm_sq(self) -> float:
-        return float(np.sum(self.entries**2))
-
-    def trace_vector(self) -> np.ndarray:
-        """The vector (1/n) sum_i a[m, i, i]."""
-        return np.einsum("mii->m", self.entries) / self.n
-
-
-@dataclass
-class VectorField1:
-    """Mean-curvature-type vector of starred components H^{k*}."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        self.components = np.asarray(self.components, dtype=float)
-        if self.components.ndim != 1:
-            raise ValueError("expected a 1-d component vector")
-        if not np.all(np.isfinite(self.components)):
-            raise ValueError("non-finite components")
-
-    @property
-    def n(self) -> int:
-        return len(self.components)
-
-    def norm_sq(self) -> float:
-        return float(np.dot(self.components, self.components))
-
-
-@dataclass
-class SymTraceFree2:
-    """Symmetric trace-free 2-tensor (the conformal-Maslov defect)."""
-
-    entries: np.ndarray
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(self.entries))))
-        if np.max(np.abs(self.entries - self.entries.T)) > self.tol * scale:
-            raise ValueError("tensor is not symmetric")
-        if abs(float(np.trace(self.entries))) > max(self.tol, 1e-12) * scale:
-            raise ValueError("tensor is not trace-free")
-
-    def norm_sq(self) -> float:
-        return float(np.sum(self.entries**2))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +58,6 @@ def c_tensor_array(H: np.ndarray) -> np.ndarray:
     H = np.asarray(H, dtype=float)
     n = H.shape[0]
     eye = np.eye(n)
-    tail = H.shape[1:]
     c = (
         np.einsum("m...,ij->mij...", H, eye)
         + np.einsum("i...,jm->mij...", H, eye)
@@ -140,36 +66,32 @@ def c_tensor_array(H: np.ndarray) -> np.ndarray:
     return (n / (n + 2.0)) * c
 
 
-def c_tensor(H: VectorField1) -> CubicSymTensor:
-    return CubicSymTensor(c_tensor_array(H.components))
-
-
-def tracefree_part(h: CubicSymTensor, H: VectorField1) -> CubicSymTensor:
+def tracefree_part(h: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Subtract the umbilic part; result is trace-free in every index pair."""
-    if h.n != H.n:
+    h, H = np.asarray(h, dtype=float), np.asarray(H, dtype=float)
+    if h.shape[0] != len(H):
         raise ValueError("dimension mismatch")
-    if np.max(np.abs(h.trace_vector() - H.components)) > 1e-10 * max(1.0, float(np.max(np.abs(H.components)))):
+    if np.max(np.abs(np.einsum("mii->m", h) / len(H) - H)) > 1e-10 * max(1.0, float(np.max(np.abs(H)))):
         raise ValueError("H is not the trace of h divided by n")
-    return CubicSymTensor(h.entries - c_tensor_array(H.components))
+    return h - c_tensor_array(H)
 
 
-def norm_identity_residual(h: CubicSymTensor, H: VectorField1) -> float:
+def norm_identity_residual(h: np.ndarray, H: np.ndarray) -> float:
     """| |hhat|^2 - |h|^2 + 3n^2/(n+2) |H|^2 |."""
-    n = h.n
+    n = len(H)
     hhat = tracefree_part(h, H)
-    return abs(hhat.norm_sq() - h.norm_sq() + 3.0 * n * n / (n + 2.0) * H.norm_sq())
+    return abs(float(np.sum(hhat**2) - np.sum(h**2) + 3.0 * n * n / (n + 2.0) * np.dot(H, H)))
 
 
-def random_cubic(rng: np.random.Generator, n: int) -> tuple[CubicSymTensor, VectorField1]:
-    """Random full tensor h with its trace vector H."""
-    h = CubicSymTensor(trisymmetrize(rng.normal(size=(n, n, n))))
-    return h, VectorField1(h.trace_vector())
+def random_cubic(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random fully symmetric h with its trace vector H = (1/n) h^m_ii."""
+    h = trisymmetrize(rng.normal(size=(n, n, n)))
+    return h, np.einsum("mii->m", h) / n
 
 
-def random_tracefree(rng: np.random.Generator, n: int) -> CubicSymTensor:
+def random_tracefree(rng: np.random.Generator, n: int) -> np.ndarray:
     """Tri-symmetrize a Gaussian array, then project out its trace."""
-    h, H = random_cubic(rng, n)
-    return tracefree_part(h, H)
+    return tracefree_part(*random_cubic(rng, n))
 
 
 # ---------------------------------------------------------------------------
@@ -177,20 +99,19 @@ def random_tracefree(rng: np.random.Generator, n: int) -> CubicSymTensor:
 # ---------------------------------------------------------------------------
 
 
-def contraction_identity_suite(hhat: CubicSymTensor, H: VectorField1) -> dict[str, float]:
+def contraction_identity_suite(hhat: np.ndarray, H: np.ndarray) -> dict[str, float]:
     """Residuals |LHS - RHS| of the auxiliary contraction identities.
 
     Left sides are six-index sums of hhat/c products; right sides are the
     closed forms in |hhat|^2 |H|^2, the cubic trace sum and the quadratic
     H-contraction, with the stated rational coefficients.
     """
-    n = hhat.n
-    if H.n != n:
+    hh, Hv = np.asarray(hhat, dtype=float), np.asarray(H, dtype=float)
+    n = hh.shape[0]
+    if len(Hv) != n:
         raise ValueError("dimension mismatch")
-    if abs(float(np.max(np.abs(np.einsum("mii->m", hhat.entries))))) > 1e-8:
+    if float(np.max(np.abs(np.einsum("mii->m", hh)))) > 1e-8:
         raise ValueError("hhat is not trace-free")
-    hh = hhat.entries
-    Hv = H.components
     c = c_tensor_array(Hv)
     f = n / (n + 2.0)
     f2 = f * f
@@ -251,12 +172,10 @@ def contraction_identity_suite(hhat: CubicSymTensor, H: VectorField1) -> dict[st
     return res
 
 
-def _contraction_suite_loops(hhat: CubicSymTensor, H: VectorField1) -> dict[str, float]:
+def _contraction_suite_loops(hh: np.ndarray, Hv: np.ndarray) -> dict[str, float]:
     """Literal nested-loop evaluation of the same left sides; oracle for the
     einsum expressions at small n."""
-    n = hhat.n
-    hh = hhat.entries
-    Hv = H.components
+    n = len(Hv)
     c = c_tensor_array(Hv)
     rng = range(n)
 
@@ -371,11 +290,10 @@ class SpectralSummary:
             raise ValueError("per-direction norms must be nonnegative")
 
 
-def spectral_summary(hhat: CubicSymTensor | np.ndarray, H: VectorField1 | np.ndarray) -> SpectralSummary:
-    """Spectral data of one point, or of a batch given as arrays hhat
-    (n, n, n, ...) and H (n, ...) with the same trailing axes."""
-    hh = hhat.entries if isinstance(hhat, CubicSymTensor) else np.asarray(hhat, dtype=float)
-    Hv = H.components if isinstance(H, VectorField1) else np.asarray(H, dtype=float)
+def spectral_summary(hhat: np.ndarray, H: np.ndarray) -> SpectralSummary:
+    """Spectral data of one point, hhat (n, n, n) and H (n,), or of a batch
+    of them with the same trailing axes."""
+    hh, Hv = np.asarray(hhat, dtype=float), np.asarray(H, dtype=float)
     M = np.einsum("lij...,l...->...ij", hh, Hv)
     lam, V = np.linalg.eigh(M)
     # rotate hhat into the eigenframe e'_i = sum_j V[j, i] e_j

@@ -14,7 +14,7 @@ import pytest
 
 from lagcheck.cli import main as cli_main
 from lagcheck.cpn import make_rpn, make_whitney_cpn
-from lagcheck.geometry import bundle_at, point_bundle
+from lagcheck.geometry import bundle_at, geometry_state
 from lagcheck.identities import (
     algebraic_simons_bound,
     check_gauss_ricci,
@@ -32,7 +32,6 @@ from lagcheck.immersions import (
 )
 from lagcheck.quadrature import energy_report, sphere_rule, torus_rule
 from lagcheck.tensors import (
-    VectorField1,
     contraction_identity_suite,
     li_li_batch_margin,
     norm_identity_residual,
@@ -170,7 +169,7 @@ def test_criterion_04_structure_equations():
     for idx, (name, (imm, _)) in enumerate(sorted(bodies.items())):
         rng = np.random.default_rng(400 + idx)
         for p in imm.atlas.random_points(rng, 10):
-            fb = point_bundle(imm, p, 3)
+            fb = geometry_state(imm, p, 3)
             res = check_structural(fb) | check_gauss_ricci(fb)
             for k in rungs:
                 res[k] = float(res[k][0])
@@ -188,7 +187,7 @@ def test_criterion_05_contraction_identities():
         rng = np.random.default_rng(500 + n)
         for _ in range(1000):
             hhat = random_tracefree(rng, n)
-            H = VectorField1(rng.normal(size=n))
+            H = rng.normal(size=n)
             worst = max(worst, max(contraction_identity_suite(hhat, H).values()))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-10
@@ -216,7 +215,7 @@ def test_criterion_06_li_li_inequality():
 def test_criterion_07_simons_identity():
     torus = make_product_torus([1.0, 1.0])
     tp = ChartPoint(0, np.array([0.7, 2.0]))
-    t = {k: float(v[0]) for k, v in simons_terms(point_bundle(torus, tp, 4)).items()}
+    t = {k: float(v[0]) for k, v in simons_terms(geometry_state(torus, tp, 4)).items()}
     rhs_sum = (
         t["HH_term"] + t["commutator_term"] + t["trace_sq_term"] + t["cubic_term"] + t["quad_term"]
     )
@@ -225,7 +224,7 @@ def test_criterion_07_simons_identity():
     pert = make_perturbed_whitney(1.0, 0.05, 1, 2)
     rels = []
     for p in pert.atlas.random_points(np.random.default_rng(70), 5):
-        rel = float(check_simons_identity(simons_terms(point_bundle(pert, p, 4)))[2][0])
+        rel = float(check_simons_identity(simons_terms(geometry_state(pert, p, 4)))[2][0])
         rels.append(rel)
         assert rel < 1e-13
     print(f"\nACCEPTANCE 7 PASS: Simons identity (torus cancellation {abs(rhs_sum):.2e}; "
@@ -234,11 +233,11 @@ def test_criterion_07_simons_identity():
 
 def test_criterion_08_simons_inequality():
     torus = make_product_torus([1.0, 2.0])
-    fb_t = point_bundle(torus, ChartPoint(0, np.array([0.4, 1.0])), 4)
+    fb_t = geometry_state(torus, ChartPoint(0, np.array([0.4, 1.0])), 4)
     res_t = {k: float(v[0]) for k, v in check_simons_inequality(fb_t, simons_terms(fb_t)).items()}
     assert res_t["margin"] >= -1e-9
     wh = make_whitney_cn(1.0, None, 2)
-    fb_w = point_bundle(wh, ChartPoint(0, np.array([0.3, 0.6])), 4)
+    fb_w = geometry_state(wh, ChartPoint(0, np.array([0.3, 0.6])), 4)
     res_w = {k: float(v[0]) for k, v in check_simons_inequality(fb_w, simons_terms(fb_w)).items()}
     assert res_w["margin"] >= -1e-9
     rng = np.random.default_rng(88)
@@ -247,7 +246,7 @@ def test_criterion_08_simons_inequality():
         n = int(rng.integers(2, 6))
         hhat = random_tracefree(rng, n)
         H = rng.normal(size=n)
-        margin = algebraic_simons_bound(hhat.entries, H)["margin"]
+        margin = algebraic_simons_bound(hhat, H)["margin"]
         worst = min(worst, margin)
         assert margin >= -1e-10
     print(f"\nACCEPTANCE 8 PASS: Simons inequality margins (torus {res_t['margin']:.2e}, "

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lagcheck import cli
 from lagcheck.cli import main
 
 
@@ -228,6 +229,8 @@ SCAN = {"family": "whitney_cn", "r": 1.0, "n": 2, "degree": 6, "scan_param": "r"
 SAMPLES = "'samples' must be an integer >= 1"
 DEGREE = "'degree' must be an integer >= 1"
 HEAVY = "'heavy' must be true or false"
+NO_DIR = {"out": "/nonexistent/dir/r.json"}
+UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a directory"
 
 
 @pytest.mark.parametrize(
@@ -255,18 +258,36 @@ HEAVY = "'heavy' must be true or false"
         ("identities", {**TORUS, "samples": 2, "heavy": "no"}, 2, HEAVY),
         ("identities", {**TORUS, "samples": 2, "heavy": 0}, 2, HEAVY),
         ("identities", "family=product_torus\nradii=[1.0, 1.0]\nsamples=2\nheavy=False\n", 2, HEAVY),
+        ("energy", {**TORUS, "degree": 6, "format": "xml"}, 2, "unknown format 'xml'"),
+        ("identities", {**TORUS, "samples": 2, "format": "xml"}, 2, "unknown format 'xml'"),
+        ("identities", {**TORUS, "samples": 2, "format": "csv"}, 2, "csv format is not available"),
+        ("energy", {**TORUS, "degree": 6, **NO_DIR}, 2, UNWRITABLE),
+        ("identities", {**TORUS, "samples": 2, **NO_DIR}, 2, UNWRITABLE),
+        ("scan", {**SCAN, "values": [1.0], **NO_DIR}, 2, UNWRITABLE),
+        ("scan", {**SCAN, "values": [1.0], "format": "xml"}, 2, "unknown format 'xml'"),
+        ("energy", {**TORUS, "degree": 6, "out": 5}, 2, "'out' must be a path, got 5"),
     ],
     ids=[
         "samples-negative", "samples-text", "samples-zero", "samples-fraction", "seed-text",
         "tol-scale-text", "degree-zero", "degree-negative", "energy-plane", "scan-value-text",
         "scan-degree-zero", "scan-plane", "torus-no-radii", "tol-scale-negative", "tol-scale-zero",
         "scan-param-unknown", "scan-index-out-of-range", "scan-index-text", "scan-index-on-scalar",
-        "heavy-text", "heavy-number", "heavy-keyvalue-python-false",
+        "heavy-text", "heavy-number", "heavy-keyvalue-python-false", "energy-format-unknown",
+        "identities-format-unknown", "identities-format-csv", "energy-out-no-dir", "identities-out-no-dir",
+        "scan-out-no-dir", "scan-format-unknown", "out-not-a-path",
     ],
 )
-def test_invalid_run_parameters_are_refused(tmp_path, capsys, command, payload, code, message):
+def test_invalid_run_parameters_are_refused(tmp_path, capsys, monkeypatch, command, payload, code, message):
+    """Each is refused before any work: no suite runs and no energy is computed."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused run did work")
+
+    monkeypatch.setattr(cli, "energy_report", no_work)
+    monkeypatch.setattr(cli, "run_identity_suite", no_work)
     cfg = write_cfg(tmp_path, "bad.json", payload)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    out = [] if isinstance(payload, dict) and "out" in payload else ["--out", str(tmp_path / "out")]
+    assert main([command, "--config", cfg, *out]) == code
     err = capsys.readouterr().err
     assert err.startswith("config error: " if code == 2 else "construction error: ")
     assert message in err
@@ -291,3 +312,26 @@ class TestReportCommand:
 
     def test_missing_file_is_config_error(self):
         assert main(["report", "/nonexistent/report.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1, 2], "a report is a JSON object, got list"),
+            ({"kind": "identities"}, "malformed identities report: KeyError('checks')"),
+            ({"kind": "energy", "entries": {"volume": "x"}}, "malformed energy report: ValueError"),
+        ],
+        ids=["not-an-object", "identities-no-checks", "energy-text-value"],
+    )
+    def test_malformed_report_is_config_error(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    """An `out` that names a directory fails only at the write, as a config error."""
+    cfg = write_cfg(tmp_path, "e.json", {**TORUS, "degree": 4})
+    assert main(["energy", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {tmp_path}: ")

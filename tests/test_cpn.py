@@ -6,7 +6,6 @@ import pytest
 
 from lagcheck.cpn import (
     HorizontalityError,
-    cpn_geometry_state,
     horizontal_lift_jets,
     make_cpn_torus,
     make_rpn,
@@ -15,7 +14,7 @@ from lagcheck.cpn import (
     phase_twist,
     projective_distance,
 )
-from lagcheck.geometry import FrameBundle, bundle_at, geometry_state, intrinsic_curvature
+from lagcheck.geometry import FrameBundle, bundle_at, geometry_state
 from lagcheck import identities
 from lagcheck.identities import run_identity_suite
 from lagcheck.immersions import AMBIENT_SPHERE, ChartPoint, Immersion, from_config
@@ -85,16 +84,15 @@ class TestRpn:
     def test_totally_geodesic(self):
         imm = make_rpn(3)
         for p in imm.atlas.random_points(np.random.default_rng(1), 8):
-            s = cpn_geometry_state(imm, p)
-            assert s.h_norm_sq() < 1e-18
-            assert s.H_norm_sq() < 1e-18
-            assert s.hhat_norm_sq() < 1e-18
+            s = geometry_state(imm, p)
+            for name in ("h_sq", "H_sq", "hhat_sq"):
+                assert s.scalar(name)[0] < 1e-18
 
     def test_unit_sectional_curvature(self):
         imm = make_rpn(2)
         p = ChartPoint(0, np.array([0.4, -0.7]))
-        s = cpn_geometry_state(imm, p)
-        h = s.h.entries
+        s = geometry_state(imm, p)
+        h = s.h0[..., 0]
         eye = np.eye(2)
         rhs = (
             np.einsum("ik,jl->ijkl", eye, eye)
@@ -103,12 +101,12 @@ class TestRpn:
             - np.einsum("mil,mjk->ijkl", h, h)
         )
         assert rhs[0, 1, 0, 1] == pytest.approx(1.0)
-        assert np.max(np.abs(s.R - rhs)) < 1e-6
+        assert np.max(np.abs(s.curvature_frame[..., 0] - rhs)) < 1e-6
 
     def test_two_method_curvature(self):
         imm = make_rpn(2)
         p = ChartPoint(1, np.array([0.3, 0.5]))
-        R = intrinsic_curvature(imm, p)
+        R = geometry_state(imm, p).curvature_frame[..., 0]
         assert R[0, 1, 0, 1] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -117,16 +115,17 @@ class TestWhitneyCpnGeometry:
     def test_hhat_and_T_vanish(self, n, theta):
         imm = make_whitney_cpn(theta, n)
         for p in imm.atlas.random_points(np.random.default_rng(17), 8):
-            s = cpn_geometry_state(imm, p)
-            assert math.sqrt(s.hhat_norm_sq()) < 1e-8
-            assert math.sqrt(float(np.sum(s.T.entries**2))) < 1e-8
+            s = geometry_state(imm, p)
+            T = s.T0[..., 0]
+            assert math.sqrt(s.scalar("hhat_sq")[0]) < 1e-8
+            assert math.sqrt(float(np.sum((0.5 * (T + T.T)) ** 2))) < 1e-8
             assert s.c_amb == 1.0
 
     def test_gauss_and_ricci_equations(self):
         imm = make_whitney_cpn(0.8, 2)
         p = ChartPoint(0, np.array([0.5, -0.1]))
-        s = cpn_geometry_state(imm, p)
-        h = s.h.entries
+        s = geometry_state(imm, p)
+        h = s.h0[..., 0]
         eye = np.eye(2)
         rhs = (
             np.einsum("ik,jl->ijkl", eye, eye)
@@ -134,8 +133,8 @@ class TestWhitneyCpnGeometry:
             + np.einsum("mik,mjl->ijkl", h, h)
             - np.einsum("mil,mjk->ijkl", h, h)
         )
-        assert np.max(np.abs(s.R - rhs)) < 1e-5
-        assert np.max(np.abs(s.R_normal - rhs)) < 1e-5
+        assert np.max(np.abs(s.curvature_frame[..., 0] - rhs)) < 1e-5
+        assert np.max(np.abs(s.normal_curvature[..., 0] - rhs)) < 1e-5
 
 
 class TestHorizontalLift:
@@ -155,8 +154,8 @@ class TestHorizontalLift:
     def test_lagrangian_frame_is_hermitian_real(self):
         imm = make_whitney_cpn(0.9, 2)
         for p in imm.atlas.random_points(np.random.default_rng(23), 20):
-            s = cpn_geometry_state(imm, p, depth="pointwise")
-            assert np.max(np.abs(s.frame.e @ s.frame.Je.T)) < 1e-10
+            s = geometry_state(imm, p, 2)
+            assert np.max(np.abs(s.e0[..., 0] @ s.Je0[..., 0].T)) < 1e-10
 
     def test_projective_gauge_invariance(self):
         base = make_whitney_cpn(1.0, 2)
@@ -165,12 +164,12 @@ class TestHorizontalLift:
         for p in base.atlas.random_points(rng, 6):
             s0 = geometry_state(base, p)
             s1 = geometry_state(twisted, p)
-            assert np.max(np.abs(s0.frame.e - s1.frame.e)) < 1e-8
-            assert np.max(np.abs(s0.h.entries - s1.h.entries)) < 1e-8
-            assert np.max(np.abs(s0.metric.g - s1.metric.g)) < 1e-8
-            assert abs(s0.hhat_norm_sq() - s1.hhat_norm_sq()) < 1e-8
-            if s0.T is not None:
-                assert np.max(np.abs(s0.T.entries - s1.T.entries)) < 1e-8
+            assert np.max(np.abs(s0.e0 - s1.e0)) < 1e-8
+            assert np.max(np.abs(s0.h0 - s1.h0)) < 1e-8
+            assert np.max(np.abs(s0.g0 - s1.g0)) < 1e-8
+            assert abs(s0.scalar("hhat_sq")[0] - s1.scalar("hhat_sq")[0]) < 1e-8
+            T0, T1 = s0.T0[..., 0], s1.T0[..., 0]
+            assert np.max(np.abs(0.5 * (T0 + T0.T) - 0.5 * (T1 + T1.T))) < 1e-8
 
     def test_projective_gauge_invariance_pointwise(self):
         """The order-2 lift is pinned too: pointwise states, frames
@@ -179,13 +178,13 @@ class TestHorizontalLift:
         twisted = phase_twist(base, [0.4, -0.7])
         rng = np.random.default_rng(31)
         for p in base.atlas.random_points(rng, 6):
-            s0 = geometry_state(base, p, depth="pointwise")
-            s1 = geometry_state(twisted, p, depth="pointwise")
-            assert np.max(np.abs(s0.frame.e - s1.frame.e)) < 1e-8
-            assert np.max(np.abs(s0.frame.Je - s1.frame.Je)) < 1e-8
-            assert np.max(np.abs(s0.h.entries - s1.h.entries)) < 1e-8
-            assert np.max(np.abs(s0.metric.g - s1.metric.g)) < 1e-8
-            assert abs(s0.hhat_norm_sq() - s1.hhat_norm_sq()) < 1e-8
+            s0 = geometry_state(base, p, 2)
+            s1 = geometry_state(twisted, p, 2)
+            assert np.max(np.abs(s0.e0 - s1.e0)) < 1e-8
+            assert np.max(np.abs(s0.Je0 - s1.Je0)) < 1e-8
+            assert np.max(np.abs(s0.h0 - s1.h0)) < 1e-8
+            assert np.max(np.abs(s0.g0 - s1.g0)) < 1e-8
+            assert abs(s0.scalar("hhat_sq")[0] - s1.scalar("hhat_sq")[0]) < 1e-8
 
     def test_nonlagrangian_rejected(self, turn_first):
         # breaking the projective class smoothly in a non-Hamiltonian way

@@ -16,11 +16,7 @@ from lagcheck.geometry import (
     bundle_at,
     closedness_residual,
     geometry_state,
-    intrinsic_curvature,
-    maslov_one_form,
-    maslov_tensor,
     maslov_tensor_gradient,
-    point_bundle,
     scalar_laplacian,
 )
 from lagcheck.jets import Jet, jet_einsum, jet_space
@@ -49,15 +45,26 @@ def random_orthogonal(n, rng):
     return Q
 
 
+def sym_T(s):
+    """T of a one-point bundle, symmetrized."""
+    T = s.T0[..., 0]
+    return 0.5 * (T + T.T)
+
+
+def sq(s, name):
+    """A pointwise scalar of a one-point bundle."""
+    return float(s.scalar(name)[0])
+
+
 class TestPlane:
     def test_everything_vanishes(self):
         imm = make_lagrangian_plane(3)
         s = geometry_state(imm, ChartPoint(0, np.array([0.5, -1.0, 0.2])))
-        assert s.h_norm_sq() == 0.0
-        assert s.H_norm_sq() == 0.0
-        assert s.hhat_norm_sq() == 0.0
-        assert np.all(s.T.entries == 0.0)
-        assert np.all(s.R == 0.0)
+        assert sq(s, "h_sq") == 0.0
+        assert sq(s, "H_sq") == 0.0
+        assert sq(s, "hhat_sq") == 0.0
+        assert np.all(sym_T(s) == 0.0)
+        assert np.all(s.curvature_frame[..., 0] == 0.0)
 
     def test_nonlagrangian_detected(self):
         imm = make_nonlagrangian_plane(2)
@@ -72,23 +79,23 @@ class TestTorus:
         p = ChartPoint(0, RNG.uniform(0, 2 * math.pi, len(radii)))
         s = geometry_state(imm, p)
         r = np.asarray(radii)
-        assert s.h_norm_sq() == pytest.approx(np.sum(1 / r**2), abs=1e-12)
-        assert s.H_norm_sq() == pytest.approx(np.sum(1 / r**2) / len(r) ** 2, abs=1e-12)
-        assert np.max(np.abs(s.grad_h)) < 1e-12
-        assert np.max(np.abs(s.T.entries)) < 1e-12
-        assert np.max(np.abs(s.R)) < 1e-12
+        assert sq(s, "h_sq") == pytest.approx(np.sum(1 / r**2), abs=1e-12)
+        assert sq(s, "H_sq") == pytest.approx(np.sum(1 / r**2) / len(r) ** 2, abs=1e-12)
+        assert np.max(np.abs(s.grad_h[..., 0])) < 1e-12
+        assert np.max(np.abs(sym_T(s))) < 1e-12
+        assert np.max(np.abs(s.curvature_frame[..., 0])) < 1e-12
 
     def test_metric_is_diagonal_radii_squared(self):
         imm = make_product_torus([1.0, 1.0])
-        s = geometry_state(imm, ChartPoint(0, np.array([0.4, 2.2])), depth="pointwise")
-        assert np.allclose(s.metric.g, np.eye(2), atol=1e-14)
+        s = geometry_state(imm, ChartPoint(0, np.array([0.4, 2.2])), 2)
+        assert np.allclose(s.g0[..., 0], np.eye(2), atol=1e-14)
 
     def test_h_sign_convention(self):
         # positive diagonal curvature components with inward circle normals
         imm = make_product_torus([2.0, 0.5])
-        s = geometry_state(imm, ChartPoint(0, np.array([1.0, 2.0])), depth="pointwise")
-        assert s.h.entries[0, 0, 0] == pytest.approx(0.5)
-        assert s.h.entries[1, 1, 1] == pytest.approx(2.0)
+        s = geometry_state(imm, ChartPoint(0, np.array([1.0, 2.0])), 2)
+        assert s.h0[0, 0, 0, 0] == pytest.approx(0.5)
+        assert s.h0[1, 1, 1, 0] == pytest.approx(2.0)
 
 
 class TestWhitney:
@@ -97,15 +104,15 @@ class TestWhitney:
         imm = make_whitney_cn(1.0, None, n)
         for p in imm.atlas.random_points(np.random.default_rng(n), 10):
             s = geometry_state(imm, p)
-            assert math.sqrt(s.hhat_norm_sq()) < 1e-10
-            assert math.sqrt(float(np.sum(s.T.entries**2))) < 1e-10
+            assert math.sqrt(sq(s, "hhat_sq")) < 1e-10
+            assert math.sqrt(float(np.sum(sym_T(s) ** 2))) < 1e-10
 
     def test_gauss_two_method_agreement(self):
         imm = make_whitney_cn(1.0, None, 2)
         p = ChartPoint(0, np.array([0.6, -0.2]))
         s = geometry_state(imm, p)
-        R = intrinsic_curvature(imm, p)
-        h = s.h.entries
+        R = geometry_state(imm, p).curvature_frame[..., 0]
+        h = s.h0[..., 0]
         rhs = np.einsum("mik,mjl->ijkl", h, h) - np.einsum("mil,mjk->ijkl", h, h)
         assert np.max(np.abs(R - rhs)) < 1e-10
 
@@ -118,17 +125,17 @@ class TestWhitney:
             w2 = geometry_state(
                 make_whitney_cn(lam, lam * np.array([0.3 + 0.1j, 0.0]), 2), p
             )
-            assert w2.h_norm_sq() == pytest.approx(w1.h_norm_sq() / lam**2, rel=1e-12)
+            assert sq(w2, "h_sq") == pytest.approx(sq(w1, "h_sq") / lam**2, rel=1e-12)
             s2 = geometry_state(linear_image(pert, lam * np.eye(4)), p)
-            assert s2.hhat_norm_sq() == pytest.approx(s1.hhat_norm_sq() / lam**2, rel=1e-10)
+            assert sq(s2, "hhat_sq") == pytest.approx(sq(s1, "hhat_sq") / lam**2, rel=1e-10)
 
 
 class TestFrameAndGauge:
     def test_frame_orthonormal_and_lagrangian(self):
         imm = make_perturbed_whitney(1.0, 0.05, 2, 3)
         p = ChartPoint(0, np.array([0.4, 0.1, -0.8]))
-        s = geometry_state(imm, p, depth="pointwise")
-        e, Je = s.frame.e, s.frame.Je
+        s = geometry_state(imm, p, 2)
+        e, Je = s.e0[..., 0], s.Je0[..., 0]
         assert np.allclose(e @ e.T, np.eye(3), atol=1e-12)
         assert np.allclose(Je @ Je.T, np.eye(3), atol=1e-12)
         assert np.max(np.abs(e @ Je.T)) < 1e-10
@@ -141,13 +148,10 @@ class TestFrameAndGauge:
         for _ in range(3):
             Q = random_orthogonal(2, rng)
             s1 = geometry_state(imm, p, frame_gauge=Q)
-            assert s1.hhat_norm_sq() == pytest.approx(s0.hhat_norm_sq(), abs=1e-12)
-            assert s1.h_norm_sq() == pytest.approx(s0.h_norm_sq(), abs=1e-12)
-            assert s1.H_norm_sq() == pytest.approx(s0.H_norm_sq(), abs=1e-12)
-            assert float(np.sum(s1.T.entries**2)) == pytest.approx(
-                float(np.sum(s0.T.entries**2)), abs=1e-12
-            )
-            assert s1.grad_hhat_norm_sq() == pytest.approx(s0.grad_hhat_norm_sq(), abs=1e-11)
+            for name in ("hhat_sq", "h_sq", "H_sq"):
+                assert sq(s1, name) == pytest.approx(sq(s0, name), abs=1e-12)
+            assert float(np.sum(sym_T(s1) ** 2)) == pytest.approx(float(np.sum(sym_T(s0) ** 2)), abs=1e-12)
+            assert sq(s1, "grad_hhat_sq") == pytest.approx(sq(s0, "grad_hhat_sq"), abs=1e-11)
 
     def test_chart_covariance_of_scalars(self):
         imm = make_perturbed_whitney(1.0, 0.05, 1, 2)
@@ -158,10 +162,10 @@ class TestFrameAndGauge:
             p1 = imm.atlas.transition(p0, 1)
             s0 = geometry_state(imm, p0)
             s1 = geometry_state(imm, p1)
-            for scal in ("hhat_norm_sq", "h_norm_sq", "H_norm_sq", "grad_hhat_norm_sq"):
-                assert getattr(s1, scal)() == pytest.approx(getattr(s0, scal)(), abs=1e-9)
-            scal0 = float(np.einsum("ijij->", s0.R))
-            scal1 = float(np.einsum("ijij->", s1.R))
+            for scal in ("hhat_sq", "h_sq", "H_sq", "grad_hhat_sq"):
+                assert sq(s1, scal) == pytest.approx(sq(s0, scal), abs=1e-9)
+            scal0 = float(np.einsum("ijij->", s0.curvature_frame[..., 0]))
+            scal1 = float(np.einsum("ijij->", s1.curvature_frame[..., 0]))
             assert scal1 == pytest.approx(scal0, abs=1e-9)
 
     def test_unitary_motion_invariance(self):
@@ -171,28 +175,27 @@ class TestFrameAndGauge:
         moved = linear_image(imm, R, offset=rng.normal(size=4))
         p = ChartPoint(0, np.array([0.5, 0.1]))
         s0, s1 = geometry_state(imm, p), geometry_state(moved, p)
-        assert s1.h_norm_sq() == pytest.approx(s0.h_norm_sq(), abs=1e-12)
-        assert s1.hhat_norm_sq() == pytest.approx(s0.hhat_norm_sq(), abs=1e-14)
+        assert sq(s1, "h_sq") == pytest.approx(sq(s0, "h_sq"), abs=1e-12)
+        assert sq(s1, "hhat_sq") == pytest.approx(sq(s0, "hhat_sq"), abs=1e-14)
 
     def test_norm_identity_pointwise(self):
         imm = make_perturbed_whitney(1.0, 0.07, 3, 2)
         n = 2
         for p in imm.atlas.random_points(np.random.default_rng(8), 10):
-            s = geometry_state(imm, p, depth="pointwise")
-            resid = abs(s.hhat_norm_sq() - s.h_norm_sq() + 3 * n * n / (n + 2) * s.H_norm_sq())
+            s = geometry_state(imm, p, 2)
+            resid = abs(sq(s, "hhat_sq") - sq(s, "h_sq") + 3 * n * n / (n + 2) * sq(s, "H_sq"))
             assert resid < 1e-10
 
     def test_degenerate_metric_detected(self):
         imm = make_lagrangian_plane(2)
         squashed = linear_image(imm, np.diag([1.0, 1.0, 1e-9, 1e-9]))
         with pytest.raises(DegenerateMetricError):
-            geometry_state(squashed, ChartPoint(0, np.array([0.1, 0.2])), depth="pointwise")
+            geometry_state(squashed, ChartPoint(0, np.array([0.1, 0.2])), 2)
 
 
 class TestTriSymmetryInvariant:
     def test_all_builtin_bodies_hundred_points(self):
-        from lagcheck.geometry import bundle_at
-        from lagcheck.tensors import trisym_residual
+        from lagcheck.tensors import symmetry_residual
 
         bodies = [
             make_whitney_cn(1.0, None, 2),
@@ -209,20 +212,21 @@ class TestTriSymmetryInvariant:
             for cid, coords in groups.items():
                 fb = bundle_at(imm, cid, np.array(coords), 2)
                 for b in range(fb.h0.shape[-1]):
-                    assert trisym_residual(fb.h0[..., b]) < 1e-9
+                    assert symmetry_residual(fb.h0[..., b], 3) < 1e-9
 
 
 class TestMaslov:
     def test_one_form_matches_mean_curvature(self):
         imm = make_product_torus([1.0, 2.0])
         s = geometry_state(imm, ChartPoint(0, np.array([0.2, 1.4])))
-        alpha = maslov_one_form(s)
-        assert alpha.norm_sq() == pytest.approx(s.H_norm_sq(), abs=1e-14)
+        alpha = -s.H0[:, 0]
+        assert float(np.dot(alpha, alpha)) == pytest.approx(sq(s, "H_sq"), abs=1e-14)
 
     def test_minimal_immersion_zero_form(self):
         imm = make_lagrangian_plane(2)
         s = geometry_state(imm, ChartPoint(0, np.array([0.3, 0.4])))
-        assert maslov_one_form(s).norm_sq() == 0.0
+        alpha = -s.H0[:, 0]
+        assert float(np.dot(alpha, alpha)) == 0.0
 
     def test_closedness_torus(self):
         imm = make_product_torus([1.0, 3.0])
@@ -244,15 +248,15 @@ class TestMaslovTensor:
     def test_whitney_conformal(self):
         imm = make_whitney_cn(1.0, None, 3)
         p = ChartPoint(0, np.array([0.2, 0.5, -0.3]))
-        T = maslov_tensor(geometry_state(imm, p))
-        assert np.max(np.abs(T.entries)) < 1e-10
+        T = sym_T(geometry_state(imm, p))
+        assert np.max(np.abs(T)) < 1e-10
 
     def test_perturbed_has_nonzero_T(self):
         imm = make_perturbed_whitney(1.0, 0.05, 1, 2)
         s = geometry_state(imm, ChartPoint(0, np.array([0.4, -0.3])))
         # frozen regression values for this point and mode
-        assert s.hhat_norm_sq() == pytest.approx(0.00039283414137453046, rel=1e-8)
-        assert float(np.sum(s.T.entries**2)) == pytest.approx(0.0022696491126050523, rel=1e-8)
+        assert sq(s, "hhat_sq") == pytest.approx(0.00039283414137453046, rel=1e-8)
+        assert float(np.sum(sym_T(s) ** 2)) == pytest.approx(0.0022696491126050523, rel=1e-8)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_gradient_matches_divergence_form(self, n):
@@ -261,14 +265,14 @@ class TestMaslovTensor:
         imm = make_perturbed_whitney(1.0, 0.06, 2, n)
         for p in imm.atlas.random_points(np.random.default_rng(30 + n), 3):
             grad_t = maslov_tensor_gradient(imm, p)
-            hess = point_bundle(imm, p, 4).hess_hhat[..., 0]
+            hess = geometry_state(imm, p, 4).hess_hhat[..., 0]
             assert np.max(np.abs(grad_t - np.einsum("mijmk->ijk", hess) / n)) < 1e-13
             assert np.max(np.abs(grad_t)) > 1e-2
 
     def test_consistency_with_divergence_form(self):
         imm = make_perturbed_whitney(1.0, 0.06, 2, 2)
         s = geometry_state(imm, ChartPoint(0, np.array([0.3, 0.5])))
-        assert np.max(np.abs(s.T.entries - s.T_divergence_form)) < 1e-8
+        assert np.max(np.abs(sym_T(s) - s.T_from_hhat[..., 0])) < 1e-8
 
 
 class TestScalarLaplacian:
@@ -296,7 +300,7 @@ class TestScalarLaplacian:
         # |hhat|^2 is constant on a product torus, so its Laplacian vanishes
         # at every scale, relative to |hhat|^2 / r_min^2
         imm = make_product_torus(list(radii))
-        fb = point_bundle(imm, ChartPoint(0, np.array([1.2, 0.3])), 4)
+        fb = geometry_state(imm, ChartPoint(0, np.array([1.2, 0.3])), 4)
         val = float(fb.laplacian(fb.hhat_sq_jet)[0])
         assert abs(val) <= 1e-12 * float(fb.scalar("hhat_sq")[0]) / min(radii) ** 2
 
@@ -308,13 +312,13 @@ class TestScalarLaplacian:
 
     def test_hhat_sq_jet_matches_pointwise_scalar(self):
         imm = make_perturbed_whitney(1.0, 0.05, 1, 2)
-        fb = point_bundle(imm, ChartPoint(0, np.array([0.4, -0.3])), 4)
+        fb = geometry_state(imm, ChartPoint(0, np.array([0.4, -0.3])), 4)
         assert fb.hhat_sq_jet.value[0] == pytest.approx(fb.scalar("hhat_sq")[0], rel=1e-13)
 
     def test_grad_T_needs_order_four(self):
         imm = make_perturbed_whitney(1.0, 0.05, 1, 2)
         with pytest.raises(ValueError):
-            point_bundle(imm, ChartPoint(0, np.array([0.4, -0.3])), 3).grad_T
+            geometry_state(imm, ChartPoint(0, np.array([0.4, -0.3])), 3).grad_T
 
 
 # Values computed by the earlier nested-list frame bundle at one order-4 point,
@@ -345,7 +349,7 @@ def test_bundle_values_pinned(body):
     from lagcheck.identities import simons_terms
 
     imm = make_perturbed_whitney(1.0, 0.05, 1, 3) if body == "perturbed_whitney" else make_whitney_cpn(0.7, 3)
-    fb = point_bundle(imm, ChartPoint(0, np.array([0.3, -0.2, 0.5])), 4)
+    fb = geometry_state(imm, ChartPoint(0, np.array([0.3, -0.2, 0.5])), 4)
     got = {
         "h_sq": float(fb.scalar("h_sq")[0]),
         "grad_hhat_sq": float(fb.scalar("grad_hhat_sq")[0]),
@@ -479,9 +483,11 @@ class TestPoleHandling:
     def test_far_points_renormalized(self):
         imm = make_whitney_cn(1.0, None, 2)
         far = ChartPoint(0, np.array([3.0, 0.0]))
-        s = geometry_state(imm, far)
-        assert s.point.chart_id == 1
-        assert np.linalg.norm(s.point.coords) < 2.0 + 1e-12
+        p = imm.atlas.normalize(far)
+        assert p.chart_id == 1
+        assert np.linalg.norm(p.coords) < 2.0 + 1e-12
+        s, want = geometry_state(imm, far), bundle_at(imm, 1, p.coords, 3)
+        assert np.array_equal(s.h0, want.h0) and np.array_equal(s.curvature_frame, want.curvature_frame)
 
 
 class TestFiniteDifferenceCrossValidation:
@@ -497,11 +503,11 @@ class TestFiniteDifferenceCrossValidation:
 
         bb = make_black_box(fn, 2, 2, atlas=pert.atlas, name="bb_perturbed")
         p = ChartPoint(0, np.array([0.4, -0.3]))
-        s_jet = geometry_state(pert, p, depth="pointwise")
-        s_fd = geometry_state(bb, p, depth="pointwise")
-        assert abs(s_fd.h_norm_sq() - s_jet.h_norm_sq()) < 1e-6
-        assert abs(s_fd.hhat_norm_sq() - s_jet.hhat_norm_sq()) < 1e-6
-        assert np.max(np.abs(s_fd.metric.g - s_jet.metric.g)) < 1e-9
+        s_jet = geometry_state(pert, p, 2)
+        s_fd = geometry_state(bb, p, 2)
+        assert abs(sq(s_fd, "h_sq") - sq(s_jet, "h_sq")) < 1e-6
+        assert abs(sq(s_fd, "hhat_sq") - sq(s_jet, "hhat_sq")) < 1e-6
+        assert np.max(np.abs(s_fd.g0 - s_jet.g0)) < 1e-9
 
     def test_black_box_evaluates_each_point_in_its_own_chart(self):
         """A far chart-0 point moves to chart 1, and the black box must call
@@ -513,11 +519,11 @@ class TestFiniteDifferenceCrossValidation:
             lambda chart_id, x: pert.point(ChartPoint(chart_id, x)), 2, 2, atlas=pert.atlas, name="bb_perturbed"
         )
         far = ChartPoint(0, np.array([3.0, 0.5]))
-        s_jet = geometry_state(pert, far, depth="pointwise")
-        s_fd = geometry_state(bb, far, depth="pointwise")
-        assert s_fd.point.chart_id == 1
-        assert abs(s_fd.h_norm_sq() - s_jet.h_norm_sq()) < TOL_FD1
-        assert abs(s_fd.hhat_norm_sq() - s_jet.hhat_norm_sq()) < TOL_FD1
+        s_jet = geometry_state(pert, far, 2)
+        s_fd = geometry_state(bb, far, 2)
+        assert bb.atlas.normalize(far).chart_id == 1
+        assert abs(sq(s_fd, "h_sq") - sq(s_jet, "h_sq")) < TOL_FD1
+        assert abs(sq(s_fd, "hhat_sq") - sq(s_jet, "hhat_sq")) < TOL_FD1
 
 
 MIXED_CHART_BODIES = {
@@ -550,14 +556,3 @@ class TestMixedChartBatch:
                     scale = max(1.0, float(np.max(np.abs(want))))
                     assert np.max(np.abs(got - want)) <= 1e-14 * scale, (field, int(chart))
 
-
-class TestSerialization:
-    def test_state_to_json(self):
-        imm = make_whitney_cn(1.0, None, 2)
-        s = geometry_state(imm, ChartPoint(0, np.array([0.4, 0.2])))
-        doc = s.to_dict()
-        assert doc["schema"] == 1
-        assert doc["ambient"] == "Cn"
-        assert len(doc["h"]) == 2
-        text = s.to_json()
-        assert text.startswith("{")

@@ -1,4 +1,5 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from lagcheck.cpn import HorizontalityError, make_rpn, make_whitney_cpn
 from lagcheck import identities
 from lagcheck import geometry
-from lagcheck.geometry import DegenerateMetricError, NonLagrangianError, point_bundle
+from lagcheck.geometry import DegenerateMetricError, NonLagrangianError, geometry_state
 from lagcheck.identities import (
     algebraic_simons_bound,
     check_gauss_ricci,
@@ -64,7 +65,7 @@ def spike_simons_lhs(monkeypatch, imm, targets, size):
 
 
 def heavy(imm, p):
-    return point_bundle(imm, p, 4)
+    return geometry_state(imm, p, 4)
 
 
 def at_one_point(residuals):
@@ -73,11 +74,11 @@ def at_one_point(residuals):
 
 
 def structural(imm, p, **kwargs):
-    return at_one_point(check_structural(point_bundle(imm, p, 3, **kwargs)))
+    return at_one_point(check_structural(geometry_state(imm, p, 3, **kwargs)))
 
 
 def gauss_ricci(imm, p):
-    return at_one_point(check_gauss_ricci(point_bundle(imm, p, 3)))
+    return at_one_point(check_gauss_ricci(geometry_state(imm, p, 3)))
 
 
 class TestStructural:
@@ -107,7 +108,7 @@ class TestGaussRicci:
 
     def test_torus_flat_both_ways(self):
         imm, p = BODIES["torus"]
-        fb = point_bundle(imm, p, 3)
+        fb = geometry_state(imm, p, 3)
         res = at_one_point(check_gauss_ricci(fb))
         assert res["gauss_two_method"] < 1e-10
         assert np.max(np.abs(fb.curvature_frame)) < 1e-10
@@ -121,7 +122,7 @@ class TestGaussRicci:
 
     def test_rpn_curvature_one(self):
         imm = make_rpn(2)
-        fb = point_bundle(imm, ChartPoint(0, np.array([0.2, 0.6])), 3)
+        fb = geometry_state(imm, ChartPoint(0, np.array([0.2, 0.6])), 3)
         res = at_one_point(check_gauss_ricci(fb))
         assert res["gauss_two_method"] < 1e-6
         assert fb.curvature_frame[0, 1, 0, 1, 0] == pytest.approx(1.0, abs=1e-6)
@@ -218,7 +219,7 @@ class TestSimonsInequality:
         for _ in range(100):
             hh = random_tracefree(rng, n)
             H = rng.normal(size=n)
-            res = algebraic_simons_bound(hh.entries, H)
+            res = algebraic_simons_bound(hh, H)
             assert res["margin"] >= -1e-10
             assert res["spectral_consistency"] < 1e-10
 
@@ -294,6 +295,28 @@ class TestFailingPointIsNamed:
         with pytest.raises(HorizontalityError, match=r"^chart 1, coords \[0.6, 0.4\]: horizontality"):
             geometry.bundle_at(bad, charts, coords, 4)
 
+    @staticmethod
+    def point_values():
+        """The point values `identities._validate` reads, of a valid order-3
+        bundle over three samples, as a plain namespace."""
+        coords = np.array([[0.4, -0.3], [0.1, 0.6], [-0.5, 0.2]])
+        fb = geometry.bundle_at(make_perturbed_whitney(1.0, 0.05, 1, 2), 0, coords, 3)
+        values = types.SimpleNamespace(h0=fb.h0.copy(), hhat0=fb.hhat0.copy(), H0=fb.H0.copy(), T0=fb.T0.copy())
+        identities._validate(values)
+        return values
+
+    def test_validate_names_a_sample_whose_T_is_not_tracefree(self):
+        values = self.point_values()
+        values.T0[..., 1] += np.eye(2)
+        with pytest.raises(ValueError, match="^sample 1: T is not trace-free$"):
+            identities._validate(values)
+
+    def test_validate_names_a_sample_whose_h_is_not_symmetric(self):
+        values = self.point_values()
+        values.h0[0, 0, 1, 2] += 1.0
+        with pytest.raises(ValueError, match="^sample 2: h is not symmetric under index permutations$"):
+            identities._validate(values)
+
 
 class TestCurvatureContractionClosedForms:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -306,7 +329,7 @@ class TestCurvatureContractionClosedForms:
         for _ in range(25):
             hhat = random_tracefree(rng, n)
             H = rng.normal(size=n)
-            res = curvature_contraction_closed_forms(hhat.entries, H, c_amb)
+            res = curvature_contraction_closed_forms(hhat, H, c_amb)
             worst = max(worst, max(res.values()))
         assert worst < 1e-10
 
@@ -407,7 +430,7 @@ class TestSuiteReports:
             assert rep.all_pass
             worst = {}
             for p in pts:
-                res = identities._residuals(point_bundle(imm, p, 4), heavy=True)
+                res = identities._residuals(geometry_state(imm, p, 4), heavy=True)
                 for name, value in res.items():
                     worst[name] = max(worst.get(name, 0.0), float(value[0]))
             assert {c.name for c in rep.checks} == set(worst)
@@ -421,7 +444,7 @@ class TestSuiteReports:
                 lhs, rhs = lemma_laplace_hhat(fb)
                 batched |= {"laplace_lhs": lhs, "laplace_rhs": rhs}
                 for b, k in enumerate(idx):
-                    one = point_bundle(imm, pts[k], 4)
+                    one = geometry_state(imm, pts[k], 4)
                     single = simons_terms(one) | check_simons_inequality(one, simons_terms(one))
                     lhs, rhs = lemma_laplace_hhat(one)
                     single |= {"laplace_lhs": lhs, "laplace_rhs": rhs}

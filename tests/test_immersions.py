@@ -8,7 +8,6 @@ from lagcheck.immersions import (
     ChartPoint,
     OutOfDomainError,
     SphereAtlas,
-    chart_transition,
     complex_to_real_matrix,
     expm_series,
     from_config,
@@ -174,7 +173,7 @@ class TestComplexLayout:
 class TestChartAtlas:
     def test_stereographic_transition_example(self):
         atlas = SphereAtlas(2)
-        q = chart_transition(atlas, ChartPoint(0, np.array([0.5, 0.0])), 1)
+        q = atlas.transition(ChartPoint(0, np.array([0.5, 0.0])), 1)
         assert q.chart_id == 1
         assert np.allclose(q.coords, [2.0, 0.0])
 
