@@ -6,7 +6,6 @@ from . import cpn, geometry, identities, immersions, jets, quadrature, tensors
 from .cpn import make_cpn_torus, make_rpn, make_whitney_cpn
 from .geometry import FrameBundle, closedness_residual, geometry_state, scalar_laplacian
 from .identities import (
-    IdentityReport,
     check_gauss_ricci,
     check_ricci_identity,
     check_simons_identity,
@@ -24,7 +23,6 @@ from .immersions import (
     make_whitney_cn,
 )
 from .quadrature import (
-    EnergyReport,
     QuadratureRule,
     energy_report,
     integrate,

@@ -7,8 +7,10 @@ choice flows from the single config seed.
 
 Exit status: 0 all requested checks passed, 1 a check failed, 2 config error
 (also an invalid run parameter, format or out path, or a malformed report),
-3 immersion construction error, 4 evaluation error (e.g. a non-Lagrangian
-immersion detected during geometry evaluation).
+3 immersion construction error (also a parameter that overflows), 4
+evaluation error (e.g. a non-Lagrangian immersion or an induced metric that
+is degenerate or not finite, detected during geometry evaluation, or an
+energy that overflows).
 """
 
 from __future__ import annotations
@@ -56,13 +58,15 @@ def build_immersion(cfg: dict):
     imm_cfg = cfg.get("immersion", None)
     if imm_cfg is None:
         imm_cfg = {k: v for k, v in cfg.items() if k not in RUN_KEYS}
+    if not isinstance(imm_cfg, dict):
+        raise ConfigError(f"'immersion' must be an object, got {imm_cfg!r}")
     family = imm_cfg.get("family")
-    if family not in FAMILY_REGISTRY:
+    if not isinstance(family, str) or family not in FAMILY_REGISTRY:
         raise ConfigError(f"unknown or missing immersion family: {family!r}")
     params = {k: v for k, v in imm_cfg.items() if k != "family"}
     try:
         return FAMILY_REGISTRY[family](params)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
         raise ConstructionError(f"cannot construct {family}: {exc}") from exc
 
 
@@ -126,10 +130,10 @@ def write_text(path: str | None, text: str):
 
 def output(args, cfg: dict, formats: tuple[str, ...] = FORMATS) -> tuple[str | None, str]:
     """The `out` path and `format` of a run, checked before any work: the
-    format must be one of `formats`, and `out` must lie in a directory that
-    exists."""
+    format, by default the first of `formats`, must be one of them, and
+    `out` must lie in a directory that exists."""
     out = args.out or cfg.get("out")
-    fmt = args.format or cfg.get("format", "json")
+    fmt = args.format or cfg.get("format", formats[0])
     if fmt not in formats:
         known = fmt in FORMATS
         raise ConfigError(f"{fmt} format is not available for this report" if known else f"unknown format {fmt!r}")
@@ -164,10 +168,20 @@ def render_table(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(doc: dict, out: str | None, fmt: str, csv_text: str | None = None):
-    """Write a report in a format `output` has checked."""
+def render_csv(doc: dict) -> str:
+    """An energy report as CSV: one row per entry, then r2_limit."""
+    degree, node_count = doc["rule"]["degree"], doc["rule"]["node_count"]
+    lines = ["name,value,degree,node_count"]
+    for name, value in doc["entries"].items():
+        lines.append(f"{name},{value!r},{degree},{node_count}")
+    lines.append(f"r2_limit,{doc['r2_limit']!r},{degree},{node_count}")
+    return "\n".join(lines) + "\n"
+
+
+def emit(doc: dict, out: str | None, fmt: str):
+    """Write a report document in a format `output` has checked."""
     if fmt == "csv":
-        write_text(out, csv_text)
+        write_text(out, render_csv(doc))
     elif fmt == "table":
         write_text(out, render_table(doc))
     else:
@@ -192,18 +206,17 @@ def cmd_identities(args) -> int:
     out, fmt = output(args, cfg, ("json", "table"))
     imm = build_immersion(cfg)
     points = sample_points(imm, samples, seed)
-    report = run_identity_suite(imm, points, tol_scale=tol_scale, seed=seed, heavy=heavy)
-    emit(report.to_dict(), out, fmt)
-    return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
+    doc = run_identity_suite(imm, points, tol_scale=tol_scale, seed=seed, heavy=heavy)
+    emit(doc, out, fmt)
+    return EXIT_OK if doc["all_pass"] else EXIT_CHECK_FAILED
 
 
 def cmd_energy(args) -> int:
-    cfg = load_config(args.config, {"seed": args.seed})
+    cfg = load_config(args.config, {})
     degree = integer(cfg, "degree", 30, 1)
     out, fmt = output(args, cfg)
     imm = compact_immersion(cfg, "energy")
-    rep = energy_report(imm, rule_for(imm, degree))
-    emit(rep.to_dict(), out, fmt, csv_text=rep.to_csv())
+    emit(energy_report(imm, rule_for(imm, degree)), out, fmt)
     return EXIT_OK
 
 
@@ -232,14 +245,14 @@ def _set_scan_param(imm_cfg: dict, params: dict, target: tuple[str, int | None],
 
 
 def cmd_scan(args) -> int:
-    cfg = load_config(args.config, {"seed": args.seed})
+    cfg = load_config(args.config, {})
     key = cfg.get("scan_param")
     values = cfg.get("values")
     if not key or not isinstance(values, list):
         raise ConfigError("scan needs 'scan_param' and a finite 'values' list")
     values = sorted(number(v, "a scan value") for v in values)
     degree = integer(cfg, "degree", 30, 1)
-    out, _ = output(args, cfg)
+    out, _ = output(args, cfg, ("csv",))
     body = compact_immersion(cfg, "scan")
     target = _scan_target(body, key)
     rows = ["param,volume,int_hhat_n,int_hhat_sq,int_h_sq,int_H_sq"]
@@ -248,8 +261,7 @@ def cmd_scan(args) -> int:
         imm_cfg = sub.get("immersion", sub)
         _set_scan_param(imm_cfg, body.params, target, v)
         imm = compact_immersion(sub, "scan")
-        rep = energy_report(imm, rule_for(imm, degree))
-        e = rep.entries
+        e = energy_report(imm, rule_for(imm, degree))["entries"]
         rows.append(
             f"{v!r},{e['volume']!r},{e['int_hhat_n']!r},{e['int_hhat_sq']!r},"
             f"{e['int_h_sq']!r},{e['int_H_sq']!r}"
@@ -284,10 +296,11 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="JSON or key=value config file")
         p.add_argument("--out", help="output path (stdout if omitted)")
         p.add_argument("--format", choices=FORMATS, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol-scale", dest="tol_scale", type=float, default=None)
+        return p
 
-    common(sub.add_parser("identities", help="run the identity residual suite"))
+    ident = common(sub.add_parser("identities", help="run the identity residual suite"))
+    ident.add_argument("--seed", type=int, default=None)
+    ident.add_argument("--tol-scale", dest="tol_scale", type=float, default=None)
     common(sub.add_parser("energy", help="compute the energy functionals"))
     common(sub.add_parser("scan", help="energy functionals along a parameter range"))
     rep = sub.add_parser("report", help="pretty-print a JSON report")
@@ -309,7 +322,7 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"construction error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION_ERROR
-    except (NonLagrangianError, DegenerateMetricError, OutOfDomainError) as exc:
+    except (NonLagrangianError, DegenerateMetricError, OutOfDomainError, OverflowError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVALUATION_ERROR
 

@@ -57,27 +57,6 @@ def normalize_representative(z: np.ndarray) -> np.ndarray:
     return z / nrm
 
 
-class HomogeneousPoint:
-    """Point of CP^n held as a unit-norm homogeneous representative.
-
-    Two representatives differing by a unit-modulus scalar name the same
-    point; equality is tested projectively.
-    """
-
-    __slots__ = ("z",)
-
-    def __init__(self, z):
-        self.z = normalize_representative(z)
-        if abs(float(np.sum(np.abs(self.z) ** 2)) - 1.0) > 1e-12:
-            raise ValueError("representative is not unit norm")
-
-    def same_point(self, other: "HomogeneousPoint", tol: float = 1e-10) -> bool:
-        return projective_distance(self.z, other.z) < tol
-
-    def __repr__(self):
-        return f"HomogeneousPoint({self.z!r})"
-
-
 def projective_distance(z1: np.ndarray, z2: np.ndarray) -> float:
     """Chordal Fubini-Study distance sqrt(1 - |<z1, z2>|^2) of unit reps."""
     z1 = normalize_representative(z1)

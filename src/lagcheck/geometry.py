@@ -127,15 +127,18 @@ class FrameBundle:
         if suspect.size:
             eig = np.linalg.eigvalsh(np.moveaxis(self.g0[..., suspect], -1, 0))
             ratio = eig[:, 0] / np.maximum(eig[:, -1], np.finfo(float).tiny)
-            bad = np.flatnonzero(ratio < METRIC_COND_TOL)
+            # fails closed: a NaN ratio, from a metric that is not finite, is bad
+            bad = np.flatnonzero(~(ratio >= METRIC_COND_TOL))
             if bad.size:
-                raise at_point(
-                    DegenerateMetricError(
+                k = int(suspect[bad[0]])
+                if not np.all(np.isfinite(self.g0[..., k])):
+                    what = "induced metric not finite"
+                else:
+                    what = (
                         f"induced metric degenerate: lambda_min/lambda_max = {ratio[bad[0]]:.3e}"
                         f" below {METRIC_COND_TOL:.0e}"
-                    ),
-                    int(suspect[bad[0]]),
-                )
+                    )
+                raise at_point(DegenerateMetricError(what), k)
         self.B0 = (
             self._L_inv0 if self._identity_gauge else np.einsum("ik,kax->iax", self.gauge, self._L_inv0)
         )
@@ -525,21 +528,6 @@ def _maslov_defect(gH: np.ndarray) -> np.ndarray:
     div = np.einsum("mm...->...", gH)
     eye = np.eye(n).reshape((n, n) + (1,) * (gH.ndim - 2))
     return (n * gH - eye * div) / (n + 2.0)
-
-
-def _jsonable_params(params: dict) -> dict:
-    out = {}
-    for k, v in params.items():
-        if isinstance(v, np.ndarray):
-            if np.iscomplexobj(v):
-                out[k] = [[float(x.real), float(x.imag)] for x in v]
-            else:
-                out[k] = v.tolist()
-        elif isinstance(v, (np.integer, np.floating)):
-            out[k] = v.item()
-        else:
-            out[k] = v
-    return out
 
 
 # ---------------------------------------------------------------------------

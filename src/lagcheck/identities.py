@@ -19,9 +19,6 @@ twice-FD, optionally rescaled) and names the sample it occurred at.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .geometry import (
@@ -35,7 +32,7 @@ from .geometry import (
     bundle_at,
     named_point,
 )
-from .immersions import ChartPoint, Immersion, OutOfDomainError
+from .immersions import ChartPoint, Immersion, OutOfDomainError, jsonable_params
 from .tensors import TRISYM_TOL, spectral_summary, symmetry_residual, trisym_violations
 
 # Sign convention for the commutator term of the Simons identity: the square
@@ -289,64 +286,6 @@ def algebraic_simons_bound(hh: np.ndarray, Hv: np.ndarray) -> dict[str, np.ndarr
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
-    """Worst residual of one check over the sample points: `argmax` is the
-    index of the sample it occurred at and `headroom` the residual over the
-    tolerance (pass when <= 1)."""
-
-    name: str
-    max_residual: float
-    tolerance: float
-    passed: bool
-    argmax: int = 0
-    headroom: float = 0.0
-
-
-@dataclass
-class IdentityReport:
-    immersion: str
-    params: dict
-    seed: int | None
-    sample_points: list
-    checks: list[CheckResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        from .geometry import _jsonable_params
-
-        return {
-            "schema": 1,
-            "kind": "identities",
-            "immersion": self.immersion,
-            "params": _jsonable_params(self.params),
-            "seed": self.seed,
-            "sample_points": [
-                {"chart_id": p.chart_id, "coords": p.coords.tolist()} for p in self.sample_points
-            ],
-            "checks": [
-                {
-                    "name": c.name,
-                    "max_residual": c.max_residual,
-                    "tolerance": c.tolerance,
-                    "pass": c.passed,
-                    "argmax": c.argmax,
-                    "headroom": c.headroom,
-                }
-                for c in self.checks
-            ],
-            "all_pass": self.all_pass,
-            "notes": self.notes,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
 DEFAULT_TOLERANCES = {
     "tri_symmetry": TOL_JET,
     "codazzi_full_symmetry": TOL_FD1,
@@ -405,8 +344,12 @@ def run_identity_suite(
     tol_scale: float = 1.0,
     seed: int | None = None,
     heavy: bool = True,
-) -> IdentityReport:
-    """Evaluate every identity check on every sample point and tabulate.
+) -> dict:
+    """Evaluate every identity check on every sample point and return the
+    report document.  Each entry of its `checks` holds the worst residual of
+    one check over the samples, the index of the sample it occurred at
+    (`argmax`) and the residual over the tolerance (`headroom`, pass when
+    <= 1).
 
     The points are moved to their well-conditioned charts, and one bundle
     over all of them, in sample order and each in its own chart, of order 4
@@ -429,19 +372,31 @@ def run_identity_suite(
     _validate(fb)
     residuals = _residuals(fb, heavy)
 
-    report = IdentityReport(
-        immersion=imm.name,
-        params=imm.params,
-        seed=seed,
-        sample_points=list(points),
-        notes=[COMMUTATOR_NOTE],
-    )
+    checks = []
     for name, tol in DEFAULT_TOLERANCES.items():
         if name not in residuals:
             continue
         worst = int(np.argmax(residuals[name]))
         value = float(residuals[name][worst])
         tol = tol * tol_scale
-        headroom = value / tol if tol > 0 else float("inf")
-        report.checks.append(CheckResult(name, value, tol, value <= tol, worst, headroom))
-    return report
+        checks.append(
+            {
+                "name": name,
+                "max_residual": value,
+                "tolerance": tol,
+                "pass": value <= tol,
+                "argmax": worst,
+                "headroom": value / tol if tol > 0 else float("inf"),
+            }
+        )
+    return {
+        "schema": 1,
+        "kind": "identities",
+        "immersion": imm.name,
+        "params": jsonable_params(imm.params),
+        "seed": seed,
+        "sample_points": [{"chart_id": p.chart_id, "coords": p.coords.tolist()} for p in points],
+        "checks": checks,
+        "all_pass": all(c["pass"] for c in checks),
+        "notes": [COMMUTATOR_NOTE],
+    }

@@ -192,6 +192,23 @@ class Immersion:
         return self.eval_jet(p, 1).value[:, 0]
 
 
+def jsonable_params(params: dict) -> dict:
+    """An immersion's `params` as JSON values: arrays become lists, complex
+    entries [re, im] pairs and numpy scalars Python numbers."""
+    out = {}
+    for k, v in params.items():
+        if isinstance(v, np.ndarray):
+            if np.iscomplexobj(v):
+                out[k] = [[float(x.real), float(x.imag)] for x in v]
+            else:
+                out[k] = v.tolist()
+        elif isinstance(v, (np.integer, np.floating)):
+            out[k] = v.item()
+        else:
+            out[k] = v
+    return out
+
+
 def interleave(re: Jet, im: Jet | None = None) -> Jet:
     """The (2m,) jet (Re z_1, Im z_1, ...) of z = re + i im from two (m,)
     jets, scattered into one buffer; a missing `im` is zero.  The result is

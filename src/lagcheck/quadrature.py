@@ -10,9 +10,8 @@ Jacobian is the round-sphere angle density times ((1 + |u|^2) / 2)^n.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .immersions import (
     Immersion,
     SphereAtlas,
     TorusAtlas,
+    jsonable_params,
 )
 from .jets import Jet, jet_space
 
@@ -213,85 +213,40 @@ def r2_window_limit(imm: Immersion) -> tuple[float, str]:
     raise ValueError("limit quantity only defined for compact bodies and the plane")
 
 
-@dataclass
-class EnergyReport:
-    """Energy functionals of one immersion over its model manifold."""
-
-    immersion: str
-    params: dict
-    n: int
-    degree: int
-    node_count: int
-    volume: float
-    int_hhat_n: float
-    int_hhat_sq: float
-    int_h_sq: float
-    int_H_sq: float
-    r2_limit: float
-    r2_limit_note: str
-    entries: dict = field(init=False)
-
-    def __post_init__(self):
-        vals = [self.volume, self.int_hhat_n, self.int_hhat_sq, self.int_h_sq, self.int_H_sq]
-        if any(v < -1e-12 for v in vals):
-            raise ValueError("energy entries must be nonnegative")
-        if self.int_hhat_sq > self.int_h_sq + 1e-9 * max(1.0, self.int_h_sq):
-            raise ValueError("int |hhat|^2 exceeds int |h|^2")
-        self.entries = {
-            "volume": self.volume,
-            "int_hhat_n": self.int_hhat_n,
-            "int_hhat_sq": self.int_hhat_sq,
-            "int_h_sq": self.int_h_sq,
-            "int_H_sq": self.int_H_sq,
-        }
-
-    def to_dict(self) -> dict:
-        from .geometry import _jsonable_params
-
-        return {
-            "schema": 1,
-            "kind": "energy",
-            "immersion": self.immersion,
-            "params": _jsonable_params(self.params),
-            "rule": {"n": self.n, "degree": self.degree, "node_count": self.node_count},
-            "entries": self.entries,
-            "r2_limit": self.r2_limit,
-            "r2_limit_note": self.r2_limit_note,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    def to_csv(self) -> str:
-        lines = ["name,value,degree,node_count"]
-        for name, value in self.entries.items():
-            lines.append(f"{name},{value!r},{self.degree},{self.node_count}")
-        lines.append(f"r2_limit,{self.r2_limit!r},{self.degree},{self.node_count}")
-        return "\n".join(lines) + "\n"
-
-
-def energy_report(imm: Immersion, rule: QuadratureRule) -> EnergyReport:
+def energy_report(imm: Immersion, rule: QuadratureRule) -> dict:
+    """The energy functionals of a compact immersion over its model
+    manifold, as the report document."""
     if not imm.compact:
         raise ValueError("energy report needs a compact model domain")
     _check_rule(imm, rule)
     vals = scalar_samples(imm, rule.chart_ids, rule.coords, ["sqrt_det_g", "hhat_sq", "h_sq", "H_sq"])
     base = rule.weights * rule.chart_jacobians * vals["sqrt_det_g"]
     n = imm.source_dim
+    entries = {
+        "volume": float(np.sum(base)),
+        "int_hhat_n": float(np.sum(base * vals["hhat_sq"] ** (n / 2.0))),
+        "int_hhat_sq": float(np.sum(base * vals["hhat_sq"])),
+        "int_h_sq": float(np.sum(base * vals["h_sq"])),
+        "int_H_sq": float(np.sum(base * vals["H_sq"])),
+    }
+    if not all(math.isfinite(v) for v in entries.values()):
+        raise OverflowError(f"energy entries are not finite: {entries}")
+    if any(v < -1e-12 for v in entries.values()):
+        raise ValueError("energy entries must be nonnegative")
+    h_sq = entries["int_h_sq"]
+    if entries["int_hhat_sq"] > h_sq + 1e-9 * max(1.0, h_sq):
+        raise ValueError("int |hhat|^2 exceeds int |h|^2")
     limit, note = r2_window_limit(imm)
-    return EnergyReport(
-        immersion=imm.name,
-        params=imm.params,
-        n=n,
-        degree=rule.degree,
-        node_count=rule.node_count,
-        volume=float(np.sum(base)),
-        int_hhat_n=float(np.sum(base * vals["hhat_sq"] ** (n / 2.0))),
-        int_hhat_sq=float(np.sum(base * vals["hhat_sq"])),
-        int_h_sq=float(np.sum(base * vals["h_sq"])),
-        int_H_sq=float(np.sum(base * vals["H_sq"])),
-        r2_limit=limit,
-        r2_limit_note=note,
-    )
+    return {
+        "schema": 1,
+        "kind": "energy",
+        "immersion": imm.name,
+        "params": jsonable_params(imm.params),
+        "rule": {"n": n, "degree": rule.degree, "node_count": rule.node_count},
+        "entries": entries,
+        "r2_limit": limit,
+        "r2_limit_note": note,
+    }
 
 
 def michael_simon_ratio(imm: Immersion, v, rule: QuadratureRule) -> dict:

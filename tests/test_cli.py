@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from lagcheck import cli
 from lagcheck.cli import main
+from lagcheck.identities import run_identity_suite
+from lagcheck.immersions import make_product_torus
+from lagcheck.quadrature import energy_report, torus_rule
 
 
 def write_cfg(tmp_path, name, payload):
@@ -48,6 +52,15 @@ class TestIdentitiesCommand:
         assert main(["identities", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["identities", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_json_is_the_suite_document(self, tmp_path):
+        cfg = write_cfg(tmp_path, "t.json", {**TORUS, "samples": 3, "seed": 4, "heavy": False})
+        out = tmp_path / "r.json"
+        assert main(["identities", "--config", cfg, "--out", str(out)]) == 0
+        imm = make_product_torus([1.0, 1.0])
+        points = imm.atlas.random_points(np.random.default_rng(4), 3)
+        doc = run_identity_suite(imm, points, seed=4, heavy=False)
+        assert out.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def test_seed_changes_points(self, tmp_path):
         cfg = write_cfg(
@@ -118,8 +131,10 @@ class TestEnergyCommand:
         )
         out = tmp_path / "energy.csv"
         assert main(["energy", "--config", cfg, "--format", "csv", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "name,value,degree,node_count"
+        doc = energy_report(make_product_torus([1.0, 1.0]), torus_rule(2, 8))
+        rows = [f"{name},{value!r},8,64" for name, value in doc["entries"].items()]
+        assert list(doc["entries"]) == ["volume", "int_hhat_n", "int_hhat_sq", "int_h_sq", "int_H_sq"]
+        assert out.read_text().splitlines() == ["name,value,degree,node_count", *rows, "r2_limit,0.0,8,64"]
 
     def test_table_format(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -141,12 +156,43 @@ class TestEnergyCommand:
         cfg = write_cfg(tmp_path, "small.json", {**body, "degree": 6})
         assert main(["energy", "--config", cfg, "--out", str(tmp_path / "e.json")]) == 0
 
+    def test_run_only_flags_are_refused(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "e.json", {**TORUS, "degree": 4})
+        for flags in (["--seed", "3"], ["--tol-scale", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["energy", "--config", cfg, *flags])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_whitney_energy_deterministic(self, tmp_path):
         cfg = write_cfg(tmp_path, "w.json", {"family": "whitney_cn", "r": 1.0, "n": 2, "degree": 16})
         out1, out2 = tmp_path / "1.json", tmp_path / "2.json"
         main(["energy", "--config", cfg, "--out", str(out1)])
         main(["energy", "--config", cfg, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("energy", {"family": "whitney_cn", "r": 1e160, "n": 2, "degree": 4}, "induced metric not finite"),
+        ("energy", {"family": "whitney_cn", "r": 1e300, "n": 2, "degree": 4}, "induced metric not finite"),
+        ("identities", {"family": "whitney_cn", "r": 1e300, "n": 2, "samples": 2}, "induced metric not finite"),
+        ("energy", {"family": "whitney_cn", "r": 1e120, "n": 3, "degree": 4}, "energy entries are not finite"),
+    ],
+    ids=["energy-r-1e160", "energy-r-1e300", "identities-r-1e300", "energy-volume-overflow"],
+)
+def test_overflowing_bodies_are_evaluation_errors(tmp_path, capsys, command, payload, message):
+    """A body whose metric or energies overflow stops with exit 4 and writes nothing."""
+    cfg = write_cfg(tmp_path, "big.json", payload)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("evaluation error: ") and message in err
+    if "metric" in message:
+        assert "chart " in err and "coords [" in err
+    assert not out.exists()
 
 
 class TestScanCommand:
@@ -266,6 +312,11 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         ("scan", {**SCAN, "values": [1.0], **NO_DIR}, 2, UNWRITABLE),
         ("scan", {**SCAN, "values": [1.0], "format": "xml"}, 2, "unknown format 'xml'"),
         ("energy", {**TORUS, "degree": 6, "out": 5}, 2, "'out' must be a path, got 5"),
+        ("scan", {**SCAN, "values": [1.0], "format": "json"}, 2, "json format is not available"),
+        ("scan", {**SCAN, "values": [1.0], "format": "table"}, 2, "table format is not available"),
+        ("identities", {"immersion": "rpn", "samples": 2}, 2, "'immersion' must be an object"),
+        ("identities", {"family": ["rpn"], "samples": 2}, 2, "unknown or missing immersion family"),
+        ("identities", {"family": "whitney_cpn", "theta": 800, "samples": 2}, 3, "cannot construct whitney_cpn"),
     ],
     ids=[
         "samples-negative", "samples-text", "samples-zero", "samples-fraction", "seed-text",
@@ -274,7 +325,8 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         "scan-param-unknown", "scan-index-out-of-range", "scan-index-text", "scan-index-on-scalar",
         "heavy-text", "heavy-number", "heavy-keyvalue-python-false", "energy-format-unknown",
         "identities-format-unknown", "identities-format-csv", "energy-out-no-dir", "identities-out-no-dir",
-        "scan-out-no-dir", "scan-format-unknown", "out-not-a-path",
+        "scan-out-no-dir", "scan-format-unknown", "out-not-a-path", "scan-format-json",
+        "scan-format-table", "immersion-not-an-object", "family-not-a-string", "cpn-theta-overflow",
     ],
 )
 def test_invalid_run_parameters_are_refused(tmp_path, capsys, monkeypatch, command, payload, code, message):
