@@ -166,6 +166,13 @@ class TestEnergyReport:
         assert limit == 0.0
         assert "plane" in note
 
+    def test_csv_output(self):
+        from lagcheck.cli import render_csv
+
+        csv = render_csv(energy_report(make_product_torus([1.0, 1.0]), torus_rule(2, 8)))
+        assert csv.splitlines()[0] == "name,value,degree,node_count"
+        assert any(line.startswith("int_hhat_n,") for line in csv.splitlines())
+
     def test_cpn_bodies_integrate(self):
         # the source model manifold carries the pulled-back metric, so the
         # totally geodesic real form reports the round S^n volume (the 2:1
