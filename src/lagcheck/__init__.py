@@ -25,7 +25,7 @@ from .immersions import (
 from .quadrature import (
     QuadratureRule,
     energy_report,
-    integrate,
+    integrals,
     michael_simon_ratio,
     sphere_rule,
     torus_rule,

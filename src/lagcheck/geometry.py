@@ -118,8 +118,8 @@ class FrameBundle:
         self.g0 = np.einsum("cax,cbx->abx", f0, f0)  # (n, n, B)
         L0, self._L_inv0 = _cholesky_inverse(self.g0)
         diag = np.diagonal(L0)  # (B, n)
-        self.sqrt_det_g = np.prod(diag, axis=1)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.sqrt_det_g = np.prod(diag, axis=1)  # inf where det g overflows
             # det g / tr(g)^n as a product of ratios, free of overflow; the
             # factor 2 absorbs the round-off of det g near the threshold
             cleared = np.prod(diag**2 / np.trace(self.g0)[:, None], axis=1) >= 2 * METRIC_COND_TOL
@@ -616,16 +616,18 @@ SAMPLE_ORDER = 2
 SAMPLE_CHUNK = 512
 
 
-def scalar_samples(imm: Immersion, charts, coords: np.ndarray, names: list[str]) -> dict[str, np.ndarray]:
-    """Evaluate pointwise scalars at (N, nvars) chart coords, each point in
-    its chart from `charts` (one id, or an (N,) array of ids that may mix
-    charts), in chunks of at most `SAMPLE_CHUNK` points taken in order."""
+def scalar_samples(imm: Immersion, charts, coords: np.ndarray, integrand: Callable) -> dict[str, np.ndarray]:
+    """The only node loop: `integrand(fb, charts, coords)` on the order-2
+    bundle of each chunk of at most `SAMPLE_CHUNK` of the (N, nvars) chart
+    coords, taken in order, each point in its chart from `charts` (one id, or
+    an (N,) array that may mix charts).  The integrand's named (B,) arrays
+    are gathered into one (N,) array per name."""
     coords = np.asarray(coords, dtype=float)
     charts = np.broadcast_to(charts, len(coords))
-    out = {name: np.empty(len(coords)) for name in names}
+    out = {}
     for lo in range(0, len(coords), SAMPLE_CHUNK):
-        hi = min(lo + SAMPLE_CHUNK, len(coords))
-        fb = bundle_at(imm, charts[lo:hi], coords[lo:hi], SAMPLE_ORDER)
-        for name in names:
-            out[name][lo:hi] = fb.scalar(name)
+        chunk = slice(lo, lo + SAMPLE_CHUNK)
+        fb = bundle_at(imm, charts[chunk], coords[chunk], SAMPLE_ORDER)
+        for name, value in integrand(fb, charts[chunk], coords[chunk]).items():
+            out.setdefault(name, np.empty(len(coords)))[chunk] = value
     return out

@@ -333,7 +333,7 @@ def _residuals(fb: FrameBundle, heavy: bool) -> dict[str, np.ndarray]:
         terms = simons_terms(fb)
         res["simons_identity_rel"] = check_simons_identity(terms)[2]
         ineq = check_simons_inequality(fb, terms)
-        res["simons_inequality_margin"] = np.maximum(0.0, -ineq["margin"])
+        res["simons_inequality_margin"] = np.maximum(0.0, -ineq["margin"]) + 0.0  # -0.0 -> +0.0
         res["spectral_consistency"] = ineq["spectral_consistency"]
     return res
 

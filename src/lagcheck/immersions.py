@@ -411,10 +411,12 @@ def make_perturbed_whitney(r: float, eps: float, mode: int, n: int = 2) -> Immer
 
     The flow exp(eps * J Q) is an exact linear symplectomorphism, so the image
     stays Lagrangian for every eps, and eps = 0 reproduces the Whitney sphere
-    exactly.  `mode` seeds the quadratic form Q.
+    exactly.  `mode` seeds the quadratic form Q.  The flow is linear, so it
+    commutes with dilations, and the bound |eps| < 0.1 on its amplitude holds
+    at every r.
     """
-    if abs(eps) >= 0.1 * r:
-        raise ValueError("perturbation amplitude must satisfy |eps| < 0.1 r")
+    if abs(eps) >= 0.1:
+        raise ValueError("perturbation amplitude must satisfy |eps| < 0.1")
     base = make_whitney_cn(r, None, n)
     rng = np.random.default_rng(1000 * n + int(mode))
     M = rng.normal(size=(2 * n, 2 * n))

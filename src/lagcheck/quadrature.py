@@ -1,29 +1,30 @@
 """Quadrature over the compact model manifolds and the energy functionals.
 
-Sphere rules are tensor-product Gauss-Legendre in hyperspherical angles; the
-nodes are transitioned into the stereographic atlas and carry the exact
-angle-to-chart Jacobian, so an integral is the plain weighted sum
-sum_k w_k * f(p_k) * density_k with the density read off the induced metric.
-The stereographic chart is conformal with factor 2 / (1 + |u|^2), so that
-Jacobian is the round-sphere angle density times ((1 + |u|^2) / 2)^n.
+Rules are tensor-product Gauss-Legendre grids: in the angles of a torus, or
+in hyperspherical angles on a sphere, whose nodes are transitioned into the
+stereographic atlas and carry the exact angle-to-chart Jacobian.  The chart
+is conformal with factor 2 / (1 + |u|^2), so that Jacobian is the
+round-sphere angle density times ((1 + |u|^2) / 2)^n.
+
+Every integral is an integrand: a function `integrand(fb, charts, coords)`
+that returns named (B,) arrays on the order-2 bundle of a chunk of nodes.
+`geometry.scalar_samples` is the one loop that streams the nodes through it,
+and `integrals` the one reduction: the plain weighted sum
+sum_k w_k * jacobian_k * sqrt_det_g_k * f(p_k) per name, a single np.sum in
+rule order, so no result depends on the chunk size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .geometry import SAMPLE_CHUNK, SAMPLE_ORDER, bundle_at, scalar_samples
-from .immersions import (
-    ChartPoint,
-    Immersion,
-    SphereAtlas,
-    TorusAtlas,
-    jsonable_params,
-)
-from .jets import Jet, jet_space
+from .geometry import scalar_samples
+from .immersions import Immersion, SphereAtlas, TorusAtlas, jsonable_params
+from .jets import Jet
 
 
 def sphere_volume(n: int) -> float:
@@ -56,9 +57,6 @@ class QuadratureRule:
     @property
     def node_count(self) -> int:
         return len(self.weights)
-
-    def nodes(self) -> list[ChartPoint]:
-        return [ChartPoint(int(c), x) for c, x in zip(self.chart_ids, self.coords)]
 
     def parameter_volume(self) -> float:
         return float(np.sum(self.weights))
@@ -97,12 +95,17 @@ def _gl_nodes(a: float, b: float, npts: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
+def _product_grid(axes: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """(N, len(axes)) nodes and (N,) weights of the tensor product of 1-D
+    (nodes, weights) rules, the last axis varying fastest."""
+    nodes = np.meshgrid(*(x for x, _ in axes), indexing="ij")
+    weights = np.meshgrid(*(w for _, w in axes), indexing="ij")
+    weights = np.prod(np.stack([g.ravel() for g in weights], axis=1), axis=1)
+    return np.stack([g.ravel() for g in nodes], axis=1), weights
+
+
 def torus_rule(n: int, degree: int = 30) -> QuadratureRule:
-    t, w = _gl_nodes(0.0, 2.0 * math.pi, degree)
-    grids = np.meshgrid(*([t] * n), indexing="ij")
-    wgrids = np.meshgrid(*([w] * n), indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
+    coords, weights = _product_grid([_gl_nodes(0.0, 2.0 * math.pi, degree)] * n)
     return QuadratureRule(
         domain="torus",
         n=n,
@@ -131,14 +134,9 @@ def sphere_rule(n: int, degree: int = 30) -> QuadratureRule:
     """Tensor-product Gauss-Legendre in hyperspherical angles on S^n."""
     if n < 2:
         raise ValueError("sphere rules need n >= 2")
-    polar, wpolar = _gl_nodes(0.0, math.pi, degree)
-    azim, wazim = _gl_nodes(0.0, 2.0 * math.pi, degree)
-    axes = [polar] * (n - 1) + [azim]
-    waxes = [wpolar] * (n - 1) + [wazim]
-    grids = np.meshgrid(*axes, indexing="ij")
-    wgrids = np.meshgrid(*waxes, indexing="ij")
-    angles = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
+    angles, weights = _product_grid(
+        [_gl_nodes(0.0, math.pi, degree)] * (n - 1) + [_gl_nodes(0.0, 2.0 * math.pi, degree)]
+    )
 
     x = _angles_to_embedded(angles, n)
     chart_ids = (x[:, n] > 0).astype(int)
@@ -182,23 +180,22 @@ def _check_rule(imm: Immersion, rule: QuadratureRule):
         raise ValueError("torus rule applied to a non-torus immersion")
 
 
-def integrate(imm: Immersion, f, rule: QuadratureRule) -> float:
-    """Integral of a pointwise scalar against the induced volume measure.
-
-    `f` is either the name of a pipeline scalar ('hhat_sq', 'h_sq', 'H_sq',
-    'one') or a callable on ChartPoint.  The reduction is a single np.sum
-    over the fixed node order (pairwise), so results are run-to-run stable.
-    """
+def integrals(imm: Immersion, rule: QuadratureRule, integrand: Callable) -> dict[str, float]:
+    """Integral of each named array of `integrand(fb, charts, coords)` (see
+    `geometry.scalar_samples`) against the induced volume measure.  Each is
+    one np.sum over the rule's node order, so results are run-to-run stable
+    and do not depend on the chunk size; an overflow gives a non-finite
+    integral, for the caller to refuse, and no warning."""
     _check_rule(imm, rule)
-    if isinstance(f, str):
-        names = ["sqrt_det_g"] if f == "one" else ["sqrt_det_g", f]
-        vals = scalar_samples(imm, rule.chart_ids, rule.coords, names)
-        fv = np.ones(rule.node_count) if f == "one" else vals[f]
-        dens = vals["sqrt_det_g"]
-    else:
-        dens = scalar_samples(imm, rule.chart_ids, rule.coords, ["sqrt_det_g"])["sqrt_det_g"]
-        fv = np.array([f(p) for p in rule.nodes()])
-    return float(np.sum(rule.weights * rule.chart_jacobians * fv * dens))
+
+    def with_density(fb, charts, coords):
+        # the density goes under None, a key no integrand name can take
+        return {None: fb.sqrt_det_g, **integrand(fb, charts, coords)}
+
+    vals = scalar_samples(imm, rule.chart_ids, rule.coords, with_density)
+    base = rule.weights * rule.chart_jacobians * vals.pop(None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {name: float(np.sum(base * v)) for name, v in vals.items()}
 
 
 def r2_window_limit(imm: Immersion) -> tuple[float, str]:
@@ -213,22 +210,23 @@ def r2_window_limit(imm: Immersion) -> tuple[float, str]:
     raise ValueError("limit quantity only defined for compact bodies and the plane")
 
 
+def _energy_integrand(fb, charts, coords) -> dict[str, np.ndarray]:
+    hhat_sq = fb.scalar("hhat_sq")
+    return {
+        "volume": np.ones(fb.batch),
+        "int_hhat_n": hhat_sq ** (fb.n / 2.0),
+        "int_hhat_sq": hhat_sq,
+        "int_h_sq": fb.scalar("h_sq"),
+        "int_H_sq": fb.scalar("H_sq"),
+    }
+
+
 def energy_report(imm: Immersion, rule: QuadratureRule) -> dict:
     """The energy functionals of a compact immersion over its model
     manifold, as the report document."""
     if not imm.compact:
         raise ValueError("energy report needs a compact model domain")
-    _check_rule(imm, rule)
-    vals = scalar_samples(imm, rule.chart_ids, rule.coords, ["sqrt_det_g", "hhat_sq", "h_sq", "H_sq"])
-    base = rule.weights * rule.chart_jacobians * vals["sqrt_det_g"]
-    n = imm.source_dim
-    entries = {
-        "volume": float(np.sum(base)),
-        "int_hhat_n": float(np.sum(base * vals["hhat_sq"] ** (n / 2.0))),
-        "int_hhat_sq": float(np.sum(base * vals["hhat_sq"])),
-        "int_h_sq": float(np.sum(base * vals["h_sq"])),
-        "int_H_sq": float(np.sum(base * vals["H_sq"])),
-    }
+    entries = integrals(imm, rule, _energy_integrand)
     if not all(math.isfinite(v) for v in entries.values()):
         raise OverflowError(f"energy entries are not finite: {entries}")
     if any(v < -1e-12 for v in entries.values()):
@@ -242,7 +240,7 @@ def energy_report(imm: Immersion, rule: QuadratureRule) -> dict:
         "kind": "energy",
         "immersion": imm.name,
         "params": jsonable_params(imm.params),
-        "rule": {"n": n, "degree": rule.degree, "node_count": rule.node_count},
+        "rule": {"n": imm.source_dim, "degree": rule.degree, "node_count": rule.node_count},
         "entries": entries,
         "r2_limit": limit,
         "r2_limit_note": note,
@@ -256,37 +254,27 @@ def michael_simon_ratio(imm: Immersion, v, rule: QuadratureRule) -> dict:
 
     `v(charts, u)` evaluates the test function in jet arithmetic on the
     order-2 coordinate jets `u` (`Jet.variables`) of a chunk of nodes, whose
-    chart ids `charts` (a (B,) array) may mix charts.  The nodes are taken
-    in rule order, in chunks of at most `SAMPLE_CHUNK` as in
-    `scalar_samples`, and one bundle per chunk serves the density, |H|^2
-    and grad v.
+    chart ids `charts` (a (B,) array) may mix charts; it is called once per
+    chunk, whose bundle serves the density, |H|^2 and grad v.
     """
-    _check_rule(imm, rule)
     n = imm.source_dim
-    dens, H_sq, vv, grad_norm = (np.empty(rule.node_count) for _ in range(4))
-    for lo in range(0, rule.node_count, SAMPLE_CHUNK):
-        chunk = slice(lo, lo + SAMPLE_CHUNK)
-        charts, coords = rule.chart_ids[chunk], rule.coords[chunk]
-        fb = bundle_at(imm, charts, coords, SAMPLE_ORDER)
-        vj = v(charts, Jet.variables(jet_space(n, SAMPLE_ORDER), coords.T))
-        dens[chunk] = fb.scalar("sqrt_det_g")
-        H_sq[chunk] = fb.scalar("H_sq")
-        vv[chunk] = vj.value
-        grad_norm[chunk] = np.sqrt(np.sum(fb.frame_derivative(vj) ** 2, axis=0))
-    base = rule.weights * rule.chart_jacobians * dens
-    if np.any(vv < -1e-12):
-        raise ValueError("negative test function detected at a node")
-    vv = np.maximum(vv, 0.0)
 
-    habs = np.sqrt(H_sq)
-    lhs = float(np.sum(base * vv ** (n / (n - 1.0)))) ** ((n - 1.0) / n)
-    rhs = float(np.sum(base * (grad_norm + vv * habs)))
-    out = {"ms_lhs": lhs, "ms_rhs_no_constant": rhs}
+    def integrand(fb, charts, coords):
+        vj = v(charts, Jet.variables(fb.phi.space, coords.T))
+        if np.any(vj.value < -1e-12):
+            raise ValueError("negative test function detected at a node")
+        vv, H_sq = np.maximum(vj.value, 0.0), fb.scalar("H_sq")
+        grad_norm = np.sqrt(np.sum(fb.frame_derivative(vj) ** 2, axis=0))
+        out = {"ms_lhs": vv ** (n / (n - 1.0)), "ms_rhs_no_constant": grad_norm + vv * np.sqrt(H_sq)}
+        if n >= 3:
+            out["eq320_lhs"] = vv ** (2.0 * n / (n - 2.0))
+            out["eq320_rhs_no_constant"] = grad_norm**2 + vv**2 * H_sq
+        return out
+
+    out = integrals(imm, rule, integrand)
+    out["ms_lhs"] **= (n - 1.0) / n
     if n >= 3:
-        p = 2.0 * n / (n - 2.0)
-        out["eq320_lhs"] = float(np.sum(base * vv**p)) ** ((n - 2.0) / n)
-        out["eq320_rhs_no_constant"] = float(np.sum(base * (grad_norm**2 + vv**2 * H_sq)))
+        out["eq320_lhs"] **= (n - 2.0) / n
     else:
-        out["eq320_lhs"] = None
-        out["eq320_rhs_no_constant"] = None
+        out["eq320_lhs"] = out["eq320_rhs_no_constant"] = None
     return out

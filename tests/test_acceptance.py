@@ -41,16 +41,11 @@ from lagcheck.tensors import (
 
 
 def _batched_scalars(imm, points, names, order=3):
-    groups = {}
-    for p in points:
-        p = imm.atlas.normalize(p)
-        groups.setdefault(p.chart_id, []).append(p.coords)
-    out = {name: [] for name in names}
-    for cid, coords in groups.items():
-        fb = bundle_at(imm, cid, np.array(coords), order)
-        for name in names:
-            out[name].append(fb.scalar(name))
-    return {name: np.concatenate(vals) for name, vals in out.items()}
+    """One bundle over every point, each in its well-conditioned chart."""
+    points = [imm.atlas.normalize(p) for p in points]
+    charts = np.array([p.chart_id for p in points])
+    fb = bundle_at(imm, charts, np.array([p.coords for p in points]), order)
+    return {name: fb.scalar(name) for name in names}
 
 
 @pytest.fixture(scope="session")

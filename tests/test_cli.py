@@ -16,6 +16,31 @@ def write_cfg(tmp_path, name, payload):
     return str(path)
 
 
+def test_energy_overflow_is_one_line(tmp_path, capsys):
+    """An energy that overflows reaches stderr as the one diagnostic line,
+    with no floating-point warning ahead of it."""
+    cfg = write_cfg(tmp_path, "big.json", {"family": "whitney_cn", "r": 1e120, "n": 3, "degree": 4})
+    assert main(["energy", "--config", cfg]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("evaluation error: energy entries are not finite")
+
+
+def test_huge_whitney_identities_are_warning_free_and_unsigned(tmp_path):
+    """r = 1e120 overflows det g but no check: the suite runs without a
+    warning, and a zero residual is written +0.0, never -0.0."""
+    cfg = write_cfg(
+        tmp_path, "big.json", {"family": "whitney_cn", "r": 1e120, "n": 3, "samples": 3, "seed": 1}
+    )
+    out = tmp_path / "report.json"
+    assert main(["identities", "--config", cfg, "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert "simons_inequality_margin" in [c["name"] for c in checks]
+    for c in checks:
+        assert not np.signbit(c["max_residual"]) and not np.signbit(c["headroom"]), c
+
+
 class TestIdentitiesCommand:
     def test_whitney_passes_exit_zero(self, tmp_path):
         cfg = write_cfg(
@@ -183,11 +208,11 @@ class TestEnergyCommand:
     ids=["energy-r-1e160", "energy-r-1e300", "identities-r-1e300", "energy-volume-overflow"],
 )
 def test_overflowing_bodies_are_evaluation_errors(tmp_path, capsys, command, payload, message):
-    """A body whose metric or energies overflow stops with exit 4 and writes nothing."""
+    """A body whose metric or energies overflow stops with exit 4, writes
+    nothing and raises no floating-point warning."""
     cfg = write_cfg(tmp_path, "big.json", payload)
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("evaluation error: ") and message in err
     if "metric" in message:

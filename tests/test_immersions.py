@@ -130,6 +130,19 @@ class TestPerturbedWhitney:
         with pytest.raises(ValueError):
             make_perturbed_whitney(1.0, 0.2, 1, 2)
 
+    def test_amplitude_bound_is_scale_free(self):
+        """The flow is linear, so r = 0.01 builds with the amplitude r = 1
+        takes, and its dilation-invariant gap energy is the same; a large
+        body gets no larger amplitude."""
+        from lagcheck.quadrature import energy_report, sphere_rule
+
+        rule = sphere_rule(3, 8)
+        small = energy_report(make_perturbed_whitney(0.01, 0.05, 1, 3), rule)["entries"]
+        unit = energy_report(make_perturbed_whitney(1.0, 0.05, 1, 3), rule)["entries"]
+        assert small["int_hhat_n"] == pytest.approx(unit["int_hhat_n"], rel=1e-12)
+        with pytest.raises(ValueError):
+            make_perturbed_whitney(1000.0, 50.0, 1, 3)
+
     def test_flow_is_symplectic(self):
         rng = np.random.default_rng(5)
         M = rng.normal(size=(4, 4))

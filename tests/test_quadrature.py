@@ -11,11 +11,11 @@ from lagcheck.immersions import (
     make_whitney_cn,
     random_unitary,
 )
-from lagcheck import quadrature
+from lagcheck import geometry, quadrature
 from lagcheck.jets import Jet, jet_space
 from lagcheck.quadrature import (
     energy_report,
-    integrate,
+    integrals,
     michael_simon_ratio,
     r2_window_limit,
     sphere_rule,
@@ -72,32 +72,49 @@ class TestRules:
     def test_rule_immersion_mismatch(self):
         torus = make_product_torus([1.0, 1.0])
         with pytest.raises(ValueError):
-            integrate(torus, "one", sphere_rule(2, 6))
+            integrals(torus, sphere_rule(2, 6), area)
         with pytest.raises(ValueError):
-            integrate(torus, "one", torus_rule(3, 6))
+            integrals(torus, torus_rule(3, 6), area)
+
+
+def area(fb, charts, coords):
+    return {"area": np.ones(fb.batch)}
 
 
 class TestIntegrate:
     def test_torus_area(self):
         torus = make_product_torus([1.0, 1.0])
-        area = integrate(torus, "one", torus_rule(2, 16))
-        assert area == pytest.approx(4 * math.pi**2, abs=1e-10)
+        value = integrals(torus, torus_rule(2, 16), area)["area"]
+        assert value == pytest.approx(4 * math.pi**2, abs=1e-10)
 
     def test_node_refinement_converges(self):
         wh = make_whitney_cn(1.0, None, 2)
-        a1 = integrate(wh, "one", sphere_rule(2, 36))
-        a2 = integrate(wh, "one", sphere_rule(2, 72))
+        a1 = integrals(wh, sphere_rule(2, 36), area)["area"]
+        a2 = integrals(wh, sphere_rule(2, 72), area)["area"]
         assert abs(a1 - a2) < 1e-8
 
     def test_constant_hhat_sq_on_torus(self):
         torus = make_product_torus([1.0, 1.0])
-        val = integrate(torus, "hhat_sq", torus_rule(2, 12))
-        assert val == pytest.approx(2 * math.pi**2, abs=1e-10)
+        val = integrals(torus, torus_rule(2, 12), lambda fb, charts, coords: {"f": fb.scalar("hhat_sq")})
+        assert val["f"] == pytest.approx(2 * math.pi**2, abs=1e-10)
 
     def test_callable_field(self):
         torus = make_product_torus([1.0, 1.0])
-        val = integrate(torus, lambda p: math.sin(p.coords[0]) ** 2, torus_rule(2, 16))
-        assert val == pytest.approx(2 * math.pi**2, abs=1e-9)
+        val = integrals(torus, torus_rule(2, 16), lambda fb, charts, coords: {"f": np.sin(coords[:, 0]) ** 2})
+        assert val["f"] == pytest.approx(2 * math.pi**2, abs=1e-9)
+
+    def test_names_are_integrated_together(self):
+        """One pass serves every name, each the integral it would be alone."""
+        wh = make_whitney_cn(1.0, np.array([0.3, 0.1j]), 2)
+        rule = sphere_rule(2, 12)
+
+        def both(fb, charts, coords):
+            return {"area": np.ones(fb.batch), "h_sq": fb.scalar("h_sq")}
+
+        val = integrals(wh, rule, both)
+        assert list(val) == ["area", "h_sq"]
+        assert val["area"] == integrals(wh, rule, area)["area"]
+        assert val["h_sq"] == energy_report(wh, rule)["entries"]["int_h_sq"]
 
 
 class TestEnergyReport:
@@ -223,33 +240,38 @@ class TestMichaelSimon:
 
     def test_bundles_stay_within_sample_chunk(self, monkeypatch):
         """The nodes stream through bundles of at most SAMPLE_CHUNK nodes in
-        rule order, a chunk may mix charts, and chunking does not change the
-        result: one bundle over every node gives the same ratios."""
+        rule order, a chunk may mix charts, and chunking changes neither
+        report: one bundle over every node gives the same numbers."""
         wh = make_whitney_cn(1.0, np.array([0.3 + 0.4j, -0.2, 0.1j]), 3)
         atlas = wh.atlas
         # degree^3 nodes, more than two chunks' worth, split about evenly
         # between the two charts
-        rule = sphere_rule(3, math.ceil((3 * quadrature.SAMPLE_CHUNK) ** (1 / 3)))
+        rule = sphere_rule(3, math.ceil((3 * geometry.SAMPLE_CHUNK) ** (1 / 3)))
 
         def v(charts, u):
             return 1.0 + atlas.embed_jets(charts, u)[3] * 0.5
 
-        sizes, mixed, inner = [], [], quadrature.bundle_at
+        runs = {
+            "michael_simon": lambda: michael_simon_ratio(wh, v, rule),
+            "energy": lambda: energy_report(wh, rule)["entries"],
+        }
+        sizes, mixed, inner = [], [], geometry.bundle_at
 
         def bundle_at(imm, charts, coords, order):
             sizes.append(len(coords))
             mixed.append(np.unique(charts).size > 1)
             return inner(imm, charts, coords, order)
 
-        monkeypatch.setattr(quadrature, "bundle_at", bundle_at)
-        chunked = michael_simon_ratio(wh, v, rule)
-        assert len(sizes) == math.ceil(rule.node_count / quadrature.SAMPLE_CHUNK) >= 3
-        assert max(sizes) <= quadrature.SAMPLE_CHUNK and sum(sizes) == rule.node_count
+        monkeypatch.setattr(geometry, "bundle_at", bundle_at)
+        chunked = {name: run() for name, run in runs.items()}
+        chunks = math.ceil(rule.node_count / geometry.SAMPLE_CHUNK)
+        assert chunks >= 3 and len(sizes) == 2 * chunks
+        assert max(sizes) <= geometry.SAMPLE_CHUNK and sum(sizes) == 2 * rule.node_count
         assert any(mixed)
-        monkeypatch.setattr(quadrature, "SAMPLE_CHUNK", rule.node_count)
-        whole = michael_simon_ratio(wh, v, rule)
-        for key, value in whole.items():
-            assert chunked[key] == pytest.approx(value, rel=1e-14), key
+        monkeypatch.setattr(geometry, "SAMPLE_CHUNK", rule.node_count)
+        for name, run in runs.items():
+            assert run() == chunked[name], name
+        assert sizes[2 * chunks :] == [rule.node_count] * 2
 
     def test_negative_function_rejected(self):
         torus = make_product_torus([1.0, 1.0])
