@@ -9,14 +9,19 @@ Exit status: 0 all requested checks passed, 1 a check failed, 2 config error
 (also an invalid run parameter, format or out path, or a malformed report),
 3 immersion construction error (also a parameter that overflows), 4
 evaluation error (e.g. a non-Lagrangian immersion or an induced metric that
-is degenerate or not finite, detected during geometry evaluation, or an
-energy that overflows).
+is degenerate or not finite, detected during geometry evaluation, an energy
+that overflows, or a quadrature rule too large to allocate).
+
+`main` is the application entry point, so it, not an import, sets the C
+allocator's thresholds (`keep_freed_memory`).
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
+import functools
 import json
 import math
 import sys
@@ -285,7 +290,31 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+# glibc's mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def keep_freed_memory():
+    """Once per process, have glibc keep freed memory for reuse.  An energy
+    op frees and reallocates the same few MB of jet buffers for every chunk
+    of nodes; by default glibc hands them back to the OS (its dynamic mmap
+    threshold and 128 KiB trim threshold), and the next chunk page-faults
+    them in again.  Fixed thresholds (mmap above 32 MiB, trim above 256 MiB)
+    keep them in the heap.  Without glibc's `mallopt` this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle, or not glibc
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 256 << 20)
+
+
 def main(argv=None) -> int:
+    keep_freed_memory()
     parser = argparse.ArgumentParser(
         prog="lagcheck",
         description="identity residuals and energy functionals of Lagrangian immersions",
@@ -322,7 +351,7 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"construction error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION_ERROR
-    except (NonLagrangianError, DegenerateMetricError, OutOfDomainError, OverflowError) as exc:
+    except (NonLagrangianError, DegenerateMetricError, OutOfDomainError, OverflowError, MemoryError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVALUATION_ERROR
 

@@ -609,11 +609,11 @@ def scalar_laplacian(imm: Immersion, field: Callable[[int, Jet], Jet], p: ChartP
 # Pointwise scalars need h, so order-2 ambient jets; the chunk bounds the
 # batch of one bundle and with it the peak memory.  Measured on energy ops at
 # degree 20, n = 3 (torus, whitney_cn, whitney_cpn; one process, 2-core VM,
-# numpy 2.4): 512 nodes take about 20% less time per op than 256 for 1.9 MB
-# more peak RSS (37.2 against 35.3 MB); 1024 saves about 12% more but adds
-# another 3.4 MB.
+# numpy 2.4, with the allocator setting of `cli.main`): 768 nodes take about
+# 12% less time per op than 512 for 1.0 MB more peak RSS (35.3 against
+# 34.3 MB); 1024 saves about 6% more but adds another 0.9 MB.
 SAMPLE_ORDER = 2
-SAMPLE_CHUNK = 512
+SAMPLE_CHUNK = 768
 
 
 def scalar_samples(imm: Immersion, charts, coords: np.ndarray, integrand: Callable) -> dict[str, np.ndarray]:
@@ -628,6 +628,8 @@ def scalar_samples(imm: Immersion, charts, coords: np.ndarray, integrand: Callab
     for lo in range(0, len(coords), SAMPLE_CHUNK):
         chunk = slice(lo, lo + SAMPLE_CHUNK)
         fb = bundle_at(imm, charts[chunk], coords[chunk], SAMPLE_ORDER)
-        for name, value in integrand(fb, charts[chunk], coords[chunk]).items():
+        values = integrand(fb, charts[chunk], coords[chunk])
+        del fb  # one live bundle: this chunk's is freed before the next is built
+        for name, value in values.items():
             out.setdefault(name, np.empty(len(coords)))[chunk] = value
     return out

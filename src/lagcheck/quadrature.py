@@ -12,10 +12,14 @@ that returns named (B,) arrays on the order-2 bundle of a chunk of nodes.
 and `integrals` the one reduction: the plain weighted sum
 sum_k w_k * jacobian_k * sqrt_det_g_k * f(p_k) per name, a single np.sum in
 rule order, so no result depends on the chunk size.
+
+A rule is read-only: `rule_for` builds one per (domain, n, degree) and hands
+the same one to every caller.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -31,13 +35,14 @@ def sphere_volume(n: int) -> float:
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureRule:
     """Nodes in the immersion's atlas plus parameter-space weights.
 
     `weights` carry the measure of the parameter box (their sum is its
     volume); `chart_jacobians` convert that measure to the chart so that the
-    induced-metric density can be evaluated per node.
+    induced-metric density can be evaluated per node.  Frozen, with
+    read-only arrays, so that one rule can be shared.
     """
 
     domain: str  # "sphere" | "torus"
@@ -53,6 +58,9 @@ class QuadratureRule:
     def __post_init__(self):
         if np.any(self.weights <= 0):
             raise ValueError("quadrature weights must be positive")
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def node_count(self) -> int:
@@ -164,11 +172,18 @@ def sphere_rule(n: int, degree: int = 30) -> QuadratureRule:
 
 
 def rule_for(imm: Immersion, degree: int = 30) -> QuadratureRule:
+    """The rule on the model manifold of `imm`, shared by every body with
+    the same domain, dimension and degree (a scan builds it once)."""
     if isinstance(imm.atlas, SphereAtlas):
-        return sphere_rule(imm.source_dim, degree)
+        return _shared_rule("sphere", imm.source_dim, degree)
     if isinstance(imm.atlas, TorusAtlas):
-        return torus_rule(imm.source_dim, degree)
+        return _shared_rule("torus", imm.source_dim, degree)
     raise ValueError(f"no compact quadrature domain for {imm.name}")
+
+
+@functools.lru_cache(maxsize=4)
+def _shared_rule(domain: str, n: int, degree: int) -> QuadratureRule:
+    return sphere_rule(n, degree) if domain == "sphere" else torus_rule(n, degree)
 
 
 def _check_rule(imm: Immersion, rule: QuadratureRule):

@@ -1,9 +1,17 @@
+import ctypes
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lagcheck import cli
+import lagcheck
+from lagcheck import cli, quadrature
 from lagcheck.cli import main
 from lagcheck.identities import run_identity_suite
 from lagcheck.immersions import make_product_torus
@@ -25,6 +33,81 @@ def test_energy_overflow_is_one_line(tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("evaluation error: energy entries are not finite")
+
+
+def test_unallocatable_rule_is_one_line(tmp_path, capsys, monkeypatch):
+    """A rule too large to allocate is an evaluation error with the one
+    diagnostic line, not a traceback and not "a check failed"."""
+
+    def sphere_rule(n, degree):
+        raise MemoryError(f"Unable to allocate {8 * degree**n} bytes for the rule")
+
+    monkeypatch.setattr(quadrature, "sphere_rule", sphere_rule)
+    cfg = write_cfg(tmp_path, "huge.json", {"family": "whitney_cn", "r": 1.0, "n": 3, "degree": 3000})
+    assert main(["energy", "--config", cfg]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["evaluation error: Unable to allocate 216000000000 bytes for the rule"]
+
+
+class TestAllocatorSetting:
+    """`main` has glibc keep freed memory; without glibc's `mallopt` that is
+    a no-op, and no report depends on it."""
+
+    @pytest.fixture(autouse=True)
+    def reset(self):
+        cli.keep_freed_memory.cache_clear()
+        yield
+        cli.keep_freed_memory.cache_clear()
+
+    def test_reports_do_not_depend_on_mallopt(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, "w.json", {"family": "whitney_cpn", "theta": 0.7, "n": 3, "degree": 10})
+
+        def energy_bytes(name):
+            out = tmp_path / name
+            assert main(["energy", "--config", cfg, "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        def no_library(name, *args, **kwargs):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        def library_without_mallopt(name, *args, **kwargs):
+            return SimpleNamespace()
+
+        base = energy_bytes("glibc.json")
+        for fake in (no_library, library_without_mallopt):
+            monkeypatch.setattr(ctypes, "CDLL", fake)
+            cli.keep_freed_memory.cache_clear()
+            assert energy_bytes(f"{fake.__name__}.json") == base
+
+    def test_import_sets_nothing(self):
+        """Importing lagcheck looks up no `mallopt`; `main` looks it up once."""
+        script = textwrap.dedent(
+            """
+            import ctypes
+
+            asked = []
+
+            class Spy(ctypes.CDLL):
+                def __getattr__(self, name):
+                    asked.append(name)
+                    return super().__getattr__(name)
+
+            ctypes.CDLL = Spy
+            import lagcheck
+            import lagcheck.cli
+
+            print(asked.count("mallopt"))
+            for _ in range(2):
+                lagcheck.cli.main(["report", "missing.json"])
+            print(asked.count("mallopt"))
+            """
+        )
+        src = str(Path(lagcheck.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["0", "1"]
 
 
 def test_huge_whitney_identities_are_warning_free_and_unsigned(tmp_path):

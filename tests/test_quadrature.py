@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lagcheck.cpn import make_whitney_cpn
 from lagcheck.immersions import (
     complex_to_real_matrix,
     linear_image,
@@ -18,6 +21,7 @@ from lagcheck.quadrature import (
     integrals,
     michael_simon_ratio,
     r2_window_limit,
+    rule_for,
     sphere_rule,
     sphere_volume,
     torus_rule,
@@ -75,6 +79,67 @@ class TestRules:
             integrals(torus, sphere_rule(2, 6), area)
         with pytest.raises(ValueError):
             integrals(torus, torus_rule(3, 6), area)
+
+
+class TestRuleCache:
+    """`rule_for` builds one read-only rule per (domain, n, degree)."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        quadrature._shared_rule.cache_clear()
+        yield
+        quadrature._shared_rule.cache_clear()
+
+    def test_equal_keys_give_the_same_rule(self):
+        cn = make_whitney_cn(1.0, None, 3)
+        rule = rule_for(cn, 6)
+        assert rule_for(make_whitney_cn(2.0, np.array([0.3, 0.1j, -0.2]), 3), 6) is rule
+        assert rule_for(make_whitney_cpn(0.7, 3), 6) is rule
+        assert rule_for(cn, 7) is not rule and rule_for(cn, 7).degree == 7
+        torus = rule_for(make_product_torus([1.0, 1.5, 2.0]), 6)
+        assert torus is not rule and torus.domain == "torus"
+        assert rule_for(make_product_torus([0.5, 0.5, 0.5]), 6) is torus
+
+    @pytest.mark.parametrize("fresh", [False, True])
+    def test_rules_are_read_only(self, fresh):
+        rule = sphere_rule(3, 6) if fresh else rule_for(make_whitney_cn(1.0, None, 3), 6)
+        for field in ("chart_ids", "coords", "weights", "chart_jacobians", "angles", "round_density"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(rule, field)[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rule.weights = np.ones(rule.node_count)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rule.degree = 7
+
+    @pytest.mark.parametrize(
+        "imm, fresh",
+        [
+            (make_whitney_cn(1.0, np.array([0.3 + 0.4j, -0.2, 0.1j]), 3), sphere_rule),
+            (make_whitney_cpn(0.7, 3), sphere_rule),
+            (make_product_torus([1.0, 1.5, 2.0]), torus_rule),
+        ],
+    )
+    def test_shared_rule_reports_equal_fresh_rule_reports(self, imm, fresh):
+        shared = rule_for(imm, 8)
+        assert rule_for(imm, 8) is shared
+        assert energy_report(imm, shared) == energy_report(imm, fresh(3, 8))
+
+    def test_errors_are_not_cached(self, monkeypatch):
+        built, inner = [], quadrature.sphere_rule
+
+        def sphere_rule_once_out_of_memory(n, degree):
+            built.append((n, degree))
+            if len(built) == 1:
+                raise MemoryError("cannot allocate the rule")
+            return inner(n, degree)
+
+        monkeypatch.setattr(quadrature, "sphere_rule", sphere_rule_once_out_of_memory)
+        imm = make_whitney_cn(1.0, None, 3)
+        with pytest.raises(MemoryError):
+            rule_for(imm, 5)
+        rule = rule_for(imm, 5)
+        assert rule_for(imm, 5) is rule and rule.node_count == 125
+        assert built == [(3, 5), (3, 5)]
 
 
 def area(fb, charts, coords):
@@ -190,11 +255,37 @@ class TestEnergyReport:
         assert csv.splitlines()[0] == "name,value,degree,node_count"
         assert any(line.startswith("int_hhat_n,") for line in csv.splitlines())
 
+    def test_one_bundle_is_live_at_a_time(self, monkeypatch):
+        """The node loop frees each chunk's bundle before it builds the next:
+        the traced peak of an energy report over 7 chunks stays within 1.25
+        times that of one chunk's bundle with its energy scalars."""
+        monkeypatch.setattr(geometry, "SAMPLE_CHUNK", 256)
+        imm = make_whitney_cpn(0.7, 3)
+        rule = sphere_rule(3, 12)
+        charts, coords = rule.chart_ids[:256], rule.coords[:256]
+
+        def one_chunk():
+            fb = geometry.bundle_at(imm, charts, coords, geometry.SAMPLE_ORDER)
+            return fb.sqrt_det_g, quadrature._energy_integrand(fb, charts, coords)
+
+        def peak(run):
+            run()  # warm-up: jet tables and caches
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run()
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        assert math.ceil(rule.node_count / geometry.SAMPLE_CHUNK) == 7
+        assert peak(lambda: energy_report(imm, rule)) <= 1.25 * peak(one_chunk)
+
     def test_cpn_bodies_integrate(self):
         # the source model manifold carries the pulled-back metric, so the
         # totally geodesic real form reports the round S^n volume (the 2:1
         # projective quotient is not divided out)
-        from lagcheck.cpn import make_rpn, make_whitney_cpn
+        from lagcheck.cpn import make_rpn
 
         rp = energy_report(make_rpn(2), sphere_rule(2, 16))
         assert rp["entries"]["volume"] == pytest.approx(4 * math.pi, rel=1e-9)
