@@ -5,12 +5,16 @@ Reports are byte-deterministic for a fixed config and seed: keys are sorted,
 floats use repr, files are UTF-8 and newline-terminated, and every random
 choice flows from the single config seed.
 
+An energy report is its rule and its entries: the table and the CSV print
+one line per entry, and a `scan` has one column per entry after `param`.
+
 Exit status: 0 all requested checks passed, 1 a check failed, 2 config error
-(also an invalid run parameter, format or out path, or a malformed report),
-3 immersion construction error (also a parameter that overflows), 4
-evaluation error (e.g. a non-Lagrangian immersion or an induced metric that
-is degenerate or not finite, detected during geometry evaluation, an energy
-that overflows, or a quadrature rule too large to allocate).
+(also an invalid run parameter, such as a `degree` above MAX_DEGREE or an
+empty scan, a format or out path, or a malformed report), 3 immersion
+construction error (also a parameter that overflows), 4 evaluation error
+(e.g. a non-Lagrangian immersion or an induced metric that is degenerate or
+not finite, detected during geometry evaluation, an energy that overflows,
+or a quadrature rule too large to allocate).
 
 `main` is the application entry point, so it, not an import, sets the C
 allocator's thresholds (`keep_freed_memory`).
@@ -103,6 +107,20 @@ def integer(cfg: dict, key: str, default: int, least: int) -> int:
     return value
 
 
+# `quadrature._gl_nodes` costs about degree^2 before any grid is allocated (one
+# process, 2-core VM: 0.20 s at degree 3000, 0.33 s at 4000, 0.47 s at 5000,
+# 1.1 s at 8000, 1.8 s at 10^4), so a huge degree would never return.
+MAX_DEGREE = 4000
+
+
+def rule_degree(cfg: dict) -> int:
+    """The quadrature `degree` of an `energy` or `scan` run, 1..MAX_DEGREE."""
+    degree = integer(cfg, "degree", 30, 1)
+    if degree > MAX_DEGREE:
+        raise ConfigError(f"'degree' must be at most {MAX_DEGREE}, got {degree}")
+    return degree
+
+
 def number(value, what: str) -> float:
     """A finite real run parameter."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
@@ -167,19 +185,17 @@ def render_table(doc: dict) -> str:
         lines.append(f"{'functional':20s} {'value':>24s}")
         for name, value in doc["entries"].items():
             lines.append(f"{name:20s} {value:24.15e}")
-        lines.append(f"r2_limit: {doc['r2_limit']} ({doc['r2_limit_note']})")
     else:
         lines.append(json.dumps(doc, sort_keys=True, indent=2))
     return "\n".join(lines) + "\n"
 
 
 def render_csv(doc: dict) -> str:
-    """An energy report as CSV: one row per entry, then r2_limit."""
+    """An energy report as CSV: one row per entry."""
     degree, node_count = doc["rule"]["degree"], doc["rule"]["node_count"]
     lines = ["name,value,degree,node_count"]
     for name, value in doc["entries"].items():
         lines.append(f"{name},{value!r},{degree},{node_count}")
-    lines.append(f"r2_limit,{doc['r2_limit']!r},{degree},{node_count}")
     return "\n".join(lines) + "\n"
 
 
@@ -218,7 +234,7 @@ def cmd_identities(args) -> int:
 
 def cmd_energy(args) -> int:
     cfg = load_config(args.config, {})
-    degree = integer(cfg, "degree", 30, 1)
+    degree = rule_degree(cfg)
     out, fmt = output(args, cfg)
     imm = compact_immersion(cfg, "energy")
     emit(energy_report(imm, rule_for(imm, degree)), out, fmt)
@@ -253,25 +269,22 @@ def cmd_scan(args) -> int:
     cfg = load_config(args.config, {})
     key = cfg.get("scan_param")
     values = cfg.get("values")
-    if not key or not isinstance(values, list):
-        raise ConfigError("scan needs 'scan_param' and a finite 'values' list")
+    if not key or not isinstance(values, list) or not values:
+        raise ConfigError("scan needs 'scan_param' and a non-empty finite 'values' list")
     values = sorted(number(v, "a scan value") for v in values)
-    degree = integer(cfg, "degree", 30, 1)
+    degree = rule_degree(cfg)
     out, _ = output(args, cfg, ("csv",))
     body = compact_immersion(cfg, "scan")
     target = _scan_target(body, key)
-    rows = ["param,volume,int_hhat_n,int_hhat_sq,int_h_sq,int_H_sq"]
+    rows = []
     for v in values:
         sub = copy.deepcopy(cfg)
         imm_cfg = sub.get("immersion", sub)
         _set_scan_param(imm_cfg, body.params, target, v)
         imm = compact_immersion(sub, "scan")
-        e = energy_report(imm, rule_for(imm, degree))["entries"]
-        rows.append(
-            f"{v!r},{e['volume']!r},{e['int_hhat_n']!r},{e['int_hhat_sq']!r},"
-            f"{e['int_h_sq']!r},{e['int_H_sq']!r}"
-        )
-    write_text(out, "\n".join(rows) + "\n")
+        entries = energy_report(imm, rule_for(imm, degree))["entries"]
+        rows.append(",".join(map(repr, [v, *entries.values()])))
+    write_text(out, "\n".join([",".join(["param", *entries]), *rows]) + "\n")
     return EXIT_OK
 
 

@@ -2,10 +2,11 @@
 
 Model manifolds are parametrized by explicit charts: two stereographic charts
 for the sphere, one periodic chart for the torus, one global chart for the
-plane.  Every family evaluates through truncated Taylor jets, so derivative
-data up to order 4 is exact: it seeds the chart coordinates as one (n,) jet
-and returns the ambient coordinates as one (2m,) jet, a few tensor
-operations on whole coordinate vectors.  Complex ambient coordinates are
+plane; the atlas's quadrature `domain` ("sphere", "torus", or None on the
+plane) alone says whether a body is closed.  Every family evaluates through
+truncated Taylor jets, so derivative data up to order 4 is exact: it seeds
+the chart coordinates as one (n,) jet and returns the ambient coordinates as
+one (2m,) jet, a few tensor operations on whole coordinate vectors.  Complex ambient coordinates are
 stored as interleaved reals (Re z_1, Im z_1, ...), which only `interleave`
 writes (a scatter into one buffer), and the complex structure acts per pair
 as (a, b) -> (-b, a): `times_i` applies it as a signed permutation of the
@@ -53,6 +54,8 @@ class SphereAtlas:
     """Two stereographic charts on S^n: chart 0 projects from the north pole
     (+e_{n+1}), chart 1 from the south pole.  Transition is u -> u / |u|^2."""
 
+    domain = "sphere"
+
     def __init__(self, n: int):
         self.n = n
         self.n_charts = 2
@@ -99,20 +102,24 @@ class SphereAtlas:
         x = Jet.stack([u[a].scaled(2.0) for a in range(self.n)] + [(norm2 - 1.0).scaled(sign)])
         return x * (1.0 / (1.0 + norm2))
 
-    def from_embedded(self, x: np.ndarray) -> ChartPoint:
+    def from_embedded(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(N,) chart ids and (N, n) coordinates of an (N, n+1) batch of points
+        of S^n, each in the chart whose pole it is farther from."""
         x = np.asarray(x, dtype=float)
-        chart = 0 if x[self.n] <= 0 else 1
-        denom = 1.0 - x[self.n] if chart == 0 else 1.0 + x[self.n]
-        return ChartPoint(chart, x[: self.n] / denom)
+        charts = (x[:, self.n] > 0).astype(int)
+        denom = np.where(charts == 0, 1.0 - x[:, self.n], 1.0 + x[:, self.n])
+        return charts, x[:, : self.n] / denom[:, None]
 
     def random_points(self, rng: np.random.Generator, count: int) -> list[ChartPoint]:
         xs = rng.normal(size=(count, self.n + 1))
         xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-        return [self.from_embedded(x) for x in xs]
+        return [ChartPoint(int(c), u) for c, u in zip(*self.from_embedded(xs))]
 
 
 class TorusAtlas:
     """Single 2*pi-periodic chart of angles."""
+
+    domain = "torus"
 
     def __init__(self, n: int):
         self.n = n
@@ -134,6 +141,8 @@ class TorusAtlas:
 
 
 class PlaneAtlas:
+    domain = None  # an open body: no quadrature domain
+
     def __init__(self, n: int):
         self.n = n
         self.n_charts = 1
@@ -178,7 +187,11 @@ class Immersion:
     params: dict
     atlas: object
     jet_fn: Callable = field(repr=False)
-    compact: bool = True
+
+    @property
+    def compact(self) -> bool:
+        """Closed model manifold: its atlas names a quadrature domain."""
+        return self.atlas.domain is not None
 
     def eval_jet(self, p: ChartPoint, order: int) -> Jet:
         """The (2m,) ambient jet at one chart point (batch of one)."""
@@ -314,7 +327,6 @@ def make_lagrangian_plane(n: int) -> Immersion:
         params={"n": n},
         atlas=PlaneAtlas(n),
         jet_fn=jet_fn,
-        compact=False,
     )
 
 
@@ -339,7 +351,6 @@ def make_nonlagrangian_plane(n: int) -> Immersion:
         params={"n": n},
         atlas=PlaneAtlas(n),
         jet_fn=jet_fn,
-        compact=False,
     )
 
 
@@ -365,7 +376,6 @@ def linear_image(base: Immersion, matrix: np.ndarray, offset=None, name=None) ->
         params=dict(base.params, matrix=matrix, offset=offset),
         atlas=base.atlas,
         jet_fn=jet_fn,
-        compact=base.compact,
     )
 
 
@@ -479,7 +489,6 @@ def make_black_box(fn: Callable, n: int, ambient_complex_dim: int, atlas=None, n
         params={"n": n},
         atlas=atlas,
         jet_fn=jet_fn,
-        compact=not isinstance(atlas, PlaneAtlas),
     )
 
 

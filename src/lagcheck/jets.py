@@ -136,11 +136,10 @@ class Jet:
     def variables(space: JetSpace, values: np.ndarray) -> "Jet":
         """Seed the chart coordinates as one (nvars,) jet; `values` has shape
         (nvars,) or (nvars, B).  `u[a]` is the jet of coordinate a."""
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if values.shape[0] != space.nvars:
-            values = values.T
-        if values.shape[0] != space.nvars:
-            raise ValueError("seed array does not match nvars")
+        values = np.asarray(values, dtype=float)
+        values = values[:, None] if values.ndim == 1 else values
+        if values.ndim != 2 or values.shape[0] != space.nvars:
+            raise ValueError(f"seed array of shape {values.shape} is not ({space.nvars},) or ({space.nvars}, B)")
         c = np.zeros((space.nvars, space.ncoef, values.shape[1]))
         c[:, 0] = values
         if space.order >= 1:

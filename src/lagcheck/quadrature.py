@@ -1,10 +1,11 @@
 """Quadrature over the compact model manifolds and the energy functionals.
 
 Rules are tensor-product Gauss-Legendre grids: in the angles of a torus, or
-in hyperspherical angles on a sphere, whose nodes are transitioned into the
-stereographic atlas and carry the exact angle-to-chart Jacobian.  The chart
-is conformal with factor 2 / (1 + |u|^2), so that Jacobian is the
-round-sphere angle density times ((1 + |u|^2) / 2)^n.
+in hyperspherical angles on a sphere, whose nodes are projected into the
+stereographic atlas (`SphereAtlas.from_embedded`) and carry the exact
+angle-to-chart Jacobian.  The chart is conformal with factor
+2 / (1 + |u|^2), so that Jacobian is the round-sphere angle density times
+((1 + |u|^2) / 2)^n.
 
 Every integral is an integrand: a function `integrand(fb, charts, coords)`
 that returns named (B,) arrays on the order-2 bundle of a chunk of nodes.
@@ -13,8 +14,8 @@ and `integrals` the one reduction: the plain weighted sum
 sum_k w_k * jacobian_k * sqrt_det_g_k * f(p_k) per name, a single np.sum in
 rule order, so no result depends on the chunk size.
 
-A rule is read-only: `rule_for` builds one per (domain, n, degree) and hands
-the same one to every caller.
+A rule integrates only bodies whose atlas names its domain.  It is read-only:
+`rule_for` builds one per (domain, n, degree) and hands it to every caller.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import scalar_samples
-from .immersions import Immersion, SphereAtlas, TorusAtlas, jsonable_params
+from .immersions import Immersion, SphereAtlas, jsonable_params
 from .jets import Jet
 
 
@@ -146,10 +147,7 @@ def sphere_rule(n: int, degree: int = 30) -> QuadratureRule:
         [_gl_nodes(0.0, math.pi, degree)] * (n - 1) + [_gl_nodes(0.0, 2.0 * math.pi, degree)]
     )
 
-    x = _angles_to_embedded(angles, n)
-    chart_ids = (x[:, n] > 0).astype(int)
-    denom = np.where(chart_ids == 0, 1.0 - x[:, n], 1.0 + x[:, n])
-    coords = x[:, :n] / denom[:, None]
+    chart_ids, coords = SphereAtlas(n).from_embedded(_angles_to_embedded(angles, n))
 
     round_density = np.ones(len(angles))
     for i in range(n - 1):
@@ -174,11 +172,9 @@ def sphere_rule(n: int, degree: int = 30) -> QuadratureRule:
 def rule_for(imm: Immersion, degree: int = 30) -> QuadratureRule:
     """The rule on the model manifold of `imm`, shared by every body with
     the same domain, dimension and degree (a scan builds it once)."""
-    if isinstance(imm.atlas, SphereAtlas):
-        return _shared_rule("sphere", imm.source_dim, degree)
-    if isinstance(imm.atlas, TorusAtlas):
-        return _shared_rule("torus", imm.source_dim, degree)
-    raise ValueError(f"no compact quadrature domain for {imm.name}")
+    if not imm.compact:
+        raise ValueError(f"no compact quadrature domain for {imm.name}")
+    return _shared_rule(imm.atlas.domain, imm.source_dim, degree)
 
 
 @functools.lru_cache(maxsize=4)
@@ -189,10 +185,8 @@ def _shared_rule(domain: str, n: int, degree: int) -> QuadratureRule:
 def _check_rule(imm: Immersion, rule: QuadratureRule):
     if rule.n != imm.source_dim:
         raise ValueError("rule dimension does not match the immersion")
-    if rule.domain == "sphere" and not isinstance(imm.atlas, SphereAtlas):
-        raise ValueError("sphere rule applied to a non-sphere immersion")
-    if rule.domain == "torus" and not isinstance(imm.atlas, TorusAtlas):
-        raise ValueError("torus rule applied to a non-torus immersion")
+    if rule.domain != imm.atlas.domain:
+        raise ValueError(f"{rule.domain} rule applied to {imm.name}, whose domain is {imm.atlas.domain}")
 
 
 def integrals(imm: Immersion, rule: QuadratureRule, integrand: Callable) -> dict[str, float]:
@@ -213,18 +207,6 @@ def integrals(imm: Immersion, rule: QuadratureRule, integrand: Callable) -> dict
         return {name: float(np.sum(base * v)) for name, v in vals.items()}
 
 
-def r2_window_limit(imm: Immersion) -> tuple[float, str]:
-    """The gap-hypothesis quantity lim R^{-2} int_{M_R} |h|^2.
-
-    Zero for compact bodies (the integral stabilizes while R^{-2} -> 0) and
-    zero for the totally geodesic plane (h vanishes identically)."""
-    if imm.compact:
-        return 0.0, "compact: integral over M_R stabilizes while R^{-2} -> 0"
-    if imm.name == "lagrangian_plane":
-        return 0.0, "flat plane: |h| = 0 identically"
-    raise ValueError("limit quantity only defined for compact bodies and the plane")
-
-
 def _energy_integrand(fb, charts, coords) -> dict[str, np.ndarray]:
     hhat_sq = fb.scalar("hhat_sq")
     return {
@@ -238,9 +220,8 @@ def _energy_integrand(fb, charts, coords) -> dict[str, np.ndarray]:
 
 def energy_report(imm: Immersion, rule: QuadratureRule) -> dict:
     """The energy functionals of a compact immersion over its model
-    manifold, as the report document."""
-    if not imm.compact:
-        raise ValueError("energy report needs a compact model domain")
+    manifold, as the report document: the rule and the named integrals,
+    nothing else."""
     entries = integrals(imm, rule, _energy_integrand)
     if not all(math.isfinite(v) for v in entries.values()):
         raise OverflowError(f"energy entries are not finite: {entries}")
@@ -249,7 +230,6 @@ def energy_report(imm: Immersion, rule: QuadratureRule) -> dict:
     h_sq = entries["int_h_sq"]
     if entries["int_hhat_sq"] > h_sq + 1e-9 * max(1.0, h_sq):
         raise ValueError("int |hhat|^2 exceeds int |h|^2")
-    limit, note = r2_window_limit(imm)
     return {
         "schema": 1,
         "kind": "energy",
@@ -257,8 +237,6 @@ def energy_report(imm: Immersion, rule: QuadratureRule) -> dict:
         "params": jsonable_params(imm.params),
         "rule": {"n": imm.source_dim, "degree": rule.degree, "node_count": rule.node_count},
         "entries": entries,
-        "r2_limit": limit,
-        "r2_limit_note": note,
     }
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -48,6 +49,23 @@ def test_unallocatable_rule_is_one_line(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["evaluation error: Unable to allocate 216000000000 bytes for the rule"]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [{"family": "whitney_cn", "r": 1.0, "n": 3}, {"family": "product_torus", "radii": [1.0]}],
+    ids=["whitney-n3", "torus-n1"],
+)
+def test_huge_degree_is_refused_at_once(tmp_path, capsys, body):
+    """A degree whose Gauss-Legendre nodes alone would never finish is a
+    config error with one line, even where the rule would be small (n = 1)."""
+    cfg = write_cfg(tmp_path, "huge.json", {**body, "degree": 10**6})
+    start = time.perf_counter()
+    assert main(["energy", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"config error: 'degree' must be at most {cli.MAX_DEGREE}, got 1000000"]
 
 
 class TestAllocatorSetting:
@@ -242,7 +260,7 @@ class TestEnergyCommand:
         doc = energy_report(make_product_torus([1.0, 1.0]), torus_rule(2, 8))
         rows = [f"{name},{value!r},8,64" for name, value in doc["entries"].items()]
         assert list(doc["entries"]) == ["volume", "int_hhat_n", "int_hhat_sq", "int_h_sq", "int_H_sq"]
-        assert out.read_text().splitlines() == ["name,value,degree,node_count", *rows, "r2_limit,0.0,8,64"]
+        assert out.read_text().splitlines() == ["name,value,degree,node_count", *rows]
 
     def test_table_format(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -376,12 +394,24 @@ class TestScanCommand:
         cfg = write_cfg(tmp_path, "bad.json", {"family": "whitney_cn", "scan_param": "r"})
         assert main(["scan", "--config", cfg]) == 2
 
+    def test_header_is_param_and_the_entry_names(self, tmp_path):
+        """The columns are the energy report's entries, in their order."""
+        cfg = write_cfg(tmp_path, "scan.json", {**TORUS, "degree": 6, "scan_param": "radii.0", "values": [2.0, 1.0]})
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        for radius, row in zip((1.0, 2.0), rows):
+            entries = energy_report(make_product_torus([radius, 1.0]), torus_rule(2, 6))["entries"]
+            assert header == ",".join(["param", *entries])
+            assert row == ",".join(map(repr, [radius, *entries.values()]))
+
 
 TORUS = {"family": "product_torus", "radii": [1.0, 1.0]}
 PLANE = {"family": "lagrangian_plane", "n": 2}
 SCAN = {"family": "whitney_cn", "r": 1.0, "n": 2, "degree": 6, "scan_param": "r"}
 SAMPLES = "'samples' must be an integer >= 1"
 DEGREE = "'degree' must be an integer >= 1"
+DEGREE_CAP = f"'degree' must be at most {cli.MAX_DEGREE}"
 HEAVY = "'heavy' must be true or false"
 NO_DIR = {"out": "/nonexistent/dir/r.json"}
 UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a directory"
@@ -425,6 +455,9 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         ("identities", {"immersion": "rpn", "samples": 2}, 2, "'immersion' must be an object"),
         ("identities", {"family": ["rpn"], "samples": 2}, 2, "unknown or missing immersion family"),
         ("identities", {"family": "whitney_cpn", "theta": 800, "samples": 2}, 3, "cannot construct whitney_cpn"),
+        ("energy", {**TORUS, "degree": cli.MAX_DEGREE + 1}, 2, DEGREE_CAP),
+        ("scan", {**SCAN, "values": [1.0], "degree": 10**6}, 2, DEGREE_CAP),
+        ("scan", {**SCAN, "values": []}, 2, "a non-empty finite 'values' list"),
     ],
     ids=[
         "samples-negative", "samples-text", "samples-zero", "samples-fraction", "seed-text",
@@ -435,6 +468,7 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         "identities-format-unknown", "identities-format-csv", "energy-out-no-dir", "identities-out-no-dir",
         "scan-out-no-dir", "scan-format-unknown", "out-not-a-path", "scan-format-json",
         "scan-format-table", "immersion-not-an-object", "family-not-a-string", "cpn-theta-overflow",
+        "energy-degree-above-cap", "scan-degree-above-cap", "scan-values-empty",
     ],
 )
 def test_invalid_run_parameters_are_refused(tmp_path, capsys, monkeypatch, command, payload, code, message):
@@ -469,6 +503,23 @@ class TestReportCommand:
         assert header.split()[-3:] == ["headroom", "sample", "pass"]
         check = doc["checks"][0]
         assert first.split()[-3:] == [f"{check['headroom']:.2e}", str(check["argmax"]), "ok"]
+
+    def test_energy_report_with_r2_keys(self, tmp_path, capsys):
+        """A report written while energy reports still carried `r2_limit`
+        renders its entries; the extra keys are not printed."""
+        cfg = write_cfg(tmp_path, "e.json", {**TORUS, "degree": 6})
+        path = tmp_path / "energy.json"
+        assert main(["energy", "--config", cfg, "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert main(["report", str(path)]) == 0
+        want = capsys.readouterr().out
+        doc["r2_limit"] = 0.0
+        doc["r2_limit_note"] = "compact: integral over M_R stabilizes while R^{-2} -> 0"
+        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        assert main(["report", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert text == want and "r2" not in text
+        assert len(text.splitlines()) == 2 + len(doc["entries"])
 
     def test_missing_file_is_config_error(self):
         assert main(["report", "/nonexistent/report.json"]) == 2

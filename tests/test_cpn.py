@@ -67,8 +67,8 @@ class TestWhitneyCpnFamily:
         imm = make_whitney_cpn(1.0, 2)
         atlas = imm.atlas
         x = np.array([0.8, 0.6, 0.0])
-        p_plus = atlas.from_embedded(x)
-        p_minus = atlas.from_embedded(-x)
+        (c_plus, c_minus), (u_plus, u_minus) = atlas.from_embedded(np.stack([x, -x]))
+        p_plus, p_minus = ChartPoint(int(c_plus), u_plus), ChartPoint(int(c_minus), u_minus)
         z1 = homogeneous_value(imm, p_plus)
         z2 = homogeneous_value(imm, p_minus)
         assert projective_distance(z1, z2) > 0.1

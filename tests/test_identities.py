@@ -233,7 +233,7 @@ def partly_lagrangian_plane():
         u = Jet.variables(jet_space(2, order), coords)
         return Jet.stack([u[0], u[0].scaled(0.0), u[1], u[0] * u[1]])
 
-    return Immersion("partly_lagrangian", 2, AMBIENT_CN, 2, {}, PlaneAtlas(2), jet_fn, compact=False)
+    return Immersion("partly_lagrangian", 2, AMBIENT_CN, 2, {}, PlaneAtlas(2), jet_fn)
 
 
 def cusped_plane():
@@ -244,7 +244,7 @@ def cusped_plane():
         zero = u[0].scaled(0.0)
         return Jet.stack([u[0] * u[0] * u[0], zero, u[1], zero])
 
-    return Immersion("cusped_plane", 2, AMBIENT_CN, 2, {}, PlaneAtlas(2), jet_fn, compact=False)
+    return Immersion("cusped_plane", 2, AMBIENT_CN, 2, {}, PlaneAtlas(2), jet_fn)
 
 
 def twisted_rpn(turn_first):

@@ -5,13 +5,18 @@ import pytest
 
 from lagcheck.cpn import make_rpn, make_whitney_cpn, phase_twist
 from lagcheck.immersions import (
+    AMBIENT_CN,
+    FAMILY_REGISTRY,
     ChartPoint,
+    Immersion,
     OutOfDomainError,
+    PlaneAtlas,
     SphereAtlas,
     complex_to_real_matrix,
     expm_series,
     from_config,
     interleave,
+    linear_image,
     make_black_box,
     make_lagrangian_plane,
     make_nonlagrangian_plane,
@@ -226,9 +231,58 @@ class TestChartAtlas:
         for p in atlas.random_points(rng, 20):
             x = atlas.embed(p)
             assert abs(np.linalg.norm(x) - 1.0) < 1e-12
-            q = atlas.from_embedded(x)
+            (chart,), (u,) = atlas.from_embedded(x[None])
+            q = ChartPoint(int(chart), u)
             q2 = atlas.transition(q, p.chart_id) if q.chart_id != p.chart_id else q
             assert np.allclose(q2.coords, p.coords, atol=1e-10)
+
+
+# one config per registered family, and whether its body is closed
+FAMILY_BODIES = {
+    "whitney_cn": ({"r": 1.0, "n": 3}, True),
+    "product_torus": ({"radii": [1.0, 2.0]}, True),
+    "lagrangian_plane": ({"n": 2}, False),
+    "nonlagrangian_plane": ({"n": 2}, False),
+    "perturbed_whitney": ({"eps": 0.05, "n": 2}, True),
+    "whitney_cpn": ({"theta": 0.7, "n": 2}, True),
+    "rpn": ({"n": 2}, True),
+    "cpn_torus": ({"moduli": [1.0, 1.0, 1.0]}, True),
+}
+
+
+class TestDomain:
+    """Whether a body is closed is read off its atlas alone."""
+
+    def test_every_family_is_covered(self):
+        assert sorted(FAMILY_BODIES) == sorted(FAMILY_REGISTRY)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_BODIES))
+    def test_compact_is_the_atlas_domain(self, family):
+        params, closed = FAMILY_BODIES[family]
+        imm = FAMILY_REGISTRY[family](params)
+        assert imm.compact is closed is (imm.atlas.domain is not None)
+        moved = linear_image(imm, 2.0 * np.eye(2 * imm.ambient_complex_dim))
+        assert moved.atlas is imm.atlas and moved.compact is closed
+
+    def test_black_box_on_plane_and_sphere_atlases(self):
+        def fn(chart_id, x):
+            return np.array([x[0], 0.0, x[1], 0.0])
+
+        assert make_black_box(fn, 2, 2).compact is False
+        assert make_black_box(fn, 2, 2, atlas=PlaneAtlas(2)).compact is False
+        assert make_black_box(fn, 2, 2, atlas=SphereAtlas(2)).compact is True
+
+    def test_compact_is_neither_a_field_nor_settable(self):
+        imm = make_whitney_cn(1.0, None, 2)
+        with pytest.raises(AttributeError):
+            imm.compact = False
+        with pytest.raises(TypeError):
+            Immersion("plane", 2, AMBIENT_CN, 2, {}, PlaneAtlas(2), imm.jet_fn, compact=False)
+
+    def test_random_sphere_points_have_python_int_charts(self):
+        points = SphereAtlas(3).random_points(np.random.default_rng(2), 40)
+        assert {type(p.chart_id) for p in points} == {int}
+        assert {p.chart_id for p in points} == {0, 1}
 
 
 class TestEvalJet:

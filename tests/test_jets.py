@@ -64,6 +64,19 @@ def test_mixed_partials_symmetric_by_construction():
     assert d1 == pytest.approx(d2, abs=1e-15)
 
 
+def test_seed_shape_is_nvars_first():
+    """A seed is (nvars,) or (nvars, B); a (B, nvars) batch is refused, not
+    silently read as B coordinates."""
+    sp = jet_space(2, 1)
+    assert Jet.variables(sp, np.array([0.1, 0.2])).c.shape == (2, 3, 1)
+    assert Jet.variables(sp, np.zeros((2, 5))).c.shape == (2, 3, 5)
+    for bad in (np.zeros((3, 2)), np.zeros((1, 2)), np.zeros(3), np.zeros((2, 2, 1))):
+        with pytest.raises(ValueError, match="seed array"):
+            Jet.variables(sp, bad)
+    square = np.array([[0.1, 0.2], [0.3, 0.4]])  # two points, coordinates by column
+    np.testing.assert_array_equal(Jet.variables(sp, square).value, square)
+
+
 def test_batch_matches_scalar_evaluation():
     sp = jet_space(2, 3)
     pts = np.array([[0.1, 0.2], [1.0, -0.3], [0.5, 0.5]]).T  # (nvars, B)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -20,7 +21,6 @@ from lagcheck.quadrature import (
     energy_report,
     integrals,
     michael_simon_ratio,
-    r2_window_limit,
     rule_for,
     sphere_rule,
     sphere_volume,
@@ -74,11 +74,49 @@ class TestRules:
         np.testing.assert_allclose(r.chart_jacobians, want, rtol=1e-13, atol=0)
 
     def test_rule_immersion_mismatch(self):
+        """A rule integrates only bodies of its dimension whose atlas names
+        its domain."""
         torus = make_product_torus([1.0, 1.0])
-        with pytest.raises(ValueError):
+        sphere = make_whitney_cn(1.0, None, 2)
+        with pytest.raises(ValueError, match="sphere rule applied to product_torus, whose domain is torus"):
             integrals(torus, sphere_rule(2, 6), area)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension"):
             integrals(torus, torus_rule(3, 6), area)
+        with pytest.raises(ValueError, match="torus rule applied to whitney_cn, whose domain is sphere"):
+            integrals(sphere, torus_rule(2, 6), area)
+        with pytest.raises(ValueError, match="dimension"):
+            integrals(sphere, sphere_rule(3, 6), area)
+        with pytest.raises(ValueError, match="whose domain is None"):
+            integrals(make_lagrangian_plane(2), torus_rule(2, 6), area)
+
+    # sha256 of each array of the rule built with its own stereographic
+    # projection, before the rule called `SphereAtlas.from_embedded`
+    PINNED = {
+        (2, 8): {
+            "chart_ids": "293024becfdb4f5ca10d7272b1705c66ef749e78af4fa72cd61e27a16b3484a9",
+            "coords": "fbec7747313f03ea08f6da622a6e87989d3165f20c1d6840b304d687959fdf06",
+            "weights": "44ef58ba0da4bba3517c953cebac877b03c2f76e8b876fbca25679097f521c84",
+            "chart_jacobians": "5ecc1260507060283a43c9472410038db98f679bdf68379ed6ef31434a05d4d0",
+        },
+        (3, 20): {
+            "chart_ids": "c2e7896d441aade468ae12f6f8ef1d7d0750c53dd66b3e33c6e3cc6d8c5c0111",
+            "coords": "7cef54cc939a94015a0f9382c311acfbd15527ebc1a8beaf7d9e76ea26f72a5d",
+            "weights": "f7216f1e6838fe3d5c6222fb15178666b28a263bc5db11fb815baaa3a8928073",
+            "chart_jacobians": "e455c6d5544117435d9e454926e33cc51b51e7c621ba4f39c287a80dad01a255",
+        },
+    }
+
+    @pytest.mark.parametrize("n,degree", sorted(PINNED))
+    def test_sphere_rule_arrays_are_pinned(self, n, degree):
+        """Projecting the nodes through `SphereAtlas.from_embedded` keeps
+        every array of the sphere rule bit for bit."""
+        rule = sphere_rule(n, degree)
+        got = {}
+        for name in self.PINNED[n, degree]:
+            value = getattr(rule, name)
+            value = value.astype(np.int64) if name == "chart_ids" else value
+            got[name] = hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
+        assert got == self.PINNED[n, degree]
 
 
 class TestRuleCache:
@@ -189,7 +227,7 @@ class TestEnergyReport:
         assert rep["entries"]["int_h_sq"] == pytest.approx(8 * math.pi**2, abs=1e-6)
         assert rep["entries"]["int_H_sq"] == pytest.approx(2 * math.pi**2, abs=1e-6)
         assert rep["entries"]["volume"] == pytest.approx(4 * math.pi**2, abs=1e-6)
-        assert rep["r2_limit"] == 0.0
+        assert set(rep) == {"entries", "immersion", "kind", "params", "rule", "schema"}
 
     def test_unequal_radii_closed_form(self):
         radii = (1.0, 2.0)
@@ -240,13 +278,12 @@ class TestEnergyReport:
         for k in r0["entries"]:
             assert abs(r0["entries"][k] - r1["entries"][k]) < 1e-10
 
-    def test_plane_rejected_but_limit_defined(self):
+    def test_plane_rejected(self):
         plane = make_lagrangian_plane(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="whose domain is None"):
             energy_report(plane, torus_rule(2, 6))
-        limit, note = r2_window_limit(plane)
-        assert limit == 0.0
-        assert "plane" in note
+        with pytest.raises(ValueError, match="no compact quadrature domain for lagrangian_plane"):
+            rule_for(plane, 6)
 
     def test_csv_output(self):
         from lagcheck.cli import render_csv
