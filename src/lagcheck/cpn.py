@@ -13,9 +13,10 @@ included, do not depend on the incoming representative.  The
 flat-ambient frame machinery then applies verbatim in C^{n+1}, with the
 ambient curvature constant set to 1.
 
-Each family emits its homogeneous representative as one (2n+2,) jet of
-interleaved reals; multiplication by i is `times_i`, a signed permutation,
-so a phase rotation by chi is Z cos chi + (i Z) sin chi.
+Each family is a chart formula `jet_fn(charts, u)` (`Immersion`) emitting
+its homogeneous representative as one (2n+2,) jet of interleaved reals;
+multiplication by i is `times_i`, a signed permutation, so a phase rotation
+by chi is Z cos chi + (i Z) sin chi.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .immersions import (
     times_i,
 )
 from .geometry import NonLagrangianError, at_point
-from .jets import Jet, jet_einsum, jet_space, potential_from_gradient
+from .jets import Jet, jet_einsum, potential_from_gradient
 
 HORIZONTALITY_TOL = 1e-9
 
@@ -78,8 +79,7 @@ def make_whitney_cpn(theta: float, n: int) -> Immersion:
     of the embedded sphere point x, emitted as a polynomial in the chart
     coordinates u.  Multiplying by the positive factor
     (ch^2 t + sh^2 t x_{n+1}^2) (1 + s)^2 / 2, with s = |u|^2 and
-    x_{n+1} = sigma (s - 1) / (1 + s) (sigma = +1 in chart 0, -1 in chart 1,
-    taken per point),
+    x_{n+1} = sigma (s - 1) / (1 + s) (sigma = `SphereAtlas.sign`, per point),
     names the same point of CP^n and leaves
 
     z_j = ch t u_j (1 + s) - i sigma sh t u_j (s - 1),
@@ -95,9 +95,8 @@ def make_whitney_cpn(theta: float, n: int) -> Immersion:
     atlas = SphereAtlas(n)
     ch, sh = math.cosh(theta), math.sinh(theta)
 
-    def jet_fn(charts, coords, order):
-        sigma = np.where(np.asarray(charts) == 0, 1.0, -1.0)
-        u = Jet.variables(jet_space(n, order), coords)
+    def jet_fn(charts, u):
+        sigma = atlas.sign(charts)
         s = jet_einsum("a,a->", u, u)
         us, ss = u * s, s * s
         head_re, head_im = (u + us).scaled(ch), (us - u).scaled(-sigma * sh)
@@ -117,11 +116,13 @@ def make_whitney_cpn(theta: float, n: int) -> Immersion:
 
 
 def make_rpn(n: int) -> Immersion:
-    """Totally geodesic real form: x in S^n -> [x] in CP^n."""
+    """Totally geodesic real form: x in S^n -> [x] in CP^n, emitted as the
+    chart polynomial x (1 + s) / 2 = (u, sigma (s - 1) / 2), s = |u|^2."""
     atlas = SphereAtlas(n)
 
-    def jet_fn(charts, coords, order):
-        return interleave(atlas.embed_jets(charts, Jet.variables(jet_space(n, order), coords)))
+    def jet_fn(charts, u):
+        last = (jet_einsum("a,a->", u, u) - 1.0).scaled(0.5 * atlas.sign(charts))
+        return interleave(Jet.stack([u[a] for a in range(n)] + [last]))
 
     return Immersion(
         name="rpn",
@@ -150,8 +151,8 @@ def make_cpn_torus(moduli) -> Immersion:
     r = moduli / np.linalg.norm(moduli)
     n = len(r) - 1
 
-    def jet_fn(charts, coords, order):
-        sin, cos = Jet.variables(jet_space(n, order), coords).sin_cos()
+    def jet_fn(charts, u):
+        sin, cos = u.sin_cos()
         c = np.zeros((2 * n + 2,) + cos.c.shape[1:])
         c[0, 0] = r[0]
         c[2::2] = r[1:, None, None] * cos.c
@@ -174,9 +175,9 @@ def phase_twist(base: Immersion, coeffs) -> Immersion:
     chi = sum_a coeffs[a] * sin(u_a); exercises projective gauge invariance."""
     coeffs = np.asarray(coeffs, dtype=float)
 
-    def jet_fn(charts, coords, order):
-        Z = base.jet_fn(charts, coords, order)
-        chi = jet_einsum("a,a->", coeffs, Jet.variables(Z.space, coords).sin())
+    def jet_fn(charts, u):
+        Z = base.jet_fn(charts, u)
+        chi = jet_einsum("a,a->", coeffs, u.sin())
         sin, cos = chi.sin_cos()
         return Z * cos + times_i(Z) * sin
 
@@ -227,7 +228,7 @@ def horizontal_lift_jets(imm: Immersion, charts, coords: np.ndarray, order: int)
     underlying immersion is not Lagrangian in CP^n; the error's `index` is
     the batch position of the first point it fails at.
     """
-    phi = imm.jet_fn(charts, coords, order)
+    phi = imm.jets(charts, coords, order)
     Z = phi * jet_einsum("c,c->", phi, phi).power(-0.5)
     del phi
     JZ = times_i(Z)

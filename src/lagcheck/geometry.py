@@ -539,7 +539,7 @@ def _ambient_jets(imm: Immersion, charts, coords: np.ndarray, order: int) -> tup
     """Dispatch flat ambient vs homogeneous-sphere lift; returns the (2m,)
     ambient jet and c_amb."""
     if imm.ambient == AMBIENT_CN:
-        return imm.jet_fn(charts, coords, order), 0.0
+        return imm.jets(charts, coords, order), 0.0
     from .cpn import horizontal_lift_jets
 
     return horizontal_lift_jets(imm, charts, coords, order), 1.0

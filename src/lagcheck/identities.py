@@ -178,8 +178,9 @@ def check_simons_identity(terms: dict[str, np.ndarray]) -> tuple[np.ndarray, np.
 
 
 def check_simons_inequality(fb: FrameBundle, terms: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Margin of the Simons inequality plus the isolated algebraic step, from
-    the bundle and its `simons_terms`, one value each per point."""
+    """Margin of the Simons inequality and the spectral cross-check of its
+    cubic and quadratic terms, from the bundle and its `simons_terms`, one
+    value each per point."""
     t = terms
     lower = (
         t["hhat_grad_T"]
@@ -188,13 +189,19 @@ def check_simons_inequality(fb: FrameBundle, terms: dict[str, np.ndarray]) -> di
         + t["HH_term"]
         - 0.5 * (fb.n + 3.0) * t["hhat_sq"] ** 2
     )
-    alg = algebraic_simons_bound(fb.hhat0, fb.H0)
     return {
         "margin": t["lhs_half_laplacian"] - lower,
-        "algebraic_margin": alg["margin"],
-        "spectral_consistency": alg["spectral_consistency"],
-        "intermediate_margin": alg["intermediate_margin"],
+        "spectral_consistency": _spectral_consistency(fb.hhat0, fb.H0, t),
     }
+
+
+def _spectral_consistency(hh: np.ndarray, Hv: np.ndarray, t: dict[str, np.ndarray]) -> np.ndarray:
+    """The eigen-decomposition cross-check of the curvature terms `t`: the
+    cubic and quadratic H-contractions equal n sum lambda_i S_i* + n^2/(n+2) sum lambda_i^2."""
+    n = hh.shape[0]
+    summ = spectral_summary(hh, Hv)
+    spectral = n * np.einsum("i...,i...->...", summ.lambdas, summ.s_istar) + n * n / (n + 2.0) * summ.s_h
+    return np.abs(t["cubic_term"] + t["quad_term"] - spectral)
 
 
 def curvature_contraction_closed_forms(hh: np.ndarray, Hv: np.ndarray, c_amb: float) -> dict[str, float]:
@@ -252,10 +259,8 @@ def algebraic_simons_bound(hh: np.ndarray, Hv: np.ndarray) -> dict[str, np.ndarr
     """The purely algebraic estimate step: the curvature terms of the Simons
     identity dominate -(n+3)/2 |hhat|^4 for any trace-free tri-symmetric hhat.
 
-    Also reports the eigen-decomposition cross-check (the cubic and quadratic
-    H-contractions equal n sum lambda_i S_i* + n^2/(n+2) sum lambda_i^2) and
-    the unasserted intermediate line with (|H| lambda_i + S_i*)^2.  hh
-    (n, n, n, ...) and Hv (n, ...) may carry trailing batch axes.
+    Also reports the eigen-decomposition cross-check `_spectral_consistency`.
+    hh (n, n, n, ...) and Hv (n, ...) may carry trailing batch axes.
     """
     hh = np.asarray(hh, dtype=float)
     Hv = np.asarray(Hv, dtype=float)
@@ -264,20 +269,10 @@ def algebraic_simons_bound(hh: np.ndarray, Hv: np.ndarray) -> dict[str, np.ndarr
     n = hh.shape[0]
     hs = np.einsum("mij...,mij...->...", hh, hh)
     t = _curvature_terms(hh, Hv)
-    cubic, quad = t["cubic_term"], t["quad_term"]
-    curvature = t["commutator_term"] + t["trace_sq_term"] + cubic + quad
-    margin = curvature + 0.5 * (n + 3.0) * hs * hs
-
-    summ = spectral_summary(hh, Hv)
-    spectral = np.abs(
-        cubic + quad - (n * np.einsum("i...,i...->...", summ.lambdas, summ.s_istar) + n * n / (n + 2.0) * summ.s_h)
-    )
-    Hnorm = np.sqrt(np.einsum("i...,i...->...", Hv, Hv))
-    inter_line = 0.5 * n * np.sum((Hnorm * summ.lambdas + summ.s_istar) ** 2, axis=0)
+    curvature = t["commutator_term"] + t["trace_sq_term"] + t["cubic_term"] + t["quad_term"]
     return {
-        "margin": margin,
-        "spectral_consistency": spectral,
-        "intermediate_margin": margin - inter_line,
+        "margin": curvature + 0.5 * (n + 3.0) * hs * hs,
+        "spectral_consistency": _spectral_consistency(hh, Hv, t),
     }
 
 

@@ -3,15 +3,15 @@
 Model manifolds are parametrized by explicit charts: two stereographic charts
 for the sphere, one periodic chart for the torus, one global chart for the
 plane; the atlas's quadrature `domain` ("sphere", "torus", or None on the
-plane) alone says whether a body is closed.  Every family evaluates through
-truncated Taylor jets, so derivative data up to order 4 is exact: it seeds
-the chart coordinates as one (n,) jet and returns the ambient coordinates as
-one (2m,) jet, a few tensor operations on whole coordinate vectors.  Complex ambient coordinates are
-stored as interleaved reals (Re z_1, Im z_1, ...), which only `interleave`
-writes (a scatter into one buffer), and the complex structure acts per pair
-as (a, b) -> (-b, a): `times_i` applies it as a signed permutation of the
-components, to arrays and jets alike, so no jet or frame is multiplied by
-the matrix `symplectic_j_matrix`.
+plane) alone says whether a body is closed.  A family is a chart formula
+`jet_fn(charts, u)` on truncated Taylor jets (`Immersion`), so derivative
+data up to order 4 is exact; on the sphere it is a polynomial in u and
+|u|^2 with the pole sign `SphereAtlas.sign`.  Complex ambient coordinates
+are stored as interleaved reals (Re z_1, Im z_1, ...), which only
+`interleave` writes (a scatter into one buffer), and the complex structure
+acts per pair as (a, b) -> (-b, a): `times_i` applies it as a signed
+permutation of the components, to arrays and jets alike, so no jet or frame
+is multiplied by the matrix `symplectic_j_matrix`.
 """
 
 from __future__ import annotations
@@ -83,32 +83,27 @@ class SphereAtlas:
             return self.transition(p, 1 - p.chart_id)
         return p
 
+    @staticmethod
+    def sign(charts) -> np.ndarray:
+        """+1 in chart 0, -1 in chart 1 for each entry of `charts`: the pole
+        sign sigma of the embedded x_{n+1} = sigma (|u|^2 - 1) / (1 + |u|^2)."""
+        return np.where(np.asarray(charts) == 0, 1.0, -1.0)
+
     def embed(self, p: ChartPoint) -> np.ndarray:
         """Chart coordinates -> point on the unit sphere in R^{n+1}."""
         u = p.coords
         d = 1.0 + float(np.dot(u, u))
         x = np.empty(self.n + 1)
         x[: self.n] = 2.0 * u / d
-        last = (np.dot(u, u) - 1.0) / d
-        x[self.n] = last if p.chart_id == 0 else -last
+        x[self.n] = self.sign(p.chart_id) * ((np.dot(u, u) - 1.0) / d)
         return x
-
-    def embed_jets(self, charts, u: Jet) -> Jet:
-        """`embed` on the (n,) coordinate jet: x = (2u, +-(|u|^2 - 1)) / (1 + |u|^2),
-        the sign + in chart 0 and - in chart 1.  `charts` is one chart id or
-        a (B,) array of them, one per point of the batch."""
-        sign = np.where(np.asarray(charts) == 0, 1.0, -1.0)
-        norm2 = jet_einsum("a,a->", u, u)
-        x = Jet.stack([u[a].scaled(2.0) for a in range(self.n)] + [(norm2 - 1.0).scaled(sign)])
-        return x * (1.0 / (1.0 + norm2))
 
     def from_embedded(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N,) chart ids and (N, n) coordinates of an (N, n+1) batch of points
         of S^n, each in the chart whose pole it is farther from."""
         x = np.asarray(x, dtype=float)
         charts = (x[:, self.n] > 0).astype(int)
-        denom = np.where(charts == 0, 1.0 - x[:, self.n], 1.0 + x[:, self.n])
-        return charts, x[:, : self.n] / denom[:, None]
+        return charts, x[:, : self.n] / (1.0 - self.sign(charts) * x[:, self.n])[:, None]
 
     def random_points(self, rng: np.random.Generator, count: int) -> list[ChartPoint]:
         xs = rng.normal(size=(count, self.n + 1))
@@ -174,10 +169,10 @@ AMBIENT_SPHERE = "HomogeneousSphere"
 class Immersion:
     """A parametrized immersion of a model manifold into C^m (as R^{2m}).
 
-    `jet_fn(charts, coords, order)` returns one (2m,) jet of the interleaved
-    real ambient coordinates at a batch of chart points: coords has shape
-    (nvars, B), and `charts` is one chart id for the whole batch or a (B,)
-    array of ids, one per point, so one batch may span several charts.
+    `jet_fn(charts, u)` maps the (n,) coordinate jet u of a batch of chart
+    points (seeded by `jets` alone) to one (2m,) jet of the interleaved real
+    ambient coordinates; `charts` is one chart id for the whole batch or a
+    (B,) array of ids, one per point, so one batch may span several charts.
     """
 
     name: str
@@ -193,13 +188,17 @@ class Immersion:
         """Closed model manifold: its atlas names a quadrature domain."""
         return self.atlas.domain is not None
 
+    def jets(self, charts, coords: np.ndarray, order: int) -> Jet:
+        """The (2m,) ambient jet of `order` at (nvars, B) chart coords."""
+        return self.jet_fn(charts, Jet.variables(jet_space(self.source_dim, order), coords))
+
     def eval_jet(self, p: ChartPoint, order: int) -> Jet:
         """The (2m,) ambient jet at one chart point (batch of one)."""
         if order < 1 or order > MAX_JET_ORDER:
             raise ValueError(f"jet order must be in 1..{MAX_JET_ORDER}")
         if not self.atlas.contains(p):
             raise OutOfDomainError(f"{p} outside the chart domain of {self.name}")
-        return self.jet_fn(p.chart_id, p.coords.reshape(self.source_dim, 1), order)
+        return self.jets(p.chart_id, p.coords.reshape(self.source_dim, 1), order)
 
     def point(self, p: ChartPoint) -> np.ndarray:
         return self.eval_jet(p, 1).value[:, 0]
@@ -256,7 +255,9 @@ def make_whitney_cn(r: float, A=None, n: int = 2) -> Immersion:
     """Whitney sphere immersion of S^n into C^n with radius r and offset A.
 
     In embedded sphere coordinates the complex components are
-    z_j = r x_j (1 + i x_{n+1}) / (1 + x_{n+1}^2) + A_j.
+    z_j = r x_j (1 + i x_{n+1}) / (1 + x_{n+1}^2) + A_j, which in the chart
+    is z = r u (1 + s + i sigma (s - 1)) / (1 + s^2) + A (s = |u|^2, sigma
+    = `SphereAtlas.sign`): one reciprocal and no other series.
     """
     if r <= 0:
         raise ValueError("whitney radius r must be positive")
@@ -268,11 +269,10 @@ def make_whitney_cn(r: float, A=None, n: int = 2) -> Immersion:
     atlas = SphereAtlas(n)
     offset = np.stack([A.real, A.imag], axis=1).reshape(2 * n, 1)
 
-    def jet_fn(charts, coords, order):
-        x = atlas.embed_jets(charts, Jet.variables(jet_space(n, order), coords))
-        xl = x[n]
-        w = x[:n] * (r / (1.0 + xl * xl))
-        return interleave(w, w * xl) + offset
+    def jet_fn(charts, u):
+        s = jet_einsum("a,a->", u, u)
+        us = u * s
+        return interleave(us + u, (us - u).scaled(atlas.sign(charts))) * (r / (1.0 + s * s)) + offset
 
     return Immersion(
         name="whitney_cn",
@@ -297,8 +297,8 @@ def make_product_torus(radii) -> Immersion:
     if n == 0:
         raise ValueError("a torus needs at least one radius")
 
-    def jet_fn(charts, coords, order):
-        sin, cos = Jet.variables(jet_space(n, order), coords).sin_cos()
+    def jet_fn(charts, u):
+        sin, cos = u.sin_cos()
         return interleave(cos, sin).scaled(np.repeat(radii, 2)[:, None])
 
     return Immersion(
@@ -316,8 +316,8 @@ def make_product_torus(radii) -> Immersion:
 
 
 def make_lagrangian_plane(n: int) -> Immersion:
-    def jet_fn(charts, coords, order):
-        return interleave(Jet.variables(jet_space(n, order), coords))
+    def jet_fn(charts, u):
+        return interleave(u)
 
     return Immersion(
         name="lagrangian_plane",
@@ -339,8 +339,7 @@ def make_nonlagrangian_plane(n: int) -> Immersion:
     first_to_last = np.zeros((n, n))
     first_to_last[n - 1, 0] = 1.0
 
-    def jet_fn(charts, coords, order):
-        u = Jet.variables(jet_space(n, order), coords)
+    def jet_fn(charts, u):
         return interleave(u, jet_einsum("ja,a->j", first_to_last, u))
 
     return Immersion(
@@ -365,8 +364,8 @@ def linear_image(base: Immersion, matrix: np.ndarray, offset=None, name=None) ->
     if matrix.shape != (m2, m2) or offset.shape != (m2,):
         raise ValueError("ambient map has the wrong shape")
 
-    def jet_fn(charts, coords, order):
-        return jet_einsum("cd,d->c", matrix, base.jet_fn(charts, coords, order)) + offset[:, None]
+    def jet_fn(charts, u):
+        return jet_einsum("cd,d->c", matrix, base.jet_fn(charts, u)) + offset[:, None]
 
     return Immersion(
         name=name or f"linear_image({base.name})",
@@ -469,15 +468,12 @@ def make_black_box(fn: Callable, n: int, ambient_complex_dim: int, atlas=None, n
 
         return (4.0 * diff(step / 2.0) - diff(step)) / 3.0
 
-    def jet_fn(charts, coords, order):
-        sp = jet_space(n, order)
-        B = coords.shape[1]
-        m2 = 2 * ambient_complex_dim
-        raw = np.zeros((m2, sp.ncoef, B))
-        for b, chart_id in enumerate(np.broadcast_to(charts, (B,)).tolist()):
+    def jet_fn(charts, u):
+        sp, coords = u.space, u.value
+        raw = np.zeros((2 * ambient_complex_dim, sp.ncoef, coords.shape[1]))
+        for b, chart_id in enumerate(np.broadcast_to(charts, coords.shape[1:]).tolist()):
             x = coords[:, b].copy()
-            for k in range(sp.ncoef):
-                alpha = sp.multi_indices[k]
+            for k, alpha in enumerate(sp.multi_indices):
                 raw[:, k, b] = partial_value(chart_id, list(alpha), x) / sp.coef_factorial[k]
         return Jet(sp, raw)
 

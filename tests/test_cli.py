@@ -38,17 +38,49 @@ def test_energy_overflow_is_one_line(tmp_path, capsys):
 
 def test_unallocatable_rule_is_one_line(tmp_path, capsys, monkeypatch):
     """A rule too large to allocate is an evaluation error with the one
-    diagnostic line, not a traceback and not "a check failed"."""
+    diagnostic line, not a traceback and not "a check failed".  The degree
+    keeps the rule within MAX_NODES; the patched rule raises anyway."""
 
     def sphere_rule(n, degree):
         raise MemoryError(f"Unable to allocate {8 * degree**n} bytes for the rule")
 
     monkeypatch.setattr(quadrature, "sphere_rule", sphere_rule)
-    cfg = write_cfg(tmp_path, "huge.json", {"family": "whitney_cn", "r": 1.0, "n": 3, "degree": 3000})
+    quadrature._shared_rule.cache_clear()
+    cfg = write_cfg(tmp_path, "huge.json", {"family": "whitney_cn", "r": 1.0, "n": 3, "degree": 100})
+    assert 100**3 <= cli.MAX_NODES
     assert main(["energy", "--config", cfg]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["evaluation error: Unable to allocate 216000000000 bytes for the rule"]
+    assert captured.err.splitlines() == ["evaluation error: Unable to allocate 8000000 bytes for the rule"]
+
+
+@pytest.mark.parametrize(
+    "command,body,nodes",
+    [
+        ("energy", {"family": "whitney_cn", "r": 1.0, "n": 2, "degree": 4000}, 4000**2),
+        # the base body (n = 2) is within the bound, the scanned n = 3 is not
+        ("scan", {"family": "whitney_cn", "r": 1.0, "n": 2, "degree": 200, "scan_param": "n", "values": [2, 3]}, 200**3),
+    ],
+    ids=["energy-n2", "scan-n"],
+)
+def test_rule_over_the_node_bound_is_refused_at_once(tmp_path, capsys, monkeypatch, command, body, nodes):
+    """A degree within MAX_DEGREE whose degree^n nodes exceed MAX_NODES
+    (1.6e7 nodes at degree 4000 on S^2, several GB) is a config error with
+    one line, before any rule is built."""
+
+    def no_rule(*args):
+        raise AssertionError("a rule was built")
+
+    monkeypatch.setattr(quadrature, "_shared_rule", no_rule)
+    cfg = write_cfg(tmp_path, "nodes.json", body)
+    start = time.perf_counter()
+    assert main([command, "--config", cfg]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"config error: degree {body['degree']} gives {nodes} rule nodes, more than {cli.MAX_NODES}"
+    ]
 
 
 @pytest.mark.parametrize(

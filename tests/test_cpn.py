@@ -18,7 +18,6 @@ from lagcheck.geometry import FrameBundle, bundle_at, geometry_state
 from lagcheck import identities
 from lagcheck.identities import run_identity_suite
 from lagcheck.immersions import AMBIENT_SPHERE, ChartPoint, Immersion, from_config
-from lagcheck.jets import Jet
 from lagcheck.quadrature import energy_report, torus_rule
 
 
@@ -243,10 +242,8 @@ def turned_rpn(turn_first) -> Immersion:
     (the phase has a critical point at u = 0, where the lift passes)."""
     base = make_rpn(2)
 
-    def jet_fn(chart_id, coords, order):
-        phi = base.jet_fn(chart_id, coords, order)
-        u = Jet.variables(phi.space, coords)
-        return turn_first(phi, u[0] * u[1])
+    def jet_fn(charts, u):
+        return turn_first(base.jet_fn(charts, u), u[0] * u[1])
 
     return Immersion("bad_cpn", 2, AMBIENT_SPHERE, 3, {}, base.atlas, jet_fn)
 
@@ -294,7 +291,7 @@ class TestOrderTwoLift:
         """The lift's value is the unit representative times one phase."""
         imm = phase_twist(make_whitney_cpn(0.7, 3), [0.4, -0.7, 0.2])
         coords = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 8))
-        phi = imm.jet_fn(0, coords, order).value
+        phi = imm.jets(0, coords, order).value
         z = (phi[0::2] + 1j * phi[1::2]) / np.linalg.norm(phi, axis=0)
         W = horizontal_lift_jets(imm, 0, coords, order)
         w = W.value[0::2] + 1j * W.value[1::2]
@@ -339,7 +336,7 @@ class TestCpnTorus:
         t = np.array([0.3, -1.1])
 
         def point(angles):
-            v = imm.jet_fn(0, np.asarray(angles, dtype=float)[:, None], 0).value[:, 0]
+            v = imm.jets(0, np.asarray(angles, dtype=float)[:, None], 0).value[:, 0]
             return v[0::2] + 1j * v[1::2]
 
         for a in range(2):

@@ -286,8 +286,9 @@ class TestScalarLaplacian:
         imm = make_rpn(2)
         atlas = imm.atlas
 
-        def f(cid, u):
-            return atlas.embed_jets(cid, u)[2]
+        def f(cid, u):  # x_3 of the embedded sphere point
+            s = jet_einsum("a,a->", u, u)
+            return ((s - 1.0) / (1.0 + s)).scaled(atlas.sign(cid))
 
         rng = np.random.default_rng(21)
         for p in atlas.random_points(rng, 5):

@@ -32,7 +32,7 @@ from lagcheck.immersions import (
     make_product_torus,
     make_whitney_cn,
 )
-from lagcheck.jets import Jet, jet_space
+from lagcheck.jets import Jet
 from lagcheck.tensors import random_tracefree
 
 BODIES = {
@@ -229,8 +229,7 @@ def partly_lagrangian_plane():
     """u -> (u_1, 0, u_2, u_1 u_2) in C^2: omega(d_1 phi, d_2 phi) = -u_2, so
     Lagrangian on the line u_2 = 0 only."""
 
-    def jet_fn(chart_id, coords, order):
-        u = Jet.variables(jet_space(2, order), coords)
+    def jet_fn(charts, u):
         return Jet.stack([u[0], u[0].scaled(0.0), u[1], u[0] * u[1]])
 
     return Immersion("partly_lagrangian", 2, AMBIENT_CN, 2, {}, PlaneAtlas(2), jet_fn)
@@ -239,8 +238,7 @@ def partly_lagrangian_plane():
 def cusped_plane():
     """u -> (u_1^3, 0, u_2, 0): Lagrangian, metric degenerate on u_1 = 0."""
 
-    def jet_fn(chart_id, coords, order):
-        u = Jet.variables(jet_space(2, order), coords)
+    def jet_fn(charts, u):
         zero = u[0].scaled(0.0)
         return Jet.stack([u[0] * u[0] * u[0], zero, u[1], zero])
 
@@ -253,9 +251,8 @@ def twisted_rpn(turn_first):
     Lagrangian there only."""
     base = make_rpn(2)
 
-    def twisted(charts, coords, order):
-        phi = base.jet_fn(charts, coords, order)
-        u = Jet.variables(phi.space, coords)
+    def twisted(charts, u):
+        phi = base.jet_fn(charts, u)
         u2_cubed = u[1] * u[1] * u[1]
         return turn_first(phi, u[0] * u2_cubed * u2_cubed)
 
@@ -372,6 +369,24 @@ class TestSuiteReports:
         assert run_identity_suite(imm, pts, seed=8)["all_pass"]
         assert len(builds) == 1
         assert terms_calls == [len(pts)]
+
+    def test_curvature_terms_are_computed_once_per_heavy_suite(self, monkeypatch):
+        """The Simons identity and inequality read one set of curvature terms:
+        the inequality's spectral cross-check recomputes none of them."""
+        calls = []
+        terms = identities._curvature_terms
+
+        def counting_terms(hh, Hv):
+            calls.append(hh.shape[-1])
+            return terms(hh, Hv)
+
+        monkeypatch.setattr(identities, "_curvature_terms", counting_terms)
+        imm = make_perturbed_whitney(1.0, 0.05, 1, 3)
+        pts = imm.atlas.random_points(np.random.default_rng(6), 7)
+        assert run_identity_suite(imm, pts, seed=6, heavy=True)["all_pass"]
+        assert calls == [len(pts)]
+        run_identity_suite(imm, pts, seed=6, heavy=False)
+        assert calls == [len(pts)]
 
     def test_simons_coefficient_mutation_is_flagged(self, monkeypatch):
         # a relative change of 1e-4 in the n^2/(n+2) coefficient of the

@@ -70,6 +70,20 @@ class TestWhitneyCn:
             expected = whitney_formula(1.3, A, x)
             assert np.allclose(ambient_complex(imm, p), expected, atol=1e-13)
 
+    @pytest.mark.parametrize("r", [1e-2, 1.0, 1e2])
+    def test_chart_polynomial_matches_embedded_formula_in_both_charts(self, r):
+        """The chart formula r u (1 + s + i sigma (s - 1)) / (1 + s^2) + A
+        gives the embedded Whitney formula at the point `embed` names, in
+        either chart, to round-off of the body's size at every scale."""
+        rng = np.random.default_rng(43)
+        A = r * np.array([0.6 - 0.3j, -0.2 + 0.9j, 0.4j])
+        imm = make_whitney_cn(r, A, 3)
+        for chart in (0, 1):
+            for u in rng.uniform(-1.5, 1.5, size=(20, 3)):
+                p = ChartPoint(chart, u)
+                expected = whitney_formula(r, A, imm.atlas.embed(p))
+                assert np.max(np.abs(ambient_complex(imm, p) - expected)) <= 1e-15 * r
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             make_whitney_cn(-1.0, None, 2)
@@ -225,6 +239,25 @@ class TestChartAtlas:
         with pytest.raises(OutOfDomainError):
             atlas.transition(ChartPoint(0, np.zeros(2)), 1)
 
+    def test_sign_is_the_pole_of_embed_and_from_embedded(self):
+        """`sign` is +1 in chart 0 and -1 in chart 1; `embed` puts the last
+        coordinate at sign (|u|^2 - 1) / (1 + |u|^2), and `from_embedded`
+        gives each point the chart whose pole it is farther from, so sign
+        and the last coordinate never agree."""
+        atlas = SphereAtlas(3)
+        assert atlas.sign(0) == 1.0 and atlas.sign(1) == -1.0
+        assert atlas.sign(np.array([0, 1, 1, 0])).tolist() == [1.0, -1.0, -1.0, 1.0]
+        xs = np.random.default_rng(9).normal(size=(40, 4))
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        charts, coords = atlas.from_embedded(xs)
+        assert set(charts.tolist()) == {0, 1}
+        assert np.all(atlas.sign(charts) * xs[:, 3] < 0)
+        for chart, u, x in zip(charts, coords, xs):
+            s = float(np.dot(u, u))
+            last = atlas.embed(ChartPoint(int(chart), u))[3]
+            assert last == atlas.sign(chart) * ((s - 1.0) / (1.0 + s))
+            assert abs(last - x[3]) < 1e-15
+
     def test_embed_roundtrip(self):
         atlas = SphereAtlas(3)
         rng = np.random.default_rng(8)
@@ -286,6 +319,19 @@ class TestDomain:
 
 
 class TestEvalJet:
+    @pytest.mark.parametrize("family", sorted(FAMILY_BODIES))
+    def test_batch_jets_equal_per_point_eval_jet(self, family):
+        """`Immersion.jets` on one batch that mixes charts gives, point by
+        point, the jet `eval_jet` gives at each point alone."""
+        imm = FAMILY_REGISTRY[family](FAMILY_BODIES[family][0])
+        points = [imm.atlas.normalize(p) for p in imm.atlas.random_points(np.random.default_rng(31), 12)]
+        charts = np.array([p.chart_id for p in points])
+        assert len(set(charts.tolist())) == imm.atlas.n_charts
+        batch = imm.jets(charts, np.array([p.coords for p in points]).T, 3)
+        for b, p in enumerate(points):
+            single = imm.eval_jet(p, 3).c[..., 0]
+            assert np.allclose(batch.c[..., b], single, rtol=1e-14, atol=1e-14 * np.max(np.abs(single)))
+
     def test_chart_consistency_of_values(self):
         imm = make_whitney_cn(1.0, None, 2)
         rng = np.random.default_rng(11)
@@ -355,8 +401,8 @@ def test_order4_taylor_polynomial_predicts_nearby_points(name):
     """Oracle independent of jet arithmetic: the order-4 jet's Taylor
     polynomial predicts imm.point(p + t v) with an O(t^5) remainder, so
     halving t shrinks the error by about 32; the planes are linear and the
-    CP^n Whitney representative a degree-4 chart polynomial, so those are
-    predicted exactly."""
+    CP^n representatives of the Whitney sphere and RP^n chart polynomials of
+    degree 4 and 2, so those are predicted exactly."""
     imm = TAYLOR_BODIES[name]
     rng = np.random.default_rng(17)
     for p in imm.atlas.random_points(rng, 3):
@@ -369,7 +415,7 @@ def test_order4_taylor_polynomial_predicts_nearby_points(name):
             for t in (1e-2, 5e-3):
                 taylor = coef @ np.prod((t * v) ** alphas, axis=1)
                 err.append(np.max(np.abs(taylor - imm.point(ChartPoint(p.chart_id, p.coords + t * v)))))
-            if name.endswith("plane") or name == "whitney_cpn":
+            if name.endswith("plane") or name in ("whitney_cpn", "rpn"):
                 assert max(err) < 1e-14
             else:
                 assert err[0] < 1e-6

@@ -16,7 +16,7 @@ from lagcheck.immersions import (
     random_unitary,
 )
 from lagcheck import geometry, quadrature
-from lagcheck.jets import Jet, jet_space
+from lagcheck.jets import Jet, jet_einsum, jet_space
 from lagcheck.quadrature import (
     energy_report,
     integrals,
@@ -353,8 +353,9 @@ class TestMichaelSimon:
         wh = make_whitney_cn(1.0, None, 2)
         atlas = wh.atlas
 
-        def v(cid, u):
-            return 1.0 + atlas.embed_jets(cid, u)[2]
+        def v(cid, u):  # 1 + x_3 of the embedded sphere point
+            s = jet_einsum("a,a->", u, u)
+            return 1.0 + ((s - 1.0) / (1.0 + s)).scaled(atlas.sign(cid))
 
         out = michael_simon_ratio(wh, v, sphere_rule(2, 16))
         ratio = out["ms_rhs_no_constant"] / out["ms_lhs"]
@@ -376,8 +377,9 @@ class TestMichaelSimon:
         # between the two charts
         rule = sphere_rule(3, math.ceil((3 * geometry.SAMPLE_CHUNK) ** (1 / 3)))
 
-        def v(charts, u):
-            return 1.0 + atlas.embed_jets(charts, u)[3] * 0.5
+        def v(charts, u):  # 1 + x_4 / 2 of the embedded sphere point
+            s = jet_einsum("a,a->", u, u)
+            return 1.0 + ((s - 1.0) / (1.0 + s)).scaled(0.5 * atlas.sign(charts))
 
         runs = {
             "michael_simon": lambda: michael_simon_ratio(wh, v, rule),
