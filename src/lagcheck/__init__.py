@@ -14,7 +14,6 @@ from .identities import (
     run_identity_suite,
 )
 from .immersions import (
-    ChartPoint,
     Immersion,
     from_config,
     make_lagrangian_plane,

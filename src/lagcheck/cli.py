@@ -13,8 +13,10 @@ Exit status: 0 all requested checks passed, 1 a check failed, 2 config error
 MAX_NODES nodes, an empty scan, a format or out path, a malformed report),
 3 immersion construction error (also a parameter that overflows), 4
 evaluation error (e.g. a non-Lagrangian immersion or an induced metric that
-is degenerate or not finite, detected during geometry evaluation, an energy
-that overflows, or a quadrature rule too large to allocate).
+is degenerate or not finite, detected during geometry evaluation, a sample
+that fails the identity suite's input checks, an identity residual or an
+energy that overflows, or a quadrature rule too large to allocate), always
+one line on stderr and no report.
 
 `main` is the application entry point, so it, not an import, sets the C
 allocator's thresholds (`keep_freed_memory`).
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import cpn  # noqa: F401  (registers the CP^n families)
 from .geometry import DegenerateMetricError, NonLagrangianError
-from .identities import run_identity_suite
+from .identities import SampleError, run_identity_suite
 from .immersions import FAMILY_REGISTRY, OutOfDomainError, parse_immersion_config
 from .quadrature import energy_report, rule_for
 
@@ -142,11 +144,6 @@ def compact_immersion(cfg: dict, command: str, degree: int):
     return imm
 
 
-def sample_points(imm, count: int, seed: int):
-    rng = np.random.default_rng(seed)
-    return imm.atlas.random_points(rng, count)
-
-
 def write_text(path: str | None, text: str):
     if path:
         try:
@@ -232,8 +229,8 @@ def cmd_identities(args) -> int:
         raise ConfigError(f"'heavy' must be true or false, got {heavy!r}")
     out, fmt = output(args, cfg, ("json", "table"))
     imm = build_immersion(cfg)
-    points = sample_points(imm, samples, seed)
-    doc = run_identity_suite(imm, points, tol_scale=tol_scale, seed=seed, heavy=heavy)
+    charts, coords = imm.atlas.random(np.random.default_rng(seed), samples)
+    doc = run_identity_suite(imm, charts, coords, tol_scale=tol_scale, seed=seed, heavy=heavy)
     emit(doc, out, fmt)
     return EXIT_OK if doc["all_pass"] else EXIT_CHECK_FAILED
 
@@ -371,7 +368,8 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"construction error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION_ERROR
-    except (NonLagrangianError, DegenerateMetricError, OutOfDomainError, OverflowError, MemoryError) as exc:
+    except (NonLagrangianError, DegenerateMetricError, OutOfDomainError, SampleError, OverflowError,
+            MemoryError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVALUATION_ERROR
 

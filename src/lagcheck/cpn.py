@@ -198,8 +198,8 @@ def phase_twist(base: Immersion, coeffs) -> Immersion:
 
 
 def horizontal_lift_jets(imm: Immersion, charts, coords: np.ndarray, order: int) -> Jet:
-    """Jet of the horizontal (Legendrian) lift into S^{2n+1} at a batch of
-    points, `charts` one chart id or a (B,) array of them (`Immersion`).
+    """Jet of the horizontal (Legendrian) lift into S^{2n+1} at the (B, n)
+    chart coords, `charts` one chart id or a (B,) array of them (`Immersion`).
 
     The (2n+2,) jet of the interleaved real components is normalized once,
     Z = phi (phi . phi)^{-1/2}; i acts on it as `times_i`.  At every order

@@ -1,10 +1,11 @@
 """Pointwise Lagrangian geometry from ambient coordinate jets.
 
-Given the jet of an immersion at a chart point, this module produces the full
-geometric state: induced metric, adapted frame (e_i, Je_i), second
-fundamental form and its trace decomposition, covariant derivatives,
-curvature tensors, the conformal-Maslov defect tensor and its covariant
-derivative, and Laplace-Beltrami operators of scalar jets.
+Given the jet of an immersion at a batch of chart points (charts, coords),
+this module produces the full geometric state at each: induced metric,
+adapted frame (e_i, Je_i), second fundamental form and its trace
+decomposition, covariant derivatives, curvature tensors, the
+conformal-Maslov defect tensor and its covariant derivative, and
+Laplace-Beltrami operators of scalar jets.
 
 Every tensor of a `FrameBundle` is one tensor-valued jet (`jets.Jet` with
 leading frame or chart axes) built by a few `jet_einsum` contractions of the
@@ -35,8 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .immersions import AMBIENT_CN, ChartPoint, Immersion, OutOfDomainError, times_i
-from .jets import Jet, jet_einsum, jet_space
+from .immersions import AMBIENT_CN, Immersion, OutOfDomainError, times_i
+from .jets import Jet, jet_einsum
 from .tensors import c_tensor_array
 
 LAGRANGIAN_TOL = 1e-6
@@ -125,20 +126,17 @@ class FrameBundle:
             cleared = np.prod(diag**2 / np.trace(self.g0)[:, None], axis=1) >= 2 * METRIC_COND_TOL
         suspect = np.flatnonzero(~cleared)
         if suspect.size:
-            eig = np.linalg.eigvalsh(np.moveaxis(self.g0[..., suspect], -1, 0))
-            ratio = eig[:, 0] / np.maximum(eig[:, -1], np.finfo(float).tiny)
-            # fails closed: a NaN ratio, from a metric that is not finite, is bad
+            g = np.moveaxis(self.g0[..., suspect], -1, 0)
+            finite = np.all(np.isfinite(g), axis=(1, 2))
+            ratio = np.full(suspect.size, np.nan)  # a metric that is not finite is bad
+            eig = np.linalg.eigvalsh(g[finite])
+            ratio[finite] = eig[:, 0] / np.maximum(eig[:, -1], np.finfo(float).tiny)
             bad = np.flatnonzero(~(ratio >= METRIC_COND_TOL))
             if bad.size:
-                k = int(suspect[bad[0]])
-                if not np.all(np.isfinite(self.g0[..., k])):
-                    what = "induced metric not finite"
-                else:
-                    what = (
-                        f"induced metric degenerate: lambda_min/lambda_max = {ratio[bad[0]]:.3e}"
-                        f" below {METRIC_COND_TOL:.0e}"
-                    )
-                raise at_point(DegenerateMetricError(what), k)
+                b = bad[0]
+                what = f"degenerate: lambda_min/lambda_max = {ratio[b]:.3e} below {METRIC_COND_TOL:.0e}"
+                what = what if finite[b] else "not finite"
+                raise at_point(DegenerateMetricError(f"induced metric {what}"), int(suspect[b]))
         self.B0 = (
             self._L_inv0 if self._identity_gauge else np.einsum("ik,kax->iax", self.gauge, self._L_inv0)
         )
@@ -536,8 +534,8 @@ def _maslov_defect(gH: np.ndarray) -> np.ndarray:
 
 
 def _ambient_jets(imm: Immersion, charts, coords: np.ndarray, order: int) -> tuple[Jet, float]:
-    """Dispatch flat ambient vs homogeneous-sphere lift; returns the (2m,)
-    ambient jet and c_amb."""
+    """Dispatch flat ambient vs homogeneous-sphere lift at (B, n) chart
+    coords; returns the (2m,) ambient jet and c_amb."""
     if imm.ambient == AMBIENT_CN:
         return imm.jets(charts, coords, order), 0.0
     from .cpn import horizontal_lift_jets
@@ -545,21 +543,33 @@ def _ambient_jets(imm: Immersion, charts, coords: np.ndarray, order: int) -> tup
     return horizontal_lift_jets(imm, charts, coords, order), 1.0
 
 
-def bundle_at(
-    imm: Immersion,
-    charts,
-    coords: np.ndarray,
-    order: int,
-    frame_gauge: np.ndarray | None = None,
-) -> FrameBundle:
+def chart_batch(imm: Immersion, charts, coords) -> tuple[np.ndarray, np.ndarray]:
+    """The (N,) chart ids and (N, n) coords of a batch of points, each moved
+    to its well-conditioned chart (`imm.atlas.normalize`).  A batch of
+    another shape is refused; a point outside its chart's domain is named by
+    its chart and coordinates as given, in an error whose `index` is its
+    row."""
+    charts, coords = np.asarray(charts), np.asarray(coords, dtype=float)
+    if coords.ndim != 2 or coords.shape[1] != imm.source_dim or charts.shape != coords.shape[:1]:
+        shapes = f"chart ids of shape {charts.shape} and coords of shape {coords.shape}"
+        raise ValueError(f"{shapes} are not a batch (N,) and (N, {imm.source_dim}) of points of {imm.name}")
+    moved = imm.atlas.normalize(charts, coords)
+    bad = np.flatnonzero(~imm.atlas.contains(*moved))
+    if bad.size:
+        where = f"chart {int(charts[bad[0]])}, coords {coords[bad[0]].tolist()}"
+        raise at_point(OutOfDomainError(f"{where}: outside the chart domain of {imm.name}"), int(bad[0]))
+    return moved
+
+
+def bundle_at(imm: Immersion, charts, coords: np.ndarray, order: int, frame_gauge=None) -> FrameBundle:
     """FrameBundle at a batch of points given as (B, nvars) coords, each in
     its chart from `charts`: one chart id for every point, or a (B,) array
     with each point's own, so one bundle may span several charts.  No chart
     normalization.  A point the geometry fails at is named by its own chart
     and its coordinates in the error, whose `index` is its row."""
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    coords = np.asarray(coords, dtype=float)
     try:
-        phi, c_amb = _ambient_jets(imm, charts, coords.T, order)
+        phi, c_amb = _ambient_jets(imm, charts, coords, order)
         return FrameBundle(phi, imm.source_dim, c_amb, gauge=frame_gauge)
     except (NonLagrangianError, DegenerateMetricError) as exc:
         chart = int(np.broadcast_to(charts, len(coords))[exc.index])
@@ -567,38 +577,33 @@ def bundle_at(
         raise named_point(exc, where, exc.index) from exc
 
 
-def geometry_state(
-    imm: Immersion, p: ChartPoint, order: int = 3, frame_gauge: np.ndarray | None = None
-) -> FrameBundle:
+def geometry_state(imm: Immersion, chart: int, coords, order: int = 3, frame_gauge=None) -> FrameBundle:
     """FrameBundle at one chart point, a batch of one, after moving the point
-    to its well-conditioned chart (`imm.atlas.normalize`)."""
-    p = imm.atlas.normalize(p)
-    if not imm.atlas.contains(p):
-        raise OutOfDomainError(f"{p} outside chart domain")
-    return bundle_at(imm, p.chart_id, p.coords[None, :], order, frame_gauge)
+    to its well-conditioned chart (`chart_batch`)."""
+    charts, coords = chart_batch(imm, [chart], [coords])
+    return bundle_at(imm, charts, coords, order, frame_gauge)
 
 
-def closedness_residual(imm: Immersion, p: ChartPoint) -> float:
+def closedness_residual(imm: Immersion, chart: int, coords) -> float:
     """max_ab |d_a alpha_b - d_b alpha_a| of the pulled-back Maslov form."""
-    return float(geometry_state(imm, p, 3).maslov_closedness()[0])
+    return float(geometry_state(imm, chart, coords, 3).maslov_closedness()[0])
 
 
-def maslov_tensor_gradient(imm: Immersion, p: ChartPoint) -> np.ndarray:
+def maslov_tensor_gradient(imm: Immersion, chart: int, coords) -> np.ndarray:
     """Covariant derivative T_{ij,k} at a chart point, indexed [i, j, k]."""
-    return geometry_state(imm, p, 4).grad_T[..., 0]
+    return geometry_state(imm, chart, coords, 4).grad_T[..., 0]
 
 
-def scalar_laplacian(imm: Immersion, field: Callable[[int, Jet], Jet], p: ChartPoint) -> float:
+def scalar_laplacian(imm: Immersion, chart: int, coords, field: Callable[[int, Jet], Jet]) -> float:
     """Laplace-Beltrami of a chart scalar at a point.
 
     `field(chart_id, u)` evaluates the scalar in jet arithmetic on the order-2
     coordinate jet `u` (`Jet.variables`, shape (n,)) of the chart the point
     is moved to.
     """
-    p = imm.atlas.normalize(p)
-    fb = geometry_state(imm, p, 2)
-    u = Jet.variables(jet_space(imm.source_dim, 2), p.coords)
-    return float(fb.laplacian(field(p.chart_id, u))[0])
+    charts, coords = chart_batch(imm, [chart], [coords])
+    fb = bundle_at(imm, charts, coords, 2)
+    return float(fb.laplacian(field(int(charts[0]), Jet.variables(fb.phi.space, coords.T)))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ per point, an array of shape (B,).  The structural and curvature checks need
 an order-3 bundle; the heavy checks (Ricci identity, Laplace contraction,
 Simons identity and inequality) need an order-4 one, whose jets carry every
 derivative they use, including the chart Laplacian of |hhat|^2 and the
-gradient of T.  `run_identity_suite` builds one bundle over all sample
-points, each evaluated in its own chart, and runs every check on every
-point.
+gradient of T.  `run_identity_suite` takes the samples as one batch
+(charts, coords) and builds one bundle over all of them, each in its own
+chart, for every check.
 
 Each check yields a named residual; the report marks a check as passed when
 its worst residual sits under its tolerance rung (exact-jet, once-FD, or
@@ -28,11 +28,11 @@ from .geometry import (
     DegenerateMetricError,
     FrameBundle,
     NonLagrangianError,
-    at_point,
     bundle_at,
+    chart_batch,
     named_point,
 )
-from .immersions import ChartPoint, Immersion, OutOfDomainError, jsonable_params
+from .immersions import Immersion, OutOfDomainError, jsonable_params
 from .tensors import TRISYM_TOL, spectral_summary, symmetry_residual, trisym_violations
 
 # Sign convention for the commutator term of the Simons identity: the square
@@ -300,6 +300,10 @@ DEFAULT_TOLERANCES = {
 }
 
 
+class SampleError(ValueError):
+    """A sample whose point values fail the suite's input checks."""
+
+
 def _validate(fb: FrameBundle) -> None:
     """Input checks on every point of a bundle whose batch positions are the
     sample indices: h and hhat fully symmetric, H finite and the symmetrized
@@ -314,7 +318,7 @@ def _validate(fb: FrameBundle) -> None:
     }
     for what, bad in failures.items():
         if np.any(bad):
-            raise ValueError(f"sample {int(np.argmax(bad))}: {what}")
+            raise SampleError(f"sample {int(np.argmax(bad))}: {what}")
 
 
 def _residuals(fb: FrameBundle, heavy: bool) -> dict[str, np.ndarray]:
@@ -334,45 +338,39 @@ def _residuals(fb: FrameBundle, heavy: bool) -> dict[str, np.ndarray]:
 
 
 def run_identity_suite(
-    imm: Immersion,
-    points: list[ChartPoint],
-    tol_scale: float = 1.0,
-    seed: int | None = None,
-    heavy: bool = True,
+    imm: Immersion, charts, coords, tol_scale: float = 1.0, seed: int | None = None, heavy: bool = True
 ) -> dict:
-    """Evaluate every identity check on every sample point and return the
-    report document.  Each entry of its `checks` holds the worst residual of
-    one check over the samples, the index of the sample it occurred at
-    (`argmax`) and the residual over the tolerance (`headroom`, pass when
-    <= 1).
+    """Evaluate every identity check on every sample point, the (N,) chart
+    ids `charts` and (N, n) `coords`, and return the report document.  Each
+    entry of its `checks` holds the worst residual of one check over the
+    samples, the index of the sample it occurred at (`argmax`) and the
+    residual over the tolerance (`headroom`, pass when <= 1).
 
     The points are moved to their well-conditioned charts, and one bundle
     over all of them, in sample order and each in its own chart, of order 4
     when `heavy` (order 3 otherwise), feeds every check.  A point the
     geometry fails at is named in the error by its sample index, chart and
-    coordinates."""
-    if not points:
+    coordinates; a residual that overflows is refused, by sample and check,
+    with an OverflowError."""
+    charts, coords = np.asarray(charts), np.asarray(coords, dtype=float)
+    if len(coords) == 0:
         raise ValueError("the identity suite needs at least one sample point")
-    moved = [imm.atlas.normalize(p) for p in points]
-    for k, p in enumerate(moved):
-        if not imm.atlas.contains(p):
-            raise at_point(OutOfDomainError(f"sample {k}: {p} outside chart domain"), k)
-
-    charts = np.array([p.chart_id for p in moved])
-    coords = np.array([p.coords for p in moved])
-    try:
-        fb = bundle_at(imm, charts, coords, 4 if heavy else 3)
-    except (NonLagrangianError, DegenerateMetricError) as exc:
-        raise named_point(exc, f"sample {exc.index}", exc.index) from exc
-    _validate(fb)
-    residuals = _residuals(fb, heavy)
+    with np.errstate(all="ignore"):  # every non-finite residual is refused below
+        try:
+            fb = bundle_at(imm, *chart_batch(imm, charts, coords), 4 if heavy else 3)
+        except (OutOfDomainError, NonLagrangianError, DegenerateMetricError) as exc:
+            raise named_point(exc, f"sample {exc.index}", exc.index) from exc
+        _validate(fb)
+        residuals = _residuals(fb, heavy)
 
     checks = []
     for name, tol in DEFAULT_TOLERANCES.items():
         if name not in residuals:
             continue
-        worst = int(np.argmax(residuals[name]))
+        worst = int(np.argmax(residuals[name]))  # the first NaN, if any: residuals are >= 0
         value = float(residuals[name][worst])
+        if not np.isfinite(value):
+            raise OverflowError(f"sample {worst}: {name} residual is not finite")
         tol = tol * tol_scale
         checks.append(
             {
@@ -390,7 +388,7 @@ def run_identity_suite(
         "immersion": imm.name,
         "params": jsonable_params(imm.params),
         "seed": seed,
-        "sample_points": [{"chart_id": p.chart_id, "coords": p.coords.tolist()} for p in points],
+        "sample_points": [{"chart_id": int(c), "coords": u.tolist()} for c, u in zip(charts, coords)],
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks),
         "notes": [COMMUTATOR_NOTE],

@@ -3,7 +3,9 @@
 Model manifolds are parametrized by explicit charts: two stereographic charts
 for the sphere, one periodic chart for the torus, one global chart for the
 plane; the atlas's quadrature `domain` ("sphere", "torus", or None on the
-plane) alone says whether a body is closed.  A family is a chart formula
+plane) alone says whether a body is closed.  A batch of points is
+`(charts, coords)`, (N,) chart ids and (N, n) chart coordinates, and every
+atlas method takes or returns one.  A family is a chart formula
 `jet_fn(charts, u)` on truncated Taylor jets (`Immersion`), so derivative
 data up to order 4 is exact; on the sphere it is a polynomial in u and
 |u|^2 with the pole sign `SphereAtlas.sign`.  Complex ambient coordinates
@@ -25,24 +27,12 @@ import numpy as np
 
 from .jets import Jet, jet_einsum, jet_space
 
-MAX_JET_ORDER = 4
 SPHERE_CHART_RADIUS = 16.0  # declared open chart domain |u| < R
 SPHERE_SWITCH_RADIUS = 2.0  # beyond this, evaluate in the opposite chart
 
 
 class OutOfDomainError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point of the model manifold, named by chart id and chart coordinates."""
-
-    chart_id: int
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -52,36 +42,22 @@ class ChartPoint:
 
 class SphereAtlas:
     """Two stereographic charts on S^n: chart 0 projects from the north pole
-    (+e_{n+1}), chart 1 from the south pole.  Transition is u -> u / |u|^2."""
+    (+e_{n+1}), chart 1 from the south pole; the change of chart is u -> u / |u|^2."""
 
     domain = "sphere"
 
     def __init__(self, n: int):
         self.n = n
-        self.n_charts = 2
 
-    def contains(self, p: ChartPoint) -> bool:
-        return (
-            p.chart_id in (0, 1)
-            and p.coords.shape == (self.n,)
-            and float(np.linalg.norm(p.coords)) < SPHERE_CHART_RADIUS
-        )
+    def contains(self, charts, coords) -> np.ndarray:
+        """(N,) mask of the points in their chart's domain |u| < R."""
+        return np.isin(charts, (0, 1)) & (np.linalg.norm(coords, axis=1) < SPHERE_CHART_RADIUS)
 
-    def transition(self, p: ChartPoint, target_chart: int) -> ChartPoint:
-        if target_chart not in (0, 1):
-            raise OutOfDomainError(f"no chart {target_chart} in the sphere atlas")
-        if target_chart == p.chart_id:
-            return p
-        r2 = float(np.dot(p.coords, p.coords))
-        if r2 < 1e-24:
-            raise OutOfDomainError("point is a pole, not in the chart overlap")
-        return ChartPoint(target_chart, p.coords / r2)
-
-    def normalize(self, p: ChartPoint) -> ChartPoint:
+    def normalize(self, charts, coords) -> tuple[np.ndarray, np.ndarray]:
         """Move badly conditioned points (|u| > 2) to the opposite chart."""
-        if float(np.linalg.norm(p.coords)) > SPHERE_SWITCH_RADIUS:
-            return self.transition(p, 1 - p.chart_id)
-        return p
+        r2 = np.einsum("na,na->n", coords, coords)
+        far = np.sqrt(r2) > SPHERE_SWITCH_RADIUS
+        return np.where(far, 1 - charts, charts), coords / np.where(far, r2, 1.0)[:, None]
 
     @staticmethod
     def sign(charts) -> np.ndarray:
@@ -89,14 +65,11 @@ class SphereAtlas:
         sign sigma of the embedded x_{n+1} = sigma (|u|^2 - 1) / (1 + |u|^2)."""
         return np.where(np.asarray(charts) == 0, 1.0, -1.0)
 
-    def embed(self, p: ChartPoint) -> np.ndarray:
-        """Chart coordinates -> point on the unit sphere in R^{n+1}."""
-        u = p.coords
-        d = 1.0 + float(np.dot(u, u))
-        x = np.empty(self.n + 1)
-        x[: self.n] = 2.0 * u / d
-        x[self.n] = self.sign(p.chart_id) * ((np.dot(u, u) - 1.0) / d)
-        return x
+    def embed(self, charts, coords) -> np.ndarray:
+        """(N, n+1) points of the unit sphere in R^{n+1}: the inverse of
+        `from_embedded`."""
+        s = np.einsum("na,na->n", coords, coords)[:, None]
+        return np.concatenate([2.0 * coords, self.sign(charts)[:, None] * (s - 1.0)], axis=1) / (1.0 + s)
 
     def from_embedded(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N,) chart ids and (N, n) coordinates of an (N, n+1) batch of points
@@ -105,56 +78,38 @@ class SphereAtlas:
         charts = (x[:, self.n] > 0).astype(int)
         return charts, x[:, : self.n] / (1.0 - self.sign(charts) * x[:, self.n])[:, None]
 
-    def random_points(self, rng: np.random.Generator, count: int) -> list[ChartPoint]:
+    def random(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """`count` points uniform on S^n, each in the chart `from_embedded` picks."""
         xs = rng.normal(size=(count, self.n + 1))
         xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-        return [ChartPoint(int(c), u) for c, u in zip(*self.from_embedded(xs))]
-
-
-class TorusAtlas:
-    """Single 2*pi-periodic chart of angles."""
-
-    domain = "torus"
-
-    def __init__(self, n: int):
-        self.n = n
-        self.n_charts = 1
-
-    def contains(self, p: ChartPoint) -> bool:
-        return p.chart_id == 0 and p.coords.shape == (self.n,)
-
-    def transition(self, p: ChartPoint, target_chart: int) -> ChartPoint:
-        if target_chart != 0:
-            raise OutOfDomainError("torus atlas has a single chart")
-        return ChartPoint(0, np.mod(p.coords, 2.0 * math.pi))
-
-    def normalize(self, p: ChartPoint) -> ChartPoint:
-        return p
-
-    def random_points(self, rng: np.random.Generator, count: int) -> list[ChartPoint]:
-        return [ChartPoint(0, c) for c in rng.uniform(0, 2 * math.pi, size=(count, self.n))]
+        return self.from_embedded(xs)
 
 
 class PlaneAtlas:
+    """One global chart, which no point leaves; `random` draws uniformly from
+    the cube [box[0], box[1])^n."""
+
     domain = None  # an open body: no quadrature domain
+    box = (-1.5, 1.5)
 
     def __init__(self, n: int):
         self.n = n
-        self.n_charts = 1
 
-    def contains(self, p: ChartPoint) -> bool:
-        return p.chart_id == 0 and p.coords.shape == (self.n,)
+    def contains(self, charts, coords) -> np.ndarray:
+        return np.asarray(charts) == 0
 
-    def transition(self, p: ChartPoint, target_chart: int) -> ChartPoint:
-        if target_chart != 0:
-            raise OutOfDomainError("plane atlas has a single chart")
-        return p
+    def normalize(self, charts, coords) -> tuple[np.ndarray, np.ndarray]:
+        return charts, coords
 
-    def normalize(self, p: ChartPoint) -> ChartPoint:
-        return p
+    def random(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros(count, dtype=int), rng.uniform(*self.box, size=(count, self.n))
 
-    def random_points(self, rng: np.random.Generator, count: int) -> list[ChartPoint]:
-        return [ChartPoint(0, c) for c in rng.uniform(-1.5, 1.5, size=(count, self.n))]
+
+class TorusAtlas(PlaneAtlas):
+    """Single 2*pi-periodic chart of angles."""
+
+    domain = "torus"
+    box = (0.0, 2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +144,11 @@ class Immersion:
         return self.atlas.domain is not None
 
     def jets(self, charts, coords: np.ndarray, order: int) -> Jet:
-        """The (2m,) ambient jet of `order` at (nvars, B) chart coords."""
-        return self.jet_fn(charts, Jet.variables(jet_space(self.source_dim, order), coords))
-
-    def eval_jet(self, p: ChartPoint, order: int) -> Jet:
-        """The (2m,) ambient jet at one chart point (batch of one)."""
-        if order < 1 or order > MAX_JET_ORDER:
-            raise ValueError(f"jet order must be in 1..{MAX_JET_ORDER}")
-        if not self.atlas.contains(p):
-            raise OutOfDomainError(f"{p} outside the chart domain of {self.name}")
-        return self.jets(p.chart_id, p.coords.reshape(self.source_dim, 1), order)
-
-    def point(self, p: ChartPoint) -> np.ndarray:
-        return self.eval_jet(p, 1).value[:, 0]
+        """The (2m,) ambient jet of `order` at the (B, n) chart coords, each
+        row in its chart from `charts`: the one place the coordinate jet is
+        seeded, and so the one transpose into the jet layout."""
+        u = Jet.variables(jet_space(self.source_dim, order), np.asarray(coords, dtype=float).T)
+        return self.jet_fn(charts, u)
 
 
 def jsonable_params(params: dict) -> dict:

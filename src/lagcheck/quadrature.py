@@ -49,7 +49,7 @@ class QuadratureRule:
     domain: str  # "sphere" | "torus"
     n: int
     degree: int
-    chart_ids: np.ndarray
+    charts: np.ndarray  # (N,)
     coords: np.ndarray  # (N, n)
     weights: np.ndarray
     chart_jacobians: np.ndarray
@@ -119,7 +119,7 @@ def torus_rule(n: int, degree: int = 30) -> QuadratureRule:
         domain="torus",
         n=n,
         degree=degree,
-        chart_ids=np.zeros(len(coords), dtype=int),
+        charts=np.zeros(len(coords), dtype=int),
         coords=coords,
         weights=weights,
         chart_jacobians=np.ones(len(coords)),
@@ -147,7 +147,7 @@ def sphere_rule(n: int, degree: int = 30) -> QuadratureRule:
         [_gl_nodes(0.0, math.pi, degree)] * (n - 1) + [_gl_nodes(0.0, 2.0 * math.pi, degree)]
     )
 
-    chart_ids, coords = SphereAtlas(n).from_embedded(_angles_to_embedded(angles, n))
+    charts, coords = SphereAtlas(n).from_embedded(_angles_to_embedded(angles, n))
 
     round_density = np.ones(len(angles))
     for i in range(n - 1):
@@ -160,7 +160,7 @@ def sphere_rule(n: int, degree: int = 30) -> QuadratureRule:
         domain="sphere",
         n=n,
         degree=degree,
-        chart_ids=chart_ids,
+        charts=charts,
         coords=coords,
         weights=weights,
         chart_jacobians=jacobians,
@@ -201,7 +201,7 @@ def integrals(imm: Immersion, rule: QuadratureRule, integrand: Callable) -> dict
         # the density goes under None, a key no integrand name can take
         return {None: fb.sqrt_det_g, **integrand(fb, charts, coords)}
 
-    vals = scalar_samples(imm, rule.chart_ids, rule.coords, with_density)
+    vals = scalar_samples(imm, rule.charts, rule.coords, with_density)
     base = rule.weights * rule.chart_jacobians * vals.pop(None)
     with np.errstate(over="ignore", invalid="ignore"):
         return {name: float(np.sum(base * v)) for name, v in vals.items()}

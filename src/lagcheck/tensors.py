@@ -292,10 +292,13 @@ class SpectralSummary:
 
 def spectral_summary(hhat: np.ndarray, H: np.ndarray) -> SpectralSummary:
     """Spectral data of one point, hhat (n, n, n) and H (n,), or of a batch
-    of them with the same trailing axes."""
+    of them with the same trailing axes.  Where M is not finite (it
+    overflowed) the eigen-solve is skipped and the data are NaN."""
     hh, Hv = np.asarray(hhat, dtype=float), np.asarray(H, dtype=float)
     M = np.einsum("lij...,l...->...ij", hh, Hv)
-    lam, V = np.linalg.eigh(M)
+    finite = np.all(np.isfinite(M), axis=(-2, -1))
+    lam, V = np.full(M.shape[:-1], np.nan), np.full(M.shape, np.nan)
+    lam[finite], V[finite] = np.linalg.eigh(M[finite])
     # rotate hhat into the eigenframe e'_i = sum_j V[j, i] e_j
     rotated = np.einsum("...am,...bi,...cj,abc...->mij...", V, V, V, hh)
     s_istar = np.einsum("mij...,mij...->m...", rotated, rotated)

@@ -24,7 +24,6 @@ from lagcheck.identities import (
     simons_terms,
 )
 from lagcheck.immersions import (
-    ChartPoint,
     make_lagrangian_plane,
     make_perturbed_whitney,
     make_product_torus,
@@ -41,10 +40,9 @@ from lagcheck.tensors import (
 
 
 def _batched_scalars(imm, points, names, order=3):
-    """One bundle over every point, each in its well-conditioned chart."""
-    points = [imm.atlas.normalize(p) for p in points]
-    charts = np.array([p.chart_id for p in points])
-    fb = bundle_at(imm, charts, np.array([p.coords for p in points]), order)
+    """One bundle over every point of the batch `points`, (charts, coords),
+    each in its well-conditioned chart."""
+    fb = bundle_at(imm, *imm.atlas.normalize(*points), order)
     return {name: fb.scalar(name) for name in names}
 
 
@@ -61,7 +59,7 @@ def whitney_cn_scan():
                 rng = np.random.default_rng(1000 * n + int(10 * r) + (a_kind == "random"))
                 A = None if a_kind == "zero" else rng.normal(size=n) + 1j * rng.normal(size=n)
                 imm = make_whitney_cn(r, A, n)
-                pts = imm.atlas.random_points(rng, 50)
+                pts = imm.atlas.random(rng, 50)
                 vals = _batched_scalars(imm, pts, ["hhat_sq", "T_sq", "h_sq", "H_sq"])
                 resid = np.abs(
                     vals["hhat_sq"] - vals["h_sq"] + 3.0 * n * n / (n + 2.0) * vals["H_sq"]
@@ -89,7 +87,7 @@ def whitney_cpn_scan():
         for theta in (0.5, 1.0):
             imm = make_whitney_cpn(theta, n)
             rng = np.random.default_rng(77 * n + int(10 * theta))
-            pts = imm.atlas.random_points(rng, 30)
+            pts = imm.atlas.random(rng, 30)
             vals = _batched_scalars(imm, pts, ["hhat_sq", "T_sq", "h_sq", "H_sq"])
             resid = np.abs(
                 vals["hhat_sq"] - vals["h_sq"] + 3.0 * n * n / (n + 2.0) * vals["H_sq"]
@@ -163,8 +161,8 @@ def test_criterion_04_structure_equations():
     worst = {k: 0.0 for k in rungs}
     for idx, (name, (imm, _)) in enumerate(sorted(bodies.items())):
         rng = np.random.default_rng(400 + idx)
-        for p in imm.atlas.random_points(rng, 10):
-            fb = geometry_state(imm, p, 3)
+        for p in zip(*imm.atlas.random(rng, 10)):
+            fb = geometry_state(imm, *p, 3)
             res = check_structural(fb) | check_gauss_ricci(fb)
             for k in rungs:
                 res[k] = float(res[k][0])
@@ -209,8 +207,8 @@ def test_criterion_06_li_li_inequality():
 
 def test_criterion_07_simons_identity():
     torus = make_product_torus([1.0, 1.0])
-    tp = ChartPoint(0, np.array([0.7, 2.0]))
-    t = {k: float(v[0]) for k, v in simons_terms(geometry_state(torus, tp, 4)).items()}
+    tp = (0, np.array([0.7, 2.0]))
+    t = {k: float(v[0]) for k, v in simons_terms(geometry_state(torus, *tp, 4)).items()}
     rhs_sum = (
         t["HH_term"] + t["commutator_term"] + t["trace_sq_term"] + t["cubic_term"] + t["quad_term"]
     )
@@ -218,8 +216,8 @@ def test_criterion_07_simons_identity():
     assert abs(rhs_sum) < 1e-9
     pert = make_perturbed_whitney(1.0, 0.05, 1, 2)
     rels = []
-    for p in pert.atlas.random_points(np.random.default_rng(70), 5):
-        rel = float(check_simons_identity(simons_terms(geometry_state(pert, p, 4)))[2][0])
+    for p in zip(*pert.atlas.random(np.random.default_rng(70), 5)):
+        rel = float(check_simons_identity(simons_terms(geometry_state(pert, *p, 4)))[2][0])
         rels.append(rel)
         assert rel < 1e-13
     print(f"\nACCEPTANCE 7 PASS: Simons identity (torus cancellation {abs(rhs_sum):.2e}; "
@@ -228,11 +226,11 @@ def test_criterion_07_simons_identity():
 
 def test_criterion_08_simons_inequality():
     torus = make_product_torus([1.0, 2.0])
-    fb_t = geometry_state(torus, ChartPoint(0, np.array([0.4, 1.0])), 4)
+    fb_t = geometry_state(torus, 0, [0.4, 1.0], 4)
     res_t = {k: float(v[0]) for k, v in check_simons_inequality(fb_t, simons_terms(fb_t)).items()}
     assert res_t["margin"] >= -1e-9
     wh = make_whitney_cn(1.0, None, 2)
-    fb_w = geometry_state(wh, ChartPoint(0, np.array([0.3, 0.6])), 4)
+    fb_w = geometry_state(wh, 0, [0.3, 0.6], 4)
     res_w = {k: float(v[0]) for k, v in check_simons_inequality(fb_w, simons_terms(fb_w)).items()}
     assert res_w["margin"] >= -1e-9
     rng = np.random.default_rng(88)
@@ -282,13 +280,11 @@ def test_criterion_10_gauge_and_chart_robustness():
     worst = 0.0
     for _ in range(5):
         u = rng.uniform(0.6, 1.8) * _unit(rng, 2)
-        p0 = ChartPoint(0, u)
-        p1 = imm.atlas.transition(p0, 1)
         Q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
         for order, names in SCALARS_BY_ORDER.items():
-            fb0 = bundle_at(imm, 0, p0.coords[None], order)
-            fb1 = bundle_at(imm, 1, p1.coords[None], order)
-            fbq = bundle_at(imm, 0, p0.coords[None], order, frame_gauge=Q)
+            fb0 = bundle_at(imm, 0, u[None], order)
+            fb1 = bundle_at(imm, 1, (u / np.dot(u, u))[None], order)
+            fbq = bundle_at(imm, 0, u[None], order, frame_gauge=Q)
             for name in names:
                 v0 = float(fb0.scalar(name)[0])
                 if name != "sqrt_det_g":  # a chart density, not a scalar

@@ -216,8 +216,8 @@ class TestIdentitiesCommand:
         out = tmp_path / "r.json"
         assert main(["identities", "--config", cfg, "--out", str(out)]) == 0
         imm = make_product_torus([1.0, 1.0])
-        points = imm.atlas.random_points(np.random.default_rng(4), 3)
-        doc = run_identity_suite(imm, points, seed=4, heavy=False)
+        points = imm.atlas.random(np.random.default_rng(4), 3)
+        doc = run_identity_suite(imm, *points, seed=4, heavy=False)
         assert out.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def test_seed_changes_points(self, tmp_path):
@@ -350,6 +350,47 @@ def test_overflowing_bodies_are_evaluation_errors(tmp_path, capsys, command, pay
     assert err.startswith("evaluation error: ") and message in err
     if "metric" in message:
         assert "chart " in err and "coords [" in err
+    assert not out.exists()
+
+
+PERTURBED_HUGE = {"family": "perturbed_whitney", "r": 1e200, "eps": 0.05, "mode": 1, "n": 3}
+WHITNEY3 = {"family": "whitney_cn", "n": 3}
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("energy", {**PERTURBED_HUGE, "degree": 4}, "induced metric not finite"),
+        ("identities", PERTURBED_HUGE, "sample 0: chart 1, coords ["),
+        ("energy", {**WHITNEY3, "r": 1e200, "degree": 4}, "induced metric not finite"),
+        ("identities", {**WHITNEY3, "r": 1e200}, "induced metric not finite"),
+        ("identities", {**WHITNEY3, "r": 1e-100}, "sample 0: hhat is not symmetric"),
+        ("identities", {**WHITNEY3, "r": 1e-160}, "sample 4: hhat is not symmetric"),
+        ("identities", {**WHITNEY3, "r": 1e-160, "seed": 13}, "residual is not finite"),
+        ("identities", {"family": "product_torus", "radii": [1e-100, 2e-100]}, "residual is not finite"),
+    ],
+    ids=[
+        "energy-perturbed-1e200", "identities-perturbed-1e200", "energy-whitney-1e200", "identities-whitney-1e200",
+        "identities-whitney-1e-100", "identities-whitney-1e-160", "identities-whitney-1e-160-spectral",
+        "identities-torus-1e-100",
+    ],
+)
+def test_bodies_past_float_range_exit_four_with_one_line(tmp_path, command, payload, message):
+    """A body whose metric is not finite, whose samples fail the suite's
+    input checks or whose residuals overflow (at seed 13 the spectral
+    cross-check's input hhat . H overflows too) stops the console entry
+    point with exit 4 and one stderr line: no traceback, no floating-point
+    warning and no report."""
+    cfg = write_cfg(tmp_path, "far.json", payload)
+    out = tmp_path / "out.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(lagcheck.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "lagcheck.cli", command, "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 4, run.stderr
+    assert len(run.stderr.splitlines()) == 1 and "Traceback" not in run.stderr, run.stderr
+    assert run.stderr.startswith("evaluation error: ") and message in run.stderr
     assert not out.exists()
 
 

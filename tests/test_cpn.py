@@ -17,12 +17,13 @@ from lagcheck.cpn import (
 from lagcheck.geometry import FrameBundle, bundle_at, geometry_state
 from lagcheck import identities
 from lagcheck.identities import run_identity_suite
-from lagcheck.immersions import AMBIENT_SPHERE, ChartPoint, Immersion, from_config
+from lagcheck.immersions import AMBIENT_SPHERE, Immersion, from_config
 from lagcheck.quadrature import energy_report, torus_rule
 
 
-def homogeneous_value(imm, p):
-    vals = imm.point(p)
+def homogeneous_value(imm, chart, u):
+    """The homogeneous representative at one chart point, a batch of one."""
+    vals = imm.jets(chart, np.asarray(u, dtype=float)[None], 1).value[:, 0]
     return vals[0::2] + 1j * vals[1::2]
 
 
@@ -38,8 +39,7 @@ def example_formula(theta, x):
 class TestWhitneyCpnFamily:
     def test_equator_representative(self):
         imm = make_whitney_cpn(1.0, 2)
-        p = ChartPoint(0, np.array([1.0, 0.0]))  # embedded x = (1, 0, 0)
-        z = normalize_representative(homogeneous_value(imm, p))
+        z = normalize_representative(homogeneous_value(imm, 0, [1.0, 0.0]))  # embedded x = (1, 0, 0)
         expected = normalize_representative(example_formula(1.0, np.array([1.0, 0.0, 0.0])))
         assert np.allclose(z, expected, atol=1e-13)
 
@@ -47,9 +47,9 @@ class TestWhitneyCpnFamily:
     def test_matches_direct_formula_up_to_norm(self, n):
         rng = np.random.default_rng(n)
         imm = make_whitney_cpn(0.7, n)
-        for p in imm.atlas.random_points(rng, 15):
-            x = imm.atlas.embed(p)
-            z = normalize_representative(homogeneous_value(imm, p))
+        charts, coords = imm.atlas.random(rng, 15)
+        for chart, u, x in zip(charts, coords, imm.atlas.embed(charts, coords)):
+            z = normalize_representative(homogeneous_value(imm, chart, u))
             expected = normalize_representative(example_formula(0.7, x))
             assert np.allclose(z, expected, atol=1e-12)
 
@@ -58,8 +58,8 @@ class TestWhitneyCpnFamily:
         lift it enters is unit norm."""
         imm = make_whitney_cpn(0.5, 2)
         rng = np.random.default_rng(9)
-        for p in imm.atlas.random_points(rng, 200):
-            W = horizontal_lift_jets(imm, p.chart_id, p.coords[:, None], 2)
+        for chart, u in zip(*imm.atlas.random(rng, 200)):
+            W = horizontal_lift_jets(imm, chart, u[None], 2)
             assert abs(np.sum(W.value**2) - 1.0) < 1e-12
 
     def test_antipodal_points_distinct(self):
@@ -67,9 +67,8 @@ class TestWhitneyCpnFamily:
         atlas = imm.atlas
         x = np.array([0.8, 0.6, 0.0])
         (c_plus, c_minus), (u_plus, u_minus) = atlas.from_embedded(np.stack([x, -x]))
-        p_plus, p_minus = ChartPoint(int(c_plus), u_plus), ChartPoint(int(c_minus), u_minus)
-        z1 = homogeneous_value(imm, p_plus)
-        z2 = homogeneous_value(imm, p_minus)
+        z1 = homogeneous_value(imm, c_plus, u_plus)
+        z2 = homogeneous_value(imm, c_minus, u_minus)
         assert projective_distance(z1, z2) > 0.1
 
     def test_theta_validation(self):
@@ -82,15 +81,15 @@ class TestWhitneyCpnFamily:
 class TestRpn:
     def test_totally_geodesic(self):
         imm = make_rpn(3)
-        for p in imm.atlas.random_points(np.random.default_rng(1), 8):
-            s = geometry_state(imm, p)
+        for p in zip(*imm.atlas.random(np.random.default_rng(1), 8)):
+            s = geometry_state(imm, *p)
             for name in ("h_sq", "H_sq", "hhat_sq"):
                 assert s.scalar(name)[0] < 1e-18
 
     def test_unit_sectional_curvature(self):
         imm = make_rpn(2)
-        p = ChartPoint(0, np.array([0.4, -0.7]))
-        s = geometry_state(imm, p)
+        p = (0, np.array([0.4, -0.7]))
+        s = geometry_state(imm, *p)
         h = s.h0[..., 0]
         eye = np.eye(2)
         rhs = (
@@ -104,8 +103,8 @@ class TestRpn:
 
     def test_two_method_curvature(self):
         imm = make_rpn(2)
-        p = ChartPoint(1, np.array([0.3, 0.5]))
-        R = geometry_state(imm, p).curvature_frame[..., 0]
+        p = (1, np.array([0.3, 0.5]))
+        R = geometry_state(imm, *p).curvature_frame[..., 0]
         assert R[0, 1, 0, 1] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -113,8 +112,8 @@ class TestWhitneyCpnGeometry:
     @pytest.mark.parametrize("n,theta", [(2, 0.5), (2, 1.0), (3, 1.0)])
     def test_hhat_and_T_vanish(self, n, theta):
         imm = make_whitney_cpn(theta, n)
-        for p in imm.atlas.random_points(np.random.default_rng(17), 8):
-            s = geometry_state(imm, p)
+        for p in zip(*imm.atlas.random(np.random.default_rng(17), 8)):
+            s = geometry_state(imm, *p)
             T = s.T0[..., 0]
             assert math.sqrt(s.scalar("hhat_sq")[0]) < 1e-8
             assert math.sqrt(float(np.sum((0.5 * (T + T.T)) ** 2))) < 1e-8
@@ -122,8 +121,8 @@ class TestWhitneyCpnGeometry:
 
     def test_gauss_and_ricci_equations(self):
         imm = make_whitney_cpn(0.8, 2)
-        p = ChartPoint(0, np.array([0.5, -0.1]))
-        s = geometry_state(imm, p)
+        p = (0, np.array([0.5, -0.1]))
+        s = geometry_state(imm, *p)
         h = s.h0[..., 0]
         eye = np.eye(2)
         rhs = (
@@ -139,8 +138,7 @@ class TestWhitneyCpnGeometry:
 class TestHorizontalLift:
     def test_lift_is_horizontal_and_unit(self):
         imm = make_whitney_cpn(1.0, 2)
-        p = ChartPoint(0, np.array([0.3, 0.6]))
-        W = horizontal_lift_jets(imm, p.chart_id, p.coords[:, None], 2)
+        W = horizontal_lift_jets(imm, 0, np.array([[0.3, 0.6]]), 2)
         z = W.value[0::2, 0] + 1j * W.value[1::2, 0]
         assert abs(np.sum(np.abs(z) ** 2) - 1.0) < 1e-12
         for a in range(2):
@@ -152,17 +150,17 @@ class TestHorizontalLift:
 
     def test_lagrangian_frame_is_hermitian_real(self):
         imm = make_whitney_cpn(0.9, 2)
-        for p in imm.atlas.random_points(np.random.default_rng(23), 20):
-            s = geometry_state(imm, p, 2)
+        for p in zip(*imm.atlas.random(np.random.default_rng(23), 20)):
+            s = geometry_state(imm, *p, 2)
             assert np.max(np.abs(s.e0[..., 0] @ s.Je0[..., 0].T)) < 1e-10
 
     def test_projective_gauge_invariance(self):
         base = make_whitney_cpn(1.0, 2)
         twisted = phase_twist(base, [0.4, -0.7])
         rng = np.random.default_rng(31)
-        for p in base.atlas.random_points(rng, 6):
-            s0 = geometry_state(base, p)
-            s1 = geometry_state(twisted, p)
+        for p in zip(*base.atlas.random(rng, 6)):
+            s0 = geometry_state(base, *p)
+            s1 = geometry_state(twisted, *p)
             assert np.max(np.abs(s0.e0 - s1.e0)) < 1e-8
             assert np.max(np.abs(s0.h0 - s1.h0)) < 1e-8
             assert np.max(np.abs(s0.g0 - s1.g0)) < 1e-8
@@ -176,9 +174,9 @@ class TestHorizontalLift:
         base = make_whitney_cpn(1.0, 2)
         twisted = phase_twist(base, [0.4, -0.7])
         rng = np.random.default_rng(31)
-        for p in base.atlas.random_points(rng, 6):
-            s0 = geometry_state(base, p, 2)
-            s1 = geometry_state(twisted, p, 2)
+        for p in zip(*base.atlas.random(rng, 6)):
+            s0 = geometry_state(base, *p, 2)
+            s1 = geometry_state(twisted, *p, 2)
             assert np.max(np.abs(s0.e0 - s1.e0)) < 1e-8
             assert np.max(np.abs(s0.Je0 - s1.Je0)) < 1e-8
             assert np.max(np.abs(s0.h0 - s1.h0)) < 1e-8
@@ -189,7 +187,7 @@ class TestHorizontalLift:
         # breaking the projective class smoothly in a non-Hamiltonian way
         # destroys closedness of the horizontality form
         with pytest.raises(HorizontalityError):
-            geometry_state(turned_rpn(turn_first), ChartPoint(0, np.array([0.4, 0.5])))
+            geometry_state(turned_rpn(turn_first), 0, [0.4, 0.5])
 
     def test_nonlagrangian_rejected_by_order2_lift(self, turn_first):
         """The connection route checks <d_a W, i d_b W> at the point and
@@ -202,7 +200,7 @@ class TestHorizontalLift:
         component is real and positive, also for a phase-twisted
         representative, on both the order-2 and the order-3 route."""
         imm = phase_twist(make_whitney_cpn(0.7, 3), [0.4, -0.7, 0.2])
-        coords = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 16))
+        coords = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 16)).T
         for order in (2, 3):
             W = horizontal_lift_jets(imm, 0, coords, order)
             z = W.value[0::2] + 1j * W.value[1::2]
@@ -270,7 +268,7 @@ class TestOrderTwoLift:
         imm = ORDER2_BODIES[name]
         coords = np.random.default_rng(40 + chart).uniform(-1.2, 1.2, size=(12, imm.source_dim))
         new = bundle_at(imm, chart, coords, 2)
-        lift = horizontal_lift_jets(imm, chart, coords.T, 3)
+        lift = horizontal_lift_jets(imm, chart, coords, 3)
         old = FrameBundle(lift.truncated(2), imm.source_dim, 1.0)
         full = FrameBundle(lift, imm.source_dim, 1.0)  # h through jets, not rows
 
@@ -290,7 +288,7 @@ class TestOrderTwoLift:
     def test_lift_is_the_unit_representative_at_the_point(self, order):
         """The lift's value is the unit representative times one phase."""
         imm = phase_twist(make_whitney_cpn(0.7, 3), [0.4, -0.7, 0.2])
-        coords = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 8))
+        coords = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 8)).T
         phi = imm.jets(0, coords, order).value
         z = (phi[0::2] + 1j * phi[1::2]) / np.linalg.norm(phi, axis=0)
         W = horizontal_lift_jets(imm, 0, coords, order)
@@ -336,7 +334,7 @@ class TestCpnTorus:
         t = np.array([0.3, -1.1])
 
         def point(angles):
-            v = imm.jets(0, np.asarray(angles, dtype=float)[:, None], 0).value[:, 0]
+            v = imm.jets(0, np.asarray(angles, dtype=float)[None], 0).value[:, 0]
             return v[0::2] + 1j * v[1::2]
 
         for a in range(2):
@@ -346,8 +344,8 @@ class TestCpnTorus:
     @pytest.mark.parametrize("moduli", [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [1.0, 0.7, 1.2, 0.9]])
     def test_identity_suite_passes(self, moduli):
         imm = make_cpn_torus(moduli)
-        pts = imm.atlas.random_points(np.random.default_rng(5), 6)
-        assert run_identity_suite(imm, pts, seed=5)["all_pass"]
+        pts = imm.atlas.random(np.random.default_rng(5), 6)
+        assert run_identity_suite(imm, *pts, seed=5)["all_pass"]
 
     def test_unequal_moduli_have_mean_curvature(self):
         fb = bundle_at(make_cpn_torus([1.0, 0.7, 1.2, 0.9]), 0, np.array([[0.3, 1.1, -2.0]]), 2)
@@ -356,7 +354,7 @@ class TestCpnTorus:
     def test_from_config(self):
         imm = from_config({"family": "cpn_torus", "moduli": [2.0, 2.0, 2.0]})
         assert imm.ambient == AMBIENT_SPHERE and imm.source_dim == 2
-        W = horizontal_lift_jets(imm, 0, np.array([[0.4], [1.7]]), 2)
+        W = horizontal_lift_jets(imm, 0, np.array([[0.4, 1.7]]), 2)
         assert abs(np.sum(W.value**2) - 1.0) < 1e-15
 
     def test_invalid_moduli(self):
@@ -376,8 +374,8 @@ class TestCpnMutations:
     def test_c_term_coefficient_is_flagged(self, monkeypatch):
         # (n + 2) c |hhat|^2 in place of (n + 1) c |hhat|^2
         imm = make_cpn_torus([1.0, 0.7, 1.2, 0.9])
-        pts = imm.atlas.random_points(np.random.default_rng(5), 6)
-        assert check(run_identity_suite(imm, pts, seed=5), "simons_identity_rel")["pass"]
+        pts = imm.atlas.random(np.random.default_rng(5), 6)
+        assert check(run_identity_suite(imm, *pts, seed=5), "simons_identity_rel")["pass"]
         terms = identities.simons_terms
 
         def mutated(fb):
@@ -386,14 +384,14 @@ class TestCpnMutations:
             return t
 
         monkeypatch.setattr(identities, "simons_terms", mutated)
-        assert not check(run_identity_suite(imm, pts, seed=5), "simons_identity_rel")["pass"]
+        assert not check(run_identity_suite(imm, *pts, seed=5), "simons_identity_rel")["pass"]
 
     def test_gauss_ambient_term_is_flagged(self, monkeypatch):
         # 1.01 c (d_ik d_jl - d_il d_jk) in the Gauss form
         imm = make_whitney_cpn(0.7, 3)
-        pts = imm.atlas.random_points(np.random.default_rng(6), 6)
+        pts = imm.atlas.random(np.random.default_rng(6), 6)
         names = ("gauss_two_method", "ricci_equation")
-        rep = run_identity_suite(imm, pts, seed=6, heavy=False)
+        rep = run_identity_suite(imm, *pts, seed=6, heavy=False)
         assert all(check(rep, name)["pass"] for name in names)
         gauss_rhs = FrameBundle.gauss_rhs.fget
         eye = np.eye(3)
@@ -401,6 +399,6 @@ class TestCpnMutations:
         monkeypatch.setattr(
             FrameBundle, "gauss_rhs", property(lambda fb: gauss_rhs(fb) + 0.01 * fb.c_amb * delta[..., None])
         )
-        rep = run_identity_suite(imm, pts, seed=6, heavy=False)
+        rep = run_identity_suite(imm, *pts, seed=6, heavy=False)
         assert not any(check(rep, name)["pass"] for name in names)
 

@@ -23,7 +23,6 @@ from lagcheck.identities import (
 from lagcheck.immersions import (
     AMBIENT_CN,
     AMBIENT_SPHERE,
-    ChartPoint,
     Immersion,
     OutOfDomainError,
     PlaneAtlas,
@@ -36,10 +35,10 @@ from lagcheck.jets import Jet
 from lagcheck.tensors import random_tracefree
 
 BODIES = {
-    "plane": (make_lagrangian_plane(2), ChartPoint(0, np.array([0.3, -0.6]))),
-    "torus": (make_product_torus([1.0, 2.0]), ChartPoint(0, np.array([0.7, 2.1]))),
-    "whitney": (make_whitney_cn(1.0, None, 2), ChartPoint(0, np.array([0.4, 0.5]))),
-    "perturbed": (make_perturbed_whitney(1.0, 0.05, 1, 2), ChartPoint(0, np.array([0.4, -0.3]))),
+    "plane": (make_lagrangian_plane(2), (0, np.array([0.3, -0.6]))),
+    "torus": (make_product_torus([1.0, 2.0]), (0, np.array([0.7, 2.1]))),
+    "whitney": (make_whitney_cn(1.0, None, 2), (0, np.array([0.4, 0.5]))),
+    "perturbed": (make_perturbed_whitney(1.0, 0.05, 1, 2), (0, np.array([0.4, -0.3]))),
 }
 
 
@@ -51,10 +50,11 @@ ORACLE_BODIES = [
 ]
 
 
-def spike_simons_lhs(monkeypatch, imm, targets, size):
+def spike_simons_lhs(monkeypatch, imm, charts, coords, size):
     """Add `size` to the chart Laplacian, the left side of the Simons
-    identity, at the ambient points of the `targets` sample points only."""
-    marks = np.array([imm.point(imm.atlas.normalize(p)) for p in targets])
+    identity, at the ambient points of the sample points `charts`, `coords`
+    only."""
+    marks = imm.jets(*imm.atlas.normalize(charts, coords), 1).value.T
     laplacian = geometry.FrameBundle.laplacian
 
     def spiked(fb, jet):
@@ -65,8 +65,8 @@ def spike_simons_lhs(monkeypatch, imm, targets, size):
     monkeypatch.setattr(geometry.FrameBundle, "laplacian", spiked)
 
 
-def heavy(imm, p):
-    return geometry_state(imm, p, 4)
+def heavy(imm, chart, coords):
+    return geometry_state(imm, chart, coords, 4)
 
 
 def at_one_point(residuals):
@@ -74,42 +74,42 @@ def at_one_point(residuals):
     return {k: float(v[0]) for k, v in residuals.items()}
 
 
-def structural(imm, p, **kwargs):
-    return at_one_point(check_structural(geometry_state(imm, p, 3, **kwargs)))
+def structural(imm, chart, coords, **kwargs):
+    return at_one_point(check_structural(geometry_state(imm, chart, coords, 3, **kwargs)))
 
 
-def gauss_ricci(imm, p):
-    return at_one_point(check_gauss_ricci(geometry_state(imm, p, 3)))
+def gauss_ricci(imm, chart, coords):
+    return at_one_point(check_gauss_ricci(geometry_state(imm, chart, coords, 3)))
 
 
 class TestStructural:
     def test_plane_all_zero(self):
         imm, p = BODIES["plane"]
-        res = structural(imm, p)
+        res = structural(imm, *p)
         assert all(v < 1e-14 for v in res.values())
 
     def test_torus_below_jet_rung(self):
         imm, p = BODIES["torus"]
-        res = structural(imm, p)
+        res = structural(imm, *p)
         assert all(v < 1e-9 for v in res.values())
 
     def test_perturbed_whitney_below_fd1(self):
         imm, _ = BODIES["perturbed"]
-        for p in imm.atlas.random_points(np.random.default_rng(0), 20):
-            res = structural(imm, p)
+        for p in zip(*imm.atlas.random(np.random.default_rng(0), 20)):
+            res = structural(imm, *p)
             assert all(v < 1e-6 for v in res.values()), res
 
 
 class TestGaussRicci:
     def test_plane_zero(self):
         imm, p = BODIES["plane"]
-        res = gauss_ricci(imm, p)
+        res = gauss_ricci(imm, *p)
         assert res["gauss_two_method"] < 1e-14
         assert res["ricci_equation"] < 1e-14
 
     def test_torus_flat_both_ways(self):
         imm, p = BODIES["torus"]
-        fb = geometry_state(imm, p, 3)
+        fb = geometry_state(imm, *p, 3)
         res = at_one_point(check_gauss_ricci(fb))
         assert res["gauss_two_method"] < 1e-10
         assert np.max(np.abs(fb.curvature_frame)) < 1e-10
@@ -117,13 +117,13 @@ class TestGaussRicci:
     @pytest.mark.parametrize("name", ["whitney", "perturbed"])
     def test_curved_bodies(self, name):
         imm, p = BODIES[name]
-        res = gauss_ricci(imm, p)
+        res = gauss_ricci(imm, *p)
         assert res["gauss_two_method"] < 1e-6
         assert res["ricci_equation"] < 1e-5
 
     def test_rpn_curvature_one(self):
         imm = make_rpn(2)
-        fb = geometry_state(imm, ChartPoint(0, np.array([0.2, 0.6])), 3)
+        fb = geometry_state(imm, 0, [0.2, 0.6], 3)
         res = at_one_point(check_gauss_ricci(fb))
         assert res["gauss_two_method"] < 1e-6
         assert fb.curvature_frame[0, 1, 0, 1, 0] == pytest.approx(1.0, abs=1e-6)
@@ -133,31 +133,31 @@ class TestRicciIdentity:
     @pytest.mark.parametrize("name,tol", [("plane", 1e-14), ("torus", 1e-6), ("perturbed", 1e-4)])
     def test_commutation_rule(self, name, tol):
         imm, p = BODIES[name]
-        assert check_ricci_identity(heavy(imm, p))[0] < tol
+        assert check_ricci_identity(heavy(imm, *p))[0] < tol
 
     def test_perturbed_many_points(self):
         imm, _ = BODIES["perturbed"]
-        for p in imm.atlas.random_points(np.random.default_rng(1), 10):
-            assert check_ricci_identity(heavy(imm, p))[0] < 1e-4
+        for p in zip(*imm.atlas.random(np.random.default_rng(1), 10)):
+            assert check_ricci_identity(heavy(imm, *p))[0] < 1e-4
 
 
 class TestLaplaceContraction:
     def test_torus_both_sides_vanish(self):
         imm, p = BODIES["torus"]
-        lhs, rhs = lemma_laplace_hhat(heavy(imm, p))
+        lhs, rhs = lemma_laplace_hhat(heavy(imm, *p))
         assert abs(lhs[0]) < 1e-9
         assert abs(rhs[0]) < 1e-9
 
     def test_perturbed_agreement(self):
         imm, p = BODIES["perturbed"]
-        lhs, rhs = lemma_laplace_hhat(heavy(imm, p))
+        lhs, rhs = lemma_laplace_hhat(heavy(imm, *p))
         assert abs(lhs[0] - rhs[0]) < 1e-13
 
 
 class TestSimonsIdentity:
     def test_torus_terms_cancel(self):
         imm, p = BODIES["torus"]
-        t = at_one_point(simons_terms(heavy(imm, p)))
+        t = at_one_point(simons_terms(heavy(imm, *p)))
         rhs_terms = (
             t["HH_term"]
             + t["commutator_term"]
@@ -173,7 +173,7 @@ class TestSimonsIdentity:
     def test_square_torus_term_values(self):
         # hand-computed from the closed-form trace decomposition
         imm = make_product_torus([1.0, 1.0])
-        t = at_one_point(simons_terms(heavy(imm, ChartPoint(0, np.array([0.4, 1.3])))))
+        t = at_one_point(simons_terms(heavy(imm, 0, [0.4, 1.3])))
         assert t["HH_term"] == pytest.approx(0.25, abs=1e-12)
         assert t["commutator_term"] == pytest.approx(-0.25, abs=1e-12)
         assert t["trace_sq_term"] == pytest.approx(-0.125, abs=1e-12)
@@ -182,26 +182,27 @@ class TestSimonsIdentity:
 
     def test_whitney_every_term_vanishes(self):
         imm, p = BODIES["whitney"]
-        t = at_one_point(simons_terms(heavy(imm, p)))
+        t = at_one_point(simons_terms(heavy(imm, *p)))
         for name in ("hhat_grad_T", "grad_hhat_sq", "commutator_term", "cubic_term"):
             assert abs(t[name]) < 1e-9
 
     def test_perturbed_relative_residual(self):
         imm, _ = BODIES["perturbed"]
-        for p in imm.atlas.random_points(np.random.default_rng(2), 5):
-            lhs, rhs, rel = check_simons_identity(simons_terms(heavy(imm, p)))
+        for p in zip(*imm.atlas.random(np.random.default_rng(2), 5)):
+            lhs, rhs, rel = check_simons_identity(simons_terms(heavy(imm, *p)))
             assert rel[0] < 1e-13
 
 
 class TestSimonsInequality:
     def test_whitney_margin_zero(self):
-        fb = heavy(*BODIES["whitney"])
+        imm, p = BODIES["whitney"]
+        fb = heavy(imm, *p)
         res = at_one_point(check_simons_inequality(fb, simons_terms(fb)))
         assert abs(res["margin"]) < 1e-9
 
     def test_torus_margin(self):
         imm = make_product_torus([1.0, 1.0])
-        fb = heavy(imm, ChartPoint(0, np.array([0.2, 0.8])))
+        fb = heavy(imm, 0, [0.2, 0.8])
         res = at_one_point(check_simons_inequality(fb, simons_terms(fb)))
         # closed form: the identity right side vanishes, so the margin is
         # (n+3)/2 |hhat|^4 - n^2/(n+2) |hhat|^2 |H|^2 = 5/8 - 1/4 = 3/8
@@ -209,7 +210,8 @@ class TestSimonsInequality:
         assert res["margin"] >= -1e-9
 
     def test_perturbed_margin_nonnegative(self):
-        fb = heavy(*BODIES["perturbed"])
+        imm, p = BODIES["perturbed"]
+        fb = heavy(imm, *p)
         res = at_one_point(check_simons_inequality(fb, simons_terms(fb)))
         assert res["margin"] >= -1e-9
         assert res["spectral_consistency"] < 1e-10
@@ -260,36 +262,53 @@ def twisted_rpn(turn_first):
 
 
 class TestFailingPointIsNamed:
-    POINTS = [ChartPoint(0, np.array(c)) for c in ([0.1, 0.0], [0.3, 0.0], [-0.2, 0.5], [0.4, 0.0])]
+    COORDS = np.array([[0.1, 0.0], [0.3, 0.0], [-0.2, 0.5], [0.4, 0.0]])
 
     def test_non_lagrangian_sample(self):
         with pytest.raises(NonLagrangianError, match=r"sample 2: chart 0, coords \[-0.2, 0.5\]") as err:
-            run_identity_suite(partly_lagrangian_plane(), self.POINTS)
+            run_identity_suite(partly_lagrangian_plane(), np.zeros(4, dtype=int), self.COORDS)
         assert err.value.index == 2
         assert "Lagrangian condition violated" in str(err.value)
 
     def test_degenerate_metric_sample(self):
-        pts = [ChartPoint(0, np.array(c)) for c in ([0.5, 0.1], [0.7, -0.3], [0.0, 0.3])]
+        coords = np.array([[0.5, 0.1], [0.7, -0.3], [0.0, 0.3]])
         with pytest.raises(DegenerateMetricError, match=r"sample 2: chart 0, coords \[0.0, 0.3\]"):
-            run_identity_suite(cusped_plane(), pts)
+            run_identity_suite(cusped_plane(), np.zeros(3, dtype=int), coords)
 
     def test_out_of_domain_sample(self):
-        pts = [ChartPoint(0, np.array([0.1, 0.2])), ChartPoint(0, np.array([0.1, 0.2, 0.3]))]
-        with pytest.raises(OutOfDomainError, match="sample 1: "):
-            run_identity_suite(make_lagrangian_plane(2), pts)
+        """A sample outside its chart is named like a sample the geometry
+        fails at: by index, chart and coordinates as given."""
+        with pytest.raises(OutOfDomainError, match=r"^sample 1: chart 1, coords \[0.1, 0.2\]: outside") as err:
+            run_identity_suite(make_lagrangian_plane(2), np.array([0, 1]), np.array([[0.1, 0.2], [0.1, 0.2]]))
+        assert err.value.index == 1
+        charts, coords = np.array([0, 0, 2]), np.array([[0.1, 0.2], [3.0, 0.0], [0.5, 0.5]])
+        with pytest.raises(OutOfDomainError, match=r"^sample 2: chart 2, coords \[0.5, 0.5\]: outside"):
+            run_identity_suite(make_whitney_cn(1.0, None, 2), charts, coords)
+
+    @pytest.mark.parametrize(
+        "charts,coords",
+        [
+            (np.zeros(2, dtype=int), np.zeros((2, 3))),
+            (np.zeros(2, dtype=int), np.zeros(2)),
+            (np.zeros(3, dtype=int), np.zeros((2, 2))),
+            (0, np.zeros((2, 2))),
+        ],
+    )
+    def test_wrong_shaped_batch_is_refused(self, charts, coords):
+        with pytest.raises(ValueError, match=r"not a batch \(N,\) and \(N, 2\) of points of lagrangian_plane"):
+            run_identity_suite(make_lagrangian_plane(2), charts, coords)
 
     def test_horizontality_sample(self, turn_first):
-        pts = [ChartPoint(0, np.array(c)) for c in ([0.3, 0.0], [0.6, 0.4], [-0.5, 0.0])]
+        coords = np.array([[0.3, 0.0], [0.6, 0.4], [-0.5, 0.0]])
         with pytest.raises(HorizontalityError, match=r"sample 1: chart 0, coords \[0.6, 0.4\]"):
-            run_identity_suite(twisted_rpn(turn_first), pts)
+            run_identity_suite(twisted_rpn(turn_first), np.zeros(3, dtype=int), coords)
 
     def test_mixed_chart_sample_is_named_by_its_own_chart(self, turn_first):
         bad = twisted_rpn(turn_first)
-        pts = [ChartPoint(c, np.array(x)) for c, x in ((0, [0.3, 0.0]), (1, [0.6, 0.4]), (0, [-0.5, 0.0]))]
+        charts, coords = np.array([0, 1, 0]), np.array([[0.3, 0.0], [0.6, 0.4], [-0.5, 0.0]])
         with pytest.raises(HorizontalityError, match=r"sample 1: chart 1, coords \[0.6, 0.4\]") as err:
-            run_identity_suite(bad, pts)
+            run_identity_suite(bad, charts, coords)
         assert err.value.index == 1
-        charts, coords = np.array([p.chart_id for p in pts]), np.array([p.coords for p in pts])
         with pytest.raises(HorizontalityError, match=r"^chart 1, coords \[0.6, 0.4\]: horizontality"):
             geometry.bundle_at(bad, charts, coords, 4)
 
@@ -306,13 +325,14 @@ class TestFailingPointIsNamed:
     def test_validate_names_a_sample_whose_T_is_not_tracefree(self):
         values = self.point_values()
         values.T0[..., 1] += np.eye(2)
-        with pytest.raises(ValueError, match="^sample 1: T is not trace-free$"):
+        with pytest.raises(identities.SampleError, match="^sample 1: T is not trace-free$"):
             identities._validate(values)
 
     def test_validate_names_a_sample_whose_h_is_not_symmetric(self):
         values = self.point_values()
         values.h0[0, 0, 1, 2] += 1.0
-        with pytest.raises(ValueError, match="^sample 2: h is not symmetric under index permutations$"):
+        message = "^sample 2: h is not symmetric under index permutations$"
+        with pytest.raises(identities.SampleError, match=message):
             identities._validate(values)
 
 
@@ -335,8 +355,8 @@ class TestCurvatureContractionClosedForms:
 class TestSuiteReports:
     def test_whitney_suite_passes(self):
         imm = make_whitney_cn(1.0, None, 2)
-        pts = imm.atlas.random_points(np.random.default_rng(3), 6)
-        rep = run_identity_suite(imm, pts, seed=3)
+        pts = imm.atlas.random(np.random.default_rng(3), 6)
+        rep = run_identity_suite(imm, *pts, seed=3)
         assert rep["all_pass"]
         names = {c["name"] for c in rep["checks"]}
         assert "tri_symmetry" in names and "simons_identity_rel" in names
@@ -344,8 +364,8 @@ class TestSuiteReports:
     def test_cpn_suite_passes_with_heavy_checks(self):
         # exercises the order-4 horizontal lift and the heavy checks in CP^n
         imm = make_whitney_cpn(0.8, 2)
-        pts = imm.atlas.random_points(np.random.default_rng(4), 4)
-        rep = run_identity_suite(imm, pts, seed=4, heavy=True)
+        pts = imm.atlas.random(np.random.default_rng(4), 4)
+        rep = run_identity_suite(imm, *pts, seed=4, heavy=True)
         assert rep["all_pass"]
 
     def test_one_bundle_per_op(self, monkeypatch):
@@ -364,11 +384,11 @@ class TestSuiteReports:
         monkeypatch.setattr(geometry.FrameBundle, "__init__", counting_init)
         monkeypatch.setattr(identities, "simons_terms", counting_terms)
         imm = make_whitney_cn(1.0, None, 2)
-        pts = imm.atlas.random_points(np.random.default_rng(8), 9)
-        assert {imm.atlas.normalize(p).chart_id for p in pts} == {0, 1}
-        assert run_identity_suite(imm, pts, seed=8)["all_pass"]
+        pts = imm.atlas.random(np.random.default_rng(8), 9)
+        assert set(imm.atlas.normalize(*pts)[0].tolist()) == {0, 1}
+        assert run_identity_suite(imm, *pts, seed=8)["all_pass"]
         assert len(builds) == 1
-        assert terms_calls == [len(pts)]
+        assert terms_calls == [len(pts[1])]
 
     def test_curvature_terms_are_computed_once_per_heavy_suite(self, monkeypatch):
         """The Simons identity and inequality read one set of curvature terms:
@@ -382,23 +402,23 @@ class TestSuiteReports:
 
         monkeypatch.setattr(identities, "_curvature_terms", counting_terms)
         imm = make_perturbed_whitney(1.0, 0.05, 1, 3)
-        pts = imm.atlas.random_points(np.random.default_rng(6), 7)
-        assert run_identity_suite(imm, pts, seed=6, heavy=True)["all_pass"]
-        assert calls == [len(pts)]
-        run_identity_suite(imm, pts, seed=6, heavy=False)
-        assert calls == [len(pts)]
+        pts = imm.atlas.random(np.random.default_rng(6), 7)
+        assert run_identity_suite(imm, *pts, seed=6, heavy=True)["all_pass"]
+        assert calls == [len(pts[1])]
+        run_identity_suite(imm, *pts, seed=6, heavy=False)
+        assert calls == [len(pts[1])]
 
     def test_simons_coefficient_mutation_is_flagged(self, monkeypatch):
         # a relative change of 1e-4 in the n^2/(n+2) coefficient of the
         # quadratic term moves the residual by about 1e-5: far above the jet
         # rung, far below the 1e-3 bound of a finite-difference Laplacian
         imm, _ = BODIES["torus"]
-        pts = imm.atlas.random_points(np.random.default_rng(9), 3)
+        pts = imm.atlas.random(np.random.default_rng(9), 3)
 
         def simons_check(report):
             return next(c for c in report["checks"] if c["name"] == "simons_identity_rel")
 
-        assert simons_check(run_identity_suite(imm, pts, seed=9))["pass"]
+        assert simons_check(run_identity_suite(imm, *pts, seed=9))["pass"]
         terms = identities.simons_terms
 
         def mutated(*args):
@@ -407,16 +427,16 @@ class TestSuiteReports:
             return t
 
         monkeypatch.setattr(identities, "simons_terms", mutated)
-        flagged = simons_check(run_identity_suite(imm, pts, seed=9))
+        flagged = simons_check(run_identity_suite(imm, *pts, seed=9))
         assert not flagged["pass"]
         assert flagged["max_residual"] < 1e-3
 
     def test_simons_mutation_past_the_third_sample_is_flagged(self, monkeypatch):
         # every sample point gets the heavy checks, not just the first few
         imm, _ = BODIES["torus"]
-        pts = imm.atlas.random_points(np.random.default_rng(9), 6)
-        spike_simons_lhs(monkeypatch, imm, pts[3:], 1e-6)
-        checks = run_identity_suite(imm, pts, seed=9)["checks"]
+        pts = imm.atlas.random(np.random.default_rng(9), 6)
+        spike_simons_lhs(monkeypatch, imm, pts[0][3:], pts[1][3:], 1e-6)
+        checks = run_identity_suite(imm, *pts, seed=9)["checks"]
         check = next(c for c in checks if c["name"] == "simons_identity_rel")
         assert not check["pass"]
         assert check["argmax"] >= 3
@@ -424,10 +444,10 @@ class TestSuiteReports:
     @pytest.mark.parametrize("k", [2, 6])
     def test_worst_sample_is_reported(self, monkeypatch, k):
         imm = make_whitney_cn(1.0, None, 2)
-        pts = imm.atlas.random_points(np.random.default_rng(8), 9)
-        assert len({imm.atlas.normalize(p).chart_id for p in pts}) == 2
-        spike_simons_lhs(monkeypatch, imm, pts[k : k + 1], 1e-6)
-        rep = run_identity_suite(imm, pts, seed=8)
+        pts = imm.atlas.random(np.random.default_rng(8), 9)
+        assert set(imm.atlas.normalize(*pts)[0].tolist()) == {0, 1}
+        spike_simons_lhs(monkeypatch, imm, pts[0][k : k + 1], pts[1][k : k + 1], 1e-6)
+        rep = run_identity_suite(imm, *pts, seed=8)
         check = next(c for c in rep["checks"] if c["name"] == "simons_identity_rel")
         assert check["argmax"] == k
         assert check["headroom"] == pytest.approx(check["max_residual"] / check["tolerance"])
@@ -440,27 +460,27 @@ class TestSuiteReports:
         # one batched bundle per chart gives the residuals of one-point
         # bundles: the max over points, and every term at every point
         for imm in ORACLE_BODIES:
-            pts = imm.atlas.random_points(np.random.default_rng(10), 7)
-            rep = run_identity_suite(imm, pts, seed=10)
+            charts, coords = imm.atlas.random(np.random.default_rng(10), 7)
+            rep = run_identity_suite(imm, charts, coords, seed=10)
             assert rep["all_pass"]
             worst = {}
-            for p in pts:
-                res = identities._residuals(geometry_state(imm, p, 4), heavy=True)
+            for chart, u in zip(charts, coords):
+                res = identities._residuals(geometry_state(imm, chart, u, 4), heavy=True)
                 for name, value in res.items():
                     worst[name] = max(worst.get(name, 0.0), float(value[0]))
             assert {c["name"] for c in rep["checks"]} == set(worst)
             for c in rep["checks"]:
                 name = c["name"]
                 assert abs(c["max_residual"] - worst[name]) <= 1e-12 * max(worst[name], 1.0), name
-            moved = [imm.atlas.normalize(p) for p in pts]
-            for chart in sorted({p.chart_id for p in moved}):
-                idx = [k for k, p in enumerate(moved) if p.chart_id == chart]
-                fb = geometry.bundle_at(imm, chart, np.array([moved[k].coords for k in idx]), 4)
+            moved_charts, moved = imm.atlas.normalize(charts, coords)
+            for chart in np.unique(moved_charts):
+                idx = np.flatnonzero(moved_charts == chart)
+                fb = geometry.bundle_at(imm, int(chart), moved[idx], 4)
                 batched = simons_terms(fb) | check_simons_inequality(fb, simons_terms(fb))
                 lhs, rhs = lemma_laplace_hhat(fb)
                 batched |= {"laplace_lhs": lhs, "laplace_rhs": rhs}
                 for b, k in enumerate(idx):
-                    one = geometry_state(imm, pts[k], 4)
+                    one = geometry_state(imm, charts[k], coords[k], 4)
                     single = simons_terms(one) | check_simons_inequality(one, simons_terms(one))
                     lhs, rhs = lemma_laplace_hhat(one)
                     single |= {"laplace_lhs": lhs, "laplace_rhs": rhs}
@@ -470,11 +490,11 @@ class TestSuiteReports:
 
     def test_peak_memory_of_a_wide_heavy_suite(self):
         imm = make_whitney_cn(1.0, None, 3)
-        pts = imm.atlas.random_points(np.random.default_rng(7), 20)
-        run_identity_suite(imm, pts, seed=7)  # warm the jet tables
+        pts = imm.atlas.random(np.random.default_rng(7), 20)
+        run_identity_suite(imm, *pts, seed=7)  # warm the jet tables
         tracemalloc.start()
         try:
-            assert run_identity_suite(imm, pts, seed=7)["all_pass"]
+            assert run_identity_suite(imm, *pts, seed=7)["all_pass"]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -482,18 +502,18 @@ class TestSuiteReports:
 
     def test_empty_sample_list_is_refused(self):
         with pytest.raises(ValueError, match="at least one sample point"):
-            run_identity_suite(make_whitney_cn(1.0, None, 2), [])
+            run_identity_suite(make_whitney_cn(1.0, None, 2), np.zeros(0, dtype=int), np.zeros((0, 2)))
 
     def test_tolerance_scaling_can_fail(self):
         imm, _ = BODIES["perturbed"]
-        pts = imm.atlas.random_points(np.random.default_rng(5), 3)
-        rep = run_identity_suite(imm, pts, tol_scale=1e-12, seed=5, heavy=False)
+        pts = imm.atlas.random(np.random.default_rng(5), 3)
+        rep = run_identity_suite(imm, *pts, tol_scale=1e-12, seed=5, heavy=False)
         assert not rep["all_pass"]
 
     def test_report_serialization(self):
         imm, _ = BODIES["torus"]
-        pts = imm.atlas.random_points(np.random.default_rng(6), 2)
-        doc = run_identity_suite(imm, pts, seed=6, heavy=False)
+        pts = imm.atlas.random(np.random.default_rng(6), 2)
+        doc = run_identity_suite(imm, *pts, seed=6, heavy=False)
         assert doc["schema"] == 1
         assert doc["kind"] == "identities"
         assert doc["all_pass"] is True
@@ -503,17 +523,15 @@ class TestSuiteReports:
         imm, p = BODIES["perturbed"]
         rng = np.random.default_rng(7)
         Q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
-        r0 = structural(imm, p)
-        r1 = structural(imm, p, frame_gauge=Q)
+        r0 = structural(imm, *p)
+        r1 = structural(imm, *p, frame_gauge=Q)
         for k in r0:
             assert abs(r0[k] - r1[k]) < 1e-9
 
     def test_residuals_chart_invariant(self):
         imm, _ = BODIES["perturbed"]
         u = np.array([0.9, 0.6])
-        p0 = ChartPoint(0, u)
-        p1 = imm.atlas.transition(p0, 1)
-        r0 = gauss_ricci(imm, p0)
-        r1 = gauss_ricci(imm, p1)
+        r0 = gauss_ricci(imm, 0, u)
+        r1 = gauss_ricci(imm, 1, u / np.dot(u, u))
         for k in r0:
             assert abs(r0[k] - r1[k]) < 1e-9

@@ -59,7 +59,7 @@ class TestRules:
         """The conformal-factor Jacobian against |det du/d(angles)| read off
         order-1 jets of the angle-to-chart map, on nodes of both charts."""
         r = sphere_rule(n, 8)
-        assert set(r.chart_ids) == {0, 1}
+        assert set(r.charts) == {0, 1}
         th = Jet.variables(jet_space(n, 1), r.angles.T)
         cos, sin = th.cos(), th.sin()
         # x_i = cos_i prod_{k<i} sin_k for i < n, and x_n = prod_{k<n} sin_k
@@ -69,7 +69,7 @@ class TestRules:
             sin_prod = sin_prod * sin[i]
         x = Jet.stack([*x, sin_prod])
         # chart 0 projects from x_{n+1} = 1, chart 1 from x_{n+1} = -1
-        u = x[:n] / (1.0 - x[n].scaled(1.0 - 2.0 * r.chart_ids))
+        u = x[:n] / (1.0 - x[n].scaled(1.0 - 2.0 * r.charts))
         want = np.abs(np.linalg.det(np.moveaxis(u.grad().value, -1, 0)))
         np.testing.assert_allclose(r.chart_jacobians, want, rtol=1e-13, atol=0)
 
@@ -93,13 +93,13 @@ class TestRules:
     # projection, before the rule called `SphereAtlas.from_embedded`
     PINNED = {
         (2, 8): {
-            "chart_ids": "293024becfdb4f5ca10d7272b1705c66ef749e78af4fa72cd61e27a16b3484a9",
+            "charts": "293024becfdb4f5ca10d7272b1705c66ef749e78af4fa72cd61e27a16b3484a9",
             "coords": "fbec7747313f03ea08f6da622a6e87989d3165f20c1d6840b304d687959fdf06",
             "weights": "44ef58ba0da4bba3517c953cebac877b03c2f76e8b876fbca25679097f521c84",
             "chart_jacobians": "5ecc1260507060283a43c9472410038db98f679bdf68379ed6ef31434a05d4d0",
         },
         (3, 20): {
-            "chart_ids": "c2e7896d441aade468ae12f6f8ef1d7d0750c53dd66b3e33c6e3cc6d8c5c0111",
+            "charts": "c2e7896d441aade468ae12f6f8ef1d7d0750c53dd66b3e33c6e3cc6d8c5c0111",
             "coords": "7cef54cc939a94015a0f9382c311acfbd15527ebc1a8beaf7d9e76ea26f72a5d",
             "weights": "f7216f1e6838fe3d5c6222fb15178666b28a263bc5db11fb815baaa3a8928073",
             "chart_jacobians": "e455c6d5544117435d9e454926e33cc51b51e7c621ba4f39c287a80dad01a255",
@@ -114,7 +114,7 @@ class TestRules:
         got = {}
         for name in self.PINNED[n, degree]:
             value = getattr(rule, name)
-            value = value.astype(np.int64) if name == "chart_ids" else value
+            value = value.astype(np.int64) if name == "charts" else value
             got[name] = hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
         assert got == self.PINNED[n, degree]
 
@@ -141,7 +141,7 @@ class TestRuleCache:
     @pytest.mark.parametrize("fresh", [False, True])
     def test_rules_are_read_only(self, fresh):
         rule = sphere_rule(3, 6) if fresh else rule_for(make_whitney_cn(1.0, None, 3), 6)
-        for field in ("chart_ids", "coords", "weights", "chart_jacobians", "angles", "round_density"):
+        for field in ("charts", "coords", "weights", "chart_jacobians", "angles", "round_density"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(rule, field)[0] = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -299,7 +299,7 @@ class TestEnergyReport:
         monkeypatch.setattr(geometry, "SAMPLE_CHUNK", 256)
         imm = make_whitney_cpn(0.7, 3)
         rule = sphere_rule(3, 12)
-        charts, coords = rule.chart_ids[:256], rule.coords[:256]
+        charts, coords = rule.charts[:256], rule.coords[:256]
 
         def one_chunk():
             fb = geometry.bundle_at(imm, charts, coords, geometry.SAMPLE_ORDER)
