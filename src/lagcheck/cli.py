@@ -10,7 +10,8 @@ one line per entry, and a `scan` has one column per entry after `param`.
 
 Exit status: 0 all requested checks passed, 1 a check failed, 2 config error
 (also an invalid run parameter: a `degree` above MAX_DEGREE, a rule over
-MAX_NODES nodes, an empty scan, a format or out path, a malformed report),
+MAX_NODES nodes, `samples` above MAX_SAMPLES, an empty scan, a format or out
+path, a malformed report),
 3 immersion construction error (also a parameter that overflows), 4
 evaluation error (e.g. a non-Lagrangian immersion or an induced metric that
 is degenerate or not finite, detected during geometry evaluation, a sample
@@ -116,6 +117,10 @@ def integer(cfg: dict, key: str, default: int, least: int) -> int:
 # per node (whitney_cn, n = 4, degree 32: 2^20 nodes in 5.2 s and 191 MB).
 MAX_DEGREE = 4000
 MAX_NODES = 2**20
+# An identities op builds one bundle over all its samples, about 52 KB per
+# sample at n = 3 and 0.61 MB at n = 5 (peak RSS, one process, 2-core VM),
+# so 1024 samples hold about 0.66 GB at n = 5.
+MAX_SAMPLES = 1024
 
 
 def rule_degree(cfg: dict) -> int:
@@ -221,6 +226,8 @@ def cmd_identities(args) -> int:
     cfg = load_config(args.config, {"seed": args.seed, "tol_scale": args.tol_scale})
     seed = integer(cfg, "seed", 0, 0)
     samples = integer(cfg, "samples", 20, 1)
+    if samples > MAX_SAMPLES:
+        raise ConfigError(f"'samples' must be at most {MAX_SAMPLES}, got {samples}")
     tol_scale = number(cfg.get("tol_scale", 1.0), "'tol_scale'")
     if tol_scale <= 0:
         raise ConfigError(f"'tol_scale' must be positive, got {tol_scale!r}")
@@ -330,8 +337,10 @@ def keep_freed_memory():
     mallopt(M_TRIM_THRESHOLD, 256 << 20)
 
 
-def main(argv=None) -> int:
-    keep_freed_memory()
+@functools.cache
+def command_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; its `parse_args`
+    returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="lagcheck",
         description="identity residuals and energy functionals of Lagrangian immersions",
@@ -352,8 +361,12 @@ def main(argv=None) -> int:
     rep = sub.add_parser("report", help="pretty-print a JSON report")
     rep.add_argument("report_file")
     rep.add_argument("--out")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    keep_freed_memory()
+    args = command_parser().parse_args(argv)
     handlers = {
         "identities": cmd_identities,
         "energy": cmd_energy,

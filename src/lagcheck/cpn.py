@@ -6,8 +6,10 @@ sectional curvature 4) is handled by lifting its homogeneous representative
 to a horizontal (Legendrian) immersion into S^{2n+1}.  The lift normalizes
 the representative once, so a family may emit any nonvanishing multiple of
 it.  An order-2 lift, which is all that the energy integrands need, is read
-off the U(1) connection <dZ, iZ> at the points; from order 3 on, a phase
-potential solving the horizontality condition is integrated jet by jet.  At
+off the U(1) connection <dZ, iZ> at the points: its value, first and second
+rows are a few array operations on the rows of the representative's jet,
+in closed form, with no jet product.  From order 3 on, a phase potential
+solving the horizontality condition is integrated jet by jet.  At
 every order the phase at the base point is pinned, so bundles, frames
 included, do not depend on the incoming representative.  The
 flat-ambient frame machinery then applies verbatim in C^{n+1}, with the
@@ -197,23 +199,38 @@ def phase_twist(base: Immersion, coeffs) -> Immersion:
 # ---------------------------------------------------------------------------
 
 
+def _pinning_phase(value: np.ndarray) -> np.ndarray:
+    """The (B,) constant phases e^{i theta} that make the largest component
+    of a (2m, B) interleaved point value real-positive: the pin of the lift."""
+    vals = value[0::2] + 1j * value[1::2]  # (m, B)
+    pick = np.take_along_axis(vals, np.argmax(np.abs(vals), axis=0)[None, :], axis=0)[0]
+    return pick.conj() / np.abs(pick)
+
+
 def horizontal_lift_jets(imm: Immersion, charts, coords: np.ndarray, order: int) -> Jet:
     """Jet of the horizontal (Legendrian) lift into S^{2n+1} at the (B, n)
     chart coords, `charts` one chart id or a (B,) array of them (`Immersion`).
 
-    The (2n+2,) jet of the interleaved real components is normalized once,
-    Z = phi (phi . phi)^{-1/2}; i acts on it as `times_i`.  At every order
-    the lift is pinned: rotated by the constant phase that makes its largest
-    component at the point real-positive, so the frame does not depend on
-    the incoming representative.
+    The (2n+2,) jet phi of the interleaved real components is normalized,
+    Z = phi |phi|^{-1}; i acts on it as `times_i`.  At every order the lift
+    is pinned: rotated by the constant phase e^{i theta} (`_pinning_phase`)
+    that makes its largest component at the point real-positive, so the
+    frame does not depend on the incoming representative.
 
-    Below order 3 the lift is read off the U(1) connection
-    A_a = <d_a Z, i Z> at the points: W = Z - l i Z, where l is the jet
-    whose degree-1 rows are A and whose other rows are zero, is pinned by
-    two in-place passes.  Then d_a W = d_a Z - A_a i Z is horizontal, and
-    d_a d_b W differs from d_a d_b Z - A_a i d_b Z - A_b i d_a Z only along
-    Z and i Z, which h, g and the Christoffel symbols never see (the pin
-    multiplies all of them by one phase).
+    Below order 3 the lift is read off the U(1) connection A_a = <d_a Z, i Z>
+    at the points, in closed form on the rows of phi.  Every row is scaled
+    once by rho e^{i theta}, rho = |phi(0)|^{-1}; with w0 the scaled value,
+    w_a the scaled degree-1 rows, dot_a = <w_a, w0> and A_a = <w_a, i w0>,
+
+        d_a W = w_a - dot_a w0 - A_a i w0,
+        d_a d_b W = w_ab - T_ab - T_ba,  T_ab = dot_a w_b + A_a i w_b,
+
+    where w_ab is the scaled d_a d_b phi.  d_a W is horizontal, and d_a d_b W
+    is the second derivative of W = Z - l i Z (l the linear jet with
+    gradient A) only up to terms along W and i W, which h, g and the
+    Christoffel symbols never see.  The degree-2 rows take the pairs T of
+    the degree-1 rows, in row order, through the truncated product's own
+    pair table, so the branch forms no jet product and no series.
 
     From order 3 on, the phase potential psi with d psi = -Re<dZ, iZ> is
     integrated jet by jet and the representative is rotated by e^{i psi}
@@ -229,31 +246,31 @@ def horizontal_lift_jets(imm: Immersion, charts, coords: np.ndarray, order: int)
     the batch position of the first point it fails at.
     """
     phi = imm.jets(charts, coords, order)
-    Z = phi * jet_einsum("c,c->", phi, phi).power(-0.5)
-    del phi
-    JZ = times_i(Z)
-    sp = Z.space
-    # the constant phase e^{i theta} that makes the largest component at the
-    # point real-positive
-    vals = Z.value[0::2] + 1j * Z.value[1::2]  # (m, B)
-    pick = np.take_along_axis(vals, np.argmax(np.abs(vals), axis=0)[None, :], axis=0)[0]
-    phase = pick.conj() / np.abs(pick)
-
+    sp = phi.space
     if order <= 2:
-        A = np.einsum("cax,cx->ax", Z.c[:, sp.first_rows, :], JZ.value)
-        ell = np.zeros((sp.ncoef_by_degree[order], A.shape[-1]))
-        ell[sp.first_rows] = A
-        W = Z - Jet(sp, ell, order) * JZ
-        del Z, JZ
-        # pin: W e^{i theta} = W cos theta + iW sin theta, in place
-        JW = times_i(W.c)
-        W.c *= phase.real
-        JW *= phase.imag
-        W.c += JW
-        del JW
-        dW = W.c[:, sp.first_rows, :]  # (2m, n, B)
-        resid = np.max(np.abs(np.einsum("cax,cbx->abx", dW, times_i(dW))), axis=(0, 1))
+        # rho e^{i theta} on every row, in real arithmetic on the pairs
+        scale = _pinning_phase(phi.value) / np.sqrt(np.einsum("cx,cx->x", phi.value, phi.value))
+        w = np.empty_like(phi.c)
+        w[0::2] = scale.real * phi.c[0::2] - scale.imag * phi.c[1::2]
+        w[1::2] = scale.imag * phi.c[0::2] + scale.real * phi.c[1::2]
+        del phi
+        r1 = sp.ncoef_by_degree[1]
+        w0, wa = w[:, 0], w[:, 1:r1]  # (2m, B), (2m, n, B): degree-1 rows in row order
+        Jw0 = times_i(w0)
+        dot = np.einsum("cax,cx->ax", wa, w0)
+        A = np.einsum("cax,cx->ax", wa, Jw0)
+        if order == 2:
+            T = wa[:, None] * dot[:, None] + times_i(wa)[:, None] * A[:, None]  # [c, a, b, x]
+            w[:, r1:] -= sp._pair_sum[2][1] @ T.reshape(T.shape[0], -1, T.shape[-1])
+            del T
+        wa -= dot * w0[:, None] + A * Jw0[:, None]
+        W = Jet(sp, w, order)
+        resid = np.max(np.abs(np.einsum("cax,cbx->abx", wa, times_i(wa))), axis=(0, 1))
     else:
+        Z = phi * jet_einsum("c,c->", phi, phi).power(-0.5)
+        del phi
+        JZ = times_i(Z)
+        phase = _pinning_phase(Z.value)
         # a_a = Re<d_a Z, i Z>
         a = jet_einsum("ca,c->a", Z.grad(), JZ)
         psi = potential_from_gradient(a)

@@ -84,9 +84,9 @@ class FrameBundle:
 
     The point values are read off the rows of phi: the frame from its
     degree-1 rows and, on an order-2 bundle (the energy integrands), h from
-    its degree-2 rows by three array contractions, so such a bundle builds
-    no jet at all.  Every jet-valued tensor, f included, is built on first
-    use.
+    its degree-2 rows, contracted with J e and then expanded to d_a d_b, so
+    such a bundle builds no jet at all.  Every jet-valued tensor, f
+    included, is built on first use.
     """
 
     def __init__(self, phi: Jet, n: int, c_amb: float, gauge: np.ndarray | None = None):
@@ -251,16 +251,18 @@ class FrameBundle:
 
     @property
     def h0(self) -> np.ndarray:
-        """h at the points.  On an order-2 bundle it takes no jet: d_a d_b phi
-        is read off the degree-2 rows of phi and contracted with the point
-        values of B and J e."""
+        """h at the points.  On an order-2 bundle it takes no jet: the point
+        values of J e are contracted with the degree-2 rows of phi, one per
+        multi-index, then expanded to d_a d_b (`second_rows`,
+        `second_factor`) and contracted with the point values of B."""
         if self.order != 2:
             return self.h_jets.value
 
         def build():
             sp = self.phi.space
-            hess = self.phi.c[:, sp.second_rows, :] * sp.second_factor[:, :, None]  # [c, a, b, x]
-            x = np.einsum("mcx,cabx->mabx", self.Je0, hess)
+            r1 = sp.ncoef_by_degree[1]
+            x = np.einsum("mcx,crx->mrx", self.Je0, self.phi.c[:, r1:])  # <row, J e_m>
+            x = x[:, sp.second_rows - r1] * sp.second_factor[:, :, None]  # [m, a, b, x]
             x = np.einsum("jbx,mabx->majx", self.B0, x)
             return np.einsum("iax,majx->mijx", self.B0, x)
 

@@ -271,13 +271,15 @@ class Jet:
         powers = [t]
         for _ in range(1, self.order):
             powers.append(powers[-1] * t)
+        rows = self.space.ncoef_by_degree
         out = []
         for coefs in coef_lists:
             c = np.zeros(self.c.shape)
             c[..., 0, :] = coefs[0]
-            for ck, tk in zip(coefs[1:], powers):
+            for k, (ck, tk) in enumerate(zip(coefs[1:], powers), start=1):
+                # t^k vanishes below degree k
                 ck = np.asarray(ck, dtype=float)
-                c += tk.c * (ck[..., None, :] if ck.ndim else ck)
+                c[..., rows[k - 1] :, :] += tk.c[..., rows[k - 1] :, :] * (ck[..., None, :] if ck.ndim else ck)
             out.append(Jet(self.space, c, self.order))
         return tuple(out)
 

@@ -13,6 +13,7 @@ independent oracle for those contractions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -50,20 +51,31 @@ def trisymmetrize(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _c_operator(n: int) -> np.ndarray:
+    """The (n^3, n) matrix of d_mk d_ij + d_ik d_jm + d_jk d_im, rows (m, i, j)
+    and columns k: integer entries, so H through it is the explicit sum."""
+    eye = np.eye(n)
+    op = (
+        np.einsum("mk,ij->mijk", eye, eye)
+        + np.einsum("ik,jm->mijk", eye, eye)
+        + np.einsum("jk,im->mijk", eye, eye)
+    ).reshape(n**3, n)
+    op.flags.writeable = False
+    return op
+
+
 def c_tensor_array(H: np.ndarray) -> np.ndarray:
     """Umbilic-type tensor n/(n+2) (H^m d_ij + H^i d_jm + H^j d_im).
 
-    Works on batched H of shape (n, ...) as well.
+    Works on batched H of shape (n, ...) as well: one product with a
+    constant operator over all trailing axes at once.
     """
     H = np.asarray(H, dtype=float)
     n = H.shape[0]
-    eye = np.eye(n)
-    c = (
-        np.einsum("m...,ij->mij...", H, eye)
-        + np.einsum("i...,jm->mij...", H, eye)
-        + np.einsum("j...,im->mij...", H, eye)
-    )
-    return (n / (n + 2.0)) * c
+    c = _c_operator(n) @ H.reshape(n, -1)
+    c *= n / (n + 2.0)
+    return c.reshape((n, n, n) + H.shape[1:])
 
 
 def tracefree_part(h: np.ndarray, H: np.ndarray) -> np.ndarray:

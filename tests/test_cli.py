@@ -531,6 +531,7 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         ("energy", {**TORUS, "degree": cli.MAX_DEGREE + 1}, 2, DEGREE_CAP),
         ("scan", {**SCAN, "values": [1.0], "degree": 10**6}, 2, DEGREE_CAP),
         ("scan", {**SCAN, "values": []}, 2, "a non-empty finite 'values' list"),
+        ("identities", {**TORUS, "samples": cli.MAX_SAMPLES + 1}, 2, f"'samples' must be at most {cli.MAX_SAMPLES}"),
     ],
     ids=[
         "samples-negative", "samples-text", "samples-zero", "samples-fraction", "seed-text",
@@ -541,7 +542,7 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         "identities-format-unknown", "identities-format-csv", "energy-out-no-dir", "identities-out-no-dir",
         "scan-out-no-dir", "scan-format-unknown", "out-not-a-path", "scan-format-json",
         "scan-format-table", "immersion-not-an-object", "family-not-a-string", "cpn-theta-overflow",
-        "energy-degree-above-cap", "scan-degree-above-cap", "scan-values-empty",
+        "energy-degree-above-cap", "scan-degree-above-cap", "scan-values-empty", "samples-above-cap",
     ],
 )
 def test_invalid_run_parameters_are_refused(tmp_path, capsys, monkeypatch, command, payload, code, message):
@@ -558,6 +559,31 @@ def test_invalid_run_parameters_are_refused(tmp_path, capsys, monkeypatch, comma
     err = capsys.readouterr().err
     assert err.startswith("config error: " if code == 2 else "construction error: ")
     assert message in err
+
+
+def test_one_process_writes_what_fresh_processes_write(tmp_path, capsys):
+    """The parser is built once per process: identities, energy, a bad flag
+    and energy again, run one after another in this process, each write the
+    bytes and exit with the status of a fresh process."""
+    ident = write_cfg(tmp_path, "i.json", {**TORUS, "samples": 2, "heavy": False})
+    energy = write_cfg(tmp_path, "e.json", {**TORUS, "degree": 6})
+    env = {**os.environ, "PYTHONPATH": str(Path(lagcheck.__file__).resolve().parents[1])}
+    runs = [["identities", "--config", ident], ["energy", "--config", energy], ["energy", "--seed", "3"],
+            ["energy", "--config", energy]]
+    results = []
+    for argv in runs:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "lagcheck.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        results.append((code, got.out, got.err))
+    assert [code for code, _, _ in results] == [0, 0, 2, 0]
+    assert results[2][2].startswith("usage: lagcheck") and results[3] == results[1]
 
 
 class TestReportCommand:

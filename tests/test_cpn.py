@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -15,7 +16,8 @@ from lagcheck.cpn import (
     projective_distance,
 )
 from lagcheck.geometry import FrameBundle, bundle_at, geometry_state
-from lagcheck import identities
+from lagcheck import identities, jets
+from lagcheck.jets import Jet
 from lagcheck.identities import run_identity_suite
 from lagcheck.immersions import AMBIENT_SPHERE, Immersion, from_config
 from lagcheck.quadrature import energy_report, torus_rule
@@ -254,12 +256,16 @@ ORDER2_BODIES = {
     },
     "phase_twist": phase_twist(make_whitney_cpn(0.7, 3), [0.4, -0.7, 0.2]),
     "rpn": make_rpn(3),
+    "cpn_torus": make_cpn_torus([1.0, 0.7, 1.2, 0.9]),
 }
+# the torus has one chart, the sphere bodies two
+ORDER2_CASES = [
+    (name, chart) for name in sorted(ORDER2_BODIES) for chart in ((0,) if name == "cpn_torus" else (0, 1))
+]
 
 
 class TestOrderTwoLift:
-    @pytest.mark.parametrize("chart", [0, 1])
-    @pytest.mark.parametrize("name", sorted(ORDER2_BODIES))
+    @pytest.mark.parametrize("name, chart", ORDER2_CASES)
     def test_matches_order3_lift(self, name, chart):
         """The connection route of an order-2 bundle against the pinned
         phase-potential lift truncated to order 2: the lifts differ by a
@@ -283,6 +289,26 @@ class TestOrderTwoLift:
         for scalar in ("sqrt_det_g", "h_sq", "hhat_sq", "H_sq"):
             scale = np.max(old.sqrt_det_g) if scalar == "sqrt_det_g" else h_scale
             assert rel(new.scalar(scalar), old.scalar(scalar), scale) < 1e-13, scalar
+
+    @pytest.mark.parametrize("name", ["whitney_cpn-0.7-3", "rpn", "cpn_torus", "phase_twist"])
+    def test_forms_no_jet_product(self, monkeypatch, name):
+        """The order-2 lift is array operations on the rows of the family's
+        jet: with every jet product and series refused once that jet is
+        built, an order-2 bundle still builds and gives the same values."""
+        imm = ORDER2_BODIES[name]
+        coords = np.random.default_rng(17).uniform(-1.0, 1.0, size=(9, imm.source_dim))
+        want = bundle_at(imm, 0, coords, 2)
+        phi = imm.jets(0, coords, 2)  # the family's own products happen here
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("jet product in the order-2 lift")
+
+        monkeypatch.setattr(Jet, "__mul__", refuse)
+        monkeypatch.setattr(Jet, "power", refuse)
+        monkeypatch.setattr(jets, "_truncated_product", refuse)
+        got = bundle_at(dataclasses.replace(imm, jet_fn=lambda charts, u: phi), 0, coords, 2)
+        for scalar in ("sqrt_det_g", "h_sq", "hhat_sq", "H_sq"):
+            assert np.array_equal(got.scalar(scalar), want.scalar(scalar)), scalar
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_lift_is_the_unit_representative_at_the_point(self, order):

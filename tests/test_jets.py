@@ -350,6 +350,26 @@ def test_series_share_powers():
     assert np.array_equal(sin.c, arg.sin().c) and np.array_equal(cos.c, arg.cos().c)
 
 
+@pytest.mark.parametrize("nvars, order", [(2, 1), (2, 3), (3, 2), (3, 4)])
+def test_series_skip_the_rows_below_each_power(nvars, order):
+    """t^k vanishes below degree k, so adding it from degree k up gives the
+    bytes of the full sum over every row, kept here as the reference."""
+    rng = np.random.default_rng(10 * nvars + order)
+    sp = jet_space(nvars, order)
+    arg = Jet(sp, rng.normal(size=(2, sp.ncoef, 5)))
+    coefs = [rng.normal(size=(2, 5)) for _ in range(order + 1)]
+    t = Jet(sp, arg.c.copy())
+    t.c[..., 0, :] = 0.0
+    full = np.zeros(arg.c.shape)
+    full[..., 0, :] = coefs[0]
+    tk = t
+    for ck in coefs[1:]:
+        full += tk.c * ck[..., None, :]
+        tk = tk * t
+    (got,) = arg.compose_series(coefs)
+    assert got.c.tobytes() == full.tobytes()
+
+
 def falling(p, k):
     out = 1.0
     for j in range(k):

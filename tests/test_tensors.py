@@ -57,6 +57,22 @@ class TestCTensor:
         H = np.array([0.3, -1.2, 0.5])
         assert symmetry_residual(c_tensor_array(H), 3) == 0.0
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("batch", [(), (7,), (4, 7)])
+    def test_matches_the_explicit_sum(self, n, batch):
+        """The operator form agrees with the three delta terms written out,
+        on a single H and on batched (n, B) and (n, k, B) stacks."""
+        H = np.random.default_rng(n).normal(size=(n, *batch))
+        eye = np.eye(n)
+        explicit = (n / (n + 2.0)) * (
+            np.einsum("m...,ij->mij...", H, eye)
+            + np.einsum("i...,jm->mij...", H, eye)
+            + np.einsum("j...,im->mij...", H, eye)
+        )
+        got = c_tensor_array(H)
+        assert got.shape == (n, n, n, *batch)
+        np.testing.assert_array_max_ulp(got, explicit, maxulp=1)
+
 
 class TestTracefreePart:
     def test_umbilic_case_gives_zero(self):
