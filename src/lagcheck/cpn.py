@@ -3,17 +3,17 @@ coordinates.
 
 A Lagrangian immersion into CP^n (Fubini-Study metric of holomorphic
 sectional curvature 4) is handled by lifting its homogeneous representative
-to a horizontal (Legendrian) immersion into S^{2n+1}.  The lift normalizes
-the representative once, so a family may emit any nonvanishing multiple of
-it.  An order-2 lift, which is all that the energy integrands need, is read
-off the U(1) connection <dZ, iZ> at the points: its value, first and second
-rows are a few array operations on the rows of the representative's jet,
-in closed form, with no jet product.  From order 3 on, a phase potential
-solving the horizontality condition is integrated jet by jet.  At
-every order the phase at the base point is pinned, so bundles, frames
-included, do not depend on the incoming representative.  The
-flat-ambient frame machinery then applies verbatim in C^{n+1}, with the
-ambient curvature constant set to 1.
+to a horizontal (Legendrian) immersion into S^{2n+1}.  The lift first pins
+and scales the rows of the representative's jet once, for every order:
+unit norm and a fixed phase at the base point, so a family may emit any
+nonvanishing multiple of it and bundles, frames included, do not depend on
+the incoming representative.  An order-2 lift, which is all that the
+energy integrands need, is then read off the U(1) connection <dZ, iZ> at
+the points: its value, first and second rows are a few array operations
+on those rows, in closed form, with no jet product.  From order 3 on, a
+phase potential solving the horizontality condition is integrated jet by
+jet.  The flat-ambient frame machinery then applies verbatim in C^{n+1},
+with the ambient curvature constant set to 1.
 
 Each family is a chart formula `jet_fn(charts, u)` (`Immersion`) emitting
 its homogeneous representative as one (2n+2,) jet of interleaved reals;
@@ -24,6 +24,7 @@ by chi is Z cos chi + (i Z) sin chi.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .immersions import (
     Immersion,
     SphereAtlas,
     TorusAtlas,
+    integer_param,
     interleave,
     register_family,
     times_i,
@@ -108,9 +110,7 @@ def make_whitney_cpn(theta: float, n: int) -> Immersion:
 
     return Immersion(
         name="whitney_cpn",
-        source_dim=n,
         ambient=AMBIENT_SPHERE,
-        ambient_complex_dim=n + 1,
         params={"theta": float(theta), "n": n},
         atlas=atlas,
         jet_fn=jet_fn,
@@ -128,9 +128,7 @@ def make_rpn(n: int) -> Immersion:
 
     return Immersion(
         name="rpn",
-        source_dim=n,
         ambient=AMBIENT_SPHERE,
-        ambient_complex_dim=n + 1,
         params={"n": n},
         atlas=atlas,
         jet_fn=jet_fn,
@@ -163,9 +161,7 @@ def make_cpn_torus(moduli) -> Immersion:
 
     return Immersion(
         name="cpn_torus",
-        source_dim=n,
         ambient=AMBIENT_SPHERE,
-        ambient_complex_dim=n + 1,
         params={"moduli": moduli, "n": n},
         atlas=TorusAtlas(n),
         jet_fn=jet_fn,
@@ -183,15 +179,7 @@ def phase_twist(base: Immersion, coeffs) -> Immersion:
         sin, cos = chi.sin_cos()
         return Z * cos + times_i(Z) * sin
 
-    return Immersion(
-        name=f"phase_twist({base.name})",
-        source_dim=base.source_dim,
-        ambient=base.ambient,
-        ambient_complex_dim=base.ambient_complex_dim,
-        params=dict(base.params, twist=coeffs),
-        atlas=base.atlas,
-        jet_fn=jet_fn,
-    )
+    return replace(base, name=f"phase_twist({base.name})", params=dict(base.params, twist=coeffs), jet_fn=jet_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +199,16 @@ def horizontal_lift_jets(imm: Immersion, charts, coords: np.ndarray, order: int)
     """Jet of the horizontal (Legendrian) lift into S^{2n+1} at the (B, n)
     chart coords, `charts` one chart id or a (B,) array of them (`Immersion`).
 
-    The (2n+2,) jet phi of the interleaved real components is normalized,
-    Z = phi |phi|^{-1}; i acts on it as `times_i`.  At every order the lift
-    is pinned: rotated by the constant phase e^{i theta} (`_pinning_phase`)
-    that makes its largest component at the point real-positive, so the
-    frame does not depend on the incoming representative.
+    The (2n+2,) jet phi of the interleaved real components is pinned and
+    scaled once, ahead of both branches: every row is multiplied by
+    rho e^{i theta}, rho = |phi(0)|^{-1} and e^{i theta} the constant phase
+    (`_pinning_phase`) that makes the largest component at the point
+    real-positive, so the frame does not depend on the incoming
+    representative.  Call the result w; i acts on it as `times_i`.
 
     Below order 3 the lift is read off the U(1) connection A_a = <d_a Z, i Z>
-    at the points, in closed form on the rows of phi.  Every row is scaled
-    once by rho e^{i theta}, rho = |phi(0)|^{-1}; with w0 the scaled value,
-    w_a the scaled degree-1 rows, dot_a = <w_a, w0> and A_a = <w_a, i w0>,
+    at the points, in closed form on the rows of w.  With w0 its value,
+    w_a its degree-1 rows, dot_a = <w_a, w0> and A_a = <w_a, i w0>,
 
         d_a W = w_a - dot_a w0 - A_a i w0,
         d_a d_b W = w_ab - T_ab - T_ba,  T_ab = dot_a w_b + A_a i w_b,
@@ -232,11 +220,12 @@ def horizontal_lift_jets(imm: Immersion, charts, coords: np.ndarray, order: int)
     the degree-1 rows, in row order, through the truncated product's own
     pair table, so the branch forms no jet product and no series.
 
-    From order 3 on, the phase potential psi with d psi = -Re<dZ, iZ> is
-    integrated jet by jet and the representative is rotated by e^{i psi}
-    times the pinning phase, so derivatives of the frame do not depend on
-    the incoming representative either.  Each (2n+2,) stage is dropped once
-    the next one is built, which bounds the peak memory of a wide batch.
+    From order 3 on, w is normalized, Z = w |w|^{-1}, the phase potential
+    psi with d psi = -Re<dZ, iZ> is integrated jet by jet and Z is rotated
+    by e^{i psi}, W = Z cos psi + iZ sin psi, so derivatives of the frame do
+    not depend on the incoming representative either.  Each (2n+2,) stage
+    is dropped once the next one is built, which bounds the peak memory of
+    a wide batch.
 
     Raises where the lift fails to be horizontal: from order 3 on, where the
     horizontality 1-form <dW, iW> is not zero to the computed order, and
@@ -247,13 +236,13 @@ def horizontal_lift_jets(imm: Immersion, charts, coords: np.ndarray, order: int)
     """
     phi = imm.jets(charts, coords, order)
     sp = phi.space
+    # rho e^{i theta} on every row, in real arithmetic on the pairs, in place
+    # so that no more than one temporary of the size of phi is live
+    scale = _pinning_phase(phi.value) / np.sqrt(np.einsum("cx,cx->x", phi.value, phi.value))
+    w = times_i(phi.c) * scale.imag
+    w += scale.real * phi.c
+    del phi
     if order <= 2:
-        # rho e^{i theta} on every row, in real arithmetic on the pairs
-        scale = _pinning_phase(phi.value) / np.sqrt(np.einsum("cx,cx->x", phi.value, phi.value))
-        w = np.empty_like(phi.c)
-        w[0::2] = scale.real * phi.c[0::2] - scale.imag * phi.c[1::2]
-        w[1::2] = scale.imag * phi.c[0::2] + scale.real * phi.c[1::2]
-        del phi
         r1 = sp.ncoef_by_degree[1]
         w0, wa = w[:, 0], w[:, 1:r1]  # (2m, B), (2m, n, B): degree-1 rows in row order
         Jw0 = times_i(w0)
@@ -267,22 +256,19 @@ def horizontal_lift_jets(imm: Immersion, charts, coords: np.ndarray, order: int)
         W = Jet(sp, w, order)
         resid = np.max(np.abs(np.einsum("cax,cbx->abx", wa, times_i(wa))), axis=(0, 1))
     else:
-        Z = phi * jet_einsum("c,c->", phi, phi).power(-0.5)
-        del phi
+        Z = Jet(sp, w, order)
+        Z = Z * jet_einsum("c,c->", Z, Z).power(-0.5)
         JZ = times_i(Z)
-        phase = _pinning_phase(Z.value)
         # a_a = Re<d_a Z, i Z>
         a = jet_einsum("ca,c->a", Z.grad(), JZ)
         psi = potential_from_gradient(a)
         del a
-
-        # psi vanishes at the point, so W has the value of Z, and the pinning
-        # phase folds into the rotation: W = Z cos(psi + theta) + JZ sin(psi + theta).
+        # psi vanishes at the point, so W keeps the pinned value of Z
         sin, cos = psi.sin_cos()
         del psi
-        W = Z * (cos.scaled(phase.real) - sin.scaled(phase.imag))
+        W = Z * cos
         del Z
-        W = W + JZ * (sin.scaled(phase.real) + cos.scaled(phase.imag))
+        W = W + JZ * sin
         del JZ, sin, cos
         # closedness / horizontality residual across all computed jet orders
         resid = np.max(np.abs(jet_einsum("ca,c->a", W.grad(), times_i(W)).c), axis=(0, 1))
@@ -299,6 +285,6 @@ def horizontal_lift_jets(imm: Immersion, charts, coords: np.ndarray, order: int)
     return W
 
 
-register_family("whitney_cpn", lambda p: make_whitney_cpn(p.get("theta", 1.0), int(p.get("n", 2))))
-register_family("rpn", lambda p: make_rpn(int(p.get("n", 2))))
+register_family("whitney_cpn", lambda p: make_whitney_cpn(p.get("theta", 1.0), integer_param(p, "n", 2)))
+register_family("rpn", lambda p: make_rpn(integer_param(p, "n", 2)))
 register_family("cpn_torus", lambda p: make_cpn_torus(p["moduli"]))

@@ -18,15 +18,18 @@ jet, needed only where a derivative is taken, is lifted from that value by
 Newton steps in jet arithmetic, so connection coefficients and derivatives of
 frame components are exact.  The second fundamental form is read off the
 second derivatives of the immersion, so pointwise scalars (the energy
-integrands) take no frame jet at all; an order-2 bundle reads d_a phi and
-d_a d_b phi straight off the coefficient rows.  The normal connection is
-the tangent one transported by the complex structure, which for a constant
-J is an exact equality of coefficient matrices; one covariant-derivative
-routine therefore serves tangent and starred indices alike.
+integrands) take no frame jet at all: at every order h at the points is
+read off the degree-1 and degree-2 coefficient rows.  The normal connection
+is the tangent one transported by the complex structure, which for a
+constant J is an exact equality of coefficient matrices; one
+covariant-derivative routine therefore serves tangent and starred indices
+alike.  It is applied to h alone: H, hhat and T, their derivatives included,
+are fixed linear maps (`_trace`, `_tracefree`, `_maslov_defect`) of the
+matching array of h.
 
 Every derivative here is read off a Taylor jet; nothing is finite
 differenced.  An order-k ambient jet leaves h, H and |hhat|^2 valid to order
-k - 2 and the first covariant derivatives of H to order k - 3, so an order-4
+k - 2 and the first covariant derivatives of h to order k - 3, so an order-4
 bundle carries the Laplacian of |hhat|^2 and the gradient of T exactly.
 """
 
@@ -82,19 +85,18 @@ class FrameBundle:
     `omega_jets[k, i, j]` = <D_{e_k} e_i, e_j>, `christoffel_jets[d, a, b]`.
     Point values carry a trailing batch axis.
 
-    The point values are read off the rows of phi: the frame from its
-    degree-1 rows and, on an order-2 bundle (the energy integrands), h from
-    its degree-2 rows, contracted with J e and then expanded to d_a d_b, so
-    such a bundle builds no jet at all.  Every jet-valued tensor, f
-    included, is built on first use.
+    The point values are read off the rows of phi at every order: the
+    frame from its degree-1 rows and h from its degree-2 rows, contracted
+    with J e and then expanded to d_a d_b, so an order-2 bundle (the energy
+    integrands) builds no jet at all.  Every jet-valued tensor, f included,
+    is built on first use; `covariant_derivative` is applied to h and its
+    first derivative only.
     """
 
     def __init__(self, phi: Jet, n: int, c_amb: float, gauge: np.ndarray | None = None):
         self.phi = phi
         self.n = n
         self.c_amb = float(c_amb)
-        self.order = phi.order
-        self.m2 = phi.shape[0]
         self.batch = phi.c.shape[-1]
         self.gauge = np.eye(n) if gauge is None else np.asarray(gauge, dtype=float)
         self._identity_gauge = gauge is None
@@ -219,12 +221,9 @@ class FrameBundle:
         """h^{m*}_{ij} = <D_{e_i} e_j, J e_m> = B_ia B_jb <d_a d_b phi, J e_m>,
         valid to order - 2.  The term B_ia (d_a B_jb) <d_b phi, J e_m> of the
         product rule vanishes as a function on a Lagrangian body (and on the
-        Legendrian lift of a CP^n body), so no frame derivative enters.  On
-        an order-2 bundle this is the point value `h0`."""
+        Legendrian lift of a CP^n body), so no frame derivative enters."""
 
         def build():
-            if self.order == 2:
-                return self._value_jet(self.h0)
             hess = self.f.grad()  # [c, a, b] = d_a d_b phi^c
             x = jet_einsum("mc,cab->mab", self.Je, hess)
             x = jet_einsum("jb,mab->maj", self.B, x)
@@ -245,18 +244,16 @@ class FrameBundle:
 
     @property
     def H_jets(self) -> Jet:
-        return self._get("H_jets", lambda: jet_einsum("ij,mij->m", np.eye(self.n) / self.n, self.h_jets))
+        return self._get("H_jets", lambda: Jet(self.phi.space, _trace(self.h_jets.c), self.h_jets.order))
 
     # -- point values ----------------------------------------------------
 
     @property
     def h0(self) -> np.ndarray:
-        """h at the points.  On an order-2 bundle it takes no jet: the point
-        values of J e are contracted with the degree-2 rows of phi, one per
+        """h at the points, taking no jet at any order: the point values of
+        J e are contracted with the degree-2 rows of phi, one per
         multi-index, then expanded to d_a d_b (`second_rows`,
         `second_factor`) and contracted with the point values of B."""
-        if self.order != 2:
-            return self.h_jets.value
 
         def build():
             sp = self.phi.space
@@ -270,11 +267,11 @@ class FrameBundle:
 
     @property
     def H0(self) -> np.ndarray:
-        return self.H_jets.value
+        return self._get("H0", lambda: _trace(self.h0))
 
     @property
     def hhat0(self) -> np.ndarray:
-        return self._get("hhat0", lambda: self.h0 - c_tensor_array(self.H0))
+        return self._get("hhat0", lambda: _tracefree(self.h0))
 
     @property
     def omega0(self) -> np.ndarray:
@@ -316,23 +313,18 @@ class FrameBundle:
         return self._get("grad_h_jets", lambda: self.covariant_derivative(self.h_jets))
 
     @property
-    def grad_H_jets(self) -> Jet:
-        """H^{m*}_{,k}, indexed [m, k]."""
-        return self._get("grad_H_jets", lambda: self.covariant_derivative(self.H_jets))
-
-    @property
     def grad_h(self) -> np.ndarray:
         return self.grad_h_jets.value
 
     @property
     def grad_H(self) -> np.ndarray:
         """H^{m*}_{,k} with shape (n, n, B)."""
-        return self.grad_H_jets.value
+        return self._get("grad_H", lambda: _trace(self.grad_h))
 
     @property
     def grad_hhat(self) -> np.ndarray:
-        """hhat^{m*}_{ij,k}: c commutes with the covariant derivative."""
-        return self._get("grad_hhat", lambda: self.grad_h - c_tensor_array(self.grad_H))
+        """hhat^{m*}_{ij,k}."""
+        return self._get("grad_hhat", lambda: _tracefree(self.grad_h))
 
     @property
     def T0(self) -> np.ndarray:
@@ -352,29 +344,22 @@ class FrameBundle:
         return self._get("hess_h", lambda: self.covariant_derivative(self.grad_h_jets).value)
 
     @property
-    def hess_H(self) -> np.ndarray:
-        """H^{m*}_{,kp} with shape (n, n, n, B)."""
-        return self._get("hess_H", lambda: self.covariant_derivative(self.grad_H_jets).value)
-
-    @property
     def hess_hhat(self) -> np.ndarray:
-        return self._get("hess_hhat", lambda: self.hess_h - c_tensor_array(self.hess_H))
+        return self._get("hess_hhat", lambda: _tracefree(self.hess_h))
 
     @property
     def grad_T(self) -> np.ndarray:
-        """T_{ij,k} with shape (n, n, n, B).  T is linear in the first
-        covariant derivative of H, so this needs an order-4 bundle, where
-        that derivative is valid to order 1."""
-        return self._get("grad_T", lambda: _maslov_defect(self.hess_H))
+        """T_{ij,k} with shape (n, n, n, B): the defect of the trace of
+        h_{,kp}, so it needs an order-4 bundle, where the first covariant
+        derivative of h is valid to order 1."""
+        return self._get("grad_T", lambda: _maslov_defect(_trace(self.hess_h)))
 
     @property
     def hhat_sq_jet(self) -> Jet:
         """|hhat|^2 as a jet, valid to order - 2 (order 2 on an order-4 bundle)."""
 
         def build():
-            # c is linear in H, so hhat = h - c(H) acts on the coefficients
-            h = self.h_jets
-            hhat = Jet(h.space, h.c - c_tensor_array(self.H_jets.c), h.order)
+            hhat = Jet(self.phi.space, _tracefree(self.h_jets.c), self.h_jets.order)
             return jet_einsum("mij,mij->", hhat, hhat)
 
         return self._get("hhat_sq_jet", build)
@@ -410,7 +395,7 @@ class FrameBundle:
                 + np.einsum("eacx,cbdx->abedx", gam0, gam0)
                 - np.einsum("ebcx,cadx->abedx", gam0, gam0)
             )
-            return np.einsum("cex,abedx->abcdx", self.g_jets.value, rup)
+            return np.einsum("cex,abedx->abcdx", self.g0, rup)
 
         return self._get("curvature_chart", build)
 
@@ -521,9 +506,23 @@ def _cholesky_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return L, L_inv
 
 
+def _trace(x: np.ndarray) -> np.ndarray:
+    """H^m... = (1/n) sum_i x^m_ii... for x = h, a covariant derivative of h
+    or the coefficients of its jet.  Like `_tracefree` and `_maslov_defect`
+    it acts on any trailing axes: the frame is orthonormal and omega
+    antisymmetric, so the trace commutes with the covariant derivative."""
+    n = x.shape[0]
+    return np.einsum("ij,mij...->m...", np.eye(n) / n, x)
+
+
+def _tracefree(x: np.ndarray) -> np.ndarray:
+    """hhat = h - c(H), applied like `_trace`."""
+    return x - c_tensor_array(_trace(x))
+
+
 def _maslov_defect(gH: np.ndarray) -> np.ndarray:
     """T_ij... = (n X_ij... - d_ij X_mm...)/(n+2) for X = nabla H or any
-    covariant derivative of it (the trace commutes with nabla)."""
+    covariant derivative of it."""
     n = gH.shape[0]
     div = np.einsum("mm...->...", gH)
     eye = np.eye(n).reshape((n, n) + (1,) * (gH.ndim - 2))

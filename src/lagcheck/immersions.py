@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -131,12 +132,19 @@ class Immersion:
     """
 
     name: str
-    source_dim: int
     ambient: str
-    ambient_complex_dim: int
     params: dict
     atlas: object
     jet_fn: Callable = field(repr=False)
+
+    @property
+    def source_dim(self) -> int:
+        return self.atlas.n
+
+    @property
+    def ambient_complex_dim(self) -> int:
+        """m of the ambient C^m: n in C^n, n + 1 for the lift of a body in CP^n."""
+        return self.source_dim + 1 if self.ambient == AMBIENT_SPHERE else self.source_dim
 
     @property
     def compact(self) -> bool:
@@ -223,9 +231,7 @@ def make_whitney_cn(r: float, A=None, n: int = 2) -> Immersion:
 
     return Immersion(
         name="whitney_cn",
-        source_dim=n,
         ambient=AMBIENT_CN,
-        ambient_complex_dim=n,
         params={"r": float(r), "A": A, "n": n},
         atlas=atlas,
         jet_fn=jet_fn,
@@ -238,6 +244,8 @@ def make_whitney_cn(r: float, A=None, n: int = 2) -> Immersion:
 def make_product_torus(radii) -> Immersion:
     """(t_1..t_n) -> (r_1 e^{i t_1}, ..., r_n e^{i t_n})."""
     radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1:
+        raise ValueError("torus radii must be a flat list")
     if np.any(radii <= 0):
         raise ValueError("torus radii must be positive")
     n = len(radii)
@@ -250,9 +258,7 @@ def make_product_torus(radii) -> Immersion:
 
     return Immersion(
         name="product_torus",
-        source_dim=n,
         ambient=AMBIENT_CN,
-        ambient_complex_dim=n,
         params={"radii": radii, "n": n},
         atlas=TorusAtlas(n),
         jet_fn=jet_fn,
@@ -268,9 +274,7 @@ def make_lagrangian_plane(n: int) -> Immersion:
 
     return Immersion(
         name="lagrangian_plane",
-        source_dim=n,
         ambient=AMBIENT_CN,
-        ambient_complex_dim=n,
         params={"n": n},
         atlas=PlaneAtlas(n),
         jet_fn=jet_fn,
@@ -291,9 +295,7 @@ def make_nonlagrangian_plane(n: int) -> Immersion:
 
     return Immersion(
         name="nonlagrangian_plane",
-        source_dim=n,
         ambient=AMBIENT_CN,
-        ambient_complex_dim=n,
         params={"n": n},
         atlas=PlaneAtlas(n),
         jet_fn=jet_fn,
@@ -314,13 +316,10 @@ def linear_image(base: Immersion, matrix: np.ndarray, offset=None, name=None) ->
     def jet_fn(charts, u):
         return jet_einsum("cd,d->c", matrix, base.jet_fn(charts, u)) + offset[:, None]
 
-    return Immersion(
+    return replace(
+        base,
         name=name or f"linear_image({base.name})",
-        source_dim=base.source_dim,
-        ambient=base.ambient,
-        ambient_complex_dim=base.ambient_complex_dim,
         params=dict(base.params, matrix=matrix, offset=offset),
-        atlas=base.atlas,
         jet_fn=jet_fn,
     )
 
@@ -387,9 +386,9 @@ def make_perturbed_whitney(r: float, eps: float, mode: int, n: int = 2) -> Immer
 # -- Finite-difference fallback for black-box maps ---------------------------
 
 
-def make_black_box(fn: Callable, n: int, ambient_complex_dim: int, atlas=None, name="black_box") -> Immersion:
-    """Wrap a plain callable `fn(chart_id, coords)` -> ambient reals as an
-    Immersion; each point is evaluated in its own chart.
+def make_black_box(fn: Callable, n: int, atlas=None, name="black_box") -> Immersion:
+    """Wrap a plain callable `fn(chart_id, coords)` -> 2n ambient reals as an
+    Immersion in C^n; each point is evaluated in its own chart of `atlas`.
 
     Jet coefficients come from nested central differences (step 1e-3 chart
     units, one Richardson pass per axis), so derived quantities live on the
@@ -397,6 +396,8 @@ def make_black_box(fn: Callable, n: int, ambient_complex_dim: int, atlas=None, n
     rung.
     """
     atlas = atlas or PlaneAtlas(n)
+    if atlas.n != n:
+        raise ValueError(f"a black box in {n} variables needs an atlas of dimension {n}, not {atlas.n}")
     step = 1e-3
 
     def partial_value(chart_id, alpha, x):
@@ -417,7 +418,7 @@ def make_black_box(fn: Callable, n: int, ambient_complex_dim: int, atlas=None, n
 
     def jet_fn(charts, u):
         sp, coords = u.space, u.value
-        raw = np.zeros((2 * ambient_complex_dim, sp.ncoef, coords.shape[1]))
+        raw = np.zeros((2 * n, sp.ncoef, coords.shape[1]))
         for b, chart_id in enumerate(np.broadcast_to(charts, coords.shape[1:]).tolist()):
             x = coords[:, b].copy()
             for k, alpha in enumerate(sp.multi_indices):
@@ -426,9 +427,7 @@ def make_black_box(fn: Callable, n: int, ambient_complex_dim: int, atlas=None, n
 
     return Immersion(
         name=name,
-        source_dim=n,
         ambient=AMBIENT_CN,
-        ambient_complex_dim=ambient_complex_dim,
         params={"n": n},
         atlas=atlas,
         jet_fn=jet_fn,
@@ -446,21 +445,36 @@ def register_family(name: str, builder: Callable):
     FAMILY_REGISTRY[name] = builder
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def integer_param(params: dict, key: str, default: int) -> int:
+    """`params[key]` as an int: a fraction, a string or a bool is refused, not truncated."""
+    v = params.get(key, default)
+    if not (_is_real(v) and float(v).is_integer()):
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _build_whitney_cn(params):
     A = params.get("A")
     if A is not None:
-        A = np.array([complex(a[0], a[1]) if isinstance(a, (list, tuple)) else complex(a) for a in A])
-    return make_whitney_cn(params.get("r", 1.0), A, int(params.get("n", 2)))
+        for a in A:
+            if not (_is_real(a) or isinstance(a, (list, tuple)) and len(a) == 2 and all(map(_is_real, a))):
+                raise ValueError(f"offset A entry {a!r} is neither a number nor an [re, im] pair")
+        A = np.array([complex(*a) if isinstance(a, (list, tuple)) else complex(a) for a in A])
+    return make_whitney_cn(params.get("r", 1.0), A, integer_param(params, "n", 2))
 
 
 register_family("whitney_cn", _build_whitney_cn)
 register_family("product_torus", lambda p: make_product_torus(p["radii"]))
-register_family("lagrangian_plane", lambda p: make_lagrangian_plane(int(p.get("n", 2))))
-register_family("nonlagrangian_plane", lambda p: make_nonlagrangian_plane(int(p.get("n", 2))))
+register_family("lagrangian_plane", lambda p: make_lagrangian_plane(integer_param(p, "n", 2)))
+register_family("nonlagrangian_plane", lambda p: make_nonlagrangian_plane(integer_param(p, "n", 2)))
 register_family(
     "perturbed_whitney",
     lambda p: make_perturbed_whitney(
-        p.get("r", 1.0), p.get("eps", 0.0), int(p.get("mode", 1)), int(p.get("n", 2))
+        p.get("r", 1.0), p.get("eps", 0.0), integer_param(p, "mode", 1), integer_param(p, "n", 2)
     ),
 )
 

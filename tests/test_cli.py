@@ -394,6 +394,56 @@ def test_bodies_past_float_range_exit_four_with_one_line(tmp_path, command, payl
     assert not out.exists()
 
 
+WHITNEY3_A = {"family": "whitney_cn", "r": 1.0, "n": 3}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("identities", {**WHITNEY3_A, "A": [[0.1, 0.2], [0.3]]}),
+        ("energy", {**WHITNEY3_A, "A": [[0.1, 0.2], [0.3]], "degree": 4}),
+        ("identities", {**WHITNEY3_A, "A": [[0.1, 0.2, 0.3], [0.0, 0.0], [0.0, 0.0]]}),
+        ("identities", {**WHITNEY3_A, "A": [[0.1, True], 0.0, 0.0]}),
+        ("identities", {**WHITNEY3_A, "A": ["0.1", 0.0, 0.0]}),
+        ("identities", {**WHITNEY3_A, "A": 0.1}),
+        ("energy", {"family": "product_torus", "radii": [[1.0, 2.0]], "degree": 4}),
+        ("identities", {"family": "product_torus", "radii": [[1.0, 2.0]]}),
+        ("identities", {"family": "whitney_cn", "n": 2.9}),
+        ("identities", {"family": "lagrangian_plane", "n": 2.5}),
+        ("identities", {"family": "lagrangian_plane", "n": True}),
+        ("identities", {"family": "whitney_cpn", "n": 3.5}),
+        ("identities", {"family": "rpn", "n": "3"}),
+        ("identities", {"family": "perturbed_whitney", "eps": 0.05, "mode": 1.5}),
+    ],
+    ids=[
+        "identities-A-short-pair", "energy-A-short-pair", "A-long-pair", "A-bool-part", "A-text", "A-not-a-list",
+        "energy-radii-nested", "identities-radii-nested", "whitney_cn-n-fraction", "plane-n-half", "plane-n-bool",
+        "whitney_cpn-n-half", "rpn-n-text", "perturbed-mode-fraction",
+    ],
+)
+def test_malformed_family_parameters_are_construction_errors(tmp_path, capsys, command, payload):
+    """A family parameter of the wrong kind or shape is refused by its
+    builder, with exit 3 and one line: not coerced (a fraction truncated, a
+    long pair cut short) and not left to fail later with a traceback."""
+    cfg = write_cfg(tmp_path, "bad.json", payload)
+    out = tmp_path / "out.json"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert err.startswith("construction error: cannot construct ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{**WHITNEY3_A, "n": 3.0}, {**WHITNEY3_A, "A": [[0.1, 0.2], 0.3, [0, -1]]}, {"family": "rpn", "n": 3}],
+    ids=["n-integer-float", "A-mixed-entries", "rpn-int"],
+)
+def test_well_formed_family_parameters_still_build(payload):
+    imm = cli.build_immersion(payload)
+    assert imm.source_dim == 3 and isinstance(imm.params["n"], int)
+
+
 class TestScanCommand:
     def test_whitney_radius_scan(self, tmp_path):
         cfg = write_cfg(

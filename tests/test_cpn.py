@@ -245,7 +245,7 @@ def turned_rpn(turn_first) -> Immersion:
     def jet_fn(charts, u):
         return turn_first(base.jet_fn(charts, u), u[0] * u[1])
 
-    return Immersion("bad_cpn", 2, AMBIENT_SPHERE, 3, {}, base.atlas, jet_fn)
+    return Immersion("bad_cpn", AMBIENT_SPHERE, {}, base.atlas, jet_fn)
 
 
 ORDER2_BODIES = {
@@ -276,7 +276,7 @@ class TestOrderTwoLift:
         new = bundle_at(imm, chart, coords, 2)
         lift = horizontal_lift_jets(imm, chart, coords, 3)
         old = FrameBundle(lift.truncated(2), imm.source_dim, 1.0)
-        full = FrameBundle(lift, imm.source_dim, 1.0)  # h through jets, not rows
+        full = FrameBundle(lift, imm.source_dim, 1.0)  # its h_jets: h through jets, not rows
 
         def rel(a, b, scale):
             return np.max(np.abs(a - b)) / scale
@@ -285,7 +285,7 @@ class TestOrderTwoLift:
         assert rel(new.g0, old.g0, np.max(np.abs(old.g0))) < 1e-13
         assert rel(new.sqrt_det_g, old.sqrt_det_g, np.max(old.sqrt_det_g)) < 1e-13
         assert rel(new.h0, old.h0, math.sqrt(h_scale)) < 1e-13
-        assert rel(new.h0, full.h0, math.sqrt(h_scale)) < 1e-13
+        assert rel(new.h0, full.h_jets.value, math.sqrt(h_scale)) < 1e-13
         for scalar in ("sqrt_det_g", "h_sq", "hhat_sq", "H_sq"):
             scale = np.max(old.sqrt_det_g) if scalar == "sqrt_det_g" else h_scale
             assert rel(new.scalar(scalar), old.scalar(scalar), scale) < 1e-13, scalar

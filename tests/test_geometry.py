@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lagcheck.cpn import make_rpn, make_whitney_cpn, phase_twist
+from lagcheck.cpn import make_cpn_torus, make_rpn, make_whitney_cpn, phase_twist
 from lagcheck import jets
 from lagcheck.geometry import (
     TOL_FD1,
@@ -13,7 +13,9 @@ from lagcheck.geometry import (
     NonLagrangianError,
     _ambient_jets,
     _cholesky_inverse,
+    _trace,
     bundle_at,
+    chart_batch,
     closedness_residual,
     geometry_state,
     maslov_tensor_gradient,
@@ -495,7 +497,7 @@ class TestFiniteDifferenceCrossValidation:
         def fn(chart_id, x):
             return pert.jets(chart_id, x[None], 1).value[:, 0]
 
-        bb = make_black_box(fn, 2, 2, atlas=pert.atlas, name="bb_perturbed")
+        bb = make_black_box(fn, 2, atlas=pert.atlas, name="bb_perturbed")
         p = (0, np.array([0.4, -0.3]))
         s_jet = geometry_state(pert, *p, 2)
         s_fd = geometry_state(bb, *p, 2)
@@ -511,7 +513,7 @@ class TestFiniteDifferenceCrossValidation:
         pert = make_perturbed_whitney(1.0, 0.05, 1, 2)
         bb = make_black_box(
             lambda chart_id, x: pert.jets(chart_id, x[None], 1).value[:, 0],
-            2, 2, atlas=pert.atlas, name="bb_perturbed",
+            2, atlas=pert.atlas, name="bb_perturbed",
         )
         far = (0, np.array([3.0, 0.5]))
         s_jet = geometry_state(pert, *far, 2)
@@ -551,3 +553,66 @@ class TestMixedChartBatch:
                     scale = max(1.0, float(np.max(np.abs(want))))
                     assert np.max(np.abs(got - want)) <= 1e-14 * scale, (field, int(chart))
 
+
+
+CHAIN_BODIES = {
+    "perturbed_whitney": lambda: make_perturbed_whitney(1.0, 0.05, 1, 3),
+    "whitney_cn-r0.1": lambda: make_whitney_cn(0.1, np.array([0.05 - 0.08j, 0.1 + 0.02j, -0.06 + 0.09j]), 3),
+    "product_torus": lambda: make_product_torus([1.0, 1.5, 2.0]),
+    "whitney_cpn": lambda: make_whitney_cpn(0.7, 3),
+    "cpn_torus": lambda: make_cpn_torus([1.0, 0.7, 1.2, 0.9]),
+}
+
+
+class TestOneDerivativeChain:
+    """h is the one tensor whose covariant derivatives a bundle builds; H,
+    hhat and T are linear maps of the matching array of h."""
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_BODIES))
+    def test_trace_commutes_with_the_covariant_derivative(self, name):
+        """The covariant-derivative chain on H, which the bundle no longer
+        runs, against the trace of the chain on h."""
+        imm = CHAIN_BODIES[name]()
+        fb = bundle_at(imm, *chart_batch(imm, *imm.atlas.random(np.random.default_rng(7), 20)), 4)
+        h = float(np.max(np.sqrt(fb.scalar("h_sq"))))
+        grad_H_jets = fb.covariant_derivative(fb.H_jets)
+        assert np.max(np.abs(grad_H_jets.value - fb.grad_H)) <= 1e-13 * h**2
+        hess_H = fb.covariant_derivative(grad_H_jets).value
+        assert np.max(np.abs(hess_H - _trace(fb.hess_h))) <= 1e-13 * h**3
+
+    def test_heavy_suite_differentiates_h_twice(self, monkeypatch):
+        from lagcheck.identities import run_identity_suite
+
+        calls = []
+        derivative = FrameBundle.covariant_derivative
+
+        def counting(fb, x):
+            calls.append(x.shape)
+            return derivative(fb, x)
+
+        monkeypatch.setattr(FrameBundle, "covariant_derivative", counting)
+        imm = make_perturbed_whitney(1.0, 0.05, 1, 3)
+        assert run_identity_suite(imm, *imm.atlas.random(np.random.default_rng(7), 5), heavy=True)["all_pass"]
+        assert calls == [(3, 3, 3), (3, 3, 3, 3)]
+
+    @pytest.mark.parametrize("body", sorted(ENERGY_BODIES))
+    def test_energy_builds_no_h_jet(self, monkeypatch, body):
+        """Every chunk's order-2 bundle reads h, H and hhat off the rows of
+        phi: neither h_jets nor H_jets is built."""
+        from lagcheck import geometry
+        from lagcheck.quadrature import energy_report, rule_for
+
+        bundles = []
+        init = FrameBundle.__init__
+
+        def keeping_init(fb, *args, **kwargs):
+            init(fb, *args, **kwargs)
+            bundles.append(fb)
+
+        monkeypatch.setattr(FrameBundle, "__init__", keeping_init)
+        monkeypatch.setattr(geometry, "SAMPLE_CHUNK", 100)
+        imm = ENERGY_BODIES[body]()
+        energy_report(imm, rule_for(imm, 6))
+        assert len(bundles) > 1
+        for fb in bundles:
+            assert "h0" in fb._cache and not {"h_jets", "H_jets"} & set(fb._cache)

@@ -32,7 +32,7 @@ from lagcheck.immersions import (
     make_whitney_cn,
 )
 from lagcheck.jets import Jet
-from lagcheck.tensors import random_tracefree
+from lagcheck.tensors import c_tensor_array, random_tracefree
 
 BODIES = {
     "plane": (make_lagrangian_plane(2), (0, np.array([0.3, -0.6]))),
@@ -234,7 +234,7 @@ def partly_lagrangian_plane():
     def jet_fn(charts, u):
         return Jet.stack([u[0], u[0].scaled(0.0), u[1], u[0] * u[1]])
 
-    return Immersion("partly_lagrangian", 2, AMBIENT_CN, 2, {}, PlaneAtlas(2), jet_fn)
+    return Immersion("partly_lagrangian", AMBIENT_CN, {}, PlaneAtlas(2), jet_fn)
 
 
 def cusped_plane():
@@ -244,7 +244,7 @@ def cusped_plane():
         zero = u[0].scaled(0.0)
         return Jet.stack([u[0] * u[0] * u[0], zero, u[1], zero])
 
-    return Immersion("cusped_plane", 2, AMBIENT_CN, 2, {}, PlaneAtlas(2), jet_fn)
+    return Immersion("cusped_plane", AMBIENT_CN, {}, PlaneAtlas(2), jet_fn)
 
 
 def twisted_rpn(turn_first):
@@ -258,7 +258,7 @@ def twisted_rpn(turn_first):
         u2_cubed = u[1] * u[1] * u[1]
         return turn_first(phi, u[0] * u2_cubed * u2_cubed)
 
-    return Immersion("twisted_rpn", 2, AMBIENT_SPHERE, 3, {}, base.atlas, twisted)
+    return Immersion("twisted_rpn", AMBIENT_SPHERE, {}, base.atlas, twisted)
 
 
 class TestFailingPointIsNamed:
@@ -535,3 +535,39 @@ class TestSuiteReports:
         r1 = gauss_ricci(imm, 1, u / np.dot(u, u))
         for k in r0:
             assert abs(r0[k] - r1[k]) < 1e-9
+
+
+LINEAR_MAP_MUTANTS = {
+    # (n + 2) of T = (n X - d tr X) / (n + 2), times 1.01
+    "maslov_defect": ("_maslov_defect", lambda orig: lambda x: orig(x) / 1.01),
+    "trace": ("_trace", lambda orig: lambda x: 1.01 * orig(x)),
+    # the c(H) part of hhat = h - c(H), times 1.01
+    "tracefree_c": ("_tracefree", lambda orig: lambda x: x - 1.01 * c_tensor_array(geometry._trace(x))),
+}
+MUTATION_BODIES = {
+    "perturbed_whitney": lambda: make_perturbed_whitney(1.0, 0.05, 1, 3),
+    "product_torus": lambda: make_product_torus([1.0, 1.5, 2.0]),
+}
+
+
+@pytest.mark.parametrize(
+    "body, mutant, failing",
+    [
+        ("perturbed_whitney", "maslov_defect", {"T_consistency"}),
+        ("perturbed_whitney", "trace", {"h_trace_consistency", "norm_identity"}),
+        ("perturbed_whitney", "tracefree_c", {"norm_identity", "T_consistency"}),
+        ("product_torus", "trace", {"norm_identity"}),
+        ("product_torus", "tracefree_c", {"norm_identity"}),
+    ],
+)
+def test_linear_map_mutation_is_flagged(monkeypatch, body, mutant, failing):
+    """A wrong coefficient in one of the three linear maps of h that give H,
+    hhat and T fails the structure checks that read it."""
+    imm = MUTATION_BODIES[body]()
+    pts = imm.atlas.random(np.random.default_rng(7), 20)
+    assert run_identity_suite(imm, *pts, seed=7)["all_pass"]
+    name, mutate = LINEAR_MAP_MUTANTS[mutant]
+    monkeypatch.setattr(geometry, name, mutate(getattr(geometry, name)))
+    checks = {c["name"]: c for c in run_identity_suite(imm, *pts, seed=7)["checks"]}
+    for check in failing:
+        assert not checks[check]["pass"], check

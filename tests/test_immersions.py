@@ -7,6 +7,7 @@ import pytest
 from lagcheck.cpn import make_rpn, make_whitney_cpn, phase_twist
 from lagcheck.immersions import (
     AMBIENT_CN,
+    AMBIENT_SPHERE,
     FAMILY_REGISTRY,
     SPHERE_SWITCH_RADIUS,
     Immersion,
@@ -376,16 +377,31 @@ class TestDomain:
         def fn(chart_id, x):
             return np.array([x[0], 0.0, x[1], 0.0])
 
-        assert make_black_box(fn, 2, 2).compact is False
-        assert make_black_box(fn, 2, 2, atlas=PlaneAtlas(2)).compact is False
-        assert make_black_box(fn, 2, 2, atlas=SphereAtlas(2)).compact is True
+        assert make_black_box(fn, 2).compact is False
+        assert make_black_box(fn, 2, atlas=PlaneAtlas(2)).compact is False
+        assert make_black_box(fn, 2, atlas=SphereAtlas(2)).compact is True
 
     def test_compact_is_neither_a_field_nor_settable(self):
+        """The domain and the dimensions are read off the atlas and the
+        ambient, so no family can state them at odds with its atlas."""
         imm = make_whitney_cn(1.0, None, 2)
-        with pytest.raises(AttributeError):
-            imm.compact = False
-        with pytest.raises(TypeError):
-            Immersion("plane", 2, AMBIENT_CN, 2, {}, PlaneAtlas(2), imm.jet_fn, compact=False)
+        for name in ("compact", "source_dim", "ambient_complex_dim"):
+            with pytest.raises(AttributeError):
+                setattr(imm, name, 5)
+            with pytest.raises(TypeError):
+                Immersion("plane", AMBIENT_CN, {}, PlaneAtlas(2), imm.jet_fn, **{name: 2})
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_BODIES))
+    def test_dimensions_are_read_off_the_atlas(self, family):
+        imm = FAMILY_REGISTRY[family](FAMILY_BODIES[family][0])
+        n = imm.atlas.n
+        assert imm.source_dim == n
+        assert imm.ambient_complex_dim == (n + 1 if imm.ambient == AMBIENT_SPHERE else n)
+        assert imm.jets(0, np.full((1, n), 0.3), 1).shape == (2 * imm.ambient_complex_dim,)
+
+    def test_black_box_refuses_an_atlas_of_another_dimension(self):
+        with pytest.raises(ValueError, match="dimension"):
+            make_black_box(lambda chart_id, x: np.zeros(4), 2, atlas=SphereAtlas(3))
 
     def test_random_sphere_points_have_python_int_charts(self):
         """`random` gives integer chart ids, which a report writes as
@@ -500,7 +516,7 @@ class TestBlackBoxFallback:
         def fn(chart_id, x):
             return np.array([np.cos(x[0]), np.sin(x[0]), 2 * np.cos(x[1]), 2 * np.sin(x[1])])
 
-        bb = make_black_box(fn, 2, 2, atlas=analytic.atlas, name="bb_torus")
+        bb = make_black_box(fn, 2, atlas=analytic.atlas, name="bb_torus")
         ja = jet_at(analytic, 0, [0.7, 1.9], 2)
         jb = jet_at(bb, 0, [0.7, 1.9], 2)
         for alpha in ja.space.multi_indices:
