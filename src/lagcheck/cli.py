@@ -11,8 +11,10 @@ one line per entry, and a `scan` has one column per entry after `param`.
 Exit status: 0 all requested checks passed, 1 a check failed, 2 config error
 (also an invalid run parameter: a `degree` above MAX_DEGREE, a rule over
 MAX_NODES nodes, `samples` above MAX_SAMPLES, an empty scan, a format or out
-path, a malformed report),
-3 immersion construction error (also a parameter that overflows), 4
+path, a malformed report; and a config key that is neither a run key nor a
+parameter of the built body, such as a misspelt `radius` or `sead`),
+3 immersion construction error (also a parameter that overflows, and a
+real parameter that is a bool, a string, a NaN or an infinity), 4
 evaluation error (e.g. a non-Lagrangian immersion or an induced metric that
 is degenerate or not finite, detected during geometry evaluation, a sample
 that fails the identity suite's input checks, an identity residual or an
@@ -67,9 +69,15 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
 
 def build_immersion(cfg: dict):
+    """The body a config describes: its family keys sit at the top level
+    beside the run keys, or in an `immersion` object.  A key that is neither
+    a run key nor a parameter the built body records in its `params` is
+    refused, not ignored."""
     imm_cfg = cfg.get("immersion", None)
     if imm_cfg is None:
         imm_cfg = {k: v for k, v in cfg.items() if k not in RUN_KEYS}
+    elif stray := sorted(set(cfg) - RUN_KEYS):
+        raise ConfigError(f"unknown config keys beside 'immersion': {stray}")
     if not isinstance(imm_cfg, dict):
         raise ConfigError(f"'immersion' must be an object, got {imm_cfg!r}")
     family = imm_cfg.get("family")
@@ -77,9 +85,12 @@ def build_immersion(cfg: dict):
         raise ConfigError(f"unknown or missing immersion family: {family!r}")
     params = {k: v for k, v in imm_cfg.items() if k != "family"}
     try:
-        return FAMILY_REGISTRY[family](params)
+        imm = FAMILY_REGISTRY[family](params)
     except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
         raise ConstructionError(f"cannot construct {family}: {exc}") from exc
+    if unknown := sorted(set(params) - set(imm.params)):
+        raise ConfigError(f"unknown {family} parameters {unknown}: it takes {sorted(imm.params)}")
+    return imm
 
 
 class ConstructionError(ValueError):

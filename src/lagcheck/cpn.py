@@ -24,7 +24,6 @@ by chi is Z cos chi + (i Z) sin chi.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .immersions import (
     TorusAtlas,
     integer_param,
     interleave,
+    real_param,
     register_family,
     times_i,
 )
@@ -46,27 +46,6 @@ HORIZONTALITY_TOL = 1e-9
 
 class HorizontalityError(NonLagrangianError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Homogeneous points
-# ---------------------------------------------------------------------------
-
-
-def normalize_representative(z: np.ndarray) -> np.ndarray:
-    """Unit-Hermitian-norm representative of a point of CP^n."""
-    z = np.asarray(z, dtype=complex)
-    nrm = float(np.sqrt(np.sum(np.abs(z) ** 2)))
-    if nrm < 1e-300:
-        raise ValueError("zero vector is not a projective point")
-    return z / nrm
-
-
-def projective_distance(z1: np.ndarray, z2: np.ndarray) -> float:
-    """Chordal Fubini-Study distance sqrt(1 - |<z1, z2>|^2) of unit reps."""
-    z1 = normalize_representative(z1)
-    z2 = normalize_representative(z2)
-    return float(np.sqrt(max(0.0, 1.0 - np.abs(np.vdot(z2, z1)) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,20 +145,6 @@ def make_cpn_torus(moduli) -> Immersion:
         atlas=TorusAtlas(n),
         jet_fn=jet_fn,
     )
-
-
-def phase_twist(base: Immersion, coeffs) -> Immersion:
-    """Multiply the homogeneous representative by exp(i chi(u)) with
-    chi = sum_a coeffs[a] * sin(u_a); exercises projective gauge invariance."""
-    coeffs = np.asarray(coeffs, dtype=float)
-
-    def jet_fn(charts, u):
-        Z = base.jet_fn(charts, u)
-        chi = jet_einsum("a,a->", coeffs, u.sin())
-        sin, cos = chi.sin_cos()
-        return Z * cos + times_i(Z) * sin
-
-    return replace(base, name=f"phase_twist({base.name})", params=dict(base.params, twist=coeffs), jet_fn=jet_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +250,8 @@ def horizontal_lift_jets(imm: Immersion, charts, coords: np.ndarray, order: int)
     return W
 
 
-register_family("whitney_cpn", lambda p: make_whitney_cpn(p.get("theta", 1.0), integer_param(p, "n", 2)))
+register_family(
+    "whitney_cpn", lambda p: make_whitney_cpn(real_param(p.get("theta", 1.0), "theta"), integer_param(p, "n", 2))
+)
 register_family("rpn", lambda p: make_rpn(integer_param(p, "n", 2)))
-register_family("cpn_torus", lambda p: make_cpn_torus(p["moduli"]))
+register_family("cpn_torus", lambda p: make_cpn_torus([real_param(x, "a torus modulus") for x in p["moduli"]]))

@@ -204,78 +204,6 @@ def _spectral_consistency(hh: np.ndarray, Hv: np.ndarray, t: dict[str, np.ndarra
     return np.abs(t["cubic_term"] + t["quad_term"] - spectral)
 
 
-def curvature_contraction_closed_forms(hh: np.ndarray, Hv: np.ndarray, c_amb: float) -> dict[str, float]:
-    """Brute-force assembly of the three curvature contractions of hhat with
-    the Gauss-form curvature, against their closed forms in |hhat|, |H|, the
-    cubic trace sum and the quadratic H-contraction.
-
-    Returns the residual of each contraction and of the equality between the
-    first and third (which differ only by rearranging a fully symmetric
-    tensor)."""
-    n = hh.shape[0]
-    from .tensors import c_tensor_array
-
-    h_full = hh + c_tensor_array(Hv)
-    eye = np.eye(n)
-    rg = (
-        c_amb * (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
-        + np.einsum("mik,mjl->ijkl", h_full, h_full)
-        - np.einsum("mil,mjk->ijkl", h_full, h_full)
-    )
-    hs = float(np.einsum("mij,mij->", hh, hh))
-    Hs = float(np.dot(Hv, Hv))
-    f = n / (n + 2.0)
-    tri = float(np.einsum("mjk,mkl,tlj,t->", hh, hh, hh, Hv))
-    quad = float(np.einsum("mij,mjk,i,k->", hh, hh, Hv, Hv))
-    quartic_I = float(
-        np.einsum("mij,mkl,tlj,tik->", hh, hh, hh, hh)
-        - np.einsum("mij,mkl,tlk,tij->", hh, hh, hh, hh)
-    )
-    quartic_II = -float(np.einsum("mij,mli,tlk,tkj->", hh, hh, hh, hh))
-
-    term_I = float(np.einsum("mij,mlk,lijk->", hh, hh, rg))
-    closed_I = c_amb * hs + f * f * hs * Hs + 2.0 * f * tri + quartic_I + 2.0 * f * f * quad
-
-    term_II = float(np.einsum("mij,mil,lkjk->", hh, hh, rg))
-    closed_II = (
-        (n - 1.0) * c_amb * hs
-        + n * f * f * hs * Hs
-        + (n - 2.0) * f * tri
-        + (n - 2.0) * f * f * quad
-        + quartic_II
-    )
-
-    term_III = float(np.einsum("mij,lik,jklm->", hh, hh, rg))
-
-    return {
-        "I_closed_form": abs(term_I - closed_I),
-        "II_closed_form": abs(term_II - closed_II),
-        "III_closed_form": abs(term_III - closed_I),
-        "I_equals_III": abs(term_I - term_III),
-    }
-
-
-def algebraic_simons_bound(hh: np.ndarray, Hv: np.ndarray) -> dict[str, np.ndarray]:
-    """The purely algebraic estimate step: the curvature terms of the Simons
-    identity dominate -(n+3)/2 |hhat|^4 for any trace-free tri-symmetric hhat.
-
-    Also reports the eigen-decomposition cross-check `_spectral_consistency`.
-    hh (n, n, n, ...) and Hv (n, ...) may carry trailing batch axes.
-    """
-    hh = np.asarray(hh, dtype=float)
-    Hv = np.asarray(Hv, dtype=float)
-    if np.any(trisym_violations(hh, 1e-6)):
-        raise ValueError("array is not symmetric under index permutations")
-    n = hh.shape[0]
-    hs = np.einsum("mij...,mij...->...", hh, hh)
-    t = _curvature_terms(hh, Hv)
-    curvature = t["commutator_term"] + t["trace_sq_term"] + t["cubic_term"] + t["quad_term"]
-    return {
-        "margin": curvature + 0.5 * (n + 3.0) * hs * hs,
-        "spectral_consistency": _spectral_consistency(hh, Hv, t),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Report assembly
 # ---------------------------------------------------------------------------

@@ -66,12 +66,6 @@ class SphereAtlas:
         sign sigma of the embedded x_{n+1} = sigma (|u|^2 - 1) / (1 + |u|^2)."""
         return np.where(np.asarray(charts) == 0, 1.0, -1.0)
 
-    def embed(self, charts, coords) -> np.ndarray:
-        """(N, n+1) points of the unit sphere in R^{n+1}: the inverse of
-        `from_embedded`."""
-        s = np.einsum("na,na->n", coords, coords)[:, None]
-        return np.concatenate([2.0 * coords, self.sign(charts)[:, None] * (s - 1.0)], axis=1) / (1.0 + s)
-
     def from_embedded(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N,) chart ids and (N, n) coordinates of an (N, n+1) batch of points
         of S^n, each in the chart whose pole it is farther from."""
@@ -335,12 +329,6 @@ def complex_to_real_matrix(U: np.ndarray) -> np.ndarray:
     return R
 
 
-def random_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
-    Z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    Q, R = np.linalg.qr(Z)
-    return Q * (np.diagonal(R) / np.abs(np.diagonal(R))).conj()
-
-
 def symplectic_j_matrix(m: int) -> np.ndarray:
     """i as a 2m x 2m real matrix; `times_i` applies it without a product."""
     return complex_to_real_matrix(1j * np.eye(m))
@@ -446,7 +434,8 @@ def register_family(name: str, builder: Callable):
 
 
 def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    """A finite real number: not a bool, a string, a NaN or an infinity."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def integer_param(params: dict, key: str, default: int) -> int:
@@ -457,24 +446,36 @@ def integer_param(params: dict, key: str, default: int) -> int:
     return int(v)
 
 
+def real_param(value, what: str) -> float:
+    """`value` as a float: a string, a bool, a NaN or an infinity is refused, not coerced."""
+    if not _is_real(value):
+        raise ValueError(f"{what} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 def _build_whitney_cn(params):
     A = params.get("A")
     if A is not None:
         for a in A:
             if not (_is_real(a) or isinstance(a, (list, tuple)) and len(a) == 2 and all(map(_is_real, a))):
-                raise ValueError(f"offset A entry {a!r} is neither a number nor an [re, im] pair")
+                raise ValueError(f"offset A entry {a!r} is neither a finite number nor an [re, im] pair of them")
         A = np.array([complex(*a) if isinstance(a, (list, tuple)) else complex(a) for a in A])
-    return make_whitney_cn(params.get("r", 1.0), A, integer_param(params, "n", 2))
+    return make_whitney_cn(real_param(params.get("r", 1.0), "r"), A, integer_param(params, "n", 2))
 
 
 register_family("whitney_cn", _build_whitney_cn)
-register_family("product_torus", lambda p: make_product_torus(p["radii"]))
+register_family(
+    "product_torus", lambda p: make_product_torus([real_param(x, "a torus radius") for x in p["radii"]])
+)
 register_family("lagrangian_plane", lambda p: make_lagrangian_plane(integer_param(p, "n", 2)))
 register_family("nonlagrangian_plane", lambda p: make_nonlagrangian_plane(integer_param(p, "n", 2)))
 register_family(
     "perturbed_whitney",
     lambda p: make_perturbed_whitney(
-        p.get("r", 1.0), p.get("eps", 0.0), integer_param(p, "mode", 1), integer_param(p, "n", 2)
+        real_param(p.get("r", 1.0), "r"),
+        real_param(p.get("eps", 0.0), "eps"),
+        integer_param(p, "mode", 1),
+        integer_param(p, "n", 2),
     ),
 )
 
@@ -499,11 +500,3 @@ def parse_immersion_config(text_or_dict) -> dict:
         except json.JSONDecodeError:
             out[key.strip()] = val.strip()
     return out
-
-
-def from_config(text_or_dict) -> Immersion:
-    cfg = parse_immersion_config(text_or_dict)
-    family = cfg.pop("family", None)
-    if family not in FAMILY_REGISTRY:
-        raise ValueError(f"unknown immersion family: {family!r}")
-    return FAMILY_REGISTRY[family](cfg)

@@ -182,14 +182,6 @@ class Jet:
         """Values at the expansion points, shape (*shape, B)."""
         return self.c[..., 0, :]
 
-    def deriv(self, alpha) -> np.ndarray:
-        """Partial derivative d^alpha at the expansion point."""
-        alpha = tuple(int(a) for a in alpha)
-        if sum(alpha) > self.order:
-            raise ValueError(f"derivative {alpha} exceeds valid order {self.order}")
-        k = self.space.index_of[alpha]
-        return self.c[..., k, :] * self.space.coef_factorial[k]
-
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other):
@@ -328,9 +320,6 @@ class Jet:
             return self
         rows = self.space.ncoef_by_degree[order]
         return Jet(self.space, self.c[..., :rows, :].copy(), order)
-
-    def __repr__(self):
-        return f"Jet(shape={self.shape}, order={self.order}, value={self.value!r})"
 
 
 def jet_einsum(spec: str, a: Jet | np.ndarray, b: Jet) -> Jet:

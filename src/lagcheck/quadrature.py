@@ -32,10 +32,6 @@ from .immersions import Immersion, SphereAtlas, jsonable_params
 from .jets import Jet
 
 
-def sphere_volume(n: int) -> float:
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes in the immersion's atlas plus parameter-space weights.
@@ -53,8 +49,6 @@ class QuadratureRule:
     coords: np.ndarray  # (N, n)
     weights: np.ndarray
     chart_jacobians: np.ndarray
-    angles: np.ndarray | None = None
-    round_density: np.ndarray | None = None
 
     def __post_init__(self):
         if np.any(self.weights <= 0):
@@ -66,15 +60,6 @@ class QuadratureRule:
     @property
     def node_count(self) -> int:
         return len(self.weights)
-
-    def parameter_volume(self) -> float:
-        return float(np.sum(self.weights))
-
-    def round_sphere_volume(self) -> float:
-        """Self-check: integrate 1 against the round-sphere angle density."""
-        if self.domain != "sphere":
-            raise ValueError("round-sphere check only applies to sphere rules")
-        return float(np.sum(self.weights * self.round_density))
 
 
 def _legendre_with_derivative(x: np.ndarray, npts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -164,8 +149,6 @@ def sphere_rule(n: int, degree: int = 30) -> QuadratureRule:
         coords=coords,
         weights=weights,
         chart_jacobians=jacobians,
-        angles=angles,
-        round_density=round_density,
     )
 
 

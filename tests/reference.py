@@ -1,0 +1,363 @@
+"""Reference code for the tests: the nested-loop contraction oracle, the
+algebraic lemmas of the Simons-type estimate (the contraction identities,
+the Li-Li matrix bound, the curvature closed forms and the algebraic Simons
+bound), random tensors, and helpers that invert or read what the engine
+builds.  No command of the engine calls any of it; the tests check the
+engine against it, so it stays independent of the code it checks.
+"""
+
+import math
+from dataclasses import replace
+from itertools import permutations
+
+import numpy as np
+
+from lagcheck.geometry import _trace, _tracefree
+from lagcheck.identities import _curvature_terms, _spectral_consistency
+from lagcheck.immersions import Immersion, SphereAtlas, times_i
+from lagcheck.jets import Jet, jet_einsum
+from lagcheck.tensors import c_tensor_array, trisym_violations
+
+# ---------------------------------------------------------------------------
+# Random tensors and the norm identity
+# ---------------------------------------------------------------------------
+
+
+def trisymmetrize(a: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(a, dtype=float)
+    for perm in permutations(range(3)):
+        out += np.transpose(a, perm)
+    return out / 6.0
+
+
+def random_cubic(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random fully symmetric h with its trace vector H = (1/n) h^m_ii."""
+    h = trisymmetrize(rng.normal(size=(n, n, n)))
+    return h, np.einsum("mii->m", h) / n
+
+
+def random_tracefree(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Tri-symmetrize a Gaussian array, then project out its trace."""
+    return _tracefree(random_cubic(rng, n)[0])
+
+
+def norm_identity_residual(h: np.ndarray) -> float:
+    """| |hhat|^2 - |h|^2 + 3n^2/(n+2) |H|^2 | of one cubic h, with H and hhat
+    from the engine's trace decomposition (`geometry._trace`, `_tracefree`)."""
+    n = h.shape[0]
+    hhat, H = _tracefree(h), _trace(h)
+    return abs(float(np.sum(hhat**2) - np.sum(h**2) + 3.0 * n * n / (n + 2.0) * np.dot(H, H)))
+
+
+# ---------------------------------------------------------------------------
+# Contraction identities supporting the Simons-type computation
+# ---------------------------------------------------------------------------
+
+
+def contraction_identity_suite(hhat: np.ndarray, H: np.ndarray) -> dict[str, float]:
+    """Residuals |LHS - RHS| of the auxiliary contraction identities.
+
+    Left sides are six-index sums of hhat/c products; right sides are the
+    closed forms in |hhat|^2 |H|^2, the cubic trace sum and the quadratic
+    H-contraction, with the stated rational coefficients.
+    """
+    hh, Hv = np.asarray(hhat, dtype=float), np.asarray(H, dtype=float)
+    n = hh.shape[0]
+    if len(Hv) != n:
+        raise ValueError("dimension mismatch")
+    if float(np.max(np.abs(np.einsum("mii->m", hh)))) > 1e-8:
+        raise ValueError("hhat is not trace-free")
+    c = c_tensor_array(Hv)
+    f = n / (n + 2.0)
+    f2 = f * f
+
+    hnorm2 = float(np.einsum("mij,mij->", hh, hh))
+    Hnorm2 = float(np.dot(Hv, Hv))
+    tri = float(np.einsum("mjk,mkl,tlj,t->", hh, hh, hh, Hv))
+    quad = float(np.einsum("mij,mjk,i,k->", hh, hh, Hv, Hv))
+
+    res = {}
+
+    lhs_a1 = np.einsum("mij,mkl,tlj,tik->", hh, hh, hh, c)
+    lhs_a2 = np.einsum("mij,mkl,tlj,tik->", hh, hh, c, hh)
+    rhs_a = 3.0 * f * tri
+    res["hhhc_cyclic"] = max(abs(lhs_a1 - rhs_a), abs(lhs_a2 - rhs_a))
+
+    lhs_b1 = np.einsum("mij,mkl,tlk,tij->", hh, hh, hh, c)
+    lhs_b2 = np.einsum("mij,mkl,tlk,tij->", hh, hh, c, hh)
+    rhs_b = 2.0 * f * tri
+    res["hhhc_trace"] = max(abs(lhs_b1 - rhs_b), abs(lhs_b2 - rhs_b))
+
+    lhs_c = np.einsum("mij,mkl,tlj,tik->", hh, hh, c, c)
+    res["hhcc_cyclic"] = abs(lhs_c - (f2 * hnorm2 * Hnorm2 + 6.0 * f2 * quad))
+
+    lhs_d = np.einsum("mij,mkl,tlk,tij->", hh, hh, c, c)
+    res["hhcc_trace"] = abs(lhs_d - 4.0 * f2 * quad)
+
+    lhs_e = n * np.einsum("mij,mli,tlj,t->", hh, hh, c, Hv)
+    quad_mixed = float(np.einsum("mij,mli,j,l->", hh, hh, Hv, Hv))
+    res["hhcH_mixed"] = abs(lhs_e - (n * f * hnorm2 * Hnorm2 + 2.0 * n * f * quad_mixed))
+
+    lhs_f1 = np.einsum("mij,mli,tlk,tkj->", hh, hh, hh, c)
+    lhs_f2 = np.einsum("mij,mli,tkj,tlk->", hh, hh, hh, c)
+    tri_mixed = float(np.einsum("mij,mli,tlj,t->", hh, hh, hh, Hv))
+    rhs_f = 2.0 * f * tri_mixed
+    res["hhhc_mixed"] = max(abs(lhs_f1 - rhs_f), abs(lhs_f2 - rhs_f))
+
+    lhs_g = np.einsum("mij,mli,tlk,tkj->", hh, hh, c, c)
+    res["hhcc_mixed"] = abs(lhs_g - (2.0 * f2 * hnorm2 * Hnorm2 + (n + 6.0) * f2 * quad_mixed))
+
+    # Componentwise expansion of sum_t c^t_{lj} c^t_{ik} into delta/H terms.
+    eye = np.eye(n)
+    lhs_cc = np.einsum("tlj,tik->ljik", c, c)
+    cyc = (
+        np.einsum("l,i,jk->ljik", Hv, Hv, eye)
+        + np.einsum("i,j,kl->ljik", Hv, Hv, eye)
+        + np.einsum("j,k,li->ljik", Hv, Hv, eye)
+        + np.einsum("k,l,ij->ljik", Hv, Hv, eye)
+    )
+    rhs_cc = f2 * (
+        cyc
+        + 2.0 * np.einsum("l,j,ik->ljik", Hv, Hv, eye)
+        + 2.0 * np.einsum("i,k,jl->ljik", Hv, Hv, eye)
+        + Hnorm2 * np.einsum("ik,jl->ljik", eye, eye)
+    )
+    res["cc_cyclic_expansion"] = float(np.max(np.abs(lhs_cc - rhs_cc)))
+
+    return res
+
+
+def _contraction_suite_loops(hh: np.ndarray, Hv: np.ndarray) -> dict[str, float]:
+    """Literal nested-loop evaluation of the same left sides; oracle for the
+    einsum expressions at small n."""
+    n = len(Hv)
+    c = c_tensor_array(Hv)
+    rng = range(n)
+
+    def six(fa, fb):
+        acc = 0.0
+        for i in rng:
+            for j in rng:
+                for k in rng:
+                    for m in rng:
+                        for l in rng:
+                            for t in rng:
+                                acc += fa[m, i, j] * fa[m, k, l] * fb[0][t, l, j] * fb[1][t, i, k]
+        return acc
+
+    def six_trace(fa, fb):
+        acc = 0.0
+        for i in rng:
+            for j in rng:
+                for k in rng:
+                    for m in rng:
+                        for l in rng:
+                            for t in rng:
+                                acc += fa[m, i, j] * fa[m, k, l] * fb[0][t, l, k] * fb[1][t, i, j]
+        return acc
+
+    def six_mixed(fb):
+        acc = 0.0
+        for i in rng:
+            for j in rng:
+                for k in rng:
+                    for m in rng:
+                        for l in rng:
+                            for t in rng:
+                                acc += hh[m, i, j] * hh[m, l, i] * fb[0][t, l, k] * fb[1][t, k, j]
+        return acc
+
+    out = {
+        "hhhc_cyclic": six(hh, (hh, c)),
+        "hhhc_trace": six_trace(hh, (hh, c)),
+        "hhcc_cyclic": six(hh, (c, c)),
+        "hhcc_trace": six_trace(hh, (c, c)),
+        "hhhc_mixed": six_mixed((hh, c)),
+        "hhcc_mixed": six_mixed((c, c)),
+    }
+    acc = 0.0
+    for i in rng:
+        for j in rng:
+            for m in rng:
+                for l in rng:
+                    for t in rng:
+                        acc += n * hh[m, i, j] * hh[m, l, i] * c[t, l, j] * Hv[t]
+    out["hhcH_mixed"] = acc
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Li-Li matrix inequality
+# ---------------------------------------------------------------------------
+
+
+def li_li_check(Bs) -> tuple[float, float]:
+    """LHS and RHS of: sum N(B_m B_k - B_k B_m) + sum S_mk^2 <= 3/2 S^2."""
+    Bs = [np.asarray(B, dtype=float) for B in Bs]
+    if len(Bs) < 2:
+        raise ValueError("need at least two matrices")
+    for B in Bs:
+        if np.max(np.abs(B - B.T)) > 1e-12 * max(1.0, float(np.max(np.abs(B)))):
+            raise ValueError("matrices must be symmetric")
+    lhs = 0.0
+    S = 0.0
+    for Bm in Bs:
+        S += float(np.sum(Bm * Bm))
+    for Bm in Bs:
+        for Bk in Bs:
+            C = Bm @ Bk - Bk @ Bm
+            lhs += float(np.sum(C * C))
+            lhs += float(np.sum(Bm * Bk)) ** 2
+    return lhs, 1.5 * S * S
+
+
+def li_li_batch_margin(Bs: np.ndarray) -> np.ndarray:
+    """RHS - LHS for a batch of tuples, shape (T, m, n, n); >= 0 when the bound holds."""
+    prods = np.einsum("tmij,tkjl->tmkil", Bs, Bs)
+    comms = prods - np.transpose(prods, (0, 2, 1, 3, 4))
+    ncomm = np.einsum("tmkil,tmkil->t", comms, comms)
+    smk = np.einsum("tmij,tkij->tmk", Bs, Bs)
+    lhs = ncomm + np.einsum("tmk,tmk->t", smk, smk)
+    S = np.einsum("tmm->t", smk)
+    return 1.5 * S * S - lhs
+
+
+# ---------------------------------------------------------------------------
+# Curvature closed forms and the algebraic Simons bound
+# ---------------------------------------------------------------------------
+
+
+def curvature_contraction_closed_forms(hh: np.ndarray, Hv: np.ndarray, c_amb: float) -> dict[str, float]:
+    """Brute-force assembly of the three curvature contractions of hhat with
+    the Gauss-form curvature, against their closed forms in |hhat|, |H|, the
+    cubic trace sum and the quadratic H-contraction.
+
+    Returns the residual of each contraction and of the equality between the
+    first and third (which differ only by rearranging a fully symmetric
+    tensor)."""
+    n = hh.shape[0]
+    h_full = hh + c_tensor_array(Hv)
+    eye = np.eye(n)
+    rg = (
+        c_amb * (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
+        + np.einsum("mik,mjl->ijkl", h_full, h_full)
+        - np.einsum("mil,mjk->ijkl", h_full, h_full)
+    )
+    hs = float(np.einsum("mij,mij->", hh, hh))
+    Hs = float(np.dot(Hv, Hv))
+    f = n / (n + 2.0)
+    tri = float(np.einsum("mjk,mkl,tlj,t->", hh, hh, hh, Hv))
+    quad = float(np.einsum("mij,mjk,i,k->", hh, hh, Hv, Hv))
+    quartic_I = float(
+        np.einsum("mij,mkl,tlj,tik->", hh, hh, hh, hh)
+        - np.einsum("mij,mkl,tlk,tij->", hh, hh, hh, hh)
+    )
+    quartic_II = -float(np.einsum("mij,mli,tlk,tkj->", hh, hh, hh, hh))
+
+    term_I = float(np.einsum("mij,mlk,lijk->", hh, hh, rg))
+    closed_I = c_amb * hs + f * f * hs * Hs + 2.0 * f * tri + quartic_I + 2.0 * f * f * quad
+
+    term_II = float(np.einsum("mij,mil,lkjk->", hh, hh, rg))
+    closed_II = (
+        (n - 1.0) * c_amb * hs
+        + n * f * f * hs * Hs
+        + (n - 2.0) * f * tri
+        + (n - 2.0) * f * f * quad
+        + quartic_II
+    )
+
+    term_III = float(np.einsum("mij,lik,jklm->", hh, hh, rg))
+
+    return {
+        "I_closed_form": abs(term_I - closed_I),
+        "II_closed_form": abs(term_II - closed_II),
+        "III_closed_form": abs(term_III - closed_I),
+        "I_equals_III": abs(term_I - term_III),
+    }
+
+
+def algebraic_simons_bound(hh: np.ndarray, Hv: np.ndarray) -> dict[str, np.ndarray]:
+    """The purely algebraic estimate step: the curvature terms of the Simons
+    identity dominate -(n+3)/2 |hhat|^4 for any trace-free tri-symmetric hhat.
+
+    Also reports the eigen-decomposition cross-check `_spectral_consistency`.
+    hh (n, n, n, ...) and Hv (n, ...) may carry trailing batch axes.
+    """
+    hh = np.asarray(hh, dtype=float)
+    Hv = np.asarray(Hv, dtype=float)
+    if np.any(trisym_violations(hh, 1e-6)):
+        raise ValueError("array is not symmetric under index permutations")
+    n = hh.shape[0]
+    hs = np.einsum("mij...,mij...->...", hh, hh)
+    t = _curvature_terms(hh, Hv)
+    curvature = t["commutator_term"] + t["trace_sq_term"] + t["cubic_term"] + t["quad_term"]
+    return {
+        "margin": curvature + 0.5 * (n + 3.0) * hs * hs,
+        "spectral_consistency": _spectral_consistency(hh, Hv, t),
+    }
+
+
+# ---------------------------------------------------------------------------
+# Sphere points, jet rows, unitary maps and volumes
+# ---------------------------------------------------------------------------
+
+
+def embed(charts, coords) -> np.ndarray:
+    """(N, n+1) points of the unit sphere in R^{n+1}: the inverse of
+    `SphereAtlas.from_embedded`."""
+    s = np.einsum("na,na->n", coords, coords)[:, None]
+    return np.concatenate([2.0 * coords, SphereAtlas.sign(charts)[:, None] * (s - 1.0)], axis=1) / (1.0 + s)
+
+
+def deriv(jet: Jet, alpha) -> np.ndarray:
+    """Partial derivative d^alpha of `jet` at the expansion point, read off its rows."""
+    alpha = tuple(int(a) for a in alpha)
+    if sum(alpha) > jet.order:
+        raise ValueError(f"derivative {alpha} exceeds valid order {jet.order}")
+    k = jet.space.index_of[alpha]
+    return jet.c[..., k, :] * jet.space.coef_factorial[k]
+
+
+def random_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
+    Z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    Q, R = np.linalg.qr(Z)
+    return Q * (np.diagonal(R) / np.abs(np.diagonal(R))).conj()
+
+
+def sphere_volume(n: int) -> float:
+    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# CP^n: projective points and a gauge-twisted body
+# ---------------------------------------------------------------------------
+
+
+def normalize_representative(z: np.ndarray) -> np.ndarray:
+    """Unit-Hermitian-norm representative of a point of CP^n."""
+    z = np.asarray(z, dtype=complex)
+    nrm = float(np.sqrt(np.sum(np.abs(z) ** 2)))
+    if nrm < 1e-300:
+        raise ValueError("zero vector is not a projective point")
+    return z / nrm
+
+
+def projective_distance(z1: np.ndarray, z2: np.ndarray) -> float:
+    """Chordal Fubini-Study distance sqrt(1 - |<z1, z2>|^2) of unit reps."""
+    z1 = normalize_representative(z1)
+    z2 = normalize_representative(z2)
+    return float(np.sqrt(max(0.0, 1.0 - np.abs(np.vdot(z2, z1)) ** 2)))
+
+
+def phase_twist(base: Immersion, coeffs) -> Immersion:
+    """Multiply the homogeneous representative by exp(i chi(u)) with
+    chi = sum_a coeffs[a] * sin(u_a); exercises projective gauge invariance."""
+    coeffs = np.asarray(coeffs, dtype=float)
+
+    def jet_fn(charts, u):
+        Z = base.jet_fn(charts, u)
+        chi = jet_einsum("a,a->", coeffs, u.sin())
+        sin, cos = chi.sin_cos()
+        return Z * cos + times_i(Z) * sin
+
+    return replace(base, name=f"phase_twist({base.name})", params=dict(base.params, twist=coeffs), jet_fn=jet_fn)

@@ -414,11 +414,24 @@ WHITNEY3_A = {"family": "whitney_cn", "r": 1.0, "n": 3}
         ("identities", {"family": "whitney_cpn", "n": 3.5}),
         ("identities", {"family": "rpn", "n": "3"}),
         ("identities", {"family": "perturbed_whitney", "eps": 0.05, "mode": 1.5}),
+        ("energy", {"family": "whitney_cn", "r": True, "n": 2, "degree": 4}),
+        ("identities", {"family": "whitney_cn", "r": "2", "n": 2}),
+        ("energy", {"family": "whitney_cn", "r": float("nan"), "n": 2, "degree": 4}),
+        ("energy", {"family": "whitney_cn", "r": float("inf"), "n": 2, "degree": 4}),
+        ("energy", {"family": "product_torus", "radii": [1.0, "2"], "degree": 4}),
+        ("energy", {"family": "product_torus", "radii": [True, 2.0], "degree": 4}),
+        ("identities", {"family": "whitney_cpn", "theta": True, "n": 2}),
+        ("identities", {"family": "whitney_cpn", "theta": float("nan"), "n": 2}),
+        ("identities", {"family": "perturbed_whitney", "eps": False}),
+        ("energy", {"family": "cpn_torus", "moduli": [True, 1, 1], "degree": 4}),
+        ("energy", {**WHITNEY3_A, "A": [float("nan"), 0.0, [0.0, float("inf")]], "degree": 4}),
     ],
     ids=[
         "identities-A-short-pair", "energy-A-short-pair", "A-long-pair", "A-bool-part", "A-text", "A-not-a-list",
         "energy-radii-nested", "identities-radii-nested", "whitney_cn-n-fraction", "plane-n-half", "plane-n-bool",
-        "whitney_cpn-n-half", "rpn-n-text", "perturbed-mode-fraction",
+        "whitney_cpn-n-half", "rpn-n-text", "perturbed-mode-fraction", "whitney_cn-r-bool", "whitney_cn-r-text",
+        "whitney_cn-r-nan", "whitney_cn-r-inf", "radii-text-entry", "radii-bool-entry", "whitney_cpn-theta-bool",
+        "whitney_cpn-theta-nan", "perturbed-eps-bool", "cpn_torus-moduli-bool", "A-not-finite",
     ],
 )
 def test_malformed_family_parameters_are_construction_errors(tmp_path, capsys, command, payload):
@@ -582,6 +595,11 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         ("scan", {**SCAN, "values": [1.0], "degree": 10**6}, 2, DEGREE_CAP),
         ("scan", {**SCAN, "values": []}, 2, "a non-empty finite 'values' list"),
         ("identities", {**TORUS, "samples": cli.MAX_SAMPLES + 1}, 2, f"'samples' must be at most {cli.MAX_SAMPLES}"),
+        ("energy", {"family": "whitney_cn", "radius": 2.0, "n": 3, "degree": 4}, 2,
+         "unknown whitney_cn parameters ['radius']"),
+        ("identities", {**TORUS, "samples": 2, "sead": 5}, 2, "unknown product_torus parameters ['sead']"),
+        ("identities", {"immersion": TORUS, "samples": 2, "sead": 5}, 2,
+         "unknown config keys beside 'immersion': ['sead']"),
     ],
     ids=[
         "samples-negative", "samples-text", "samples-zero", "samples-fraction", "seed-text",
@@ -593,6 +611,7 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         "scan-out-no-dir", "scan-format-unknown", "out-not-a-path", "scan-format-json",
         "scan-format-table", "immersion-not-an-object", "family-not-a-string", "cpn-theta-overflow",
         "energy-degree-above-cap", "scan-degree-above-cap", "scan-values-empty", "samples-above-cap",
+        "family-key-misspelt", "run-key-misspelt", "key-beside-immersion",
     ],
 )
 def test_invalid_run_parameters_are_refused(tmp_path, capsys, monkeypatch, command, payload, code, message):

@@ -13,7 +13,6 @@ from lagcheck.immersions import (
     make_lagrangian_plane,
     make_product_torus,
     make_whitney_cn,
-    random_unitary,
 )
 from lagcheck import geometry, quadrature
 from lagcheck.jets import Jet, jet_einsum, jet_space
@@ -23,24 +22,35 @@ from lagcheck.quadrature import (
     michael_simon_ratio,
     rule_for,
     sphere_rule,
-    sphere_volume,
     torus_rule,
 )
+from reference import random_unitary, sphere_volume
+
+
+def sphere_angles(n: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hyperspherical angle grid of `sphere_rule(n, degree)` and its
+    weights, rebuilt from the same 1-D Gauss-Legendre rules."""
+    return quadrature._product_grid(
+        [quadrature._gl_nodes(0.0, math.pi, degree)] * (n - 1) + [quadrature._gl_nodes(0.0, 2.0 * math.pi, degree)]
+    )
 
 
 class TestRules:
     def test_weights_positive_and_sum_to_parameter_volume(self):
         r = torus_rule(2, 12)
         assert np.all(r.weights > 0)
-        assert r.parameter_volume() == pytest.approx((2 * math.pi) ** 2, rel=1e-13)
+        assert np.sum(r.weights) == pytest.approx((2 * math.pi) ** 2, rel=1e-13)
         s = sphere_rule(3, 10)
         assert np.all(s.weights > 0)
-        assert s.parameter_volume() == pytest.approx(2 * math.pi * math.pi**2, rel=1e-13)
+        assert np.sum(s.weights) == pytest.approx(2 * math.pi * math.pi**2, rel=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_round_sphere_volume(self, n):
         r = sphere_rule(n, 30 if n < 4 else 14)
-        assert abs(r.round_sphere_volume() - sphere_volume(n)) < 1e-8
+        angles, weights = sphere_angles(n, r.degree)
+        assert np.array_equal(weights, r.weights)
+        round_density = np.prod([np.sin(angles[:, i]) ** (n - 1 - i) for i in range(n - 1)], axis=0)
+        assert abs(float(np.sum(r.weights * round_density)) - sphere_volume(n)) < 1e-8
 
     @pytest.mark.parametrize("degree", range(1, 41))
     def test_gauss_legendre_nodes(self, degree):
@@ -60,7 +70,7 @@ class TestRules:
         order-1 jets of the angle-to-chart map, on nodes of both charts."""
         r = sphere_rule(n, 8)
         assert set(r.charts) == {0, 1}
-        th = Jet.variables(jet_space(n, 1), r.angles.T)
+        th = Jet.variables(jet_space(n, 1), sphere_angles(n, 8)[0].T)
         cos, sin = th.cos(), th.sin()
         # x_i = cos_i prod_{k<i} sin_k for i < n, and x_n = prod_{k<n} sin_k
         x, sin_prod = [cos[0]], sin[0]
@@ -141,7 +151,7 @@ class TestRuleCache:
     @pytest.mark.parametrize("fresh", [False, True])
     def test_rules_are_read_only(self, fresh):
         rule = sphere_rule(3, 6) if fresh else rule_for(make_whitney_cn(1.0, None, 3), 6)
-        for field in ("charts", "coords", "weights", "chart_jacobians", "angles", "round_density"):
+        for field in ("charts", "coords", "weights", "chart_jacobians"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(rule, field)[0] = 1
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -3,19 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagcheck.tensors import (
-    c_tensor_array,
-    contraction_identity_suite,
+from lagcheck.geometry import _trace, _tracefree
+from lagcheck.tensors import c_tensor_array, spectral_summary, symmetry_residual, trisym_violations
+from reference import (
     _contraction_suite_loops,
+    contraction_identity_suite,
     li_li_batch_margin,
     li_li_check,
     norm_identity_residual,
     random_cubic,
     random_tracefree,
-    spectral_summary,
-    symmetry_residual,
-    tracefree_part,
-    trisym_violations,
     trisymmetrize,
 )
 
@@ -75,9 +72,12 @@ class TestCTensor:
 
 
 class TestTracefreePart:
+    """`geometry._trace` and `_tracefree`, the engine's one trace decomposition,
+    on single cubic arrays."""
+
     def test_umbilic_case_gives_zero(self):
         H = np.array([0.4, -0.7])
-        hhat = tracefree_part(c_tensor_array(H), H)
+        hhat = _tracefree(c_tensor_array(H))
         assert np.allclose(hhat, 0.0, atol=1e-14)
 
     def test_torus_closed_form(self):
@@ -85,7 +85,8 @@ class TestTracefreePart:
         h = np.zeros((2, 2, 2))
         h[0, 0, 0] = 1.0
         h[1, 1, 1] = 1.0
-        hhat = tracefree_part(h, np.array([0.5, 0.5]))
+        assert np.array_equal(_trace(h), [0.5, 0.5])
+        hhat = _tracefree(h)
         assert hhat[0, 0, 0] == pytest.approx(0.25)
         assert hhat[0, 1, 1] == pytest.approx(-0.25)
         assert hhat[1, 0, 1] == pytest.approx(-0.25)
@@ -95,33 +96,27 @@ class TestTracefreePart:
     def test_trace_free_everywhere(self):
         rng = np.random.default_rng(1)
         for n in (2, 4):
-            h, H = random_cubic(rng, n)
-            hhat = tracefree_part(h, H)
+            h, _ = random_cubic(rng, n)
+            hhat = _tracefree(h)
             assert np.max(np.abs(np.einsum("mii->m", hhat))) < 1e-10
 
     def test_idempotent_on_tracefree(self):
         rng = np.random.default_rng(2)
         hhat = random_tracefree(rng, 3)
-        again = tracefree_part(hhat, np.zeros(3))
+        again = _tracefree(hhat)
         assert np.allclose(again, hhat, atol=1e-14)
-
-    def test_inconsistent_pair_rejected(self):
-        rng = np.random.default_rng(3)
-        h, H = random_cubic(rng, 2)
-        with pytest.raises(ValueError):
-            tracefree_part(h, H + 1.0)
 
     @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
     def test_norm_identity(self, n, seed):
-        h, H = random_cubic(np.random.default_rng(seed), n)
-        assert norm_identity_residual(h, H) < 1e-12
+        h, _ = random_cubic(np.random.default_rng(seed), n)
+        assert norm_identity_residual(h) < 1e-12
 
     def test_norm_identity_thousand_instances(self):
         rng = np.random.default_rng(99)
         for _ in range(1000):
-            h, H = random_cubic(rng, int(rng.integers(2, 6)))
-            assert norm_identity_residual(h, H) < 1e-12
+            h, _ = random_cubic(rng, int(rng.integers(2, 6)))
+            assert norm_identity_residual(h) < 1e-12
 
 
 class TestContractionSuite:
