@@ -41,7 +41,7 @@ import numpy as np
 from . import cpn  # noqa: F401  (registers the CP^n families)
 from .geometry import DegenerateMetricError, NonLagrangianError
 from .identities import SampleError, run_identity_suite
-from .immersions import FAMILY_REGISTRY, OutOfDomainError, parse_immersion_config
+from .immersions import FAMILY_REGISTRY, OutOfDomainError, integer_param, parse_immersion_config
 from .quadrature import energy_report, rule_for
 
 EXIT_OK = 0
@@ -72,7 +72,8 @@ def build_immersion(cfg: dict):
     """The body a config describes: its family keys sit at the top level
     beside the run keys, or in an `immersion` object.  A key that is neither
     a run key nor a parameter the built body records in its `params` is
-    refused, not ignored."""
+    refused, not ignored, and so is an `n` other than the dimension of the
+    body, which a torus derives from its radii or moduli."""
     imm_cfg = cfg.get("immersion", None)
     if imm_cfg is None:
         imm_cfg = {k: v for k, v in cfg.items() if k not in RUN_KEYS}
@@ -86,6 +87,8 @@ def build_immersion(cfg: dict):
     params = {k: v for k, v in imm_cfg.items() if k != "family"}
     try:
         imm = FAMILY_REGISTRY[family](params)
+        if "n" in params and integer_param(params, "n", imm.source_dim) != imm.source_dim:
+            raise ValueError(f"n = {params['n']!r}, but its parameters give n = {imm.source_dim}")
     except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
         raise ConstructionError(f"cannot construct {family}: {exc}") from exc
     if unknown := sorted(set(params) - set(imm.params)):
@@ -128,9 +131,10 @@ def integer(cfg: dict, key: str, default: int, least: int) -> int:
 # per node (whitney_cn, n = 4, degree 32: 2^20 nodes in 5.2 s and 191 MB).
 MAX_DEGREE = 4000
 MAX_NODES = 2**20
-# An identities op builds one bundle over all its samples, about 52 KB per
-# sample at n = 3 and 0.61 MB at n = 5 (peak RSS, one process, 2-core VM),
-# so 1024 samples hold about 0.66 GB at n = 5.
+# An identities op builds one bundle over all its samples, about 37 KB per
+# sample at n = 3 and 0.33 MB at n = 5 (slope of the peak RSS of one process
+# on whitney_cn from 100 to 1000 samples at n = 3 and from 20 to 200 at
+# n = 5, 2-core VM), so 1024 samples hold about 0.34 GB at n = 5.
 MAX_SAMPLES = 1024
 
 

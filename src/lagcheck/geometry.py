@@ -30,7 +30,8 @@ matching array of h.
 Every derivative here is read off a Taylor jet; nothing is finite
 differenced.  An order-k ambient jet leaves h, H and |hhat|^2 valid to order
 k - 2 and the first covariant derivatives of h to order k - 3, so an order-4
-bundle carries the Laplacian of |hhat|^2 and the gradient of T exactly.
+bundle carries the Laplacian of |hhat|^2 and the gradient of T exactly.  As
+in `jets`, each jet carries only the degrees its readers use (`FrameBundle`).
 """
 
 from __future__ import annotations
@@ -91,6 +92,14 @@ class FrameBundle:
     integrands) builds no jet at all.  Every jet-valued tensor, f included,
     is built on first use; `covariant_derivative` is applied to h and its
     first derivative only.
+
+    Each jet carries only the degrees its readers use.  On a bundle of
+    order K, f carries K - 1 (its derivative is the Hessian of phi), h and
+    the jets made of it K - 2, and h_{,k} K - 3.  g, B, e and J e carry
+    max(K - 2, 2), at most K - 1, for h and for one derivative of the
+    Christoffel symbols; De and omega one order less.  The Christoffel
+    symbols and the Maslov form carry 1, as their readers take one
+    derivative at the points, and hess_h uses the order-1 part of h_{,k}.
     """
 
     def __init__(self, phi: Jet, n: int, c_amb: float, gauge: np.ndarray | None = None):
@@ -168,15 +177,18 @@ class FrameBundle:
 
     @property
     def g_jets(self) -> Jet:
-        return self._get("g_jets", lambda: jet_einsum("ca,cb->ab", self.f, self.f))
+        """g_ab = <f_a, f_b> to order max(K - 2, 2), at most K - 1."""
+        K = self.phi.order
+        order = min(max(K - 2, 2), K - 1)
+        return self._get("g_jets", lambda: jet_einsum("ca,cb->ab", self.f.truncated(order), self.f))
 
     @property
     def B(self) -> Jet:
-        """B = gauge . L^{-1} as a jet valid to order - 1, lifted from its
+        """B = gauge . L^{-1} as a jet of the order of g, lifted from its
         value by Newton steps C <- C - P(R) C on the lower-triangular
         C = L^{-1}, where R = C g C^T - I and P keeps the strict lower
         triangle plus half the diagonal.  A step doubles the valid degree
-        d -> 2d + 1, so orders 1 and 3 take one and two steps."""
+        d -> 2d + 1, so order 1 takes one step and orders 2 and 3 two."""
 
         def build():
             g = self.g_jets
@@ -213,7 +225,7 @@ class FrameBundle:
 
     @property
     def De(self) -> Jet:
-        """D_{e_k} e_j, indexed [k, j, c]."""
+        """D_{e_k} e_j, indexed [k, j, c], one order below e."""
         return self._get("De", lambda: jet_einsum("ka,jca->kjc", self.B, self.e.grad()))
 
     @property
@@ -234,7 +246,7 @@ class FrameBundle:
     @property
     def omega_jets(self) -> Jet:
         """Connection coefficients omega[k, i, j] = <D_{e_k} e_i, e_j>,
-        antisymmetrized in ij."""
+        antisymmetrized in ij, of the order of De."""
 
         def build():
             w = jet_einsum("kic,jc->kij", self.De, self.e)
@@ -300,9 +312,11 @@ class FrameBundle:
         derivative e_p of every component plus one omega contraction per
         tensor axis.  Tangent and starred indices transform alike, since the
         normal connection is the tangent one transported by J.  The result is
-        valid one order below x; at order 0 it is just the point value."""
+        valid one order below x, so x is truncated to that order before the
+        omega products; at order 0 the result is just the point value."""
         idx = "abcdefgh"[: x.ndim]
         out = jet_einsum(f"{idx}q,pq->{idx}p", x.grad(), self.B)
+        x = x.truncated(out.order)
         for s in idx:
             out = out + jet_einsum(f"{idx.replace(s, 'l')},pl{s}->{idx}p", x, self.omega_jets)
         return out
@@ -340,8 +354,9 @@ class FrameBundle:
 
     @property
     def hess_h(self) -> np.ndarray:
-        """h^{m*}_{ij,kp} with shape (n, n, n, n, n, B)."""
-        return self._get("hess_h", lambda: self.covariant_derivative(self.grad_h_jets).value)
+        """h^{m*}_{ij,kp} with shape (n, n, n, n, n, B): the point value, so
+        only the order-1 part of h_{,k} is differentiated."""
+        return self._get("hess_h", lambda: self.covariant_derivative(self.grad_h_jets.truncated(1)).value)
 
     @property
     def hess_hhat(self) -> np.ndarray:
@@ -368,12 +383,13 @@ class FrameBundle:
 
     @property
     def christoffel_jets(self) -> Jet:
-        """Gamma^d_ab = g^{de} (d_a g_eb + d_b g_ea - d_e g_ab) / 2, indexed [d, a, b]."""
+        """Gamma^d_ab = g^{de} (d_a g_eb + d_b g_ea - d_e g_ab) / 2, indexed
+        [d, a, b], to order 1: its readers take one derivative at the points."""
 
         def build():
-            dg = self.g_jets.grad()  # [a, b, c] = d_c g_ab
+            dg = self.g_jets.grad().truncated(1)  # [a, b, c] = d_c g_ab
             low = (dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1)).scaled(0.5)
-            B = self._value_jet(self.B0) if low.order == 0 else self.B
+            B = self._value_jet(self.B0) if low.order == 0 else self.B.truncated(1)
             return jet_einsum("de,eab->dab", jet_einsum("ia,ib->ab", B, B), low)
 
         return self._get("christoffel_jets", build)
@@ -455,10 +471,11 @@ class FrameBundle:
 
     @property
     def maslov_chart_jets(self) -> Jet:
-        """Pullback alpha_a = <J H_amb, d_a phi> with H_amb = H^{m*} J e_m."""
+        """Pullback alpha_a = <J H_amb, d_a phi> with H_amb = H^{m*} J e_m, to
+        order 1: `maslov_closedness` reads its derivative at the points."""
 
         def build():
-            H_amb = jet_einsum("mc,m->c", self.Je, self.H_jets)
+            H_amb = jet_einsum("mc,m->c", self.Je, self.H_jets.truncated(1))
             return jet_einsum("c,ca->a", times_i(H_amb), self.f)
 
         return self._get("maslov_chart", build)

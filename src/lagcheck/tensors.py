@@ -9,22 +9,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import permutations
 
 import numpy as np
 
 TRISYM_TOL = 1e-9
 
 
+@cache
+def _orbits(n: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of an (n,) * rank block grouped by orbit, the entries
+    whose indices rearrange one another, and the first position of each
+    group."""
+    shape = (n,) * rank
+    key = np.ravel_multi_index(np.sort(np.indices(shape).reshape(rank, -1), axis=0), shape)
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    order.flags.writeable = starts.flags.writeable = False
+    return order, starts
+
+
 def symmetry_residual(a: np.ndarray, rank: int) -> np.ndarray:
     """Max deviation of `a` from full symmetry in its first `rank` axes, one
-    value per entry of the trailing (batch) axes."""
-    axes = tuple(range(rank))
-    rest = tuple(range(rank, a.ndim))
-    return np.max(
-        [np.max(np.abs(np.transpose(a, perm + rest) - a), axis=axes) for perm in permutations(axes)],
-        axis=0,
-    )
+    value per entry of the trailing (batch) axes: the widest spread max - min
+    of an orbit of entries.  Floating-point subtraction is monotone, so this
+    is max |a[perm] - a| over all index permutations bit for bit.  An entry
+    that is not finite makes its point NaN, as a - a does."""
+    n = a.shape[0]
+    order, starts = _orbits(n, rank)
+    x = a.reshape(n**rank, -1)[order]
+    spread = np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
+    out = np.max(spread, axis=0)
+    out[~np.all(np.isfinite(x), axis=0)] = np.nan
+    return out.reshape(a.shape[rank:])
 
 
 def trisym_violations(a: np.ndarray, tol: float = TRISYM_TOL) -> np.ndarray:

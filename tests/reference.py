@@ -1,4 +1,5 @@
 """Reference code for the tests: the nested-loop contraction oracle, the
+permutation loop of the symmetry residual, the full-order frame bundle, the
 algebraic lemmas of the Simons-type estimate (the contraction identities,
 the Li-Li matrix bound, the curvature closed forms and the algebraic Simons
 bound), random tensors, and helpers that invert or read what the engine
@@ -12,7 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
-from lagcheck.geometry import _trace, _tracefree
+from lagcheck.geometry import FrameBundle, _trace, _tracefree
 from lagcheck.identities import _curvature_terms, _spectral_consistency
 from lagcheck.immersions import Immersion, SphereAtlas, times_i
 from lagcheck.jets import Jet, jet_einsum
@@ -47,6 +48,64 @@ def norm_identity_residual(h: np.ndarray) -> float:
     n = h.shape[0]
     hhat, H = _tracefree(h), _trace(h)
     return abs(float(np.sum(hhat**2) - np.sum(h**2) + 3.0 * n * n / (n + 2.0) * np.dot(H, H)))
+
+
+def symmetry_residual_loops(a: np.ndarray, rank: int) -> np.ndarray:
+    """max |a[perm] - a| over every permutation of the first `rank` axes, one
+    value per entry of the trailing axes: one transpose per permutation."""
+    axes = tuple(range(rank))
+    rest = tuple(range(rank, a.ndim))
+    return np.max(
+        [np.max(np.abs(np.transpose(a, perm + rest) - a), axis=axes) for perm in permutations(axes)],
+        axis=0,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The frame bundle with every jet at full order
+# ---------------------------------------------------------------------------
+
+
+class FullOrderBundle(FrameBundle):
+    """A FrameBundle whose jets all run at the order their inputs allow: g,
+    B, e and J e at K - 1 on a bundle of order K, De and omega at K - 2, the
+    Christoffel symbols at K - 2, the Maslov form at K - 2, and each omega
+    product of a covariant derivative at the order of its input.  The
+    products read the same rows as the engine's order-reduced ones, so the
+    point values agree wherever the Newton lift of B takes the same steps."""
+
+    @property
+    def g_jets(self) -> Jet:
+        return self._get("g_jets", lambda: jet_einsum("ca,cb->ab", self.f, self.f))
+
+    def covariant_derivative(self, x: Jet) -> Jet:
+        idx = "abcdefgh"[: x.ndim]
+        out = jet_einsum(f"{idx}q,pq->{idx}p", x.grad(), self.B)
+        for s in idx:
+            out = out + jet_einsum(f"{idx.replace(s, 'l')},pl{s}->{idx}p", x, self.omega_jets)
+        return out
+
+    @property
+    def hess_h(self) -> np.ndarray:
+        return self._get("hess_h", lambda: self.covariant_derivative(self.grad_h_jets).value)
+
+    @property
+    def christoffel_jets(self) -> Jet:
+        def build():
+            dg = self.g_jets.grad()
+            low = (dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1)).scaled(0.5)
+            B = self._value_jet(self.B0) if low.order == 0 else self.B
+            return jet_einsum("de,eab->dab", jet_einsum("ia,ib->ab", B, B), low)
+
+        return self._get("christoffel_jets", build)
+
+    @property
+    def maslov_chart_jets(self) -> Jet:
+        def build():
+            H_amb = jet_einsum("mc,m->c", self.Je, self.H_jets)
+            return jet_einsum("c,ca->a", times_i(H_amb), self.f)
+
+        return self._get("maslov_chart", build)
 
 
 # ---------------------------------------------------------------------------

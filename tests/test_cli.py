@@ -600,6 +600,10 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         ("identities", {**TORUS, "samples": 2, "sead": 5}, 2, "unknown product_torus parameters ['sead']"),
         ("identities", {"immersion": TORUS, "samples": 2, "sead": 5}, 2,
          "unknown config keys beside 'immersion': ['sead']"),
+        ("energy", {"family": "product_torus", "radii": [1.0, 2.0], "n": 5, "degree": 4}, 3,
+         "n = 5, but its parameters give n = 2"),
+        ("energy", {"family": "cpn_torus", "moduli": [1.0, 0.7, 1.2], "n": 7, "degree": 4}, 3,
+         "n = 7, but its parameters give n = 2"),
     ],
     ids=[
         "samples-negative", "samples-text", "samples-zero", "samples-fraction", "seed-text",
@@ -611,7 +615,8 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         "scan-out-no-dir", "scan-format-unknown", "out-not-a-path", "scan-format-json",
         "scan-format-table", "immersion-not-an-object", "family-not-a-string", "cpn-theta-overflow",
         "energy-degree-above-cap", "scan-degree-above-cap", "scan-values-empty", "samples-above-cap",
-        "family-key-misspelt", "run-key-misspelt", "key-beside-immersion",
+        "family-key-misspelt", "run-key-misspelt", "key-beside-immersion", "torus-n-mismatch",
+        "cpn-torus-n-mismatch",
     ],
 )
 def test_invalid_run_parameters_are_refused(tmp_path, capsys, monkeypatch, command, payload, code, message):

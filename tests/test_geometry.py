@@ -31,7 +31,7 @@ from lagcheck.immersions import (
     make_product_torus,
     make_whitney_cn,
 )
-from reference import embed, phase_twist, random_unitary
+from reference import FullOrderBundle, embed, phase_twist, random_unitary
 
 RNG = np.random.default_rng(1234)
 
@@ -384,17 +384,90 @@ def test_energy_scalars_take_no_jet_products(monkeypatch, body):
 
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_lifted_frame_jet_is_orthonormal_and_triangular(order):
-    """The Newton lift of B = L^{-1} solves B g B^T = I to its valid order
-    and keeps B lower triangular."""
+    """The Newton lift of B = L^{-1} solves B g B^T = I to its valid order,
+    the order of g (1, 2 and 2 on bundles of order 2, 3 and 4), and keeps B
+    lower triangular."""
     imm = make_perturbed_whitney(1.0, 0.05, 1, 3)
     fb = bundle_at(imm, 0, np.array([[0.3, -0.2, 0.5], [0.7, 0.1, -0.4]]), order)
     B = fb.B
-    assert B.order == order - 1
+    assert B.order == fb.g_jets.order == {2: 1, 3: 2, 4: 2}[order]
     assert np.array_equal(B.value, fb.B0)
     eye = jet_einsum("ib,jb->ij", jet_einsum("ia,ab->ib", B, fb.g_jets), B)
     eye.c[:, :, 0] -= np.eye(3)[..., None]
     assert np.max(np.abs(eye.c)) < 1e-13
     assert not np.any(B.c[np.triu_indices(3, 1)])
+
+
+# The order of every jet of a bundle of order K = 3, 4, 5: f at K - 1, h at
+# K - 2 and h_{,k} at K - 3; the frame jets g, B, e and J e at max(K - 2, 2),
+# De and omega one order lower; the Christoffel symbols and the Maslov form
+# at 1.
+JET_ORDERS = {
+    "f": (2, 3, 4),
+    "g_jets": (2, 2, 3),
+    "B": (2, 2, 3),
+    "e": (2, 2, 3),
+    "Je": (2, 2, 3),
+    "De": (1, 1, 2),
+    "omega_jets": (1, 1, 2),
+    "h_jets": (1, 2, 3),
+    "H_jets": (1, 2, 3),
+    "hhat_sq_jet": (1, 2, 3),
+    "grad_h_jets": (0, 1, 2),
+    "christoffel_jets": (1, 1, 1),
+    "maslov_chart_jets": (1, 1, 1),
+}
+
+REDUCED_ORDER_BODIES = {
+    "perturbed_whitney": (lambda: make_perturbed_whitney(1.0, 0.05, 1, 3), None),
+    "perturbed_whitney-gauge": (
+        lambda: make_perturbed_whitney(0.7, 0.08, 2, 3), random_orthogonal(3, np.random.default_rng(5))
+    ),
+    "whitney_cn-offset": (
+        lambda: make_whitney_cn(0.3, np.array([0.05 - 0.08j, 0.1 + 0.02j, -0.06 + 0.09j]), 3), None
+    ),
+    "whitney_cpn": (lambda: make_whitney_cpn(0.7, 3), None),
+    "cpn_torus": (lambda: make_cpn_torus([1.0, 0.7, 1.2, 0.9]), None),
+}
+
+
+class TestReducedOrderJets:
+    """Each jet of a bundle carries only the degrees its readers use, and the
+    point values match the route that builds every jet at full order."""
+
+    @staticmethod
+    def bundles(name, order):
+        make, gauge = REDUCED_ORDER_BODIES[name]
+        imm = make()
+        fb = bundle_at(imm, *chart_batch(imm, *imm.atlas.random(np.random.default_rng(11), 12)), order, gauge)
+        return fb, FullOrderBundle(fb.phi, fb.n, fb.c_amb, gauge)
+
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    def test_every_jet_has_its_pinned_order(self, order):
+        fb, full = self.bundles("perturbed_whitney", order)
+        assert {name: getattr(fb, name).order for name in JET_ORDERS} == {
+            name: orders[order - 3] for name, orders in JET_ORDERS.items()
+        }
+        assert full.B.order == full.omega_jets.order + 1 == full.christoffel_jets.order + 1 == order - 1
+
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    @pytest.mark.parametrize("name", sorted(REDUCED_ORDER_BODIES))
+    def test_point_values_match_the_full_order_route(self, name, order):
+        """Bit for bit at orders 3 and 4, the orders the identity suite
+        builds.  At order 5 the full-order B takes a third Newton step
+        (order 3 to 4), whose round-off residual moves its lower rows by an
+        ulp, so the values agree to round-off there."""
+        fb, full = self.bundles(name, order)
+
+        def values(b):
+            heavy = [b.hess_h] if order >= 4 else []
+            return [b.grad_h, b.curvature_chart, b.normal_curvature, b.maslov_closedness()] + heavy
+
+        for k, (got, want) in enumerate(zip(values(fb), values(full))):
+            if order <= 4:
+                assert np.array_equal(got, want), k
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want))), k
 
 
 def linear_real_jet(M):
@@ -581,19 +654,21 @@ class TestOneDerivativeChain:
         assert np.max(np.abs(hess_H - _trace(fb.hess_h))) <= 1e-13 * h**3
 
     def test_heavy_suite_differentiates_h_twice(self, monkeypatch):
+        """Once h, of order 2 on the order-4 bundle, and once the order-1
+        part of h_{,k}: hess_h is read at the points only."""
         from lagcheck.identities import run_identity_suite
 
         calls = []
         derivative = FrameBundle.covariant_derivative
 
         def counting(fb, x):
-            calls.append(x.shape)
+            calls.append((x.shape, x.order))
             return derivative(fb, x)
 
         monkeypatch.setattr(FrameBundle, "covariant_derivative", counting)
         imm = make_perturbed_whitney(1.0, 0.05, 1, 3)
         assert run_identity_suite(imm, *imm.atlas.random(np.random.default_rng(7), 5), heavy=True)["all_pass"]
-        assert calls == [(3, 3, 3), (3, 3, 3, 3)]
+        assert calls == [((3, 3, 3), 2), ((3, 3, 3, 3), 1)]
 
     @pytest.mark.parametrize("body", sorted(ENERGY_BODIES))
     def test_energy_builds_no_h_jet(self, monkeypatch, body):

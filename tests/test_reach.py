@@ -28,7 +28,7 @@ ALLOWED_UNREACHED = {
     **{f"geometry.{name}": PINNED_BY_TRACER
        for name in ("geometry_state", "closedness_residual", "maslov_tensor_gradient", "scalar_laplacian")},
     **{f"jets.Jet.{name}": "listed in the tracer's JET_METHODS"
-       for name in ("__rsub__", "__rmul__", "__truediv__", "partial", "sqrt", "sin", "cos", "exp", "truncated")},
+       for name in ("__rsub__", "__rmul__", "__truediv__", "partial", "sqrt", "sin", "cos", "exp")},
     "immersions.make_black_box": BLACK_BOX,
     "immersions.make_black_box.<locals>.partial_value": BLACK_BOX,
     "immersions.make_black_box.<locals>.partial_value.<locals>.diff": BLACK_BOX,

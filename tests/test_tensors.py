@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from reference import (
     norm_identity_residual,
     random_cubic,
     random_tracefree,
+    symmetry_residual_loops,
     trisymmetrize,
 )
 
@@ -30,6 +33,40 @@ class TestCubicSymTensor:
         a = np.zeros((2, 2, 2))
         a[0, 0, 1] = 1.0
         assert trisym_violations(a)
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+class TestSymmetryResidual:
+    """The spread of each index orbit against the loop over every
+    permutation, bit for bit."""
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_the_permutation_loop(self, rank, n):
+        rng = np.random.default_rng(10 * rank + n)
+        shape = (n,) * rank + (7,)
+        random = rng.normal(size=shape)
+        sym = np.mean([np.transpose(random, perm + (rank,)) for perm in permutations(range(rank))], axis=0)
+        nearly = sym + np.where(rng.random(shape) < 0.2, 1e-15 * rng.normal(size=shape), 0.0)
+        special = sym.copy()
+        special[(0,) * rank + (0,)] = np.inf  # an orbit of one entry
+        special[(1,) + (0,) * (rank - 1) + (1,)] = -np.inf  # an orbit of several
+        special[(1,) + (0,) * (rank - 1) + (2,)] = np.nan
+        special[..., 3] = np.where(random[..., 3] > 0, 1e308, -1e308)  # the spread overflows to inf
+        special[..., 4] = np.where(random[..., 4] > 0, 1e308, 9e307)
+        special[..., 5] = np.where(random[..., 5] > 0, 0.0, -0.0)  # signed zeros spread by +0.0, as |0 - -0|
+        for a in (random, sym, nearly, special):
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = symmetry_residual(a, rank), symmetry_residual_loops(a, rank)
+                assert same_bits(symmetry_residual(a[..., 6], rank), symmetry_residual_loops(a[..., 6], rank))
+            assert got.shape == (7,) and same_bits(got, want)
+        assert np.isnan(got[:3]).all() and got[3] == np.inf and np.isfinite(got[4])
+        assert got[5] == 0.0 and not np.signbit(got[5])
 
 
 class TestCTensor:
