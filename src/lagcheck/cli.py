@@ -40,8 +40,8 @@ import numpy as np
 
 from . import cpn  # noqa: F401  (registers the CP^n families)
 from .geometry import DegenerateMetricError, NonLagrangianError
-from .identities import SampleError, run_identity_suite
-from .immersions import FAMILY_REGISTRY, OutOfDomainError, integer_param, parse_immersion_config
+from .identities import DEFAULT_TOLERANCES, SampleError, run_identity_suite
+from .immersions import FAMILY_REGISTRY, OutOfDomainError, integer_param, jsonable_params, parse_immersion_config
 from .quadrature import energy_report, rule_for
 
 EXIT_OK = 0
@@ -131,10 +131,9 @@ def integer(cfg: dict, key: str, default: int, least: int) -> int:
 # per node (whitney_cn, n = 4, degree 32: 2^20 nodes in 5.2 s and 191 MB).
 MAX_DEGREE = 4000
 MAX_NODES = 2**20
-# An identities op builds one bundle over all its samples, about 37 KB per
-# sample at n = 3 and 0.33 MB at n = 5 (slope of the peak RSS of one process
-# on whitney_cn from 100 to 1000 samples at n = 3 and from 20 to 200 at
-# n = 5, 2-core VM), so 1024 samples hold about 0.34 GB at n = 5.
+# An identities op streams its samples, so its memory does not grow with them;
+# the cap bounds the time of one op (whitney_cn, n = 5, heavy, 1024 samples:
+# 1.8 s, 2-core VM) and its report, which lists every sample (213 kB).
 MAX_SAMPLES = 1024
 
 
@@ -244,8 +243,8 @@ def cmd_identities(args) -> int:
     if samples > MAX_SAMPLES:
         raise ConfigError(f"'samples' must be at most {MAX_SAMPLES}, got {samples}")
     tol_scale = number(cfg.get("tol_scale", 1.0), "'tol_scale'")
-    if tol_scale <= 0:
-        raise ConfigError(f"'tol_scale' must be positive, got {tol_scale!r}")
+    if not min(DEFAULT_TOLERANCES.values()) * tol_scale > 0:
+        raise ConfigError(f"'tol_scale' must be positive and leave every tolerance above 0, got {tol_scale!r}")
     heavy = cfg.get("heavy", True)
     if not isinstance(heavy, bool):
         raise ConfigError(f"'heavy' must be true or false, got {heavy!r}")
@@ -300,11 +299,11 @@ def cmd_scan(args) -> int:
     degree = rule_degree(cfg)
     out, _ = output(args, cfg, ("csv",))
     body = compact_immersion(cfg, "scan", degree)
-    target = _scan_target(body, key)
+    target, params = _scan_target(body, key), jsonable_params(body.params)
     bodies = []  # every body is built and checked before any rule
     for v in values:
         sub = copy.deepcopy(cfg)
-        _set_scan_param(sub.get("immersion", sub), body.params, target, v)
+        _set_scan_param(sub.get("immersion", sub), params, target, v)
         bodies.append(compact_immersion(sub, "scan", degree))
     rows = []
     for v, imm in zip(values, bodies):

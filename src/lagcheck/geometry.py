@@ -629,28 +629,35 @@ def scalar_laplacian(imm: Immersion, chart: int, coords, field: Callable[[int, J
 # ---------------------------------------------------------------------------
 
 
-# Pointwise scalars need h, so order-2 ambient jets; the chunk bounds the
-# batch of one bundle and with it the peak memory.  Measured on energy ops at
-# degree 20, n = 3 (torus, whitney_cn, whitney_cpn; one process, 2-core VM,
-# numpy 2.4, with the allocator setting of `cli.main`): 768 nodes take about
-# 12% less time per op than 512 for 1.0 MB more peak RSS (35.3 against
-# 34.3 MB); 1024 saves about 6% more but adds another 0.9 MB.
-SAMPLE_ORDER = 2
-SAMPLE_CHUNK = 768
+# Points per bundle, by jet order: the chunk bounds the peak memory.  Each is a
+# multiple of 8, which keeps every residual bit-equal to one batch.  Measured in
+# one process (2-core VM, `cli.main`'s allocator setting): at order 2 (energy,
+# degree 20, n = 3) 768 nodes save 12% per op against 512 for 1.0 MB more peak
+# RSS.  At orders 3 and 4 (whitney_cn identities) the peak doubles with the
+# chunk while time is flat at n = 5 (order 4: 37 MB at 128, 74 MB at 256); at
+# n = 3, 128 points instead of 256 cost 20% at order 3 and 11% at order 4.
+SAMPLE_CHUNK = {2: 768, 3: 256, 4: 128}
 
 
-def scalar_samples(imm: Immersion, charts, coords: np.ndarray, integrand: Callable) -> dict[str, np.ndarray]:
-    """The only node loop: `integrand(fb, charts, coords)` on the order-2
-    bundle of each chunk of at most `SAMPLE_CHUNK` of the (N, nvars) chart
-    coords, taken in order, each point in its chart from `charts` (one id, or
-    an (N,) array that may mix charts).  The integrand's named (B,) arrays
-    are gathered into one (N,) array per name."""
+def scalar_samples(imm: Immersion, charts, coords, integrand: Callable, order: int = 2) -> dict[str, np.ndarray]:
+    """The only node loop: `integrand(fb, charts, coords)` on the order-`order`
+    bundle of each chunk of at most `SAMPLE_CHUNK[order]` of the (N, nvars)
+    chart coords, taken in order (a one-point tail joins the chunk before it),
+    each point in its chart from `charts` (one id, or an (N,) array that may mix
+    charts).  The integrand's named (B,) arrays are gathered into one (N,) array
+    per name.  A geometry error's `index` is its point's place among all N."""
     coords = np.asarray(coords, dtype=float)
     charts = np.broadcast_to(charts, len(coords))
+    starts = list(range(0, len(coords), SAMPLE_CHUNK[order]))
+    if len(starts) > 1 and len(coords) - starts[-1] == 1:
+        starts.pop()  # a one-point bundle takes other einsum paths
     out = {}
-    for lo in range(0, len(coords), SAMPLE_CHUNK):
-        chunk = slice(lo, lo + SAMPLE_CHUNK)
-        fb = bundle_at(imm, charts[chunk], coords[chunk], SAMPLE_ORDER)
+    for lo, hi in zip(starts, starts[1:] + [len(coords)]):
+        chunk = slice(lo, hi)
+        try:
+            fb = bundle_at(imm, charts[chunk], coords[chunk], order)
+        except (NonLagrangianError, DegenerateMetricError) as exc:
+            raise at_point(exc, exc.index + lo)
         values = integrand(fb, charts[chunk], coords[chunk])
         del fb  # one live bundle: this chunk's is freed before the next is built
         for name, value in values.items():

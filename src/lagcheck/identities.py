@@ -9,8 +9,9 @@ an order-3 bundle; the heavy checks (Ricci identity, Laplace contraction,
 Simons identity and inequality) need an order-4 one, whose jets carry every
 derivative they use, including the chart Laplacian of |hhat|^2 and the
 gradient of T.  `run_identity_suite` takes the samples as one batch
-(charts, coords) and builds one bundle over all of them, each in its own
-chart, for every check.
+(charts, coords) and streams them, each in its own chart, through the one
+node loop `geometry.scalar_samples`: every check reads the bundle of a
+chunk of samples, so memory does not grow with their number.
 
 Each check yields a named residual; the report marks a check as passed when
 its worst residual sits under its tolerance rung (exact-jet, once-FD, or
@@ -28,9 +29,10 @@ from .geometry import (
     DegenerateMetricError,
     FrameBundle,
     NonLagrangianError,
-    bundle_at,
+    bundle_at,  # noqa: F401  (read by perfbench's tracer test until the tracer is retargeted)
     chart_batch,
     named_point,
+    scalar_samples,
 )
 from .immersions import Immersion, OutOfDomainError, jsonable_params
 from .tensors import TRISYM_TOL, spectral_summary, symmetry_residual, trisym_violations
@@ -232,21 +234,18 @@ class SampleError(ValueError):
     """A sample whose point values fail the suite's input checks."""
 
 
-def _validate(fb: FrameBundle) -> None:
-    """Input checks on every point of a bundle whose batch positions are the
-    sample indices: h and hhat fully symmetric, H finite and the symmetrized
-    T trace-free.  The first sample at fault is named in the error."""
+def _validate(fb: FrameBundle) -> dict[str, np.ndarray]:
+    """Input checks on every point of a bundle: h and hhat fully symmetric,
+    H finite and the symmetrized T trace-free, as (B,) masks of the points
+    at fault, each named by its fault."""
     T = 0.5 * (fb.T0 + fb.T0.transpose(1, 0, 2))
     T_scale = np.maximum(1.0, _max_abs(T))
-    failures = {
+    return {
         "h is not symmetric under index permutations": trisym_violations(fb.h0, TRISYM_TOL),
         "hhat is not symmetric under index permutations": trisym_violations(fb.hhat0, TRISYM_TOL),
         "H has non-finite components": ~np.all(np.isfinite(fb.H0), axis=0),
         "T is not trace-free": np.abs(np.einsum("iib->b", T)) > 1e-8 * T_scale,
     }
-    for what, bad in failures.items():
-        if np.any(bad):
-            raise SampleError(f"sample {int(np.argmax(bad))}: {what}")
 
 
 def _residuals(fb: FrameBundle, heavy: bool) -> dict[str, np.ndarray]:
@@ -274,22 +273,27 @@ def run_identity_suite(
     samples, the index of the sample it occurred at (`argmax`) and the
     residual over the tolerance (`headroom`, pass when <= 1).
 
-    The points are moved to their well-conditioned charts, and one bundle
-    over all of them, in sample order and each in its own chart, of order 4
-    when `heavy` (order 3 otherwise), feeds every check.  A point the
-    geometry fails at is named in the error by its sample index, chart and
-    coordinates; a residual that overflows is refused, by sample and check,
-    with an OverflowError."""
+    The points are moved to their well-conditioned charts and streamed, in
+    sample order and each in its own chart, through `scalar_samples` at order
+    4 when `heavy` (order 3 otherwise).  A point the geometry fails at is named
+    in the error by its sample index, chart and coordinates; then a sample that
+    fails the input checks is refused with a SampleError, and a residual that
+    overflows, by sample and check, with an OverflowError."""
     charts, coords = np.asarray(charts), np.asarray(coords, dtype=float)
     if len(coords) == 0:
         raise ValueError("the identity suite needs at least one sample point")
+
+    def integrand(fb, *_):
+        return _validate(fb) | _residuals(fb, heavy)
+
     with np.errstate(all="ignore"):  # every non-finite residual is refused below
         try:
-            fb = bundle_at(imm, *chart_batch(imm, charts, coords), 4 if heavy else 3)
+            residuals = scalar_samples(imm, *chart_batch(imm, charts, coords), integrand, 4 if heavy else 3)
         except (OutOfDomainError, NonLagrangianError, DegenerateMetricError) as exc:
             raise named_point(exc, f"sample {exc.index}", exc.index) from exc
-        _validate(fb)
-        residuals = _residuals(fb, heavy)
+    for what, bad in residuals.items():  # the input checks come first, in `_validate` order
+        if what not in DEFAULT_TOLERANCES and np.any(bad):
+            raise SampleError(f"sample {int(np.argmax(bad))}: {what}")
 
     checks = []
     for name, tol in DEFAULT_TOLERANCES.items():
@@ -307,7 +311,7 @@ def run_identity_suite(
                 "tolerance": tol,
                 "pass": value <= tol,
                 "argmax": worst,
-                "headroom": value / tol if tol > 0 else float("inf"),
+                "headroom": value / tol,
             }
         )
     return {

@@ -9,8 +9,8 @@ angle-to-chart Jacobian.  The chart is conformal with factor
 
 Every integral is an integrand: a function `integrand(fb, charts, coords)`
 that returns named (B,) arrays on the order-2 bundle of a chunk of nodes.
-`geometry.scalar_samples` is the one loop that streams the nodes through it,
-and `integrals` the one reduction: the plain weighted sum
+`geometry.scalar_samples`, the node loop the identity suite shares, streams
+the nodes through it, and `integrals` is the one reduction: the weighted sum
 sum_k w_k * jacobian_k * sqrt_det_g_k * f(p_k) per name, a single np.sum in
 rule order, so no result depends on the chunk size.
 

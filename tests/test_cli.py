@@ -15,8 +15,8 @@ import lagcheck
 from lagcheck import cli, quadrature
 from lagcheck.cli import main
 from lagcheck.identities import run_identity_suite
-from lagcheck.immersions import make_product_torus
-from lagcheck.quadrature import energy_report, torus_rule
+from lagcheck.immersions import make_product_torus, make_whitney_cn
+from lagcheck.quadrature import energy_report, sphere_rule, torus_rule
 
 
 def write_cfg(tmp_path, name, payload):
@@ -526,6 +526,17 @@ class TestScanCommand:
             expected = area * (h_sq - 0.75 * h_sq)  # |hhat|^2 = |h|^2 - 3n^2/(n+2)|H|^2
             assert cols[3] == pytest.approx(expected, rel=1e-6)
 
+    def test_offset_entry_scan_without_a_config_offset(self, tmp_path):
+        """`A.0` scans the first offset entry from the body's default offset,
+        as written in JSON, when the config gives no `A`."""
+        cfg = {"family": "whitney_cn", "n": 2, "scan_param": "A.0", "values": [0.1, 0.2], "degree": 4}
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", write_cfg(tmp_path, "scan.json", cfg), "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        for a, row in zip((0.1, 0.2), rows):
+            entries = energy_report(make_whitney_cn(1.0, [a, 0.0], 2), sphere_rule(2, 4))["entries"]
+            assert row == ",".join(map(repr, [a, *entries.values()]))
+
     def test_scan_requires_values(self, tmp_path):
         cfg = write_cfg(tmp_path, "bad.json", {"family": "whitney_cn", "scan_param": "r"})
         assert main(["scan", "--config", cfg]) == 2
@@ -604,6 +615,8 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
          "n = 5, but its parameters give n = 2"),
         ("energy", {"family": "cpn_torus", "moduli": [1.0, 0.7, 1.2], "n": 7, "degree": 4}, 3,
          "n = 7, but its parameters give n = 2"),
+        ("identities", {**TORUS, "samples": 2, "tol_scale": 1e-320}, 2,
+         "'tol_scale' must be positive and leave every tolerance above 0, got 1e-320"),
     ],
     ids=[
         "samples-negative", "samples-text", "samples-zero", "samples-fraction", "seed-text",
@@ -616,7 +629,7 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         "scan-format-table", "immersion-not-an-object", "family-not-a-string", "cpn-theta-overflow",
         "energy-degree-above-cap", "scan-degree-above-cap", "scan-values-empty", "samples-above-cap",
         "family-key-misspelt", "run-key-misspelt", "key-beside-immersion", "torus-n-mismatch",
-        "cpn-torus-n-mismatch",
+        "cpn-torus-n-mismatch", "tol-scale-underflow",
     ],
 )
 def test_invalid_run_parameters_are_refused(tmp_path, capsys, monkeypatch, command, payload, code, message):

@@ -685,7 +685,7 @@ class TestOneDerivativeChain:
             bundles.append(fb)
 
         monkeypatch.setattr(FrameBundle, "__init__", keeping_init)
-        monkeypatch.setattr(geometry, "SAMPLE_CHUNK", 100)
+        monkeypatch.setitem(geometry.SAMPLE_CHUNK, 2, 100)
         imm = ENERGY_BODIES[body]()
         energy_report(imm, rule_for(imm, 6))
         assert len(bundles) > 1

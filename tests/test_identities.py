@@ -5,7 +5,7 @@ import types
 import numpy as np
 import pytest
 
-from lagcheck.cpn import HorizontalityError, make_rpn, make_whitney_cpn
+from lagcheck.cpn import HorizontalityError, make_cpn_torus, make_rpn, make_whitney_cpn
 from lagcheck import identities
 from lagcheck import geometry
 from lagcheck.geometry import DegenerateMetricError, NonLagrangianError, geometry_state
@@ -50,19 +50,40 @@ ORACLE_BODIES = [
 ]
 
 
+def hits(imm, charts, coords):
+    """hit(fb): the (B,) mask of the points of a bundle that lie at the
+    ambient points of the sample points `charts`, `coords`, in any chunk."""
+    marks = imm.jets(*imm.atlas.normalize(charts, coords), 1).value.T
+
+    def hit(fb):
+        x = fb.phi.value.T  # (B, ambient)
+        return np.any(np.all(np.abs(x[:, None, :] - marks[None]) < 1e-12, axis=2), axis=1)
+
+    return hit
+
+
 def spike_simons_lhs(monkeypatch, imm, charts, coords, size):
     """Add `size` to the chart Laplacian, the left side of the Simons
     identity, at the ambient points of the sample points `charts`, `coords`
     only."""
-    marks = imm.jets(*imm.atlas.normalize(charts, coords), 1).value.T
+    hit = hits(imm, charts, coords)
     laplacian = geometry.FrameBundle.laplacian
+    monkeypatch.setattr(geometry.FrameBundle, "laplacian", lambda fb, jet: laplacian(fb, jet) + size * hit(fb))
 
-    def spiked(fb, jet):
-        x = fb.phi.value.T  # (B, ambient)
-        hit = np.any(np.all(np.abs(x[:, None, :] - marks[None]) < 1e-12, axis=2), axis=1)
-        return laplacian(fb, jet) + size * hit
 
-    monkeypatch.setattr(geometry.FrameBundle, "laplacian", spiked)
+def corrupt_point_values(monkeypatch, imm, charts, coords, name, change):
+    """Have `identities._validate` read the point value `name` (h0, hhat0,
+    H0 or T0) of a bundle as `change(value, hit)`, where `hit` masks the
+    points at the sample points `charts`, `coords`; calls stack."""
+    hit = hits(imm, charts, coords)
+    validate = identities._validate
+
+    def corrupted(fb):
+        values = types.SimpleNamespace(phi=fb.phi, h0=fb.h0, hhat0=fb.hhat0, H0=fb.H0, T0=fb.T0)
+        setattr(values, name, change(getattr(values, name), hit(fb)))
+        return validate(values)
+
+    monkeypatch.setattr(identities, "_validate", corrupted)
 
 
 def heavy(imm, chart, coords):
@@ -312,28 +333,30 @@ class TestFailingPointIsNamed:
         with pytest.raises(HorizontalityError, match=r"^chart 1, coords \[0.6, 0.4\]: horizontality"):
             geometry.bundle_at(bad, charts, coords, 4)
 
-    @staticmethod
-    def point_values():
-        """The point values `identities._validate` reads, of a valid order-3
-        bundle over three samples, as a plain namespace."""
-        coords = np.array([[0.4, -0.3], [0.1, 0.6], [-0.5, 0.2]])
-        fb = geometry.bundle_at(make_perturbed_whitney(1.0, 0.05, 1, 2), 0, coords, 3)
-        values = types.SimpleNamespace(h0=fb.h0.copy(), hhat0=fb.hhat0.copy(), H0=fb.H0.copy(), T0=fb.T0.copy())
-        identities._validate(values)
-        return values
+    VALID = (make_perturbed_whitney(1.0, 0.05, 1, 2), np.zeros(3, dtype=int),
+             np.array([[0.4, -0.3], [0.1, 0.6], [-0.5, 0.2]]))
 
-    def test_validate_names_a_sample_whose_T_is_not_tracefree(self):
-        values = self.point_values()
-        values.T0[..., 1] += np.eye(2)
+    def test_validate_names_a_sample_whose_T_is_not_tracefree(self, monkeypatch):
+        imm, charts, coords = self.VALID
+        fb = geometry.bundle_at(imm, charts, coords, 3)
+        assert not any(np.any(bad) for bad in identities._validate(fb).values())
+        corrupt_point_values(monkeypatch, imm, charts[1:2], coords[1:2], "T0",
+                             lambda T, hit: T + np.eye(2)[..., None] * hit)
         with pytest.raises(identities.SampleError, match="^sample 1: T is not trace-free$"):
-            identities._validate(values)
+            run_identity_suite(imm, charts, coords, heavy=False)
 
-    def test_validate_names_a_sample_whose_h_is_not_symmetric(self):
-        values = self.point_values()
-        values.h0[0, 0, 1, 2] += 1.0
+    def test_validate_names_a_sample_whose_h_is_not_symmetric(self, monkeypatch):
+        imm, charts, coords = self.VALID
+
+        def unsymmetric(h, hit):
+            h = h.copy()
+            h[0, 0, 1] += hit
+            return h
+
+        corrupt_point_values(monkeypatch, imm, charts[2:], coords[2:], "h0", unsymmetric)
         message = "^sample 2: h is not symmetric under index permutations$"
         with pytest.raises(identities.SampleError, match=message):
-            identities._validate(values)
+            run_identity_suite(imm, charts, coords, heavy=False)
 
 
 class TestCurvatureContractionClosedForms:
@@ -533,6 +556,90 @@ class TestSuiteReports:
         r1 = gauss_ricci(imm, 1, u / np.dot(u, u))
         for k in r0:
             assert abs(r0[k] - r1[k]) < 1e-9
+
+
+CHUNK_BODIES = {
+    "whitney_cn": lambda: make_whitney_cn(1.0, np.array([0.3 + 0.2j, -0.4j, 0.1]), 3),
+    "perturbed_whitney": lambda: make_perturbed_whitney(1.0, 0.05, 1, 3),
+    "whitney_cpn": lambda: make_whitney_cpn(0.7, 3),
+    "product_torus": lambda: make_product_torus([1.0, 1.5, 2.0]),
+    "cpn_torus": lambda: make_cpn_torus([1.0, 0.7, 1.2, 0.9]),
+}
+
+
+class TestChunkedSuite:
+    """The suite streams its samples through `geometry.scalar_samples` in
+    chunks of `SAMPLE_CHUNK[order]`."""
+
+    @pytest.mark.parametrize("heavy", [True, False])
+    @pytest.mark.parametrize("body", sorted(CHUNK_BODIES))
+    def test_reports_match_one_batch(self, monkeypatch, body, heavy):
+        """Chunked reports are byte-identical to those of one bundle over
+        every sample; a one-point tail joins the chunk before it."""
+        imm, order = CHUNK_BODIES[body](), 4 if heavy else 3
+        C = geometry.SAMPLE_CHUNK[order]
+        sizes, inner = [], geometry.bundle_at
+
+        def bundle_at(imm, charts, coords, order):
+            sizes.append(len(coords))
+            return inner(imm, charts, coords, order)
+
+        monkeypatch.setattr(geometry, "bundle_at", bundle_at)
+        for N in (1, 20, C, C + 1, 2 * C + 1, 1024):
+            pts = imm.atlas.random(np.random.default_rng(N), N)
+            sizes.clear()
+            chunked = json.dumps(run_identity_suite(imm, *pts, seed=N, heavy=heavy), sort_keys=True)
+            want = [C] * (N // C) + [N % C] * (N % C > 0)
+            if len(want) > 1 and want[-1] == 1:
+                want[-2:] = [C + 1]
+            assert sizes == want, (N, sizes)
+            with monkeypatch.context() as m:
+                m.setitem(geometry.SAMPLE_CHUNK, order, N)
+                assert json.dumps(run_identity_suite(imm, *pts, seed=N, heavy=heavy), sort_keys=True) == chunked, N
+
+    def test_faults_in_a_later_chunk_are_named_by_sample(self, monkeypatch):
+        """A geometry failure and an input-check failure past the first chunk
+        name the sample by its place among all samples, and the input checks
+        are taken in their order: a non-finite H in a later chunk comes
+        before a T that is not trace-free in an earlier one."""
+        monkeypatch.setitem(geometry.SAMPLE_CHUNK, 4, 8)
+        coords = np.column_stack([np.arange(20) / 10, np.zeros(20)])
+        coords[13, 1] = 0.5
+        with pytest.raises(NonLagrangianError, match=r"^sample 13: chart 0, coords \[1.3, 0.5\]") as err:
+            run_identity_suite(partly_lagrangian_plane(), np.zeros(20, dtype=int), coords)
+        assert err.value.index == 13
+
+        imm = make_perturbed_whitney(1.0, 0.05, 1, 2)
+        charts, coords = imm.atlas.random(np.random.default_rng(3), 20)
+        with monkeypatch.context() as m:
+            corrupt_point_values(m, imm, charts[[3, 17]], coords[[3, 17]], "T0",
+                                 lambda T, hit: T + np.eye(2)[..., None] * hit)
+            with pytest.raises(identities.SampleError, match="^sample 3: T is not trace-free$"):
+                run_identity_suite(imm, charts, coords)
+            corrupt_point_values(m, imm, charts[17:18], coords[17:18], "H0", lambda H, hit: np.where(hit, np.inf, H))
+            with pytest.raises(identities.SampleError, match="^sample 17: H has non-finite components$"):
+                run_identity_suite(imm, charts, coords)
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        """The traced peak of a 1024-sample heavy suite at n = 3 stays within
+        1.5 times that of a one-chunk suite, and under 40% of the 32.4 MB
+        that one bundle over all 1024 samples peaks at."""
+        imm = make_whitney_cn(1.0, None, 3)
+        C = geometry.SAMPLE_CHUNK[4]
+
+        def peak(N):
+            pts = imm.atlas.random(np.random.default_rng(7), N)
+            run_identity_suite(imm, *pts, seed=7)  # warm the jet tables
+            tracemalloc.start()
+            try:
+                assert run_identity_suite(imm, *pts, seed=7)["all_pass"]
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        wide = peak(1024)
+        assert wide <= 1.5 * peak(C)
+        assert wide <= 0.4 * 32.4e6
 
 
 LINEAR_MAP_MUTANTS = {

@@ -306,13 +306,13 @@ class TestEnergyReport:
         """The node loop frees each chunk's bundle before it builds the next:
         the traced peak of an energy report over 7 chunks stays within 1.25
         times that of one chunk's bundle with its energy scalars."""
-        monkeypatch.setattr(geometry, "SAMPLE_CHUNK", 256)
+        monkeypatch.setitem(geometry.SAMPLE_CHUNK, 2, 256)
         imm = make_whitney_cpn(0.7, 3)
         rule = sphere_rule(3, 12)
         charts, coords = rule.charts[:256], rule.coords[:256]
 
         def one_chunk():
-            fb = geometry.bundle_at(imm, charts, coords, geometry.SAMPLE_ORDER)
+            fb = geometry.bundle_at(imm, charts, coords, 2)
             return fb.sqrt_det_g, quadrature._energy_integrand(fb, charts, coords)
 
         def peak(run):
@@ -325,7 +325,7 @@ class TestEnergyReport:
             finally:
                 tracemalloc.stop()
 
-        assert math.ceil(rule.node_count / geometry.SAMPLE_CHUNK) == 7
+        assert math.ceil(rule.node_count / geometry.SAMPLE_CHUNK[2]) == 7
         assert peak(lambda: energy_report(imm, rule)) <= 1.25 * peak(one_chunk)
 
     def test_cpn_bodies_integrate(self):
@@ -378,14 +378,14 @@ class TestMichaelSimon:
         assert out["eq320_rhs_no_constant"] > 0
 
     def test_bundles_stay_within_sample_chunk(self, monkeypatch):
-        """The nodes stream through bundles of at most SAMPLE_CHUNK nodes in
-        rule order, a chunk may mix charts, and chunking changes neither
-        report: one bundle over every node gives the same numbers."""
+        """The nodes stream through order-2 bundles of at most SAMPLE_CHUNK[2]
+        nodes in rule order, a chunk may mix charts, and chunking changes
+        neither report: one bundle over every node gives the same numbers."""
         wh = make_whitney_cn(1.0, np.array([0.3 + 0.4j, -0.2, 0.1j]), 3)
         atlas = wh.atlas
         # degree^3 nodes, more than two chunks' worth, split about evenly
         # between the two charts
-        rule = sphere_rule(3, math.ceil((3 * geometry.SAMPLE_CHUNK) ** (1 / 3)))
+        rule = sphere_rule(3, math.ceil((3 * geometry.SAMPLE_CHUNK[2]) ** (1 / 3)))
 
         def v(charts, u):  # 1 + x_4 / 2 of the embedded sphere point
             s = jet_einsum("a,a->", u, u)
@@ -404,11 +404,11 @@ class TestMichaelSimon:
 
         monkeypatch.setattr(geometry, "bundle_at", bundle_at)
         chunked = {name: run() for name, run in runs.items()}
-        chunks = math.ceil(rule.node_count / geometry.SAMPLE_CHUNK)
+        chunks = math.ceil(rule.node_count / geometry.SAMPLE_CHUNK[2])
         assert chunks >= 3 and len(sizes) == 2 * chunks
-        assert max(sizes) <= geometry.SAMPLE_CHUNK and sum(sizes) == 2 * rule.node_count
+        assert max(sizes) <= geometry.SAMPLE_CHUNK[2] and sum(sizes) == 2 * rule.node_count
         assert any(mixed)
-        monkeypatch.setattr(geometry, "SAMPLE_CHUNK", rule.node_count)
+        monkeypatch.setitem(geometry.SAMPLE_CHUNK, 2, rule.node_count)
         for name, run in runs.items():
             assert run() == chunked[name], name
         assert sizes[2 * chunks :] == [rule.node_count] * 2
