@@ -11,15 +11,15 @@ one line per entry, and a `scan` has one column per entry after `param`.
 Exit status: 0 all requested checks passed, 1 a check failed, 2 config error
 (also an invalid run parameter: a `degree` above MAX_DEGREE, a rule over
 MAX_NODES nodes, `samples` above MAX_SAMPLES, an empty scan, a format or out
-path, a malformed report; and a config key that is neither a run key nor a
-parameter of the built body, such as a misspelt `radius` or `sead`),
+path, a malformed report; a run key of another command; and a config key
+that is neither a run key nor a parameter of the built body, such as a
+misspelt `radius` or `sead`),
 3 immersion construction error (also a parameter that overflows, and a
 real parameter that is a bool, a string, a NaN or an infinity), 4
 evaluation error (e.g. a non-Lagrangian immersion or an induced metric that
-is degenerate or not finite, detected during geometry evaluation, a sample
-that fails the identity suite's input checks, an identity residual or an
-energy that overflows, or a quadrature rule too large to allocate), always
-one line on stderr and no report.
+is degenerate or not finite, detected during geometry evaluation, an
+identity residual or an energy that overflows, or a quadrature rule too
+large to allocate), always one line on stderr and no report.
 
 `main` is the application entry point, so it, not an import, sets the C
 allocator's thresholds (`keep_freed_memory`).
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import cpn  # noqa: F401  (registers the CP^n families)
 from .geometry import DegenerateMetricError, NonLagrangianError
-from .identities import DEFAULT_TOLERANCES, SampleError, run_identity_suite
+from .identities import CHECKS, run_identity_suite
 from .immersions import FAMILY_REGISTRY, OutOfDomainError, integer_param, jsonable_params, parse_immersion_config
 from .quadrature import energy_report, rule_for
 
@@ -68,16 +68,20 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
-def build_immersion(cfg: dict):
-    """The body a config describes: its family keys sit at the top level
-    beside the run keys, or in an `immersion` object.  A key that is neither
-    a run key nor a parameter the built body records in its `params` is
-    refused, not ignored, and so is an `n` other than the dimension of the
-    body, which a torus derives from its radii or moduli."""
+def build_immersion(cfg: dict, command: str):
+    """The body a config of `command` describes: its family keys sit at the
+    top level beside the run keys of `command`, or in an `immersion` object.
+    A run key of another command, and a key that is neither a run key nor a
+    parameter the built body records in its `params`, are refused, not
+    ignored, and so is an `n` other than the dimension of the body, which a
+    torus derives from its radii or moduli."""
+    run_keys = RUN_KEYS[command]
+    if foreign := sorted(set(cfg) & (set().union(*RUN_KEYS.values()) - run_keys)):
+        raise ConfigError(f"{command} takes no {foreign}: its run keys are {sorted(run_keys)}")
     imm_cfg = cfg.get("immersion", None)
     if imm_cfg is None:
-        imm_cfg = {k: v for k, v in cfg.items() if k not in RUN_KEYS}
-    elif stray := sorted(set(cfg) - RUN_KEYS):
+        imm_cfg = {k: v for k, v in cfg.items() if k not in run_keys}
+    elif stray := sorted(set(cfg) - run_keys):
         raise ConfigError(f"unknown config keys beside 'immersion': {stray}")
     if not isinstance(imm_cfg, dict):
         raise ConfigError(f"'immersion' must be an object, got {imm_cfg!r}")
@@ -100,17 +104,12 @@ class ConstructionError(ValueError):
     pass
 
 
+# The keys of a config that are not the body's, by command.
+SHARED_KEYS = {"immersion", "out", "format"}
 RUN_KEYS = {
-    "immersion",
-    "samples",
-    "seed",
-    "tol_scale",
-    "degree",
-    "heavy",
-    "out",
-    "format",
-    "scan_param",
-    "values",
+    "identities": SHARED_KEYS | {"samples", "seed", "tol_scale", "heavy"},
+    "energy": SHARED_KEYS | {"degree"},
+    "scan": SHARED_KEYS | {"degree", "scan_param", "values"},
 }
 
 
@@ -155,7 +154,7 @@ def number(value, what: str) -> float:
 def compact_immersion(cfg: dict, command: str, degree: int):
     """The immersion of `cfg`, which must be compact for `command`, with a
     `degree` rule of at most MAX_NODES nodes."""
-    imm = build_immersion(cfg)
+    imm = build_immersion(cfg, command)
     if not imm.compact:
         raise ConfigError(f"{command} needs a compact body, {imm.name} is not compact")
     if degree**imm.source_dim > MAX_NODES:
@@ -243,13 +242,16 @@ def cmd_identities(args) -> int:
     if samples > MAX_SAMPLES:
         raise ConfigError(f"'samples' must be at most {MAX_SAMPLES}, got {samples}")
     tol_scale = number(cfg.get("tol_scale", 1.0), "'tol_scale'")
-    if not min(DEFAULT_TOLERANCES.values()) * tol_scale > 0:
-        raise ConfigError(f"'tol_scale' must be positive and leave every tolerance above 0, got {tol_scale!r}")
+    tiny = float(np.finfo(float).tiny)
+    if not min(c.tol for c in CHECKS) * tol_scale >= tiny:
+        raise ConfigError(
+            f"'tol_scale' must be positive and leave every tolerance at least {tiny!r}, got {tol_scale!r}"
+        )
     heavy = cfg.get("heavy", True)
     if not isinstance(heavy, bool):
         raise ConfigError(f"'heavy' must be true or false, got {heavy!r}")
     out, fmt = output(args, cfg, ("json", "table"))
-    imm = build_immersion(cfg)
+    imm = build_immersion(cfg, "identities")
     charts, coords = imm.atlas.random(np.random.default_rng(seed), samples)
     doc = run_identity_suite(imm, charts, coords, tol_scale=tol_scale, seed=seed, heavy=heavy)
     emit(doc, out, fmt)
@@ -395,8 +397,7 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"construction error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION_ERROR
-    except (NonLagrangianError, DegenerateMetricError, OutOfDomainError, SampleError, OverflowError,
-            MemoryError) as exc:
+    except (NonLagrangianError, DegenerateMetricError, OutOfDomainError, OverflowError, MemoryError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVALUATION_ERROR
 

@@ -49,14 +49,6 @@ LAGRANGIAN_TOL = 1e-6
 # ratio is dilation-invariant, so a valid body passes at any scale.
 METRIC_COND_TOL = 1e-12
 
-# Residual tolerances by derivative provenance: exact jets, once finite
-# differenced, twice finite differenced.  The FD rungs fit black-box
-# immersions, whose ambient jets come from finite differences; a few jet-exact
-# checks in identities.DEFAULT_TOLERANCES still sit on them.
-TOL_JET = 1e-9
-TOL_FD1 = 1e-6
-TOL_FD2 = 1e-4
-
 
 class NonLagrangianError(ValueError):
     pass
@@ -472,18 +464,13 @@ class FrameBundle:
     @property
     def maslov_chart_jets(self) -> Jet:
         """Pullback alpha_a = <J H_amb, d_a phi> with H_amb = H^{m*} J e_m, to
-        order 1: `maslov_closedness` reads its derivative at the points."""
+        order 1: its readers take its derivative at the points."""
 
         def build():
             H_amb = jet_einsum("mc,m->c", self.Je, self.H_jets.truncated(1))
             return jet_einsum("c,ca->a", times_i(H_amb), self.f)
 
         return self._get("maslov_chart", build)
-
-    def maslov_closedness(self) -> np.ndarray:
-        """max_ab |d_a alpha_b - d_b alpha_a| per point."""
-        da = self.maslov_chart_jets.grad().value  # [a, b] = d_b alpha_a
-        return np.max(np.abs(da - da.transpose(1, 0, 2)), axis=(0, 1))
 
     # -- scalars ------------------------------------------------------------
 
@@ -604,7 +591,8 @@ def geometry_state(imm: Immersion, chart: int, coords, order: int = 3, frame_gau
 
 def closedness_residual(imm: Immersion, chart: int, coords) -> float:
     """max_ab |d_a alpha_b - d_b alpha_a| of the pulled-back Maslov form."""
-    return float(geometry_state(imm, chart, coords, 3).maslov_closedness()[0])
+    da = geometry_state(imm, chart, coords, 3).maslov_chart_jets.grad().value[..., 0]  # [a, b] = d_b alpha_a
+    return float(np.max(np.abs(da - da.T)))
 
 
 def maslov_tensor_gradient(imm: Immersion, chart: int, coords) -> np.ndarray:

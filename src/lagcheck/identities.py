@@ -3,29 +3,31 @@ submanifolds: symmetry of the second fundamental form, Codazzi, the curvature
 equations, the Ricci identity, and the Simons-type identity and inequality
 for the trace-free second fundamental form.
 
-Every check reads a FrameBundle batched over points and returns one residual
-per point, an array of shape (B,).  The structural and curvature checks need
-an order-3 bundle; the heavy checks (Ricci identity, Laplace contraction,
-Simons identity and inequality) need an order-4 one, whose jets carry every
+`CHECKS` declares every check, in report order: its name, the order of the
+bundle it reads, its tolerance rung (exact-jet, once-FD or twice-FD) and the
+form of its residual.  The structural and curvature checks read an order-3
+bundle; the heavy checks (Ricci identity, Laplace contraction, Simons
+identity and inequality) read an order-4 one, whose jets carry every
 derivative they use, including the chart Laplacian of |hhat|^2 and the
-gradient of T.  `run_identity_suite` takes the samples as one batch
-(charts, coords) and streams them, each in its own chart, through the one
-node loop `geometry.scalar_samples`: every check reads the bundle of a
-chunk of samples, so memory does not grow with their number.
+gradient of T.  A check producer returns the two sides of its checks, each a
+tuple of signed terms of shape (..., B) on a bundle batched over B points,
+and `residual` reduces them to one residual per point.
 
-Each check yields a named residual; the report marks a check as passed when
-its worst residual sits under its tolerance rung (exact-jet, once-FD, or
-twice-FD, optionally rescaled) and names the sample it occurred at.
+`run_identity_suite` takes the samples as one batch (charts, coords) and
+streams them, each in its own chart, through the one node loop
+`geometry.scalar_samples`: every check reads the bundle of a chunk of
+samples, so memory does not grow with their number.  The report marks a
+check as passed when its worst residual sits under its tolerance, optionally
+rescaled, and names the sample it occurred at.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from .geometry import (
-    TOL_FD1,
-    TOL_FD2,
-    TOL_JET,
     DegenerateMetricError,
     FrameBundle,
     NonLagrangianError,
@@ -35,7 +37,7 @@ from .geometry import (
     scalar_samples,
 )
 from .immersions import Immersion, OutOfDomainError, jsonable_params
-from .tensors import TRISYM_TOL, spectral_summary, symmetry_residual, trisym_violations
+from .tensors import spectral_summary, symmetry_residual
 
 # Sign convention for the commutator term of the Simons identity: the square
 # is a literal matrix square, so tr (AB - BA)^2 = -N(AB - BA) <= 0.  This is
@@ -46,9 +48,56 @@ COMMUTATOR_NOTE = (
 )
 
 
-def _max_abs(x: np.ndarray) -> np.ndarray:
-    """max |x| over every axis but the trailing batch axis."""
-    return np.max(np.abs(x), axis=tuple(range(x.ndim - 1)))
+# One identity check: the bundle `order` it reads, its tolerance `tol` and the
+# `form` in which `residual` reduces its two sides.
+Check = namedtuple("Check", "name order tol form")
+# Tolerances by derivative provenance: 1e-9 for exact jets, 1e-6 once and 1e-4
+# twice finite differenced.  The FD rungs fit black-box immersions, whose
+# ambient jets come from finite differences; a few jet-exact checks still sit
+# on them.
+CHECKS = (
+    Check("tri_symmetry", 3, 1e-9, "symmetry"),
+    Check("codazzi_full_symmetry", 3, 1e-6, "symmetry"),
+    Check("h_trace_consistency", 3, 1e-9, "difference"),
+    Check("H_derivative_symmetry", 3, 1e-9, "difference"),
+    Check("T_consistency", 3, 1e-8, "difference"),
+    Check("norm_identity", 3, 1e-10, "difference"),
+    Check("lagrangian_condition", 3, 1e-6, "difference"),
+    Check("gauss_two_method", 3, 1e-6, "difference"),
+    Check("ricci_equation", 3, 1e-5, "difference"),
+    Check("maslov_closedness", 3, 1e-6, "difference"),
+    Check("ricci_identity", 4, 1e-4, "difference"),
+    Check("laplace_contraction", 4, 1e-9, "difference"),
+    Check("simons_identity_rel", 4, 1e-9, "relative"),
+    Check("simons_inequality_margin", 4, 1e-9, "shortfall"),
+    Check("spectral_consistency", 4, 1e-10, "difference"),
+)
+LIGHT_ORDER = min(c.order for c in CHECKS)
+HEAVY_ORDER = max(c.order for c in CHECKS)
+FORMS = {c.name: c.form for c in CHECKS}
+
+
+def residual(form: str, lhs: tuple, rhs: tuple) -> np.ndarray:
+    """One residual per point from the two sides of a check, each a tuple of
+    signed (..., B) terms summed left to right:
+
+    - difference: max |sum lhs - sum rhs| over the tensor axes;
+    - relative: |sum lhs - sum rhs| / (1 + |sum lhs|);
+    - shortfall: how far sum lhs falls short of sum rhs, 0 where it does not;
+    - symmetry: the widest orbit spread of the one lhs term, a rank-3 or
+      rank-4 tensor (`symmetry_residual`)."""
+    if form == "symmetry":
+        (a,) = lhs
+        return symmetry_residual(a, a.ndim - 1)
+    # sum() starts from 0, so diff is a new array and the steps below may work
+    # in place on it: the six-index terms of the Ricci identity are large.
+    diff = sum(lhs)
+    if form == "relative":
+        return np.abs(diff - sum(rhs)) / (1.0 + np.abs(diff))
+    diff -= sum(rhs)
+    if form == "difference":
+        return np.max(np.abs(diff, out=diff), axis=tuple(range(diff.ndim - 1)))
+    return np.maximum(0.0, -diff) + 0.0  # shortfall; -0.0 -> +0.0
 
 
 # ---------------------------------------------------------------------------
@@ -56,31 +105,32 @@ def _max_abs(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def check_structural(fb: FrameBundle) -> dict[str, np.ndarray]:
-    """Residuals of the pointwise structure equations, one per point, on a
+def check_structural(fb: FrameBundle) -> dict[str, tuple[tuple, tuple]]:
+    """Both sides of each pointwise structure equation, by check name, on a
     bundle of order >= 3."""
     n = fb.n
-    T = 0.5 * (fb.T0 + fb.T0.transpose(1, 0, 2))
+    c = 3.0 * n * n / (n + 2.0)
     return {
-        "tri_symmetry": symmetry_residual(fb.h0, 3),
-        "codazzi_full_symmetry": symmetry_residual(fb.grad_h, 4),
-        "h_trace_consistency": _max_abs(np.einsum("miib->mb", fb.h0) / n - fb.H0),
-        "H_derivative_symmetry": _max_abs(fb.grad_H - fb.grad_H.transpose(1, 0, 2)),
-        "T_consistency": _max_abs(T - fb.T_from_hhat),
-        "norm_identity": np.abs(
-            fb.scalar("hhat_sq") - fb.scalar("h_sq") + 3.0 * n * n / (n + 2.0) * fb.scalar("H_sq")
-        ),
-        "lagrangian_condition": fb.lagrangian_residual,
+        "tri_symmetry": ((fb.h0,), ()),
+        "codazzi_full_symmetry": ((fb.grad_h,), ()),
+        "h_trace_consistency": ((np.einsum("miib->mb", fb.h0) / n,), (fb.H0,)),
+        "H_derivative_symmetry": ((fb.grad_H,), (fb.grad_H.transpose(1, 0, 2),)),
+        "T_consistency": ((0.5 * (fb.T0 + fb.T0.transpose(1, 0, 2)),), (fb.T_from_hhat,)),
+        "norm_identity": ((fb.scalar("hhat_sq"), -fb.scalar("h_sq"), c * fb.scalar("H_sq")), ()),
+        "lagrangian_condition": ((fb.lagrangian_residual,), ()),
     }
 
 
-def check_gauss_ricci(fb: FrameBundle) -> dict[str, np.ndarray]:
-    """Gauss equation (two-method) and the normal-bundle curvature equation,
-    one residual per point."""
-    rhs = fb.gauss_rhs
+def check_gauss_ricci(fb: FrameBundle) -> dict[str, tuple[tuple, tuple]]:
+    """Both sides of the Gauss equation (two-method), the normal-bundle
+    curvature equation and the closedness of the pulled-back Maslov form
+    alpha, by check name."""
+    rhs = (fb.gauss_rhs,)
+    d_alpha = fb.maslov_chart_jets.grad().value  # [a, b] = d_b alpha_a
     return {
-        "gauss_two_method": _max_abs(fb.curvature_frame - rhs),
-        "ricci_equation": _max_abs(fb.normal_curvature - rhs),
+        "gauss_two_method": ((fb.curvature_frame,), rhs),
+        "ricci_equation": ((fb.normal_curvature,), rhs),
+        "maslov_closedness": ((d_alpha,), (d_alpha.transpose(1, 0, 2),)),
     }
 
 
@@ -89,35 +139,34 @@ def check_gauss_ricci(fb: FrameBundle) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def check_ricci_identity(fb: FrameBundle) -> np.ndarray:
-    """Residual of the commutation rule for second covariant derivatives of h
-    against the curvature contractions, curvature taken from the Gauss form;
-    one per point of an order-4 bundle."""
+def check_ricci_identity(fb: FrameBundle) -> tuple[tuple, tuple]:
+    """Both sides of the commutation rule for second covariant derivatives of
+    h against the curvature contractions, curvature taken from the Gauss
+    form, on an order-4 bundle."""
     hess = fb.hess_h
     h0 = fb.h0
     rg = fb.gauss_rhs
-    lhs = hess - hess.transpose(0, 1, 2, 4, 3, 5)
+    lhs = (hess, -hess.transpose(0, 1, 2, 4, 3, 5))
     rhs = (
-        np.einsum("mkjb,kilpb->mijlpb", h0, rg)
-        + np.einsum("mikb,kjlpb->mijlpb", h0, rg)
-        + np.einsum("kijb,kmlpb->mijlpb", h0, rg)
+        np.einsum("mkjb,kilpb->mijlpb", h0, rg),
+        np.einsum("mikb,kjlpb->mijlpb", h0, rg),
+        np.einsum("kijb,kmlpb->mijlpb", h0, rg),
     )
-    return _max_abs(lhs - rhs)
+    return lhs, rhs
 
 
-def lemma_laplace_hhat(fb: FrameBundle) -> tuple[np.ndarray, np.ndarray]:
+def lemma_laplace_hhat(fb: FrameBundle, t: dict[str, np.ndarray]) -> tuple[tuple, tuple]:
     """Both sides of the rough-Laplacian contraction identity for hhat:
-    sum hhat * hhat_{,kk} against (n+2)<hhat, grad T> plus curvature terms,
-    one value per point of an order-4 bundle."""
-    n = fb.n
+    sum hhat * hhat_{,kk} against (n+2)<hhat, grad T> (`hhat_grad_T` of the
+    bundle's `simons_terms` t) plus curvature terms, on an order-4 bundle."""
     hh = fb.hhat0
     rg = fb.gauss_rhs
-    lhs = np.einsum("mijb,mijkkb->b", hh, fb.hess_hhat)
+    lhs = (np.einsum("mijb,mijkkb->b", hh, fb.hess_hhat),)
     rhs = (
-        (n + 2.0) * np.einsum("mijb,ijmb->b", hh, fb.grad_T)
-        + np.einsum("mijb,mlkb,lijkb->b", hh, hh, rg)
-        + np.einsum("mijb,milb,lkjkb->b", hh, hh, rg)
-        + np.einsum("mijb,likb,lmjkb->b", hh, hh, rg)
+        t["hhat_grad_T"],
+        np.einsum("mijb,mlkb,lijkb->b", hh, hh, rg),
+        np.einsum("mijb,milb,lkjkb->b", hh, hh, rg),
+        np.einsum("mijb,likb,lmjkb->b", hh, hh, rg),
     )
     return lhs, rhs
 
@@ -161,49 +210,35 @@ def simons_terms(fb: FrameBundle) -> dict[str, np.ndarray]:
     }
 
 
-def check_simons_identity(terms: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (lhs, rhs, relative residual) of the Simons identity from the
-    output of `simons_terms`, one value each per point."""
-    t = terms
-    lhs = t["lhs_half_laplacian"]
-    rhs = (
-        t["hhat_grad_T"]
-        + t["grad_hhat_sq"]
-        + t["c_term"]
-        + t["HH_term"]
-        + t["commutator_term"]
-        + t["trace_sq_term"]
-        + t["cubic_term"]
-        + t["quad_term"]
-    )
-    return lhs, rhs, np.abs(lhs - rhs) / (1.0 + np.abs(lhs))
+# The right side of the Simons identity, in summation order; its first four
+# terms are the lower bound of the inequality.
+_SIMONS_RHS = ("hhat_grad_T", "grad_hhat_sq", "c_term", "HH_term",
+               "commutator_term", "trace_sq_term", "cubic_term", "quad_term")
 
 
-def check_simons_inequality(fb: FrameBundle, terms: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Margin of the Simons inequality and the spectral cross-check of its
-    cubic and quadratic terms, from the bundle and its `simons_terms`, one
-    value each per point."""
+def check_simons_identity(terms: dict[str, np.ndarray]) -> tuple[tuple, tuple]:
+    """Both sides of the Simons identity from the output of `simons_terms`."""
+    return (terms["lhs_half_laplacian"],), tuple(terms[k] for k in _SIMONS_RHS)
+
+
+def check_simons_inequality(fb: FrameBundle, terms: dict[str, np.ndarray]) -> dict[str, tuple[tuple, tuple]]:
+    """Both sides of the Simons inequality, whose shortfall is its failure,
+    and of the spectral cross-check of its cubic and quadratic terms, by
+    check name, from the bundle and its `simons_terms`."""
     t = terms
-    lower = (
-        t["hhat_grad_T"]
-        + t["grad_hhat_sq"]
-        + t["c_term"]
-        + t["HH_term"]
-        - 0.5 * (fb.n + 3.0) * t["hhat_sq"] ** 2
-    )
+    lower = tuple(t[k] for k in _SIMONS_RHS[:4]) + (-0.5 * (fb.n + 3.0) * t["hhat_sq"] ** 2,)
     return {
-        "margin": t["lhs_half_laplacian"] - lower,
-        "spectral_consistency": _spectral_consistency(fb.hhat0, fb.H0, t),
+        "simons_inequality_margin": ((t["lhs_half_laplacian"],), lower),
+        "spectral_consistency": ((t["cubic_term"], t["quad_term"]), (_spectral_form(fb.hhat0, fb.H0),)),
     }
 
 
-def _spectral_consistency(hh: np.ndarray, Hv: np.ndarray, t: dict[str, np.ndarray]) -> np.ndarray:
-    """The eigen-decomposition cross-check of the curvature terms `t`: the
-    cubic and quadratic H-contractions equal n sum lambda_i S_i* + n^2/(n+2) sum lambda_i^2."""
+def _spectral_form(hh: np.ndarray, Hv: np.ndarray) -> np.ndarray:
+    """The cubic and quadratic H-contractions of the Simons identity by the
+    eigen-decomposition: n sum lambda_i S_i* + n^2/(n+2) sum lambda_i^2."""
     n = hh.shape[0]
     summ = spectral_summary(hh, Hv)
-    spectral = n * np.einsum("i...,i...->...", summ.lambdas, summ.s_istar) + n * n / (n + 2.0) * summ.s_h
-    return np.abs(t["cubic_term"] + t["quad_term"] - spectral)
+    return n * np.einsum("i...,i...->...", summ.lambdas, summ.s_istar) + n * n / (n + 2.0) * summ.s_h
 
 
 # ---------------------------------------------------------------------------
@@ -211,57 +246,28 @@ def _spectral_consistency(hh: np.ndarray, Hv: np.ndarray, t: dict[str, np.ndarra
 # ---------------------------------------------------------------------------
 
 
-DEFAULT_TOLERANCES = {
-    "tri_symmetry": TOL_JET,
-    "codazzi_full_symmetry": TOL_FD1,
-    "h_trace_consistency": TOL_JET,
-    "H_derivative_symmetry": TOL_JET,
-    "T_consistency": 1e-8,
-    "norm_identity": 1e-10,
-    "lagrangian_condition": 1e-6,
-    "gauss_two_method": TOL_FD1,
-    "ricci_equation": 1e-5,
-    "maslov_closedness": TOL_FD1,
-    "ricci_identity": TOL_FD2,
-    "laplace_contraction": TOL_JET,
-    "simons_identity_rel": TOL_JET,
-    "simons_inequality_margin": TOL_JET,
-    "spectral_consistency": 1e-10,
-}
-
-
-class SampleError(ValueError):
-    """A sample whose point values fail the suite's input checks."""
-
-
-def _validate(fb: FrameBundle) -> dict[str, np.ndarray]:
-    """Input checks on every point of a bundle: h and hhat fully symmetric,
-    H finite and the symmetrized T trace-free, as (B,) masks of the points
-    at fault, each named by its fault."""
-    T = 0.5 * (fb.T0 + fb.T0.transpose(1, 0, 2))
-    T_scale = np.maximum(1.0, _max_abs(T))
-    return {
-        "h is not symmetric under index permutations": trisym_violations(fb.h0, TRISYM_TOL),
-        "hhat is not symmetric under index permutations": trisym_violations(fb.hhat0, TRISYM_TOL),
-        "H has non-finite components": ~np.all(np.isfinite(fb.H0), axis=0),
-        "T is not trace-free": np.abs(np.einsum("iib->b", T)) > 1e-8 * T_scale,
-    }
-
-
-def _residuals(fb: FrameBundle, heavy: bool) -> dict[str, np.ndarray]:
-    """Every check on every point of one bundle, as (B,) residuals."""
-    res = check_structural(fb) | check_gauss_ricci(fb)
-    res["maslov_closedness"] = fb.maslov_closedness()
-    if heavy:
-        res["ricci_identity"] = check_ricci_identity(fb)
-        lhs, rhs = lemma_laplace_hhat(fb)
-        res["laplace_contraction"] = np.abs(lhs - rhs)
+def _sides(fb: FrameBundle):
+    """(name, (lhs, rhs)) of every check whose order the bundle reaches, one
+    producer at a time, so a reader can free each check's terms before the
+    next ones are built."""
+    yield from check_structural(fb).items()
+    yield from check_gauss_ricci(fb).items()
+    if fb.phi.order >= HEAVY_ORDER:
+        yield "ricci_identity", check_ricci_identity(fb)
         terms = simons_terms(fb)
-        res["simons_identity_rel"] = check_simons_identity(terms)[2]
-        ineq = check_simons_inequality(fb, terms)
-        res["simons_inequality_margin"] = np.maximum(0.0, -ineq["margin"]) + 0.0  # -0.0 -> +0.0
-        res["spectral_consistency"] = ineq["spectral_consistency"]
-    return res
+        yield "laplace_contraction", lemma_laplace_hhat(fb, terms)
+        yield "simons_identity_rel", check_simons_identity(terms)
+        yield from check_simons_inequality(fb, terms).items()
+
+
+def _residuals(fb: FrameBundle, *_) -> dict[str, np.ndarray]:
+    """Every check whose order the bundle reaches, on every point, as (B,)
+    residuals."""
+    out = {}
+    for name, (lhs, rhs) in _sides(fb):
+        out[name] = residual(FORMS[name], lhs, rhs)
+        del lhs, rhs  # the terms of one check are freed before the next ones are built
+    return out
 
 
 def run_identity_suite(
@@ -274,39 +280,31 @@ def run_identity_suite(
     residual over the tolerance (`headroom`, pass when <= 1).
 
     The points are moved to their well-conditioned charts and streamed, in
-    sample order and each in its own chart, through `scalar_samples` at order
-    4 when `heavy` (order 3 otherwise).  A point the geometry fails at is named
-    in the error by its sample index, chart and coordinates; then a sample that
-    fails the input checks is refused with a SampleError, and a residual that
-    overflows, by sample and check, with an OverflowError."""
+    sample order and each in its own chart, through `scalar_samples` on
+    bundles of the order of the heavy checks when `heavy`, of the other
+    checks otherwise.  A point the geometry fails at is named in the error by
+    its sample index, chart and coordinates, and a residual that overflows,
+    by sample and check, in an OverflowError."""
     charts, coords = np.asarray(charts), np.asarray(coords, dtype=float)
     if len(coords) == 0:
         raise ValueError("the identity suite needs at least one sample point")
-
-    def integrand(fb, *_):
-        return _validate(fb) | _residuals(fb, heavy)
-
+    order = HEAVY_ORDER if heavy else LIGHT_ORDER
     with np.errstate(all="ignore"):  # every non-finite residual is refused below
         try:
-            residuals = scalar_samples(imm, *chart_batch(imm, charts, coords), integrand, 4 if heavy else 3)
+            residuals = scalar_samples(imm, *chart_batch(imm, charts, coords), _residuals, order)
         except (OutOfDomainError, NonLagrangianError, DegenerateMetricError) as exc:
             raise named_point(exc, f"sample {exc.index}", exc.index) from exc
-    for what, bad in residuals.items():  # the input checks come first, in `_validate` order
-        if what not in DEFAULT_TOLERANCES and np.any(bad):
-            raise SampleError(f"sample {int(np.argmax(bad))}: {what}")
 
     checks = []
-    for name, tol in DEFAULT_TOLERANCES.items():
-        if name not in residuals:
-            continue
-        worst = int(np.argmax(residuals[name]))  # the first NaN, if any: residuals are >= 0
-        value = float(residuals[name][worst])
+    for check in (c for c in CHECKS if c.order <= order):
+        worst = int(np.argmax(residuals[check.name]))  # the first NaN, if any: residuals are >= 0
+        value = float(residuals[check.name][worst])
         if not np.isfinite(value):
-            raise OverflowError(f"sample {worst}: {name} residual is not finite")
-        tol = tol * tol_scale
+            raise OverflowError(f"sample {worst}: {check.name} residual is not finite")
+        tol = check.tol * tol_scale
         checks.append(
             {
-                "name": name,
+                "name": check.name,
                 "max_residual": value,
                 "tolerance": tol,
                 "pass": value <= tol,

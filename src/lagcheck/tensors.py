@@ -12,8 +12,6 @@ from functools import cache
 
 import numpy as np
 
-TRISYM_TOL = 1e-9
-
 
 @cache
 def _orbits(n: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
@@ -41,13 +39,6 @@ def symmetry_residual(a: np.ndarray, rank: int) -> np.ndarray:
     out = np.max(spread, axis=0)
     out[~np.all(np.isfinite(x), axis=0)] = np.nan
     return out.reshape(a.shape[rank:])
-
-
-def trisym_violations(a: np.ndarray, tol: float = TRISYM_TOL) -> np.ndarray:
-    """Where a rank-3 array (n, n, n, ...) fails full symmetry by more than
-    `tol` times max(1, max |a|), per entry of the trailing axes."""
-    scale = np.maximum(1.0, np.max(np.abs(a), axis=(0, 1, 2)))
-    return symmetry_residual(a, 3) > tol * scale
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Reference code for the tests: the nested-loop contraction oracle, the
-permutation loop of the symmetry residual, the full-order frame bundle, the
-algebraic lemmas of the Simons-type estimate (the contraction identities,
-the Li-Li matrix bound, the curvature closed forms and the algebraic Simons
-bound), random tensors, and helpers that invert or read what the engine
-builds.  No command of the engine calls any of it; the tests check the
-engine against it, so it stays independent of the code it checks.
+permutation loop of the symmetry residual, the tolerance-relative symmetry
+test of a cubic array, the full-order frame bundle, the algebraic lemmas of
+the Simons-type estimate (the contraction identities, the Li-Li matrix
+bound, the curvature closed forms and the algebraic Simons bound), random
+tensors, and helpers that invert or read what the engine builds, such as the
+balance of the two sides of a check.  No command of the engine calls any of
+it; the tests check the engine against it, so it stays independent of the
+code it checks.
 """
 
 import math
@@ -14,10 +16,12 @@ from itertools import permutations
 import numpy as np
 
 from lagcheck.geometry import FrameBundle, _trace, _tracefree
-from lagcheck.identities import _curvature_terms, _spectral_consistency
+from lagcheck.identities import _curvature_terms, _spectral_form
 from lagcheck.immersions import Immersion, SphereAtlas, times_i
 from lagcheck.jets import Jet, jet_einsum
-from lagcheck.tensors import c_tensor_array, trisym_violations
+from lagcheck.tensors import c_tensor_array, symmetry_residual
+
+TRISYM_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
 # Random tensors and the norm identity
@@ -48,6 +52,13 @@ def norm_identity_residual(h: np.ndarray) -> float:
     n = h.shape[0]
     hhat, H = _tracefree(h), _trace(h)
     return abs(float(np.sum(hhat**2) - np.sum(h**2) + 3.0 * n * n / (n + 2.0) * np.dot(H, H)))
+
+
+def trisym_violations(a: np.ndarray, tol: float = TRISYM_TOL) -> np.ndarray:
+    """Where a rank-3 array (n, n, n, ...) fails full symmetry by more than
+    `tol` times max(1, max |a|), per entry of the trailing axes."""
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(0, 1, 2)))
+    return symmetry_residual(a, 3) > tol * scale
 
 
 def symmetry_residual_loops(a: np.ndarray, rank: int) -> np.ndarray:
@@ -339,8 +350,9 @@ def algebraic_simons_bound(hh: np.ndarray, Hv: np.ndarray) -> dict[str, np.ndarr
     """The purely algebraic estimate step: the curvature terms of the Simons
     identity dominate -(n+3)/2 |hhat|^4 for any trace-free tri-symmetric hhat.
 
-    Also reports the eigen-decomposition cross-check `_spectral_consistency`.
-    hh (n, n, n, ...) and Hv (n, ...) may carry trailing batch axes.
+    Also reports the eigen-decomposition cross-check: the cubic and
+    quadratic terms against their `_spectral_form`.  hh (n, n, n, ...) and
+    Hv (n, ...) may carry trailing batch axes.
     """
     hh = np.asarray(hh, dtype=float)
     Hv = np.asarray(Hv, dtype=float)
@@ -352,8 +364,15 @@ def algebraic_simons_bound(hh: np.ndarray, Hv: np.ndarray) -> dict[str, np.ndarr
     curvature = t["commutator_term"] + t["trace_sq_term"] + t["cubic_term"] + t["quad_term"]
     return {
         "margin": curvature + 0.5 * (n + 3.0) * hs * hs,
-        "spectral_consistency": _spectral_consistency(hh, Hv, t),
+        "spectral_consistency": np.abs(t["cubic_term"] + t["quad_term"] - _spectral_form(hh, Hv)),
     }
+
+
+def balance(sides: tuple) -> np.ndarray:
+    """sum lhs - sum rhs of the (lhs, rhs) sides of a check: zero where an
+    identity holds, the margin of an inequality."""
+    lhs, rhs = sides
+    return sum(lhs) - sum(rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,7 @@ import pytest
 from lagcheck.cli import main as cli_main
 from lagcheck.cpn import make_rpn, make_whitney_cpn
 from lagcheck.geometry import bundle_at, geometry_state
-from lagcheck.identities import (
-    check_gauss_ricci,
-    check_simons_identity,
-    check_simons_inequality,
-    check_structural,
-    simons_terms,
-)
+from lagcheck.identities import _residuals, check_simons_identity, check_simons_inequality, residual, simons_terms
 from lagcheck.immersions import (
     make_lagrangian_plane,
     make_perturbed_whitney,
@@ -31,6 +25,7 @@ from lagcheck.immersions import (
 from lagcheck.quadrature import energy_report, sphere_rule, torus_rule
 from reference import (
     algebraic_simons_bound,
+    balance,
     contraction_identity_suite,
     li_li_batch_margin,
     norm_identity_residual,
@@ -163,7 +158,7 @@ def test_criterion_04_structure_equations():
         rng = np.random.default_rng(400 + idx)
         for p in zip(*imm.atlas.random(rng, 10)):
             fb = geometry_state(imm, *p, 3)
-            res = check_structural(fb) | check_gauss_ricci(fb)
+            res = _residuals(fb)
             for k in rungs:
                 res[k] = float(res[k][0])
                 worst[k] = max(worst[k], res[k])
@@ -217,7 +212,7 @@ def test_criterion_07_simons_identity():
     pert = make_perturbed_whitney(1.0, 0.05, 1, 2)
     rels = []
     for p in zip(*pert.atlas.random(np.random.default_rng(70), 5)):
-        rel = float(check_simons_identity(simons_terms(geometry_state(pert, *p, 4)))[2][0])
+        rel = float(residual("relative", *check_simons_identity(simons_terms(geometry_state(pert, *p, 4))))[0])
         rels.append(rel)
         assert rel < 1e-13
     print(f"\nACCEPTANCE 7 PASS: Simons identity (torus cancellation {abs(rhs_sum):.2e}; "
@@ -227,12 +222,12 @@ def test_criterion_07_simons_identity():
 def test_criterion_08_simons_inequality():
     torus = make_product_torus([1.0, 2.0])
     fb_t = geometry_state(torus, 0, [0.4, 1.0], 4)
-    res_t = {k: float(v[0]) for k, v in check_simons_inequality(fb_t, simons_terms(fb_t)).items()}
-    assert res_t["margin"] >= -1e-9
+    res_t = {k: float(balance(v)[0]) for k, v in check_simons_inequality(fb_t, simons_terms(fb_t)).items()}
+    assert res_t["simons_inequality_margin"] >= -1e-9
     wh = make_whitney_cn(1.0, None, 2)
     fb_w = geometry_state(wh, 0, [0.3, 0.6], 4)
-    res_w = {k: float(v[0]) for k, v in check_simons_inequality(fb_w, simons_terms(fb_w)).items()}
-    assert res_w["margin"] >= -1e-9
+    res_w = {k: float(balance(v)[0]) for k, v in check_simons_inequality(fb_w, simons_terms(fb_w)).items()}
+    assert res_w["simons_inequality_margin"] >= -1e-9
     rng = np.random.default_rng(88)
     worst = np.inf
     for _ in range(1000):
@@ -242,8 +237,8 @@ def test_criterion_08_simons_inequality():
         margin = algebraic_simons_bound(hhat, H)["margin"]
         worst = min(worst, margin)
         assert margin >= -1e-10
-    print(f"\nACCEPTANCE 8 PASS: Simons inequality margins (torus {res_t['margin']:.2e}, "
-          f"whitney {res_w['margin']:.2e}, algebraic min {worst:.2e})")
+    print(f"\nACCEPTANCE 8 PASS: Simons inequality margins (torus {res_t['simons_inequality_margin']:.2e}, "
+          f"whitney {res_w['simons_inequality_margin']:.2e}, algebraic min {worst:.2e})")
 
 
 def test_criterion_09_energy_functionals():

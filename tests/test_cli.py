@@ -14,7 +14,7 @@ import pytest
 import lagcheck
 from lagcheck import cli, quadrature
 from lagcheck.cli import main
-from lagcheck.identities import run_identity_suite
+from lagcheck.identities import CHECKS, run_identity_suite
 from lagcheck.immersions import make_product_torus, make_whitney_cn
 from lagcheck.quadrature import energy_report, sphere_rule, torus_rule
 
@@ -251,6 +251,28 @@ class TestIdentitiesCommand:
         )
         assert code == 1
 
+    def test_tol_scale_at_the_floor_gives_finite_headrooms(self, tmp_path):
+        """The least accepted `tol_scale` leaves every tolerance a normal
+        float, and the report's headrooms finite."""
+        body = {"family": "perturbed_whitney", "r": 1.0, "eps": 0.05, "mode": 1, "n": 3, "samples": 5}
+        cfg = write_cfg(tmp_path, "p.json", {**body, "tol_scale": tol_floor()})
+        out = tmp_path / "r.json"
+        assert main(["identities", "--config", cfg, "--out", str(out)]) == 1
+        assert "Infinity" not in out.read_text()
+        checks = json.loads(out.read_text())["checks"]
+        assert min(c["tolerance"] for c in checks) >= TINY
+        assert all(np.isfinite(c["headroom"]) for c in checks)
+
+    @pytest.mark.parametrize("r, seed", [(1e-4, 7), (1e-8, 0), (1e-20, 0)])
+    def test_small_whitney_spheres_are_reported(self, tmp_path, capsys, r, seed):
+        """A small valid body is evaluated and reported, not refused, with
+        nothing on stderr; its checks on absolute tolerances may fail."""
+        cfg = write_cfg(tmp_path, "w.json", {"family": "whitney_cn", "r": r, "n": 3, "samples": 20, "seed": seed})
+        out = tmp_path / "r.json"
+        assert main(["identities", "--config", cfg, "--out", str(out)]) in (0, 1)
+        assert capsys.readouterr().err == ""
+        assert len(json.loads(out.read_text())["sample_points"]) == 20
+
     def test_config_parse_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "broken.json", "{not json at all")
         assert main(["identities", "--config", cfg]) == 2
@@ -364,8 +386,8 @@ WHITNEY3 = {"family": "whitney_cn", "n": 3}
         ("identities", PERTURBED_HUGE, "sample 0: chart 1, coords ["),
         ("energy", {**WHITNEY3, "r": 1e200, "degree": 4}, "induced metric not finite"),
         ("identities", {**WHITNEY3, "r": 1e200}, "induced metric not finite"),
-        ("identities", {**WHITNEY3, "r": 1e-100}, "sample 0: hhat is not symmetric"),
-        ("identities", {**WHITNEY3, "r": 1e-160}, "sample 4: hhat is not symmetric"),
+        ("identities", {**WHITNEY3, "r": 1e-100}, "sample 0: laplace_contraction residual is not finite"),
+        ("identities", {**WHITNEY3, "r": 1e-160}, "sample 0: codazzi_full_symmetry residual is not finite"),
         ("identities", {**WHITNEY3, "r": 1e-160, "seed": 13}, "residual is not finite"),
         ("identities", {"family": "product_torus", "radii": [1e-100, 2e-100]}, "residual is not finite"),
     ],
@@ -376,11 +398,10 @@ WHITNEY3 = {"family": "whitney_cn", "n": 3}
     ],
 )
 def test_bodies_past_float_range_exit_four_with_one_line(tmp_path, command, payload, message):
-    """A body whose metric is not finite, whose samples fail the suite's
-    input checks or whose residuals overflow (at seed 13 the spectral
-    cross-check's input hhat . H overflows too) stops the console entry
-    point with exit 4 and one stderr line: no traceback, no floating-point
-    warning and no report."""
+    """A body whose metric is not finite or whose residuals overflow (at
+    seed 13 the spectral cross-check's input hhat . H overflows too) stops
+    the console entry point with exit 4 and one stderr line: no traceback,
+    no floating-point warning and no report."""
     cfg = write_cfg(tmp_path, "far.json", payload)
     out = tmp_path / "out.json"
     env = {**os.environ, "PYTHONPATH": str(Path(lagcheck.__file__).resolve().parents[1])}
@@ -453,7 +474,7 @@ def test_malformed_family_parameters_are_construction_errors(tmp_path, capsys, c
     ids=["n-integer-float", "A-mixed-entries", "rpn-int"],
 )
 def test_well_formed_family_parameters_still_build(payload):
-    imm = cli.build_immersion(payload)
+    imm = cli.build_immersion(payload, "identities")
     assert imm.source_dim == 3 and isinstance(imm.params["n"], int)
 
 
@@ -560,6 +581,20 @@ SAMPLES = "'samples' must be an integer >= 1"
 DEGREE = "'degree' must be an integer >= 1"
 DEGREE_CAP = f"'degree' must be at most {cli.MAX_DEGREE}"
 HEAVY = "'heavy' must be true or false"
+TINY = float(np.finfo(float).tiny)
+
+
+def tol_floor() -> float:
+    """The least `tol_scale` that leaves every tolerance of CHECKS at least
+    the smallest normal float."""
+    least = min(c.tol for c in CHECKS)
+    floor = TINY / least
+    while least * floor < TINY:
+        floor = np.nextafter(floor, np.inf)
+    return float(floor)
+
+
+BELOW_TOL_FLOOR = float(np.nextafter(tol_floor(), 0.0))
 NO_DIR = {"out": "/nonexistent/dir/r.json"}
 UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a directory"
 
@@ -616,7 +651,16 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         ("energy", {"family": "cpn_torus", "moduli": [1.0, 0.7, 1.2], "n": 7, "degree": 4}, 3,
          "n = 7, but its parameters give n = 2"),
         ("identities", {**TORUS, "samples": 2, "tol_scale": 1e-320}, 2,
-         "'tol_scale' must be positive and leave every tolerance above 0, got 1e-320"),
+         f"'tol_scale' must be positive and leave every tolerance at least {TINY!r}, got 1e-320"),
+        ("identities", {**TORUS, "samples": 2, "tol_scale": 1e-313}, 2, f"at least {TINY!r}, got 1e-313"),
+        ("identities", {**TORUS, "samples": 2, "tol_scale": BELOW_TOL_FLOOR}, 2, f"got {BELOW_TOL_FLOOR!r}"),
+        ("energy", {**TORUS, "degree": 6, "samples": 99999, "tol_scale": 1e-3, "seed": 3, "heavy": False}, 2,
+         "energy takes no ['heavy', 'samples', 'seed', 'tol_scale']: its run keys are"),
+        ("scan", {**SCAN, "values": [1.0], "tol_scale": -5, "samples": 0}, 2,
+         "scan takes no ['samples', 'tol_scale']"),
+        ("identities", {**TORUS, "samples": 2, "degree": 7, "scan_param": "r", "values": [1]}, 2,
+         "identities takes no ['degree', 'scan_param', 'values']"),
+        ("energy", {"immersion": TORUS, "degree": 6, "seed": 3}, 2, "energy takes no ['seed']"),
     ],
     ids=[
         "samples-negative", "samples-text", "samples-zero", "samples-fraction", "seed-text",
@@ -629,7 +673,8 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         "scan-format-table", "immersion-not-an-object", "family-not-a-string", "cpn-theta-overflow",
         "energy-degree-above-cap", "scan-degree-above-cap", "scan-values-empty", "samples-above-cap",
         "family-key-misspelt", "run-key-misspelt", "key-beside-immersion", "torus-n-mismatch",
-        "cpn-torus-n-mismatch", "tol-scale-underflow",
+        "cpn-torus-n-mismatch", "tol-scale-underflow", "tol-scale-subnormal", "tol-scale-below-floor",
+        "energy-identities-keys", "scan-identities-keys", "identities-scan-keys", "energy-key-beside-immersion",
     ],
 )
 def test_invalid_run_parameters_are_refused(tmp_path, capsys, monkeypatch, command, payload, code, message):

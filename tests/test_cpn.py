@@ -377,7 +377,7 @@ class TestCpnTorus:
         assert fb.scalar("H_sq")[0] > 1e-2
 
     def test_from_config(self):
-        imm = build_immersion({"family": "cpn_torus", "moduli": [2.0, 2.0, 2.0]})
+        imm = build_immersion({"family": "cpn_torus", "moduli": [2.0, 2.0, 2.0]}, "energy")
         assert imm.ambient == AMBIENT_SPHERE and imm.source_dim == 2
         W = horizontal_lift_jets(imm, 0, np.array([[0.4, 1.7]]), 2)
         assert abs(np.sum(W.value**2) - 1.0) < 1e-15

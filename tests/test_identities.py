@@ -1,6 +1,7 @@
 import json
+import re
 import tracemalloc
-import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from lagcheck import identities
 from lagcheck import geometry
 from lagcheck.geometry import DegenerateMetricError, NonLagrangianError, geometry_state
 from lagcheck.identities import (
+    CHECKS,
+    FORMS,
     check_gauss_ricci,
     check_ricci_identity,
     check_simons_identity,
     check_simons_inequality,
     check_structural,
     lemma_laplace_hhat,
+    residual,
     run_identity_suite,
     simons_terms,
 )
@@ -32,7 +36,7 @@ from lagcheck.immersions import (
 )
 from lagcheck.jets import Jet
 from lagcheck.tensors import c_tensor_array
-from reference import algebraic_simons_bound, curvature_contraction_closed_forms, random_tracefree
+from reference import algebraic_simons_bound, balance, curvature_contraction_closed_forms, random_tracefree
 
 BODIES = {
     "plane": (make_lagrangian_plane(2), (0, np.array([0.3, -0.6]))),
@@ -68,22 +72,17 @@ def spike_simons_lhs(monkeypatch, imm, charts, coords, size):
     only."""
     hit = hits(imm, charts, coords)
     laplacian = geometry.FrameBundle.laplacian
-    monkeypatch.setattr(geometry.FrameBundle, "laplacian", lambda fb, jet: laplacian(fb, jet) + size * hit(fb))
+
+    def spiked(fb, jet):
+        value = laplacian(fb, jet)
+        return np.where(hit(fb), value + size, value)
+
+    monkeypatch.setattr(geometry.FrameBundle, "laplacian", spiked)
 
 
-def corrupt_point_values(monkeypatch, imm, charts, coords, name, change):
-    """Have `identities._validate` read the point value `name` (h0, hhat0,
-    H0 or T0) of a bundle as `change(value, hit)`, where `hit` masks the
-    points at the sample points `charts`, `coords`; calls stack."""
-    hit = hits(imm, charts, coords)
-    validate = identities._validate
-
-    def corrupted(fb):
-        values = types.SimpleNamespace(phi=fb.phi, h0=fb.h0, hhat0=fb.hhat0, H0=fb.H0, T0=fb.T0)
-        setattr(values, name, change(getattr(values, name), hit(fb)))
-        return validate(values)
-
-    monkeypatch.setattr(identities, "_validate", corrupted)
+def reduced(sides):
+    """The (B,) residuals of the sides of checks, by check name."""
+    return {name: residual(FORMS[name], *s) for name, s in sides.items()}
 
 
 def heavy(imm, chart, coords):
@@ -96,11 +95,11 @@ def at_one_point(residuals):
 
 
 def structural(imm, chart, coords, **kwargs):
-    return at_one_point(check_structural(geometry_state(imm, chart, coords, 3, **kwargs)))
+    return at_one_point(reduced(check_structural(geometry_state(imm, chart, coords, 3, **kwargs))))
 
 
 def gauss_ricci(imm, chart, coords):
-    return at_one_point(check_gauss_ricci(geometry_state(imm, chart, coords, 3)))
+    return at_one_point(reduced(check_gauss_ricci(geometry_state(imm, chart, coords, 3))))
 
 
 class TestStructural:
@@ -131,7 +130,7 @@ class TestGaussRicci:
     def test_torus_flat_both_ways(self):
         imm, p = BODIES["torus"]
         fb = geometry_state(imm, *p, 3)
-        res = at_one_point(check_gauss_ricci(fb))
+        res = at_one_point(reduced(check_gauss_ricci(fb)))
         assert res["gauss_two_method"] < 1e-10
         assert np.max(np.abs(fb.curvature_frame)) < 1e-10
 
@@ -145,34 +144,41 @@ class TestGaussRicci:
     def test_rpn_curvature_one(self):
         imm = make_rpn(2)
         fb = geometry_state(imm, 0, [0.2, 0.6], 3)
-        res = at_one_point(check_gauss_ricci(fb))
+        res = at_one_point(reduced(check_gauss_ricci(fb)))
         assert res["gauss_two_method"] < 1e-6
         assert fb.curvature_frame[0, 1, 0, 1, 0] == pytest.approx(1.0, abs=1e-6)
+
+
+def ricci_identity(fb):
+    return float(residual(FORMS["ricci_identity"], *check_ricci_identity(fb))[0])
+
+
+def laplace_contraction(fb):
+    return lemma_laplace_hhat(fb, simons_terms(fb))
 
 
 class TestRicciIdentity:
     @pytest.mark.parametrize("name,tol", [("plane", 1e-14), ("torus", 1e-6), ("perturbed", 1e-4)])
     def test_commutation_rule(self, name, tol):
         imm, p = BODIES[name]
-        assert check_ricci_identity(heavy(imm, *p))[0] < tol
+        assert ricci_identity(heavy(imm, *p)) < tol
 
     def test_perturbed_many_points(self):
         imm, _ = BODIES["perturbed"]
         for p in zip(*imm.atlas.random(np.random.default_rng(1), 10)):
-            assert check_ricci_identity(heavy(imm, *p))[0] < 1e-4
+            assert ricci_identity(heavy(imm, *p)) < 1e-4
 
 
 class TestLaplaceContraction:
     def test_torus_both_sides_vanish(self):
         imm, p = BODIES["torus"]
-        lhs, rhs = lemma_laplace_hhat(heavy(imm, *p))
-        assert abs(lhs[0]) < 1e-9
-        assert abs(rhs[0]) < 1e-9
+        lhs, rhs = laplace_contraction(heavy(imm, *p))
+        assert abs(sum(lhs)[0]) < 1e-9
+        assert abs(sum(rhs)[0]) < 1e-9
 
     def test_perturbed_agreement(self):
         imm, p = BODIES["perturbed"]
-        lhs, rhs = lemma_laplace_hhat(heavy(imm, *p))
-        assert abs(lhs[0] - rhs[0]) < 1e-13
+        assert abs(balance(laplace_contraction(heavy(imm, *p)))[0]) < 1e-13
 
 
 class TestSimonsIdentity:
@@ -210,21 +216,31 @@ class TestSimonsIdentity:
     def test_perturbed_relative_residual(self):
         imm, _ = BODIES["perturbed"]
         for p in zip(*imm.atlas.random(np.random.default_rng(2), 5)):
-            lhs, rhs, rel = check_simons_identity(simons_terms(heavy(imm, *p)))
+            rel = residual(FORMS["simons_identity_rel"], *check_simons_identity(simons_terms(heavy(imm, *p))))
             assert rel[0] < 1e-13
+
+
+def inequality(fb):
+    """The margin of the Simons inequality and the spectral cross-check
+    residual at the one point of `fb`."""
+    sides = check_simons_inequality(fb, simons_terms(fb))
+    return {
+        "margin": float(balance(sides["simons_inequality_margin"])[0]),
+        "spectral_consistency": float(reduced(sides)["spectral_consistency"][0]),
+    }
 
 
 class TestSimonsInequality:
     def test_whitney_margin_zero(self):
         imm, p = BODIES["whitney"]
         fb = heavy(imm, *p)
-        res = at_one_point(check_simons_inequality(fb, simons_terms(fb)))
+        res = inequality(fb)
         assert abs(res["margin"]) < 1e-9
 
     def test_torus_margin(self):
         imm = make_product_torus([1.0, 1.0])
         fb = heavy(imm, 0, [0.2, 0.8])
-        res = at_one_point(check_simons_inequality(fb, simons_terms(fb)))
+        res = inequality(fb)
         # closed form: the identity right side vanishes, so the margin is
         # (n+3)/2 |hhat|^4 - n^2/(n+2) |hhat|^2 |H|^2 = 5/8 - 1/4 = 3/8
         assert res["margin"] == pytest.approx(0.375, abs=1e-8)
@@ -233,7 +249,7 @@ class TestSimonsInequality:
     def test_perturbed_margin_nonnegative(self):
         imm, p = BODIES["perturbed"]
         fb = heavy(imm, *p)
-        res = at_one_point(check_simons_inequality(fb, simons_terms(fb)))
+        res = inequality(fb)
         assert res["margin"] >= -1e-9
         assert res["spectral_consistency"] < 1e-10
 
@@ -333,31 +349,6 @@ class TestFailingPointIsNamed:
         with pytest.raises(HorizontalityError, match=r"^chart 1, coords \[0.6, 0.4\]: horizontality"):
             geometry.bundle_at(bad, charts, coords, 4)
 
-    VALID = (make_perturbed_whitney(1.0, 0.05, 1, 2), np.zeros(3, dtype=int),
-             np.array([[0.4, -0.3], [0.1, 0.6], [-0.5, 0.2]]))
-
-    def test_validate_names_a_sample_whose_T_is_not_tracefree(self, monkeypatch):
-        imm, charts, coords = self.VALID
-        fb = geometry.bundle_at(imm, charts, coords, 3)
-        assert not any(np.any(bad) for bad in identities._validate(fb).values())
-        corrupt_point_values(monkeypatch, imm, charts[1:2], coords[1:2], "T0",
-                             lambda T, hit: T + np.eye(2)[..., None] * hit)
-        with pytest.raises(identities.SampleError, match="^sample 1: T is not trace-free$"):
-            run_identity_suite(imm, charts, coords, heavy=False)
-
-    def test_validate_names_a_sample_whose_h_is_not_symmetric(self, monkeypatch):
-        imm, charts, coords = self.VALID
-
-        def unsymmetric(h, hit):
-            h = h.copy()
-            h[0, 0, 1] += hit
-            return h
-
-        corrupt_point_values(monkeypatch, imm, charts[2:], coords[2:], "h0", unsymmetric)
-        message = "^sample 2: h is not symmetric under index permutations$"
-        with pytest.raises(identities.SampleError, match=message):
-            run_identity_suite(imm, charts, coords, heavy=False)
-
 
 class TestCurvatureContractionClosedForms:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -371,6 +362,14 @@ class TestCurvatureContractionClosedForms:
             res = curvature_contraction_closed_forms(hhat, H, c_amb)
             worst = max(worst, max(res.values()))
         assert worst < 1e-10
+
+
+def every_term(fb):
+    """Every Simons term and every term of every side of every check of an
+    order-4 bundle, keyed by the term's name or by (check, side, index)."""
+    terms = {(name, side, k): term for name, sides in identities._sides(fb)
+             for side, terms in enumerate(sides) for k, term in enumerate(terms)}
+    return simons_terms(fb) | terms
 
 
 class TestSuiteReports:
@@ -486,7 +485,7 @@ class TestSuiteReports:
             assert rep["all_pass"]
             worst = {}
             for chart, u in zip(charts, coords):
-                res = identities._residuals(geometry_state(imm, chart, u, 4), heavy=True)
+                res = identities._residuals(geometry_state(imm, chart, u, 4))
                 for name, value in res.items():
                     worst[name] = max(worst.get(name, 0.0), float(value[0]))
             assert {c["name"] for c in rep["checks"]} == set(worst)
@@ -496,18 +495,12 @@ class TestSuiteReports:
             moved_charts, moved = imm.atlas.normalize(charts, coords)
             for chart in np.unique(moved_charts):
                 idx = np.flatnonzero(moved_charts == chart)
-                fb = geometry.bundle_at(imm, int(chart), moved[idx], 4)
-                batched = simons_terms(fb) | check_simons_inequality(fb, simons_terms(fb))
-                lhs, rhs = lemma_laplace_hhat(fb)
-                batched |= {"laplace_lhs": lhs, "laplace_rhs": rhs}
+                batched = every_term(geometry.bundle_at(imm, int(chart), moved[idx], 4))
                 for b, k in enumerate(idx):
-                    one = geometry_state(imm, charts[k], coords[k], 4)
-                    single = simons_terms(one) | check_simons_inequality(one, simons_terms(one))
-                    lhs, rhs = lemma_laplace_hhat(one)
-                    single |= {"laplace_lhs": lhs, "laplace_rhs": rhs}
-                    for name, value in single.items():
-                        want = float(value[0])
-                        assert abs(batched[name][b] - want) <= 1e-12 * max(abs(want), 1.0), name
+                    for key, value in every_term(geometry_state(imm, charts[k], coords[k], 4)).items():
+                        want = value[..., 0]
+                        scale = max(float(np.max(np.abs(want))), 1.0)
+                        assert np.max(np.abs(batched[key][..., b] - want)) <= 1e-12 * scale, key
 
     def test_peak_memory_of_a_wide_heavy_suite(self):
         imm = make_whitney_cn(1.0, None, 3)
@@ -598,10 +591,8 @@ class TestChunkedSuite:
                 assert json.dumps(run_identity_suite(imm, *pts, seed=N, heavy=heavy), sort_keys=True) == chunked, N
 
     def test_faults_in_a_later_chunk_are_named_by_sample(self, monkeypatch):
-        """A geometry failure and an input-check failure past the first chunk
-        name the sample by its place among all samples, and the input checks
-        are taken in their order: a non-finite H in a later chunk comes
-        before a T that is not trace-free in an earlier one."""
+        """A geometry failure and a residual overflow past the first chunk
+        name the sample by its place among all samples."""
         monkeypatch.setitem(geometry.SAMPLE_CHUNK, 4, 8)
         coords = np.column_stack([np.arange(20) / 10, np.zeros(20)])
         coords[13, 1] = 0.5
@@ -611,14 +602,9 @@ class TestChunkedSuite:
 
         imm = make_perturbed_whitney(1.0, 0.05, 1, 2)
         charts, coords = imm.atlas.random(np.random.default_rng(3), 20)
-        with monkeypatch.context() as m:
-            corrupt_point_values(m, imm, charts[[3, 17]], coords[[3, 17]], "T0",
-                                 lambda T, hit: T + np.eye(2)[..., None] * hit)
-            with pytest.raises(identities.SampleError, match="^sample 3: T is not trace-free$"):
-                run_identity_suite(imm, charts, coords)
-            corrupt_point_values(m, imm, charts[17:18], coords[17:18], "H0", lambda H, hit: np.where(hit, np.inf, H))
-            with pytest.raises(identities.SampleError, match="^sample 17: H has non-finite components$"):
-                run_identity_suite(imm, charts, coords)
+        spike_simons_lhs(monkeypatch, imm, charts[17:18], coords[17:18], np.inf)  # in the third chunk
+        with pytest.raises(OverflowError, match="^sample 17: simons_identity_rel residual is not finite$"):
+            run_identity_suite(imm, charts, coords)
 
     def test_peak_memory_does_not_grow_with_samples(self):
         """The traced peak of a 1024-sample heavy suite at n = 3 stays within
@@ -676,3 +662,74 @@ def test_linear_map_mutation_is_flagged(monkeypatch, body, mutant, failing):
     checks = {c["name"]: c for c in run_identity_suite(imm, *pts, seed=7)["checks"]}
     for check in failing:
         assert not checks[check]["pass"], check
+
+
+# The corpus of the term-coverage matrix, by ambient: n = 3, 20 samples, seed 7.
+COVERAGE_CORPUS = {
+    "C^n": (CHUNK_BODIES["whitney_cn"], CHUNK_BODIES["perturbed_whitney"], CHUNK_BODIES["product_torus"]),
+    "CP^n": (CHUNK_BODIES["whitney_cpn"], CHUNK_BODIES["cpn_torus"], lambda: make_rpn(3)),
+}
+# Terms that no body of either ambient sees.
+BLIND_EVERYWHERE = {
+    ("tri_symmetry", "lhs", 0),  # h: a multiple of a symmetric tensor is symmetric
+    ("codazzi_full_symmetry", "lhs", 0),  # grad h: likewise
+    ("lagrangian_condition", "lhs", 0),  # max |<e_i, J e_j>|: zero on a Lagrangian body, times 1.01
+    # The Simons inequality: its margin exceeds 1% of each of these terms on
+    # every body, or the term is zero.
+    ("simons_inequality_margin", "lhs", 0),  # (1/2) Lap |hhat|^2
+    ("simons_inequality_margin", "rhs", 0),  # (n + 2) <hhat, grad T>
+    ("simons_inequality_margin", "rhs", 2),  # c_term
+    ("simons_inequality_margin", "rhs", 3),  # HH_term
+    ("simons_inequality_margin", "rhs", 4),  # -(n + 3)/2 |hhat|^4
+}
+BLIND = {
+    "C^n": BLIND_EVERYWHERE | {
+        ("simons_identity_rel", "rhs", 2),  # c_term: the ambient constant c is 0
+    },
+    # No CP^n body of the corpus has T != 0 or a non-parallel hhat.
+    "CP^n": BLIND_EVERYWHERE | {
+        ("T_consistency", "lhs", 0),  # T, zero on every body
+        ("T_consistency", "rhs", 0),  # (1/n) sum_m hhat_{mij,m}, likewise
+        ("laplace_contraction", "lhs", 0),  # <hhat, hhat_{,kk}>: hhat is parallel or zero
+        ("laplace_contraction", "rhs", 0),  # (n + 2) <hhat, grad T>: T = 0
+        ("laplace_contraction", "rhs", 1),  # the three contractions of hhat . hhat with the
+        ("laplace_contraction", "rhs", 2),  # curvature: zero, as hhat is zero or the body,
+        ("laplace_contraction", "rhs", 3),  # a torus orbit, is flat
+        ("simons_identity_rel", "lhs", 0),  # (1/2) Lap |hhat|^2: |hhat| is constant
+        ("simons_identity_rel", "rhs", 0),  # (n + 2) <hhat, grad T>: T = 0
+        ("simons_identity_rel", "rhs", 1),  # |grad hhat|^2: hhat is parallel or zero
+        ("simons_inequality_margin", "rhs", 1),  # |grad hhat|^2, likewise
+    },
+}
+
+
+@pytest.mark.parametrize("ambient", sorted(COVERAGE_CORPUS))
+def test_term_coverage_matrix(ambient):
+    """Each term of each side of each check, scaled by 1.01 in the stored
+    sides, fails its check by a factor of at least 100 on some body of the
+    ambient's corpus, except the terms named in BLIND: those are zero on
+    every body, or too small against the rest of their check."""
+    tol = {c.name: c.tol for c in CHECKS}
+    best = {}
+    for make in COVERAGE_CORPUS[ambient]:
+        imm = make()
+        points = geometry.chart_batch(imm, *imm.atlas.random(np.random.default_rng(7), 20))
+        fb = geometry.bundle_at(imm, *points, 4)
+        for name, sides in identities._sides(fb):
+            for side, terms in enumerate(sides):
+                for k, term in enumerate(terms):
+                    wrong = [list(s) for s in sides]
+                    wrong[side][k] = 1.01 * term
+                    headroom = np.max(residual(FORMS[name], *map(tuple, wrong))) / tol[name]
+                    key = (name, ("lhs", "rhs")[side], k)
+                    best[key] = max(best.get(key, 0.0), headroom)
+    assert {name for name, _, _ in best} == set(tol)
+    assert len(best) == 46
+    assert {key for key, headroom in best.items() if not headroom >= 100} == BLIND[ambient]
+
+
+def test_readme_check_table_is_checks():
+    """The README's table of checks gives each row of CHECKS, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (\d+) \| ([0-9.e+-]+) \| (\w+) \|$", readme, flags=re.M)
+    assert [(name, int(order), float(tol), form) for name, order, tol, form in rows] == [tuple(c) for c in CHECKS]

@@ -526,18 +526,18 @@ class TestBlackBoxFallback:
 
 class TestConfig:
     def test_json_and_keyvalue(self):
-        imm = build_immersion(parse_immersion_config('{"family": "whitney_cn", "r": 2.0, "n": 3}'))
+        imm = build_immersion(parse_immersion_config('{"family": "whitney_cn", "r": 2.0, "n": 3}'), "identities")
         assert imm.params["r"] == 2.0
-        imm2 = build_immersion(parse_immersion_config("family=product_torus\nradii=[1.0, 2.0]\n"))
+        imm2 = build_immersion(parse_immersion_config("family=product_torus\nradii=[1.0, 2.0]\n"), "identities")
         assert imm2.source_dim == 2
 
     def test_complex_offset(self):
-        imm = build_immersion({"family": "whitney_cn", "r": 1.0, "n": 2, "A": [[1.0, 2.0], [0.0, 0.0]]})
+        imm = build_immersion({"family": "whitney_cn", "r": 1.0, "n": 2, "A": [[1.0, 2.0], [0.0, 0.0]]}, "energy")
         assert imm.params["A"][0] == 1.0 + 2.0j
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            build_immersion({"family": "mystery"})
+            build_immersion({"family": "mystery"}, "identities")
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):

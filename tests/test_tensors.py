@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagcheck.geometry import _trace, _tracefree
-from lagcheck.tensors import c_tensor_array, spectral_summary, symmetry_residual, trisym_violations
+from lagcheck.tensors import c_tensor_array, spectral_summary, symmetry_residual
 from reference import (
     _contraction_suite_loops,
     contraction_identity_suite,
@@ -16,6 +16,7 @@ from reference import (
     random_cubic,
     random_tracefree,
     symmetry_residual_loops,
+    trisym_violations,
     trisymmetrize,
 )
 
