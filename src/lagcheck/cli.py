@@ -18,7 +18,7 @@ misspelt `radius` or `sead`),
 real parameter that is a bool, a string, a NaN or an infinity), 4
 evaluation error (e.g. a non-Lagrangian immersion or an induced metric that
 is degenerate or not finite, detected during geometry evaluation, an
-identity residual or an energy that overflows, or a quadrature rule too
+identity residual, its headroom or an energy that overflows, or a quadrature rule too
 large to allocate), always one line on stderr and no report.
 
 `main` is the application entry point, so it, not an import, sets the C
@@ -126,8 +126,8 @@ def integer(cfg: dict, key: str, default: int, least: int) -> int:
 # `quadrature._gl_nodes` costs about degree^2 before any grid is allocated (one
 # process, 2-core VM: 0.20 s at degree 3000, 0.33 s at 4000, 0.47 s at 5000,
 # 1.1 s at 8000, 1.8 s at 10^4), so a huge degree would never return.  A rule
-# has degree^n nodes, and an energy op takes about 5 us and 0.16 KB of peak RSS
-# per node (whitney_cn, n = 4, degree 32: 2^20 nodes in 5.2 s and 191 MB).
+# has degree^n nodes, and an energy op takes about 5 us and 0.17 KB of peak RSS
+# per node (whitney_cn, n = 4, degree 32: 2^20 nodes in 5.5 s and 175 MB).
 MAX_DEGREE = 4000
 MAX_NODES = 2**20
 # An identities op streams its samples, so its memory does not grow with them;

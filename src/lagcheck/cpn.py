@@ -82,10 +82,16 @@ def make_whitney_cpn(theta: float, n: int) -> Immersion:
         sigma = atlas.sign(charts)
         s = jet_einsum("a,a->", u, u)
         us, ss = u * s, s * s
-        head_re, head_im = (u + us).scaled(ch), (us - u).scaled(-sigma * sh)
-        re = Jet.stack([head_re[j] for j in range(n)] + [(ss + 1.0).scaled(sh * ch)])
-        im = Jet.stack([head_im[j] for j in range(n)] + [(ss - 1.0).scaled(0.5 * sigma)])
-        return interleave(re, im)
+        z = np.empty((n + 1, 2) + u.c.shape[1:])  # [j, re/im]: interleaved once reshaped
+        np.add(u.c, us.c, out=z[:n, 0])
+        np.subtract(us.c, u.c, out=z[:n, 1])
+        z[n] = ss.c
+        z[n, :, 0] += [[1.0], [-1.0]]
+        z[:n, 0] *= ch
+        z[:n, 1] *= -sigma * sh
+        z[n, 0] *= sh * ch
+        z[n, 1] *= 0.5 * sigma
+        return Jet(u.space, z.reshape((2 * n + 2,) + u.c.shape[1:]))
 
     return Immersion(
         name="whitney_cpn",
@@ -103,7 +109,7 @@ def make_rpn(n: int) -> Immersion:
 
     def jet_fn(charts, u):
         last = (jet_einsum("a,a->", u, u) - 1.0).scaled(0.5 * atlas.sign(charts))
-        return interleave(Jet.stack([u[a] for a in range(n)] + [last]))
+        return interleave(Jet(u.space, np.concatenate([u.c, last.c[None]])))
 
     return Immersion(
         name="rpn",
@@ -200,13 +206,17 @@ def horizontal_lift_jets(imm: Immersion, charts, coords: np.ndarray, order: int)
     the batch position of the first point it fails at.
     """
     phi = imm.jets(charts, coords, order)
-    sp = phi.space
-    # rho e^{i theta} on every row, in real arithmetic on the pairs, in place
-    # so that no more than one temporary of the size of phi is live
+    sp, w = phi.space, phi.c
+    # rho e^{i theta} on every row, in place on the (re, im) pairs of the
+    # family's own buffer (`Immersion`), so that no more than one temporary of
+    # the size of phi is live
     scale = _pinning_phase(phi.value) / np.sqrt(np.einsum("cx,cx->x", phi.value, phi.value))
-    w = times_i(phi.c) * scale.imag
-    w += scale.real * phi.c
-    del phi
+    t = w[0::2] * scale.imag
+    w[0::2] *= scale.real
+    w[0::2] -= w[1::2] * scale.imag
+    w[1::2] *= scale.real
+    w[1::2] += t
+    del phi, t
     if order <= 2:
         r1 = sp.ncoef_by_degree[1]
         w0, wa = w[:, 0], w[:, 1:r1]  # (2m, B), (2m, n, B): degree-1 rows in row order
@@ -214,9 +224,11 @@ def horizontal_lift_jets(imm: Immersion, charts, coords: np.ndarray, order: int)
         dot = np.einsum("cax,cx->ax", wa, w0)
         A = np.einsum("cax,cx->ax", wa, Jw0)
         if order == 2:
-            T = wa[:, None] * dot[:, None] + times_i(wa)[:, None] * A[:, None]  # [c, a, b, x]
-            w[:, r1:] -= sp._pair_sum[2][1] @ T.reshape(T.shape[0], -1, T.shape[-1])
-            del T
+            for part, sign in ((0, -1.0), (1, 1.0)):  # T[c, a, b] = dot_a w_b + A_a (i w_b), by halves of c
+                T = wa[part::2, None] * dot[:, None]
+                T += wa[1 - part :: 2, None] * (sign * A[:, None])
+                w[part::2, r1:] -= sp._pair_sum[2][1] @ T.reshape(T.shape[0], -1, T.shape[-1])
+                del T
         wa -= dot * w0[:, None] + A * Jw0[:, None]
         W = Jet(sp, w, order)
         resid = np.max(np.abs(np.einsum("cax,cbx->abx", wa, times_i(wa))), axis=(0, 1))

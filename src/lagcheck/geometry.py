@@ -144,7 +144,7 @@ class FrameBundle:
             self._L_inv0 if self._identity_gauge else np.einsum("ik,kax->iax", self.gauge, self._L_inv0)
         )
         self.e0 = np.einsum("iax,cax->icx", self.B0, f0)
-        self.Je0 = times_i(self.e0, axis=1)
+        del f0
         lag = np.max(np.abs(np.einsum("icb,jcb->ijb", self.e0, self.Je0)), axis=(0, 1))
         self.lagrangian_residual = lag  # (B,)
         bad = np.flatnonzero(lag > LAGRANGIAN_TOL)
@@ -155,6 +155,11 @@ class FrameBundle:
                 ),
                 int(bad[0]),
             )
+
+    @property
+    def Je0(self) -> np.ndarray:
+        """J e_i at the points, a signed permutation of e0: formed where read, not kept."""
+        return times_i(self.e0, axis=1)
 
     # -- frame jets, built on demand ---------------------------------------
 
@@ -261,9 +266,10 @@ class FrameBundle:
 
         def build():
             sp = self.phi.space
-            r1 = sp.ncoef_by_degree[1]
-            x = np.einsum("mcx,crx->mrx", self.Je0, self.phi.c[:, r1:])  # <row, J e_m>
-            x = x[:, sp.second_rows - r1] * sp.second_factor[:, :, None]  # [m, a, b, x]
+            r1, r2 = sp.ncoef_by_degree[1:3]
+            x = np.einsum("mcx,crx->mrx", self.Je0, self.phi.c[:, r1:r2])  # <row, J e_m>
+            x = x[:, sp.second_rows - r1]  # [m, a, b, x]
+            x *= sp.second_factor[:, :, None]
             x = np.einsum("jbx,mabx->majx", self.B0, x)
             return np.einsum("iax,majx->mijx", self.B0, x)
 
@@ -275,7 +281,7 @@ class FrameBundle:
 
     @property
     def hhat0(self) -> np.ndarray:
-        return self._get("hhat0", lambda: _tracefree(self.h0))
+        return self._get("hhat0", lambda: _tracefree(self.h0, self.H0))
 
     @property
     def omega0(self) -> np.ndarray:
@@ -519,9 +525,10 @@ def _trace(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,mij...->m...", np.eye(n) / n, x)
 
 
-def _tracefree(x: np.ndarray) -> np.ndarray:
-    """hhat = h - c(H), applied like `_trace`."""
-    return x - c_tensor_array(_trace(x))
+def _tracefree(x: np.ndarray, trace: np.ndarray | None = None) -> np.ndarray:
+    """hhat = h - c(H), applied like `_trace`; `trace` is `_trace(x)` if known."""
+    c = c_tensor_array(_trace(x) if trace is None else trace)
+    return np.subtract(x, c, out=c)
 
 
 def _maslov_defect(gH: np.ndarray) -> np.ndarray:
@@ -618,13 +625,13 @@ def scalar_laplacian(imm: Immersion, chart: int, coords, field: Callable[[int, J
 
 
 # Points per bundle, by jet order: the chunk bounds the peak memory.  Each is a
-# multiple of 8, which keeps every residual bit-equal to one batch.  Measured in
-# one process (2-core VM, `cli.main`'s allocator setting): at order 2 (energy,
-# degree 20, n = 3) 768 nodes save 12% per op against 512 for 1.0 MB more peak
-# RSS.  At orders 3 and 4 (whitney_cn identities) the peak doubles with the
-# chunk while time is flat at n = 5 (order 4: 37 MB at 128, 74 MB at 256); at
-# n = 3, 128 points instead of 256 cost 20% at order 3 and 11% at order 4.
-SAMPLE_CHUNK = {2: 768, 3: 256, 4: 128}
+# multiple of 8, which keeps every residual bit-equal to one batch.  At order 2
+# it is the largest whose traced peak at n = 3 on product_torus, whitney_cn and
+# whitney_cpn (1.33, 1.51, 1.54 MB) is at most that of 768 nodes before the energy
+# working set shrank (1.33, 1.78, 1.85 MB).  At orders 3 and 4 (whitney_cn) the
+# peak doubles with the chunk while time is flat at n = 5 (order 4: 37 MB at 128,
+# 74 MB at 256); at n = 3, 128 points instead of 256 cost 20% and 11% per op.
+SAMPLE_CHUNK = {2: 1016, 3: 256, 4: 128}
 
 
 def scalar_samples(imm: Immersion, charts, coords, integrand: Callable, order: int = 2) -> dict[str, np.ndarray]:

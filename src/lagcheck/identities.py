@@ -283,8 +283,8 @@ def run_identity_suite(
     sample order and each in its own chart, through `scalar_samples` on
     bundles of the order of the heavy checks when `heavy`, of the other
     checks otherwise.  A point the geometry fails at is named in the error by
-    its sample index, chart and coordinates, and a residual that overflows,
-    by sample and check, in an OverflowError."""
+    its sample index, chart and coordinates, and a residual or a headroom
+    that overflows, by sample and check, in an OverflowError."""
     charts, coords = np.asarray(charts), np.asarray(coords, dtype=float)
     if len(coords) == 0:
         raise ValueError("the identity suite needs at least one sample point")
@@ -299,9 +299,10 @@ def run_identity_suite(
     for check in (c for c in CHECKS if c.order <= order):
         worst = int(np.argmax(residuals[check.name]))  # the first NaN, if any: residuals are >= 0
         value = float(residuals[check.name][worst])
-        if not np.isfinite(value):
-            raise OverflowError(f"sample {worst}: {check.name} residual is not finite")
         tol = check.tol * tol_scale
+        for what, x in (("residual", value), ("headroom", value / tol)):
+            if not np.isfinite(x):
+                raise OverflowError(f"sample {worst}: {check.name} {what} is not finite")
         checks.append(
             {
                 "name": check.name,

@@ -9,9 +9,9 @@ atlas method takes or returns one.  A family is a chart formula
 `jet_fn(charts, u)` on truncated Taylor jets (`Immersion`), so derivative
 data up to order 4 is exact; on the sphere it is a polynomial in u and
 |u|^2 with the pole sign `SphereAtlas.sign`.  Complex ambient coordinates
-are stored as interleaved reals (Re z_1, Im z_1, ...), which only
-`interleave` writes (a scatter into one buffer), and the complex structure
-acts per pair as (a, b) -> (-b, a): `times_i` applies it as a signed
+are stored as interleaved reals (Re z_1, Im z_1, ...) in one buffer, an
+(m, 2) array of pairs read as (2m,) or `interleave`'s scatter, and the complex
+structure acts per pair as (a, b) -> (-b, a): `times_i` applies it as a signed
 permutation of the components, to arrays and jets alike, so no jet or frame
 is multiplied by the matrix `symplectic_j_matrix`.
 """
@@ -123,6 +123,7 @@ class Immersion:
     points (seeded by `jets` alone) to one (2m,) jet of the interleaved real
     ambient coordinates; `charts` is one chart id for the whole batch or a
     (B,) array of ids, one per point, so one batch may span several charts.
+    The jet owns its coefficient array, so its reader may overwrite it.
     """
 
     name: str
@@ -216,12 +217,20 @@ def make_whitney_cn(r: float, A=None, n: int = 2) -> Immersion:
     if A.shape != (n,):
         raise ValueError(f"offset A must have length {n}")
     atlas = SphereAtlas(n)
-    offset = np.stack([A.real, A.imag], axis=1).reshape(2 * n, 1)
+    offset = np.stack([A.real, A.imag], axis=1)[:, :, None]
 
     def jet_fn(charts, u):
         s = jet_einsum("a,a->", u, u)
-        us = u * s
-        return interleave(us + u, (us - u).scaled(atlas.sign(charts))) * (r / (1.0 + s * s)) + offset
+        q, us = r / (1.0 + s * s), u * s
+        z = np.empty((n, 2) + u.c.shape[1:])  # [j, re/im]: interleaved once reshaped
+        np.add(us.c, u.c, out=z[:, 0])
+        np.subtract(us.c, u.c, out=z[:, 1])
+        z[:, 1] *= atlas.sign(charts)
+        del us
+        for part in (0, 1):  # one (n,) product at a time, back into its half
+            z[:, part] = (Jet(u.space, z)[:, part] * q).c
+        z[:, :, 0] += offset
+        return Jet(u.space, z.reshape((2 * n,) + u.c.shape[1:]))
 
     return Immersion(
         name="whitney_cn",
@@ -248,7 +257,9 @@ def make_product_torus(radii) -> Immersion:
 
     def jet_fn(charts, u):
         sin, cos = u.sin_cos()
-        return interleave(cos, sin).scaled(np.repeat(radii, 2)[:, None])
+        z = interleave(cos, sin)
+        z.c *= np.repeat(radii, 2)[:, None, None]
+        return z
 
     return Immersion(
         name="product_torus",

@@ -146,14 +146,6 @@ class Jet:
             c[np.arange(space.nvars), space.first_rows] = 1.0
         return Jet(space, c)
 
-    @staticmethod
-    def stack(jets: list["Jet"]) -> "Jet":
-        """Stack jets of equal shape along a new leading axis, valid to the
-        lowest of their orders."""
-        order = min(j.order for j in jets)
-        rows = jets[0].space.ncoef_by_degree[order]
-        return Jet(jets[0].space, np.stack([j.c[..., :rows, :] for j in jets]), order)
-
     # -- tensor axes ---------------------------------------------------
 
     @property
@@ -263,15 +255,21 @@ class Jet:
         powers = [t]
         for _ in range(1, self.order):
             powers.append(powers[-1] * t)
+        powers[0] = self  # t above row 0, the only rows the series reads
+        del t
         rows = self.space.ncoef_by_degree
-        out = []
-        for coefs in coef_lists:
-            c = np.zeros(self.c.shape)
+        out, last = [], len(coef_lists) - 1
+        for i, coefs in enumerate(coef_lists):
+            c = np.empty(self.c.shape)
             c[..., 0, :] = coefs[0]
             for k, (ck, tk) in enumerate(zip(coefs[1:], powers), start=1):
                 # t^k vanishes below degree k
                 ck = np.asarray(ck, dtype=float)
-                c[..., rows[k - 1] :, :] += tk.c[..., rows[k - 1] :, :] * (ck[..., None, :] if ck.ndim else ck)
+                term = tk.c[..., rows[k - 1] :, :], (ck[..., None, :] if ck.ndim else ck)
+                if k == 1:  # written in place; + 0.0 gives a -0.0 term the +0.0 of 0 + term
+                    np.add(np.multiply(*term, out=c[..., 1:, :]), 0.0, out=c[..., 1:, :])
+                else:  # the last series scales t^k in place: no later one reads it
+                    c[..., rows[k - 1] :, :] += np.multiply(*term, out=term[0] if i == last else None)
             out.append(Jet(self.space, c, self.order))
         return tuple(out)
 
@@ -307,8 +305,10 @@ class Jet:
     def _trig(self) -> tuple["Jet", "Jet"]:
         s0, c0 = np.sin(self.value), np.cos(self.value)
         cycle = [s0, c0, -s0, -c0]
+        # x / 1 is x: the first two coefficients of each series are the cycle's own arrays
         return self.compose_series(
-            *([cycle[(k + phase) % 4] / factorial(k) for k in range(self.order + 1)] for phase in (0, 1))
+            *(cycle[p : p + 2] + [cycle[(k + p) % 4] / factorial(k) for k in range(2, self.order + 1)]
+              for p in (0, 1))
         )
 
     def exp(self) -> "Jet":

@@ -11,8 +11,8 @@ Every integral is an integrand: a function `integrand(fb, charts, coords)`
 that returns named (B,) arrays on the order-2 bundle of a chunk of nodes.
 `geometry.scalar_samples`, the node loop the identity suite shares, streams
 the nodes through it, and `integrals` is the one reduction: the weighted sum
-sum_k w_k * jacobian_k * sqrt_det_g_k * f(p_k) per name, a single np.sum in
-rule order, so no result depends on the chunk size.
+sum_k w_k * jacobian_k * sqrt_det_g_k * f(p_k) per name and the volume (f = 1),
+each a single np.sum in rule order, so no result depends on the chunk size.
 
 A rule integrates only bodies whose atlas names its domain.  It is read-only:
 `rule_for` builds one per (domain, n, degree) and hands it to every caller.
@@ -173,8 +173,8 @@ def _check_rule(imm: Immersion, rule: QuadratureRule):
 
 
 def integrals(imm: Immersion, rule: QuadratureRule, integrand: Callable) -> dict[str, float]:
-    """Integral of each named array of `integrand(fb, charts, coords)` (see
-    `geometry.scalar_samples`) against the induced volume measure.  Each is
+    """The volume and the integral of each named array of `integrand(fb,
+    charts, coords)` (`geometry.scalar_samples`) against the induced measure.  Each is
     one np.sum over the rule's node order, so results are run-to-run stable
     and do not depend on the chunk size; an overflow gives a non-finite
     integral, for the caller to refuse, and no warning."""
@@ -187,13 +187,12 @@ def integrals(imm: Immersion, rule: QuadratureRule, integrand: Callable) -> dict
     vals = scalar_samples(imm, rule.charts, rule.coords, with_density)
     base = rule.weights * rule.chart_jacobians * vals.pop(None)
     with np.errstate(over="ignore", invalid="ignore"):
-        return {name: float(np.sum(base * v)) for name, v in vals.items()}
+        return {"volume": float(np.sum(base)), **{name: float(np.sum(base * v)) for name, v in vals.items()}}
 
 
 def _energy_integrand(fb, charts, coords) -> dict[str, np.ndarray]:
     hhat_sq = fb.scalar("hhat_sq")
     return {
-        "volume": np.ones(fb.batch),
         "int_hhat_n": hhat_sq ** (fb.n / 2.0),
         "int_hhat_sq": hhat_sq,
         "int_h_sq": fb.scalar("h_sq"),

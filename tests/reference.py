@@ -376,7 +376,7 @@ def balance(sides: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Sphere points, jet rows, unitary maps and volumes
+# Sphere points, jet rows and stacks, unitary maps and volumes
 # ---------------------------------------------------------------------------
 
 
@@ -385,6 +385,14 @@ def embed(charts, coords) -> np.ndarray:
     `SphereAtlas.from_embedded`."""
     s = np.einsum("na,na->n", coords, coords)[:, None]
     return np.concatenate([2.0 * coords, SphereAtlas.sign(charts)[:, None] * (s - 1.0)], axis=1) / (1.0 + s)
+
+
+def stack(jets: list[Jet]) -> Jet:
+    """Stack jets of equal shape along a new leading axis, valid to the
+    lowest of their orders."""
+    order = min(j.order for j in jets)
+    rows = jets[0].space.ncoef_by_degree[order]
+    return Jet(jets[0].space, np.stack([j.c[..., :rows, :] for j in jets]), order)
 
 
 def deriv(jet: Jet, alpha) -> np.ndarray:

@@ -390,18 +390,26 @@ WHITNEY3 = {"family": "whitney_cn", "n": 3}
         ("identities", {**WHITNEY3, "r": 1e-160}, "sample 0: codazzi_full_symmetry residual is not finite"),
         ("identities", {**WHITNEY3, "r": 1e-160, "seed": 13}, "residual is not finite"),
         ("identities", {"family": "product_torus", "radii": [1e-100, 2e-100]}, "residual is not finite"),
+        # the least accepted tol_scale (`tol_floor()`): the residual 3.1e51 is
+        # finite, its headroom is not
+        (
+            "identities",
+            {**WHITNEY3, "r": 1e-20, "samples": 20, "seed": 7, "tol_scale": 2.2250738585072014e-298},
+            "sample 5: tri_symmetry headroom is not finite",
+        ),
     ],
     ids=[
         "energy-perturbed-1e200", "identities-perturbed-1e200", "energy-whitney-1e200", "identities-whitney-1e200",
         "identities-whitney-1e-100", "identities-whitney-1e-160", "identities-whitney-1e-160-spectral",
-        "identities-torus-1e-100",
+        "identities-torus-1e-100", "identities-whitney-1e-20-tol-floor",
     ],
 )
 def test_bodies_past_float_range_exit_four_with_one_line(tmp_path, command, payload, message):
-    """A body whose metric is not finite or whose residuals overflow (at
-    seed 13 the spectral cross-check's input hhat . H overflows too) stops
-    the console entry point with exit 4 and one stderr line: no traceback,
-    no floating-point warning and no report."""
+    """A body whose metric is not finite or whose residuals, or their
+    headrooms, overflow (at seed 13 the spectral cross-check's input
+    hhat . H overflows too) stops the console entry point with exit 4 and
+    one stderr line: no traceback, no floating-point warning and no
+    report."""
     cfg = write_cfg(tmp_path, "far.json", payload)
     out = tmp_path / "out.json"
     env = {**os.environ, "PYTHONPATH": str(Path(lagcheck.__file__).resolve().parents[1])}

@@ -17,7 +17,7 @@ from lagcheck import identities, jets
 from lagcheck.jets import Jet
 from lagcheck.identities import run_identity_suite
 from lagcheck.cli import build_immersion
-from lagcheck.immersions import AMBIENT_SPHERE, Immersion
+from lagcheck.immersions import AMBIENT_SPHERE, Immersion, make_product_torus, make_whitney_cn
 from lagcheck.quadrature import energy_report, torus_rule
 from reference import deriv, embed, normalize_representative, phase_twist, projective_distance
 
@@ -209,26 +209,37 @@ class TestHorizontalLift:
             assert np.max(np.abs(pick.imag)) < 1e-15
             assert np.all(pick.real > 0)
 
+    # KB of traced memory per node: the measured 1.50, 1.37 and 1.45, plus
+    # less than 10%
+    CHUNK_KB_PER_NODE = {"whitney_cpn": 1.65, "product_torus": 1.5, "whitney_cn": 1.59}
+
     def test_energy_chunk_peak_memory(self):
         """An order-2 bundle and the four energy scalars on 512 nodes of the
-        CP^3 Whitney sphere stay within 4.5 KB of traced memory per node:
-        the lift drops each (2m,) stage once the next one is built."""
-        imm = make_whitney_cpn(0.7, 3)
+        CP^3 Whitney sphere, a torus and an offset Whitney sphere in C^3 stay
+        within `CHUNK_KB_PER_NODE` of traced memory per node: the families
+        write their jet into one buffer, the lift turns it in place, and the
+        bundle keeps J e only where it is read."""
+        bodies = {
+            "whitney_cpn": make_whitney_cpn(0.7, 3),
+            "product_torus": make_product_torus([1.0, 1.5, 2.0]),
+            "whitney_cn": make_whitney_cn(1.0, np.array([0.3 + 0.4j, -0.2, 0.1j]), 3),
+        }
         coords = np.random.default_rng(8).uniform(-1.0, 1.0, size=(512, 3))
+        for name, imm in bodies.items():
 
-        def energy_chunk():
-            fb = bundle_at(imm, 0, coords, 2)
-            return [fb.scalar(name) for name in ("sqrt_det_g", "h_sq", "hhat_sq", "H_sq")]
+            def energy_chunk():
+                fb = bundle_at(imm, 0, coords, 2)
+                return [fb.scalar(name) for name in ("sqrt_det_g", "h_sq", "hhat_sq", "H_sq")]
 
-        energy_chunk()  # warm-up: jet tables and caches
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            energy_chunk()
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak / len(coords) <= 4.5 * 1024
+            energy_chunk()  # warm-up: jet tables and caches
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                energy_chunk()
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert peak / len(coords) <= self.CHUNK_KB_PER_NODE[name] * 1024, name
 
     def test_normalize_representative_errors(self):
         with pytest.raises(ValueError):

@@ -36,7 +36,7 @@ from lagcheck.immersions import (
 )
 from lagcheck.jets import Jet
 from lagcheck.tensors import c_tensor_array
-from reference import algebraic_simons_bound, balance, curvature_contraction_closed_forms, random_tracefree
+from reference import algebraic_simons_bound, balance, curvature_contraction_closed_forms, random_tracefree, stack
 
 BODIES = {
     "plane": (make_lagrangian_plane(2), (0, np.array([0.3, -0.6]))),
@@ -269,7 +269,7 @@ def partly_lagrangian_plane():
     Lagrangian on the line u_2 = 0 only."""
 
     def jet_fn(charts, u):
-        return Jet.stack([u[0], u[0].scaled(0.0), u[1], u[0] * u[1]])
+        return stack([u[0], u[0].scaled(0.0), u[1], u[0] * u[1]])
 
     return Immersion("partly_lagrangian", AMBIENT_CN, {}, PlaneAtlas(2), jet_fn)
 
@@ -279,7 +279,7 @@ def cusped_plane():
 
     def jet_fn(charts, u):
         zero = u[0].scaled(0.0)
-        return Jet.stack([u[0] * u[0] * u[0], zero, u[1], zero])
+        return stack([u[0] * u[0] * u[0], zero, u[1], zero])
 
     return Immersion("cusped_plane", AMBIENT_CN, {}, PlaneAtlas(2), jet_fn)
 
@@ -633,7 +633,10 @@ LINEAR_MAP_MUTANTS = {
     "maslov_defect": ("_maslov_defect", lambda orig: lambda x: orig(x) / 1.01),
     "trace": ("_trace", lambda orig: lambda x: 1.01 * orig(x)),
     # the c(H) part of hhat = h - c(H), times 1.01
-    "tracefree_c": ("_tracefree", lambda orig: lambda x: x - 1.01 * c_tensor_array(geometry._trace(x))),
+    "tracefree_c": (
+        "_tracefree",
+        lambda orig: lambda x, trace=None: x - 1.01 * c_tensor_array(geometry._trace(x) if trace is None else trace),
+    ),
 }
 MUTATION_BODIES = {
     "perturbed_whitney": lambda: make_perturbed_whitney(1.0, 0.05, 1, 3),

