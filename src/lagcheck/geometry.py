@@ -629,8 +629,8 @@ def scalar_laplacian(imm: Immersion, chart: int, coords, field: Callable[[int, J
 # it is the largest whose traced peak at n = 3 on product_torus, whitney_cn and
 # whitney_cpn (1.33, 1.51, 1.54 MB) is at most that of 768 nodes before the energy
 # working set shrank (1.33, 1.78, 1.85 MB).  At orders 3 and 4 (whitney_cn) the
-# peak doubles with the chunk while time is flat at n = 5 (order 4: 37 MB at 128,
-# 74 MB at 256); at n = 3, 128 points instead of 256 cost 20% and 11% per op.
+# peak doubles with the chunk while time is flat at n = 5 (order 4: 34 MB at 128,
+# 67 MB at 256); at n = 3, 128 points instead of 256 cost 20% and 11% per op.
 SAMPLE_CHUNK = {2: 1016, 3: 256, 4: 128}
 
 

@@ -9,9 +9,10 @@ form of its residual.  The structural and curvature checks read an order-3
 bundle; the heavy checks (Ricci identity, Laplace contraction, Simons
 identity and inequality) read an order-4 one, whose jets carry every
 derivative they use, including the chart Laplacian of |hhat|^2 and the
-gradient of T.  A check producer returns the two sides of its checks, each a
-tuple of signed terms of shape (..., B) on a bundle batched over B points,
-and `residual` reduces them to one residual per point.
+gradient of T.  A check producer returns the two sides of its checks, each an
+iterable of signed terms of shape (..., B) on a bundle batched over B points
+(the Ricci identity's are generators, which create each term just before it is
+summed), and `residual` reduces them to one residual per point.
 
 `run_identity_suite` takes the samples as one batch (charts, coords) and
 streams them, each in its own chart, through the one node loop
@@ -24,6 +25,7 @@ rescaled, and names the sample it occurred at.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -77,9 +79,9 @@ HEAVY_ORDER = max(c.order for c in CHECKS)
 FORMS = {c.name: c.form for c in CHECKS}
 
 
-def residual(form: str, lhs: tuple, rhs: tuple) -> np.ndarray:
-    """One residual per point from the two sides of a check, each a tuple of
-    signed (..., B) terms summed left to right:
+def residual(form: str, lhs: Iterable, rhs: Iterable) -> np.ndarray:
+    """One residual per point from the two sides of a check, each an iterable
+    of signed (..., B) terms summed left to right:
 
     - difference: max |sum lhs - sum rhs| over the tensor axes;
     - relative: |sum lhs - sum rhs| / (1 + |sum lhs|);
@@ -139,20 +141,15 @@ def check_gauss_ricci(fb: FrameBundle) -> dict[str, tuple[tuple, tuple]]:
 # ---------------------------------------------------------------------------
 
 
-def check_ricci_identity(fb: FrameBundle) -> tuple[tuple, tuple]:
+def check_ricci_identity(fb: FrameBundle) -> tuple[Iterable, Iterable]:
     """Both sides of the commutation rule for second covariant derivatives of
     h against the curvature contractions, curvature taken from the Gauss
-    form, on an order-4 bundle."""
-    hess = fb.hess_h
-    h0 = fb.h0
-    rg = fb.gauss_rhs
-    lhs = (hess, -hess.transpose(0, 1, 2, 4, 3, 5))
-    rhs = (
-        np.einsum("mkjb,kilpb->mijlpb", h0, rg),
-        np.einsum("mikb,kjlpb->mijlpb", h0, rg),
-        np.einsum("kijb,kmlpb->mijlpb", h0, rg),
-    )
-    return lhs, rhs
+    form, on an order-4 bundle.  The sides are generators: each five-index
+    term is created just before `residual` sums it, so no side is held whole."""
+    hess, h0, rg = fb.hess_h, fb.h0, fb.gauss_rhs
+    lhs = (-hess.transpose(0, 1, 2, 4, 3, 5) if swap else hess for swap in (False, True))
+    specs = ("mkjb,kilpb->mijlpb", "mikb,kjlpb->mijlpb", "kijb,kmlpb->mijlpb")
+    return lhs, (np.einsum(spec, h0, rg) for spec in specs)
 
 
 def lemma_laplace_hhat(fb: FrameBundle, t: dict[str, np.ndarray]) -> tuple[tuple, tuple]:
@@ -237,8 +234,8 @@ def _spectral_form(hh: np.ndarray, Hv: np.ndarray) -> np.ndarray:
     """The cubic and quadratic H-contractions of the Simons identity by the
     eigen-decomposition: n sum lambda_i S_i* + n^2/(n+2) sum lambda_i^2."""
     n = hh.shape[0]
-    summ = spectral_summary(hh, Hv)
-    return n * np.einsum("i...,i...->...", summ.lambdas, summ.s_istar) + n * n / (n + 2.0) * summ.s_h
+    lam, s_istar = spectral_summary(hh, Hv)
+    return n * np.einsum("i...,i...->...", lam, s_istar) + n * n / (n + 2.0) * np.sum(lam**2, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ Every function takes trailing batch axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -78,34 +77,18 @@ def c_tensor_array(H: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SpectralSummary:
-    """Eigen-data of M_ij = sum_l hhat^{l*}_{ij} H^{l*} plus the per-direction
-    norms S_{i*} in the eigenbasis.  `lambdas` and `s_istar` have shape
-    (n, ...) and `s_h` shape (...), the trailing axes being batch axes."""
-
-    lambdas: np.ndarray
-    s_istar: np.ndarray
-    s_h: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.lambdas = np.asarray(self.lambdas, dtype=float)
-        self.s_istar = np.asarray(self.s_istar, dtype=float)
-        self.s_h = np.sum(self.lambdas**2, axis=0)
-        if np.any(self.s_istar < -1e-12):
-            raise ValueError("per-direction norms must be nonnegative")
-
-
-def spectral_summary(hhat: np.ndarray, H: np.ndarray) -> SpectralSummary:
-    """Spectral data of one point, hhat (n, n, n) and H (n,), or of a batch
-    of them with the same trailing axes.  Where M is not finite (it
-    overflowed) the eigen-solve is skipped and the data are NaN."""
+def spectral_summary(hhat: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues `lambdas` of M_ij = sum_l hhat^{l*}_{ij} H^{l*} and the
+    per-direction norms S_{i*} = |hhat(e'_i, ., .)|^2 in its eigenframe, each
+    of shape (n, ...), of one point, hhat (n, n, n) and H (n,), or of a batch
+    of them with the same trailing axes.  Only the first slot is rotated: the
+    orthogonal frame keeps the norm of the other two.  Where M is not finite
+    (it overflowed) the eigen-solve is skipped and the data are NaN."""
     hh, Hv = np.asarray(hhat, dtype=float), np.asarray(H, dtype=float)
     M = np.einsum("lij...,l...->...ij", hh, Hv)
     finite = np.all(np.isfinite(M), axis=(-2, -1))
     lam, V = np.full(M.shape[:-1], np.nan), np.full(M.shape, np.nan)
     lam[finite], V[finite] = np.linalg.eigh(M[finite])
-    # rotate hhat into the eigenframe e'_i = sum_j V[j, i] e_j
-    rotated = np.einsum("...am,...bi,...cj,abc...->mij...", V, V, V, hh)
-    s_istar = np.einsum("mij...,mij...->m...", rotated, rotated)
-    return SpectralSummary(np.moveaxis(lam, -1, 0), s_istar)
+    # the first slot in the eigenframe e'_m = sum_a V[a, m] e_a
+    P = np.einsum("...am,abc...->mbc...", V, hh)
+    return np.moveaxis(lam, -1, 0), np.einsum("mbc...,mbc...->m...", P, P)

@@ -2,7 +2,8 @@
 permutation loop of the symmetry residual, the tolerance-relative symmetry
 test of a cubic array, the full-order frame bundle, the algebraic lemmas of
 the Simons-type estimate (the contraction identities, the Li-Li matrix
-bound, the curvature closed forms and the algebraic Simons bound), random
+bound, the curvature closed forms and the algebraic Simons bound), the
+three-slot eigenframe rotation of the spectral summary, random
 tensors, and helpers that invert or read what the engine builds, such as the
 balance of the two sides of a check.  No command of the engine calls any of
 it; the tests check the engine against it, so it stays independent of the
@@ -366,6 +367,19 @@ def algebraic_simons_bound(hh: np.ndarray, Hv: np.ndarray) -> dict[str, np.ndarr
         "margin": curvature + 0.5 * (n + 3.0) * hs * hs,
         "spectral_consistency": np.abs(t["cubic_term"] + t["quad_term"] - _spectral_form(hh, Hv)),
     }
+
+
+def spectral_summary_rotation(hhat: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`tensors.spectral_summary` by the full rotation of hhat into the
+    eigenframe, all three slots: the eigenvalues of M_ij = sum_l hhat^l_ij H^l
+    and the norms S_{i*} of the rotated slices, each (n, ...)."""
+    hh, Hv = np.asarray(hhat, dtype=float), np.asarray(H, dtype=float)
+    M = np.einsum("lij...,l...->...ij", hh, Hv)
+    finite = np.all(np.isfinite(M), axis=(-2, -1))
+    lam, V = np.full(M.shape[:-1], np.nan), np.full(M.shape, np.nan)
+    lam[finite], V[finite] = np.linalg.eigh(M[finite])
+    rotated = np.einsum("...am,...bi,...cj,abc...->mij...", V, V, V, hh)
+    return np.moveaxis(lam, -1, 0), np.einsum("mij...,mij...->m...", rotated, rotated)
 
 
 def balance(sides: tuple) -> np.ndarray:

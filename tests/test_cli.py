@@ -669,6 +669,9 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         ("identities", {**TORUS, "samples": 2, "degree": 7, "scan_param": "r", "values": [1]}, 2,
          "identities takes no ['degree', 'scan_param', 'values']"),
         ("energy", {"immersion": TORUS, "degree": 6, "seed": 3}, 2, "energy takes no ['seed']"),
+        ("identities", {"family": "whitney_cn", "n": 2, "samples": 2, "tol_scale": 10**400}, 2,
+         "'tol_scale' must be a finite number, got 1000"),
+        ("scan", {**SCAN, "values": [1.0, 10**400]}, 2, "a scan value must be a finite number, got 1000"),
     ],
     ids=[
         "samples-negative", "samples-text", "samples-zero", "samples-fraction", "seed-text",
@@ -683,6 +686,7 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         "family-key-misspelt", "run-key-misspelt", "key-beside-immersion", "torus-n-mismatch",
         "cpn-torus-n-mismatch", "tol-scale-underflow", "tol-scale-subnormal", "tol-scale-below-floor",
         "energy-identities-keys", "scan-identities-keys", "identities-scan-keys", "energy-key-beside-immersion",
+        "tol-scale-huge-int", "scan-value-huge-int",
     ],
 )
 def test_invalid_run_parameters_are_refused(tmp_path, capsys, monkeypatch, command, payload, code, message):

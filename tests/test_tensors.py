@@ -15,6 +15,7 @@ from reference import (
     norm_identity_residual,
     random_cubic,
     random_tracefree,
+    spectral_summary_rotation,
     symmetry_residual_loops,
     trisym_violations,
     trisymmetrize,
@@ -263,20 +264,48 @@ class TestSpectralSummary:
     def test_zero_cases(self):
         rng = np.random.default_rng(11)
         hhat = random_tracefree(rng, 3)
-        s = spectral_summary(hhat, np.zeros(3))
-        assert np.allclose(s.lambdas, 0.0)
-        assert s.s_h == 0.0
-        zero = spectral_summary(np.zeros((3, 3, 3)), rng.normal(size=3))
-        assert np.allclose(zero.lambdas, 0.0)
-        assert np.allclose(zero.s_istar, 0.0)
+        lam, _ = spectral_summary(hhat, np.zeros(3))
+        assert np.allclose(lam, 0.0)
+        assert np.sum(lam**2, axis=0) == 0.0
+        zero_lam, zero_s = spectral_summary(np.zeros((3, 3, 3)), rng.normal(size=3))
+        assert np.allclose(zero_lam, 0.0)
+        assert np.allclose(zero_s, 0.0)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_sh_matches_brute_force(self, n):
         rng = np.random.default_rng(20 + n)
         hhat = random_tracefree(rng, n)
         H = rng.normal(size=n)
-        s = spectral_summary(hhat, H)
+        lam, s_istar = spectral_summary(hhat, H)
         brute = np.einsum("lji,l->ji", hhat, H)
-        assert s.s_h == pytest.approx(float(np.sum(brute**2)), abs=1e-10)
-        assert float(np.sum(s.s_istar)) == pytest.approx(np.sum(hhat**2), abs=1e-10)
+        assert np.sum(lam**2, axis=0) == pytest.approx(float(np.sum(brute**2)), abs=1e-10)
+        assert float(np.sum(s_istar)) == pytest.approx(np.sum(hhat**2), abs=1e-10)
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_one_slot_matches_the_full_rotation(self, n):
+        """Rotating the first slot only gives the S_{i*} of the three-slot
+        rotation to 1e-13 of |hhat|^2, and the same eigenvalues, on a batch;
+        the norms are sums of squares, so never negative."""
+        rng = np.random.default_rng(40 + n)
+        hhat = np.stack([random_tracefree(rng, n) for _ in range(9)], axis=-1)
+        H = rng.normal(size=(n, 9))
+        lam, s_istar = spectral_summary(hhat, H)
+        want_lam, want_s = spectral_summary_rotation(hhat, H)
+        assert lam.shape == s_istar.shape == (n, 9)
+        assert np.array_equal(lam, want_lam)
+        assert np.all(np.abs(s_istar - want_s) <= 1e-13 * np.sum(hhat**2, axis=(0, 1, 2)))
+        assert np.all(s_istar >= 0.0)
+
+    def test_zero_and_overflow_agree_with_the_full_rotation(self):
+        """Both forms give zero norms on a zero hhat, zero eigenvalues on a
+        zero H, and NaN where M overflows."""
+        rng = np.random.default_rng(12)
+        hhat = np.stack([random_tracefree(rng, 3), np.zeros((3, 3, 3)), 1e200 * random_tracefree(rng, 3)], axis=-1)
+        H = np.stack([np.zeros(3), rng.normal(size=3), 1e200 * rng.normal(size=3)], axis=-1)
+        lam, s_istar = spectral_summary(hhat, H)
+        want_lam, want_s = spectral_summary_rotation(hhat, H)
+        assert np.array_equal(lam, want_lam, equal_nan=True)
+        assert np.all(lam[:, 0] == 0.0) and np.all(s_istar[:, 1] == 0.0) and np.all(want_s[:, 1] == 0.0)
+        assert np.all(np.isnan(s_istar[:, 2])) and np.all(np.isnan(want_s[:, 2])) and np.all(np.isnan(lam[:, 2]))
+        assert np.all(np.abs(s_istar[:, 0] - want_s[:, 0]) <= 1e-13 * np.sum(hhat[..., 0] ** 2))
+        assert np.all(s_istar[:, :2] >= 0.0)
