@@ -6,11 +6,13 @@ floats use repr, files are UTF-8 and newline-terminated, and every random
 choice flows from the single config seed.
 
 An energy report is its rule and its entries: the table and the CSV print
-one line per entry, and a `scan` has one column per entry after `param`.
+one line per entry, the table sorted by name as the JSON stores them, and a
+`scan` has one column per entry after `param`.
 
 Exit status: 0 all requested checks passed, 1 a check failed, 2 config error
 (also an invalid run parameter: a `degree` above MAX_DEGREE, a rule over
-MAX_NODES nodes, `samples` above MAX_SAMPLES, an empty scan, a format or out
+MAX_NODES nodes, `samples` above MAX_SAMPLES, an empty scan, a scan over a
+whole list parameter rather than one of its entries, a format or out
 path, a malformed report; a run key of another command; and a config key
 that is neither a run key nor a parameter of the built body, such as a
 misspelt `radius` or `sead`),
@@ -203,7 +205,7 @@ def render_table(doc: dict) -> str:
         lines.append(f"all_pass: {doc['all_pass']}")
     elif kind == "energy":
         lines.append(f"{'functional':20s} {'value':>24s}")
-        for name, value in doc["entries"].items():
+        for name, value in sorted(doc["entries"].items()):  # the order of the JSON report
             lines.append(f"{name:20s} {value:24.15e}")
     else:
         lines.append(json.dumps(doc, sort_keys=True, indent=2))
@@ -268,13 +270,17 @@ def cmd_energy(args) -> int:
 
 def _scan_target(imm, key) -> tuple[str, int | None]:
     """The parameter `key` names, `base` or `base.index`: `base` must be a
-    parameter of the built body and `index` a position in it."""
+    parameter of the built body, and `index` a position in it exactly when
+    it is a list, whose entries a scan sets one at a time."""
     base, _, idx = str(key).partition(".")
     if base not in imm.params:
         raise ConfigError(f"scan_param {key!r} is not a parameter of {imm.name}: {sorted(imm.params)}")
-    if not idx:
-        return base, None
     entry = imm.params[base]
+    if not idx:
+        if np.ndim(entry):
+            last = f"{base}.{len(entry) - 1}"
+            raise ConfigError(f"scan_param {key!r} is a list: scan one of its entries, {base}.0 to {last}")
+        return base, None
     if np.ndim(entry) != 1 or not idx.isdigit() or int(idx) >= len(entry):
         raise ConfigError(f"scan_param {key!r}: {base!r} has no entry {idx!r}")
     return base, int(idx)

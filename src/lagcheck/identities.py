@@ -54,9 +54,9 @@ COMMUTATOR_NOTE = (
 # `form` in which `residual` reduces its two sides.
 Check = namedtuple("Check", "name order tol form")
 # Tolerances by derivative provenance: 1e-9 for exact jets, 1e-6 once and 1e-4
-# twice finite differenced.  The FD rungs fit black-box immersions, whose
-# ambient jets come from finite differences; a few jet-exact checks still sit
-# on them.
+# twice finite differenced.  The engine takes no finite differences: the FD
+# rungs serve the tests' nested-difference black box, and a few jet-exact
+# checks still sit on them.
 CHECKS = (
     Check("tri_symmetry", 3, 1e-9, "symmetry"),
     Check("codazzi_full_symmetry", 3, 1e-6, "symmetry"),

@@ -382,57 +382,6 @@ def make_perturbed_whitney(r: float, eps: float, mode: int, n: int = 2) -> Immer
     return imm
 
 
-# -- Finite-difference fallback for black-box maps ---------------------------
-
-
-def make_black_box(fn: Callable, n: int, atlas=None, name="black_box") -> Immersion:
-    """Wrap a plain callable `fn(chart_id, coords)` -> 2n ambient reals as an
-    Immersion in C^n; each point is evaluated in its own chart of `atlas`.
-
-    Jet coefficients come from nested central differences (step 1e-3 chart
-    units, one Richardson pass per axis), so derived quantities live on the
-    finite-difference rungs of the tolerance ladder rather than the exact-jet
-    rung.
-    """
-    atlas = atlas or PlaneAtlas(n)
-    if atlas.n != n:
-        raise ValueError(f"a black box in {n} variables needs an atlas of dimension {n}, not {atlas.n}")
-    step = 1e-3
-
-    def partial_value(chart_id, alpha, x):
-        axis = next((a for a in range(n) if alpha[a] > 0), None)
-        if axis is None:
-            return np.asarray(fn(chart_id, x), dtype=float)
-        sub = list(alpha)
-        sub[axis] -= 1
-
-        def diff(h):
-            up = x.copy()
-            dn = x.copy()
-            up[axis] += h
-            dn[axis] -= h
-            return (partial_value(chart_id, sub, up) - partial_value(chart_id, sub, dn)) / (2 * h)
-
-        return (4.0 * diff(step / 2.0) - diff(step)) / 3.0
-
-    def jet_fn(charts, u):
-        sp, coords = u.space, u.value
-        raw = np.zeros((2 * n, sp.ncoef, coords.shape[1]))
-        for b, chart_id in enumerate(np.broadcast_to(charts, coords.shape[1:]).tolist()):
-            x = coords[:, b].copy()
-            for k, alpha in enumerate(sp.multi_indices):
-                raw[:, k, b] = partial_value(chart_id, list(alpha), x) / sp.coef_factorial[k]
-        return Jet(sp, raw)
-
-    return Immersion(
-        name=name,
-        ambient=AMBIENT_CN,
-        params={"n": n},
-        atlas=atlas,
-        jet_fn=jet_fn,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Config-driven construction
 # ---------------------------------------------------------------------------

@@ -64,9 +64,6 @@ class JetSpace:
         self.degrees = self.multi_indices.sum(axis=1)
         # number of coefficients of degree <= d
         self.ncoef_by_degree = np.searchsorted(self.degrees, np.arange(order + 1), side="right")
-        self.coef_factorial = np.array(
-            [float(np.prod([factorial(int(x)) for x in a])) for a in alphas]
-        )
 
         # Pair tables of the truncated product.  The pairs through row 0 are
         # plain scalings; the others, row i of degree p >= 1 with row j of
@@ -336,9 +333,6 @@ def jet_einsum(spec: str, a: Jet | np.ndarray, b: Jet) -> Jet:
     sa, sb = ins.split(",")
     if not isinstance(a, Jet):
         return Jet(b.space, np.einsum(f"{sa},{sb}...->{out}...", a, b.c), b.order)
-    if min(a.order, b.order) == 0:
-        # point values: one contraction, no pair sums
-        return Jet(b.space, np.einsum(f"{sa}...,{sb}...->{out}...", a.c[..., :1, :], b.c[..., :1, :]), 0)
     return _truncated_product(a, b, lambda x, y: np.einsum(f"{sa}...,{sb}...->{out}...", x, y))
 
 

@@ -29,7 +29,6 @@ import numpy as np
 
 from .geometry import scalar_samples
 from .immersions import Immersion, SphereAtlas, jsonable_params
-from .jets import Jet
 
 
 @dataclass(frozen=True)
@@ -220,36 +219,3 @@ def energy_report(imm: Immersion, rule: QuadratureRule) -> dict:
         "rule": {"n": imm.source_dim, "degree": rule.degree, "node_count": rule.node_count},
         "entries": entries,
     }
-
-
-def michael_simon_ratio(imm: Immersion, v, rule: QuadratureRule) -> dict:
-    """Sobolev-type diagnostic pair: the L^{n/(n-1)} norm of a nonnegative
-    test function against int |grad v| + v |H|, plus the squared-exponent
-    variant for n >= 3.  The constant is not asserted, only reported.
-
-    `v(charts, u)` evaluates the test function in jet arithmetic on the
-    order-2 coordinate jets `u` (`Jet.variables`) of a chunk of nodes, whose
-    chart ids `charts` (a (B,) array) may mix charts; it is called once per
-    chunk, whose bundle serves the density, |H|^2 and grad v.
-    """
-    n = imm.source_dim
-
-    def integrand(fb, charts, coords):
-        vj = v(charts, Jet.variables(fb.phi.space, coords.T))
-        if np.any(vj.value < -1e-12):
-            raise ValueError("negative test function detected at a node")
-        vv, H_sq = np.maximum(vj.value, 0.0), fb.scalar("H_sq")
-        grad_norm = np.sqrt(np.sum(fb.frame_derivative(vj) ** 2, axis=0))
-        out = {"ms_lhs": vv ** (n / (n - 1.0)), "ms_rhs_no_constant": grad_norm + vv * np.sqrt(H_sq)}
-        if n >= 3:
-            out["eq320_lhs"] = vv ** (2.0 * n / (n - 2.0))
-            out["eq320_rhs_no_constant"] = grad_norm**2 + vv**2 * H_sq
-        return out
-
-    out = integrals(imm, rule, integrand)
-    out["ms_lhs"] **= (n - 1.0) / n
-    if n >= 3:
-        out["eq320_lhs"] **= (n - 2.0) / n
-    else:
-        out["eq320_lhs"] = out["eq320_rhs_no_constant"] = None
-    return out

@@ -3,11 +3,12 @@ permutation loop of the symmetry residual, the tolerance-relative symmetry
 test of a cubic array, the full-order frame bundle, the algebraic lemmas of
 the Simons-type estimate (the contraction identities, the Li-Li matrix
 bound, the curvature closed forms and the algebraic Simons bound), the
-three-slot eigenframe rotation of the spectral summary, random
-tensors, and helpers that invert or read what the engine builds, such as the
-balance of the two sides of a check.  No command of the engine calls any of
-it; the tests check the engine against it, so it stays independent of the
-code it checks.
+three-slot eigenframe rotation of the spectral summary, random tensors, two
+other routes to an immersion's jets (the finite-difference black box and the
+Moebius form of the Whitney sphere), and helpers that invert or read what the
+engine builds, such as the balance of the two sides of a check.  No command
+of the engine calls any of it; the tests check the engine against it, so it
+stays independent of the code it checks.
 """
 
 import math
@@ -18,7 +19,7 @@ import numpy as np
 
 from lagcheck.geometry import FrameBundle, _trace, _tracefree
 from lagcheck.identities import _curvature_terms, _spectral_form
-from lagcheck.immersions import Immersion, SphereAtlas, times_i
+from lagcheck.immersions import AMBIENT_CN, Immersion, PlaneAtlas, SphereAtlas, interleave, times_i
 from lagcheck.jets import Jet, jet_einsum
 from lagcheck.tensors import c_tensor_array, symmetry_residual
 
@@ -409,13 +410,19 @@ def stack(jets: list[Jet]) -> Jet:
     return Jet(jets[0].space, np.stack([j.c[..., :rows, :] for j in jets]), order)
 
 
+def coef_factorial(space) -> np.ndarray:
+    """alpha! of each row of a jet space: row alpha of a jet holds
+    d^alpha f / alpha!."""
+    return np.array([float(np.prod([math.factorial(int(x)) for x in a])) for a in space.multi_indices])
+
+
 def deriv(jet: Jet, alpha) -> np.ndarray:
     """Partial derivative d^alpha of `jet` at the expansion point, read off its rows."""
     alpha = tuple(int(a) for a in alpha)
     if sum(alpha) > jet.order:
         raise ValueError(f"derivative {alpha} exceeds valid order {jet.order}")
     k = jet.space.index_of[alpha]
-    return jet.c[..., k, :] * jet.space.coef_factorial[k]
+    return jet.c[..., k, :] * coef_factorial(jet.space)[k]
 
 
 def random_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -461,3 +468,71 @@ def phase_twist(base: Immersion, coeffs) -> Immersion:
         return Z * cos + times_i(Z) * sin
 
     return replace(base, name=f"phase_twist({base.name})", params=dict(base.params, twist=coeffs), jet_fn=jet_fn)
+
+
+# ---------------------------------------------------------------------------
+# Immersions built another way: finite differences and the Moebius form
+# ---------------------------------------------------------------------------
+
+
+def make_black_box(fn, n: int, atlas=None, name="black_box") -> Immersion:
+    """Wrap a plain callable `fn(chart_id, coords)` -> 2n ambient reals as an
+    Immersion in C^n; each point is evaluated in its own chart of `atlas`.
+
+    Jet coefficients come from nested central differences (step 1e-3 chart
+    units, one Richardson pass per axis), so derived quantities live on the
+    finite-difference rungs of the tolerance ladder rather than the exact-jet
+    rung: the cross-check of the jet route through the same frame machinery.
+    """
+    atlas = atlas or PlaneAtlas(n)
+    if atlas.n != n:
+        raise ValueError(f"a black box in {n} variables needs an atlas of dimension {n}, not {atlas.n}")
+    step = 1e-3
+
+    def partial_value(chart_id, alpha, x):
+        axis = next((a for a in range(n) if alpha[a] > 0), None)
+        if axis is None:
+            return np.asarray(fn(chart_id, x), dtype=float)
+        sub = list(alpha)
+        sub[axis] -= 1
+
+        def diff(h):
+            up = x.copy()
+            dn = x.copy()
+            up[axis] += h
+            dn[axis] -= h
+            return (partial_value(chart_id, sub, up) - partial_value(chart_id, sub, dn)) / (2 * h)
+
+        return (4.0 * diff(step / 2.0) - diff(step)) / 3.0
+
+    def jet_fn(charts, u):
+        sp, coords = u.space, u.value
+        factorials = coef_factorial(sp)
+        raw = np.zeros((2 * n, sp.ncoef, coords.shape[1]))
+        for b, chart_id in enumerate(np.broadcast_to(charts, coords.shape[1:]).tolist()):
+            x = coords[:, b].copy()
+            for k, alpha in enumerate(sp.multi_indices):
+                raw[:, k, b] = partial_value(chart_id, list(alpha), x) / factorials[k]
+        return Jet(sp, raw)
+
+    return Immersion(name=name, ambient=AMBIENT_CN, params={"n": n}, atlas=atlas, jet_fn=jet_fn)
+
+
+def whitney_cn_mobius(r: float, A: np.ndarray, n: int) -> Immersion:
+    """The Whitney sphere in C^n from its Moebius form
+    z = r u (1 + i sigma) / (|u|^2 + i sigma) + A, sigma the pole sign: one
+    series in s = |u|^2 about its point value s0, whose coefficients
+    (1 + i sigma) (-1)^k (s0 + i sigma)^-(k+1) are split into a real and an
+    imaginary series.  An independent derivation of `make_whitney_cn`."""
+    atlas = SphereAtlas(n)
+    offset = np.stack([A.real, A.imag], axis=1).reshape(2 * n, 1)
+
+    def jet_fn(charts, u):
+        s = jet_einsum("a,a->", u, u)
+        i_sigma = 1j * atlas.sign(charts)
+        coefs = [(1.0 + i_sigma) * (-1.0) ** k / (s.value + i_sigma) ** (k + 1) for k in range(u.order + 1)]
+        re, im = s.compose_series([c.real for c in coefs], [c.imag for c in coefs])
+        return interleave((u * re).scaled(r), (u * im).scaled(r)) + offset
+
+    return Immersion(name="whitney_cn_mobius", ambient=AMBIENT_CN, params={"r": r, "A": A, "n": n},
+                     atlas=atlas, jet_fn=jet_fn)

@@ -672,6 +672,12 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         ("identities", {"family": "whitney_cn", "n": 2, "samples": 2, "tol_scale": 10**400}, 2,
          "'tol_scale' must be a finite number, got 1000"),
         ("scan", {**SCAN, "values": [1.0, 10**400]}, 2, "a scan value must be a finite number, got 1000"),
+        ("scan", {**TORUS, "radii": [1.0, 2.0], "degree": 3, "scan_param": "radii", "values": [1.0]}, 2,
+         "scan_param 'radii' is a list: scan one of its entries, radii.0 to radii.1"),
+        ("scan", {"family": "cpn_torus", "moduli": [1.0, 0.7, 1.2], "degree": 3, "scan_param": "moduli",
+                  "values": [1.0]}, 2, "scan_param 'moduli' is a list: scan one of its entries, moduli.0 to moduli.2"),
+        ("scan", {**SCAN, "scan_param": "A", "values": [0.1]}, 2,
+         "scan_param 'A' is a list: scan one of its entries, A.0 to A.1"),
     ],
     ids=[
         "samples-negative", "samples-text", "samples-zero", "samples-fraction", "seed-text",
@@ -686,7 +692,7 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         "family-key-misspelt", "run-key-misspelt", "key-beside-immersion", "torus-n-mismatch",
         "cpn-torus-n-mismatch", "tol-scale-underflow", "tol-scale-subnormal", "tol-scale-below-floor",
         "energy-identities-keys", "scan-identities-keys", "identities-scan-keys", "energy-key-beside-immersion",
-        "tol-scale-huge-int", "scan-value-huge-int",
+        "tol-scale-huge-int", "scan-value-huge-int", "scan-whole-radii", "scan-whole-moduli", "scan-whole-offset",
     ],
 )
 def test_invalid_run_parameters_are_refused(tmp_path, capsys, monkeypatch, command, payload, code, message):
@@ -763,6 +769,22 @@ class TestReportCommand:
         text = capsys.readouterr().out
         assert text == want and "r2" not in text
         assert len(text.splitlines()) == 2 + len(doc["entries"])
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [("energy", {"family": "whitney_cn", "n": 2, "degree": 3}), ("identities", {**TORUS, "samples": 2, "seed": 3})],
+        ids=["energy", "identities"],
+    )
+    def test_report_of_the_json_is_the_table(self, tmp_path, command, payload):
+        """`report` of a JSON report writes the bytes that `--format table`
+        writes for the same run: an energy table lists its entries sorted by
+        name, the order the JSON stores them in."""
+        cfg = write_cfg(tmp_path, "c.json", payload)
+        doc, table, shown = (tmp_path / name for name in ("r.json", "r.txt", "shown.txt"))
+        assert main([command, "--config", cfg, "--out", str(doc)]) == 0
+        assert main([command, "--config", cfg, "--format", "table", "--out", str(table)]) == 0
+        assert main(["report", str(doc), "--out", str(shown)]) == 0
+        assert shown.read_bytes() == table.read_bytes()
 
     def test_missing_file_is_config_error(self):
         assert main(["report", "/nonexistent/report.json"]) == 2

@@ -30,7 +30,7 @@ from lagcheck.immersions import (
     make_product_torus,
     make_whitney_cn,
 )
-from reference import FullOrderBundle, embed, phase_twist, random_unitary
+from reference import FullOrderBundle, embed, make_black_box, phase_twist, random_unitary
 
 RNG = np.random.default_rng(1234)
 
@@ -562,8 +562,6 @@ class TestFiniteDifferenceCrossValidation:
     def test_black_box_route_matches_jet_route_on_curved_body(self):
         """Pure finite-difference jets through the same frame machinery must
         reproduce the exact-jet geometry at the once/twice-FD rungs."""
-        from lagcheck.immersions import make_black_box
-
         pert = make_perturbed_whitney(1.0, 0.05, 1, 2)
 
         def fn(chart_id, x):
@@ -580,8 +578,6 @@ class TestFiniteDifferenceCrossValidation:
     def test_black_box_evaluates_each_point_in_its_own_chart(self):
         """A far chart-0 point moves to chart 1, and the black box must call
         its map with chart 1 there, not the chart-0 formula."""
-        from lagcheck.immersions import make_black_box
-
         pert = make_perturbed_whitney(1.0, 0.05, 1, 2)
         bb = make_black_box(
             lambda chart_id, x: pert.jets(chart_id, x[None], 1).value[:, 0],

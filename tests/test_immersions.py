@@ -19,7 +19,6 @@ from lagcheck.immersions import (
     expm_series,
     interleave,
     linear_image,
-    make_black_box,
     make_lagrangian_plane,
     make_nonlagrangian_plane,
     make_perturbed_whitney,
@@ -30,7 +29,7 @@ from lagcheck.immersions import (
     times_i,
 )
 from lagcheck.jets import Jet, jet_einsum, jet_space
-from reference import deriv, embed, phase_twist, random_unitary
+from reference import deriv, embed, make_black_box, phase_twist, random_unitary, whitney_cn_mobius
 
 
 def point(imm, chart, u):
@@ -55,6 +54,24 @@ def whitney_formula(r, A, x):
 
 
 class TestWhitneyCn:
+    @pytest.mark.parametrize("order", range(5))
+    def test_jet_equals_the_mobius_form(self, order):
+        """The chart polynomial and the Moebius form
+        r u (1 + i sigma) / (|u|^2 + i sigma) + A, two derivations of one
+        map, give the same jet in either chart and in a batch that mixes
+        them, to 1e-14 of the largest coefficient of each degree."""
+        A = np.array([0.3 + 0.1j, -0.2 + 0.5j, 0.4j])
+        imm, ref = make_whitney_cn(1.3, A, 3), whitney_cn_mobius(1.3, A, 3)
+        coords = np.random.default_rng(order).uniform(-1.4, 1.4, size=(8, 3))
+        for charts in (0, 1, np.arange(8) % 2):
+            got, want = imm.jets(charts, coords, order), ref.jets(charts, coords, order)
+            rows = got.space.ncoef_by_degree
+            assert got.c.shape == want.c.shape
+            for d in range(order + 1):
+                degree_d = slice(rows[d - 1] if d else 0, rows[d])
+                block = want.c[:, degree_d]
+                assert np.max(np.abs(got.c[:, degree_d] - block)) <= 1e-14 * np.max(np.abs(block)), (charts, d)
+
     def test_north_pole_maps_to_offset(self):
         imm = make_whitney_cn(1.0, None, 2)
         # north pole is the origin of the south-projection chart

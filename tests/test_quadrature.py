@@ -17,11 +17,10 @@ from lagcheck.immersions import (
     make_whitney_cn,
 )
 from lagcheck import geometry, quadrature
-from lagcheck.jets import Jet, jet_einsum, jet_space
+from lagcheck.jets import Jet, jet_space
 from lagcheck.quadrature import (
     energy_report,
     integrals,
-    michael_simon_ratio,
     rule_for,
     sphere_rule,
     torus_rule,
@@ -401,61 +400,14 @@ class TestChunkSize:
         assert geometry.SAMPLE_CHUNK[2] > 768
         assert traced_peak(one_chunk) <= self.PEAK_768[body]
 
-
-def constant_field(value):
-    return lambda cid, u: 0.0 * u[0] + value
-
-
-class TestMichaelSimon:
-    def test_zero_test_function(self):
-        torus = make_product_torus([1.0, 1.0])
-        out = michael_simon_ratio(torus, constant_field(0.0), torus_rule(2, 8))
-        assert out["ms_lhs"] == 0.0
-        assert out["ms_rhs_no_constant"] == 0.0
-
-    def test_constant_function_on_square_torus(self):
-        torus = make_product_torus([1.0, 1.0])
-        out = michael_simon_ratio(torus, constant_field(1.0), torus_rule(2, 10))
-        assert out["ms_lhs"] == pytest.approx(math.sqrt(4 * math.pi**2), rel=1e-10)
-        assert out["ms_rhs_no_constant"] == pytest.approx(4 * math.pi**2 / math.sqrt(2), rel=1e-10)
-        assert out["eq320_lhs"] is None
-
-    def test_harmonic_on_whitney_sphere(self):
-        wh = make_whitney_cn(1.0, None, 2)
-        atlas = wh.atlas
-
-        def v(cid, u):  # 1 + x_3 of the embedded sphere point
-            s = jet_einsum("a,a->", u, u)
-            return 1.0 + ((s - 1.0) / (1.0 + s)).scaled(atlas.sign(cid))
-
-        out = michael_simon_ratio(wh, v, sphere_rule(2, 16))
-        ratio = out["ms_rhs_no_constant"] / out["ms_lhs"]
-        assert ratio == pytest.approx(6.771048996307041, rel=1e-12)  # frozen regression
-
-    def test_eq320_pair_for_n3(self):
-        wh = make_whitney_cn(1.0, None, 3)
-        out = michael_simon_ratio(wh, constant_field(1.0), sphere_rule(3, 8))
-        assert out["eq320_lhs"] is not None and out["eq320_lhs"] > 0
-        assert out["eq320_rhs_no_constant"] > 0
-
     def test_bundles_stay_within_sample_chunk(self, monkeypatch):
         """The nodes stream through order-2 bundles of at most SAMPLE_CHUNK[2]
         nodes in rule order, a chunk may mix charts, and chunking changes
-        neither report: one bundle over every node gives the same numbers."""
+        no entry: one bundle over every node gives the same numbers."""
         wh = make_whitney_cn(1.0, np.array([0.3 + 0.4j, -0.2, 0.1j]), 3)
-        atlas = wh.atlas
         # degree^3 nodes, more than two chunks' worth, split about evenly
         # between the two charts
         rule = sphere_rule(3, math.ceil((3 * geometry.SAMPLE_CHUNK[2]) ** (1 / 3)))
-
-        def v(charts, u):  # 1 + x_4 / 2 of the embedded sphere point
-            s = jet_einsum("a,a->", u, u)
-            return 1.0 + ((s - 1.0) / (1.0 + s)).scaled(0.5 * atlas.sign(charts))
-
-        runs = {
-            "michael_simon": lambda: michael_simon_ratio(wh, v, rule),
-            "energy": lambda: energy_report(wh, rule)["entries"],
-        }
         sizes, mixed, inner = [], [], geometry.bundle_at
 
         def bundle_at(imm, charts, coords, order):
@@ -464,20 +416,14 @@ class TestMichaelSimon:
             return inner(imm, charts, coords, order)
 
         monkeypatch.setattr(geometry, "bundle_at", bundle_at)
-        chunked = {name: run() for name, run in runs.items()}
+        chunked = energy_report(wh, rule)["entries"]
         chunks = math.ceil(rule.node_count / geometry.SAMPLE_CHUNK[2])
-        assert chunks >= 3 and len(sizes) == 2 * chunks
-        assert max(sizes) <= geometry.SAMPLE_CHUNK[2] and sum(sizes) == 2 * rule.node_count
+        assert chunks >= 3 and len(sizes) == chunks
+        assert max(sizes) <= geometry.SAMPLE_CHUNK[2] and sum(sizes) == rule.node_count
         assert any(mixed)
         monkeypatch.setitem(geometry.SAMPLE_CHUNK, 2, rule.node_count)
-        for name, run in runs.items():
-            assert run() == chunked[name], name
-        assert sizes[2 * chunks :] == [rule.node_count] * 2
-
-    def test_negative_function_rejected(self):
-        torus = make_product_torus([1.0, 1.0])
-        with pytest.raises(ValueError):
-            michael_simon_ratio(torus, constant_field(-1.0), torus_rule(2, 6))
+        assert energy_report(wh, rule)["entries"] == chunked
+        assert sizes[chunks:] == [rule.node_count]
 
 
 class TestScaleFree:

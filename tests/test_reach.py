@@ -22,19 +22,11 @@ from lagcheck import cli
 PACKAGE = Path(lagcheck.__file__).resolve().parent
 
 PINNED_BY_TRACER = "wrapped by perfbench/tracer.py until the benchmark re-anchor un-wraps it"
-BLACK_BOX = "no config builds a black box; its jets move to Cauchy integrals first"
-MICHAEL_SIMON = "waits on the gap report that will read it"
 ALLOWED_UNREACHED = {
     **{f"geometry.{name}": PINNED_BY_TRACER
        for name in ("geometry_state", "closedness_residual", "maslov_tensor_gradient", "scalar_laplacian")},
     **{f"jets.Jet.{name}": "listed in the tracer's JET_METHODS"
        for name in ("__rsub__", "__rmul__", "__truediv__", "partial", "sqrt", "sin", "cos", "exp")},
-    "immersions.make_black_box": BLACK_BOX,
-    "immersions.make_black_box.<locals>.partial_value": BLACK_BOX,
-    "immersions.make_black_box.<locals>.partial_value.<locals>.diff": BLACK_BOX,
-    "immersions.make_black_box.<locals>.jet_fn": BLACK_BOX,
-    "quadrature.michael_simon_ratio": MICHAEL_SIMON,
-    "quadrature.michael_simon_ratio.<locals>.integrand": MICHAEL_SIMON,
     "immersions.register_family": "runs at import time, before any command",
 }
 
