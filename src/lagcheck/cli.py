@@ -5,19 +5,21 @@ Reports are byte-deterministic for a fixed config and seed: keys are sorted,
 floats use repr, files are UTF-8 and newline-terminated, and every random
 choice flows from the single config seed.
 
-An energy report is its rule and its entries: the table and the CSV print
-one line per entry, the table sorted by name as the JSON stores them, and a
-`scan` has one column per entry after `param`.
+A config is one JSON object of top-level keys, the body's and the run's; it
+alone says what a report holds, and `--out` and `--format` where and how.
+
+An energy report is its rule and its entries sorted by name: the table and
+the CSV print one line per entry, and a `scan` one column per entry after `param`.
 
 Exit status: 0 all requested checks passed, 1 a check failed, 2 config error
-(also an invalid run parameter: a `degree` above MAX_DEGREE, a rule over
-MAX_NODES nodes, `samples` above MAX_SAMPLES, an empty scan, a scan over a
-whole list parameter rather than one of its entries, a format or out
-path, a malformed report; a run key of another command; and a config key
-that is neither a run key nor a parameter of the built body, such as a
-misspelt `radius` or `sead`),
+(also a config that is not a JSON object; an invalid run parameter: a
+`degree` above MAX_DEGREE, a rule over MAX_NODES nodes, `samples` above
+MAX_SAMPLES, an empty scan, a scan over a whole list parameter rather than
+one of its entries, a format or out path, a malformed report; a run key of
+another command; and any other key that is not a parameter of the built
+body, such as a misspelt `radius`, `sead` or `out`),
 3 immersion construction error (also a parameter that overflows, and a
-real parameter that is a bool, a string, a NaN or an infinity), 4
+real parameter that is a bool, a string, a NaN, an infinity or a huge integer), 4
 evaluation error (e.g. a non-Lagrangian immersion or an induced metric that
 is degenerate or not finite, detected during geometry evaluation, an
 identity residual, its headroom or an energy that overflows, or a quadrature rule too
@@ -30,7 +32,6 @@ allocator's thresholds (`keep_freed_memory`).
 from __future__ import annotations
 
 import argparse
-import copy
 import ctypes
 import functools
 import json
@@ -42,7 +43,7 @@ import numpy as np
 from . import cpn  # noqa: F401  (registers the CP^n families)
 from .geometry import DegenerateMetricError, NonLagrangianError
 from .identities import CHECKS, run_identity_suite
-from .immersions import FAMILY_REGISTRY, OutOfDomainError, integer_param, jsonable_params, parse_immersion_config
+from .immersions import FAMILY_REGISTRY, OutOfDomainError, integer_param, is_real, jsonable_params
 from .quadrature import energy_report, rule_for
 
 EXIT_OK = 0
@@ -58,38 +59,34 @@ class ConfigError(ValueError):
     pass
 
 
-def load_config(path: str | None, overrides: dict) -> dict:
-    cfg = {}
-    if path:
-        try:
-            cfg = parse_immersion_config(Path(path).read_text())
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
+class ConstructionError(ValueError):
+    pass
+
+
+def load_config(path: str) -> dict:
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"a config is a JSON object, got {type(cfg).__name__}")
     return cfg
 
 
 def build_immersion(cfg: dict, command: str):
     """The body a config of `command` describes: its family keys sit at the
-    top level beside the run keys of `command`, or in an `immersion` object.
-    A run key of another command, and a key that is neither a run key nor a
-    parameter the built body records in its `params`, are refused, not
-    ignored, and so is an `n` other than the dimension of the body, which a
-    torus derives from its radii or moduli."""
+    top level beside the run keys of `command`.  A run key of another
+    command, and a key that is neither a run key nor a parameter the built
+    body records in its `params`, are refused, not ignored, and so is an `n`
+    other than the dimension of the body, which a torus derives from its
+    radii or moduli."""
     run_keys = RUN_KEYS[command]
     if foreign := sorted(set(cfg) & (set().union(*RUN_KEYS.values()) - run_keys)):
         raise ConfigError(f"{command} takes no {foreign}: its run keys are {sorted(run_keys)}")
-    imm_cfg = cfg.get("immersion", None)
-    if imm_cfg is None:
-        imm_cfg = {k: v for k, v in cfg.items() if k not in run_keys}
-    elif stray := sorted(set(cfg) - run_keys):
-        raise ConfigError(f"unknown config keys beside 'immersion': {stray}")
-    if not isinstance(imm_cfg, dict):
-        raise ConfigError(f"'immersion' must be an object, got {imm_cfg!r}")
-    family = imm_cfg.get("family")
+    family = cfg.get("family")
     if not isinstance(family, str) or family not in FAMILY_REGISTRY:
         raise ConfigError(f"unknown or missing immersion family: {family!r}")
-    params = {k: v for k, v in imm_cfg.items() if k != "family"}
+    params = {k: v for k, v in cfg.items() if k != "family" and k not in run_keys}
     try:
         imm = FAMILY_REGISTRY[family](params)
         if "n" in params and integer_param(params, "n", imm.source_dim) != imm.source_dim:
@@ -101,16 +98,11 @@ def build_immersion(cfg: dict, command: str):
     return imm
 
 
-class ConstructionError(ValueError):
-    pass
-
-
 # The keys of a config that are not the body's, by command.
-SHARED_KEYS = {"immersion", "out", "format"}
 RUN_KEYS = {
-    "identities": SHARED_KEYS | {"samples", "seed", "tol_scale", "heavy"},
-    "energy": SHARED_KEYS | {"degree"},
-    "scan": SHARED_KEYS | {"degree", "scan_param", "values"},
+    "identities": {"samples", "seed", "tol_scale", "heavy"},
+    "energy": {"degree"},
+    "scan": {"degree", "scan_param", "values"},
 }
 
 
@@ -147,7 +139,7 @@ def rule_degree(cfg: dict) -> int:
 
 def number(value, what: str) -> float:
     """A finite real run parameter; an integer too large for a float is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+    if not is_real(value):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
@@ -173,17 +165,13 @@ def write_text(path: str | None, text: str):
         sys.stdout.write(text)
 
 
-def output(args, cfg: dict, formats: tuple[str, ...] = FORMATS) -> tuple[str | None, str]:
-    """The `out` path and `format` of a run, checked before any work: the
-    format, by default the first of `formats`, must be one of them, and
-    `out` must lie in a directory that exists."""
-    out = args.out or cfg.get("out")
-    fmt = args.format or cfg.get("format", formats[0])
+def output(args, formats: tuple[str, ...] = FORMATS) -> tuple[str | None, str]:
+    """The `--out` path and `--format` of a run, checked before any work:
+    the format, by default the first of `formats`, must be one of them, and
+    the path must lie in a directory that exists."""
+    out, fmt = args.out, args.format or formats[0]
     if fmt not in formats:
-        known = fmt in FORMATS
-        raise ConfigError(f"{fmt} format is not available for this report" if known else f"unknown format {fmt!r}")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"'out' must be a path, got {out!r}")
+        raise ConfigError(f"{fmt} format is not available for this report")
     if out and not Path(out).parent.is_dir():
         raise ConfigError(f"cannot write {out}: {Path(out).parent} is not a directory")
     return out, fmt
@@ -205,7 +193,7 @@ def render_table(doc: dict) -> str:
         lines.append(f"all_pass: {doc['all_pass']}")
     elif kind == "energy":
         lines.append(f"{'functional':20s} {'value':>24s}")
-        for name, value in sorted(doc["entries"].items()):  # the order of the JSON report
+        for name, value in doc["entries"].items():
             lines.append(f"{name:20s} {value:24.15e}")
     else:
         lines.append(json.dumps(doc, sort_keys=True, indent=2))
@@ -237,7 +225,7 @@ def emit(doc: dict, out: str | None, fmt: str):
 
 
 def cmd_identities(args) -> int:
-    cfg = load_config(args.config, {"seed": args.seed, "tol_scale": args.tol_scale})
+    cfg = load_config(args.config)
     seed = integer(cfg, "seed", 0, 0)
     samples = integer(cfg, "samples", 20, 1)
     if samples > MAX_SAMPLES:
@@ -251,7 +239,7 @@ def cmd_identities(args) -> int:
     heavy = cfg.get("heavy", True)
     if not isinstance(heavy, bool):
         raise ConfigError(f"'heavy' must be true or false, got {heavy!r}")
-    out, fmt = output(args, cfg, ("json", "table"))
+    out, fmt = output(args, ("json", "table"))
     imm = build_immersion(cfg, "identities")
     charts, coords = imm.atlas.random(np.random.default_rng(seed), samples)
     doc = run_identity_suite(imm, charts, coords, tol_scale=tol_scale, seed=seed, heavy=heavy)
@@ -260,9 +248,9 @@ def cmd_identities(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    cfg = load_config(args.config, {})
+    cfg = load_config(args.config)
     degree = rule_degree(cfg)
-    out, fmt = output(args, cfg)
+    out, fmt = output(args)
     imm = compact_immersion(cfg, "energy", degree)
     emit(energy_report(imm, rule_for(imm, degree)), out, fmt)
     return EXIT_OK
@@ -286,31 +274,31 @@ def _scan_target(imm, key) -> tuple[str, int | None]:
     return base, int(idx)
 
 
-def _set_scan_param(imm_cfg: dict, params: dict, target: tuple[str, int | None], value):
+def _set_scan_param(cfg: dict, params: dict, target: tuple[str, int | None], value):
     base, idx = target
     if idx is None:
-        imm_cfg[base] = value
+        cfg[base] = value
     else:
-        seq = list(imm_cfg.get(base, params[base]))
+        seq = list(cfg.get(base, params[base]))
         seq[idx] = value
-        imm_cfg[base] = seq
+        cfg[base] = seq
 
 
 def cmd_scan(args) -> int:
-    cfg = load_config(args.config, {})
+    cfg = load_config(args.config)
     key = cfg.get("scan_param")
     values = cfg.get("values")
     if not key or not isinstance(values, list) or not values:
         raise ConfigError("scan needs 'scan_param' and a non-empty finite 'values' list")
     values = sorted(number(v, "a scan value") for v in values)
     degree = rule_degree(cfg)
-    out, _ = output(args, cfg, ("csv",))
+    out, _ = output(args, ("csv",))
     body = compact_immersion(cfg, "scan", degree)
     target, params = _scan_target(body, key), jsonable_params(body.params)
     bodies = []  # every body is built and checked before any rule
     for v in values:
-        sub = copy.deepcopy(cfg)
-        _set_scan_param(sub.get("immersion", sub), params, target, v)
+        sub = dict(cfg)
+        _set_scan_param(sub, params, target, v)
         bodies.append(compact_immersion(sub, "scan", degree))
     rows = []
     for v, imm in zip(values, bodies):
@@ -368,17 +356,15 @@ def command_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON or key=value config file")
-        p.add_argument("--out", help="output path (stdout if omitted)")
-        p.add_argument("--format", choices=FORMATS, default=None)
-        return p
-
-    ident = common(sub.add_parser("identities", help="run the identity residual suite"))
-    ident.add_argument("--seed", type=int, default=None)
-    ident.add_argument("--tol-scale", dest="tol_scale", type=float, default=None)
-    common(sub.add_parser("energy", help="compute the energy functionals"))
-    common(sub.add_parser("scan", help="energy functionals along a parameter range"))
+    for name, text in (
+        ("identities", "run the identity residual suite"),
+        ("energy", "compute the energy functionals"),
+        ("scan", "energy functionals along a parameter range"),
+    ):
+        run = sub.add_parser(name, help=text)
+        run.add_argument("--config", required=True, help="config file: one JSON object")
+        run.add_argument("--out", help="output path (stdout if omitted)")
+        run.add_argument("--format", choices=FORMATS, default=None)
     rep = sub.add_parser("report", help="pretty-print a JSON report")
     rep.add_argument("report_file")
     rep.add_argument("--out")

@@ -487,14 +487,8 @@ class FrameBundle:
             return np.einsum("mijb,mijb->b", self.hhat0, self.hhat0)
         if name == "H_sq":
             return np.einsum("mb,mb->b", self.H0, self.H0)
-        if name == "T_sq":
-            return np.einsum("ijb,ijb->b", self.T0, self.T0)
         if name == "grad_hhat_sq":
             return np.einsum("mijkb,mijkb->b", self.grad_hhat, self.grad_hhat)
-        if name == "sqrt_det_g":
-            return self.sqrt_det_g
-        if name == "scalar_curvature":
-            return np.einsum("ijijb->b", self.curvature_frame)
         raise KeyError(f"unknown scalar {name!r}")
 
 

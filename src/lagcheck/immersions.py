@@ -18,9 +18,9 @@ is multiplied by the matrix `symplectic_j_matrix`.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -393,22 +393,23 @@ def register_family(name: str, builder: Callable):
     FAMILY_REGISTRY[name] = builder
 
 
-def _is_real(x) -> bool:
-    """A finite real number: not a bool, a string, a NaN or an infinity."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+def is_real(x) -> bool:
+    """A finite real number: not a bool, a string, a NaN, an infinity or an
+    integer too large for a float."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def integer_param(params: dict, key: str, default: int) -> int:
     """`params[key]` as an int: a fraction, a string or a bool is refused, not truncated."""
     v = params.get(key, default)
-    if not (_is_real(v) and float(v).is_integer()):
+    if not (is_real(v) and float(v).is_integer()):
         raise ValueError(f"{key} must be an integer, got {v!r}")
     return int(v)
 
 
 def real_param(value, what: str) -> float:
     """`value` as a float: a string, a bool, a NaN or an infinity is refused, not coerced."""
-    if not _is_real(value):
+    if not is_real(value):
         raise ValueError(f"{what} must be a finite real number, got {value!r}")
     return float(value)
 
@@ -417,7 +418,7 @@ def _build_whitney_cn(params):
     A = params.get("A")
     if A is not None:
         for a in A:
-            if not (_is_real(a) or isinstance(a, (list, tuple)) and len(a) == 2 and all(map(_is_real, a))):
+            if not (is_real(a) or isinstance(a, (list, tuple)) and len(a) == 2 and all(map(is_real, a))):
                 raise ValueError(f"offset A entry {a!r} is neither a finite number nor an [re, im] pair of them")
         A = np.array([complex(*a) if isinstance(a, (list, tuple)) else complex(a) for a in A])
     return make_whitney_cn(real_param(params.get("r", 1.0), "r"), A, integer_param(params, "n", 2))
@@ -438,25 +439,3 @@ register_family(
         integer_param(p, "n", 2),
     ),
 )
-
-
-def parse_immersion_config(text_or_dict) -> dict:
-    """Accept a JSON object or key=value lines describing an immersion."""
-    if isinstance(text_or_dict, dict):
-        return dict(text_or_dict)
-    text = text_or_dict.strip()
-    if text.startswith("{"):
-        return json.loads(text)
-    out = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"cannot parse config line: {line!r}")
-        key, _, val = line.partition("=")
-        try:
-            out[key.strip()] = json.loads(val.strip())
-        except json.JSONDecodeError:
-            out[key.strip()] = val.strip()
-    return out

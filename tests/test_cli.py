@@ -25,6 +25,12 @@ def write_cfg(tmp_path, name, payload):
     return str(path)
 
 
+def scan_columns(path) -> dict[str, tuple[float, ...]]:
+    """The columns of a scan CSV, by their header names."""
+    header, *rows = Path(path).read_text().splitlines()
+    return dict(zip(header.split(","), zip(*([float(x) for x in row.split(",")] for row in rows))))
+
+
 def test_energy_overflow_is_one_line(tmp_path, capsys):
     """An energy that overflows reaches stderr as the one diagnostic line,
     with no floating-point warning ahead of it."""
@@ -221,17 +227,13 @@ class TestIdentitiesCommand:
         assert out.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def test_seed_changes_points(self, tmp_path):
-        cfg = write_cfg(
-            tmp_path,
-            "t.json",
-            {"family": "product_torus", "radii": [1.0, 1.0], "samples": 3, "seed": 7, "heavy": False},
-        )
+        body = {"family": "product_torus", "radii": [1.0, 1.0], "samples": 3, "heavy": False}
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        main(["identities", "--config", cfg, "--out", str(out1)])
-        main(["identities", "--config", cfg, "--seed", "8", "--out", str(out2)])
+        main(["identities", "--config", write_cfg(tmp_path, "7.json", {**body, "seed": 7}), "--out", str(out1)])
+        main(["identities", "--config", write_cfg(tmp_path, "8.json", {**body, "seed": 8}), "--out", str(out2)])
         assert out1.read_bytes() != out2.read_bytes()
 
-    def test_tol_scale_flag_forces_failure(self, tmp_path):
+    def test_tol_scale_forces_failure(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
             "p.json",
@@ -244,12 +246,10 @@ class TestIdentitiesCommand:
                 "samples": 3,
                 "seed": 2,
                 "heavy": False,
+                "tol_scale": 1e-12,
             },
         )
-        code = main(
-            ["identities", "--config", cfg, "--tol-scale", "1e-12", "--out", str(tmp_path / "r.json")]
-        )
-        assert code == 1
+        assert main(["identities", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
 
     def test_tol_scale_at_the_floor_gives_finite_headrooms(self, tmp_path):
         """The least accepted `tol_scale` leaves every tolerance a normal
@@ -287,11 +287,17 @@ class TestIdentitiesCommand:
         cfg = write_cfg(tmp_path, "u.json", {"family": "nope"})
         assert main(["identities", "--config", cfg]) == 2
 
-    def test_keyvalue_config_format(self, tmp_path):
+    def test_keyvalue_config_is_refused(self, tmp_path, capsys):
+        """A config is one JSON object: key=value lines are a config error
+        with one line and no report."""
         cfg = write_cfg(
             tmp_path, "kv.cfg", "family=product_torus\nradii=[1.0, 1.0]\nsamples=3\nseed=5\nheavy=false\n"
         )
-        assert main(["identities", "--config", cfg, "--out", str(tmp_path / "kv.json")]) == 0
+        out = tmp_path / "kv.json"
+        assert main(["identities", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot parse config {cfg}: ") and len(err.splitlines()) == 1
+        assert not out.exists()
 
 
 class TestEnergyCommand:
@@ -313,7 +319,7 @@ class TestEnergyCommand:
         assert main(["energy", "--config", cfg, "--format", "csv", "--out", str(out)]) == 0
         doc = energy_report(make_product_torus([1.0, 1.0]), torus_rule(2, 8))
         rows = [f"{name},{value!r},8,64" for name, value in doc["entries"].items()]
-        assert list(doc["entries"]) == ["volume", "int_hhat_n", "int_hhat_sq", "int_h_sq", "int_H_sq"]
+        assert list(doc["entries"]) == ["int_H_sq", "int_h_sq", "int_hhat_n", "int_hhat_sq", "volume"]
         assert out.read_text().splitlines() == ["name,value,degree,node_count", *rows]
 
     def test_table_format(self, tmp_path, capsys):
@@ -337,12 +343,14 @@ class TestEnergyCommand:
         assert main(["energy", "--config", cfg, "--out", str(tmp_path / "e.json")]) == 0
 
     def test_run_only_flags_are_refused(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "e.json", {**TORUS, "degree": 4})
-        for flags in (["--seed", "3"], ["--tol-scale", "2"]):
-            with pytest.raises(SystemExit) as exc:
-                main(["energy", "--config", cfg, *flags])
-            assert exc.value.code == 2
-            assert "unrecognized arguments" in capsys.readouterr().err
+        """`seed` and `tol_scale` are set in the config only, by no command's flag."""
+        for command, body in (("energy", {**TORUS, "degree": 4}), ("identities", {**TORUS, "samples": 2})):
+            cfg = write_cfg(tmp_path, f"{command}.json", body)
+            for flags in (["--seed", "3"], ["--tol-scale", "2"]):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, "--config", cfg, *flags])
+                assert exc.value.code == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_whitney_energy_deterministic(self, tmp_path):
         cfg = write_cfg(tmp_path, "w.json", {"family": "whitney_cn", "r": 1.0, "n": 2, "degree": 16})
@@ -476,6 +484,37 @@ def test_malformed_family_parameters_are_construction_errors(tmp_path, capsys, c
     assert not out.exists()
 
 
+HUGE = 10**400  # a JSON integer no float can hold
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("energy", {"family": "whitney_cn", "r": HUGE, "n": 2, "degree": 3}, "r must be a finite real number, got 1000"),
+        ("identities", {"family": "whitney_cn", "r": 1.0, "n": HUGE}, "n must be an integer, got 1000"),
+        ("identities", {"family": "whitney_cpn", "theta": HUGE, "n": 2}, "theta must be a finite real number"),
+        ("energy", {"family": "product_torus", "radii": [1.0, HUGE], "degree": 3}, "a torus radius must be a finite"),
+        ("identities", {"family": "product_torus", "radii": [1.0, 2.0], "n": HUGE}, "n must be an integer"),
+        ("identities", {**WHITNEY3_A, "A": [HUGE, 0.0, 0.0]}, "offset A entry 1000"),
+        ("identities", {**WHITNEY3_A, "A": [[0.0, HUGE], 0.0, 0.0]}, "offset A entry [0.0, 1000"),
+        ("identities", {"family": "perturbed_whitney", "eps": HUGE}, "eps must be a finite real number"),
+        ("energy", {"family": "cpn_torus", "moduli": [1.0, HUGE, 1.0], "degree": 3}, "a torus modulus must be a finite"),
+    ],
+    ids=["r", "n", "theta", "radii-entry", "torus-n", "A-entry", "A-pair-part", "eps", "moduli-entry"],
+)
+def test_huge_integer_parameters_name_the_parameter(tmp_path, capsys, command, payload, message):
+    """A body parameter written as an integer too large for a float is
+    refused like any other non-finite one: exit 3 and one line that names
+    it, not a Python overflow message."""
+    cfg = write_cfg(tmp_path, "huge.json", payload)
+    out = tmp_path / "out.json"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("construction error: cannot construct ")
+    assert message in err and "too large to convert" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "payload",
     [{**WHITNEY3_A, "n": 3.0}, {**WHITNEY3_A, "A": [[0.1, 0.2], 0.3, [0, -1]]}, {"family": "rpn", "n": 3}],
@@ -502,12 +541,10 @@ class TestScanCommand:
         )
         out = tmp_path / "scan.csv"
         assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("param,")
-        params = [float(line.split(",")[0]) for line in lines[1:]]
-        assert params == sorted(params) == [0.5, 1.0, 2.0]
-        gap = [float(line.split(",")[2]) for line in lines[1:]]
-        assert all(g < 1e-7 for g in gap)
+        assert out.read_text().startswith("param,")
+        cols = scan_columns(out)
+        assert list(cols["param"]) == [0.5, 1.0, 2.0]
+        assert all(g < 1e-7 for g in cols["int_hhat_n"])
 
     def test_perturbation_scan_nondecreasing_gap(self, tmp_path):
         cfg = write_cfg(
@@ -526,8 +563,7 @@ class TestScanCommand:
         )
         out = tmp_path / "scan.csv"
         assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
-        rows = out.read_text().splitlines()[1:]
-        gap = [float(r.split(",")[2]) for r in rows]
+        gap = scan_columns(out)["int_hhat_n"]
         assert gap[0] < 1e-12
         assert all(g >= -1e-9 for g in gap)
 
@@ -547,13 +583,12 @@ class TestScanCommand:
         )
         out = tmp_path / "scan.csv"
         assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
-        for line in out.read_text().splitlines()[1:]:
-            cols = [float(x) for x in line.split(",")]
-            t = cols[0]
+        cols = scan_columns(out)
+        for t, hhat_sq in zip(cols["param"], cols["int_hhat_sq"]):
             area = 4 * math.pi**2 * t
             h_sq = 1.0 + 1.0 / t**2
             expected = area * (h_sq - 0.75 * h_sq)  # |hhat|^2 = |h|^2 - 3n^2/(n+2)|H|^2
-            assert cols[3] == pytest.approx(expected, rel=1e-6)
+            assert hhat_sq == pytest.approx(expected, rel=1e-6)
 
     def test_offset_entry_scan_without_a_config_offset(self, tmp_path):
         """`A.0` scans the first offset entry from the body's default offset,
@@ -603,7 +638,7 @@ def tol_floor() -> float:
 
 
 BELOW_TOL_FLOOR = float(np.nextafter(tol_floor(), 0.0))
-NO_DIR = {"out": "/nonexistent/dir/r.json"}
+NO_DIR = ["--out", "/nonexistent/dir/r.json"]
 UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a directory"
 
 
@@ -631,18 +666,21 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         ("scan", {**SCAN, "scan_param": "r.0", "values": [1.0]}, 2, "'r' has no entry '0'"),
         ("identities", {**TORUS, "samples": 2, "heavy": "no"}, 2, HEAVY),
         ("identities", {**TORUS, "samples": 2, "heavy": 0}, 2, HEAVY),
-        ("identities", "family=product_torus\nradii=[1.0, 1.0]\nsamples=2\nheavy=False\n", 2, HEAVY),
-        ("energy", {**TORUS, "degree": 6, "format": "xml"}, 2, "unknown format 'xml'"),
-        ("identities", {**TORUS, "samples": 2, "format": "xml"}, 2, "unknown format 'xml'"),
-        ("identities", {**TORUS, "samples": 2, "format": "csv"}, 2, "csv format is not available"),
-        ("energy", {**TORUS, "degree": 6, **NO_DIR}, 2, UNWRITABLE),
-        ("identities", {**TORUS, "samples": 2, **NO_DIR}, 2, UNWRITABLE),
-        ("scan", {**SCAN, "values": [1.0], **NO_DIR}, 2, UNWRITABLE),
-        ("scan", {**SCAN, "values": [1.0], "format": "xml"}, 2, "unknown format 'xml'"),
-        ("energy", {**TORUS, "degree": 6, "out": 5}, 2, "'out' must be a path, got 5"),
-        ("scan", {**SCAN, "values": [1.0], "format": "json"}, 2, "json format is not available"),
-        ("scan", {**SCAN, "values": [1.0], "format": "table"}, 2, "table format is not available"),
-        ("identities", {"immersion": "rpn", "samples": 2}, 2, "'immersion' must be an object"),
+        ("identities", "family=product_torus\nradii=[1.0, 1.0]\nsamples=2\nheavy=False\n", 2,
+         "cannot parse config"),
+        # where and how a report is written are flags, never config keys
+        ("energy", {**TORUS, "degree": 6, "format": "xml"}, 2, "unknown product_torus parameters ['format']"),
+        ("identities", {**TORUS, "samples": 2, "format": "xml"}, 2, "unknown product_torus parameters ['format']"),
+        ("identities", ({**TORUS, "samples": 2}, ["--format", "csv"]), 2, "csv format is not available"),
+        ("energy", ({**TORUS, "degree": 6}, NO_DIR), 2, UNWRITABLE),
+        ("identities", ({**TORUS, "samples": 2}, NO_DIR), 2, UNWRITABLE),
+        ("scan", ({**SCAN, "values": [1.0]}, NO_DIR), 2, UNWRITABLE),
+        ("scan", {**SCAN, "values": [1.0], "format": "xml"}, 2, "unknown whitney_cn parameters ['format']"),
+        ("energy", {**TORUS, "degree": 6, "out": 5}, 2, "unknown product_torus parameters ['out']"),
+        ("scan", ({**SCAN, "values": [1.0]}, ["--format", "json"]), 2, "json format is not available"),
+        ("scan", ({**SCAN, "values": [1.0]}, ["--format", "table"]), 2, "table format is not available"),
+        # a body sits at the top level, not in an `immersion` object
+        ("identities", {"immersion": "rpn", "samples": 2}, 2, "unknown or missing immersion family: None"),
         ("identities", {"family": ["rpn"], "samples": 2}, 2, "unknown or missing immersion family"),
         ("identities", {"family": "whitney_cpn", "theta": 800, "samples": 2}, 3, "cannot construct whitney_cpn"),
         ("energy", {**TORUS, "degree": cli.MAX_DEGREE + 1}, 2, DEGREE_CAP),
@@ -652,8 +690,7 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         ("energy", {"family": "whitney_cn", "radius": 2.0, "n": 3, "degree": 4}, 2,
          "unknown whitney_cn parameters ['radius']"),
         ("identities", {**TORUS, "samples": 2, "sead": 5}, 2, "unknown product_torus parameters ['sead']"),
-        ("identities", {"immersion": TORUS, "samples": 2, "sead": 5}, 2,
-         "unknown config keys beside 'immersion': ['sead']"),
+        ("identities", {"immersion": TORUS, "samples": 2, "sead": 5}, 2, "unknown or missing immersion family: None"),
         ("energy", {"family": "product_torus", "radii": [1.0, 2.0], "n": 5, "degree": 4}, 3,
          "n = 5, but its parameters give n = 2"),
         ("energy", {"family": "cpn_torus", "moduli": [1.0, 0.7, 1.2], "n": 7, "degree": 4}, 3,
@@ -678,6 +715,9 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
                   "values": [1.0]}, 2, "scan_param 'moduli' is a list: scan one of its entries, moduli.0 to moduli.2"),
         ("scan", {**SCAN, "scan_param": "A", "values": [0.1]}, 2,
          "scan_param 'A' is a list: scan one of its entries, A.0 to A.1"),
+        ("identities", {**TORUS, "immersion": TORUS, "samples": 2}, 2, "unknown product_torus parameters ['immersion']"),
+        ("energy", {**TORUS, "degree": 6, "out": "r.json", "format": "csv"}, 2,
+         "unknown product_torus parameters ['format', 'out']"),
     ],
     ids=[
         "samples-negative", "samples-text", "samples-zero", "samples-fraction", "seed-text",
@@ -693,19 +733,21 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         "cpn-torus-n-mismatch", "tol-scale-underflow", "tol-scale-subnormal", "tol-scale-below-floor",
         "energy-identities-keys", "scan-identities-keys", "identities-scan-keys", "energy-key-beside-immersion",
         "tol-scale-huge-int", "scan-value-huge-int", "scan-whole-radii", "scan-whole-moduli", "scan-whole-offset",
+        "immersion-beside-family", "out-and-format-keys",
     ],
 )
 def test_invalid_run_parameters_are_refused(tmp_path, capsys, monkeypatch, command, payload, code, message):
-    """Each is refused before any work: no suite runs and no energy is computed."""
+    """Each is refused before any work: no suite runs and no energy is
+    computed.  A payload is a config, run with `--out`, or a config and the
+    flags to run it with."""
 
     def no_work(*args, **kwargs):
         raise AssertionError("a refused run did work")
 
     monkeypatch.setattr(cli, "energy_report", no_work)
     monkeypatch.setattr(cli, "run_identity_suite", no_work)
-    cfg = write_cfg(tmp_path, "bad.json", payload)
-    out = [] if isinstance(payload, dict) and "out" in payload else ["--out", str(tmp_path / "out")]
-    assert main([command, "--config", cfg, *out]) == code
+    payload, flags = payload if isinstance(payload, tuple) else (payload, ["--out", str(tmp_path / "out")])
+    assert main([command, "--config", write_cfg(tmp_path, "bad.json", payload), *flags]) == code
     err = capsys.readouterr().err
     assert err.startswith("config error: " if code == 2 else "construction error: ")
     assert message in err

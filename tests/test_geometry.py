@@ -349,7 +349,7 @@ def test_bundle_values_pinned(body):
     got = {
         "h_sq": float(fb.scalar("h_sq")[0]),
         "grad_hhat_sq": float(fb.scalar("grad_hhat_sq")[0]),
-        "scalar_curvature": float(fb.scalar("scalar_curvature")[0]),
+        "scalar_curvature": float(np.einsum("ijijb->b", fb.curvature_frame)[0]),
         "grad_T_norm": float(np.sqrt(np.sum(fb.grad_T[..., 0] ** 2))),
         "simons_lhs": simons_terms(fb)["lhs_half_laplacian"],
     }
@@ -376,7 +376,8 @@ def test_energy_scalars_take_no_jet_products(monkeypatch, body):
     product = jets._truncated_product
     monkeypatch.setattr(jets, "_truncated_product", lambda *args: calls.append(1) or product(*args))
     fb = FrameBundle(phi, 3, c_amb)
-    for name in ("sqrt_det_g", "h_sq", "hhat_sq", "H_sq"):
+    assert fb.sqrt_det_g.shape == (3,)
+    for name in ("h_sq", "hhat_sq", "H_sq"):
         assert fb.scalar(name).shape == (3,)
     assert calls == []
 

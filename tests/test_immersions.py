@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lagcheck.cli import build_immersion
+from lagcheck.cli import ConfigError, build_immersion, load_config
 from lagcheck.cpn import make_rpn, make_whitney_cpn
 from lagcheck.immersions import (
     AMBIENT_CN,
@@ -24,7 +24,6 @@ from lagcheck.immersions import (
     make_perturbed_whitney,
     make_product_torus,
     make_whitney_cn,
-    parse_immersion_config,
     symplectic_j_matrix,
     times_i,
 )
@@ -542,11 +541,14 @@ class TestBlackBoxFallback:
 
 
 class TestConfig:
-    def test_json_and_keyvalue(self):
-        imm = build_immersion(parse_immersion_config('{"family": "whitney_cn", "r": 2.0, "n": 3}'), "identities")
-        assert imm.params["r"] == 2.0
-        imm2 = build_immersion(parse_immersion_config("family=product_torus\nradii=[1.0, 2.0]\n"), "identities")
-        assert imm2.source_dim == 2
+    def test_json_and_keyvalue(self, tmp_path):
+        """A config is one JSON object; key=value lines are refused, not parsed."""
+        path = tmp_path / "c.cfg"
+        path.write_text('{"family": "whitney_cn", "r": 2.0, "n": 3}')
+        assert build_immersion(load_config(str(path)), "identities").params["r"] == 2.0
+        path.write_text("family=product_torus\nradii=[1.0, 2.0]\n")
+        with pytest.raises(ConfigError, match="cannot parse config"):
+            load_config(str(path))
 
     def test_complex_offset(self):
         imm = build_immersion({"family": "whitney_cn", "r": 1.0, "n": 2, "A": [[1.0, 2.0], [0.0, 0.0]]}, "energy")
@@ -556,9 +558,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             build_immersion({"family": "mystery"}, "identities")
 
-    def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_immersion_config("not a config line")
+    def test_parse_errors(self, tmp_path):
+        """Anything but one JSON object is refused: a stray line, an array, a number, a string."""
+        path = tmp_path / "c.cfg"
+        for text in ("not a config line", "[1, 2]", "3", '"family"'):
+            path.write_text(text)
+            with pytest.raises(ConfigError):
+                load_config(str(path))
 
 
 def _unit(rng, n):
