@@ -3,7 +3,9 @@ energy reports, emit JSON, CSV, or fixed-width tables.
 
 Reports are byte-deterministic for a fixed config and seed: keys are sorted,
 floats use repr, files are UTF-8 and newline-terminated, and every random
-choice flows from the single config seed.
+choice flows from the single config seed: the sample points are drawn from
+Python's `random.Random(seed)` stream (`immersions.Draws`), which Python
+keeps the same across versions, and no command loads `numpy.random`.
 
 A config is one JSON object of top-level keys, the body's and the run's; it
 alone says what a report holds, and `--out` and `--format` where and how.
@@ -43,7 +45,7 @@ import numpy as np
 from . import cpn  # noqa: F401  (registers the CP^n families)
 from .geometry import DegenerateMetricError, NonLagrangianError
 from .identities import CHECKS, run_identity_suite
-from .immersions import FAMILY_REGISTRY, OutOfDomainError, integer_param, is_real, jsonable_params
+from .immersions import FAMILY_REGISTRY, Draws, OutOfDomainError, integer_param, is_real, jsonable_params
 from .quadrature import energy_report, rule_for
 
 EXIT_OK = 0
@@ -241,7 +243,7 @@ def cmd_identities(args) -> int:
         raise ConfigError(f"'heavy' must be true or false, got {heavy!r}")
     out, fmt = output(args, ("json", "table"))
     imm = build_immersion(cfg, "identities")
-    charts, coords = imm.atlas.random(np.random.default_rng(seed), samples)
+    charts, coords = imm.atlas.random(Draws(seed), samples)
     doc = run_identity_suite(imm, charts, coords, tol_scale=tol_scale, seed=seed, heavy=heavy)
     emit(doc, out, fmt)
     return EXIT_OK if doc["all_pass"] else EXIT_CHECK_FAILED

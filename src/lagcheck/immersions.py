@@ -13,13 +13,16 @@ are stored as interleaved reals (Re z_1, Im z_1, ...) in one buffer, an
 (m, 2) array of pairs read as (2m,) or `interleave`'s scatter, and the complex
 structure acts per pair as (a, b) -> (-b, a): `times_i` applies it as a signed
 permutation of the components, to arrays and jets alike, so no jet or frame
-is multiplied by the matrix `symplectic_j_matrix`.
+is multiplied by the matrix `symplectic_j_matrix`.  Every random draw of the
+package, the CLI's sample points and `perturbed_whitney`'s quadratic form,
+comes from `Draws`, Python's seeded `random.Random` stream.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import random
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -37,8 +40,38 @@ class OutOfDomainError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Atlases
+# Seeded draws and atlases
 # ---------------------------------------------------------------------------
+
+
+class Draws:
+    """The draws of one seed: `random.Random(seed)`, whose `random()`
+    sequence Python keeps the same across versions (numpy's `Generator` makes
+    no such promise, and importing `numpy.random` costs about 6 MB), as numpy
+    arrays.  `normal` and `uniform` take the arguments of the `Generator`
+    methods of the same name that the atlases call, so an atlas draws from
+    either."""
+
+    def __init__(self, seed: int):
+        if seed < 0:  # `random.Random` would draw the stream of -seed
+            raise ValueError(f"a seed must be a non-negative integer, got {seed!r}")
+        self._random = random.Random(seed).random
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        """An array of `size` draws uniform on [low, high)."""
+        u = np.array([self._random() for _ in range(int(np.prod(size)))])
+        return low + (high - low) * u.reshape(size)
+
+    def normal(self, size) -> np.ndarray:
+        """An array of `size` standard normal draws, a pair from each two
+        uniforms by the Box-Muller transform, in `math`'s scalar functions."""
+        count = int(np.prod(size))
+        out = []
+        for _ in range((count + 1) // 2):
+            radius = math.sqrt(-2.0 * math.log(1.0 - self._random()))
+            angle = 2.0 * math.pi * self._random()
+            out += (radius * math.cos(angle), radius * math.sin(angle))
+        return np.array(out[:count]).reshape(size)
 
 
 class SphereAtlas:
@@ -73,16 +106,17 @@ class SphereAtlas:
         charts = (x[:, self.n] > 0).astype(int)
         return charts, x[:, : self.n] / (1.0 - self.sign(charts) * x[:, self.n])[:, None]
 
-    def random(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """`count` points uniform on S^n, each in the chart `from_embedded` picks."""
-        xs = rng.normal(size=(count, self.n + 1))
+    def random(self, draws: Draws | np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """`count` points uniform on S^n, each in the chart `from_embedded`
+        picks, from `draws`: a `Draws` or a numpy `Generator`."""
+        xs = draws.normal(size=(count, self.n + 1))
         xs /= np.linalg.norm(xs, axis=1, keepdims=True)
         return self.from_embedded(xs)
 
 
 class PlaneAtlas:
     """One global chart, which no point leaves; `random` draws uniformly from
-    the cube [box[0], box[1])^n."""
+    the cube [box[0], box[1])^n, from a `Draws` or a numpy `Generator`."""
 
     domain = None  # an open body: no quadrature domain
     box = (-1.5, 1.5)
@@ -96,8 +130,8 @@ class PlaneAtlas:
     def normalize(self, charts, coords) -> tuple[np.ndarray, np.ndarray]:
         return charts, coords
 
-    def random(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-        return np.zeros(count, dtype=int), rng.uniform(*self.box, size=(count, self.n))
+    def random(self, draws: Draws | np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros(count, dtype=int), draws.uniform(*self.box, size=(count, self.n))
 
 
 class TorusAtlas(PlaneAtlas):
@@ -365,15 +399,17 @@ def make_perturbed_whitney(r: float, eps: float, mode: int, n: int = 2) -> Immer
 
     The flow exp(eps * J Q) is an exact linear symplectomorphism, so the image
     stays Lagrangian for every eps, and eps = 0 reproduces the Whitney sphere
-    exactly.  `mode` seeds the quadratic form Q.  The flow is linear, so it
-    commutes with dilations, and the bound |eps| < 0.1 on its amplitude holds
-    at every r.
+    exactly.  `mode` >= 0 picks the quadratic form Q: a symmetrized normal
+    matrix of unit Frobenius norm from `Draws(1000 n + mode)`.  The flow is
+    linear, so it commutes with dilations, and the bound |eps| < 0.1 on its
+    amplitude holds at every r.
     """
     if abs(eps) >= 0.1:
         raise ValueError("perturbation amplitude must satisfy |eps| < 0.1")
+    if mode < 0:
+        raise ValueError(f"mode must be a non-negative integer, got {mode!r}")
     base = make_whitney_cn(r, None, n)
-    rng = np.random.default_rng(1000 * n + int(mode))
-    M = rng.normal(size=(2 * n, 2 * n))
+    M = Draws(1000 * n + mode).normal(size=(2 * n, 2 * n))
     Q = 0.5 * (M + M.T)
     Q /= np.linalg.norm(Q, ord="fro")
     flow = expm_series(eps * (symplectic_j_matrix(n) @ Q))

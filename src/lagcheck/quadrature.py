@@ -203,7 +203,7 @@ def energy_report(imm: Immersion, rule: QuadratureRule) -> dict:
     """The energy functionals of a compact immersion over its model
     manifold, as the report document: the rule and the named integrals,
     sorted by name, nothing else."""
-    entries = integrals(imm, rule, _energy_integrand)
+    entries = dict(sorted(integrals(imm, rule, _energy_integrand).items()))
     if not all(math.isfinite(v) for v in entries.values()):
         raise OverflowError(f"energy entries are not finite: {entries}")
     if any(v < -1e-12 for v in entries.values()):
@@ -217,5 +217,5 @@ def energy_report(imm: Immersion, rule: QuadratureRule) -> dict:
         "immersion": imm.name,
         "params": jsonable_params(imm.params),
         "rule": {"n": imm.source_dim, "degree": rule.degree, "node_count": rule.node_count},
-        "entries": dict(sorted(entries.items())),
+        "entries": entries,
     }

@@ -5,7 +5,8 @@ the Simons-type estimate (the contraction identities, the Li-Li matrix
 bound, the curvature closed forms and the algebraic Simons bound), the
 three-slot eigenframe rotation of the spectral summary, random tensors, two
 other routes to an immersion's jets (the finite-difference black box and the
-Moebius form of the Whitney sphere), and helpers that invert or read what the
+Moebius form of the Whitney sphere), the perturbed Whitney sphere with its
+quadratic form drawn by numpy, and helpers that invert or read what the
 engine builds, such as the balance of the two sides of a check.  No command
 of the engine calls any of it; the tests check the engine against it, so it
 stays independent of the code it checks.
@@ -19,7 +20,18 @@ import numpy as np
 
 from lagcheck.geometry import FrameBundle, _trace, _tracefree
 from lagcheck.identities import _curvature_terms, _spectral_form
-from lagcheck.immersions import AMBIENT_CN, Immersion, PlaneAtlas, SphereAtlas, interleave, times_i
+from lagcheck.immersions import (
+    AMBIENT_CN,
+    Immersion,
+    PlaneAtlas,
+    SphereAtlas,
+    expm_series,
+    interleave,
+    linear_image,
+    make_whitney_cn,
+    symplectic_j_matrix,
+    times_i,
+)
 from lagcheck.jets import Jet, jet_einsum
 from lagcheck.tensors import c_tensor_array, symmetry_residual
 
@@ -471,7 +483,8 @@ def phase_twist(base: Immersion, coeffs) -> Immersion:
 
 
 # ---------------------------------------------------------------------------
-# Immersions built another way: finite differences and the Moebius form
+# Immersions built another way: finite differences, the Moebius form and the
+# numpy-drawn perturbed Whitney sphere
 # ---------------------------------------------------------------------------
 
 
@@ -536,3 +549,14 @@ def whitney_cn_mobius(r: float, A: np.ndarray, n: int) -> Immersion:
 
     return Immersion(name="whitney_cn_mobius", ambient=AMBIENT_CN, params={"r": r, "A": A, "n": n},
                      atlas=atlas, jet_fn=jet_fn)
+
+
+def numpy_perturbed_whitney(r: float, eps: float, mode: int, n: int) -> Immersion:
+    """`perturbed_whitney` with its quadratic form Q drawn, as the family
+    once drew it, from `np.random.default_rng(1000 n + mode)`: the body the
+    values pinned from the earlier nested-list frame bundle describe."""
+    M = np.random.default_rng(1000 * n + mode).normal(size=(2 * n, 2 * n))
+    Q = 0.5 * (M + M.T)
+    Q /= np.linalg.norm(Q, ord="fro")
+    flow = expm_series(eps * (symplectic_j_matrix(n) @ Q))
+    return linear_image(make_whitney_cn(r, None, n), flow, name="perturbed_whitney")

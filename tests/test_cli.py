@@ -15,7 +15,7 @@ import lagcheck
 from lagcheck import cli, quadrature
 from lagcheck.cli import main
 from lagcheck.identities import CHECKS, run_identity_suite
-from lagcheck.immersions import make_product_torus, make_whitney_cn
+from lagcheck.immersions import Draws, make_product_torus, make_whitney_cn
 from lagcheck.quadrature import energy_report, sphere_rule, torus_rule
 
 
@@ -222,7 +222,7 @@ class TestIdentitiesCommand:
         out = tmp_path / "r.json"
         assert main(["identities", "--config", cfg, "--out", str(out)]) == 0
         imm = make_product_torus([1.0, 1.0])
-        points = imm.atlas.random(np.random.default_rng(4), 3)
+        points = imm.atlas.random(Draws(4), 3)
         doc = run_identity_suite(imm, *points, seed=4, heavy=False)
         assert out.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -366,7 +366,13 @@ class TestEnergyCommand:
         ("energy", {"family": "whitney_cn", "r": 1e160, "n": 2, "degree": 4}, "induced metric not finite"),
         ("energy", {"family": "whitney_cn", "r": 1e300, "n": 2, "degree": 4}, "induced metric not finite"),
         ("identities", {"family": "whitney_cn", "r": 1e300, "n": 2, "samples": 2}, "induced metric not finite"),
-        ("energy", {"family": "whitney_cn", "r": 1e120, "n": 3, "degree": 4}, "energy entries are not finite"),
+        # the entries in the report's order, sorted by name
+        (
+            "energy",
+            {"family": "whitney_cn", "r": 1e120, "n": 3, "degree": 4},
+            "energy entries are not finite: {'int_H_sq': inf, 'int_h_sq': inf, 'int_hhat_n': nan, "
+            "'int_hhat_sq': inf, 'volume': inf}",
+        ),
     ],
     ids=["energy-r-1e160", "energy-r-1e300", "identities-r-1e300", "energy-volume-overflow"],
 )
@@ -403,7 +409,7 @@ WHITNEY3 = {"family": "whitney_cn", "n": 3}
         (
             "identities",
             {**WHITNEY3, "r": 1e-20, "samples": 20, "seed": 7, "tol_scale": 2.2250738585072014e-298},
-            "sample 5: tri_symmetry headroom is not finite",
+            "sample 1: tri_symmetry headroom is not finite",
         ),
     ],
     ids=[
@@ -451,6 +457,8 @@ WHITNEY3_A = {"family": "whitney_cn", "r": 1.0, "n": 3}
         ("identities", {"family": "whitney_cpn", "n": 3.5}),
         ("identities", {"family": "rpn", "n": "3"}),
         ("identities", {"family": "perturbed_whitney", "eps": 0.05, "mode": 1.5}),
+        ("identities", {"family": "perturbed_whitney", "eps": 0.05, "mode": -1}),
+        ("identities", {"family": "perturbed_whitney", "eps": 0.05, "mode": -5000}),
         ("energy", {"family": "whitney_cn", "r": True, "n": 2, "degree": 4}),
         ("identities", {"family": "whitney_cn", "r": "2", "n": 2}),
         ("energy", {"family": "whitney_cn", "r": float("nan"), "n": 2, "degree": 4}),
@@ -466,7 +474,8 @@ WHITNEY3_A = {"family": "whitney_cn", "r": 1.0, "n": 3}
     ids=[
         "identities-A-short-pair", "energy-A-short-pair", "A-long-pair", "A-bool-part", "A-text", "A-not-a-list",
         "energy-radii-nested", "identities-radii-nested", "whitney_cn-n-fraction", "plane-n-half", "plane-n-bool",
-        "whitney_cpn-n-half", "rpn-n-text", "perturbed-mode-fraction", "whitney_cn-r-bool", "whitney_cn-r-text",
+        "whitney_cpn-n-half", "rpn-n-text", "perturbed-mode-fraction", "perturbed-mode-negative",
+        "perturbed-mode-very-negative", "whitney_cn-r-bool", "whitney_cn-r-text",
         "whitney_cn-r-nan", "whitney_cn-r-inf", "radii-text-entry", "radii-bool-entry", "whitney_cpn-theta-bool",
         "whitney_cpn-theta-nan", "perturbed-eps-bool", "cpn_torus-moduli-bool", "A-not-finite",
     ],
@@ -776,6 +785,38 @@ def test_one_process_writes_what_fresh_processes_write(tmp_path, capsys):
         results.append((code, got.out, got.err))
     assert [code for code, _, _ in results] == [0, 0, 2, 0]
     assert results[2][2].startswith("usage: lagcheck") and results[3] == results[1]
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    """Every random draw comes from Python's `random` stream
+    (`immersions.Draws`): no command, identities on a sphere or a perturbed
+    body, energy or scan, loads `numpy.random` and the OpenSSL `hashlib` it
+    brings."""
+    runs = [
+        ("identities", {"family": "whitney_cn", "r": 1.0, "n": 2, "samples": 2, "seed": 3}),
+        ("identities", {"family": "perturbed_whitney", "r": 1.0, "eps": 0.05, "mode": 1, "n": 2, "samples": 2}),
+        ("energy", {"family": "perturbed_whitney", "r": 1.0, "eps": 0.05, "mode": 1, "n": 2, "degree": 3}),
+        ("scan", {**TORUS, "degree": 3, "scan_param": "radii.1", "values": [1.5, 2.5]}),
+    ]
+    argvs = [
+        [command, "--config", write_cfg(tmp_path, f"{i}.json", cfg), "--out", str(tmp_path / f"{i}.out")]
+        for i, (command, cfg) in enumerate(runs)
+    ]
+    script = textwrap.dedent(
+        """
+        import json, sys
+        import lagcheck.cli
+
+        print([lagcheck.cli.main(argv) for argv in json.loads(sys.argv[1])])
+        print("numpy.random" in sys.modules)
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(lagcheck.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[:2] == ["[0, 0, 0, 0]", "False"], run.stdout
 
 
 class TestReportCommand:

@@ -30,7 +30,7 @@ from lagcheck.immersions import (
     make_product_torus,
     make_whitney_cn,
 )
-from reference import FullOrderBundle, embed, make_black_box, phase_twist, random_unitary
+from reference import FullOrderBundle, embed, make_black_box, numpy_perturbed_whitney, phase_twist, random_unitary
 
 RNG = np.random.default_rng(1234)
 
@@ -247,9 +247,9 @@ class TestMaslovTensor:
         assert np.max(np.abs(T)) < 1e-10
 
     def test_perturbed_has_nonzero_T(self):
-        imm = make_perturbed_whitney(1.0, 0.05, 1, 2)
+        imm = numpy_perturbed_whitney(1.0, 0.05, 1, 2)
         s = geometry_state(imm, 0, [0.4, -0.3])
-        # frozen regression values for this point and mode
+        # frozen regression values for this point and the numpy-drawn form of mode 1
         assert sq(s, "hhat_sq") == pytest.approx(0.00039283414137453046, rel=1e-8)
         assert float(np.sum(sym_T(s) ** 2)) == pytest.approx(0.0022696491126050523, rel=1e-8)
 
@@ -318,7 +318,8 @@ class TestScalarLaplacian:
 
 
 # Values computed by the earlier nested-list frame bundle at one order-4 point,
-# with the power of |h|^2 each quantity scales as.  On the Whitney sphere in CP^n
+# with the power of |h|^2 each quantity scales as; the perturbed body is the one
+# with the numpy-drawn quadratic form (`reference.numpy_perturbed_whitney`).  On the Whitney sphere in CP^n
 # hhat vanishes, so its derived terms are round-off and only their size is
 # pinned.
 PINNED = {
@@ -344,7 +345,7 @@ def test_bundle_values_pinned(body):
     from lagcheck.cpn import make_whitney_cpn
     from lagcheck.identities import simons_terms
 
-    imm = make_perturbed_whitney(1.0, 0.05, 1, 3) if body == "perturbed_whitney" else make_whitney_cpn(0.7, 3)
+    imm = numpy_perturbed_whitney(1.0, 0.05, 1, 3) if body == "perturbed_whitney" else make_whitney_cpn(0.7, 3)
     fb = geometry_state(imm, 0, [0.3, -0.2, 0.5], 4)
     got = {
         "h_sq": float(fb.scalar("h_sq")[0]),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lagcheck.immersions import (
     AMBIENT_CN,
     AMBIENT_SPHERE,
     FAMILY_REGISTRY,
+    Draws,
     SPHERE_SWITCH_RADIUS,
     Immersion,
     PlaneAtlas,
@@ -28,7 +30,15 @@ from lagcheck.immersions import (
     times_i,
 )
 from lagcheck.jets import Jet, jet_einsum, jet_space
-from reference import deriv, embed, make_black_box, phase_twist, random_unitary, whitney_cn_mobius
+from reference import (
+    deriv,
+    embed,
+    make_black_box,
+    numpy_perturbed_whitney,
+    phase_twist,
+    random_unitary,
+    whitney_cn_mobius,
+)
 
 
 def point(imm, chart, u):
@@ -188,6 +198,32 @@ class TestPerturbedWhitney:
         with pytest.raises(ValueError):
             make_perturbed_whitney(1000.0, 50.0, 1, 3)
 
+    # sha256 of the order-4 jet coefficients that `make_perturbed_whitney`
+    # built when it drew Q from `np.random.default_rng(1000 n + mode)`
+    NUMPY_JETS = [
+        ((1.0, 0.05, 1, 2), [0], [[0.4, -0.3]], "6f5a6f3dcd53656d693f72a360954ab2e30964a0e96aac4c9bab80093b018365"),
+        (
+            (1.0, 0.05, 1, 3),
+            [0, 1],
+            [[0.3, -0.2, 0.5], [-0.6, 0.1, 0.2]],
+            "828cbe6479d91ae6473786f1a9d28fadbf0e9dd1d03b07a4cf5ba8cf730bc058",
+        ),
+        ((1.0, 0.06, 2, 3), [1], [[0.2, 0.7, -0.4]], "0b17db4377c4575ddfdb29f59d1d048de80666cba3cedf1451bd76956c034602"),
+    ]
+
+    @pytest.mark.parametrize("args, charts, coords, digest", NUMPY_JETS)
+    def test_numpy_reference_is_the_earlier_family(self, args, charts, coords, digest):
+        """`reference.numpy_perturbed_whitney` is the family the pinned
+        frame-bundle values were computed from, bit for bit."""
+        jet = numpy_perturbed_whitney(*args).jets(np.array(charts), np.array(coords), 4)
+        assert hashlib.sha256(np.ascontiguousarray(jet.c).tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mode, n", [(-1, 2), (-1, 3), (-5000, 2), (-5000, 3)])
+    def test_negative_mode_is_refused_by_name(self, mode, n):
+        """`mode` is a non-negative integer at every n, like the seed it shifts."""
+        with pytest.raises(ValueError, match=f"mode must be a non-negative integer, got {mode}"):
+            make_perturbed_whitney(1.0, 0.05, mode, n)
+
     def test_flow_is_symplectic(self):
         rng = np.random.default_rng(5)
         M = rng.normal(size=(4, 4))
@@ -318,6 +354,25 @@ class TestChartAtlas:
             "610c5d926f01a98e10f91df6e7ecf5dcd69695305df1ece025a9903d96415165",
         ),
     }
+    # the same from `Draws(7)`, Python's `random.Random(7)` stream
+    DRAWS_PINNED = {
+        "sphere2": (
+            "9a57142ae1e1ee3f17d20798cc76876d0b80b5181d37e5e827883bde34134fbe",
+            "cb46eae8470e274b8ef3bd2b4179d6377d8907017621447b151e165d54d67699",
+        ),
+        "sphere3": (
+            "6bbc66d1bf9caac4c3457046acde853d87fd5cfa0448b3c3513b9e495d8398aa",
+            "f6682773b3e60799b9ee3a66443a3f3adc03a7c308d505aab8ec58e3b62268f8",
+        ),
+        "torus3": (
+            "b393978842a0fa3d3e1470196f098f473f9678e72463cb65ec4ab5581856c2e4",
+            "fc2c835e34b85c8fb6a8d2ffd01a1d742e7bcf07dc230edb52a41961d3083c21",
+        ),
+        "plane2": (
+            "b393978842a0fa3d3e1470196f098f473f9678e72463cb65ec4ab5581856c2e4",
+            "38c3a0d4d92c821aa5a0a9a063a97acd343d0ba1f762ab686886634ad3548f84",
+        ),
+    }
     ATLASES = {
         "sphere2": lambda: SphereAtlas(2),
         "sphere3": lambda: SphereAtlas(3),
@@ -327,14 +382,36 @@ class TestChartAtlas:
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_random_batches_are_pinned(self, name):
-        """`random` draws the points of the per-point sampler it replaced,
-        bit for bit."""
-        charts, coords = self.ATLASES[name]().random(np.random.default_rng(7), 20)
-        got = tuple(
-            hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-            for a in (charts.astype(np.int64), coords)
-        )
-        assert got == self.PINNED[name]
+        """`random` draws, bit for bit, the points of the per-point sampler it
+        replaced from a numpy `Generator`, and the points of Python's stream
+        from `Draws`."""
+        for draws, pins in ((np.random.default_rng(7), self.PINNED), (Draws(7), self.DRAWS_PINNED)):
+            charts, coords = self.ATLASES[name]().random(draws, 20)
+            got = tuple(
+                hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                for a in (charts.astype(np.int64), coords)
+            )
+            assert got == pins[name]
+
+    def test_draws_stream_is_pinned(self):
+        """`Draws` is Python's `random.Random(seed)` stream, which Python keeps
+        across versions: its uniforms are that stream's `random()` values, and
+        its first normals are pinned bit for bit."""
+        stream = random.Random(7)
+        assert Draws(7).uniform(0.0, 1.0, size=3).tolist() == [stream.random() for _ in range(3)]
+        assert [float(x).hex() for x in Draws(7).normal(size=5)] == [
+            "0x1.0846ee6dd60b4p-1",
+            "0x1.6fdb93bb7a443p-1",
+            "0x1.4d9c53e57c06dp+0",
+            "0x1.4689863562acap-1",
+            "-0x1.a5961533db861p-1",
+        ]
+        assert Draws(7).normal(size=(2, 3)).ravel().tolist() == Draws(7).normal(size=6).tolist()
+
+    def test_draws_refuse_a_negative_seed(self):
+        """`random.Random` would draw the stream of -seed, so the two would share one."""
+        with pytest.raises(ValueError, match="non-negative"):
+            Draws(-1)
 
     def test_normalize_moves_exactly_the_far_rows(self):
         """On the sphere `normalize` moves the rows with |u| > 2, and only
