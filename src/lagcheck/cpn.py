@@ -105,6 +105,8 @@ def make_whitney_cpn(theta: float, n: int) -> Immersion:
 def make_rpn(n: int) -> Immersion:
     """Totally geodesic real form: x in S^n -> [x] in CP^n, emitted as the
     chart polynomial x (1 + s) / 2 = (u, sigma (s - 1) / 2), s = |u|^2."""
+    if n < 2:
+        raise ValueError("need n >= 2")
     atlas = SphereAtlas(n)
 
     def jet_fn(charts, u):

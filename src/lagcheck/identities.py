@@ -155,17 +155,14 @@ def check_ricci_identity(fb: FrameBundle) -> tuple[Iterable, Iterable]:
 def lemma_laplace_hhat(fb: FrameBundle, t: dict[str, np.ndarray]) -> tuple[tuple, tuple]:
     """Both sides of the rough-Laplacian contraction identity for hhat:
     sum hhat * hhat_{,kk} against (n+2)<hhat, grad T> (`hhat_grad_T` of the
-    bundle's `simons_terms` t) plus curvature terms, on an order-4 bundle."""
-    hh = fb.hhat0
-    rg = fb.gauss_rhs
+    bundle's `simons_terms` t) plus two curvature terms, on an order-4 bundle.
+    The first is doubled: the commutation rule also gives hhat_{mij} hhat_{lik}
+    R_{lmjk}, which is the same sum relabelled m <-> i, as hhat is totally
+    symmetric (`tri_symmetry` checks it)."""
+    hh, rg = fb.hhat0, fb.gauss_rhs
     lhs = (np.einsum("mijb,mijkkb->b", hh, fb.hess_hhat),)
-    rhs = (
-        t["hhat_grad_T"],
-        np.einsum("mijb,mlkb,lijkb->b", hh, hh, rg),
-        np.einsum("mijb,milb,lkjkb->b", hh, hh, rg),
-        np.einsum("mijb,likb,lmjkb->b", hh, hh, rg),
-    )
-    return lhs, rhs
+    twice = 2.0 * np.einsum("mijb,mlkb,lijkb->b", hh, hh, rg)
+    return lhs, (t["hhat_grad_T"], twice, np.einsum("mijb,milb,lkjkb->b", hh, hh, rg))
 
 
 # ---------------------------------------------------------------------------

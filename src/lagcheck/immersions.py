@@ -308,6 +308,9 @@ def make_product_torus(radii) -> Immersion:
 
 
 def make_lagrangian_plane(n: int) -> Immersion:
+    if n < 1:
+        raise ValueError("a plane needs n >= 1")
+
     def jet_fn(charts, u):
         return interleave(u)
 
@@ -323,9 +326,11 @@ def make_lagrangian_plane(n: int) -> Immersion:
 def make_nonlagrangian_plane(n: int) -> Immersion:
     """Plane with the last direction complexified: x -> (x_1,..,x_{n-1}, x_n + i x_1).
 
-    Not Lagrangian; used to exercise the failure diagnostics.
+    Not Lagrangian; used to exercise the failure diagnostics.  At n = 1 the
+    line x -> x + i x would be Lagrangian, so it needs n >= 2.
     """
-
+    if n < 2:
+        raise ValueError("a non-Lagrangian plane needs n >= 2")
     first_to_last = np.zeros((n, n))
     first_to_last[n - 1, 0] = 1.0
 

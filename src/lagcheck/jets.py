@@ -28,7 +28,7 @@ so each primitive acts on a whole vector of series at once.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 import numpy as np
@@ -56,7 +56,10 @@ class JetSpace:
         self.nvars = nvars
         self.order = order
 
-        alphas = [a for a in product(range(order + 1), repeat=nvars) if sum(a) <= order]
+        # Each multi-index of degree d counts the variables of one multiset of
+        # d of them, so the C(nvars + order, order) rows are built directly.
+        alphas = [tuple(map(vs.count, range(nvars))) for d in range(order + 1)
+                  for vs in combinations_with_replacement(range(nvars), d)]
         alphas.sort(key=lambda a: (sum(a), a))
         self.multi_indices = np.array(alphas, dtype=np.int64)
         self.ncoef = len(alphas)

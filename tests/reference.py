@@ -2,7 +2,8 @@
 permutation loop of the symmetry residual, the tolerance-relative symmetry
 test of a cubic array, the full-order frame bundle, the algebraic lemmas of
 the Simons-type estimate (the contraction identities, the Li-Li matrix
-bound, the curvature closed forms and the algebraic Simons bound), the
+bound, the curvature closed forms, the unmerged terms of the Laplace
+contraction and the algebraic Simons bound), the
 three-slot eigenframe rotation of the spectral summary, random tensors, two
 other routes to an immersion's jets (the finite-difference black box and the
 Moebius form of the Whitney sphere), the perturbed Whitney sphere with its
@@ -358,6 +359,24 @@ def curvature_contraction_closed_forms(hh: np.ndarray, Hv: np.ndarray, c_amb: fl
         "III_closed_form": abs(term_III - closed_I),
         "I_equals_III": abs(term_I - term_III),
     }
+
+
+def laplace_hhat_sides_unmerged(fb, t: dict[str, np.ndarray]) -> tuple[tuple, tuple]:
+    """The five terms of the rough-Laplacian contraction identity as the
+    commutation rule gives them: <hhat, hhat_{,kk}> against
+    (n+2)<hhat, grad T> and the three curvature contractions
+    hhat_{mij} hhat_{mlk} R_{lijk}, hhat_{mij} hhat_{mil} R_{lkjk} and
+    hhat_{mij} hhat_{lik} R_{lmjk}, each summed on its own.  `fb` needs
+    only hhat0, gauss_rhs and hess_hhat; `t` only hhat_grad_T."""
+    hh, rg = fb.hhat0, fb.gauss_rhs
+    lhs = (np.einsum("mijb,mijkkb->b", hh, fb.hess_hhat),)
+    rhs = (
+        t["hhat_grad_T"],
+        np.einsum("mijb,mlkb,lijkb->b", hh, hh, rg),
+        np.einsum("mijb,milb,lkjkb->b", hh, hh, rg),
+        np.einsum("mijb,likb,lmjkb->b", hh, hh, rg),
+    )
+    return lhs, rhs
 
 
 def algebraic_simons_bound(hh: np.ndarray, Hv: np.ndarray) -> dict[str, np.ndarray]:

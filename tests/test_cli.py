@@ -470,6 +470,13 @@ WHITNEY3_A = {"family": "whitney_cn", "r": 1.0, "n": 3}
         ("identities", {"family": "perturbed_whitney", "eps": False}),
         ("energy", {"family": "cpn_torus", "moduli": [True, 1, 1], "degree": 4}),
         ("energy", {**WHITNEY3_A, "A": [float("nan"), 0.0, [0.0, float("inf")]], "degree": 4}),
+        ("identities", {"family": "lagrangian_plane", "n": 0}),
+        ("identities", {"family": "lagrangian_plane", "n": -1}),
+        ("identities", {"family": "nonlagrangian_plane", "n": 0}),
+        ("identities", {"family": "nonlagrangian_plane", "n": 1}),
+        ("identities", {"family": "rpn", "n": 0}),
+        ("energy", {"family": "rpn", "n": 0, "degree": 4}),
+        ("energy", {"family": "rpn", "n": 1, "degree": 4}),
     ],
     ids=[
         "identities-A-short-pair", "energy-A-short-pair", "A-long-pair", "A-bool-part", "A-text", "A-not-a-list",
@@ -478,12 +485,16 @@ WHITNEY3_A = {"family": "whitney_cn", "r": 1.0, "n": 3}
         "perturbed-mode-very-negative", "whitney_cn-r-bool", "whitney_cn-r-text",
         "whitney_cn-r-nan", "whitney_cn-r-inf", "radii-text-entry", "radii-bool-entry", "whitney_cpn-theta-bool",
         "whitney_cpn-theta-nan", "perturbed-eps-bool", "cpn_torus-moduli-bool", "A-not-finite",
+        "plane-n-zero", "plane-n-negative", "nonlagrangian-n-zero", "nonlagrangian-line", "identities-rpn-n-zero",
+        "energy-rpn-n-zero", "energy-rpn-n-one",
     ],
 )
 def test_malformed_family_parameters_are_construction_errors(tmp_path, capsys, command, payload):
-    """A family parameter of the wrong kind or shape is refused by its
-    builder, with exit 3 and one line: not coerced (a fraction truncated, a
-    long pair cut short) and not left to fail later with a traceback."""
+    """A family parameter of the wrong kind or shape, or a dimension the
+    family has no body in, is refused by its builder, with exit 3 and one
+    line: not coerced (a fraction truncated, a long pair cut short), not left
+    to fail later with a traceback and not run (a non-Lagrangian plane at
+    n = 1 is a Lagrangian line)."""
     cfg = write_cfg(tmp_path, "bad.json", payload)
     out = tmp_path / "out.json"
     assert main([command, "--config", cfg, "--out", str(out)]) == 3

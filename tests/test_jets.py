@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from itertools import product
 from math import factorial
@@ -5,7 +6,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from lagcheck.jets import Jet, jet_einsum, jet_space, potential_from_gradient
+from lagcheck.jets import Jet, JetSpace, jet_einsum, jet_space, potential_from_gradient
 from reference import deriv, stack
 
 
@@ -335,6 +336,27 @@ def test_row_count_must_match_order():
         Jet(sp, np.zeros((sp.ncoef, 1)), 2)
     with pytest.raises(ValueError):
         Jet(sp, np.zeros((sp.ncoef_by_degree[1], 1)))
+
+
+@pytest.mark.parametrize("nvars", range(1, 8))
+def test_multi_indices_are_the_filtered_cube(nvars):
+    """The rows are the exponent tuples of degree <= order, by degree and then
+    lexicographically: those of the cube {0..order}^nvars that survive the
+    degree filter, in the same order."""
+    for order in range(5):
+        cube = [a for a in product(range(order + 1), repeat=nvars) if sum(a) <= order]
+        cube.sort(key=lambda a: (sum(a), a))
+        assert JetSpace(nvars, order).multi_indices.tolist() == [list(a) for a in cube]
+
+
+def test_wide_space_is_built_without_the_cube():
+    """JetSpace(12, 4) has C(16, 4) = 1820 rows, enumerated directly: a
+    filter over the 5^12 tuples of the cube takes about 50 s, the set-up
+    0.21 s (2-core VM)."""
+    start = time.perf_counter()
+    sp = JetSpace(12, 4)
+    assert time.perf_counter() - start < 3.0
+    assert sp.ncoef == 1820
 
 
 def test_series_share_powers():
