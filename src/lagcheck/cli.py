@@ -37,15 +37,25 @@ import argparse
 import ctypes
 import functools
 import json
+import numbers
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import cpn  # noqa: F401  (registers the CP^n families)
+from .cpn import make_cpn_torus, make_rpn, make_whitney_cpn
 from .geometry import DegenerateMetricError, NonLagrangianError
 from .identities import CHECKS, run_identity_suite
-from .immersions import FAMILY_REGISTRY, Draws, OutOfDomainError, integer_param, is_real, jsonable_params
+from .immersions import (
+    Draws,
+    OutOfDomainError,
+    jsonable_params,
+    make_lagrangian_plane,
+    make_nonlagrangian_plane,
+    make_perturbed_whitney,
+    make_product_torus,
+    make_whitney_cn,
+)
 from .quadrature import energy_report, rule_for
 
 EXIT_OK = 0
@@ -75,6 +85,58 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def is_real(x) -> bool:
+    """A finite real number: not a bool, a string, a NaN, an infinity or an
+    integer too large for a float."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def integer_param(params: dict, key: str, default: int) -> int:
+    """`params[key]` as an int: a fraction, a string or a bool is refused, not truncated."""
+    v = params.get(key, default)
+    if not (is_real(v) and float(v).is_integer()):
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+    return int(v)
+
+
+def real_param(value, what: str) -> float:
+    """`value` as a float: a string, a bool, a NaN or an infinity is refused, not coerced."""
+    if not is_real(value):
+        raise ValueError(f"{what} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def offset_param(params: dict) -> np.ndarray | None:
+    """The `whitney_cn` offset A: each entry a real number or an [re, im] pair."""
+    A = params.get("A")
+    if A is None:
+        return None
+    for a in A:
+        if not (is_real(a) or isinstance(a, (list, tuple)) and len(a) == 2 and all(map(is_real, a))):
+            raise ValueError(f"offset A entry {a!r} is neither a finite number nor an [re, im] pair of them")
+    return np.array([complex(*a) if isinstance(a, (list, tuple)) else complex(a) for a in A])
+
+
+# Each family's body from the parameters of a config.
+FAMILIES = {
+    "whitney_cn": lambda p: make_whitney_cn(
+        real_param(p.get("r", 1.0), "r"), offset_param(p), integer_param(p, "n", 2)
+    ),
+    "product_torus": lambda p: make_product_torus([real_param(x, "a torus radius") for x in p["radii"]]),
+    "lagrangian_plane": lambda p: make_lagrangian_plane(integer_param(p, "n", 2)),
+    "nonlagrangian_plane": lambda p: make_nonlagrangian_plane(integer_param(p, "n", 2)),
+    "perturbed_whitney": lambda p: make_perturbed_whitney(
+        real_param(p.get("r", 1.0), "r"),
+        real_param(p.get("eps", 0.0), "eps"),
+        integer_param(p, "mode", 1),
+        integer_param(p, "n", 2),
+    ),
+    "whitney_cpn": lambda p: make_whitney_cpn(real_param(p.get("theta", 1.0), "theta"), integer_param(p, "n", 2)),
+    "rpn": lambda p: make_rpn(integer_param(p, "n", 2)),
+    "cpn_torus": lambda p: make_cpn_torus([real_param(x, "a torus modulus") for x in p["moduli"]]),
+}
+
+
 def build_immersion(cfg: dict, command: str):
     """The body a config of `command` describes: its family keys sit at the
     top level beside the run keys of `command`.  A run key of another
@@ -86,11 +148,11 @@ def build_immersion(cfg: dict, command: str):
     if foreign := sorted(set(cfg) & (set().union(*RUN_KEYS.values()) - run_keys)):
         raise ConfigError(f"{command} takes no {foreign}: its run keys are {sorted(run_keys)}")
     family = cfg.get("family")
-    if not isinstance(family, str) or family not in FAMILY_REGISTRY:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise ConfigError(f"unknown or missing immersion family: {family!r}")
     params = {k: v for k, v in cfg.items() if k != "family" and k not in run_keys}
     try:
-        imm = FAMILY_REGISTRY[family](params)
+        imm = FAMILIES[family](params)
         if "n" in params and integer_param(params, "n", imm.source_dim) != imm.source_dim:
             raise ValueError(f"n = {params['n']!r}, but its parameters give n = {imm.source_dim}")
     except (ValueError, KeyError, TypeError, ArithmeticError) as exc:

@@ -27,17 +27,7 @@ import math
 
 import numpy as np
 
-from .immersions import (
-    AMBIENT_SPHERE,
-    Immersion,
-    SphereAtlas,
-    TorusAtlas,
-    integer_param,
-    interleave,
-    real_param,
-    register_family,
-    times_i,
-)
+from .immersions import AMBIENT_SPHERE, Immersion, SphereAtlas, TorusAtlas, interleave, times_i
 from .geometry import NonLagrangianError, at_point
 from .jets import Jet, jet_einsum, potential_from_gradient
 
@@ -262,10 +252,3 @@ def horizontal_lift_jets(imm: Immersion, charts, coords: np.ndarray, order: int)
             int(bad[0]),
         )
     return W
-
-
-register_family(
-    "whitney_cpn", lambda p: make_whitney_cpn(real_param(p.get("theta", 1.0), "theta"), integer_param(p, "n", 2))
-)
-register_family("rpn", lambda p: make_rpn(integer_param(p, "n", 2)))
-register_family("cpn_torus", lambda p: make_cpn_torus([real_param(x, "a torus modulus") for x in p["moduli"]]))

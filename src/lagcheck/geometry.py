@@ -70,6 +70,13 @@ def named_point(error: ValueError, where: str, index: int) -> ValueError:
     return at_point(type(error)(f"{where}: {error}"), index)
 
 
+def cached(build: Callable) -> property:
+    """A lazy quantity of a bundle: the property that returns `build(self)`,
+    built on its first read and kept in the bundle's one cache (`_get`) under
+    the name of `build`."""
+    return property(lambda self: self._get(build.__name__, lambda: build(self)), doc=build.__doc__)
+
+
 class FrameBundle:
     """All geometric data derived from one ambient jet, batched over points.
 
@@ -161,127 +168,112 @@ class FrameBundle:
         """J e_i at the points, a signed permutation of e0: formed where read, not kept."""
         return times_i(self.e0, axis=1)
 
+    def _get(self, key: str, fn: Callable):
+        """The bundle's one cache, `fn()` on the first read of `key`: a plain
+        method, so a profiler that wraps it (`perfbench/tracer.py`) sees every build."""
+        if key not in self._cache:
+            self._cache[key] = fn()
+        return self._cache[key]
+
     # -- frame jets, built on demand ---------------------------------------
 
     def _value_jet(self, value: np.ndarray) -> Jet:
         """A point value (*shape, B) as an order-0 jet."""
         return Jet(self.phi.space, value[..., None, :], 0)
 
-    @property
+    @cached
     def f(self) -> Jet:
         """Coordinate frame f[c, a] = d_a phi^c, valid to order - 1."""
-        return self._get("f", self.phi.grad)
+        return self.phi.grad()
 
-    @property
+    @cached
     def g_jets(self) -> Jet:
         """g_ab = <f_a, f_b> to order max(K - 2, 2), at most K - 1."""
         K = self.phi.order
-        order = min(max(K - 2, 2), K - 1)
-        return self._get("g_jets", lambda: jet_einsum("ca,cb->ab", self.f.truncated(order), self.f))
+        return jet_einsum("ca,cb->ab", self.f.truncated(min(max(K - 2, 2), K - 1)), self.f)
 
-    @property
+    @cached
     def B(self) -> Jet:
         """B = gauge . L^{-1} as a jet of the order of g, lifted from its
         value by Newton steps C <- C - P(R) C on the lower-triangular
         C = L^{-1}, where R = C g C^T - I and P keeps the strict lower
         triangle plus half the diagonal.  A step doubles the valid degree
         d -> 2d + 1, so order 1 takes one step and orders 2 and 3 two."""
+        g = self.g_jets
+        sp, n = g.space, self.n
+        lower = np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
+        C = self._value_jet(self._L_inv0)
+        while C.order < g.order:
+            order = min(2 * C.order + 1, g.order)
+            c = np.zeros((n, n, sp.ncoef_by_degree[order], self.batch))
+            c[:, :, : C.c.shape[-2]] = C.c
+            C = Jet(sp, c, order)
+            R = jet_einsum("ib,jb->ij", jet_einsum("ia,ab->ib", C, g), C)
+            R.c[..., 0, :] = 0.0
+            C = C - jet_einsum("ij,ja->ia", Jet(sp, R.c * lower[..., None, None], order), C)
+        return C if self._identity_gauge else jet_einsum("ik,ka->ia", self.gauge, C)
 
-        def build():
-            g = self.g_jets
-            sp, n = g.space, self.n
-            lower = np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
-            C = self._value_jet(self._L_inv0)
-            while C.order < g.order:
-                order = min(2 * C.order + 1, g.order)
-                c = np.zeros((n, n, sp.ncoef_by_degree[order], self.batch))
-                c[:, :, : C.c.shape[-2]] = C.c
-                C = Jet(sp, c, order)
-                R = jet_einsum("ib,jb->ij", jet_einsum("ia,ab->ib", C, g), C)
-                R.c[..., 0, :] = 0.0
-                C = C - jet_einsum("ij,ja->ia", Jet(sp, R.c * lower[..., None, None], order), C)
-            return C if self._identity_gauge else jet_einsum("ik,ka->ia", self.gauge, C)
-
-        return self._get("B", build)
-
-    @property
+    @cached
     def e(self) -> Jet:
         """e_i = B_ia f_a, indexed [i, c]."""
-        return self._get("e", lambda: jet_einsum("ia,ca->ic", self.B, self.f))
+        return jet_einsum("ia,ca->ic", self.B, self.f)
 
-    @property
+    @cached
     def Je(self) -> Jet:
-        return self._get("Je", lambda: times_i(self.e, axis=1))
+        return times_i(self.e, axis=1)
 
     # -- cached derived quantities -------------------------------------
 
-    def _get(self, key: str, fn: Callable):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    @property
+    @cached
     def De(self) -> Jet:
         """D_{e_k} e_j, indexed [k, j, c], one order below e."""
-        return self._get("De", lambda: jet_einsum("ka,jca->kjc", self.B, self.e.grad()))
+        return jet_einsum("ka,jca->kjc", self.B, self.e.grad())
 
-    @property
+    @cached
     def h_jets(self) -> Jet:
         """h^{m*}_{ij} = <D_{e_i} e_j, J e_m> = B_ia B_jb <d_a d_b phi, J e_m>,
         valid to order - 2.  The term B_ia (d_a B_jb) <d_b phi, J e_m> of the
         product rule vanishes as a function on a Lagrangian body (and on the
         Legendrian lift of a CP^n body), so no frame derivative enters."""
+        hess = self.f.grad()  # [c, a, b] = d_a d_b phi^c
+        x = jet_einsum("mc,cab->mab", self.Je, hess)
+        x = jet_einsum("jb,mab->maj", self.B, x)
+        return jet_einsum("ia,maj->mij", self.B, x)
 
-        def build():
-            hess = self.f.grad()  # [c, a, b] = d_a d_b phi^c
-            x = jet_einsum("mc,cab->mab", self.Je, hess)
-            x = jet_einsum("jb,mab->maj", self.B, x)
-            return jet_einsum("ia,maj->mij", self.B, x)
-
-        return self._get("h_jets", build)
-
-    @property
+    @cached
     def omega_jets(self) -> Jet:
         """Connection coefficients omega[k, i, j] = <D_{e_k} e_i, e_j>,
         antisymmetrized in ij, of the order of De."""
+        w = jet_einsum("kic,jc->kij", self.De, self.e)
+        return (w - w.transpose(0, 2, 1)).scaled(0.5)
 
-        def build():
-            w = jet_einsum("kic,jc->kij", self.De, self.e)
-            return (w - w.transpose(0, 2, 1)).scaled(0.5)
-
-        return self._get("omega_jets", build)
-
-    @property
+    @cached
     def H_jets(self) -> Jet:
-        return self._get("H_jets", lambda: Jet(self.phi.space, _trace(self.h_jets.c), self.h_jets.order))
+        return Jet(self.phi.space, _trace(self.h_jets.c), self.h_jets.order)
 
     # -- point values ----------------------------------------------------
 
-    @property
+    @cached
     def h0(self) -> np.ndarray:
         """h at the points, taking no jet at any order: the point values of
         J e are contracted with the degree-2 rows of phi, one per
         multi-index, then expanded to d_a d_b (`second_rows`,
         `second_factor`) and contracted with the point values of B."""
+        sp = self.phi.space
+        r1, r2 = sp.ncoef_by_degree[1:3]
+        x = np.einsum("mcx,crx->mrx", self.Je0, self.phi.c[:, r1:r2])  # <row, J e_m>
+        x = x[:, sp.second_rows - r1]  # [m, a, b, x]
+        x *= sp.second_factor[:, :, None]
+        x = np.einsum("jbx,mabx->majx", self.B0, x)
+        return np.einsum("iax,majx->mijx", self.B0, x)
 
-        def build():
-            sp = self.phi.space
-            r1, r2 = sp.ncoef_by_degree[1:3]
-            x = np.einsum("mcx,crx->mrx", self.Je0, self.phi.c[:, r1:r2])  # <row, J e_m>
-            x = x[:, sp.second_rows - r1]  # [m, a, b, x]
-            x *= sp.second_factor[:, :, None]
-            x = np.einsum("jbx,mabx->majx", self.B0, x)
-            return np.einsum("iax,majx->mijx", self.B0, x)
-
-        return self._get("h0", build)
-
-    @property
+    @cached
     def H0(self) -> np.ndarray:
-        return self._get("H0", lambda: _trace(self.h0))
+        return _trace(self.h0)
 
-    @property
+    @cached
     def hhat0(self) -> np.ndarray:
-        return self._get("hhat0", lambda: _tracefree(self.h0, self.H0))
+        return _tracefree(self.h0, self.H0)
 
     @property
     def omega0(self) -> np.ndarray:
@@ -319,129 +311,109 @@ class FrameBundle:
             out = out + jet_einsum(f"{idx.replace(s, 'l')},pl{s}->{idx}p", x, self.omega_jets)
         return out
 
-    @property
+    @cached
     def grad_h_jets(self) -> Jet:
         """h^{m*}_{ij,k}, indexed [m, i, j, k]."""
-        return self._get("grad_h_jets", lambda: self.covariant_derivative(self.h_jets))
+        return self.covariant_derivative(self.h_jets)
 
     @property
     def grad_h(self) -> np.ndarray:
         return self.grad_h_jets.value
 
-    @property
+    @cached
     def grad_H(self) -> np.ndarray:
         """H^{m*}_{,k} with shape (n, n, B)."""
-        return self._get("grad_H", lambda: _trace(self.grad_h))
+        return _trace(self.grad_h)
 
-    @property
+    @cached
     def grad_hhat(self) -> np.ndarray:
         """hhat^{m*}_{ij,k}."""
-        return self._get("grad_hhat", lambda: _tracefree(self.grad_h))
+        return _tracefree(self.grad_h)
 
-    @property
+    @cached
     def T0(self) -> np.ndarray:
         """Conformal-Maslov defect T_ij = (n H^{i*}_{,j} - div JH d_ij)/(n+2)."""
-        return self._get("T0", lambda: _maslov_defect(self.grad_H))
+        return _maslov_defect(self.grad_H)
 
-    @property
+    @cached
     def T_from_hhat(self) -> np.ndarray:
         """(1/n) sum_m hhat^{m*}_{ij,m}: the divergence form of T."""
-        return self._get("T_alt", lambda: np.einsum("mijmb->ijb", self.grad_hhat) / self.n)
+        return np.einsum("mijmb->ijb", self.grad_hhat) / self.n
 
     # -- second covariant derivatives (order-4 bundles) ----------------------
 
-    @property
+    @cached
     def hess_h(self) -> np.ndarray:
         """h^{m*}_{ij,kp} with shape (n, n, n, n, n, B): the point value, so
         only the order-1 part of h_{,k} is differentiated."""
-        return self._get("hess_h", lambda: self.covariant_derivative(self.grad_h_jets.truncated(1)).value)
+        return self.covariant_derivative(self.grad_h_jets.truncated(1)).value
 
-    @property
+    @cached
     def hess_hhat(self) -> np.ndarray:
-        return self._get("hess_hhat", lambda: _tracefree(self.hess_h))
+        return _tracefree(self.hess_h)
 
-    @property
+    @cached
     def grad_T(self) -> np.ndarray:
         """T_{ij,k} with shape (n, n, n, B): the defect of the trace of
         h_{,kp}, so it needs an order-4 bundle, where the first covariant
         derivative of h is valid to order 1."""
-        return self._get("grad_T", lambda: _maslov_defect(_trace(self.hess_h)))
+        return _maslov_defect(_trace(self.hess_h))
 
-    @property
+    @cached
     def hhat_sq_jet(self) -> Jet:
         """|hhat|^2 as a jet, valid to order - 2 (order 2 on an order-4 bundle)."""
-
-        def build():
-            hhat = Jet(self.phi.space, _tracefree(self.h_jets.c), self.h_jets.order)
-            return jet_einsum("mij,mij->", hhat, hhat)
-
-        return self._get("hhat_sq_jet", build)
+        hhat = Jet(self.phi.space, _tracefree(self.h_jets.c), self.h_jets.order)
+        return jet_einsum("mij,mij->", hhat, hhat)
 
     # -- curvature --------------------------------------------------------
 
-    @property
+    @cached
     def christoffel_jets(self) -> Jet:
         """Gamma^d_ab = g^{de} (d_a g_eb + d_b g_ea - d_e g_ab) / 2, indexed
         [d, a, b], to order 1: its readers take one derivative at the points."""
-
-        def build():
-            dg = self.g_jets.grad().truncated(1)  # [a, b, c] = d_c g_ab
-            low = (dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1)).scaled(0.5)
-            B = self._value_jet(self.B0) if low.order == 0 else self.B.truncated(1)
-            return jet_einsum("de,eab->dab", jet_einsum("ia,ib->ab", B, B), low)
-
-        return self._get("christoffel_jets", build)
+        dg = self.g_jets.grad().truncated(1)  # [a, b, c] = d_c g_ab
+        low = (dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1)).scaled(0.5)
+        B = self._value_jet(self.B0) if low.order == 0 else self.B.truncated(1)
+        return jet_einsum("de,eab->dab", jet_einsum("ia,ib->ab", B, B), low)
 
     @property
     def christoffel0(self) -> np.ndarray:
         return self.christoffel_jets.value
 
-    @property
+    @cached
     def curvature_chart(self) -> np.ndarray:
         """R_{abcd} = g(R(d_a, d_b) d_d, d_c) from chart Christoffel symbols."""
+        gam0 = self.christoffel0
+        dgam = self.christoffel_jets.grad().value  # [d, a, b, c] = d_c Gamma^d_ab
+        rup = (
+            np.einsum("ebdax->abedx", dgam)
+            - np.einsum("eadbx->abedx", dgam)
+            + np.einsum("eacx,cbdx->abedx", gam0, gam0)
+            - np.einsum("ebcx,cadx->abedx", gam0, gam0)
+        )
+        return np.einsum("cex,abedx->abcdx", self.g0, rup)
 
-        def build():
-            gam0 = self.christoffel0
-            dgam = self.christoffel_jets.grad().value  # [d, a, b, c] = d_c Gamma^d_ab
-            rup = (
-                np.einsum("ebdax->abedx", dgam)
-                - np.einsum("eadbx->abedx", dgam)
-                + np.einsum("eacx,cbdx->abedx", gam0, gam0)
-                - np.einsum("ebcx,cadx->abedx", gam0, gam0)
-            )
-            return np.einsum("cex,abedx->abcdx", self.g0, rup)
-
-        return self._get("curvature_chart", build)
-
-    @property
+    @cached
     def curvature_frame(self) -> np.ndarray:
         """Intrinsic curvature R_{ijkl} = g(R(e_i, e_j) e_l, e_k) in the frame."""
+        B0 = self.B0  # (n, n, B)
+        x = np.einsum("ldx,abcdx->abclx", B0, self.curvature_chart)
+        x = np.einsum("kcx,abclx->abklx", B0, x)
+        x = np.einsum("jbx,abklx->ajklx", B0, x)
+        return np.einsum("iax,ajklx->ijklx", B0, x)
 
-        def build():
-            B0 = self.B0  # (n, n, B)
-            x = np.einsum("ldx,abcdx->abclx", B0, self.curvature_chart)
-            x = np.einsum("kcx,abclx->abklx", B0, x)
-            x = np.einsum("jbx,abklx->ajklx", B0, x)
-            return np.einsum("iax,ajklx->ijklx", B0, x)
-
-        return self._get("curvature_frame", build)
-
-    @property
+    @cached
     def gauss_rhs(self) -> np.ndarray:
         """Right side of the Gauss equation with the ambient constant."""
+        n = self.n
+        eye = np.eye(n)
+        delta = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
+        hterm = np.einsum("mikb,mjlb->ijklb", self.h0, self.h0) - np.einsum(
+            "milb,mjkb->ijklb", self.h0, self.h0
+        )
+        return self.c_amb * delta[..., None] + hterm
 
-        def build():
-            n = self.n
-            eye = np.eye(n)
-            delta = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
-            hterm = np.einsum("mikb,mjlb->ijklb", self.h0, self.h0) - np.einsum(
-                "milb,mjkb->ijklb", self.h0, self.h0
-            )
-            return self.c_amb * delta[..., None] + hterm
-
-        return self._get("gauss_rhs", build)
-
-    @property
+    @cached
     def normal_curvature(self) -> np.ndarray:
         """R_{ij k* l*} from the structure equation of the normal connection.
 
@@ -449,47 +421,44 @@ class FrameBundle:
         constant complex structure, but the curvature here is assembled
         independently from derivatives of the coefficient field.
         """
-
-        def build():
-            w0 = self.omega0
-            dw = np.moveaxis(self.frame_derivative(self.omega_jets), 3, 0)  # [i, j, l, k] = e_i(omega_jlk)
-            first = dw - np.einsum("jilkb->ijlkb", dw)
-            quad = np.einsum("jlmb,imkb->ijlkb", w0, w0) - np.einsum(
-                "ilmb,jmkb->ijlkb", w0, w0
-            )
-            # bracket [e_i, e_j]^m = omega_{jm}(e_i) - omega_{im}(e_j)
-            br = w0 - w0.transpose(1, 0, 2, 3)
-            third = np.einsum("ijmb,mlkb->ijlkb", br, w0)
-            F = first + quad - third
-            return np.einsum("ijlkb->ijklb", F)
-
-        return self._get("normal_curvature", build)
+        w0 = self.omega0
+        dw = np.moveaxis(self.frame_derivative(self.omega_jets), 3, 0)  # [i, j, l, k] = e_i(omega_jlk)
+        first = dw - np.einsum("jilkb->ijlkb", dw)
+        quad = np.einsum("jlmb,imkb->ijlkb", w0, w0) - np.einsum(
+            "ilmb,jmkb->ijlkb", w0, w0
+        )
+        # bracket [e_i, e_j]^m = omega_{jm}(e_i) - omega_{im}(e_j)
+        br = w0 - w0.transpose(1, 0, 2, 3)
+        third = np.einsum("ijmb,mlkb->ijlkb", br, w0)
+        F = first + quad - third
+        return np.einsum("ijlkb->ijklb", F)
 
     # -- maslov form ------------------------------------------------------
 
-    @property
+    @cached
     def maslov_chart_jets(self) -> Jet:
         """Pullback alpha_a = <J H_amb, d_a phi> with H_amb = H^{m*} J e_m, to
         order 1: its readers take its derivative at the points."""
+        H_amb = jet_einsum("mc,m->c", self.Je, self.H_jets.truncated(1))
+        return jet_einsum("c,ca->a", times_i(H_amb), self.f)
 
-        def build():
-            H_amb = jet_einsum("mc,m->c", self.Je, self.H_jets.truncated(1))
-            return jet_einsum("c,ca->a", times_i(H_amb), self.f)
+    # -- energy scalars, one value per point --------------------------------
 
-        return self._get("maslov_chart", build)
+    @cached
+    def h_sq(self) -> np.ndarray:
+        return np.einsum("mijb,mijb->b", self.h0, self.h0)
 
-    # -- scalars ------------------------------------------------------------
+    @cached
+    def hhat_sq(self) -> np.ndarray:
+        return np.einsum("mijb,mijb->b", self.hhat0, self.hhat0)
 
-    def scalar(self, name: str) -> np.ndarray:
-        if name == "h_sq":
-            return np.einsum("mijb,mijb->b", self.h0, self.h0)
-        if name == "hhat_sq":
-            return np.einsum("mijb,mijb->b", self.hhat0, self.hhat0)
-        if name == "H_sq":
-            return np.einsum("mb,mb->b", self.H0, self.H0)
-        if name == "grad_hhat_sq":
-            return np.einsum("mijkb,mijkb->b", self.grad_hhat, self.grad_hhat)
-        raise KeyError(f"unknown scalar {name!r}")
+    @cached
+    def H_sq(self) -> np.ndarray:
+        return np.einsum("mb,mb->b", self.H0, self.H0)
+
+    @cached
+    def grad_hhat_sq(self) -> np.ndarray:
+        return np.einsum("mijkb,mijkb->b", self.grad_hhat, self.grad_hhat)
 
 
 def _cholesky_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

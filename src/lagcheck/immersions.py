@@ -21,9 +21,7 @@ comes from `Draws`, Python's seeded `random.Random` stream.
 from __future__ import annotations
 
 import math
-import numbers
 import random
-import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -421,62 +419,3 @@ def make_perturbed_whitney(r: float, eps: float, mode: int, n: int = 2) -> Immer
     imm = linear_image(base, flow, name="perturbed_whitney")
     imm.params = {"r": float(r), "eps": float(eps), "mode": int(mode), "n": n}
     return imm
-
-
-# ---------------------------------------------------------------------------
-# Config-driven construction
-# ---------------------------------------------------------------------------
-
-FAMILY_REGISTRY: dict[str, Callable] = {}
-
-
-def register_family(name: str, builder: Callable):
-    FAMILY_REGISTRY[name] = builder
-
-
-def is_real(x) -> bool:
-    """A finite real number: not a bool, a string, a NaN, an infinity or an
-    integer too large for a float."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
-
-
-def integer_param(params: dict, key: str, default: int) -> int:
-    """`params[key]` as an int: a fraction, a string or a bool is refused, not truncated."""
-    v = params.get(key, default)
-    if not (is_real(v) and float(v).is_integer()):
-        raise ValueError(f"{key} must be an integer, got {v!r}")
-    return int(v)
-
-
-def real_param(value, what: str) -> float:
-    """`value` as a float: a string, a bool, a NaN or an infinity is refused, not coerced."""
-    if not is_real(value):
-        raise ValueError(f"{what} must be a finite real number, got {value!r}")
-    return float(value)
-
-
-def _build_whitney_cn(params):
-    A = params.get("A")
-    if A is not None:
-        for a in A:
-            if not (is_real(a) or isinstance(a, (list, tuple)) and len(a) == 2 and all(map(is_real, a))):
-                raise ValueError(f"offset A entry {a!r} is neither a finite number nor an [re, im] pair of them")
-        A = np.array([complex(*a) if isinstance(a, (list, tuple)) else complex(a) for a in A])
-    return make_whitney_cn(real_param(params.get("r", 1.0), "r"), A, integer_param(params, "n", 2))
-
-
-register_family("whitney_cn", _build_whitney_cn)
-register_family(
-    "product_torus", lambda p: make_product_torus([real_param(x, "a torus radius") for x in p["radii"]])
-)
-register_family("lagrangian_plane", lambda p: make_lagrangian_plane(integer_param(p, "n", 2)))
-register_family("nonlagrangian_plane", lambda p: make_nonlagrangian_plane(integer_param(p, "n", 2)))
-register_family(
-    "perturbed_whitney",
-    lambda p: make_perturbed_whitney(
-        real_param(p.get("r", 1.0), "r"),
-        real_param(p.get("eps", 0.0), "eps"),
-        integer_param(p, "mode", 1),
-        integer_param(p, "n", 2),
-    ),
-)

@@ -190,12 +190,11 @@ def integrals(imm: Immersion, rule: QuadratureRule, integrand: Callable) -> dict
 
 
 def _energy_integrand(fb, charts, coords) -> dict[str, np.ndarray]:
-    hhat_sq = fb.scalar("hhat_sq")
     return {
-        "int_hhat_n": hhat_sq ** (fb.n / 2.0),
-        "int_hhat_sq": hhat_sq,
-        "int_h_sq": fb.scalar("h_sq"),
-        "int_H_sq": fb.scalar("H_sq"),
+        "int_hhat_n": fb.hhat_sq ** (fb.n / 2.0),
+        "int_hhat_sq": fb.hhat_sq,
+        "int_h_sq": fb.h_sq,
+        "int_H_sq": fb.H_sq,
     }
 
 

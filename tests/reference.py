@@ -19,7 +19,7 @@ from itertools import permutations
 
 import numpy as np
 
-from lagcheck.geometry import FrameBundle, _trace, _tracefree
+from lagcheck.geometry import FrameBundle, _trace, _tracefree, cached
 from lagcheck.identities import _curvature_terms, _spectral_form
 from lagcheck.immersions import (
     AMBIENT_CN,
@@ -100,9 +100,9 @@ class FullOrderBundle(FrameBundle):
     products read the same rows as the engine's order-reduced ones, so the
     point values agree wherever the Newton lift of B takes the same steps."""
 
-    @property
+    @cached
     def g_jets(self) -> Jet:
-        return self._get("g_jets", lambda: jet_einsum("ca,cb->ab", self.f, self.f))
+        return jet_einsum("ca,cb->ab", self.f, self.f)
 
     def covariant_derivative(self, x: Jet) -> Jet:
         idx = "abcdefgh"[: x.ndim]
@@ -111,27 +111,21 @@ class FullOrderBundle(FrameBundle):
             out = out + jet_einsum(f"{idx.replace(s, 'l')},pl{s}->{idx}p", x, self.omega_jets)
         return out
 
-    @property
+    @cached
     def hess_h(self) -> np.ndarray:
-        return self._get("hess_h", lambda: self.covariant_derivative(self.grad_h_jets).value)
+        return self.covariant_derivative(self.grad_h_jets).value
 
-    @property
+    @cached
     def christoffel_jets(self) -> Jet:
-        def build():
-            dg = self.g_jets.grad()
-            low = (dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1)).scaled(0.5)
-            B = self._value_jet(self.B0) if low.order == 0 else self.B
-            return jet_einsum("de,eab->dab", jet_einsum("ia,ib->ab", B, B), low)
+        dg = self.g_jets.grad()
+        low = (dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1)).scaled(0.5)
+        B = self._value_jet(self.B0) if low.order == 0 else self.B
+        return jet_einsum("de,eab->dab", jet_einsum("ia,ib->ab", B, B), low)
 
-        return self._get("christoffel_jets", build)
-
-    @property
+    @cached
     def maslov_chart_jets(self) -> Jet:
-        def build():
-            H_amb = jet_einsum("mc,m->c", self.Je, self.H_jets)
-            return jet_einsum("c,ca->a", times_i(H_amb), self.f)
-
-        return self._get("maslov_chart", build)
+        H_amb = jet_einsum("mc,m->c", self.Je, self.H_jets)
+        return jet_einsum("c,ca->a", times_i(H_amb), self.f)
 
 
 # ---------------------------------------------------------------------------

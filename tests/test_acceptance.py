@@ -35,15 +35,15 @@ from reference import (
 
 
 def _scalar(fb, name):
-    """`fb.scalar(name)`, or |T|^2, the scalar curvature or the chart density,
-    which only these criteria read."""
+    """The bundle's scalar `name`, or |T|^2, the scalar curvature or the
+    chart density, which only these criteria read."""
     if name == "T_sq":
         return np.einsum("ijb,ijb->b", fb.T0, fb.T0)
     if name == "scalar_curvature":
         return np.einsum("ijijb->b", fb.curvature_frame)
     if name == "sqrt_det_g":
         return fb.sqrt_det_g
-    return fb.scalar(name)
+    return getattr(fb, name)
 
 
 def _batched_scalars(imm, points, names, order=3):

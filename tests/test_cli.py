@@ -15,7 +15,7 @@ import lagcheck
 from lagcheck import cli, quadrature
 from lagcheck.cli import main
 from lagcheck.identities import CHECKS, run_identity_suite
-from lagcheck.immersions import Draws, make_product_torus, make_whitney_cn
+from lagcheck.immersions import Draws, linear_image, make_lagrangian_plane, make_product_torus, make_whitney_cn
 from lagcheck.quadrature import energy_report, sphere_rule, torus_rule
 
 
@@ -205,6 +205,28 @@ class TestIdentitiesCommand:
         err = capsys.readouterr().err
         assert "Lagrangian condition violated" in err
         assert "sample 0: chart 0, coords [" in err
+
+    @pytest.mark.parametrize("delta,code", [(1e-8, 1), (2e-6, 4)])
+    def test_slightly_nonlagrangian_plane_fails_the_check(self, tmp_path, capsys, monkeypatch, delta, code):
+        """A plane sheared by Im z_3 += delta Re z_1 is not Lagrangian: below
+        the bundle's LAGRANGIAN_TOL it reaches the report and fails
+        `lagrangian_condition` there, above it the bundle refuses it."""
+        shear = np.eye(6)
+        shear[5, 0] = delta
+
+        def sheared_plane(params):
+            return linear_image(make_lagrangian_plane(cli.integer_param(params, "n", 2)), shear)
+
+        monkeypatch.setitem(cli.FAMILIES, "sheared_plane", sheared_plane)
+        cfg = write_cfg(tmp_path, "shear.json", {"family": "sheared_plane", "n": 3, "samples": 20, "seed": 7})
+        out = tmp_path / "shear-report.json"
+        assert main(["identities", "--config", cfg, "--out", str(out)]) == code
+        if code == 4:
+            assert "Lagrangian condition violated" in capsys.readouterr().err and not out.exists()
+            return
+        failed = [c for c in json.loads(out.read_text())["checks"] if not c["pass"]]
+        assert [c["name"] for c in failed] == ["lagrangian_condition"]
+        assert failed[0]["max_residual"] == pytest.approx(delta, rel=1e-6)
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_cfg(

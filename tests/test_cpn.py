@@ -85,7 +85,7 @@ class TestRpn:
         for p in zip(*imm.atlas.random(np.random.default_rng(1), 8)):
             s = geometry_state(imm, *p)
             for name in ("h_sq", "H_sq", "hhat_sq"):
-                assert s.scalar(name)[0] < 1e-18
+                assert getattr(s, name)[0] < 1e-18
 
     def test_unit_sectional_curvature(self):
         imm = make_rpn(2)
@@ -116,7 +116,7 @@ class TestWhitneyCpnGeometry:
         for p in zip(*imm.atlas.random(np.random.default_rng(17), 8)):
             s = geometry_state(imm, *p)
             T = s.T0[..., 0]
-            assert math.sqrt(s.scalar("hhat_sq")[0]) < 1e-8
+            assert math.sqrt(s.hhat_sq[0]) < 1e-8
             assert math.sqrt(float(np.sum((0.5 * (T + T.T)) ** 2))) < 1e-8
             assert s.c_amb == 1.0
 
@@ -165,7 +165,7 @@ class TestHorizontalLift:
             assert np.max(np.abs(s0.e0 - s1.e0)) < 1e-8
             assert np.max(np.abs(s0.h0 - s1.h0)) < 1e-8
             assert np.max(np.abs(s0.g0 - s1.g0)) < 1e-8
-            assert abs(s0.scalar("hhat_sq")[0] - s1.scalar("hhat_sq")[0]) < 1e-8
+            assert abs(s0.hhat_sq[0] - s1.hhat_sq[0]) < 1e-8
             T0, T1 = s0.T0[..., 0], s1.T0[..., 0]
             assert np.max(np.abs(0.5 * (T0 + T0.T) - 0.5 * (T1 + T1.T))) < 1e-8
 
@@ -182,7 +182,7 @@ class TestHorizontalLift:
             assert np.max(np.abs(s0.Je0 - s1.Je0)) < 1e-8
             assert np.max(np.abs(s0.h0 - s1.h0)) < 1e-8
             assert np.max(np.abs(s0.g0 - s1.g0)) < 1e-8
-            assert abs(s0.scalar("hhat_sq")[0] - s1.scalar("hhat_sq")[0]) < 1e-8
+            assert abs(s0.hhat_sq[0] - s1.hhat_sq[0]) < 1e-8
 
     def test_nonlagrangian_rejected(self, turn_first):
         # breaking the projective class smoothly in a non-Hamiltonian way
@@ -229,7 +229,7 @@ class TestHorizontalLift:
 
             def energy_chunk():
                 fb = bundle_at(imm, 0, coords, 2)
-                return [fb.sqrt_det_g, *(fb.scalar(name) for name in ("h_sq", "hhat_sq", "H_sq"))]
+                return [fb.sqrt_det_g, *(getattr(fb, name) for name in ("h_sq", "hhat_sq", "H_sq"))]
 
             energy_chunk()  # warm-up: jet tables and caches
             tracemalloc.start()
@@ -291,13 +291,13 @@ class TestOrderTwoLift:
         def rel(a, b, scale):
             return np.max(np.abs(a - b)) / scale
 
-        h_scale = max(1.0, float(np.max(old.scalar("h_sq"))))
+        h_scale = max(1.0, float(np.max(old.h_sq)))
         assert rel(new.g0, old.g0, np.max(np.abs(old.g0))) < 1e-13
         assert rel(new.sqrt_det_g, old.sqrt_det_g, np.max(old.sqrt_det_g)) < 1e-13
         assert rel(new.h0, old.h0, math.sqrt(h_scale)) < 1e-13
         assert rel(new.h0, full.h_jets.value, math.sqrt(h_scale)) < 1e-13
         for scalar in ("h_sq", "hhat_sq", "H_sq"):
-            assert rel(new.scalar(scalar), old.scalar(scalar), h_scale) < 1e-13, scalar
+            assert rel(getattr(new, scalar), getattr(old, scalar), h_scale) < 1e-13, scalar
 
     @pytest.mark.parametrize("name", ["whitney_cpn-0.7-3", "rpn", "cpn_torus", "phase_twist"])
     def test_forms_no_jet_product(self, monkeypatch, name):
@@ -318,7 +318,7 @@ class TestOrderTwoLift:
         got = bundle_at(dataclasses.replace(imm, jet_fn=lambda charts, u: phi), 0, coords, 2)
         assert np.array_equal(got.sqrt_det_g, want.sqrt_det_g)
         for scalar in ("h_sq", "hhat_sq", "H_sq"):
-            assert np.array_equal(got.scalar(scalar), want.scalar(scalar)), scalar
+            assert np.array_equal(getattr(got, scalar), getattr(want, scalar)), scalar
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_lift_is_the_unit_representative_at_the_point(self, order):
@@ -385,7 +385,7 @@ class TestCpnTorus:
 
     def test_unequal_moduli_have_mean_curvature(self):
         fb = bundle_at(make_cpn_torus([1.0, 0.7, 1.2, 0.9]), 0, np.array([[0.3, 1.1, -2.0]]), 2)
-        assert fb.scalar("H_sq")[0] > 1e-2
+        assert fb.H_sq[0] > 1e-2
 
     def test_from_config(self):
         imm = build_immersion({"family": "cpn_torus", "moduli": [2.0, 2.0, 2.0]}, "energy")

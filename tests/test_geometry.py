@@ -53,7 +53,7 @@ def sym_T(s):
 
 def sq(s, name):
     """A pointwise scalar of a one-point bundle."""
-    return float(s.scalar(name)[0])
+    return float(getattr(s, name)[0])
 
 
 class TestPlane:
@@ -298,7 +298,7 @@ class TestScalarLaplacian:
         imm = make_product_torus(list(radii))
         fb = geometry_state(imm, 0, [1.2, 0.3], 4)
         val = float(fb.laplacian(fb.hhat_sq_jet)[0])
-        assert abs(val) <= 1e-12 * float(fb.scalar("hhat_sq")[0]) / min(radii) ** 2
+        assert abs(val) <= 1e-12 * float(fb.hhat_sq[0]) / min(radii) ** 2
 
     def test_hhat_sq_constant_on_torus(self):
         self._assert_torus_hhat_sq_harmonic((1.0, 2.0))
@@ -309,7 +309,7 @@ class TestScalarLaplacian:
     def test_hhat_sq_jet_matches_pointwise_scalar(self):
         imm = make_perturbed_whitney(1.0, 0.05, 1, 2)
         fb = geometry_state(imm, 0, [0.4, -0.3], 4)
-        assert fb.hhat_sq_jet.value[0] == pytest.approx(fb.scalar("hhat_sq")[0], rel=1e-13)
+        assert fb.hhat_sq_jet.value[0] == pytest.approx(fb.hhat_sq[0], rel=1e-13)
 
     def test_grad_T_needs_order_four(self):
         imm = make_perturbed_whitney(1.0, 0.05, 1, 2)
@@ -348,8 +348,8 @@ def test_bundle_values_pinned(body):
     imm = numpy_perturbed_whitney(1.0, 0.05, 1, 3) if body == "perturbed_whitney" else make_whitney_cpn(0.7, 3)
     fb = geometry_state(imm, 0, [0.3, -0.2, 0.5], 4)
     got = {
-        "h_sq": float(fb.scalar("h_sq")[0]),
-        "grad_hhat_sq": float(fb.scalar("grad_hhat_sq")[0]),
+        "h_sq": float(fb.h_sq[0]),
+        "grad_hhat_sq": float(fb.grad_hhat_sq[0]),
         "scalar_curvature": float(np.einsum("ijijb->b", fb.curvature_frame)[0]),
         "grad_T_norm": float(np.sqrt(np.sum(fb.grad_T[..., 0] ** 2))),
         "simons_lhs": simons_terms(fb)["lhs_half_laplacian"],
@@ -379,7 +379,7 @@ def test_energy_scalars_take_no_jet_products(monkeypatch, body):
     fb = FrameBundle(phi, 3, c_amb)
     assert fb.sqrt_det_g.shape == (3,)
     for name in ("h_sq", "hhat_sq", "H_sq"):
-        assert fb.scalar(name).shape == (3,)
+        assert getattr(fb, name).shape == (3,)
     assert calls == []
 
 
@@ -644,7 +644,7 @@ class TestOneDerivativeChain:
         runs, against the trace of the chain on h."""
         imm = CHAIN_BODIES[name]()
         fb = bundle_at(imm, *chart_batch(imm, *imm.atlas.random(np.random.default_rng(7), 20)), 4)
-        h = float(np.max(np.sqrt(fb.scalar("h_sq"))))
+        h = float(np.max(np.sqrt(fb.h_sq)))
         grad_H_jets = fb.covariant_derivative(fb.H_jets)
         assert np.max(np.abs(grad_H_jets.value - fb.grad_H)) <= 1e-13 * h**2
         hess_H = fb.covariant_derivative(grad_H_jets).value

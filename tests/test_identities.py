@@ -2,6 +2,7 @@ import functools
 import json
 import re
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -855,3 +856,24 @@ def test_readme_check_table_is_checks():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `(\w+)` \| (\d+) \| ([0-9.e+-]+) \| (\w+) \|$", readme, flags=re.M)
     assert [(name, int(order), float(tol), form) for name, order, tol, form in rows] == [tuple(c) for c in CHECKS]
+
+
+def test_each_bundle_quantity_is_built_once(monkeypatch):
+    """On one heavy chunk every quantity the checks read goes through the
+    bundle's one cache, `_get`, is built there once, and is kept under the
+    name of the property that reads it.  The energy scalars are among them,
+    so `norm_identity` and `simons_terms` share |hhat|^2 and |H|^2."""
+    imm = make_perturbed_whitney(1.0, 0.05, 1, 3)
+    fb = geometry.bundle_at(imm, *geometry.chart_batch(imm, *imm.atlas.random(np.random.default_rng(7), 8)), 4)
+    built, get = Counter(), geometry.FrameBundle._get
+
+    def counting_get(bundle, key, fn):
+        built[key] += key not in bundle._cache
+        return get(bundle, key, fn)
+
+    monkeypatch.setattr(geometry.FrameBundle, "_get", counting_get)
+    identities._residuals(fb)
+    properties = {name for name, v in vars(geometry.FrameBundle).items() if isinstance(v, property)}
+    assert set(built.values()) == {1}
+    assert sorted(set(built) - properties) == []
+    assert {"h_sq", "hhat_sq", "H_sq", "grad_hhat_sq"} <= set(built)

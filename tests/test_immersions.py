@@ -5,12 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from lagcheck.cli import ConfigError, build_immersion, load_config
+from lagcheck.cli import FAMILIES, ConfigError, build_immersion, load_config
 from lagcheck.cpn import make_rpn, make_whitney_cpn
 from lagcheck.immersions import (
     AMBIENT_CN,
     AMBIENT_SPHERE,
-    FAMILY_REGISTRY,
     Draws,
     SPHERE_SWITCH_RADIUS,
     Immersion,
@@ -439,7 +438,7 @@ class TestChartAtlas:
         assert plane.contains(charts, coords).tolist() == [True, False, False, False, True]
 
 
-# one config per registered family, and whether its body is closed
+# one config per family of `cli.FAMILIES`, and whether its body is closed
 FAMILY_BODIES = {
     "whitney_cn": ({"r": 1.0, "n": 3}, True),
     "product_torus": ({"radii": [1.0, 2.0]}, True),
@@ -456,12 +455,12 @@ class TestDomain:
     """Whether a body is closed is read off its atlas alone."""
 
     def test_every_family_is_covered(self):
-        assert sorted(FAMILY_BODIES) == sorted(FAMILY_REGISTRY)
+        assert sorted(FAMILY_BODIES) == sorted(FAMILIES)
 
     @pytest.mark.parametrize("family", sorted(FAMILY_BODIES))
     def test_compact_is_the_atlas_domain(self, family):
         params, closed = FAMILY_BODIES[family]
-        imm = FAMILY_REGISTRY[family](params)
+        imm = FAMILIES[family](params)
         assert imm.compact is closed is (imm.atlas.domain is not None)
         moved = linear_image(imm, 2.0 * np.eye(2 * imm.ambient_complex_dim))
         assert moved.atlas is imm.atlas and moved.compact is closed
@@ -486,7 +485,7 @@ class TestDomain:
 
     @pytest.mark.parametrize("family", sorted(FAMILY_BODIES))
     def test_dimensions_are_read_off_the_atlas(self, family):
-        imm = FAMILY_REGISTRY[family](FAMILY_BODIES[family][0])
+        imm = FAMILIES[family](FAMILY_BODIES[family][0])
         n = imm.atlas.n
         assert imm.source_dim == n
         assert imm.ambient_complex_dim == (n + 1 if imm.ambient == AMBIENT_SPHERE else n)
@@ -512,7 +511,7 @@ class TestEvalJet:
     def test_batch_jets_equal_per_point_eval_jet(self, family):
         """`Immersion.jets` on one batch that mixes charts gives, point by
         point, the jet of each point alone, a batch of one."""
-        imm = FAMILY_REGISTRY[family](FAMILY_BODIES[family][0])
+        imm = FAMILIES[family](FAMILY_BODIES[family][0])
         charts, coords = imm.atlas.normalize(*imm.atlas.random(np.random.default_rng(31), 12))
         assert set(charts.tolist()) == ({0, 1} if isinstance(imm.atlas, SphereAtlas) else {0})
         batch = imm.jets(charts, coords, 3)

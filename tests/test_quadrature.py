@@ -222,7 +222,7 @@ class TestIntegrate:
 
     def test_constant_hhat_sq_on_torus(self):
         torus = make_product_torus([1.0, 1.0])
-        val = integrals(torus, torus_rule(2, 12), lambda fb, charts, coords: {"f": fb.scalar("hhat_sq")})
+        val = integrals(torus, torus_rule(2, 12), lambda fb, charts, coords: {"f": fb.hhat_sq})
         assert val["f"] == pytest.approx(2 * math.pi**2, abs=1e-10)
 
     def test_callable_field(self):
@@ -238,7 +238,7 @@ class TestIntegrate:
         rule = sphere_rule(2, 12)
 
         def both(fb, charts, coords):
-            return {"area": np.ones(fb.batch), "h_sq": fb.scalar("h_sq")}
+            return {"area": np.ones(fb.batch), "h_sq": fb.h_sq}
 
         val = integrals(wh, rule, both)
         assert list(val) == ["volume", "area", "h_sq"]

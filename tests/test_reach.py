@@ -27,7 +27,7 @@ ALLOWED_UNREACHED = {
        for name in ("geometry_state", "closedness_residual", "maslov_tensor_gradient", "scalar_laplacian")},
     **{f"jets.Jet.{name}": "listed in the tracer's JET_METHODS"
        for name in ("__rsub__", "__rmul__", "__truediv__", "partial", "sqrt", "sin", "cos", "exp")},
-    "immersions.register_family": "runs at import time, before any command",
+    "geometry.cached": "runs at import time, before any command",
 }
 
 IDENT = {"samples": 2, "seed": 3}
