@@ -17,11 +17,12 @@ Exit status: 0 all requested checks passed, 1 a check failed, 2 config error
 (also a config that is not a JSON object; an invalid run parameter: a
 `degree` above MAX_DEGREE, a rule over MAX_NODES nodes, `samples` above
 MAX_SAMPLES, an empty scan, a scan over a whole list parameter rather than
-one of its entries, a format or out path, a malformed report; a run key of
-another command; and any other key that is not a parameter of the built
-body, such as a misspelt `radius`, `sead` or `out`),
-3 immersion construction error (also a parameter that overflows, and a
-real parameter that is a bool, a string, a NaN, an infinity or a huge integer), 4
+one of its entries, a format, an out path in no directory or naming one, a
+malformed report or one of unknown kind; a run key of another command; and
+any other key that is not a parameter of the built body, such as a misspelt
+`radius`, `sead` or `out`), 3 immersion construction error (also a parameter
+that overflows, a real one that is a bool, a string, a NaN, an infinity or a
+huge integer, and a `radii`, `moduli` or `A` that is not a list), 4
 evaluation error (e.g. a non-Lagrangian immersion or an induced metric that
 is degenerate or not finite, detected during geometry evaluation, an
 identity residual, its headroom or an energy that overflows, or a quadrature rule too
@@ -91,49 +92,62 @@ def is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-def integer_param(params: dict, key: str, default: int) -> int:
-    """`params[key]` as an int: a fraction, a string or a bool is refused, not truncated."""
-    v = params.get(key, default)
-    if not (is_real(v) and float(v).is_integer()):
-        raise ValueError(f"{key} must be an integer, got {v!r}")
-    return int(v)
+def integer(value, what: str, least: int | None = None, most: int | None = None) -> int:
+    """`value` as an int within `least` and `most` where given: a fraction, a
+    string, a bool or an integer too large for a float is refused, not truncated."""
+    whole = is_real(value) and float(value).is_integer()
+    value = int(value) if whole else value
+    if not whole or least is not None and value < least:
+        raise ConfigError(f"{what} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
+    if most is not None and value > most:
+        raise ConfigError(f"{what} must be at most {most}, got {value}")
+    return value
 
 
-def real_param(value, what: str) -> float:
+def real(value, what: str) -> float:
     """`value` as a float: a string, a bool, a NaN or an infinity is refused, not coerced."""
     if not is_real(value):
-        raise ValueError(f"{what} must be a finite real number, got {value!r}")
+        raise ConfigError(f"{what} must be a finite real number, got {value!r}")
     return float(value)
 
 
-def offset_param(params: dict) -> np.ndarray | None:
-    """The `whitney_cn` offset A: each entry a real number or an [re, im] pair."""
-    A = params.get("A")
-    if A is None:
+def reals(value, what: str, entry: str) -> list[float]:
+    """The list `what` as floats, each a `real` named `entry`; a missing value is not a list."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return [real(x, entry) for x in value]
+
+
+def offset(value) -> np.ndarray | None:
+    """The `whitney_cn` offset A, None where absent: a list whose entries are
+    each a real number or an [re, im] pair of them."""
+    if value is None:
         return None
-    for a in A:
-        if not (is_real(a) or isinstance(a, (list, tuple)) and len(a) == 2 and all(map(is_real, a))):
-            raise ValueError(f"offset A entry {a!r} is neither a finite number nor an [re, im] pair of them")
-    return np.array([complex(*a) if isinstance(a, (list, tuple)) else complex(a) for a in A])
+    if not isinstance(value, list):
+        raise ConfigError(f"A must be a list, got {value!r}")
+    for a in value:
+        if not (is_real(a) or isinstance(a, list) and len(a) == 2 and all(map(is_real, a))):
+            raise ConfigError(f"offset A entry {a!r} is neither a finite number nor an [re, im] pair of them")
+    return np.array([complex(*a) if isinstance(a, list) else complex(a) for a in value])
 
 
 # Each family's body from the parameters of a config.
 FAMILIES = {
     "whitney_cn": lambda p: make_whitney_cn(
-        real_param(p.get("r", 1.0), "r"), offset_param(p), integer_param(p, "n", 2)
+        real(p.get("r", 1.0), "r"), offset(p.get("A")), integer(p.get("n", 2), "n")
     ),
-    "product_torus": lambda p: make_product_torus([real_param(x, "a torus radius") for x in p["radii"]]),
-    "lagrangian_plane": lambda p: make_lagrangian_plane(integer_param(p, "n", 2)),
-    "nonlagrangian_plane": lambda p: make_nonlagrangian_plane(integer_param(p, "n", 2)),
+    "product_torus": lambda p: make_product_torus(reals(p.get("radii"), "radii", "a torus radius")),
+    "lagrangian_plane": lambda p: make_lagrangian_plane(integer(p.get("n", 2), "n")),
+    "nonlagrangian_plane": lambda p: make_nonlagrangian_plane(integer(p.get("n", 2), "n")),
     "perturbed_whitney": lambda p: make_perturbed_whitney(
-        real_param(p.get("r", 1.0), "r"),
-        real_param(p.get("eps", 0.0), "eps"),
-        integer_param(p, "mode", 1),
-        integer_param(p, "n", 2),
+        real(p.get("r", 1.0), "r"),
+        real(p.get("eps", 0.0), "eps"),
+        integer(p.get("mode", 1), "mode"),
+        integer(p.get("n", 2), "n"),
     ),
-    "whitney_cpn": lambda p: make_whitney_cpn(real_param(p.get("theta", 1.0), "theta"), integer_param(p, "n", 2)),
-    "rpn": lambda p: make_rpn(integer_param(p, "n", 2)),
-    "cpn_torus": lambda p: make_cpn_torus([real_param(x, "a torus modulus") for x in p["moduli"]]),
+    "whitney_cpn": lambda p: make_whitney_cpn(real(p.get("theta", 1.0), "theta"), integer(p.get("n", 2), "n")),
+    "rpn": lambda p: make_rpn(integer(p.get("n", 2), "n")),
+    "cpn_torus": lambda p: make_cpn_torus(reals(p.get("moduli"), "moduli", "a torus modulus")),
 }
 
 
@@ -153,7 +167,7 @@ def build_immersion(cfg: dict, command: str):
     params = {k: v for k, v in cfg.items() if k != "family" and k not in run_keys}
     try:
         imm = FAMILIES[family](params)
-        if "n" in params and integer_param(params, "n", imm.source_dim) != imm.source_dim:
+        if "n" in params and integer(params["n"], "n") != imm.source_dim:
             raise ValueError(f"n = {params['n']!r}, but its parameters give n = {imm.source_dim}")
     except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
         raise ConstructionError(f"cannot construct {family}: {exc}") from exc
@@ -170,16 +184,6 @@ RUN_KEYS = {
 }
 
 
-def integer(cfg: dict, key: str, default: int, least: int) -> int:
-    """The integer run parameter `key`, at least `least`."""
-    value = cfg.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{key!r} must be an integer >= {least}, got {value!r}")
-    return value
-
-
 # `quadrature._gl_nodes` costs about degree^2 before any grid is allocated (one
 # process, 2-core VM: 0.20 s at degree 3000, 0.33 s at 4000, 0.47 s at 5000,
 # 1.1 s at 8000, 1.8 s at 10^4), so a huge degree would never return.  A rule
@@ -191,21 +195,6 @@ MAX_NODES = 2**20
 # the cap bounds the time of one op (whitney_cn, n = 5, heavy, 1024 samples:
 # 1.0 s, peak 34 MB, 2-core VM) and its report, which lists every sample (213 kB).
 MAX_SAMPLES = 1024
-
-
-def rule_degree(cfg: dict) -> int:
-    """The quadrature `degree` of an `energy` or `scan` run, 1..MAX_DEGREE."""
-    degree = integer(cfg, "degree", 30, 1)
-    if degree > MAX_DEGREE:
-        raise ConfigError(f"'degree' must be at most {MAX_DEGREE}, got {degree}")
-    return degree
-
-
-def number(value, what: str) -> float:
-    """A finite real run parameter; an integer too large for a float is not one."""
-    if not is_real(value):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def compact_immersion(cfg: dict, command: str, degree: int):
@@ -232,17 +221,19 @@ def write_text(path: str | None, text: str):
 def output(args, formats: tuple[str, ...] = FORMATS) -> tuple[str | None, str]:
     """The `--out` path and `--format` of a run, checked before any work:
     the format, by default the first of `formats`, must be one of them, and
-    the path must lie in a directory that exists."""
+    the path must lie in a directory that exists and not name one."""
     out, fmt = args.out, args.format or formats[0]
     if fmt not in formats:
         raise ConfigError(f"{fmt} format is not available for this report")
     if out and not Path(out).parent.is_dir():
         raise ConfigError(f"cannot write {out}: {Path(out).parent} is not a directory")
+    if out and Path(out).is_dir():
+        raise ConfigError(f"cannot write {out}: it is a directory")
     return out, fmt
 
 
 def render_table(doc: dict) -> str:
-    kind = doc.get("kind", "?")
+    kind = doc.get("kind")
     lines = [f"{kind} report: {doc.get('immersion', '?')}  (schema {doc.get('schema')})"]
     if kind == "identities":
         lines.append(
@@ -260,7 +251,7 @@ def render_table(doc: dict) -> str:
         for name, value in doc["entries"].items():
             lines.append(f"{name:20s} {value:24.15e}")
     else:
-        lines.append(json.dumps(doc, sort_keys=True, indent=2))
+        raise ValueError(f"a report is of kind identities or energy, not {kind!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -290,11 +281,9 @@ def emit(doc: dict, out: str | None, fmt: str):
 
 def cmd_identities(args) -> int:
     cfg = load_config(args.config)
-    seed = integer(cfg, "seed", 0, 0)
-    samples = integer(cfg, "samples", 20, 1)
-    if samples > MAX_SAMPLES:
-        raise ConfigError(f"'samples' must be at most {MAX_SAMPLES}, got {samples}")
-    tol_scale = number(cfg.get("tol_scale", 1.0), "'tol_scale'")
+    seed = integer(cfg.get("seed", 0), "'seed'", 0)
+    samples = integer(cfg.get("samples", 20), "'samples'", 1, MAX_SAMPLES)
+    tol_scale = real(cfg.get("tol_scale", 1.0), "'tol_scale'")
     tiny = float(np.finfo(float).tiny)
     if not min(c.tol for c in CHECKS) * tol_scale >= tiny:
         raise ConfigError(
@@ -313,7 +302,7 @@ def cmd_identities(args) -> int:
 
 def cmd_energy(args) -> int:
     cfg = load_config(args.config)
-    degree = rule_degree(cfg)
+    degree = integer(cfg.get("degree", 30), "'degree'", 1, MAX_DEGREE)
     out, fmt = output(args)
     imm = compact_immersion(cfg, "energy", degree)
     emit(energy_report(imm, rule_for(imm, degree)), out, fmt)
@@ -350,12 +339,11 @@ def _set_scan_param(cfg: dict, params: dict, target: tuple[str, int | None], val
 
 def cmd_scan(args) -> int:
     cfg = load_config(args.config)
-    key = cfg.get("scan_param")
-    values = cfg.get("values")
-    if not key or not isinstance(values, list) or not values:
+    key, values = cfg.get("scan_param"), cfg.get("values")
+    if not key or not values:
         raise ConfigError("scan needs 'scan_param' and a non-empty finite 'values' list")
-    values = sorted(number(v, "a scan value") for v in values)
-    degree = rule_degree(cfg)
+    values = sorted(reals(values, "'values'", "a scan value"))
+    degree = integer(cfg.get("degree", 30), "'degree'", 1, MAX_DEGREE)
     out, _ = output(args, ("csv",))
     body = compact_immersion(cfg, "scan", degree)
     target, params = _scan_target(body, key), jsonable_params(body.params)

@@ -215,7 +215,7 @@ class TestIdentitiesCommand:
         shear[5, 0] = delta
 
         def sheared_plane(params):
-            return linear_image(make_lagrangian_plane(cli.integer_param(params, "n", 2)), shear)
+            return linear_image(make_lagrangian_plane(cli.integer(params.get("n", 2), "n")), shear)
 
         monkeypatch.setitem(cli.FAMILIES, "sheared_plane", sheared_plane)
         cfg = write_cfg(tmp_path, "shear.json", {"family": "sheared_plane", "n": 3, "samples": 20, "seed": 7})
@@ -558,6 +558,28 @@ def test_huge_integer_parameters_name_the_parameter(tmp_path, capsys, command, p
 
 
 @pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"family": "product_torus", "degree": 4}, "radii must be a list, got None"),
+        ({"family": "product_torus", "radii": "1.0", "degree": 4}, "radii must be a list, got '1.0'"),
+        ({"family": "cpn_torus", "moduli": 3, "degree": 4}, "moduli must be a list, got 3"),
+        ({"family": "cpn_torus", "degree": 4}, "moduli must be a list, got None"),
+        ({"family": "whitney_cn", "A": 3, "n": 2, "degree": 4}, "A must be a list, got 3"),
+        ({"family": "whitney_cn", "A": True, "n": 2, "degree": 4}, "A must be a list, got True"),
+    ],
+    ids=["radii-missing", "radii-text", "moduli-number", "moduli-missing", "A-number", "A-bool"],
+)
+def test_a_list_parameter_that_is_not_a_list_is_named(tmp_path, capsys, payload, message):
+    """A `radii` or `moduli` that is missing or not a list, or an `A` that is
+    not a list, is refused with exit 3 and one line that names it."""
+    out = tmp_path / "out.json"
+    assert main(["energy", "--config", write_cfg(tmp_path, "bad.json", payload), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"construction error: cannot construct {payload['family']}: {message}"]
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
     "payload",
     [{**WHITNEY3_A, "n": 3.0}, {**WHITNEY3_A, "A": [[0.1, 0.2], 0.3, [0, -1]]}, {"family": "rpn", "n": 3}],
     ids=["n-integer-float", "A-mixed-entries", "rpn-int"],
@@ -682,6 +704,7 @@ def tol_floor() -> float:
 BELOW_TOL_FLOOR = float(np.nextafter(tol_floor(), 0.0))
 NO_DIR = ["--out", "/nonexistent/dir/r.json"]
 UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a directory"
+OUT_DIR = ["--out", "."]
 
 
 @pytest.mark.parametrize(
@@ -696,7 +719,7 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         ("energy", {**TORUS, "degree": 0}, 2, DEGREE),
         ("energy", {**TORUS, "degree": -3}, 2, DEGREE),
         ("energy", {**PLANE, "degree": 6}, 2, "energy needs a compact body"),
-        ("scan", {**SCAN, "values": [1.0, "x"]}, 2, "a scan value must be a finite number"),
+        ("scan", {**SCAN, "values": [1.0, "x"]}, 2, "a scan value must be a finite real number"),
         ("scan", {**SCAN, "values": [1.0], "degree": 0}, 2, DEGREE),
         ("scan", {**PLANE, "scan_param": "n", "values": [2]}, 2, "scan needs a compact body"),
         ("identities", {"family": "product_torus", "radii": [], "samples": 2}, 3, "at least one radius"),
@@ -717,6 +740,9 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         ("energy", ({**TORUS, "degree": 6}, NO_DIR), 2, UNWRITABLE),
         ("identities", ({**TORUS, "samples": 2}, NO_DIR), 2, UNWRITABLE),
         ("scan", ({**SCAN, "values": [1.0]}, NO_DIR), 2, UNWRITABLE),
+        ("energy", ({**TORUS, "degree": 6}, OUT_DIR), 2, "cannot write .: it is a directory"),
+        ("identities", ({**TORUS, "samples": 2}, OUT_DIR), 2, "cannot write .: it is a directory"),
+        ("scan", ({**SCAN, "values": [1.0]}, OUT_DIR), 2, "cannot write .: it is a directory"),
         ("scan", {**SCAN, "values": [1.0], "format": "xml"}, 2, "unknown whitney_cn parameters ['format']"),
         ("energy", {**TORUS, "degree": 6, "out": 5}, 2, "unknown product_torus parameters ['out']"),
         ("scan", ({**SCAN, "values": [1.0]}, ["--format", "json"]), 2, "json format is not available"),
@@ -749,8 +775,8 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
          "identities takes no ['degree', 'scan_param', 'values']"),
         ("energy", {"immersion": TORUS, "degree": 6, "seed": 3}, 2, "energy takes no ['seed']"),
         ("identities", {"family": "whitney_cn", "n": 2, "samples": 2, "tol_scale": 10**400}, 2,
-         "'tol_scale' must be a finite number, got 1000"),
-        ("scan", {**SCAN, "values": [1.0, 10**400]}, 2, "a scan value must be a finite number, got 1000"),
+         "'tol_scale' must be a finite real number, got 1000"),
+        ("scan", {**SCAN, "values": [1.0, 10**400]}, 2, "a scan value must be a finite real number, got 1000"),
         ("scan", {**TORUS, "radii": [1.0, 2.0], "degree": 3, "scan_param": "radii", "values": [1.0]}, 2,
          "scan_param 'radii' is a list: scan one of its entries, radii.0 to radii.1"),
         ("scan", {"family": "cpn_torus", "moduli": [1.0, 0.7, 1.2], "degree": 3, "scan_param": "moduli",
@@ -768,7 +794,8 @@ UNWRITABLE = "cannot write /nonexistent/dir/r.json: /nonexistent/dir is not a di
         "scan-param-unknown", "scan-index-out-of-range", "scan-index-text", "scan-index-on-scalar",
         "heavy-text", "heavy-number", "heavy-keyvalue-python-false", "energy-format-unknown",
         "identities-format-unknown", "identities-format-csv", "energy-out-no-dir", "identities-out-no-dir",
-        "scan-out-no-dir", "scan-format-unknown", "out-not-a-path", "scan-format-json",
+        "scan-out-no-dir", "energy-out-dir", "identities-out-dir", "scan-out-dir", "scan-format-unknown",
+        "out-not-a-path", "scan-format-json",
         "scan-format-table", "immersion-not-an-object", "family-not-a-string", "cpn-theta-overflow",
         "energy-degree-above-cap", "scan-degree-above-cap", "scan-values-empty", "samples-above-cap",
         "family-key-misspelt", "run-key-misspelt", "key-beside-immersion", "torus-n-mismatch",
@@ -911,19 +938,23 @@ class TestReportCommand:
             ([1, 2], "a report is a JSON object, got list"),
             ({"kind": "identities"}, "malformed identities report: KeyError('checks')"),
             ({"kind": "energy", "entries": {"volume": "x"}}, "malformed energy report: ValueError"),
+            ({}, "malformed ? report: ValueError('a report is of kind identities or energy, not None')"),
+            ({"kind": "scan"},
+             "malformed scan report: ValueError(\"a report is of kind identities or energy, not 'scan'\")"),
         ],
-        ids=["not-an-object", "identities-no-checks", "energy-text-value"],
+        ids=["not-an-object", "identities-no-checks", "energy-text-value", "no-kind", "unknown-kind"],
     )
     def test_malformed_report_is_config_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["report", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and message in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and message in captured.err
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
 def test_unwritable_out_is_config_error(tmp_path, capsys):
-    """An `out` that names a directory fails only at the write, as a config error."""
+    """An `out` that names a directory is a config error, found before the run."""
     cfg = write_cfg(tmp_path, "e.json", {**TORUS, "degree": 4})
     assert main(["energy", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: cannot write {tmp_path}: ")

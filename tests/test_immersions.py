@@ -4,8 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lagcheck.cli import FAMILIES, ConfigError, build_immersion, load_config
+from lagcheck.cli import FAMILIES, ConfigError, ConstructionError, build_immersion, load_config
 from lagcheck.cpn import make_rpn, make_whitney_cpn
 from lagcheck.immersions import (
     AMBIENT_CN,
@@ -633,6 +635,33 @@ class TestConfig:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             build_immersion({"family": "mystery"}, "identities")
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_parameter_of_the_wrong_kind_is_refused_by_name(self, data):
+        """Each parameter of a passing body, replaced by a value of the wrong
+        kind (None, a bool, text, a dict, an integer too large for a float,
+        a number for a list or a list for a number), is refused with a
+        message that names it, not a Python error about the value."""
+        family = data.draw(st.sampled_from(sorted(FAMILY_BODIES)))
+        body = FAMILY_BODIES[family][0]
+        params = FAMILIES[family](body).params
+        key = data.draw(st.sampled_from(sorted(params)))
+        number = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))
+        value = data.draw(
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.text(max_size=3),
+                st.dictionaries(st.text(max_size=2), number, max_size=2),
+                st.sampled_from([10**400, -(10**400)]),
+                number if np.ndim(params[key]) else st.lists(number, max_size=3),
+            )
+        )
+        assume(not (key == "A" and value is None))  # an A of null is no offset, as if absent
+        with pytest.raises((ConfigError, ConstructionError)) as refused:
+            build_immersion({"family": family, **body, key: value}, "identities")
+        assert f"{family}: {key} must be " in str(refused.value)
 
     def test_parse_errors(self, tmp_path):
         """Anything but one JSON object is refused: a stray line, an array, a number, a string."""
