@@ -50,7 +50,6 @@ from .identities import CHECKS, run_identity_suite
 from .immersions import (
     Draws,
     OutOfDomainError,
-    jsonable_params,
     make_lagrangian_plane,
     make_nonlagrangian_plane,
     make_perturbed_whitney,
@@ -118,11 +117,9 @@ def reals(value, what: str, entry: str) -> list[float]:
     return [real(x, entry) for x in value]
 
 
-def offset(value) -> np.ndarray | None:
-    """The `whitney_cn` offset A, None where absent: a list whose entries are
-    each a real number or an [re, im] pair of them."""
-    if value is None:
-        return None
+def offset(value) -> np.ndarray:
+    """The `whitney_cn` offset A: a list whose entries are each a real number
+    or an [re, im] pair of them."""
     if not isinstance(value, list):
         raise ConfigError(f"A must be a list, got {value!r}")
     for a in value:
@@ -134,7 +131,9 @@ def offset(value) -> np.ndarray | None:
 # Each family's body from the parameters of a config.
 FAMILIES = {
     "whitney_cn": lambda p: make_whitney_cn(
-        real(p.get("r", 1.0), "r"), offset(p.get("A")), integer(p.get("n", 2), "n")
+        real(p.get("r", 1.0), "r"),
+        **({"A": offset(p["A"])} if "A" in p else {}),  # no A is no offset
+        n=integer(p.get("n", 2), "n"),
     ),
     "product_torus": lambda p: make_product_torus(reals(p.get("radii"), "radii", "a torus radius")),
     "lagrangian_plane": lambda p: make_lagrangian_plane(integer(p.get("n", 2), "n")),
@@ -318,11 +317,11 @@ def _scan_target(imm, key) -> tuple[str, int | None]:
         raise ConfigError(f"scan_param {key!r} is not a parameter of {imm.name}: {sorted(imm.params)}")
     entry = imm.params[base]
     if not idx:
-        if np.ndim(entry):
+        if isinstance(entry, list):
             last = f"{base}.{len(entry) - 1}"
             raise ConfigError(f"scan_param {key!r} is a list: scan one of its entries, {base}.0 to {last}")
         return base, None
-    if np.ndim(entry) != 1 or not idx.isdigit() or int(idx) >= len(entry):
+    if not isinstance(entry, list) or not idx.isdigit() or int(idx) >= len(entry):
         raise ConfigError(f"scan_param {key!r}: {base!r} has no entry {idx!r}")
     return base, int(idx)
 
@@ -346,7 +345,7 @@ def cmd_scan(args) -> int:
     degree = integer(cfg.get("degree", 30), "'degree'", 1, MAX_DEGREE)
     out, _ = output(args, ("csv",))
     body = compact_immersion(cfg, "scan", degree)
-    target, params = _scan_target(body, key), jsonable_params(body.params)
+    target, params = _scan_target(body, key), body.params
     bodies = []  # every body is built and checked before any rule
     for v in values:
         sub = dict(cfg)

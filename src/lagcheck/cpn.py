@@ -139,7 +139,7 @@ def make_cpn_torus(moduli) -> Immersion:
     return Immersion(
         name="cpn_torus",
         ambient=AMBIENT_SPHERE,
-        params={"moduli": moduli, "n": n},
+        params={"moduli": moduli.tolist(), "n": n},
         atlas=TorusAtlas(n),
         jet_fn=jet_fn,
     )

@@ -101,13 +101,11 @@ class FrameBundle:
     derivative at the points, and hess_h uses the order-1 part of h_{,k}.
     """
 
-    def __init__(self, phi: Jet, n: int, c_amb: float, gauge: np.ndarray | None = None):
+    def __init__(self, phi: Jet, c_amb: float):
         self.phi = phi
-        self.n = n
+        self.n = phi.space.nvars
         self.c_amb = float(c_amb)
         self.batch = phi.c.shape[-1]
-        self.gauge = np.eye(n) if gauge is None else np.asarray(gauge, dtype=float)
-        self._identity_gauge = gauge is None
         self._cache: dict = {}
         self._build_frame()
 
@@ -115,7 +113,7 @@ class FrameBundle:
 
     def _build_frame(self):
         """Point values only: g, the orthonormal frame e_i = B_ia f_a with
-        B = gauge . L^{-1} for the Cholesky factor g = L L^T, J e and the
+        B = L^{-1} for the Cholesky factor g = L L^T, J e and the
         Lagrangian residual.  The coordinate frame f_a = d_a phi at the
         points is read off the degree-1 rows of phi; frame jets, and the jet
         of f itself, are built on demand.
@@ -127,7 +125,7 @@ class FrameBundle:
         broke down."""
         f0 = self.phi.c[:, self.phi.space.first_rows, :]  # (2m, n, B) = d_a phi^c
         self.g0 = np.einsum("cax,cbx->abx", f0, f0)  # (n, n, B)
-        L0, self._L_inv0 = _cholesky_inverse(self.g0)
+        L0, self.B0 = _cholesky_inverse(self.g0)
         diag = np.diagonal(L0)  # (B, n)
         with np.errstate(over="ignore", invalid="ignore"):
             self.sqrt_det_g = np.prod(diag, axis=1)  # inf where det g overflows
@@ -147,9 +145,6 @@ class FrameBundle:
                 what = f"degenerate: lambda_min/lambda_max = {ratio[b]:.3e} below {METRIC_COND_TOL:.0e}"
                 what = what if finite[b] else "not finite"
                 raise at_point(DegenerateMetricError(f"induced metric {what}"), int(suspect[b]))
-        self.B0 = (
-            self._L_inv0 if self._identity_gauge else np.einsum("ik,kax->iax", self.gauge, self._L_inv0)
-        )
         self.e0 = np.einsum("iax,cax->icx", self.B0, f0)
         del f0
         lag = np.max(np.abs(np.einsum("icb,jcb->ijb", self.e0, self.Je0)), axis=(0, 1))
@@ -177,10 +172,6 @@ class FrameBundle:
 
     # -- frame jets, built on demand ---------------------------------------
 
-    def _value_jet(self, value: np.ndarray) -> Jet:
-        """A point value (*shape, B) as an order-0 jet."""
-        return Jet(self.phi.space, value[..., None, :], 0)
-
     @cached
     def f(self) -> Jet:
         """Coordinate frame f[c, a] = d_a phi^c, valid to order - 1."""
@@ -194,15 +185,15 @@ class FrameBundle:
 
     @cached
     def B(self) -> Jet:
-        """B = gauge . L^{-1} as a jet of the order of g, lifted from its
-        value by Newton steps C <- C - P(R) C on the lower-triangular
-        C = L^{-1}, where R = C g C^T - I and P keeps the strict lower
-        triangle plus half the diagonal.  A step doubles the valid degree
-        d -> 2d + 1, so order 1 takes one step and orders 2 and 3 two."""
+        """B = L^{-1} as a jet of the order of g, lifted from its value by
+        Newton steps C <- C - P(R) C on the lower-triangular C, where
+        R = C g C^T - I and P keeps the strict lower triangle plus half the
+        diagonal.  A step doubles the valid degree d -> 2d + 1, so order 1
+        takes one step and orders 2 and 3 two."""
         g = self.g_jets
         sp, n = g.space, self.n
         lower = np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
-        C = self._value_jet(self._L_inv0)
+        C = Jet(sp, self.B0[:, :, None], 0)
         while C.order < g.order:
             order = min(2 * C.order + 1, g.order)
             c = np.zeros((n, n, sp.ncoef_by_degree[order], self.batch))
@@ -211,7 +202,7 @@ class FrameBundle:
             R = jet_einsum("ib,jb->ij", jet_einsum("ia,ab->ib", C, g), C)
             R.c[..., 0, :] = 0.0
             C = C - jet_einsum("ij,ja->ia", Jet(sp, R.c * lower[..., None, None], order), C)
-        return C if self._identity_gauge else jet_einsum("ik,ka->ia", self.gauge, C)
+        return C
 
     @cached
     def e(self) -> Jet:
@@ -373,7 +364,7 @@ class FrameBundle:
         [d, a, b], to order 1: its readers take one derivative at the points."""
         dg = self.g_jets.grad().truncated(1)  # [a, b, c] = d_c g_ab
         low = (dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1)).scaled(0.5)
-        B = self._value_jet(self.B0) if low.order == 0 else self.B.truncated(1)
+        B = self.B.truncated(1)
         return jet_einsum("de,eab->dab", jet_einsum("ia,ib->ab", B, B), low)
 
     @property
@@ -508,16 +499,6 @@ def _maslov_defect(gH: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _ambient_jets(imm: Immersion, charts, coords: np.ndarray, order: int) -> tuple[Jet, float]:
-    """Dispatch flat ambient vs homogeneous-sphere lift at (B, n) chart
-    coords; returns the (2m,) ambient jet and c_amb."""
-    if imm.ambient == AMBIENT_CN:
-        return imm.jets(charts, coords, order), 0.0
-    from .cpn import horizontal_lift_jets
-
-    return horizontal_lift_jets(imm, charts, coords, order), 1.0
-
-
 def chart_batch(imm: Immersion, charts, coords) -> tuple[np.ndarray, np.ndarray]:
     """The (N,) chart ids and (N, n) coords of a batch of points, each moved
     to its well-conditioned chart (`imm.atlas.normalize`).  A batch of
@@ -536,27 +517,32 @@ def chart_batch(imm: Immersion, charts, coords) -> tuple[np.ndarray, np.ndarray]
     return moved
 
 
-def bundle_at(imm: Immersion, charts, coords: np.ndarray, order: int, frame_gauge=None) -> FrameBundle:
+def bundle_at(imm: Immersion, charts, coords: np.ndarray, order: int) -> FrameBundle:
     """FrameBundle at a batch of points given as (B, nvars) coords, each in
     its chart from `charts`: one chart id for every point, or a (B,) array
-    with each point's own, so one bundle may span several charts.  No chart
+    with each point's own, so one bundle may span several charts.  The
+    ambient jet is the immersion's own in C^n and its horizontal lift to
+    S^{2n+1} in CP^n, whose curvature constant is 1.  No chart
     normalization.  A point the geometry fails at is named by its own chart
     and its coordinates in the error, whose `index` is its row."""
     coords = np.asarray(coords, dtype=float)
     try:
-        phi, c_amb = _ambient_jets(imm, charts, coords, order)
-        return FrameBundle(phi, imm.source_dim, c_amb, gauge=frame_gauge)
+        if imm.ambient == AMBIENT_CN:
+            return FrameBundle(imm.jets(charts, coords, order), 0.0)
+        from .cpn import horizontal_lift_jets
+
+        return FrameBundle(horizontal_lift_jets(imm, charts, coords, order), 1.0)
     except (NonLagrangianError, DegenerateMetricError) as exc:
         chart = int(np.broadcast_to(charts, len(coords))[exc.index])
         where = f"chart {chart}, coords {coords[exc.index].tolist()}"
         raise named_point(exc, where, exc.index) from exc
 
 
-def geometry_state(imm: Immersion, chart: int, coords, order: int = 3, frame_gauge=None) -> FrameBundle:
+def geometry_state(imm: Immersion, chart: int, coords, order: int = 3) -> FrameBundle:
     """FrameBundle at one chart point, a batch of one, after moving the point
     to its well-conditioned chart (`chart_batch`)."""
     charts, coords = chart_batch(imm, [chart], [coords])
-    return bundle_at(imm, charts, coords, order, frame_gauge)
+    return bundle_at(imm, charts, coords, order)
 
 
 def closedness_residual(imm: Immersion, chart: int, coords) -> float:
@@ -598,12 +584,13 @@ SAMPLE_CHUNK = {2: 1016, 3: 256, 4: 128}
 
 
 def scalar_samples(imm: Immersion, charts, coords, integrand: Callable, order: int = 2) -> dict[str, np.ndarray]:
-    """The only node loop: `integrand(fb, charts, coords)` on the order-`order`
-    bundle of each chunk of at most `SAMPLE_CHUNK[order]` of the (N, nvars)
-    chart coords, taken in order (a one-point tail joins the chunk before it),
-    each point in its chart from `charts` (one id, or an (N,) array that may mix
-    charts).  The integrand's named (B,) arrays are gathered into one (N,) array
-    per name.  A geometry error's `index` is its point's place among all N."""
+    """The only node loop: `integrand(fb)` on the order-`order` bundle of
+    each chunk of at most `SAMPLE_CHUNK[order]` of the (N, nvars) chart
+    coords, taken in order (a one-point tail joins the chunk before it), each
+    point in its chart from `charts` (one id, or an (N,) array that may mix
+    charts).  The integrand's named (B,) arrays are gathered into one (N,)
+    array per name.  A geometry error's `index` is its point's place among
+    all N."""
     coords = np.asarray(coords, dtype=float)
     charts = np.broadcast_to(charts, len(coords))
     starts = list(range(0, len(coords), SAMPLE_CHUNK[order]))
@@ -616,7 +603,7 @@ def scalar_samples(imm: Immersion, charts, coords, integrand: Callable, order: i
             fb = bundle_at(imm, charts[chunk], coords[chunk], order)
         except (NonLagrangianError, DegenerateMetricError) as exc:
             raise at_point(exc, exc.index + lo)
-        values = integrand(fb, charts[chunk], coords[chunk])
+        values = integrand(fb)
         del fb  # one live bundle: this chunk's is freed before the next is built
         for name, value in values.items():
             out.setdefault(name, np.empty(len(coords)))[chunk] = value

@@ -38,7 +38,7 @@ from .geometry import (
     named_point,
     scalar_samples,
 )
-from .immersions import Immersion, OutOfDomainError, jsonable_params
+from .immersions import Immersion, OutOfDomainError
 from .tensors import spectral_summary, symmetry_residual
 
 # Sign convention for the commutator term of the Simons identity: the square
@@ -253,7 +253,7 @@ def _sides(fb: FrameBundle):
         yield from check_simons_inequality(fb, terms).items()
 
 
-def _residuals(fb: FrameBundle, *_) -> dict[str, np.ndarray]:
+def _residuals(fb: FrameBundle) -> dict[str, np.ndarray]:
     """Every check whose order the bundle reaches, on every point, as (B,)
     residuals."""
     out = {}
@@ -310,7 +310,7 @@ def run_identity_suite(
         "schema": 1,
         "kind": "identities",
         "immersion": imm.name,
-        "params": jsonable_params(imm.params),
+        "params": imm.params,
         "seed": seed,
         "sample_points": [{"chart_id": int(c), "coords": u.tolist()} for c, u in zip(charts, coords)],
         "checks": checks,

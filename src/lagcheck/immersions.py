@@ -12,10 +12,11 @@ data up to order 4 is exact; on the sphere it is a polynomial in u and
 are stored as interleaved reals (Re z_1, Im z_1, ...) in one buffer, an
 (m, 2) array of pairs read as (2m,) or `interleave`'s scatter, and the complex
 structure acts per pair as (a, b) -> (-b, a): `times_i` applies it as a signed
-permutation of the components, to arrays and jets alike, so no jet or frame
-is multiplied by the matrix `symplectic_j_matrix`.  Every random draw of the
-package, the CLI's sample points and `perturbed_whitney`'s quadratic form,
-comes from `Draws`, Python's seeded `random.Random` stream.
+permutation of the components, to arrays and jets alike, so nothing is
+multiplied by a matrix of J.  A body records its `params` as the JSON values
+its report writes.  Every random draw of the package, the CLI's sample points
+and `perturbed_whitney`'s quadratic form, comes from `Draws`, Python's seeded
+`random.Random` stream.
 """
 
 from __future__ import annotations
@@ -186,23 +187,6 @@ class Immersion:
         return self.jet_fn(charts, u)
 
 
-def jsonable_params(params: dict) -> dict:
-    """An immersion's `params` as JSON values: arrays become lists, complex
-    entries [re, im] pairs and numpy scalars Python numbers."""
-    out = {}
-    for k, v in params.items():
-        if isinstance(v, np.ndarray):
-            if np.iscomplexobj(v):
-                out[k] = [[float(x.real), float(x.imag)] for x in v]
-            else:
-                out[k] = v.tolist()
-        elif isinstance(v, (np.integer, np.floating)):
-            out[k] = v.item()
-        else:
-            out[k] = v
-    return out
-
-
 def interleave(re: Jet, im: Jet | None = None) -> Jet:
     """The (2m,) jet (Re z_1, Im z_1, ...) of z = re + i im from two (m,)
     jets, scattered into one buffer; a missing `im` is zero.  The result is
@@ -249,7 +233,8 @@ def make_whitney_cn(r: float, A=None, n: int = 2) -> Immersion:
     if A.shape != (n,):
         raise ValueError(f"offset A must have length {n}")
     atlas = SphereAtlas(n)
-    offset = np.stack([A.real, A.imag], axis=1)[:, :, None]
+    pairs = np.stack([A.real, A.imag], axis=1)
+    offset = pairs[:, :, None]
 
     def jet_fn(charts, u):
         s = jet_einsum("a,a->", u, u)
@@ -267,7 +252,7 @@ def make_whitney_cn(r: float, A=None, n: int = 2) -> Immersion:
     return Immersion(
         name="whitney_cn",
         ambient=AMBIENT_CN,
-        params={"r": float(r), "A": A, "n": n},
+        params={"r": float(r), "A": pairs.tolist(), "n": n},
         atlas=atlas,
         jet_fn=jet_fn,
     )
@@ -296,7 +281,7 @@ def make_product_torus(radii) -> Immersion:
     return Immersion(
         name="product_torus",
         ambient=AMBIENT_CN,
-        params={"radii": radii, "n": n},
+        params={"radii": radii.tolist(), "n": n},
         atlas=TorusAtlas(n),
         jet_fn=jet_fn,
     )
@@ -361,25 +346,9 @@ def linear_image(base: Immersion, matrix: np.ndarray, offset=None, name=None) ->
     return replace(
         base,
         name=name or f"linear_image({base.name})",
-        params=dict(base.params, matrix=matrix, offset=offset),
+        params=dict(base.params, matrix=matrix.tolist(), offset=offset.tolist()),
         jet_fn=jet_fn,
     )
-
-
-def complex_to_real_matrix(U: np.ndarray) -> np.ndarray:
-    """Embed an m x m complex matrix as a 2m x 2m real matrix on interleaved coords."""
-    m = U.shape[0]
-    R = np.zeros((2 * m, 2 * m))
-    R[0::2, 0::2] = U.real
-    R[0::2, 1::2] = -U.imag
-    R[1::2, 0::2] = U.imag
-    R[1::2, 1::2] = U.real
-    return R
-
-
-def symplectic_j_matrix(m: int) -> np.ndarray:
-    """i as a 2m x 2m real matrix; `times_i` applies it without a product."""
-    return complex_to_real_matrix(1j * np.eye(m))
 
 
 def expm_series(A: np.ndarray) -> np.ndarray:
@@ -415,7 +384,7 @@ def make_perturbed_whitney(r: float, eps: float, mode: int, n: int = 2) -> Immer
     M = Draws(1000 * n + mode).normal(size=(2 * n, 2 * n))
     Q = 0.5 * (M + M.T)
     Q /= np.linalg.norm(Q, ord="fro")
-    flow = expm_series(eps * (symplectic_j_matrix(n) @ Q))
+    flow = expm_series(eps * times_i(Q))
     imm = linear_image(base, flow, name="perturbed_whitney")
     imm.params = {"r": float(r), "eps": float(eps), "mode": int(mode), "n": n}
     return imm

@@ -7,8 +7,8 @@ angle-to-chart Jacobian.  The chart is conformal with factor
 2 / (1 + |u|^2), so that Jacobian is the round-sphere angle density times
 ((1 + |u|^2) / 2)^n.
 
-Every integral is an integrand: a function `integrand(fb, charts, coords)`
-that returns named (B,) arrays on the order-2 bundle of a chunk of nodes.
+Every integral is an integrand: a function `integrand(fb)` that returns
+named (B,) arrays on the order-2 bundle of a chunk of nodes.
 `geometry.scalar_samples`, the node loop the identity suite shares, streams
 the nodes through it, and `integrals` is the one reduction: the weighted sum
 sum_k w_k * jacobian_k * sqrt_det_g_k * f(p_k) per name and the volume (f = 1),
@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import scalar_samples
-from .immersions import Immersion, SphereAtlas, jsonable_params
+from .immersions import Immersion, SphereAtlas
 
 
 @dataclass(frozen=True)
@@ -172,16 +172,16 @@ def _check_rule(imm: Immersion, rule: QuadratureRule):
 
 
 def integrals(imm: Immersion, rule: QuadratureRule, integrand: Callable) -> dict[str, float]:
-    """The volume and the integral of each named array of `integrand(fb,
-    charts, coords)` (`geometry.scalar_samples`) against the induced measure.  Each is
-    one np.sum over the rule's node order, so results are run-to-run stable
+    """The volume and the integral of each named array of `integrand(fb)`
+    (`geometry.scalar_samples`) against the induced measure.  Each is one
+    np.sum over the rule's node order, so results are run-to-run stable
     and do not depend on the chunk size; an overflow gives a non-finite
     integral, for the caller to refuse, and no warning."""
     _check_rule(imm, rule)
 
-    def with_density(fb, charts, coords):
+    def with_density(fb):
         # the density goes under None, a key no integrand name can take
-        return {None: fb.sqrt_det_g, **integrand(fb, charts, coords)}
+        return {None: fb.sqrt_det_g, **integrand(fb)}
 
     vals = scalar_samples(imm, rule.charts, rule.coords, with_density)
     base = rule.weights * rule.chart_jacobians * vals.pop(None)
@@ -189,7 +189,7 @@ def integrals(imm: Immersion, rule: QuadratureRule, integrand: Callable) -> dict
         return {"volume": float(np.sum(base)), **{name: float(np.sum(base * v)) for name, v in vals.items()}}
 
 
-def _energy_integrand(fb, charts, coords) -> dict[str, np.ndarray]:
+def _energy_integrand(fb) -> dict[str, np.ndarray]:
     return {
         "int_hhat_n": fb.hhat_sq ** (fb.n / 2.0),
         "int_hhat_sq": fb.hhat_sq,
@@ -214,7 +214,7 @@ def energy_report(imm: Immersion, rule: QuadratureRule) -> dict:
         "schema": 1,
         "kind": "energy",
         "immersion": imm.name,
-        "params": jsonable_params(imm.params),
+        "params": imm.params,
         "rule": {"n": imm.source_dim, "degree": rule.degree, "node_count": rule.node_count},
         "entries": entries,
     }

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lagcheck.immersions import symplectic_j_matrix
 from lagcheck.jets import jet_einsum
+from reference import symplectic_j_matrix
 
 
 @pytest.fixture

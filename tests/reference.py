@@ -4,11 +4,13 @@ test of a cubic array, the full-order frame bundle, the algebraic lemmas of
 the Simons-type estimate (the contraction identities, the Li-Li matrix
 bound, the curvature closed forms, the unmerged terms of the Laplace
 contraction and the algebraic Simons bound), the
-three-slot eigenframe rotation of the spectral summary, random tensors, two
-other routes to an immersion's jets (the finite-difference black box and the
-Moebius form of the Whitney sphere), the perturbed Whitney sphere with its
-quadratic form drawn by numpy, and helpers that invert or read what the
-engine builds, such as the balance of the two sides of a check.  No command
+three-slot eigenframe rotation of the spectral summary, random tensors, the
+real matrices of complex maps, a body in a rotated chart (a change of frame
+through the public path), two other routes to an immersion's jets (the
+finite-difference black box and the Moebius form of the Whitney sphere), the
+perturbed Whitney sphere with its quadratic form drawn by numpy, and helpers
+that invert or read what the engine builds, such as the balance of the two
+sides of a check.  No command
 of the engine calls any of it; the tests check the engine against it, so it
 stays independent of the code it checks.
 """
@@ -30,7 +32,6 @@ from lagcheck.immersions import (
     interleave,
     linear_image,
     make_whitney_cn,
-    symplectic_j_matrix,
     times_i,
 )
 from lagcheck.jets import Jet, jet_einsum
@@ -119,8 +120,7 @@ class FullOrderBundle(FrameBundle):
     def christoffel_jets(self) -> Jet:
         dg = self.g_jets.grad()
         low = (dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1)).scaled(0.5)
-        B = self._value_jet(self.B0) if low.order == 0 else self.B
-        return jet_einsum("de,eab->dab", jet_einsum("ia,ib->ab", B, B), low)
+        return jet_einsum("de,eab->dab", jet_einsum("ia,ib->ab", self.B, self.B), low)
 
     @cached
     def maslov_chart_jets(self) -> Jet:
@@ -456,6 +456,22 @@ def random_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
     return Q * (np.diagonal(R) / np.abs(np.diagonal(R))).conj()
 
 
+def complex_to_real_matrix(U: np.ndarray) -> np.ndarray:
+    """Embed an m x m complex matrix as a 2m x 2m real matrix on interleaved coords."""
+    m = U.shape[0]
+    R = np.zeros((2 * m, 2 * m))
+    R[0::2, 0::2] = U.real
+    R[0::2, 1::2] = -U.imag
+    R[1::2, 0::2] = U.imag
+    R[1::2, 1::2] = U.real
+    return R
+
+
+def symplectic_j_matrix(m: int) -> np.ndarray:
+    """i as a 2m x 2m real matrix; `times_i` applies it without a product."""
+    return complex_to_real_matrix(1j * np.eye(m))
+
+
 def sphere_volume(n: int) -> float:
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
@@ -492,13 +508,39 @@ def phase_twist(base: Immersion, coeffs) -> Immersion:
         sin, cos = chi.sin_cos()
         return Z * cos + times_i(Z) * sin
 
-    return replace(base, name=f"phase_twist({base.name})", params=dict(base.params, twist=coeffs), jet_fn=jet_fn)
+    return replace(base, name=f"phase_twist({base.name})", params=dict(base.params, twist=coeffs.tolist()), jet_fn=jet_fn)
 
 
 # ---------------------------------------------------------------------------
-# Immersions built another way: finite differences, the Moebius form and the
-# numpy-drawn perturbed Whitney sphere
+# Immersions built another way: a rotated chart, finite differences, the
+# Moebius form and the numpy-drawn perturbed Whitney sphere
 # ---------------------------------------------------------------------------
+
+
+def rotated_chart(base: Immersion, rot: np.ndarray) -> Immersion:
+    """`base` in the chart v -> rot v of each of its charts, for an
+    orthogonal `rot`: at (chart, rot^T u) it is the point of `base` at
+    (chart, u), with the coordinate frame, and so the Cholesky frame, of
+    other coordinates.  A rotation keeps |u| and commutes with the sphere's
+    change of chart u -> u / |u|^2, so both bodies move a point to the same
+    chart."""
+    rot = np.asarray(rot, dtype=float)
+
+    def jet_fn(charts, v):
+        return base.jet_fn(charts, jet_einsum("ab,b->a", rot, v))
+
+    return replace(base, name=f"rotated_chart({base.name})", jet_fn=jet_fn)
+
+
+def assert_frame_moved(fb: FrameBundle, moved: FrameBundle, least: float = 0.1):
+    """Check that two bundles, such as a body's and its `rotated_chart`'s,
+    sit at the same ambient points and that at each the frame e of `moved`
+    differs from that of `fb` by more than `least`, far above round-off: a
+    change of chart that left the frame as it was would leave a
+    frame-invariance test with nothing to test."""
+    assert np.max(np.abs(moved.phi.value - fb.phi.value)) < 1e-12
+    change = np.max(np.abs(moved.e0 - fb.e0), axis=(0, 1))
+    assert np.all(change > least), change
 
 
 def make_black_box(fn, n: int, atlas=None, name="black_box") -> Immersion:
@@ -560,7 +602,7 @@ def whitney_cn_mobius(r: float, A: np.ndarray, n: int) -> Immersion:
         re, im = s.compose_series([c.real for c in coefs], [c.imag for c in coefs])
         return interleave((u * re).scaled(r), (u * im).scaled(r)) + offset
 
-    return Immersion(name="whitney_cn_mobius", ambient=AMBIENT_CN, params={"r": r, "A": A, "n": n},
+    return Immersion(name="whitney_cn_mobius", ambient=AMBIENT_CN, params={"r": r, "A": offset.reshape(n, 2).tolist(), "n": n},
                      atlas=atlas, jet_fn=jet_fn)
 
 

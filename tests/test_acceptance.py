@@ -25,12 +25,14 @@ from lagcheck.immersions import (
 from lagcheck.quadrature import energy_report, sphere_rule, torus_rule
 from reference import (
     algebraic_simons_bound,
+    assert_frame_moved,
     balance,
     contraction_identity_suite,
     li_li_batch_margin,
     norm_identity_residual,
     random_cubic,
     random_tracefree,
+    rotated_chart,
 )
 
 
@@ -291,7 +293,8 @@ def test_criterion_10_gauge_and_chart_robustness():
         for order, names in SCALARS_BY_ORDER.items():
             fb0 = bundle_at(imm, 0, u[None], order)
             fb1 = bundle_at(imm, 1, (u / np.dot(u, u))[None], order)
-            fbq = bundle_at(imm, 0, u[None], order, frame_gauge=Q)
+            fbq = bundle_at(rotated_chart(imm, Q), 0, (Q.T @ u)[None], order)  # another frame
+            assert_frame_moved(fb0, fbq)
             for name in names:
                 v0 = float(_scalar(fb0, name)[0])
                 if name != "sqrt_det_g":  # a chart density, not a scalar

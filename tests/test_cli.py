@@ -566,12 +566,14 @@ def test_huge_integer_parameters_name_the_parameter(tmp_path, capsys, command, p
         ({"family": "cpn_torus", "degree": 4}, "moduli must be a list, got None"),
         ({"family": "whitney_cn", "A": 3, "n": 2, "degree": 4}, "A must be a list, got 3"),
         ({"family": "whitney_cn", "A": True, "n": 2, "degree": 4}, "A must be a list, got True"),
+        ({"family": "whitney_cn", "A": None, "n": 2, "degree": 4}, "A must be a list, got None"),
     ],
-    ids=["radii-missing", "radii-text", "moduli-number", "moduli-missing", "A-number", "A-bool"],
+    ids=["radii-missing", "radii-text", "moduli-number", "moduli-missing", "A-number", "A-bool", "A-null"],
 )
 def test_a_list_parameter_that_is_not_a_list_is_named(tmp_path, capsys, payload, message):
     """A `radii` or `moduli` that is missing or not a list, or an `A` that is
-    not a list, is refused with exit 3 and one line that names it."""
+    not a list, null included (an absent `A` is no offset), is refused with
+    exit 3 and one line that names it."""
     out = tmp_path / "out.json"
     assert main(["energy", "--config", write_cfg(tmp_path, "bad.json", payload), "--out", str(out)]) == 3
     captured = capsys.readouterr()

@@ -285,8 +285,8 @@ class TestOrderTwoLift:
         coords = np.random.default_rng(40 + chart).uniform(-1.2, 1.2, size=(12, imm.source_dim))
         new = bundle_at(imm, chart, coords, 2)
         lift = horizontal_lift_jets(imm, chart, coords, 3)
-        old = FrameBundle(lift.truncated(2), imm.source_dim, 1.0)
-        full = FrameBundle(lift, imm.source_dim, 1.0)  # its h_jets: h through jets, not rows
+        old = FrameBundle(lift.truncated(2), 1.0)
+        full = FrameBundle(lift, 1.0)  # its h_jets: h through jets, not rows
 
         def rel(a, b, scale):
             return np.max(np.abs(a - b)) / scale

@@ -10,7 +10,6 @@ from lagcheck.geometry import (
     DegenerateMetricError,
     FrameBundle,
     NonLagrangianError,
-    _ambient_jets,
     _cholesky_inverse,
     _trace,
     bundle_at,
@@ -21,8 +20,8 @@ from lagcheck.geometry import (
     scalar_laplacian,
 )
 from lagcheck.jets import Jet, jet_einsum, jet_space
+from lagcheck.identities import FORMS, check_structural, residual
 from lagcheck.immersions import (
-    complex_to_real_matrix,
     linear_image,
     make_lagrangian_plane,
     make_nonlagrangian_plane,
@@ -30,7 +29,17 @@ from lagcheck.immersions import (
     make_product_torus,
     make_whitney_cn,
 )
-from reference import FullOrderBundle, embed, make_black_box, numpy_perturbed_whitney, phase_twist, random_unitary
+from reference import (
+    FullOrderBundle,
+    assert_frame_moved,
+    complex_to_real_matrix,
+    embed,
+    make_black_box,
+    numpy_perturbed_whitney,
+    phase_twist,
+    random_unitary,
+    rotated_chart,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -141,13 +150,16 @@ class TestFrameAndGauge:
         assert np.max(np.abs(e @ Je.T)) < 1e-10
 
     def test_gauge_invariance_of_scalars(self):
+        """The scalars at a point in a rotated chart, whose frame is another,
+        are those at the point."""
         imm = make_perturbed_whitney(1.0, 0.05, 1, 2)
-        p = (0, np.array([0.4, -0.3]))
-        s0 = geometry_state(imm, *p)
+        chart, u = 0, np.array([0.4, -0.3])
+        s0 = geometry_state(imm, chart, u)
         rng = np.random.default_rng(77)
         for _ in range(3):
             Q = random_orthogonal(2, rng)
-            s1 = geometry_state(imm, *p, frame_gauge=Q)
+            s1 = geometry_state(rotated_chart(imm, Q), chart, Q.T @ u)
+            assert_frame_moved(s0, s1)
             for name in ("hhat_sq", "h_sq", "H_sq"):
                 assert sq(s1, name) == pytest.approx(sq(s0, name), abs=1e-12)
             assert float(np.sum(sym_T(s1) ** 2)) == pytest.approx(float(np.sum(sym_T(s0) ** 2)), abs=1e-12)
@@ -359,6 +371,36 @@ def test_bundle_values_pinned(body):
         assert abs(got[name] - want) <= 1e-12 * max(abs(want), h_sq**weight), name
 
 
+ROTATED_CHART_BODIES = {
+    "perturbed_whitney-2": lambda: make_perturbed_whitney(1.0, 0.05, 1, 2),
+    "perturbed_whitney-3": lambda: make_perturbed_whitney(0.7, 0.08, 2, 3),
+    "whitney_cn-offset": lambda: make_whitney_cn(1.0, np.array([0.3 + 0.4j, -0.2, 0.1j]), 3),
+    "whitney_cpn": lambda: make_whitney_cpn(0.7, 3),
+    "cpn_torus": lambda: make_cpn_torus([1.0, 0.7, 1.2, 0.9]),
+}
+
+
+@pytest.mark.parametrize("body", sorted(ROTATED_CHART_BODIES))
+def test_rotated_chart_is_a_change_of_frame(body):
+    """`reference.rotated_chart`, the change of frame of the invariance
+    tests, is a real one: at 12 points and under 3 rotations the frame moves
+    by far more than round-off (`assert_frame_moved`), while the scalars and
+    every structural residual stay within the bounds of those tests."""
+    imm = ROTATED_CHART_BODIES[body]()
+    rng = np.random.default_rng(19)
+    charts, coords = chart_batch(imm, *imm.atlas.random(rng, 12))
+    fb = bundle_at(imm, charts, coords, 3)
+    want = {name: residual(FORMS[name], *sides) for name, sides in check_structural(fb).items()}
+    for _ in range(3):
+        Q = random_orthogonal(imm.source_dim, rng)
+        moved = bundle_at(rotated_chart(imm, Q), charts, coords @ Q, 3)
+        assert_frame_moved(fb, moved)
+        for name, bound in (("hhat_sq", 1e-12), ("h_sq", 1e-12), ("H_sq", 1e-12), ("grad_hhat_sq", 1e-11)):
+            assert np.max(np.abs(getattr(moved, name) - getattr(fb, name))) < bound, name
+        for name, sides in check_structural(moved).items():
+            assert np.max(np.abs(residual(FORMS[name], *sides) - want[name])) < 1e-9, name
+
+
 ENERGY_BODIES = {
     "whitney_cn": lambda: make_whitney_cn(1.0, np.array([0.3 + 0.4j, -0.2, 0.1j]), 3),
     "product_torus": lambda: make_product_torus([1.0, 1.5, 2.0]),
@@ -372,11 +414,11 @@ def test_energy_scalars_take_no_jet_products(monkeypatch, body):
     frame multiplies no jets."""
     imm = ENERGY_BODIES[body]()
     coords = np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6], [-0.5, 0.2, 0.1]])
-    phi, c_amb = _ambient_jets(imm, 0, coords, 2)
+    ambient = bundle_at(imm, 0, coords, 2)  # the family and the CP^n lift multiply jets
     calls = []
     product = jets._truncated_product
     monkeypatch.setattr(jets, "_truncated_product", lambda *args: calls.append(1) or product(*args))
-    fb = FrameBundle(phi, 3, c_amb)
+    fb = FrameBundle(ambient.phi, ambient.c_amb)
     assert fb.sqrt_det_g.shape == (3,)
     for name in ("h_sq", "hhat_sq", "H_sq"):
         assert getattr(fb, name).shape == (3,)
@@ -420,15 +462,13 @@ JET_ORDERS = {
 }
 
 REDUCED_ORDER_BODIES = {
-    "perturbed_whitney": (lambda: make_perturbed_whitney(1.0, 0.05, 1, 3), None),
-    "perturbed_whitney-gauge": (
-        lambda: make_perturbed_whitney(0.7, 0.08, 2, 3), random_orthogonal(3, np.random.default_rng(5))
+    "perturbed_whitney": lambda: make_perturbed_whitney(1.0, 0.05, 1, 3),
+    "perturbed_whitney-rotated_chart": lambda: rotated_chart(
+        make_perturbed_whitney(0.7, 0.08, 2, 3), random_orthogonal(3, np.random.default_rng(5))
     ),
-    "whitney_cn-offset": (
-        lambda: make_whitney_cn(0.3, np.array([0.05 - 0.08j, 0.1 + 0.02j, -0.06 + 0.09j]), 3), None
-    ),
-    "whitney_cpn": (lambda: make_whitney_cpn(0.7, 3), None),
-    "cpn_torus": (lambda: make_cpn_torus([1.0, 0.7, 1.2, 0.9]), None),
+    "whitney_cn-offset": lambda: make_whitney_cn(0.3, np.array([0.05 - 0.08j, 0.1 + 0.02j, -0.06 + 0.09j]), 3),
+    "whitney_cpn": lambda: make_whitney_cpn(0.7, 3),
+    "cpn_torus": lambda: make_cpn_torus([1.0, 0.7, 1.2, 0.9]),
 }
 
 
@@ -438,10 +478,9 @@ class TestReducedOrderJets:
 
     @staticmethod
     def bundles(name, order):
-        make, gauge = REDUCED_ORDER_BODIES[name]
-        imm = make()
-        fb = bundle_at(imm, *chart_batch(imm, *imm.atlas.random(np.random.default_rng(11), 12)), order, gauge)
-        return fb, FullOrderBundle(fb.phi, fb.n, fb.c_amb, gauge)
+        imm = REDUCED_ORDER_BODIES[name]()
+        fb = bundle_at(imm, *chart_batch(imm, *imm.atlas.random(np.random.default_rng(11), 12)), order)
+        return fb, FullOrderBundle(fb.phi, fb.c_amb)
 
     @pytest.mark.parametrize("order", [3, 4, 5])
     def test_every_jet_has_its_pinned_order(self, order):
@@ -506,10 +545,10 @@ class TestDegeneracyScreen:
         eig = np.linalg.eigvalsh(g[1])
         assert np.prod(eig) / np.trace(g[1]) ** 3 < 1e-12 <= eig[0] / eig[-1]
         with pytest.raises(DegenerateMetricError) as info:
-            FrameBundle(linear_real_jet(M), 3, 0.0)
+            FrameBundle(linear_real_jet(M), 0.0)
         assert info.value.index == 2
         assert str(info.value) == "induced metric degenerate: lambda_min/lambda_max = 3.553e-15 below 1e-12"
-        assert FrameBundle(linear_real_jet(M[:2]), 3, 0.0).batch == 2
+        assert FrameBundle(linear_real_jet(M[:2]), 0.0).batch == 2
 
     def test_factorization_breakdown_is_screened(self):
         """A point whose Cholesky factor is NaN (a coordinate direction the
@@ -524,7 +563,7 @@ class TestDegeneracyScreen:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateMetricError) as info:
-                FrameBundle(linear_real_jet(M), 3, 0.0)
+                FrameBundle(linear_real_jet(M), 0.0)
         assert info.value.index == 2
         assert str(info.value) == "induced metric degenerate: lambda_min/lambda_max = 0.000e+00 below 1e-12"
 
@@ -545,7 +584,7 @@ def test_batched_factorization_matches_lapack(n):
         got = np.moveaxis(got, -1, 0)
         scale = np.max(np.abs(ref), axis=(1, 2))
         assert np.all(np.max(np.abs(got - ref), axis=(1, 2)) <= 1e-13 * scale)
-    fb = FrameBundle(linear_real_jet(M), n, 0.0)
+    fb = FrameBundle(linear_real_jet(M), 0.0)
     np.testing.assert_allclose(fb.sqrt_det_g, np.sqrt(np.linalg.det(g)), rtol=1e-13)
     assert not np.any(fb.B0[np.triu_indices(n, 1)])
 

@@ -43,10 +43,12 @@ from lagcheck.jets import Jet
 from lagcheck.tensors import c_tensor_array
 from reference import (
     algebraic_simons_bound,
+    assert_frame_moved,
     balance,
     curvature_contraction_closed_forms,
     laplace_hhat_sides_unmerged,
     random_tracefree,
+    rotated_chart,
     stack,
 )
 
@@ -106,8 +108,8 @@ def at_one_point(residuals):
     return {k: float(v[0]) for k, v in residuals.items()}
 
 
-def structural(imm, chart, coords, **kwargs):
-    return at_one_point(reduced(check_structural(geometry_state(imm, chart, coords, 3, **kwargs))))
+def structural(imm, chart, coords):
+    return at_one_point(reduced(check_structural(geometry_state(imm, chart, coords, 3))))
 
 
 def gauss_ricci(imm, chart, coords):
@@ -590,11 +592,15 @@ class TestSuiteReports:
         assert json.loads(json.dumps(doc)) == doc
 
     def test_residuals_frame_gauge_invariant(self):
-        imm, p = BODIES["perturbed"]
+        """The residuals of the point in a rotated chart, whose frame is
+        another (`assert_frame_moved`), are those of the point."""
+        imm, (chart, u) = BODIES["perturbed"]
         rng = np.random.default_rng(7)
         Q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
-        r0 = structural(imm, *p)
-        r1 = structural(imm, *p, frame_gauge=Q)
+        rotated = rotated_chart(imm, Q)
+        assert_frame_moved(geometry_state(imm, chart, u, 3), geometry_state(rotated, chart, Q.T @ u, 3))
+        r0 = structural(imm, chart, u)
+        r1 = structural(rotated, chart, Q.T @ u)
         for k in r0:
             assert abs(r0[k] - r1[k]) < 1e-9
 

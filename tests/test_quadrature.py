@@ -9,7 +9,6 @@ import pytest
 
 from lagcheck.cpn import make_cpn_torus, make_rpn, make_whitney_cpn
 from lagcheck.immersions import (
-    complex_to_real_matrix,
     linear_image,
     make_lagrangian_plane,
     make_perturbed_whitney,
@@ -25,7 +24,7 @@ from lagcheck.quadrature import (
     sphere_rule,
     torus_rule,
 )
-from reference import random_unitary, sphere_volume, stack
+from reference import complex_to_real_matrix, random_unitary, sphere_volume, stack
 
 
 def sphere_angles(n: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +203,7 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-def area(fb, charts, coords):
+def area(fb):
     return {"area": np.ones(fb.batch)}
 
 
@@ -222,12 +221,14 @@ class TestIntegrate:
 
     def test_constant_hhat_sq_on_torus(self):
         torus = make_product_torus([1.0, 1.0])
-        val = integrals(torus, torus_rule(2, 12), lambda fb, charts, coords: {"f": fb.hhat_sq})
+        val = integrals(torus, torus_rule(2, 12), lambda fb: {"f": fb.hhat_sq})
         assert val["f"] == pytest.approx(2 * math.pi**2, abs=1e-10)
 
     def test_callable_field(self):
+        """Any function of the point integrates: sin^2 t_1 is the square of
+        the second ambient coordinate of the unit torus."""
         torus = make_product_torus([1.0, 1.0])
-        val = integrals(torus, torus_rule(2, 16), lambda fb, charts, coords: {"f": np.sin(coords[:, 0]) ** 2})
+        val = integrals(torus, torus_rule(2, 16), lambda fb: {"f": fb.phi.value[1] ** 2})
         assert val["f"] == pytest.approx(2 * math.pi**2, abs=1e-9)
 
     def test_names_are_integrated_together(self):
@@ -237,7 +238,7 @@ class TestIntegrate:
         wh = make_whitney_cn(1.0, np.array([0.3, 0.1j]), 2)
         rule = sphere_rule(2, 12)
 
-        def both(fb, charts, coords):
+        def both(fb):
             return {"area": np.ones(fb.batch), "h_sq": fb.h_sq}
 
         val = integrals(wh, rule, both)
@@ -329,7 +330,7 @@ class TestEnergyReport:
 
         def one_chunk():
             fb = geometry.bundle_at(imm, charts, coords, 2)
-            return fb.sqrt_det_g, quadrature._energy_integrand(fb, charts, coords)
+            return fb.sqrt_det_g, quadrature._energy_integrand(fb)
 
         assert math.ceil(rule.node_count / geometry.SAMPLE_CHUNK[2]) == 7
         assert traced_peak(lambda: energy_report(imm, rule)) <= 1.25 * traced_peak(one_chunk)
@@ -395,7 +396,7 @@ class TestChunkSize:
 
         def one_chunk():
             fb = geometry.bundle_at(imm, charts, coords, 2)
-            return fb.sqrt_det_g, quadrature._energy_integrand(fb, charts, coords)
+            return fb.sqrt_det_g, quadrature._energy_integrand(fb)
 
         assert geometry.SAMPLE_CHUNK[2] > 768
         assert traced_peak(one_chunk) <= self.PEAK_768[body]
