@@ -125,7 +125,10 @@ def make_cpn_torus(moduli) -> Immersion:
         raise ValueError("a CP^n torus needs n + 1 >= 3 moduli")
     if np.any(moduli <= 0):
         raise ValueError("torus moduli must be positive")
-    r = moduli / np.linalg.norm(moduli)
+    # a power-of-two prescale is exact and keeps the squares of the norm
+    # in range: the moduli are projective, and may be of any size
+    r = np.ldexp(moduli, -np.frexp(np.max(moduli))[1])
+    r /= np.linalg.norm(r)
     n = len(r) - 1
 
     def jet_fn(charts, u):
@@ -199,10 +202,14 @@ def horizontal_lift_jets(imm: Immersion, charts, coords: np.ndarray, order: int)
     """
     phi = imm.jets(charts, coords, order)
     sp, w = phi.space, phi.c
+    # rho e^{i theta} read off the value prescaled by 2^-e, an exact scaling
+    # that keeps |phi(0)|^2 in range whatever multiple the family emits
+    e = np.frexp(np.max(np.abs(phi.value), axis=0))[1]
+    value = np.ldexp(phi.value, -e)
+    scale = _pinning_phase(value) / np.sqrt(np.einsum("cx,cx->x", value, value)) * np.ldexp(1.0, -e)
     # rho e^{i theta} on every row, in place on the (re, im) pairs of the
     # family's own buffer (`Immersion`), so that no more than one temporary of
     # the size of phi is live
-    scale = _pinning_phase(phi.value) / np.sqrt(np.einsum("cx,cx->x", phi.value, phi.value))
     t = w[0::2] * scale.imag
     w[0::2] *= scale.real
     w[0::2] -= w[1::2] * scale.imag

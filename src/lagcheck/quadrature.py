@@ -183,9 +183,9 @@ def integrals(imm: Immersion, rule: QuadratureRule, integrand: Callable) -> dict
         # the density goes under None, a key no integrand name can take
         return {None: fb.sqrt_det_g, **integrand(fb)}
 
-    vals = scalar_samples(imm, rule.charts, rule.coords, with_density)
-    base = rule.weights * rule.chart_jacobians * vals.pop(None)
     with np.errstate(over="ignore", invalid="ignore"):
+        vals = scalar_samples(imm, rule.charts, rule.coords, with_density)
+        base = rule.weights * rule.chart_jacobians * vals.pop(None)
         return {"volume": float(np.sum(base)), **{name: float(np.sum(base * v)) for name, v in vals.items()}}
 
 

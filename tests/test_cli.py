@@ -196,6 +196,28 @@ class TestIdentitiesCommand:
         assert doc["kind"] == "identities"
         assert len(doc["sample_points"]) == 50
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"family": "whitney_cn", "r": 0.1, "n": 3, "A": [[0.05, -0.08], [0.1, 0.02], [-0.06, 0.09]]},
+            {"family": "perturbed_whitney", "r": 1.0, "eps": 0.05, "mode": 1, "n": 3},
+            {"family": "whitney_cpn", "theta": 0.7, "n": 3},
+            {"family": "rpn", "n": 3},
+            {"family": "cpn_torus", "moduli": [1.0, 0.7, 1.2, 0.9]},
+        ],
+        ids=["whitney_cn-small-offset", "perturbed_whitney", "whitney_cpn", "rpn", "cpn_torus"],
+    )
+    def test_bodies_pass_at_the_default_samples(self, tmp_path, body):
+        """Each body passes every check, heavy ones included, at the 20
+        samples the command draws by default, and the report lists each
+        sample's integer chart id and its n chart coordinates."""
+        out = tmp_path / "report.json"
+        assert main(["identities", "--config", write_cfg(tmp_path, "b.json", body), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["all_pass"] and len(doc["sample_points"]) == 20
+        for p in doc["sample_points"]:
+            assert type(p["chart_id"]) is int and p["chart_id"] in (0, 1) and len(p["coords"]) == 3, p
+
     def test_nonlagrangian_fails_with_diagnostic(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path, "bad.json", {"family": "nonlagrangian_plane", "n": 2, "samples": 2, "seed": 1}
@@ -366,13 +388,15 @@ class TestEnergyCommand:
 
     def test_run_only_flags_are_refused(self, tmp_path, capsys):
         """`seed` and `tol_scale` are set in the config only, by no command's flag."""
+        out = tmp_path / "out.json"
         for command, body in (("energy", {**TORUS, "degree": 4}), ("identities", {**TORUS, "samples": 2})):
             cfg = write_cfg(tmp_path, f"{command}.json", body)
             for flags in (["--seed", "3"], ["--tol-scale", "2"]):
                 with pytest.raises(SystemExit) as exc:
-                    main([command, "--config", cfg, *flags])
+                    main([command, "--config", cfg, *flags, "--out", str(out)])
                 assert exc.value.code == 2
                 assert "unrecognized arguments" in capsys.readouterr().err
+                assert not out.exists()
 
     def test_whitney_energy_deterministic(self, tmp_path):
         cfg = write_cfg(tmp_path, "w.json", {"family": "whitney_cn", "r": 1.0, "n": 2, "degree": 16})
@@ -395,12 +419,22 @@ class TestEnergyCommand:
             "energy entries are not finite: {'int_H_sq': inf, 'int_h_sq': inf, 'int_hhat_n': nan, "
             "'int_hhat_sq': inf, 'volume': inf}",
         ),
+        # hhat_sq ** (n / 2) overflows where |hhat|^2 is huge and the density underflows
+        ("energy", {"family": "whitney_cn", "r": 1e-120, "n": 3, "degree": 4}, "energy entries are not finite"),
+        ("energy", {"family": "perturbed_whitney", "r": 1e-120, "eps": 0.05, "mode": 1, "n": 3, "degree": 4},
+         "energy entries are not finite"),
+        ("energy", {"family": "product_torus", "radii": [1e-120] * 3, "degree": 4}, "energy entries are not finite"),
+        # the family's own jet and the CP^n lift overflow
+        ("energy", {"family": "whitney_cpn", "theta": 500, "n": 3, "degree": 4}, "induced metric not finite"),
     ],
-    ids=["energy-r-1e160", "energy-r-1e300", "identities-r-1e300", "energy-volume-overflow"],
+    ids=[
+        "energy-r-1e160", "energy-r-1e300", "identities-r-1e300", "energy-volume-overflow", "energy-whitney-1e-120",
+        "energy-perturbed-1e-120", "energy-torus-1e-120", "energy-whitney-cpn-theta-500",
+    ],
 )
 def test_overflowing_bodies_are_evaluation_errors(tmp_path, capsys, command, payload, message):
-    """A body whose metric or energies overflow stops with exit 4, writes
-    nothing and raises no floating-point warning."""
+    """A body whose metric or energies overflow or underflow stops with
+    exit 4, writes nothing and raises no floating-point warning."""
     cfg = write_cfg(tmp_path, "big.json", payload)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 4
@@ -433,11 +467,19 @@ WHITNEY3 = {"family": "whitney_cn", "n": 3}
             {**WHITNEY3, "r": 1e-20, "samples": 20, "seed": 7, "tol_scale": 2.2250738585072014e-298},
             "sample 1: tri_symmetry headroom is not finite",
         ),
+        # |phi(0)|^2 of the family's representative overflows ahead of the lift
+        *(
+            ("identities", {"family": "whitney_cpn", "theta": theta, "n": 3, "heavy": heavy},
+             "induced metric degenerate")
+            for theta in (180, 200, 300)
+            for heavy in (True, False)
+        ),
     ],
     ids=[
         "energy-perturbed-1e200", "identities-perturbed-1e200", "energy-whitney-1e200", "identities-whitney-1e200",
         "identities-whitney-1e-100", "identities-whitney-1e-160", "identities-whitney-1e-160-spectral",
         "identities-torus-1e-100", "identities-whitney-1e-20-tol-floor",
+        *(f"identities-whitney-cpn-theta-{theta}-{kind}" for theta in (180, 200, 300) for kind in ("heavy", "light")),
     ],
 )
 def test_bodies_past_float_range_exit_four_with_one_line(tmp_path, command, payload, message):
@@ -591,6 +633,28 @@ def test_well_formed_family_parameters_still_build(payload):
     assert imm.source_dim == 3 and isinstance(imm.params["n"], int)
 
 
+@pytest.mark.parametrize(
+    "lam, rel",
+    [(2.0**-1000, 0.0), (0.5, 0.0), (2.0**1000, 0.0), (1e-300, 1e-13), (1e-200, 1e-13), (1e200, 1e-13), (1e300, 1e-13)],
+    ids=["2^-1000", "2^-1", "2^1000", "1e-300", "1e-200", "1e200", "1e300"],
+)
+def test_cpn_torus_moduli_are_projective(tmp_path, lam, rel):
+    """The moduli of a CP^n torus are homogeneous coordinates: lam times them
+    is the same torus, with the energies of lam = 1 (to the bit where lam is
+    a power of two) and the moduli recorded as given."""
+
+    def report(moduli):
+        cfg = write_cfg(tmp_path, "t.json", {"family": "cpn_torus", "moduli": moduli, "degree": 6})
+        out = tmp_path / "t-report.json"
+        assert main(["energy", "--config", cfg, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    unit = report([1.0, 0.7, 1.2])["entries"]
+    doc = report([lam, lam * 0.7, lam * 1.2])
+    assert doc["params"]["moduli"] == [lam, lam * 0.7, lam * 1.2]
+    assert doc["entries"] == pytest.approx(unit, rel=rel, abs=0.0)
+
+
 class TestScanCommand:
     def test_whitney_radius_scan(self, tmp_path):
         cfg = write_cfg(
@@ -629,8 +693,10 @@ class TestScanCommand:
         )
         out = tmp_path / "scan.csv"
         assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
-        gap = scan_columns(out)["int_hhat_n"]
+        cols = scan_columns(out)
+        gap = cols["int_hhat_n"]
         assert gap[0] < 1e-12
+        assert cols["int_hhat_sq"][0] <= 1e-20 * cols["int_h_sq"][0]  # eps = 0 is the Whitney sphere
         assert all(g >= -1e-9 for g in gap)
 
     def test_torus_radius_scan_matches_closed_form(self, tmp_path):
@@ -808,20 +874,23 @@ OUT_DIR = ["--out", "."]
     ],
 )
 def test_invalid_run_parameters_are_refused(tmp_path, capsys, monkeypatch, command, payload, code, message):
-    """Each is refused before any work: no suite runs and no energy is
-    computed.  A payload is a config, run with `--out`, or a config and the
-    flags to run it with."""
+    """Each is refused before any work, with one stderr line and no report:
+    no suite runs and no energy is computed.  A payload is a config, run
+    with `--out`, or a config and the flags to run it with."""
 
     def no_work(*args, **kwargs):
         raise AssertionError("a refused run did work")
 
     monkeypatch.setattr(cli, "energy_report", no_work)
     monkeypatch.setattr(cli, "run_identity_suite", no_work)
-    payload, flags = payload if isinstance(payload, tuple) else (payload, ["--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    payload, flags = payload if isinstance(payload, tuple) else (payload, ["--out", str(out)])
     assert main([command, "--config", write_cfg(tmp_path, "bad.json", payload), *flags]) == code
-    err = capsys.readouterr().err
-    assert err.startswith("config error: " if code == 2 else "construction error: ")
-    assert message in err
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and captured.out == "", captured
+    assert captured.err.startswith("config error: " if code == 2 else "construction error: ")
+    assert message in captured.err
+    assert not out.exists()
 
 
 def test_one_process_writes_what_fresh_processes_write(tmp_path, capsys):

@@ -237,6 +237,13 @@ class TestPerturbedWhitney:
             omega[2 * k + 1, 2 * k] = -1.0
         assert np.allclose(F.T @ omega @ F, omega, atol=1e-13)
 
+    def test_flow_series_takes_small_matrices_only(self):
+        """The Taylor series has no scaling step: at the bound ||A||_F = 0.25
+        it meets the exponential, and a larger matrix is refused."""
+        assert np.max(np.abs(expm_series(np.diag([-0.25, 0.0])) - np.diag(np.exp([-0.25, 0.0])))) < 1e-15
+        with pytest.raises(ValueError, match="Frobenius norm at most 0.25"):
+            expm_series(np.diag([0.25, 0.01]))
+
 
 class TestComplexLayout:
     """`times_i` and `interleave` move components without multiplying; each
