@@ -25,8 +25,10 @@ that overflows, a real one that is a bool, a string, a NaN, an infinity or a
 huge integer, and a `radii`, `moduli` or `A` that is not a list), 4
 evaluation error (e.g. a non-Lagrangian immersion or an induced metric that
 is degenerate or not finite, detected during geometry evaluation, an
-identity residual, its headroom or an energy that overflows, or a quadrature rule too
-large to allocate), always one line on stderr and no report.
+identity residual, its headroom or an energy that overflows, a volume density
+below the least normal float at a rule node, as on a body too small for its
+energies, or a quadrature rule too large to allocate), always one line on
+stderr and no report.
 
 `main` is the application entry point, so it, not an import, sets the C
 allocator's thresholds (`keep_freed_memory`).

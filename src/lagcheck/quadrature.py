@@ -22,13 +22,16 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .geometry import scalar_samples
+from .geometry import DegenerateMetricError, scalar_samples
 from .immersions import Immersion, SphereAtlas
+
+TINY = sys.float_info.min  # the least normal float, np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,11 @@ def integrals(imm: Immersion, rule: QuadratureRule, integrand: Callable) -> dict
     (`geometry.scalar_samples`) against the induced measure.  Each is one
     np.sum over the rule's node order, so results are run-to-run stable
     and do not depend on the chunk size; an overflow gives a non-finite
-    integral, for the caller to refuse, and no warning."""
+    integral, for the caller to refuse, and no warning.  A node density
+    below the least normal float, as on a body so small that its density
+    (r^n on a sphere of radius r) underflows, is refused
+    (`DegenerateMetricError`): its integrals would read zero, or stray from
+    the dilation law, with no sign of it."""
     _check_rule(imm, rule)
 
     def with_density(fb):
@@ -185,7 +192,14 @@ def integrals(imm: Immersion, rule: QuadratureRule, integrand: Callable) -> dict
 
     with np.errstate(over="ignore", invalid="ignore"):
         vals = scalar_samples(imm, rule.charts, rule.coords, with_density)
-        base = rule.weights * rule.chart_jacobians * vals.pop(None)
+        density = vals.pop(None)
+        if (low := np.flatnonzero(density < TINY)).size:
+            k = low[0]
+            raise DegenerateMetricError(
+                f"chart {int(rule.charts[k])}, coords {rule.coords[k].tolist()}: induced volume density "
+                f"{float(density[k])!r} is below the least normal float {TINY!r}"
+            )
+        base = rule.weights * rule.chart_jacobians * density
         return {"volume": float(np.sum(base)), **{name: float(np.sum(base * v)) for name, v in vals.items()}}
 
 

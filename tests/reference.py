@@ -4,23 +4,27 @@ test of a cubic array, the full-order frame bundle, the algebraic lemmas of
 the Simons-type estimate (the contraction identities, the Li-Li matrix
 bound, the curvature closed forms, the unmerged terms of the Laplace
 contraction and the algebraic Simons bound), the
-three-slot eigenframe rotation of the spectral summary, random tensors, the
+three-slot eigenframe rotation of the spectral summary, random tensors,
+vectors and rotations, the
 real matrices of complex maps, a body in a rotated chart (a change of frame
 through the public path), two other routes to an immersion's jets (the
 finite-difference black box and the Moebius form of the Whitney sphere), the
 perturbed Whitney sphere with its quadratic form drawn by numpy, and helpers
 that invert or read what the engine builds, such as the balance of the two
-sides of a check.  No command
+sides of a check, and the corpus of test bodies (`CORPUS`) with the traced
+peak of a call (`traced_peak`).  No command
 of the engine calls any of it; the tests check the engine against it, so it
 stays independent of the code it checks.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
 
+from lagcheck.cli import build_immersion
 from lagcheck.geometry import FrameBundle, _trace, _tracefree, cached
 from lagcheck.identities import _curvature_terms, _spectral_form
 from lagcheck.immersions import (
@@ -450,6 +454,17 @@ def deriv(jet: Jet, alpha) -> np.ndarray:
     return jet.c[..., k, :] * coef_factorial(jet.space)[k]
 
 
+def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A Gaussian vector of R^n scaled to unit length."""
+    v = rng.normal(size=n)
+    return v / np.linalg.norm(v)
+
+
+def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return Q
+
+
 def random_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
     Z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     Q, R = np.linalg.qr(Z)
@@ -615,3 +630,51 @@ def numpy_perturbed_whitney(r: float, eps: float, mode: int, n: int) -> Immersio
     Q /= np.linalg.norm(Q, ord="fro")
     flow = expm_series(eps * (symplectic_j_matrix(n) @ Q))
     return linear_image(make_whitney_cn(r, None, n), flow, name="perturbed_whitney")
+
+
+# ---------------------------------------------------------------------------
+# The body corpus and the traced peak
+# ---------------------------------------------------------------------------
+
+# Every body that the body-per-kind tests share, each declared once: a config
+# per family of `cli.FAMILIES` at n = 3, with `whitney_cn` off the origin, a
+# small `whitney_cn` far off it, and (base, derive) entries that wrap the body
+# of another entry.  A test's table names its entries, so a new body is
+# declared once, here, and joins a test by its name in that test's table.
+CORPUS = {
+    "whitney_cn": {"family": "whitney_cn", "r": 1.0, "n": 3, "A": [[0.3, 0.2], [0.0, -0.4], [0.1, 0.0]]},
+    "whitney_cn-offset": {"family": "whitney_cn", "r": 0.1, "n": 3, "A": [[0.05, -0.08], [0.1, 0.02], [-0.06, 0.09]]},
+    "product_torus": {"family": "product_torus", "radii": [1.0, 1.5, 2.0]},
+    "lagrangian_plane": {"family": "lagrangian_plane", "n": 3},
+    "nonlagrangian_plane": {"family": "nonlagrangian_plane", "n": 3},
+    "perturbed_whitney": {"family": "perturbed_whitney", "r": 1.0, "eps": 0.05, "mode": 1, "n": 3},
+    "whitney_cpn": {"family": "whitney_cpn", "theta": 0.7, "n": 3},
+    "rpn": {"family": "rpn", "n": 3},
+    "cpn_torus": {"family": "cpn_torus", "moduli": [1.0, 0.7, 1.2, 0.9]},
+    "phase_twist": ("whitney_cpn", lambda imm: phase_twist(imm, [0.4, -0.7, 0.2])),
+    "perturbed_whitney-rotated_chart": (
+        "perturbed_whitney", lambda imm: rotated_chart(imm, random_orthogonal(3, np.random.default_rng(5)))
+    ),
+}
+CONFIGS = {name: cfg for name, cfg in CORPUS.items() if isinstance(cfg, dict)}
+
+
+def corpus_body(name: str) -> Immersion:
+    """The body of the entry `name` of CORPUS, built afresh: a config by the
+    CLI's own `build_immersion`, a wrapper around the body of its base."""
+    if name in CONFIGS:
+        return build_immersion(CONFIGS[name], "identities")
+    base, derive = CORPUS[name]
+    return derive(corpus_body(base))
+
+
+def traced_peak(run) -> int:
+    """The traced peak of `run()` above the traced memory at its start.  No
+    warm-up: a caller that measures warm runs `run` once itself before."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

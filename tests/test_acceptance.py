@@ -32,6 +32,7 @@ from reference import (
     norm_identity_residual,
     random_cubic,
     random_tracefree,
+    random_unit,
     rotated_chart,
 )
 
@@ -288,7 +289,7 @@ def test_criterion_10_gauge_and_chart_robustness():
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(5):
-        u = rng.uniform(0.6, 1.8) * _unit(rng, 2)
+        u = rng.uniform(0.6, 1.8) * random_unit(rng, 2)
         Q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
         for order, names in SCALARS_BY_ORDER.items():
             fb0 = bundle_at(imm, 0, u[None], order)
@@ -324,8 +325,3 @@ def test_criterion_11_determinism(tmp_path):
     cli_main(["energy", "--config", str(ecfg), "--out", str(e2)])
     assert e1.read_bytes() == e2.read_bytes()
     print("\nACCEPTANCE 11 PASS: identical config+seed gives byte-identical reports")
-
-
-def _unit(rng, n):
-    v = rng.normal(size=n)
-    return v / np.linalg.norm(v)

@@ -17,6 +17,7 @@ from lagcheck.cli import main
 from lagcheck.identities import CHECKS, run_identity_suite
 from lagcheck.immersions import Draws, linear_image, make_lagrangian_plane, make_product_torus, make_whitney_cn
 from lagcheck.quadrature import energy_report, sphere_rule, torus_rule
+from reference import CONFIGS
 
 
 def write_cfg(tmp_path, name, payload):
@@ -196,23 +197,14 @@ class TestIdentitiesCommand:
         assert doc["kind"] == "identities"
         assert len(doc["sample_points"]) == 50
 
-    @pytest.mark.parametrize(
-        "body",
-        [
-            {"family": "whitney_cn", "r": 0.1, "n": 3, "A": [[0.05, -0.08], [0.1, 0.02], [-0.06, 0.09]]},
-            {"family": "perturbed_whitney", "r": 1.0, "eps": 0.05, "mode": 1, "n": 3},
-            {"family": "whitney_cpn", "theta": 0.7, "n": 3},
-            {"family": "rpn", "n": 3},
-            {"family": "cpn_torus", "moduli": [1.0, 0.7, 1.2, 0.9]},
-        ],
-        ids=["whitney_cn-small-offset", "perturbed_whitney", "whitney_cpn", "rpn", "cpn_torus"],
-    )
+    @pytest.mark.parametrize("body", sorted(set(CONFIGS) - {"nonlagrangian_plane"}))
     def test_bodies_pass_at_the_default_samples(self, tmp_path, body):
-        """Each body passes every check, heavy ones included, at the 20
-        samples the command draws by default, and the report lists each
-        sample's integer chart id and its n chart coordinates."""
+        """Each Lagrangian body of the corpus passes every check, heavy ones
+        included, at the 20 samples the command draws by default, and the
+        report lists each sample's integer chart id and its n chart
+        coordinates."""
         out = tmp_path / "report.json"
-        assert main(["identities", "--config", write_cfg(tmp_path, "b.json", body), "--out", str(out)]) == 0
+        assert main(["identities", "--config", write_cfg(tmp_path, "b.json", CONFIGS[body]), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["all_pass"] and len(doc["sample_points"]) == 20
         for p in doc["sample_points"]:
@@ -344,6 +336,28 @@ class TestIdentitiesCommand:
         assert not out.exists()
 
 
+def test_report_params_rebuild_the_body(tmp_path):
+    """The `params` of a body, read back as a config of its family, rebuild
+    it: on every corpus config, which between them cover every family, the
+    params are equal and so are the report bytes, energy at degree 6 on the
+    compact bodies and a 4-sample identities run on the Lagrangian plane
+    (the non-Lagrangian plane has no report)."""
+    assert {cfg["family"] for cfg in CONFIGS.values()} == set(cli.FAMILIES)
+    for name, cfg in CONFIGS.items():
+        imm = cli.build_immersion(cfg, "identities")
+        again = {"family": cfg["family"], **imm.params}
+        assert cli.build_immersion(again, "identities").params == imm.params, name
+        if name == "nonlagrangian_plane":
+            continue
+        command, run = ("identities", {"samples": 4}) if name == "lagrangian_plane" else ("energy", {"degree": 6})
+        reports = []
+        for k, body in enumerate((cfg, again)):
+            out = tmp_path / f"{name}-{k}.json"
+            assert main([command, "--config", write_cfg(tmp_path, "c.json", {**body, **run}), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1], name
+
+
 class TestEnergyCommand:
     def test_json_report(self, tmp_path):
         cfg = write_cfg(
@@ -406,6 +420,9 @@ class TestEnergyCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+UNDERFLOW = "induced volume density 0.0 is below the least normal float 2.2250738585072014e-308"
+
+
 @pytest.mark.parametrize(
     "command, payload, message",
     [
@@ -419,11 +436,11 @@ class TestEnergyCommand:
             "energy entries are not finite: {'int_H_sq': inf, 'int_h_sq': inf, 'int_hhat_n': nan, "
             "'int_hhat_sq': inf, 'volume': inf}",
         ),
-        # hhat_sq ** (n / 2) overflows where |hhat|^2 is huge and the density underflows
-        ("energy", {"family": "whitney_cn", "r": 1e-120, "n": 3, "degree": 4}, "energy entries are not finite"),
+        # the density underflows to zero, where hhat_sq ** (n / 2) overflows too
+        ("energy", {"family": "whitney_cn", "r": 1e-120, "n": 3, "degree": 4}, UNDERFLOW),
         ("energy", {"family": "perturbed_whitney", "r": 1e-120, "eps": 0.05, "mode": 1, "n": 3, "degree": 4},
-         "energy entries are not finite"),
-        ("energy", {"family": "product_torus", "radii": [1e-120] * 3, "degree": 4}, "energy entries are not finite"),
+         UNDERFLOW),
+        ("energy", {"family": "product_torus", "radii": [1e-120] * 3, "degree": 4}, UNDERFLOW),
         # the family's own jet and the CP^n lift overflow
         ("energy", {"family": "whitney_cpn", "theta": 500, "n": 3, "degree": 4}, "induced metric not finite"),
     ],
@@ -440,7 +457,7 @@ def test_overflowing_bodies_are_evaluation_errors(tmp_path, capsys, command, pay
     assert main([command, "--config", cfg, "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("evaluation error: ") and message in err
-    if "metric" in message:
+    if "induced" in message:
         assert "chart " in err and "coords [" in err
     assert not out.exists()
 
@@ -456,6 +473,9 @@ WHITNEY3 = {"family": "whitney_cn", "n": 3}
         ("identities", PERTURBED_HUGE, "sample 0: chart 1, coords ["),
         ("energy", {**WHITNEY3, "r": 1e200, "degree": 4}, "induced metric not finite"),
         ("identities", {**WHITNEY3, "r": 1e200}, "induced metric not finite"),
+        # the density r^3 is subnormal, or zero: the integrals would stray from the dilation law, or read 0
+        ("energy", {**WHITNEY3, "r": 1e-105, "degree": 4}, "induced volume density 1.059922587e-315 is below"),
+        ("energy", {**WHITNEY3, "r": 1e-108, "degree": 4}, UNDERFLOW),
         ("identities", {**WHITNEY3, "r": 1e-100}, "sample 0: laplace_contraction residual is not finite"),
         ("identities", {**WHITNEY3, "r": 1e-160}, "sample 0: codazzi_full_symmetry residual is not finite"),
         ("identities", {**WHITNEY3, "r": 1e-160, "seed": 13}, "residual is not finite"),
@@ -477,8 +497,8 @@ WHITNEY3 = {"family": "whitney_cn", "n": 3}
     ],
     ids=[
         "energy-perturbed-1e200", "identities-perturbed-1e200", "energy-whitney-1e200", "identities-whitney-1e200",
-        "identities-whitney-1e-100", "identities-whitney-1e-160", "identities-whitney-1e-160-spectral",
-        "identities-torus-1e-100", "identities-whitney-1e-20-tol-floor",
+        "energy-whitney-1e-105", "energy-whitney-1e-108", "identities-whitney-1e-100", "identities-whitney-1e-160",
+        "identities-whitney-1e-160-spectral", "identities-torus-1e-100", "identities-whitney-1e-20-tol-floor",
         *(f"identities-whitney-cpn-theta-{theta}-{kind}" for theta in (180, 200, 300) for kind in ("heavy", "light")),
     ],
 )

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +16,9 @@ from lagcheck import identities, jets
 from lagcheck.jets import Jet
 from lagcheck.identities import run_identity_suite
 from lagcheck.cli import build_immersion
-from lagcheck.immersions import AMBIENT_SPHERE, Immersion, make_product_torus, make_whitney_cn
+from lagcheck.immersions import AMBIENT_SPHERE, Immersion
 from lagcheck.quadrature import energy_report, torus_rule
-from reference import deriv, embed, normalize_representative, phase_twist, projective_distance
+from reference import corpus_body, deriv, embed, normalize_representative, phase_twist, projective_distance, traced_peak
 
 
 def homogeneous_value(imm, chart, u):
@@ -219,27 +218,16 @@ class TestHorizontalLift:
         within `CHUNK_KB_PER_NODE` of traced memory per node: the families
         write their jet into one buffer, the lift turns it in place, and the
         bundle keeps J e only where it is read."""
-        bodies = {
-            "whitney_cpn": make_whitney_cpn(0.7, 3),
-            "product_torus": make_product_torus([1.0, 1.5, 2.0]),
-            "whitney_cn": make_whitney_cn(1.0, np.array([0.3 + 0.4j, -0.2, 0.1j]), 3),
-        }
         coords = np.random.default_rng(8).uniform(-1.0, 1.0, size=(512, 3))
-        for name, imm in bodies.items():
+        for name, kb in self.CHUNK_KB_PER_NODE.items():
+            imm = corpus_body(name)
 
             def energy_chunk():
                 fb = bundle_at(imm, 0, coords, 2)
                 return [fb.sqrt_det_g, *(getattr(fb, name) for name in ("h_sq", "hhat_sq", "H_sq"))]
 
             energy_chunk()  # warm-up: jet tables and caches
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                energy_chunk()
-                peak = tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
-            assert peak / len(coords) <= self.CHUNK_KB_PER_NODE[name] * 1024, name
+            assert traced_peak(energy_chunk) / len(coords) <= kb * 1024, name
 
     def test_normalize_representative_errors(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,6 @@
 import functools
 import json
 import re
-import tracemalloc
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagcheck.cpn import HorizontalityError, make_cpn_torus, make_rpn, make_whitney_cpn
+from lagcheck.cpn import HorizontalityError, make_rpn, make_whitney_cpn
 from lagcheck import identities
 from lagcheck import geometry
 from lagcheck.geometry import DegenerateMetricError, NonLagrangianError, geometry_state
@@ -39,17 +38,18 @@ from lagcheck.immersions import (
     make_product_torus,
     make_whitney_cn,
 )
-from lagcheck.jets import Jet
 from lagcheck.tensors import c_tensor_array
 from reference import (
     algebraic_simons_bound,
     assert_frame_moved,
     balance,
+    corpus_body,
     curvature_contraction_closed_forms,
     laplace_hhat_sides_unmerged,
     random_tracefree,
     rotated_chart,
     stack,
+    traced_peak,
 )
 
 BODIES = {
@@ -60,12 +60,7 @@ BODIES = {
 }
 
 
-ORACLE_BODIES = [
-    make_whitney_cn(1.0, np.array([0.3 + 0.2j, -0.4j, 0.1]), 3),
-    make_perturbed_whitney(1.0, 0.05, 1, 3),
-    make_product_torus([1.0, 1.5, 2.0]),
-    make_whitney_cpn(0.7, 3),
-]
+ORACLE_BODIES = ("whitney_cn", "perturbed_whitney", "product_torus", "whitney_cpn")
 
 
 def hits(imm, charts, coords):
@@ -192,14 +187,8 @@ class TestRicciIdentity:
         imm = make()
         fb = geometry.bundle_at(imm, *geometry.chart_batch(imm, *imm.atlas.random(np.random.default_rng(7), 128)), 4)
         whole = residual("difference", *map(tuple, check_ricci_identity(fb)))
-        tracemalloc.start()
-        try:
-            got = residual("difference", *check_ricci_identity(fb))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.5 * 5**5 * 128 * 8
-        assert np.array_equal(got, whole)
+        assert traced_peak(lambda: residual("difference", *check_ricci_identity(fb))) <= 3.5 * 5**5 * 128 * 8
+        assert np.array_equal(residual("difference", *check_ricci_identity(fb)), whole)
 
 
 class TestLaplaceContraction:
@@ -537,7 +526,7 @@ class TestSuiteReports:
     def test_suite_matches_pointwise_evaluation(self):
         # one batched bundle per chart gives the residuals of one-point
         # bundles: the max over points, and every term at every point
-        for imm in ORACLE_BODIES:
+        for imm in map(corpus_body, ORACLE_BODIES):
             charts, coords = imm.atlas.random(np.random.default_rng(10), 7)
             rep = run_identity_suite(imm, charts, coords, seed=10)
             assert rep["all_pass"]
@@ -563,14 +552,8 @@ class TestSuiteReports:
     def test_peak_memory_of_a_wide_heavy_suite(self):
         imm = make_whitney_cn(1.0, None, 3)
         pts = imm.atlas.random(np.random.default_rng(7), 20)
-        run_identity_suite(imm, *pts, seed=7)  # warm the jet tables
-        tracemalloc.start()
-        try:
-            assert run_identity_suite(imm, *pts, seed=7)["all_pass"]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2e6
+        assert run_identity_suite(imm, *pts, seed=7)["all_pass"]  # and warm the jet tables
+        assert traced_peak(lambda: run_identity_suite(imm, *pts, seed=7)) < 2e6
 
     def test_empty_sample_list_is_refused(self):
         with pytest.raises(ValueError, match="at least one sample point"):
@@ -613,13 +596,7 @@ class TestSuiteReports:
             assert abs(r0[k] - r1[k]) < 1e-9
 
 
-CHUNK_BODIES = {
-    "whitney_cn": lambda: make_whitney_cn(1.0, np.array([0.3 + 0.2j, -0.4j, 0.1]), 3),
-    "perturbed_whitney": lambda: make_perturbed_whitney(1.0, 0.05, 1, 3),
-    "whitney_cpn": lambda: make_whitney_cpn(0.7, 3),
-    "product_torus": lambda: make_product_torus([1.0, 1.5, 2.0]),
-    "cpn_torus": lambda: make_cpn_torus([1.0, 0.7, 1.2, 0.9]),
-}
+CHUNK_BODIES = ("cpn_torus", "perturbed_whitney", "product_torus", "whitney_cn", "whitney_cpn")
 
 
 class TestChunkedSuite:
@@ -627,11 +604,11 @@ class TestChunkedSuite:
     chunks of `SAMPLE_CHUNK[order]`."""
 
     @pytest.mark.parametrize("heavy", [True, False])
-    @pytest.mark.parametrize("body", sorted(CHUNK_BODIES))
+    @pytest.mark.parametrize("body", CHUNK_BODIES)
     def test_reports_match_one_batch(self, monkeypatch, body, heavy):
         """Chunked reports are byte-identical to those of one bundle over
         every sample; a one-point tail joins the chunk before it."""
-        imm, order = CHUNK_BODIES[body](), 4 if heavy else 3
+        imm, order = corpus_body(body), 4 if heavy else 3
         C = geometry.SAMPLE_CHUNK[order]
         sizes, inner = [], geometry.bundle_at
 
@@ -677,13 +654,8 @@ class TestChunkedSuite:
 
         def peak(N):
             pts = imm.atlas.random(np.random.default_rng(7), N)
-            run_identity_suite(imm, *pts, seed=7)  # warm the jet tables
-            tracemalloc.start()
-            try:
-                assert run_identity_suite(imm, *pts, seed=7)["all_pass"]
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            assert run_identity_suite(imm, *pts, seed=7)["all_pass"]  # and warm the jet tables
+            return traced_peak(lambda: run_identity_suite(imm, *pts, seed=7))
 
         wide = peak(1024)
         assert wide <= 1.5 * peak(C)
@@ -700,10 +672,6 @@ LINEAR_MAP_MUTANTS = {
         lambda orig: lambda x, trace=None: x - 1.01 * c_tensor_array(geometry._trace(x) if trace is None else trace),
     ),
 }
-MUTATION_BODIES = {
-    "perturbed_whitney": lambda: make_perturbed_whitney(1.0, 0.05, 1, 3),
-    "product_torus": lambda: make_product_torus([1.0, 1.5, 2.0]),
-}
 
 
 @pytest.mark.parametrize(
@@ -719,7 +687,7 @@ MUTATION_BODIES = {
 def test_linear_map_mutation_is_flagged(monkeypatch, body, mutant, failing):
     """A wrong coefficient in one of the three linear maps of h that give H,
     hhat and T fails the structure checks that read it."""
-    imm = MUTATION_BODIES[body]()
+    imm = corpus_body(body)
     pts = imm.atlas.random(np.random.default_rng(7), 20)
     assert run_identity_suite(imm, *pts, seed=7)["all_pass"]
     name, mutate = LINEAR_MAP_MUTANTS[mutant]
@@ -731,8 +699,8 @@ def test_linear_map_mutation_is_flagged(monkeypatch, body, mutant, failing):
 
 # The corpus of the term-coverage matrix, by ambient: n = 3, 20 samples, seed 7.
 COVERAGE_CORPUS = {
-    "C^n": (CHUNK_BODIES["whitney_cn"], CHUNK_BODIES["perturbed_whitney"], CHUNK_BODIES["product_torus"]),
-    "CP^n": (CHUNK_BODIES["whitney_cpn"], CHUNK_BODIES["cpn_torus"], lambda: make_rpn(3)),
+    "C^n": ("whitney_cn", "perturbed_whitney", "product_torus"),
+    "CP^n": ("whitney_cpn", "cpn_torus", "rpn"),
 }
 
 
@@ -741,8 +709,7 @@ def corpus_bundles(ambient: str) -> tuple:
     """One order-4 bundle per body of the ambient's corpus, over its 20
     sample points of seed 7."""
     bundles = []
-    for make in COVERAGE_CORPUS[ambient]:
-        imm = make()
+    for imm in map(corpus_body, COVERAGE_CORPUS[ambient]):
         points = geometry.chart_batch(imm, *imm.atlas.random(np.random.default_rng(7), 20))
         bundles.append(geometry.bundle_at(imm, *points, 4))
     return tuple(bundles)

@@ -1,5 +1,4 @@
 import time
-import tracemalloc
 from itertools import product
 from math import factorial
 
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 
 from lagcheck.jets import Jet, JetSpace, jet_einsum, jet_space, potential_from_gradient
-from reference import deriv, stack
+from reference import deriv, stack, traced_peak
 
 
 def seed(nvars, order, values):
@@ -233,15 +232,8 @@ def test_truncated_product_peak_memory():
     rng = np.random.default_rng(5)
     a = random_jet(rng, sp, (8,), 2, 512)
     b = random_jet(rng, sp, (), 2, 512)
-    a * b  # warm-up
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        result = a * b
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * result.c.nbytes
+    result = a * b  # and warm-up
+    assert traced_peak(lambda: a * b) <= 4 * result.c.nbytes
 
 
 def test_jet_einsum_constant_operand():
