@@ -58,8 +58,9 @@ def make_whitney_cpn(theta: float, n: int) -> Immersion:
     z_j = ch t u_j (1 + s) - i sigma sh t u_j (s - 1),
     z_{n+1} = sh t ch t (1 + s^2) + i sigma (s^2 - 1) / 2,
 
-    three jet products (u s, s and s^2) and no series.  The representative
-    is not unit norm; the horizontal lift normalizes it.
+    with s = `u.norm_sq()`, u s = `u.times(s)` (`Immersion`), one jet
+    product (s^2) and no series.  The representative is not unit norm; the
+    horizontal lift normalizes it.
     """
     if theta <= 0:
         raise ValueError("theta must be positive (theta = 0 is the totally geodesic RP^n)")
@@ -70,8 +71,8 @@ def make_whitney_cpn(theta: float, n: int) -> Immersion:
 
     def jet_fn(charts, u):
         sigma = atlas.sign(charts)
-        s = jet_einsum("a,a->", u, u)
-        us, ss = u * s, s * s
+        s = u.norm_sq()
+        us, ss = u.times(s), s * s
         z = np.empty((n + 1, 2) + u.c.shape[1:])  # [j, re/im]: interleaved once reshaped
         np.add(u.c, us.c, out=z[:n, 0])
         np.subtract(us.c, u.c, out=z[:n, 1])
@@ -100,7 +101,7 @@ def make_rpn(n: int) -> Immersion:
     atlas = SphereAtlas(n)
 
     def jet_fn(charts, u):
-        last = (jet_einsum("a,a->", u, u) - 1.0).scaled(0.5 * atlas.sign(charts))
+        last = (u.norm_sq() - 1.0).scaled(0.5 * atlas.sign(charts))
         return interleave(Jet(u.space, np.concatenate([u.c, last.c[None]])))
 
     return Immersion(
@@ -132,12 +133,11 @@ def make_cpn_torus(moduli) -> Immersion:
     n = len(r) - 1
 
     def jet_fn(charts, u):
-        sin, cos = u.sin_cos()
-        c = np.zeros((2 * n + 2,) + cos.c.shape[1:])
-        c[0, 0] = r[0]
-        c[2::2] = r[1:, None, None] * cos.c
-        c[3::2] = r[1:, None, None] * sin.c
-        return Jet(cos.space, c, cos.order)
+        z = np.zeros((n + 1, 2) + u.c.shape[1:])  # [j, re/im]: interleaved once reshaped
+        u.sin_cos(out=(z[1:, 1], z[1:, 0]))
+        z[1:] *= r[1:, None, None, None]
+        z[0, 0, 0] = r[0]
+        return Jet(u.space, z.reshape((2 * n + 2,) + u.c.shape[1:]), u.order)
 
     return Immersion(
         name="cpn_torus",

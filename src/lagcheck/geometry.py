@@ -123,7 +123,7 @@ class FrameBundle:
         clears almost every point of the degeneracy check; eigenvalues are
         computed only for the rest, including points where the factorization
         broke down."""
-        f0 = self.phi.c[:, self.phi.space.first_rows, :]  # (2m, n, B) = d_a phi^c
+        f0 = self.phi.c[:, self.phi.space.pure_rows[1], :]  # (2m, n, B) = d_a phi^c
         self.g0 = np.einsum("cax,cbx->abx", f0, f0)  # (n, n, B)
         L0, self.B0 = _cholesky_inverse(self.g0)
         diag = np.diagonal(L0)  # (B, n)
@@ -456,17 +456,23 @@ def _cholesky_inverse(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """L and L^{-1} for g = L L^T, L lower triangular, over a batch-last
     (n, n, B) stack: one column of L, then one row of L^{-1}, at a time for
     the whole batch.  A point where g is not positive definite gets NaN or
-    inf entries instead of an error."""
+    inf entries instead of an error.  The first column of L and the first
+    row of L^{-1} have no earlier terms to contract, so they take none."""
     n = g.shape[0]
     L, L_inv = np.zeros_like(g), np.zeros_like(g)
     with np.errstate(invalid="ignore", divide="ignore"):
         for j in range(n):
-            row = L[j, :j]
-            L[j, j] = np.sqrt(g[j, j] - np.einsum("kx,kx->x", row, row))
-            L[j + 1 :, j] = (g[j + 1 :, j] - np.einsum("ikx,kx->ix", L[j + 1 :, :j], row)) / L[j, j]
+            diag, col = g[j, j], g[j + 1 :, j]
+            if j:
+                row = L[j, :j]
+                diag = diag - np.einsum("kx,kx->x", row, row)
+                col = col - np.einsum("ikx,kx->ix", L[j + 1 :, :j], row)
+            L[j, j] = np.sqrt(diag)
+            L[j + 1 :, j] = col / L[j, j]
         for i in range(n):
             L_inv[i, i] = 1.0 / L[i, i]
-            L_inv[i, :i] = -np.einsum("kx,kjx->jx", L[i, :i], L_inv[:i, :i]) * L_inv[i, i]
+            if i:
+                L_inv[i, :i] = -np.einsum("kx,kjx->jx", L[i, :i], L_inv[:i, :i]) * L_inv[i, i]
     return L, L_inv
 
 

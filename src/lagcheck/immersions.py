@@ -152,11 +152,17 @@ AMBIENT_SPHERE = "HomogeneousSphere"
 class Immersion:
     """A parametrized immersion of a model manifold into C^m (as R^{2m}).
 
-    `jet_fn(charts, u)` maps the (n,) coordinate jet u of a batch of chart
-    points (seeded by `jets` alone) to one (2m,) jet of the interleaved real
-    ambient coordinates; `charts` is one chart id for the whole batch or a
-    (B,) array of ids, one per point, so one batch may span several charts.
-    The jet owns its coefficient array, so its reader may overwrite it.
+    `jet_fn(charts, u)` maps an (n,) coordinate jet u of a batch of chart
+    points to one (2m,) jet of the interleaved real ambient coordinates;
+    `charts` is one chart id for the whole batch or a (B,) array of ids, one
+    per point, so one batch may span several charts.  `jets` passes the
+    seeded coordinates (`Jet.variables`), but a caller may pass any (n,)
+    jet, such as a linear one R v in another chart.  A formula therefore
+    takes |u|^2 as `u.norm_sq()`, u s for a scalar jet s as `u.times(s)`
+    and sin u, cos u as `u.sin_cos()`: on a seed these write their rows
+    directly, and on any other jet they are the generic arithmetic, with the
+    same bits either way.  The jet returned owns its coefficient array, so
+    its reader may overwrite it.
     """
 
     name: str
@@ -223,7 +229,8 @@ def make_whitney_cn(r: float, A=None, n: int = 2) -> Immersion:
     In embedded sphere coordinates the complex components are
     z_j = r x_j (1 + i x_{n+1}) / (1 + x_{n+1}^2) + A_j, which in the chart
     is z = r u (1 + s + i sigma (s - 1)) / (1 + s^2) + A (s = |u|^2, sigma
-    = `SphereAtlas.sign`): one reciprocal and no other series.
+    = `SphereAtlas.sign`): one reciprocal and no other series; s and u s
+    are `norm_sq` and `times` (`Immersion`).
     """
     if r <= 0:
         raise ValueError("whitney radius r must be positive")
@@ -237,8 +244,8 @@ def make_whitney_cn(r: float, A=None, n: int = 2) -> Immersion:
     offset = pairs[:, :, None]
 
     def jet_fn(charts, u):
-        s = jet_einsum("a,a->", u, u)
-        q, us = r / (1.0 + s * s), u * s
+        s = u.norm_sq()
+        q, us = r / (1.0 + s * s), u.times(s)
         z = np.empty((n, 2) + u.c.shape[1:])  # [j, re/im]: interleaved once reshaped
         np.add(us.c, u.c, out=z[:, 0])
         np.subtract(us.c, u.c, out=z[:, 1])
@@ -262,7 +269,9 @@ def make_whitney_cn(r: float, A=None, n: int = 2) -> Immersion:
 
 
 def make_product_torus(radii) -> Immersion:
-    """(t_1..t_n) -> (r_1 e^{i t_1}, ..., r_n e^{i t_n})."""
+    """(t_1..t_n) -> (r_1 e^{i t_1}, ..., r_n e^{i t_n}): the rows of
+    cos t and sin t are written into the halves of the interleaved buffer,
+    which is then scaled by the radii."""
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1:
         raise ValueError("torus radii must be a flat list")
@@ -273,10 +282,10 @@ def make_product_torus(radii) -> Immersion:
         raise ValueError("a torus needs at least one radius")
 
     def jet_fn(charts, u):
-        sin, cos = u.sin_cos()
-        z = interleave(cos, sin)
-        z.c *= np.repeat(radii, 2)[:, None, None]
-        return z
+        z = np.zeros((n, 2) + u.c.shape[1:])  # [a, re/im]: interleaved once reshaped
+        u.sin_cos(out=(z[:, 1], z[:, 0]))
+        z *= radii[:, None, None, None]
+        return Jet(u.space, z.reshape((2 * n,) + u.c.shape[1:]), u.order)
 
     return Immersion(
         name="product_torus",

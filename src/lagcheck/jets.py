@@ -22,7 +22,11 @@ and the rows of each degree p >= 1 of one factor meet the rows of degrees
 1..d-p of the other in one broadcast call whose pairs a small 0/1 matrix sums
 into their output rows.  The chart coordinates are seeded as
 one (nvars,) jet and an immersion's ambient coordinates are one (2m,) jet,
-so each primitive acts on a whole vector of series at once.
+so each primitive acts on a whole vector of series at once.  The seed's
+rows are known, the value and one 1 per coordinate (the Taylor propagation
+of independent variables, ibid.), so |u|^2, u x and sin u, cos u write the
+few rows of their results that are not zero instead of multiplying those
+zeros and ones (`Jet.seeded`).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ class JetSpace:
     a lower valid order is a prefix operation on the coefficient vector, and
     the rows of one degree are a contiguous slice.  Within a degree the rows
     run in lexicographic order of the multi-index, so the degree-1 row of
-    variable a is not row 1 + a: `first_rows` and `second_rows` map
+    variable a is not row 1 + a: `pure_rows` and `second_rows` map
     variables to rows.
     """
 
@@ -85,12 +89,13 @@ class JetSpace:
                     S[self.index_of[tuple(x + y for x, y in zip(alphas[i], alphas[j]))] - rows[p], col] = 1.0
                 self._pair_sum[d][p] = S
 
-        # Row tables of the first and second partials at the expansion point:
-        # d_a = row first_rows[a], d_a d_b = second_factor[a, b] times row
-        # second_rows[a, b] (the factorial of e_a + e_b: 2 on the diagonal).
+        # Row tables: pure_rows[k, a] is the row of u_a^k, the only row of
+        # degree k at which a series in the seeded coordinate u_a is not zero;
+        # at the expansion point d_a = row pure_rows[1, a], and d_a d_b =
+        # second_factor[a, b] times row second_rows[a, b] (the factorial of
+        # e_a + e_b: 2 on the diagonal).
         eye = np.eye(nvars, dtype=np.int64)
-        if order >= 1:
-            self.first_rows = np.array([self.index_of[tuple(e)] for e in eye])
+        self.pure_rows = np.array([[self.index_of[tuple(k * e)] for e in eye] for k in range(order + 1)])
         if order >= 2:
             self.second_rows = np.array([[self.index_of[tuple(x + y)] for y in eye] for x in eye])
             self.second_factor = 1.0 + np.eye(nvars)
@@ -115,9 +120,15 @@ class Jet:
     `c` has shape (*shape, ncoef_by_degree[order], B): the rows of degree
     beyond `order` are absent, so stale high-order data can never leak into
     a product.
+
+    `seeded` marks the chart coordinates as `variables` writes them: a value
+    row, 1 on each coordinate's own first row and zero everywhere else.
+    Only `variables` sets it and no operation carries it over, so `norm_sq`,
+    `times` and the sine and cosine may write the rows of a seed's result
+    directly; on any other jet they take the generic product or series.
     """
 
-    __slots__ = ("space", "order", "c")
+    __slots__ = ("space", "order", "c", "seeded")
 
     def __init__(self, space: JetSpace, coeffs: np.ndarray, order: int | None = None):
         order = space.order if order is None else order
@@ -129,6 +140,7 @@ class Jet:
         self.space = space
         self.c = coeffs
         self.order = order
+        self.seeded = False
 
     # -- construction -------------------------------------------------
 
@@ -143,8 +155,10 @@ class Jet:
         c = np.zeros((space.nvars, space.ncoef, values.shape[1]))
         c[:, 0] = values
         if space.order >= 1:
-            c[np.arange(space.nvars), space.first_rows] = 1.0
-        return Jet(space, c)
+            c[np.arange(space.nvars), space.pure_rows[1]] = 1.0
+        u = Jet(space, c)
+        u.seeded = True
+        return u
 
     # -- tensor axes ---------------------------------------------------
 
@@ -211,6 +225,41 @@ class Jet:
     def __rmul__(self, other):
         return self.scaled(other)
 
+    def norm_sq(self) -> "Jet":
+        """|self|^2 = sum_a self[a]^2 of a vector jet, as a scalar jet.  On
+        the seeded coordinates its rows are written directly: the value
+        |u0|^2, 2 u0_a on the first rows and 1 on each pure second row, bit
+        for bit what the truncated product gives."""
+        if not self.seeded:
+            return jet_einsum("a,a->", self, self)
+        sp = self.space
+        v = self.c[:, :1]
+        c = np.zeros(self.c.shape[1:])
+        c[:1] = np.einsum("a...,a...->...", v, v)  # summed in the order the product sums it
+        if self.order >= 1:
+            c[sp.pure_rows[1]] = 2.0 * self.value + 0.0  # the product's sum is +0.0 at u0_a = -0.0
+        if self.order >= 2:
+            c[sp.pure_rows[2]] = 1.0
+        return Jet(sp, c)
+
+    def times(self, x: "Jet") -> "Jet":
+        """self * x for a scalar jet x.  On the seeded coordinates the rows
+        are written directly, bit for bit what the truncated product gives:
+        u0 x, plus the rows of x shifted up one degree along each u_a (the
+        derivative table `_d_src` read the other way)."""
+        if not (self.seeded and isinstance(x, Jet) and x.shape == ()):
+            return self * x
+        sp = self.space
+        rows = sp.ncoef_by_degree
+        vo = min(self.order, x.order)
+        out = self.c[:, :1] * x.c[: rows[vo]]
+        if vo:  # x0 on u_a's own first row, the product's signed zero 0 x0 on the others
+            out[:, 1 : rows[1]] += self.c[:, 1 : rows[1]] * x.c[:1]
+        if vo >= 2:  # + 0.0 for the product's pair sums, which are never -0.0
+            out[:, rows[1] : rows[vo]] += 0.0
+            out[np.arange(sp.nvars)[:, None], sp._d_src[:, 1 : rows[vo - 1]]] += x.c[1 : rows[vo - 1]]
+        return Jet(sp, out, vo)
+
     def _reciprocal(self) -> "Jet":
         return self.power(-1)
 
@@ -248,15 +297,12 @@ class Jet:
     def compose_series(self, *coef_lists) -> tuple["Jet", ...]:
         """Evaluate sum_k coefs[k] * (self - self.value)^k for each list of
         coefficients (plain scalars or per-point (*shape, B) arrays).  The
-        powers of self - self.value are formed once and each series is a
-        weighted sum of them, so a further list costs no jet product."""
-        t = Jet(self.space, self.c.copy(), self.order)
-        t.c[..., 0, :] = 0.0
-        powers = [t]
-        for _ in range(1, self.order):
-            powers.append(powers[-1] * t)
-        powers[0] = self  # t above row 0, the only rows the series reads
-        del t
+        powers of t = self - self.value are formed once, from the pair terms
+        of the truncated product alone (t has no value row), and each series
+        is a weighted sum of them, so a further list costs no jet product."""
+        powers = [self]  # t above row 0, the only rows the series and the pair terms read
+        for k in range(2, self.order + 1):
+            powers.append(_truncated_product(powers[-1], self, np.multiply, low=k - 1))
         rows = self.space.ncoef_by_degree
         out, last = [], len(coef_lists) - 1
         for i, coefs in enumerate(coef_lists):
@@ -298,18 +344,34 @@ class Jet:
     def cos(self) -> "Jet":
         return self._trig()[1]
 
-    def sin_cos(self) -> tuple["Jet", "Jet"]:
-        """(sin self, cos self) from one set of powers."""
-        return self._trig()
+    def sin_cos(self, out=None) -> tuple["Jet", "Jet"]:
+        """(sin self, cos self) from one set of powers.  `out`, a pair of
+        zeroed arrays of the shape of `c`, such as the two halves of a
+        caller's interleaved buffer, receives their rows."""
+        return self._trig(out)
 
-    def _trig(self) -> tuple["Jet", "Jet"]:
+    def _trig(self, out=None) -> tuple["Jet", "Jet"]:
         s0, c0 = np.sin(self.value), np.cos(self.value)
         cycle = [s0, c0, -s0, -c0]
         # x / 1 is x: the first two coefficients of each series are the cycle's own arrays
-        return self.compose_series(
-            *(cycle[p : p + 2] + [cycle[(k + p) % 4] / factorial(k) for k in range(2, self.order + 1)]
-              for p in (0, 1))
-        )
+        series = [cycle[p : p + 2] + [cycle[(k + p) % 4] / factorial(k) for k in range(2, self.order + 1)]
+                  for p in (0, 1)]
+        if not self.seeded:
+            jets = self.compose_series(*series)
+            if out is None:
+                return jets
+            for o, jet in zip(out, jets):
+                o[...] = jet.c
+        else:
+            # sin and cos of u_a are series in u_a alone: its value row and
+            # its own pure row of each degree (`JetSpace.pure_rows`)
+            out = (np.zeros(self.c.shape), np.zeros(self.c.shape)) if out is None else out
+            coordinate = np.arange(self.space.nvars)
+            for o, coefs in zip(out, series):
+                o[:, 0] = coefs[0]
+                for k, ck in enumerate(coefs[1 : self.order + 1], start=1):  # + 0.0, as the series sums it
+                    o[coordinate, self.space.pure_rows[k]] = ck + 0.0
+        return tuple(Jet(self.space, o, self.order) for o in out)
 
     def exp(self) -> "Jet":
         e0 = np.exp(self.value)
@@ -339,7 +401,7 @@ def jet_einsum(spec: str, a: Jet | np.ndarray, b: Jet) -> Jet:
     return _truncated_product(a, b, lambda x, y: np.einsum(f"{sa}...,{sb}...->{out}...", x, y))
 
 
-def _truncated_product(a: Jet, b: Jet, combine) -> Jet:
+def _truncated_product(a: Jet, b: Jet, combine, low: int = 0) -> Jet:
     """Sum `combine(row i of a, row j of b)` into row i + j over all ordered
     pairs of coefficient rows up to the lower valid order d.
 
@@ -349,17 +411,28 @@ def _truncated_product(a: Jet, b: Jet, combine) -> Jet:
     p = 1..d-1, the rows of degree p of `a` meet the rows of degree
     1..d-p of `b` in one broadcast `combine`, and a small 0/1 matrix sums
     those pairs into the rows of degree p+1..d.
+
+    `low` in 1..d-1 takes the rows of `a` below degree `low` and the value
+    row of `b` as zero, as in the powers of a jet less its value: only the
+    pairs from degree `low` of `a` on are formed, and the rows they do not
+    reach are +0.0.  The terms left out are signed zeros, and a sum of pair
+    terms is never -0.0, so every row they reach keeps its bits.
     """
     sp = a.space
     vo = min(a.order, b.order)
     rows = sp.ncoef_by_degree
-    out = combine(a.c[..., :1, :], b.c[..., : rows[vo], :])
-    if vo:
-        out[..., 1 : rows[vo], :] += combine(a.c[..., 1 : rows[vo], :], b.c[..., :1, :])
-    for p in range(1, vo):
+    out = None
+    if not low:
+        out = combine(a.c[..., :1, :], b.c[..., : rows[vo], :])
+        if vo:
+            out[..., 1 : rows[vo], :] += combine(a.c[..., 1 : rows[vo], :], b.c[..., :1, :])
+    for p in range(max(low, 1), vo):
         pairs = combine(a.c[..., rows[p - 1] : rows[p], None, :], b.c[..., None, 1 : rows[vo - p], :])
         pairs = pairs.reshape(pairs.shape[:-3] + (-1, pairs.shape[-1]))
-        out[..., rows[p] : rows[vo], :] += sp._pair_sum[vo][p] @ pairs
+        terms = sp._pair_sum[vo][p] @ pairs
+        if out is None:
+            out = np.zeros(terms.shape[:-2] + (rows[vo], terms.shape[-1]))
+        out[..., rows[p] : rows[vo], :] += terms
     return Jet(sp, out, vo)
 
 

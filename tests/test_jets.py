@@ -4,9 +4,11 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagcheck.jets import Jet, JetSpace, jet_einsum, jet_space, potential_from_gradient
-from reference import deriv, stack, traced_peak
+from reference import deriv, random_orthogonal, stack, traced_peak
 
 
 def seed(nvars, order, values):
@@ -365,24 +367,33 @@ def test_series_share_powers():
     assert np.array_equal(sin.c, arg.sin().c) and np.array_equal(cos.c, arg.cos().c)
 
 
-@pytest.mark.parametrize("nvars, order", [(2, 1), (2, 3), (3, 2), (3, 4)])
-def test_series_skip_the_rows_below_each_power(nvars, order):
-    """t^k vanishes below degree k, so adding it from degree k up gives the
-    bytes of the full sum over every row, kept here as the reference."""
-    rng = np.random.default_rng(10 * nvars + order)
-    sp = jet_space(nvars, order)
-    arg = Jet(sp, rng.normal(size=(2, sp.ncoef, 5)))
-    coefs = [rng.normal(size=(2, 5)) for _ in range(order + 1)]
-    t = Jet(sp, arg.c.copy())
+def full_series(arg: Jet, coefs) -> np.ndarray:
+    """sum_k coefs[k] t^k, t = arg - arg.value, over every row above the
+    value, with t^k from full truncated products: the reference of
+    `compose_series`."""
+    t = Jet(arg.space, arg.c.copy())
     t.c[..., 0, :] = 0.0
     full = np.zeros(arg.c.shape)
     full[..., 0, :] = coefs[0]
     tk = t
-    for ck in coefs[1:]:
-        full += tk.c * ck[..., None, :]
+    for ck in coefs[1 : arg.order + 1]:
+        ck = np.asarray(ck, dtype=float)
+        full[..., 1:, :] += tk.c[..., 1:, :] * (ck[..., None, :] if ck.ndim else ck)
         tk = tk * t
+    return full
+
+
+@pytest.mark.parametrize("nvars, order", [(2, 1), (2, 3), (3, 2), (3, 4)])
+def test_series_skip_the_rows_below_each_power(nvars, order):
+    """t^k vanishes below degree k, so adding it from degree k up, with the
+    powers formed from pair terms alone, gives the bytes of the full sum
+    over every row."""
+    rng = np.random.default_rng(10 * nvars + order)
+    sp = jet_space(nvars, order)
+    arg = Jet(sp, rng.normal(size=(2, sp.ncoef, 5)))
+    coefs = [rng.normal(size=(2, 5)) for _ in range(order + 1)]
     (got,) = arg.compose_series(coefs)
-    assert got.c.tobytes() == full.tobytes()
+    assert got.c.tobytes() == full_series(arg, coefs).tobytes()
 
 
 def falling(p, k):
@@ -422,3 +433,72 @@ def test_fractional_power_needs_positive_values(p):
             arg.power(p)
     with pytest.raises(ValueError):
         (x - 2.0).sqrt()
+
+
+def signed_draws(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal draws over twelve decades, a quarter of them replaced by +0.0
+    or -0.0."""
+    x = rng.normal(size=shape) * 10.0 ** rng.uniform(-6.0, 6.0, size=shape)
+    zero = rng.random(shape) < 0.25
+    x[zero] = np.where(rng.random(np.count_nonzero(zero)) < 0.5, 0.0, -0.0)
+    return x
+
+
+def bits(jet: Jet) -> tuple:
+    return jet.order, jet.c.shape, jet.c.tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 37])
+@pytest.mark.parametrize("nvars", range(1, 6))
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_seed_rows_are_the_generic_arithmetic(nvars, batch, seed):
+    """On `Jet.variables` seeds of every order 0..4, `norm_sq`, `times` and
+    `sin_cos` write the rows that `jet_einsum("a,a->", u, u)`, `u * x` and
+    the power series over full products give, bit for bit, signs of zero
+    included (tobytes tells -0.0 from +0.0); x is a scalar jet of any order
+    up to u's.  On a linear jet R v, which is no seed, they are that
+    arithmetic."""
+    rng = np.random.default_rng(seed)
+    for order in range(5):
+        sp = jet_space(nvars, order)
+        u = Jet.variables(sp, signed_draws(rng, (nvars, batch)))
+        rv = jet_einsum("ab,b->a", random_orthogonal(nvars, rng), u)
+        x_order = int(rng.integers(0, order + 1))
+        x = Jet(sp, signed_draws(rng, (sp.ncoef_by_degree[x_order], batch)), x_order)
+        for arg, generic in ((u, Jet(sp, u.c.copy())), (rv, rv)):
+            assert arg.seeded == (arg is u)
+            assert bits(arg.norm_sq()) == bits(jet_einsum("a,a->", generic, generic))
+            assert bits(arg.times(x)) == bits(generic * x)
+            s0, c0 = np.sin(arg.value), np.cos(arg.value)
+            cycle = [s0, c0, -s0, -c0]
+            for got, p in zip(arg.sin_cos(), (0, 1)):
+                coefs = [cycle[(k + p) % 4] / factorial(k) for k in range(order + 1)]
+                assert got.c.tobytes() == full_series(generic, coefs).tobytes()
+
+
+def test_only_variables_marks_a_seed():
+    """The seed mark is not carried over: indexing, truncating, scaling,
+    adding and multiplying a seed, or wrapping its array, give unmarked
+    jets."""
+    sp = jet_space(3, 3)
+    u = Jet.variables(sp, np.array([[0.3, -1.2], [0.7, 0.4], [0.0, 2.0]]))
+    assert u.seeded
+    for jet in (u[0], u[:2], u.truncated(2), u.scaled(1.0), u + 0.0, -u, u * u, u.transpose(0),
+                Jet(sp, u.c), u.sin_cos()[0]):
+        assert not jet.seeded
+
+
+@pytest.mark.parametrize("seeded", [True, False])
+def test_sin_cos_writes_into_the_arrays_given(seeded):
+    """`sin_cos(out=...)` writes the rows into the two zeroed arrays given,
+    here the halves of an interleaved buffer, and returns jets on them."""
+    sp = jet_space(2, 3)
+    u = Jet.variables(sp, np.array([[0.3, -1.2], [0.7, 0.4]]))
+    arg = u if seeded else Jet(sp, u.c.copy())
+    z = np.zeros((2, 2) + u.c.shape[1:])
+    sin, cos = arg.sin_cos(out=(z[:, 1], z[:, 0]))
+    assert np.shares_memory(sin.c, z) and np.shares_memory(cos.c, z)
+    want_sin, want_cos = arg.sin_cos()
+    assert bits(Jet(sp, z[:, 1].copy())) == bits(want_sin)
+    assert bits(Jet(sp, z[:, 0].copy())) == bits(want_cos)
