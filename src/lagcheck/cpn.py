@@ -71,18 +71,22 @@ def make_whitney_cpn(theta: float, n: int) -> Immersion:
 
     def jet_fn(charts, u):
         sigma = atlas.sign(charts)
+        sp, rows = u.space, u.c.shape[1:]
         s = u.norm_sq()
         us, ss = u.times(s), s * s
-        z = np.empty((n + 1, 2) + u.c.shape[1:])  # [j, re/im]: interleaved once reshaped
+        del s
+        z = np.empty((n + 1, 2) + rows)  # [j, re/im]: interleaved once reshaped
         np.add(u.c, us.c, out=z[:n, 0])
         np.subtract(us.c, u.c, out=z[:n, 1])
+        del u, us  # the seed and u s die before the last row is filled
         z[n] = ss.c
+        del ss
         z[n, :, 0] += [[1.0], [-1.0]]
         z[:n, 0] *= ch
         z[:n, 1] *= -sigma * sh
         z[n, 0] *= sh * ch
         z[n, 1] *= 0.5 * sigma
-        return Jet(u.space, z.reshape((2 * n + 2,) + u.c.shape[1:]))
+        return Jet(sp, z.reshape((2 * n + 2,) + rows))
 
     return Immersion(
         name="whitney_cpn",
@@ -207,15 +211,17 @@ def horizontal_lift_jets(imm: Immersion, charts, coords: np.ndarray, order: int)
     e = np.frexp(np.max(np.abs(phi.value), axis=0))[1]
     value = np.ldexp(phi.value, -e)
     scale = _pinning_phase(value) / np.sqrt(np.einsum("cx,cx->x", value, value)) * np.ldexp(1.0, -e)
-    # rho e^{i theta} on every row, in place on the (re, im) pairs of the
-    # family's own buffer (`Immersion`), so that no more than one temporary of
-    # the size of phi is live
-    t = w[0::2] * scale.imag
-    w[0::2] *= scale.real
-    w[0::2] -= w[1::2] * scale.imag
-    w[1::2] *= scale.real
-    w[1::2] += t
-    del phi, t
+    # rho e^{i theta} on every row, in place on the family's own buffer
+    # (`Immersion`), one (re, im) pair at a time, so that no temporary
+    # larger than one component's rows is live
+    del phi, value
+    for re, im in zip(w[0::2], w[1::2]):
+        t = re * scale.imag
+        re *= scale.real
+        re -= im * scale.imag
+        im *= scale.real
+        im += t
+    del t
     if order <= 2:
         r1 = sp.ncoef_by_degree[1]
         w0, wa = w[:, 0], w[:, 1:r1]  # (2m, B), (2m, n, B): degree-1 rows in row order
@@ -223,12 +229,20 @@ def horizontal_lift_jets(imm: Immersion, charts, coords: np.ndarray, order: int)
         dot = np.einsum("cax,cx->ax", wa, w0)
         A = np.einsum("cax,cx->ax", wa, Jw0)
         if order == 2:
-            for part, sign in ((0, -1.0), (1, 1.0)):  # T[c, a, b] = dot_a w_b + A_a (i w_b), by halves of c
-                T = wa[part::2, None] * dot[:, None]
-                T += wa[1 - part :: 2, None] * (sign * A[:, None])
+            # T[c, a, b] = dot_a w_b + A_a (i w_b), by halves of c and one a
+            # at a time, so one half of T is the only temporary of its size
+            n = len(dot)
+            T = np.empty((len(w) // 2, n, n, w.shape[-1]))
+            for part, sign in ((0, -1.0), (1, 1.0)):
+                for a in range(len(dot)):
+                    np.multiply(wa[part::2], dot[a], out=T[:, a])
+                    T[:, a] += wa[1 - part :: 2] * (sign * A[a])
                 w[part::2, r1:] -= sp._pair_sum[2][1] @ T.reshape(T.shape[0], -1, T.shape[-1])
-                del T
-        wa -= dot * w0[:, None] + A * Jw0[:, None]
+            del T
+        correction = dot * w0[:, None]  # dot_a w0 + A_a i w0, summed in one temporary
+        correction += A * Jw0[:, None]
+        wa -= correction
+        del correction
         W = Jet(sp, w, order)
         resid = np.max(np.abs(np.einsum("cax,cbx->abx", wa, times_i(wa))), axis=(0, 1))
     else:

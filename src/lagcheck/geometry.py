@@ -88,9 +88,11 @@ class FrameBundle:
     The point values are read off the rows of phi at every order: the
     frame from its degree-1 rows and h from its degree-2 rows, contracted
     with J e and then expanded to d_a d_b, so an order-2 bundle (the energy
-    integrands) builds no jet at all.  Every jet-valued tensor, f included,
-    is built on first use; `covariant_derivative` is applied to h and its
-    first derivative only.
+    integrands) builds no jet at all.  Past its frame build a bundle keeps
+    phi, B0, sqrt_det_g, the Lagrangian residual and h0, and no frame or
+    metric: g0 is built again for the one reader that asks for it.  Every
+    jet-valued tensor, f included, is built on first use;
+    `covariant_derivative` is applied to h and its first derivative only.
 
     Each jet carries only the degrees its readers use.  On a bundle of
     order K, f carries K - 1 (its derivative is the Hessian of phi), h and
@@ -112,29 +114,33 @@ class FrameBundle:
     # -- frame construction -------------------------------------------
 
     def _build_frame(self):
-        """Point values only: g, the orthonormal frame e_i = B_ia f_a with
-        B = L^{-1} for the Cholesky factor g = L L^T, J e and the
-        Lagrangian residual.  The coordinate frame f_a = d_a phi at the
-        points is read off the degree-1 rows of phi; frame jets, and the jet
-        of f itself, are built on demand.
+        """Point values only, in one pass that keeps what its readers use: B =
+        L^{-1} for the Cholesky factor g = L L^T of the metric, sqrt det g,
+        the Lagrangian residual max |<e_i, J e_j>| of the orthonormal frame
+        e_i = B_ia f_a, and h, from the same J e and the degree-2 rows of
+        phi.  The coordinate frame f_a = d_a phi at the points is read off
+        the degree-1 rows of phi.  f, g, L, e and J e die here, each after
+        its last read: g is built again where it is read (`g0`), and frame
+        jets, the jet of f included, are built on demand.
 
         The factorization runs column by column across the batch.  Its
         diagonal gives det g, and lambda_min / lambda_max >= det g / tr(g)^n
         clears almost every point of the degeneracy check; eigenvalues are
         computed only for the rest, including points where the factorization
         broke down."""
-        f0 = self.phi.c[:, self.phi.space.pure_rows[1], :]  # (2m, n, B) = d_a phi^c
-        self.g0 = np.einsum("cax,cbx->abx", f0, f0)  # (n, n, B)
-        L0, self.B0 = _cholesky_inverse(self.g0)
-        diag = np.diagonal(L0)  # (B, n)
+        f0 = self._coordinate_frame0()
+        g = np.einsum("cax,cbx->abx", f0, f0)  # (n, n, B)
+        L, self.B0 = _cholesky_inverse(g)
+        diag = np.diagonal(L)  # (B, n)
         with np.errstate(over="ignore", invalid="ignore"):
             self.sqrt_det_g = np.prod(diag, axis=1)  # inf where det g overflows
             # det g / tr(g)^n as a product of ratios, free of overflow; the
             # factor 2 absorbs the round-off of det g near the threshold
-            cleared = np.prod(diag**2 / np.trace(self.g0)[:, None], axis=1) >= 2 * METRIC_COND_TOL
+            cleared = np.prod(diag**2 / np.trace(g)[:, None], axis=1) >= 2 * METRIC_COND_TOL
+        del L, diag
         suspect = np.flatnonzero(~cleared)
         if suspect.size:
-            g = np.moveaxis(self.g0[..., suspect], -1, 0)
+            g = np.moveaxis(g[..., suspect], -1, 0)
             finite = np.all(np.isfinite(g), axis=(1, 2))
             ratio = np.full(suspect.size, np.nan)  # a metric that is not finite is bad
             eig = np.linalg.eigvalsh(g[finite])
@@ -145,9 +151,12 @@ class FrameBundle:
                 what = f"degenerate: lambda_min/lambda_max = {ratio[b]:.3e} below {METRIC_COND_TOL:.0e}"
                 what = what if finite[b] else "not finite"
                 raise at_point(DegenerateMetricError(f"induced metric {what}"), int(suspect[b]))
-        self.e0 = np.einsum("iax,cax->icx", self.B0, f0)
+        del g
+        e = np.einsum("iax,cax->icx", self.B0, f0)
         del f0
-        lag = np.max(np.abs(np.einsum("icb,jcb->ijb", self.e0, self.Je0)), axis=(0, 1))
+        Je = times_i(e, axis=1)
+        lag = np.max(np.abs(np.einsum("icb,jcb->ijb", e, Je)), axis=(0, 1))
+        del e
         self.lagrangian_residual = lag  # (B,)
         bad = np.flatnonzero(lag > LAGRANGIAN_TOL)
         if bad.size:
@@ -157,11 +166,28 @@ class FrameBundle:
                 ),
                 int(bad[0]),
             )
+        # h, taking no jet at any order: J e is contracted with the degree-2
+        # rows of phi, one per multi-index, then expanded to d_a d_b
+        # (`second_rows`, `second_factor`) and contracted with B
+        sp = self.phi.space
+        r1, r2 = sp.ncoef_by_degree[1:3]
+        x = np.einsum("mcx,crx->mrx", Je, self.phi.c[:, r1:r2])  # <row, J e_m>
+        del Je
+        x = x[:, sp.second_rows - r1]  # [m, a, b, x]
+        x *= sp.second_factor[:, :, None]
+        x = np.einsum("jbx,mabx->majx", self.B0, x)
+        self.h0 = np.einsum("iax,majx->mijx", self.B0, x)
 
-    @property
-    def Je0(self) -> np.ndarray:
-        """J e_i at the points, a signed permutation of e0: formed where read, not kept."""
-        return times_i(self.e0, axis=1)
+    def _coordinate_frame0(self) -> np.ndarray:
+        """f[c, a] = d_a phi^c at the points, (2m, n, B): the degree-1 rows of phi."""
+        return self.phi.c[:, self.phi.space.pure_rows[1], :]
+
+    @cached
+    def g0(self) -> np.ndarray:
+        """g_ab = <f_a, f_b> at the points, (n, n, B), as the frame build
+        forms it; only the chart curvature reads it."""
+        f0 = self._coordinate_frame0()
+        return np.einsum("cax,cbx->abx", f0, f0)
 
     def _get(self, key: str, fn: Callable):
         """The bundle's one cache, `fn()` on the first read of `key`: a plain
@@ -243,20 +269,6 @@ class FrameBundle:
         return Jet(self.phi.space, _trace(self.h_jets.c), self.h_jets.order)
 
     # -- point values ----------------------------------------------------
-
-    @cached
-    def h0(self) -> np.ndarray:
-        """h at the points, taking no jet at any order: the point values of
-        J e are contracted with the degree-2 rows of phi, one per
-        multi-index, then expanded to d_a d_b (`second_rows`,
-        `second_factor`) and contracted with the point values of B."""
-        sp = self.phi.space
-        r1, r2 = sp.ncoef_by_degree[1:3]
-        x = np.einsum("mcx,crx->mrx", self.Je0, self.phi.c[:, r1:r2])  # <row, J e_m>
-        x = x[:, sp.second_rows - r1]  # [m, a, b, x]
-        x *= sp.second_factor[:, :, None]
-        x = np.einsum("jbx,mabx->majx", self.B0, x)
-        return np.einsum("iax,majx->mijx", self.B0, x)
 
     @cached
     def H0(self) -> np.ndarray:
@@ -581,11 +593,14 @@ def scalar_laplacian(imm: Immersion, chart: int, coords, field: Callable[[int, J
 
 # Points per bundle, by jet order: the chunk bounds the peak memory.  Each is a
 # multiple of 8, which keeps every residual bit-equal to one batch.  At order 2
-# it is the largest whose traced peak at n = 3 on product_torus, whitney_cn and
-# whitney_cpn (1.33, 1.51, 1.54 MB) is at most that of 768 nodes before the energy
-# working set shrank (1.33, 1.78, 1.85 MB).  At orders 3 and 4 (whitney_cn) the
-# peak doubles with the chunk while time is flat at n = 5 (order 4: 34 MB at 128,
-# 67 MB at 256); at n = 3, 128 points instead of 256 cost 20% and 11% per op.
+# it is the memory budget at n = 3: one chunk of the degree-20 rule, its bundle
+# and its energy integrand peak at 1.11, 1.18 and 1.28 MB of traced memory
+# (1091, 1162 and 1263 B per node) on product_torus, whitney_cn and whitney_cpn,
+# below the 1.33, 1.78 and 1.85 MB of a 768-node chunk of older code; at n = 4
+# and 5 a node takes about 2 and 3.4-3.7 times as much.  At orders 3 and 4
+# (whitney_cn) the peak doubles with the chunk while time is flat at n = 5
+# (order 4: 34 MB at 128, 67 MB at 256); at n = 3, 128 points instead of 256
+# cost 20% and 11% per op.
 SAMPLE_CHUNK = {2: 1016, 3: 256, 4: 128}
 
 
@@ -611,6 +626,8 @@ def scalar_samples(imm: Immersion, charts, coords, integrand: Callable, order: i
             raise at_point(exc, exc.index + lo)
         values = integrand(fb)
         del fb  # one live bundle: this chunk's is freed before the next is built
+        if not out:  # one (N,) array per name, allocated on the first chunk
+            out = {name: np.empty(len(coords)) for name in values}
         for name, value in values.items():
-            out.setdefault(name, np.empty(len(coords)))[chunk] = value
+            out[name][chunk] = value
     return out

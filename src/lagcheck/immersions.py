@@ -188,9 +188,11 @@ class Immersion:
     def jets(self, charts, coords: np.ndarray, order: int) -> Jet:
         """The (2m,) ambient jet of `order` at the (B, n) chart coords, each
         row in its chart from `charts`: the one place the coordinate jet is
-        seeded, and so the one transpose into the jet layout."""
-        u = Jet.variables(jet_space(self.source_dim, order), np.asarray(coords, dtype=float).T)
-        return self.jet_fn(charts, u)
+        seeded, and so the one transpose into the jet layout.  The seed is
+        handed over with no reference kept here, so a family may free it
+        before its last product."""
+        sp = jet_space(self.source_dim, order)
+        return self.jet_fn(charts, Jet.variables(sp, np.asarray(coords, dtype=float).T))
 
 
 def interleave(re: Jet, im: Jet | None = None) -> Jet:
@@ -244,17 +246,19 @@ def make_whitney_cn(r: float, A=None, n: int = 2) -> Immersion:
     offset = pairs[:, :, None]
 
     def jet_fn(charts, u):
+        sp, rows = u.space, u.c.shape[1:]
         s = u.norm_sq()
         q, us = r / (1.0 + s * s), u.times(s)
-        z = np.empty((n, 2) + u.c.shape[1:])  # [j, re/im]: interleaved once reshaped
+        del s
+        z = np.empty((n, 2) + rows)  # [j, re/im]: interleaved once reshaped
         np.add(us.c, u.c, out=z[:, 0])
         np.subtract(us.c, u.c, out=z[:, 1])
+        del u, us  # the seed and u s die before the products
         z[:, 1] *= atlas.sign(charts)
-        del us
         for part in (0, 1):  # one (n,) product at a time, back into its half
-            z[:, part] = (Jet(u.space, z)[:, part] * q).c
+            z[:, part] = (Jet(sp, z)[:, part] * q).c
         z[:, :, 0] += offset
-        return Jet(u.space, z.reshape((2 * n,) + u.c.shape[1:]))
+        return Jet(sp, z.reshape((2 * n,) + rows))
 
     return Immersion(
         name="whitney_cn",

@@ -11,13 +11,16 @@ through the public path), two other routes to an immersion's jets (the
 finite-difference black box and the Moebius form of the Whitney sphere), the
 perturbed Whitney sphere with its quadratic form drawn by numpy, and helpers
 that invert or read what the engine builds, such as the balance of the two
-sides of a check, and the corpus of test bodies (`CORPUS`) with the traced
-peak of a call (`traced_peak`).  No command
+sides of a check or the frame a bundle frees (`frame0`), and the corpus of
+test bodies (`CORPUS`) with the traced peak of a call (`traced_peak`) and
+the bytes of a seed that Python 3.10 keeps alive (`seed_kept_bytes`).  No
+command
 of the engine calls any of it; the tests check the engine against it, so it
 stays independent of the code it checks.
 """
 
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from itertools import permutations
@@ -38,7 +41,7 @@ from lagcheck.immersions import (
     make_whitney_cn,
     times_i,
 )
-from lagcheck.jets import Jet, jet_einsum
+from lagcheck.jets import Jet, jet_einsum, jet_space
 from lagcheck.tensors import c_tensor_array, symmetry_residual
 
 TRISYM_TOL = 1e-9
@@ -547,6 +550,15 @@ def rotated_chart(base: Immersion, rot: np.ndarray) -> Immersion:
     return replace(base, name=f"rotated_chart({base.name})", jet_fn=jet_fn)
 
 
+def frame0(fb: FrameBundle) -> tuple[np.ndarray, np.ndarray]:
+    """The frame e_i = B_ia f_a and J e_i at the points of a bundle, each
+    indexed [i, c, x]: rebuilt from B and the degree-1 rows of phi, since
+    the bundle frees both once its frame build has read them."""
+    f = fb.phi.c[:, fb.phi.space.pure_rows[1]]  # [c, a, x] = d_a phi^c
+    e = np.einsum("iax,cax->icx", fb.B0, f)
+    return e, times_i(e, axis=1)
+
+
 def assert_frame_moved(fb: FrameBundle, moved: FrameBundle, least: float = 0.1):
     """Check that two bundles, such as a body's and its `rotated_chart`'s,
     sit at the same ambient points and that at each the frame e of `moved`
@@ -554,7 +566,7 @@ def assert_frame_moved(fb: FrameBundle, moved: FrameBundle, least: float = 0.1):
     change of chart that left the frame as it was would leave a
     frame-invariance test with nothing to test."""
     assert np.max(np.abs(moved.phi.value - fb.phi.value)) < 1e-12
-    change = np.max(np.abs(moved.e0 - fb.e0), axis=(0, 1))
+    change = np.max(np.abs(frame0(moved)[0] - frame0(fb)[0]), axis=(0, 1))
     assert np.all(change > least), change
 
 
@@ -666,6 +678,15 @@ def corpus_body(name: str) -> Immersion:
         return build_immersion(CONFIGS[name], "identities")
     base, derive = CORPUS[name]
     return derive(corpus_body(base))
+
+
+def seed_kept_bytes(n: int, order: int) -> int:
+    """Bytes per point of the seeded chart coordinates (`Jet.variables`) of
+    an order-`order` jet in n variables that a family formula cannot free
+    before Python 3.11: there a caller keeps its reference to an argument
+    until the call returns, so the seed of `Immersion.jets` lives through the
+    whole formula.  0 from Python 3.11 on."""
+    return 0 if sys.version_info >= (3, 11) else 8 * n * jet_space(n, order).ncoef
 
 
 def traced_peak(run) -> int:

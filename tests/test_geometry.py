@@ -35,6 +35,7 @@ from reference import (
     complex_to_real_matrix,
     corpus_body,
     embed,
+    frame0,
     make_black_box,
     numpy_perturbed_whitney,
     random_orthogonal,
@@ -136,7 +137,7 @@ class TestFrameAndGauge:
         imm = make_perturbed_whitney(1.0, 0.05, 2, 3)
         p = (0, np.array([0.4, 0.1, -0.8]))
         s = geometry_state(imm, *p, 2)
-        e, Je = s.e0[..., 0], s.Je0[..., 0]
+        e, Je = (x[..., 0] for x in frame0(s))
         assert np.allclose(e @ e.T, np.eye(3), atol=1e-12)
         assert np.allclose(Je @ Je.T, np.eye(3), atol=1e-12)
         assert np.max(np.abs(e @ Je.T)) < 1e-10
@@ -678,7 +679,8 @@ class TestOneDerivativeChain:
     @pytest.mark.parametrize("body", ENERGY_BODIES)
     def test_energy_builds_no_h_jet(self, monkeypatch, body):
         """Every chunk's order-2 bundle reads h, H and hhat off the rows of
-        phi: neither h_jets nor H_jets is built."""
+        phi: h is built with the frame, H and hhat from it, and neither
+        h_jets nor H_jets is built."""
         from lagcheck import geometry
         from lagcheck.quadrature import energy_report, rule_for
 
@@ -695,4 +697,4 @@ class TestOneDerivativeChain:
         energy_report(imm, rule_for(imm, 6))
         assert len(bundles) > 1
         for fb in bundles:
-            assert "h0" in fb._cache and not {"h_jets", "H_jets"} & set(fb._cache)
+            assert {"H0", "hhat0"} <= set(fb._cache) and not {"h_jets", "H_jets"} & set(fb._cache)
