@@ -25,7 +25,7 @@ that overflows, a real one that is a bool, a string, a NaN, an infinity or a
 huge integer, and a `radii`, `moduli` or `A` that is not a list), 4
 evaluation error (e.g. a non-Lagrangian immersion or an induced metric that
 is degenerate or not finite, detected during geometry evaluation, an
-identity residual, its headroom or an energy that overflows, a volume density
+identity residual, its terms or an energy that overflows, a volume density
 below the least normal float at a rule node, as on a body too small for its
 energies, or a quadrature rule too large to allocate), always one line on
 stderr and no report.
@@ -48,7 +48,7 @@ import numpy as np
 
 from .cpn import make_cpn_torus, make_rpn, make_whitney_cpn
 from .geometry import DegenerateMetricError, NonLagrangianError
-from .identities import CHECKS, run_identity_suite
+from .identities import RUNG, run_identity_suite
 from .immersions import (
     Draws,
     OutOfDomainError,
@@ -286,9 +286,9 @@ def cmd_identities(args) -> int:
     samples = integer(cfg.get("samples", 20), "'samples'", 1, MAX_SAMPLES)
     tol_scale = real(cfg.get("tol_scale", 1.0), "'tol_scale'")
     tiny = float(np.finfo(float).tiny)
-    if not min(c.tol for c in CHECKS) * tol_scale >= tiny:
+    if not RUNG * tol_scale >= tiny:
         raise ConfigError(
-            f"'tol_scale' must be positive and leave every tolerance at least {tiny!r}, got {tol_scale!r}"
+            f"'tol_scale' must be positive and leave the tolerance at least {tiny!r}, got {tol_scale!r}"
         )
     heavy = cfg.get("heavy", True)
     if not isinstance(heavy, bool):

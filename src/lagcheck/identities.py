@@ -4,22 +4,21 @@ equations, the Ricci identity, and the Simons-type identity and inequality
 for the trace-free second fundamental form.
 
 `CHECKS` declares every check, in report order: its name, the order of the
-bundle it reads, its tolerance rung (exact-jet, once-FD or twice-FD) and the
-form of its residual.  The structural and curvature checks read an order-3
-bundle; the heavy checks (Ricci identity, Laplace contraction, Simons
-identity and inequality) read an order-4 one, whose jets carry every
-derivative they use, including the chart Laplacian of |hhat|^2 and the
-gradient of T.  A check producer returns the two sides of its checks, each an
-iterable of signed terms of shape (..., B) on a bundle batched over B points
-(the Ricci identity's are generators, which create each term just before it is
-summed), and `residual` reduces them to one residual per point.
+bundle it reads, its length weight and the form of its residual.  The
+structural and curvature checks read an order-3 bundle; the heavy checks
+(Ricci identity, Laplace contraction, Simons identity and inequality) read an
+order-4 one, whose jets carry every derivative they use, including the chart
+Laplacian of |hhat|^2 and the gradient of T.  A check producer returns the two
+sides of its checks, each an iterable of signed terms of shape (..., B) on a
+bundle batched over B points (the Ricci identity's are generators, making each
+term just before it is summed); `residual` reduces them to one per point.
 
 `run_identity_suite` takes the samples as one batch (charts, coords) and
 streams them, each in its own chart, through the one node loop
 `geometry.scalar_samples`: every check reads the bundle of a chunk of
 samples, so memory does not grow with their number.  The report marks a
-check as passed when its worst residual sits under its tolerance, optionally
-rescaled, and names the sample it occurred at.
+check as passed when its worst residual sits under the one rung `RUNG`,
+optionally rescaled, and names the sample it occurred at.
 """
 
 from __future__ import annotations
@@ -50,56 +49,62 @@ COMMUTATOR_NOTE = (
 )
 
 
-# One identity check: the bundle `order` it reads, its tolerance `tol` and the
-# `form` in which `residual` reduces its two sides.
-Check = namedtuple("Check", "name order tol form")
-# Tolerances by derivative provenance: 1e-9 for exact jets, 1e-6 once and 1e-4
-# twice finite differenced.  The engine takes no finite differences: the FD
-# rungs serve the tests' nested-difference black box, and a few jet-exact
-# checks still sit on them.
+# One identity check: the bundle `order` it reads, its length `weight` w (its
+# terms scale as lambda^-w under a dilation by lambda) and its residual `form`.
+Check = namedtuple("Check", "name order weight form")
+RUNG = 1e-12  # the one tolerance: every check is jet-exact and scale-free
 CHECKS = (
-    Check("tri_symmetry", 3, 1e-9, "symmetry"),
-    Check("codazzi_full_symmetry", 3, 1e-6, "symmetry"),
-    Check("h_trace_consistency", 3, 1e-9, "difference"),
-    Check("H_derivative_symmetry", 3, 1e-9, "difference"),
-    Check("T_consistency", 3, 1e-8, "difference"),
-    Check("norm_identity", 3, 1e-10, "difference"),
-    Check("lagrangian_condition", 3, 1e-9, "difference"),
-    Check("gauss_two_method", 3, 1e-6, "difference"),
-    Check("ricci_equation", 3, 1e-5, "difference"),
-    Check("maslov_closedness", 3, 1e-6, "difference"),
-    Check("ricci_identity", 4, 1e-4, "difference"),
-    Check("laplace_contraction", 4, 1e-9, "difference"),
-    Check("simons_identity_rel", 4, 1e-9, "relative"),
-    Check("simons_inequality_margin", 4, 1e-9, "shortfall"),
-    Check("spectral_consistency", 4, 1e-10, "difference"),
+    Check("tri_symmetry", 3, 1, "symmetry"),
+    Check("codazzi_full_symmetry", 3, 2, "symmetry"),
+    Check("h_trace_consistency", 3, 1, "difference"),
+    Check("H_derivative_symmetry", 3, 2, "difference"),
+    Check("T_consistency", 3, 2, "difference"),
+    Check("norm_identity", 3, 2, "difference"),
+    Check("lagrangian_condition", 3, 0, "difference"),
+    Check("gauss_two_method", 3, 2, "difference"),
+    Check("ricci_equation", 3, 2, "difference"),
+    Check("maslov_closedness", 3, 2, "difference"),
+    Check("ricci_identity", 4, 3, "difference"),
+    Check("laplace_contraction", 4, 4, "difference"),
+    Check("simons_identity_rel", 4, 4, "difference"),
+    Check("simons_inequality_margin", 4, 4, "shortfall"),
+    Check("spectral_consistency", 4, 4, "difference"),
 )
 LIGHT_ORDER = min(c.order for c in CHECKS)
 HEAVY_ORDER = max(c.order for c in CHECKS)
 FORMS = {c.name: c.form for c in CHECKS}
+WEIGHTS = {c.name: c.weight for c in CHECKS}
 
 
-def residual(form: str, lhs: Iterable, rhs: Iterable) -> np.ndarray:
+def residual(form: str, lhs: Iterable, rhs: Iterable) -> tuple[np.ndarray, np.ndarray]:
     """One residual per point from the two sides of a check, each an iterable
-    of signed (..., B) terms summed left to right:
-
+    of signed (..., B) terms, lhs added and rhs subtracted in order:
     - difference: max |sum lhs - sum rhs| over the tensor axes;
-    - relative: |sum lhs - sum rhs| / (1 + |sum lhs|);
     - shortfall: how far sum lhs falls short of sum rhs, 0 where it does not;
     - symmetry: the widest orbit spread of the one lhs term, a rank-3 or
-      rank-4 tensor (`symmetry_residual`)."""
+      rank-4 tensor (`symmetry_residual`);
+    and its scale S >= it (2 S >= it for symmetry): max over the tensor axes
+    of the sum of |term| (of |lhs| for symmetry)."""
     if form == "symmetry":
         (a,) = lhs
-        return symmetry_residual(a, a.ndim - 1)
-    # sum() starts from 0, so diff is a new array and the steps below may work
-    # in place on it: the six-index terms of the Ricci identity are large.
-    diff = sum(lhs)
-    if form == "relative":
-        return np.abs(diff - sum(rhs)) / (1.0 + np.abs(diff))
-    diff -= sum(rhs)
+        return symmetry_residual(a, a.ndim - 1), np.abs(a).max(axis=tuple(range(a.ndim - 1)))
+    diff = scale = None
+    for op, side in ((np.add, lhs), (np.subtract, rhs)):
+        for term in side:
+            if diff is None:  # new arrays, which the later terms update in place
+                diff, scale = term + 0.0, np.abs(term)
+                continue
+            op(diff, term, out=diff)
+            if term.ndim > 5:  # a Ricci identity term: |term| a slice at a time, with no whole temporary
+                for i in range(len(term)):
+                    scale[i] += np.abs(term[i])
+            else:
+                scale += np.abs(term)
+            del term  # freed before a generator side builds the next one
     if form == "difference":
-        return np.max(np.abs(diff, out=diff), axis=tuple(range(diff.ndim - 1)))
-    return np.maximum(0.0, -diff) + 0.0  # shortfall; -0.0 -> +0.0
+        axes = tuple(range(diff.ndim - 1))
+        return np.abs(diff, out=diff).max(axis=axes), scale.max(axis=axes)
+    return np.maximum(0.0, -diff) + 0.0, scale  # shortfall, of (B,) sides; -0.0 -> +0.0
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +258,18 @@ def _sides(fb: FrameBundle):
         yield from check_simons_inequality(fb, terms).items()
 
 
-def _residuals(fb: FrameBundle) -> dict[str, np.ndarray]:
-    """Every check whose order the bundle reaches, on every point, as (B,)
-    residuals."""
+def _residuals(fb: FrameBundle, sides: Iterable | None = None) -> dict[str, np.ndarray]:
+    """Every check the bundle reaches, or the (name, (lhs, rhs)) `sides`, as (B,)
+    residuals over S + |h|^w + |grad h|^(w/2) + c^(w/2) at weight w > 0 (h alone
+    vanishes at a Whitney sphere's poles), with 0/0 = 0 and x/inf = NaN."""
+    h, gh = np.sqrt(fb.h_sq), np.einsum("mijkb,mijkb->b", fb.grad_h, fb.grad_h) ** 0.25
+    floor = {w: h**w + gh**w + fb.c_amb ** (w / 2) for w in set(WEIGHTS.values()) - {0}}
     out = {}
-    for name, (lhs, rhs) in _sides(fb):
-        out[name] = residual(FORMS[name], lhs, rhs)
+    for name, (lhs, rhs) in _sides(fb) if sides is None else sides:
+        out[name], scale = residual(FORMS[name], lhs, rhs)
+        if WEIGHTS[name]:  # 0 * scale: NaN where the divisor is not finite
+            scale += floor[WEIGHTS[name]]
+            out[name] = out[name] / np.maximum(scale, np.finfo(float).tiny) + 0.0 * scale
         del lhs, rhs  # the terms of one check are freed before the next ones are built
     return out
 
@@ -269,15 +280,15 @@ def run_identity_suite(
     """Evaluate every identity check on every sample point, the (N,) chart
     ids `charts` and (N, n) `coords`, and return the report document.  Each
     entry of its `checks` holds the worst residual of one check over the
-    samples, the index of the sample it occurred at (`argmax`) and the
-    residual over the tolerance (`headroom`, pass when <= 1).
+    samples (`_residuals`), the index of the sample it occurred at (`argmax`)
+    and the residual over RUNG * `tol_scale` (`headroom`, pass when <= 1).
 
     The points are moved to their well-conditioned charts and streamed, in
     sample order and each in its own chart, through `scalar_samples` on
     bundles of the order of the heavy checks when `heavy`, of the other
     checks otherwise.  A point the geometry fails at is named in the error by
-    its sample index, chart and coordinates, and a residual or a headroom
-    that overflows, by sample and check, in an OverflowError."""
+    its sample index, chart and coordinates, and a residual that is not
+    finite (or whose terms overflow), by sample and check, in an OverflowError."""
     charts, coords = np.asarray(charts), np.asarray(coords, dtype=float)
     if len(coords) == 0:
         raise ValueError("the identity suite needs at least one sample point")
@@ -289,13 +300,12 @@ def run_identity_suite(
             raise named_point(exc, f"sample {exc.index}", exc.index) from exc
 
     checks = []
+    tol = RUNG * tol_scale
     for check in (c for c in CHECKS if c.order <= order):
         worst = int(np.argmax(residuals[check.name]))  # the first NaN, if any: residuals are >= 0
         value = float(residuals[check.name][worst])
-        tol = check.tol * tol_scale
-        for what, x in (("residual", value), ("headroom", value / tol)):
-            if not np.isfinite(x):
-                raise OverflowError(f"sample {worst}: {check.name} {what} is not finite")
+        if not np.isfinite(value):
+            raise OverflowError(f"sample {worst}: {check.name} residual is not finite")
         checks.append(
             {
                 "name": check.name,
@@ -307,7 +317,7 @@ def run_identity_suite(
             }
         )
     return {
-        "schema": 1,
+        "schema": 2,
         "kind": "identities",
         "immersion": imm.name,
         "params": imm.params,

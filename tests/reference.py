@@ -12,11 +12,11 @@ finite-difference black box and the Moebius form of the Whitney sphere), the
 perturbed Whitney sphere with its quadratic form drawn by numpy, and helpers
 that invert or read what the engine builds, such as the balance of the two
 sides of a check or the frame a bundle frees (`frame0`), and the corpus of
-test bodies (`CORPUS`) with the traced peak of a call (`traced_peak`) and
-the bytes of a seed that Python 3.10 keeps alive (`seed_kept_bytes`).  No
-command
-of the engine calls any of it; the tests check the engine against it, so it
-stays independent of the code it checks.
+test bodies (`CORPUS`, with `dilated` for its C^n bodies) with the traced
+peak of a call (`traced_peak`) and the bytes of a seed that Python 3.10
+keeps alive (`seed_kept_bytes`).  No command of the engine calls any of it;
+the tests check the engine against it, so it stays independent of the code
+it checks.
 """
 
 import math
@@ -678,6 +678,19 @@ def corpus_body(name: str) -> Immersion:
         return build_immersion(CONFIGS[name], "identities")
     base, derive = CORPUS[name]
     return derive(corpus_body(base))
+
+
+def dilated(name: str, lam: float) -> Immersion:
+    """The C^n body of the CORPUS entry `name` dilated by `lam`, through its
+    family's dilation law: its lengths `r`, `A` and `radii` times lam."""
+
+    def scale(x):
+        return [scale(y) for y in x] if isinstance(x, list) else lam * x
+
+    cfg, lengths = CONFIGS[name], {"r", "A", "radii"}
+    if not lengths & cfg.keys():
+        raise ValueError(f"{name} has no length to dilate")
+    return build_immersion({k: scale(v) if k in lengths else v for k, v in cfg.items()}, "identities")
 
 
 def seed_kept_bytes(n: int, order: int) -> int:

@@ -15,7 +15,7 @@ import pytest
 from lagcheck.cli import main as cli_main
 from lagcheck.cpn import make_rpn, make_whitney_cpn
 from lagcheck.geometry import bundle_at, geometry_state
-from lagcheck.identities import _residuals, check_simons_identity, check_simons_inequality, residual, simons_terms
+from lagcheck.identities import RUNG, _residuals, check_simons_identity, check_simons_inequality, simons_terms
 from lagcheck.immersions import (
     make_lagrangian_plane,
     make_perturbed_whitney,
@@ -160,14 +160,12 @@ def test_criterion_04_structure_equations():
         "perturbed_whitney": (make_perturbed_whitney(1.0, 0.05, 1, 2), None),
         "rpn": (make_rpn(2), None),
     }
-    rungs = {
-        "tri_symmetry": 1e-9,
-        "codazzi_full_symmetry": 1e-6,
-        "H_derivative_symmetry": 1e-9,
-        "T_consistency": 1e-8,
-        "gauss_two_method": 1e-6,
-        "ricci_equation": 1e-5,
-    }
+    # each residual over its own terms (`_residuals`), on the one rung
+    rungs = dict.fromkeys(
+        ("tri_symmetry", "codazzi_full_symmetry", "H_derivative_symmetry", "T_consistency", "gauss_two_method",
+         "ricci_equation"),
+        RUNG,
+    )
     worst = {k: 0.0 for k in rungs}
     for idx, (name, (imm, _)) in enumerate(sorted(bodies.items())):
         rng = np.random.default_rng(400 + idx)
@@ -227,7 +225,9 @@ def test_criterion_07_simons_identity():
     pert = make_perturbed_whitney(1.0, 0.05, 1, 2)
     rels = []
     for p in zip(*pert.atlas.random(np.random.default_rng(70), 5)):
-        rel = float(residual("relative", *check_simons_identity(simons_terms(geometry_state(pert, *p, 4))))[0])
+        fb = geometry_state(pert, *p, 4)
+        sides = [("simons_identity_rel", check_simons_identity(simons_terms(fb)))]
+        rel = float(_residuals(fb, sides)["simons_identity_rel"][0])
         rels.append(rel)
         assert rel < 1e-13
     print(f"\nACCEPTANCE 7 PASS: Simons identity (torus cancellation {abs(rhs_sum):.2e}; "

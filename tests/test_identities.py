@@ -17,6 +17,7 @@ from lagcheck.geometry import DegenerateMetricError, NonLagrangianError, geometr
 from lagcheck.identities import (
     CHECKS,
     FORMS,
+    RUNG,
     check_gauss_ricci,
     check_ricci_identity,
     check_simons_identity,
@@ -45,6 +46,7 @@ from reference import (
     balance,
     corpus_body,
     curvature_contraction_closed_forms,
+    dilated,
     laplace_hhat_sides_unmerged,
     random_tracefree,
     rotated_chart,
@@ -89,9 +91,10 @@ def spike_simons_lhs(monkeypatch, imm, charts, coords, size):
     monkeypatch.setattr(geometry.FrameBundle, "laplacian", spiked)
 
 
-def reduced(sides):
-    """The (B,) residuals of the sides of checks, by check name."""
-    return {name: residual(FORMS[name], *s) for name, s in sides.items()}
+def reduced(fb, sides):
+    """The (B,) residuals of the sides of checks on the bundle `fb`, over
+    their own terms, by check name."""
+    return identities._residuals(fb, sides.items())
 
 
 def heavy(imm, chart, coords):
@@ -104,11 +107,13 @@ def at_one_point(residuals):
 
 
 def structural(imm, chart, coords):
-    return at_one_point(reduced(check_structural(geometry_state(imm, chart, coords, 3))))
+    fb = geometry_state(imm, chart, coords, 3)
+    return at_one_point(reduced(fb, check_structural(fb)))
 
 
 def gauss_ricci(imm, chart, coords):
-    return at_one_point(reduced(check_gauss_ricci(geometry_state(imm, chart, coords, 3))))
+    fb = geometry_state(imm, chart, coords, 3)
+    return at_one_point(reduced(fb, check_gauss_ricci(fb)))
 
 
 class TestStructural:
@@ -120,13 +125,14 @@ class TestStructural:
     def test_torus_below_jet_rung(self):
         imm, p = BODIES["torus"]
         res = structural(imm, *p)
-        assert all(v < 1e-9 for v in res.values())
+        assert all(v < RUNG for v in res.values())
 
     def test_perturbed_whitney_below_fd1(self):
+        """Each structural residual, over its own terms, sits below the rung."""
         imm, _ = BODIES["perturbed"]
         for p in zip(*imm.atlas.random(np.random.default_rng(0), 20)):
             res = structural(imm, *p)
-            assert all(v < 1e-6 for v in res.values()), res
+            assert all(v < RUNG for v in res.values()), res
 
 
 class TestGaussRicci:
@@ -139,27 +145,27 @@ class TestGaussRicci:
     def test_torus_flat_both_ways(self):
         imm, p = BODIES["torus"]
         fb = geometry_state(imm, *p, 3)
-        res = at_one_point(reduced(check_gauss_ricci(fb)))
-        assert res["gauss_two_method"] < 1e-10
+        res = at_one_point(reduced(fb, check_gauss_ricci(fb)))
+        assert res["gauss_two_method"] < RUNG
         assert np.max(np.abs(fb.curvature_frame)) < 1e-10
 
     @pytest.mark.parametrize("name", ["whitney", "perturbed"])
     def test_curved_bodies(self, name):
         imm, p = BODIES[name]
         res = gauss_ricci(imm, *p)
-        assert res["gauss_two_method"] < 1e-6
-        assert res["ricci_equation"] < 1e-5
+        assert res["gauss_two_method"] < RUNG
+        assert res["ricci_equation"] < RUNG
 
     def test_rpn_curvature_one(self):
         imm = make_rpn(2)
         fb = geometry_state(imm, 0, [0.2, 0.6], 3)
-        res = at_one_point(reduced(check_gauss_ricci(fb)))
-        assert res["gauss_two_method"] < 1e-6
+        res = at_one_point(reduced(fb, check_gauss_ricci(fb)))
+        assert res["gauss_two_method"] < RUNG
         assert fb.curvature_frame[0, 1, 0, 1, 0] == pytest.approx(1.0, abs=1e-6)
 
 
 def ricci_identity(fb):
-    return float(residual(FORMS["ricci_identity"], *check_ricci_identity(fb))[0])
+    return float(reduced(fb, {"ricci_identity": check_ricci_identity(fb)})["ricci_identity"][0])
 
 
 def laplace_contraction(fb):
@@ -167,7 +173,7 @@ def laplace_contraction(fb):
 
 
 class TestRicciIdentity:
-    @pytest.mark.parametrize("name,tol", [("plane", 1e-14), ("torus", 1e-6), ("perturbed", 1e-4)])
+    @pytest.mark.parametrize("name,tol", [("plane", 1e-14), ("torus", RUNG), ("perturbed", RUNG)])
     def test_commutation_rule(self, name, tol):
         imm, p = BODIES[name]
         assert ricci_identity(heavy(imm, *p)) < tol
@@ -175,20 +181,20 @@ class TestRicciIdentity:
     def test_perturbed_many_points(self):
         imm, _ = BODIES["perturbed"]
         for p in zip(*imm.atlas.random(np.random.default_rng(1), 10)):
-            assert ricci_identity(heavy(imm, *p)) < 1e-4
+            assert ricci_identity(heavy(imm, *p)) < RUNG
 
     @pytest.mark.parametrize("make", [lambda: make_whitney_cn(1.0, None, 5), lambda: make_perturbed_whitney(1.0, 0.05, 1, 5)])
     def test_sides_are_summed_one_term_at_a_time(self, make):
         """At n = 5 on 128 points, on a bundle that already holds hess_h, h
         and the curvature, the residual's traced peak stays within 3.5 arrays
-        of n^5 B floats: the difference, the running sum and one term, never
-        a whole side.  It equals bit for bit the residual of the sides held
-        whole."""
+        of n^5 B floats: the difference, the running sum of |term|, one term
+        and one slice of it, never a whole side.  The residual and its scale
+        equal bit for bit those of the sides held whole."""
         imm = make()
         fb = geometry.bundle_at(imm, *geometry.chart_batch(imm, *imm.atlas.random(np.random.default_rng(7), 128)), 4)
         whole = residual("difference", *map(tuple, check_ricci_identity(fb)))
         assert traced_peak(lambda: residual("difference", *check_ricci_identity(fb))) <= 3.5 * 5**5 * 128 * 8
-        assert np.array_equal(residual("difference", *check_ricci_identity(fb)), whole)
+        assert all(map(np.array_equal, residual("difference", *check_ricci_identity(fb)), whole))
 
 
 class TestLaplaceContraction:
@@ -219,7 +225,7 @@ class TestLaplaceContraction:
             hess_hhat=rng.normal(size=(n,) * 5 + (B,)),
         )
         for fb, t in [(drawn, {"hhat_grad_T": rng.normal(size=B)})] + [
-            (fb, simons_terms(fb)) for ambient in sorted(COVERAGE_CORPUS) for fb in corpus_bundles(ambient)
+            (fb, simons_terms(fb)) for ambient in sorted(COVERAGE_CORPUS) for fb in corpus_bundles(ambient, 1.0)
         ]:
             (lhs,), rhs = lemma_laplace_hhat(fb, t)
             (want_lhs,), want_rhs = laplace_hhat_sides_unmerged(fb, t)
@@ -263,8 +269,9 @@ class TestSimonsIdentity:
     def test_perturbed_relative_residual(self):
         imm, _ = BODIES["perturbed"]
         for p in zip(*imm.atlas.random(np.random.default_rng(2), 5)):
-            rel = residual(FORMS["simons_identity_rel"], *check_simons_identity(simons_terms(heavy(imm, *p))))
-            assert rel[0] < 1e-13
+            fb = heavy(imm, *p)
+            rel = reduced(fb, {"simons_identity_rel": check_simons_identity(simons_terms(fb))})
+            assert rel["simons_identity_rel"][0] < 1e-13
 
 
 def inequality(fb):
@@ -273,7 +280,7 @@ def inequality(fb):
     sides = check_simons_inequality(fb, simons_terms(fb))
     return {
         "margin": float(balance(sides["simons_inequality_margin"])[0]),
-        "spectral_consistency": float(reduced(sides)["spectral_consistency"][0]),
+        "spectral_consistency": float(reduced(fb, sides)["spectral_consistency"][0]),
     }
 
 
@@ -298,7 +305,7 @@ class TestSimonsInequality:
         fb = heavy(imm, *p)
         res = inequality(fb)
         assert res["margin"] >= -1e-9
-        assert res["spectral_consistency"] < 1e-10
+        assert res["spectral_consistency"] < RUNG
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_algebraic_bound_random(self, n):
@@ -477,8 +484,9 @@ class TestSuiteReports:
 
     def test_simons_coefficient_mutation_is_flagged(self, monkeypatch):
         # a relative change of 1e-4 in the n^2/(n+2) coefficient of the
-        # quadratic term moves the residual by about 1e-5: far above the jet
-        # rung, far below the 1e-3 bound of a finite-difference Laplacian
+        # quadratic term moves the residual, over its terms, to 2.6e-6: far
+        # above the rung, far below the 1e-3 bound of a finite-difference
+        # Laplacian
         imm, _ = BODIES["torus"]
         pts = imm.atlas.random(np.random.default_rng(9), 3)
 
@@ -569,7 +577,7 @@ class TestSuiteReports:
         imm, _ = BODIES["torus"]
         pts = imm.atlas.random(np.random.default_rng(6), 2)
         doc = run_identity_suite(imm, *pts, seed=6, heavy=False)
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["kind"] == "identities"
         assert doc["all_pass"] is True
         assert json.loads(json.dumps(doc)) == doc
@@ -697,6 +705,84 @@ def test_linear_map_mutation_is_flagged(monkeypatch, body, mutant, failing):
         assert not checks[check]["pass"], check
 
 
+# The dilations of the scale-freedom tests, and their bodies.
+DILATIONS = (1e-6, 1e-3, 1.0, 1e3, 1e6)
+DILATED_BODIES = ("whitney_cn-offset", "product_torus", "perturbed_whitney")
+
+
+@pytest.mark.parametrize("lam", DILATIONS)
+@pytest.mark.parametrize("body", DILATED_BODIES)
+def test_heavy_suite_passes_at_every_scale(body, lam):
+    """The body dilated by lam through its family's law is lam times the
+    body, and passes every check of the heavy suite with a headroom of at
+    most 1e-2, at 20 samples of seed 7."""
+    imm, base = dilated(body, lam), corpus_body(body)
+    charts, coords = base.atlas.random(np.random.default_rng(7), 20)
+    x, x0 = (b.jets(*b.atlas.normalize(charts, coords), 1).value for b in (imm, base))
+    assert np.max(np.abs(x - lam * x0)) <= 1e-14 * lam * np.max(np.abs(x0))
+    checks = run_identity_suite(imm, charts, coords, seed=7)["checks"]
+    assert len(checks) == len(CHECKS) and max(c["headroom"] for c in checks) <= 1e-2, checks
+
+
+@pytest.mark.parametrize("body", ["whitney_cn", "perturbed_whitney"])
+def test_poles_where_h_vanishes_pass(body):
+    """At u = 0 of either sphere chart h vanishes while grad h does not: the
+    floor's |grad h| keeps the round-off of T, the curvature and the heavy
+    checks from reading up to 1 there, as it would over |h|^w alone."""
+    imm = corpus_body(body)
+    charts, coords = np.array([0, 1, 0]), np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1e-3, 0.0, 0.0]])
+    fb = geometry.bundle_at(imm, charts, coords, 3)
+    assert np.max(fb.h_sq[:2]) < 1e-20 and np.min(np.abs(fb.grad_h).max(axis=(0, 1, 2, 3))) > 1.0
+    checks = run_identity_suite(imm, charts, coords)["checks"]
+    assert max(c["headroom"] for c in checks) <= 1e-2, checks
+
+
+def scaled_rhs_term(orig):
+    """check_ricci_identity with its first curvature contraction times 1.01."""
+
+    def mutated(fb):
+        lhs, rhs = orig(fb)
+        return lhs, (1.01 * x if k == 0 else x for k, x in enumerate(rhs))
+
+    return mutated
+
+
+def scaled_entry(key, scale_side):
+    """A mutant of a producer of named sides or terms that changes the entry `key`."""
+
+    def mutate(orig):
+        def mutated(*args):
+            out = orig(*args)
+            return {**out, key: scale_side(out[key])}
+
+        return mutated
+
+    return mutate
+
+
+# One term of one check times 1.01, by check: (the producer, its mutant).
+SCALE_MUTANTS = {
+    "simons_identity_rel": ("simons_terms", scaled_entry("quad_term", lambda t: 1.01 * t)),
+    "ricci_identity": ("check_ricci_identity", scaled_rhs_term),
+    "T_consistency": ("check_structural", scaled_entry("T_consistency", lambda s: ((1.01 * s[0][0],), s[1]))),
+}
+
+
+@pytest.mark.parametrize("lam", DILATIONS)
+@pytest.mark.parametrize("check", sorted(SCALE_MUTANTS))
+def test_mutants_fail_at_every_scale(monkeypatch, check, lam):
+    """One term of a check times 1.01 fails the check on perturbed_whitney
+    by a factor of at least 1e5 at every dilation (the Simons quad_term,
+    the least, by 8.1e5): the residual over the check's own terms reads the
+    same at every scale."""
+    imm = dilated("perturbed_whitney", lam)
+    pts = imm.atlas.random(np.random.default_rng(7), 20)
+    name, mutate = SCALE_MUTANTS[check]
+    monkeypatch.setattr(identities, name, mutate(getattr(identities, name)))
+    checks = {c["name"]: c for c in run_identity_suite(imm, *pts, seed=7)["checks"]}
+    assert checks[check]["headroom"] >= 1e5, checks[check]
+
+
 # The corpus of the term-coverage matrix, by ambient: n = 3, 20 samples, seed 7.
 COVERAGE_CORPUS = {
     "C^n": ("whitney_cn", "perturbed_whitney", "product_torus"),
@@ -704,12 +790,18 @@ COVERAGE_CORPUS = {
 }
 
 
+# The dilations of each corpus at which the coverage matrix is taken: CP^n
+# bodies have no length to dilate.
+COVERAGE_DILATIONS = {"C^n": (1e-3, 1.0, 1e3), "CP^n": (1.0,)}
+
+
 @functools.lru_cache(maxsize=None)
-def corpus_bundles(ambient: str) -> tuple:
-    """One order-4 bundle per body of the ambient's corpus, over its 20
-    sample points of seed 7."""
+def corpus_bundles(ambient: str, lam: float) -> tuple:
+    """One order-4 bundle per body of the ambient's corpus, dilated by `lam`,
+    over its 20 sample points of seed 7."""
     bundles = []
-    for imm in map(corpus_body, COVERAGE_CORPUS[ambient]):
+    for name in COVERAGE_CORPUS[ambient]:
+        imm = corpus_body(name) if lam == 1.0 else dilated(name, lam)
         points = geometry.chart_batch(imm, *imm.atlas.random(np.random.default_rng(7), 20))
         bundles.append(geometry.bundle_at(imm, *points, 4))
     return tuple(bundles)
@@ -753,22 +845,24 @@ def test_term_coverage_matrix(ambient):
     """Each term of each side of each check, scaled by 1.01 in the stored
     sides, fails its check by a factor of at least 100 on some body of the
     ambient's corpus, except the terms named in BLIND: those are zero on
-    every body, or too small against the rest of their check."""
-    tol = {c.name: c.tol for c in CHECKS}
-    best = {}
-    for fb in corpus_bundles(ambient):
-        for name, sides in identities._sides(fb):
-            sides = tuple(map(tuple, sides))
-            for side, terms in enumerate(sides):
-                for k, term in enumerate(terms):
-                    wrong = [list(s) for s in sides]
-                    wrong[side][k] = 1.01 * term
-                    headroom = np.max(residual(FORMS[name], *map(tuple, wrong))) / tol[name]
-                    key = (name, ("lhs", "rhs")[side], k)
-                    best[key] = max(best.get(key, 0.0), headroom)
-    assert {name for name, _, _ in best} == set(tol)
-    assert len(best) == 45
-    assert {key for key, headroom in best.items() if not headroom >= 100} == BLIND[ambient]
+    every body, or too small against the rest of their check.  A residual is
+    measured against its check's own terms, so the blind set is the same on
+    the corpus dilated by each of COVERAGE_DILATIONS."""
+    for lam in COVERAGE_DILATIONS[ambient]:
+        best = {}
+        for fb in corpus_bundles(ambient, lam):
+            for name, sides in identities._sides(fb):
+                sides = tuple(map(tuple, sides))
+                for side, terms in enumerate(sides):
+                    for k, term in enumerate(terms):
+                        wrong = [list(s) for s in sides]
+                        wrong[side][k] = 1.01 * term
+                        headroom = np.max(reduced(fb, {name: wrong})[name]) / RUNG
+                        key = (name, ("lhs", "rhs")[side], k)
+                        best[key] = max(best.get(key, 0.0), headroom)
+        assert {name for name, _, _ in best} == set(FORMS)
+        assert len(best) == 45
+        assert {key for key, headroom in best.items() if not headroom >= 100} == BLIND[ambient], lam
 
 
 # Checks whose declared weights the corpus of the ambient does not pin down.
@@ -801,19 +895,19 @@ def weight_fit(blocks: list) -> tuple[float, float]:
 
 @pytest.mark.parametrize("ambient", sorted(COVERAGE_CORPUS))
 def test_declared_weights_are_identified(ambient):
-    """The only weights of its terms that balance a difference or relative
-    check on the ambient's corpus are the declared ones, except for the
-    checks named in UNIDENTIFIED: the signed terms, as columns, have a null
+    """The only weights of its terms that balance a difference check on the
+    ambient's corpus are the declared ones, except for the checks named in
+    UNIDENTIFIED: the signed terms, as columns, have a null
     space of one dimension, spanned by (1, ..., 1) to 1e-10, and a gap of at
     least 1e-3 to the next singular value.  Each point is scaled by its
     largest term, floored at 1e-6, so that no body or point outweighs the
     rest.  After the merge of the Laplace check's duplicate term the worst
     match is 5.2e-13 and the least gap 6.8e-3, both on that check in C^n."""
     blocks = {}
-    for fb in corpus_bundles(ambient):
+    for fb in corpus_bundles(ambient, 1.0):
         for name, sides in identities._sides(fb):
             lhs, rhs = map(tuple, sides)
-            if FORMS[name] in ("difference", "relative") and len(lhs) + len(rhs) >= 2:
+            if FORMS[name] == "difference" and len(lhs) + len(rhs) >= 2:
                 terms = np.stack(np.broadcast_arrays(*lhs, *(-x for x in rhs)))
                 terms = terms.reshape(len(terms), -1, terms.shape[-1])  # (term, entry, point)
                 terms /= np.maximum(np.max(np.abs(terms), axis=(0, 1)), 1e-6)
@@ -827,8 +921,8 @@ def test_declared_weights_are_identified(ambient):
 def test_readme_check_table_is_checks():
     """The README's table of checks gives each row of CHECKS, in order."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    rows = re.findall(r"^\| `(\w+)` \| (\d+) \| ([0-9.e+-]+) \| (\w+) \|$", readme, flags=re.M)
-    assert [(name, int(order), float(tol), form) for name, order, tol, form in rows] == [tuple(c) for c in CHECKS]
+    rows = re.findall(r"^\| `(\w+)` \| (\d+) \| (\d+) \| (\w+) \|$", readme, flags=re.M)
+    assert [(name, int(order), int(w), form) for name, order, w, form in rows] == [tuple(c) for c in CHECKS]
 
 
 def test_each_bundle_quantity_is_built_once(monkeypatch):
