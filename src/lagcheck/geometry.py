@@ -594,8 +594,8 @@ def scalar_laplacian(imm: Immersion, chart: int, coords, field: Callable[[int, J
 # Points per bundle, by jet order: the chunk bounds the peak memory.  Each is a
 # multiple of 8, which keeps every residual bit-equal to one batch.  At order 2
 # it is the memory budget at n = 3: one chunk of the degree-20 rule, its bundle
-# and its energy integrand peak at 1.11, 1.18 and 1.28 MB of traced memory
-# (1091, 1162 and 1263 B per node) on product_torus, whitney_cn and whitney_cpn,
+# and its energy integrand peak at 1.11, 1.11 and 1.28 MB of traced memory
+# (1091, 1091 and 1263 B per node) on product_torus, whitney_cn and whitney_cpn,
 # below the 1.33, 1.78 and 1.85 MB of a 768-node chunk of older code; at n = 4
 # and 5 a node takes about 2 and 3.4-3.7 times as much.  At orders 3 and 4
 # (whitney_cn) the peak doubles with the chunk while time is flat at n = 5

@@ -23,6 +23,7 @@ optionally rescaled, and names the sample it occurred at.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Iterable
 
@@ -261,8 +262,16 @@ def _sides(fb: FrameBundle):
 def _residuals(fb: FrameBundle, sides: Iterable | None = None) -> dict[str, np.ndarray]:
     """Every check the bundle reaches, or the (name, (lhs, rhs)) `sides`, as (B,)
     residuals over S + |h|^w + |grad h|^(w/2) + c^(w/2) at weight w > 0 (h alone
-    vanishes at a Whitney sphere's poles), with 0/0 = 0 and x/inf = NaN."""
+    vanishes at a Whitney sphere's poles), with 0/0 = 0 and x/inf = NaN.
+    Where the sum of squares of grad h overflows, |grad h| is taken over its
+    entries divided by their max, so every finite root keeps its bits."""
     h, gh = np.sqrt(fb.h_sq), np.einsum("mijkb,mijkb->b", fb.grad_h, fb.grad_h) ** 0.25
+    if math.isinf(gh.max()):
+        over = np.isinf(gh)
+        big = fb.grad_h[..., over]
+        top = np.abs(big).max(axis=(0, 1, 2, 3))
+        big /= top
+        gh[over] = np.sqrt(top) * np.einsum("mijkb,mijkb->b", big, big) ** 0.25
     floor = {w: h**w + gh**w + fb.c_amb ** (w / 2) for w in set(WEIGHTS.values()) - {0}}
     out = {}
     for name, (lhs, rhs) in _sides(fb) if sides is None else sides:

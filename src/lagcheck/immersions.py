@@ -161,8 +161,10 @@ class Immersion:
     takes |u|^2 as `u.norm_sq()`, u s for a scalar jet s as `u.times(s)`
     and sin u, cos u as `u.sin_cos()`: on a seed these write their rows
     directly, and on any other jet they are the generic arithmetic, with the
-    same bits either way.  The jet returned owns its coefficient array, so
-    its reader may overwrite it.
+    same bits either way.  `u.times(s, out=)` and `u.sin_cos(out=)` write
+    into a caller's arrays, such as the halves of the family's interleaved
+    buffer.  The jet returned owns its coefficient array, so its reader may
+    overwrite it.
     """
 
     name: str
@@ -224,15 +226,38 @@ def times_i(x, axis: int = 0):
 
 # -- Whitney sphere in C^n ---------------------------------------------------
 
+_PLUS_MINUS = np.array([[1.0], [-1.0]])
+
+
+def _whitney_profile(s0: np.ndarray, sign, r: float, order: int) -> list[np.ndarray]:
+    """The Taylor coefficients g_k, k = 0..order, of [Re, Im] G(s0 + t) at
+    the (B,) values s0 of s = |u|^2, each a (2, B) array, for the profile
+    G(s) = r (1 + s + i sigma (s - 1)) / (1 + s^2) of `make_whitney_cn`:
+    the numerators b (s0 + (1, -1) + t), b = r (1, sigma), divided as series
+    by d0 + d1 t + t^2 = 1 + (s0 + t)^2."""
+    d0, d1 = 1.0 + s0 * s0, 2.0 * s0
+    b = np.empty((2,) + s0.shape)
+    b[0], b[1] = r, r * sign
+    g = [b * (s0 + _PLUS_MINUS) / d0]
+    if order:
+        g.append((b - d1 * g[0]) / d0)
+    for _ in range(2, order + 1):
+        g.append(-(d1 * g[-1] + g[-2]) / d0)
+    return g
+
 
 def make_whitney_cn(r: float, A=None, n: int = 2) -> Immersion:
     """Whitney sphere immersion of S^n into C^n with radius r and offset A.
 
     In embedded sphere coordinates the complex components are
     z_j = r x_j (1 + i x_{n+1}) / (1 + x_{n+1}^2) + A_j, which in the chart
-    is z = r u (1 + s + i sigma (s - 1)) / (1 + s^2) + A (s = |u|^2, sigma
-    = `SphereAtlas.sign`): one reciprocal and no other series; s and u s
-    are `norm_sq` and `times` (`Immersion`).
+    is z = u G(s) + A with G(s) = r (1 + s + i sigma (s - 1)) / (1 + s^2)
+    (s = |u|^2 = `norm_sq`, sigma = `SphereAtlas.sign`).  The Taylor
+    coefficients of Re G and Im G at s0 come from the division of their
+    linear numerators by 1 + s^2, a few per-point array operations with no
+    jet, and `compose_series` turns them into two scalar jets, whose
+    products with u (`times`) are written into the halves of the
+    interleaved buffer.
     """
     if r <= 0:
         raise ValueError("whitney radius r must be positive")
@@ -248,15 +273,13 @@ def make_whitney_cn(r: float, A=None, n: int = 2) -> Immersion:
     def jet_fn(charts, u):
         sp, rows = u.space, u.c.shape[1:]
         s = u.norm_sq()
-        q, us = r / (1.0 + s * s), u.times(s)
-        del s
+        re, im = s.compose_series(*zip(*_whitney_profile(s.value, atlas.sign(charts), r, u.order)))
+        del s  # with the coefficients, before the buffer
         z = np.empty((n, 2) + rows)  # [j, re/im]: interleaved once reshaped
-        np.add(us.c, u.c, out=z[:, 0])
-        np.subtract(us.c, u.c, out=z[:, 1])
-        del u, us  # the seed and u s die before the products
-        z[:, 1] *= atlas.sign(charts)
-        for part in (0, 1):  # one (n,) product at a time, back into its half
-            z[:, part] = (Jet(sp, z)[:, part] * q).c
+        u.times(re, out=z[:, 0])
+        del re  # each profile dies after its product
+        u.times(im, out=z[:, 1])
+        del u, im
         z[:, :, 0] += offset
         return Jet(sp, z.reshape((2 * n,) + rows))
 
@@ -354,7 +377,9 @@ def linear_image(base: Immersion, matrix: np.ndarray, offset=None, name=None) ->
         raise ValueError("ambient map has the wrong shape")
 
     def jet_fn(charts, u):
-        return jet_einsum("cd,d->c", matrix, base.jet_fn(charts, u)) + offset[:, None]
+        image = jet_einsum("cd,d->c", matrix, base.jet_fn(charts, u))
+        image.c[:, 0] += offset[:, None]  # a fresh array: the offset needs no copy
+        return image
 
     return replace(
         base,

@@ -242,17 +242,23 @@ class Jet:
             c[sp.pure_rows[2]] = 1.0
         return Jet(sp, c)
 
-    def times(self, x: "Jet") -> "Jet":
+    def times(self, x: "Jet", out=None) -> "Jet":
         """self * x for a scalar jet x.  On the seeded coordinates the rows
         are written directly, bit for bit what the truncated product gives:
         u0 x, plus the rows of x shifted up one degree along each u_a (the
-        derivative table `_d_src` read the other way)."""
+        derivative table `_d_src` read the other way).  `out`, an array of
+        the result's shape, such as one half of a caller's interleaved
+        buffer, receives its rows, with the same bits."""
         if not (self.seeded and isinstance(x, Jet) and x.shape == ()):
-            return self * x
+            prod = self * x
+            if out is None:
+                return prod
+            out[...] = prod.c
+            return Jet(self.space, out, prod.order)
         sp = self.space
         rows = sp.ncoef_by_degree
         vo = min(self.order, x.order)
-        out = self.c[:, :1] * x.c[: rows[vo]]
+        out = np.multiply(self.c[:, :1], x.c[: rows[vo]], out=out)
         if vo:  # x0 on u_a's own first row, the product's signed zero 0 x0 on the others
             out[:, 1 : rows[1]] += self.c[:, 1 : rows[1]] * x.c[:1]
         if vo >= 2:  # + 0.0 for the product's pair sums, which are never -0.0

@@ -9,7 +9,8 @@ vectors and rotations, the
 real matrices of complex maps, a body in a rotated chart (a change of frame
 through the public path), two other routes to an immersion's jets (the
 finite-difference black box and the Moebius form of the Whitney sphere), the
-perturbed Whitney sphere with its quadratic form drawn by numpy, and helpers
+Whitney sphere as its family once wrote it and the perturbed Whitney sphere
+built on it with its quadratic form drawn by numpy, and helpers
 that invert or read what the engine builds, such as the balance of the two
 sides of a check or the frame a bundle frees (`frame0`), and the corpus of
 test bodies (`CORPUS`, with `dilated` for its C^n bodies) with the traced
@@ -38,7 +39,6 @@ from lagcheck.immersions import (
     expm_series,
     interleave,
     linear_image,
-    make_whitney_cn,
     times_i,
 )
 from lagcheck.jets import Jet, jet_einsum, jet_space
@@ -633,15 +633,44 @@ def whitney_cn_mobius(r: float, A: np.ndarray, n: int) -> Immersion:
                      atlas=atlas, jet_fn=jet_fn)
 
 
+def preset_whitney_cn(r: float, A=None, n: int = 2) -> Immersion:
+    """`whitney_cn` as the family once wrote it,
+    z = r u (1 + s + i sigma (s - 1)) / (1 + s^2) + A: the jet reciprocal
+    of 1 + s^2 and two (n,) products with it, whose bits the pinned jets of
+    `numpy_perturbed_whitney` keep.  `make_whitney_cn` writes the same
+    formula as u G(s) + A by series division."""
+    A = np.zeros(n, dtype=complex) if A is None else np.asarray(A, dtype=complex)
+    atlas = SphereAtlas(n)
+    pairs = np.stack([A.real, A.imag], axis=1)
+    offset = pairs[:, :, None]
+
+    def jet_fn(charts, u):
+        sp, rows = u.space, u.c.shape[1:]
+        s = u.norm_sq()
+        q, us = r / (1.0 + s * s), u.times(s)
+        z = np.empty((n, 2) + rows)  # [j, re/im]: interleaved once reshaped
+        np.add(us.c, u.c, out=z[:, 0])
+        np.subtract(us.c, u.c, out=z[:, 1])
+        z[:, 1] *= atlas.sign(charts)
+        for part in (0, 1):
+            z[:, part] = (Jet(sp, z)[:, part] * q).c
+        z[:, :, 0] += offset
+        return Jet(sp, z.reshape((2 * n,) + rows))
+
+    return Immersion(name="whitney_cn", ambient=AMBIENT_CN, params={"r": float(r), "A": pairs.tolist(), "n": n},
+                     atlas=atlas, jet_fn=jet_fn)
+
+
 def numpy_perturbed_whitney(r: float, eps: float, mode: int, n: int) -> Immersion:
     """`perturbed_whitney` with its quadratic form Q drawn, as the family
-    once drew it, from `np.random.default_rng(1000 n + mode)`: the body the
+    once drew it, from `np.random.default_rng(1000 n + mode)`, on the
+    Whitney sphere as it was then written (`preset_whitney_cn`): the body the
     values pinned from the earlier nested-list frame bundle describe."""
     M = np.random.default_rng(1000 * n + mode).normal(size=(2 * n, 2 * n))
     Q = 0.5 * (M + M.T)
     Q /= np.linalg.norm(Q, ord="fro")
     flow = expm_series(eps * (symplectic_j_matrix(n) @ Q))
-    return linear_image(make_whitney_cn(r, None, n), flow, name="perturbed_whitney")
+    return linear_image(preset_whitney_cn(r, None, n), flow, name="perturbed_whitney")
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,16 @@ class TestIdentitiesCommand:
         assert capsys.readouterr().err == ""
         assert len(json.loads(out.read_text())["sample_points"]) == 20
 
+    @pytest.mark.parametrize("r", [1e-77, 1e-100, 1e-150])
+    def test_light_suite_passes_where_grad_h_squared_overflows(self, tmp_path, capsys, r):
+        """Below r = 1e-76 the sum of squares of grad h overflows, and the
+        floors of the light checks take |grad h| from its max-scaled
+        entries: the light suite of a valid body still passes."""
+        cfg = write_cfg(tmp_path, "w.json", {"family": "whitney_cn", "r": r, "n": 3, "samples": 20, "seed": 7,
+                                             "heavy": False})
+        assert main(["identities", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("theta", [5, 10, 15, 20])
     def test_small_cpn_whitney_spheres_pass(self, tmp_path, theta):
         """`whitney_cpn` shrinks as theta grows, far below the curvature
@@ -483,12 +493,16 @@ WHITNEY3 = {"family": "whitney_cn", "n": 3}
         # the density r^3 is subnormal, or zero: the integrals would stray from the dilation law, or read 0
         ("energy", {**WHITNEY3, "r": 1e-105, "degree": 4}, "induced volume density 1.059922587e-315 is below"),
         ("energy", {**WHITNEY3, "r": 1e-108, "degree": 4}, UNDERFLOW),
-        ("identities", {**WHITNEY3, "r": 1e-100}, "sample 0: tri_symmetry residual is not finite"),
-        # |grad h|^2 of the floors overflows while no residual does (the
-        # Laplace contraction's, before its divisor, is 2.0e279): r / inf
-        # would pass
-        ("identities", {**WHITNEY3, "r": 1e-77}, "sample 0: tri_symmetry residual is not finite"),
+        # the Laplace contraction's own terms overflow (inf - inf)
+        ("identities", {**WHITNEY3, "r": 1e-100}, "sample 0: laplace_contraction residual is not finite"),
+        # |grad h|^2, the weight-4 floor, overflows while no residual does (the
+        # Laplace contraction's, before its divisor, is 3.0e278): r / inf
+        # would pass; the lighter floors, |grad h| from its max-scaled
+        # entries, stay finite
+        ("identities", {**WHITNEY3, "r": 1e-77}, "sample 0: laplace_contraction residual is not finite"),
         ("identities", {**WHITNEY3, "r": 1e-160}, "sample 0: tri_symmetry residual is not finite"),
+        # |h|^2 overflows: the weight-1 floor and the norm identity's terms
+        ("identities", {**WHITNEY3, "r": 1e-154, "heavy": False}, "sample 0: tri_symmetry residual is not finite"),
         ("identities", {**WHITNEY3, "r": 1e-160, "seed": 13}, "residual is not finite"),
         ("identities", {"family": "product_torus", "radii": [1e-100, 2e-100]}, "residual is not finite"),
         # |phi(0)|^2 of the family's representative overflows ahead of the lift
@@ -502,7 +516,8 @@ WHITNEY3 = {"family": "whitney_cn", "n": 3}
     ids=[
         "energy-perturbed-1e200", "identities-perturbed-1e200", "energy-whitney-1e200", "identities-whitney-1e200",
         "energy-whitney-1e-105", "energy-whitney-1e-108", "identities-whitney-1e-100", "identities-whitney-1e-77-floor",
-        "identities-whitney-1e-160", "identities-whitney-1e-160-spectral", "identities-torus-1e-100",
+        "identities-whitney-1e-160", "identities-whitney-1e-154-light", "identities-whitney-1e-160-spectral",
+        "identities-torus-1e-100",
         *(f"identities-whitney-cpn-theta-{theta}-{kind}" for theta in (180, 200, 300) for kind in ("heavy", "light")),
     ],
 )

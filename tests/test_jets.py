@@ -457,8 +457,9 @@ def test_seed_rows_are_the_generic_arithmetic(nvars, batch, seed):
     `sin_cos` write the rows that `jet_einsum("a,a->", u, u)`, `u * x` and
     the power series over full products give, bit for bit, signs of zero
     included (tobytes tells -0.0 from +0.0); x is a scalar jet of any order
-    up to u's.  On a linear jet R v, which is no seed, they are that
-    arithmetic."""
+    up to u's, and `times(x, out=)` writes the same bits into one half of an
+    interleaved buffer.  On a linear jet R v, which is no seed, they are
+    that arithmetic."""
     rng = np.random.default_rng(seed)
     for order in range(5):
         sp = jet_space(nvars, order)
@@ -469,7 +470,11 @@ def test_seed_rows_are_the_generic_arithmetic(nvars, batch, seed):
         for arg, generic in ((u, Jet(sp, u.c.copy())), (rv, rv)):
             assert arg.seeded == (arg is u)
             assert bits(arg.norm_sq()) == bits(jet_einsum("a,a->", generic, generic))
-            assert bits(arg.times(x)) == bits(generic * x)
+            want = bits(generic * x)
+            assert bits(arg.times(x)) == want
+            halves = np.full((nvars, 2) + want[1][1:], np.nan)
+            into = arg.times(x, out=halves[:, 1])
+            assert np.shares_memory(into.c, halves) and bits(into) == want
             s0, c0 = np.sin(arg.value), np.cos(arg.value)
             cycle = [s0, c0, -s0, -c0]
             for got, p in zip(arg.sin_cos(), (0, 1)):

@@ -407,16 +407,18 @@ class TestChunkSize:
     # measured peak plus about 3%.  Before the bundle kept only B, sqrt det g,
     # the Lagrangian residual and h, and the families and the CP^n lift freed
     # the seed and their halves, these read 1307, 1483 and 1535 at n = 3,
-    # 2611, 2995 and 2915 at n = 4, and 4603, 5299 and 5019 at n = 5.
+    # 2611, 2995 and 2915 at n = 4, and 4603, 5299 and 5019 at n = 5; while
+    # `whitney_cn` formed u s and two (n,) products with 1 / (1 + s^2), it
+    # peaked in the family, at 1162, 2394 and 4290.
     CHUNK_BYTES_PER_NODE = {
         ("product_torus", 3): 1120,  # measured 1091
-        ("whitney_cn", 3): 1200,  # 1162
+        ("whitney_cn", 3): 1120,  # 1091: it peaks in the bundle, as the torus does
         ("whitney_cpn", 3): 1300,  # 1263
         ("product_torus", 4): 2300,  # 2227
-        ("whitney_cn", 4): 2470,  # 2394
+        ("whitney_cn", 4): 2300,  # 2227
         ("whitney_cpn", 4): 2540,  # 2467
         ("product_torus", 5): 4120,  # 4003
-        ("whitney_cn", 5): 4420,  # 4290
+        ("whitney_cn", 5): 4120,  # 4003
         ("whitney_cpn", 5): 4470,  # 4339
     }
 

@@ -26,7 +26,10 @@ ALLOWED_UNREACHED = {
     **{f"geometry.{name}": PINNED_BY_TRACER
        for name in ("geometry_state", "closedness_residual", "maslov_tensor_gradient", "scalar_laplacian")},
     **{f"jets.Jet.{name}": "listed in the tracer's JET_METHODS"
-       for name in ("__rsub__", "__rmul__", "__truediv__", "partial", "sqrt", "sin", "cos", "exp")},
+       for name in ("__rsub__", "__rmul__", "__truediv__", "__rtruediv__", "_reciprocal", "partial", "sqrt", "sin",
+                    "cos", "exp")},
+    "jets.Jet.__getitem__": "the indexing of a jet's tensor axes that `Jet.variables` documents, for the fields a "
+                            "caller hands `scalar_laplacian` and for the tests",
     "geometry.cached": "runs at import time, before any command",
 }
 
